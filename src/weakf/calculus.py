@@ -1,8 +1,10 @@
-"""Exact-derivative tensor calculus on coordinate charts.
+"""Exact-derivative tensor calculus kernels on raw jet arrays.
 
-All operations are pure functions of immutable field descriptions evaluated
-at a chart point. Derivatives are exact (forward-mode jets); finite
-differences never appear here, they live in the test oracles only.
+Every kernel is a pure numpy function of the value and partial-derivative
+arrays of fields at one chart point (see ``SmoothField.jet``); ``PackFrame``
+and the submanifold code assemble their tensors from them. Field-level
+versions that take genuine vector fields, and finite differences, live in
+the test suite as independent oracles (``tests/oracles.py``).
 
 Conventions, fixed once for the whole engine:
 
@@ -17,17 +19,13 @@ Conventions, fixed once for the whole engine:
   ``[S,S](X,Y) = S^2[X,Y] + [SX,SY] - S[SX,Y] - S[X,SY]`` (bracket mode),
   equivalently ``(S D_Y S - D_{SY} S)X - (S D_X S - D_{SX} S)Y``
   (connection mode); the two are cross-validated in the test suite.
-
-Vector-field arguments are genuine fields: operations that are tensorial in
-an argument do not depend on its extension, and the suite checks this with
-two extensions agreeing at the evaluation point.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DegeneratePlaneError
+from .errors import DegenerateMetricError
 
 _METRIC_EIGEN_FLOOR = 1e-12
 
@@ -96,19 +94,9 @@ def nabla_tensor11_kernel(gamma, t0, t1):
     )
 
 
-def nabla_vector_kernel(gamma, x0, y0, y1):
-    """(D_X Y)^k at a point from Y's first jets; X enters by value only."""
-    return x0 @ y1.T + np.einsum("kij,i,j->k", gamma, x0, y0)
-
-
 def nabla_oneform_kernel(gamma, w0, w1):
     """nw[i,b] = (D_{e_i} w)_b."""
     return np.einsum("bi->ib", w1) - np.einsum("cib,c->ib", gamma, w0)
-
-
-def lie_bracket_kernel(x0, x1, y0, y1):
-    """[X,Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
-    return np.einsum("i,ki->k", x0, y1) - np.einsum("i,ki->k", y0, x1)
 
 
 def lie_metric_kernel(g0, g1, x0, x1):
@@ -129,11 +117,6 @@ def lie_tensor11_kernel(t0, t1, x0, x1):
     )
 
 
-def lie_oneform_kernel(w0, w1, x0, x1):
-    """(L_X w)_a = X^k d_k w_a + w_k d_a X^k."""
-    return np.einsum("k,ak->a", x0, w1) + np.einsum("k,ka->a", w0, x1)
-
-
 def d_oneform_kernel(w1):
     """dw[a,b] = (1/2)(d_a w_b - d_b w_a); equals the co-boundary formula."""
     return 0.5 * (w1.T - w1)
@@ -144,185 +127,3 @@ def d_twoform_kernel(w1):
     return (
         np.einsum("bca->abc", w1) + np.einsum("cab->abc", w1) + np.einsum("abc->abc", w1)
     ) / 3.0
-
-
-def nijenhuis_bracket_kernel(s0, s1, x0, y0):
-    """[S,S](X,Y) for constant-coefficient extensions of X and Y."""
-    sx = s0 @ x0
-    sy = s0 @ y0
-    # [SX, SY]^k = (SX)^a d_a (SY)^k - (SY)^a d_a (SX)^k
-    b1 = np.einsum("a,kba,b->k", sx, s1, y0) - np.einsum("a,kba,b->k", sy, s1, x0)
-    # [SX, Y]^k = -(Y)^a d_a (SX)^k ; [X, SY]^k = X^a d_a (SY)^k
-    b2 = -np.einsum("a,kba,b->k", y0, s1, x0)
-    b3 = np.einsum("a,kba,b->k", x0, s1, y0)
-    return b1 - s0 @ b2 - s0 @ b3
-
-
-def nijenhuis_nabla_kernel(gamma, s0, s1, x0, y0):
-    """(S D_Y S - D_{SY} S)X - (S D_X S - D_{SX} S)Y."""
-    ns = nabla_tensor11_kernel(gamma, s0, s1)  # [i,k,j]
-    sx = s0 @ x0
-    sy = s0 @ y0
-
-    def half(u, su, w):
-        # (S D_u S - D_{su} S) w
-        a = s0 @ np.einsum("ikj,i,j->k", ns, u, w)
-        b = np.einsum("ikj,i,j->k", ns, su, w)
-        return a - b
-
-    return half(y0, sy, x0) - half(x0, sx, y0)
-
-
-# -- field-level operations ----------------------------------------------------
-
-
-def _vec_jets(x, p, order=1):
-    return x.jet(p, order=order)
-
-
-def christoffel(g, p):
-    """Levi-Civita coefficients Gamma^k_ij of ``g`` at ``p``."""
-    g0, g1 = g.jet(p, order=1)
-    return christoffel_from_jets(g0, g1, p)
-
-
-def nabla_vector(g, x, y, p):
-    """Covariant derivative (D_X Y) at ``p``; Y must be a field near p."""
-    gamma = christoffel(g, p)
-    x0 = x.value(p)
-    y0, y1 = _vec_jets(y, p)
-    return nabla_vector_kernel(gamma, x0, y0, y1)
-
-
-def nabla_tensor11(g, t, x, y, p):
-    """((D_X T) Y) at ``p``; tensorial in both X and Y."""
-    gamma = christoffel(g, p)
-    t0, t1 = t.jet(p, order=1)
-    nt = nabla_tensor11_kernel(gamma, t0, t1)
-    return np.einsum("ikj,i,j->k", nt, x.value(p), y.value(p))
-
-
-def nabla_oneform(g, w, x, p):
-    """(D_X w) at ``p`` as a one-form value."""
-    gamma = christoffel(g, p)
-    w0, w1 = w.jet(p, order=1)
-    nw = nabla_oneform_kernel(gamma, w0, w1)
-    return np.einsum("ib,i->b", nw, x.value(p))
-
-
-def lie_bracket(x, y, p):
-    """[X, Y] at ``p``."""
-    x0, x1 = _vec_jets(x, p)
-    y0, y1 = _vec_jets(y, p)
-    return lie_bracket_kernel(x0, x1, y0, y1)
-
-
-def lie_derivative(target, x, p):
-    """(L_X target) at ``p``; kind read off the target field."""
-    x0, x1 = _vec_jets(x, p)
-    t0, t1 = target.jet(p, order=1)
-    if target.kind == "metric":
-        return lie_metric_kernel(t0, t1, x0, x1)
-    if target.kind == "tensor11":
-        return lie_tensor11_kernel(t0, t1, x0, x1)
-    if target.kind == "oneform":
-        return lie_oneform_kernel(t0, t1, x0, x1)
-    raise ValueError(f"lie_derivative does not handle kind {target.kind!r}")
-
-
-def d_oneform(w, x, y, p):
-    """dw(X,Y) at ``p`` via the half-normalized co-boundary formula."""
-    x0, x1 = _vec_jets(x, p)
-    y0, y1 = _vec_jets(y, p)
-    w0, w1 = w.jet(p, order=1)
-    # X(w(Y)) = X^i d_i (w_k Y^k)
-    xwy = np.einsum("i,ki,k->", x0, w1, y0) + np.einsum("i,k,ki->", x0, w0, y1)
-    ywx = np.einsum("i,ki,k->", y0, w1, x0) + np.einsum("i,k,ki->", y0, w0, x1)
-    br = lie_bracket_kernel(x0, x1, y0, y1)
-    return 0.5 * (xwy - ywx - w0 @ br)
-
-
-def d_twoform(w, x, y, z, p):
-    """dw(X,Y,Z) at ``p`` via the third-normalized co-boundary formula."""
-    x0, x1 = _vec_jets(x, p)
-    y0, y1 = _vec_jets(y, p)
-    z0, z1 = _vec_jets(z, p)
-    w0, w1 = w.jet(p, order=1)
-
-    def dirderiv(u0, a0, a1, b0, b1):
-        # U(w(A,B)) with all three fields varying
-        return (
-            np.einsum("i,abi,a,b->", u0, w1, a0, b0)
-            + np.einsum("i,ab,ai,b->", u0, w0, a1, b0)
-            + np.einsum("i,ab,a,bi->", u0, w0, a0, b1)
-        )
-
-    term = (
-        dirderiv(x0, y0, y1, z0, z1)
-        + dirderiv(y0, z0, z1, x0, x1)
-        + dirderiv(z0, x0, x1, y0, y1)
-    )
-    bxy = lie_bracket_kernel(x0, x1, y0, y1)
-    bzx = lie_bracket_kernel(z0, z1, x0, x1)
-    byz = lie_bracket_kernel(y0, y1, z0, z1)
-    term -= np.einsum("ab,a,b->", w0, bxy, z0)
-    term -= np.einsum("ab,a,b->", w0, bzx, y0)
-    term -= np.einsum("ab,a,b->", w0, byz, x0)
-    return term / 3.0
-
-
-def nijenhuis(s, x, y, p, mode="bracket", g=None):
-    """Nijenhuis torsion [S,S](X,Y) at ``p``.
-
-    ``mode="bracket"`` uses the commutator definition on the given field
-    extensions; ``mode="nabla"`` rewrites it through the Levi-Civita
-    connection of ``g`` and is tensorial in X and Y.
-    """
-    s0, s1 = s.jet(p, order=1)
-    if mode == "bracket":
-        x0, x1 = _vec_jets(x, p)
-        y0, y1 = _vec_jets(y, p)
-        sx0 = s0 @ x0
-        sy0 = s0 @ y0
-        # first jets of the composite fields SX, SY
-        sx1 = np.einsum("kji,j->ki", s1, x0) + s0 @ x1
-        sy1 = np.einsum("kji,j->ki", s1, y0) + s0 @ y1
-        term = s0 @ (s0 @ lie_bracket_kernel(x0, x1, y0, y1))
-        term = term + lie_bracket_kernel(sx0, sx1, sy0, sy1)
-        term = term - s0 @ lie_bracket_kernel(sx0, sx1, y0, y1)
-        term = term - s0 @ lie_bracket_kernel(x0, x1, sy0, sy1)
-        return term
-    if mode == "nabla":
-        if g is None:
-            raise ValueError("mode='nabla' needs the metric g")
-        gamma = christoffel(g, p)
-        return nijenhuis_nabla_kernel(gamma, s0, s1, x.value(p), y.value(p))
-    raise ValueError(f"unknown nijenhuis mode {mode!r}")
-
-
-def curvature(g, x, y, z, p):
-    """R(X,Y)Z at ``p``; tensorial, needs second metric derivatives."""
-    g0, g1, g2 = g.jet(p, order=2)
-    riem = riemann_from_jets(g0, g1, g2, p)
-    return np.einsum(
-        "lijk,i,j,k->l", riem, x.value(p), y.value(p), z.value(p)
-    )
-
-
-def sectional(g, x, y, p):
-    """Sectional curvature of the plane spanned by X and Y at ``p``."""
-    g0, g1, g2 = g.jet(p, order=2)
-    riem = riemann_from_jets(g0, g1, g2, p)
-    x0 = x.value(p) if hasattr(x, "value") else np.asarray(x, dtype=float)
-    y0 = y.value(p) if hasattr(y, "value") else np.asarray(y, dtype=float)
-    return sectional_from_riemann(riem, g0, x0, y0)
-
-
-def sectional_from_riemann(riem, g0, x0, y0):
-    gram = (x0 @ g0 @ x0) * (y0 @ g0 @ y0) - (x0 @ g0 @ y0) ** 2
-    if gram < 1e-12:
-        raise DegeneratePlaneError(
-            f"degenerate plane: |X wedge Y|^2 = {gram:.3e}"
-        )
-    rxyyx = np.einsum("lijk,i,j,k->l", riem, x0, y0, y0) @ g0 @ x0
-    return float(rxyyx / gram)

@@ -123,6 +123,13 @@ def _block_skew(n, scales):
     return a
 
 
+def _integer(name, value):
+    """An integer parameter; a fractional value is rejected, never truncated."""
+    if not float(value).is_integer():
+        raise InvalidExample(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _default_scales(n):
     return tuple(float(k + 1) for k in range(n))
 
@@ -158,7 +165,7 @@ def _flat_chart(m, label):
 
 def flat_pack(n=2, s=1, scales=None):
     """Constant weak C-structure on R^(2n+s)."""
-    n, s = int(n), int(s)
+    n, s = _integer("n", n), _integer("s", s)
     if n < 1 or s < 1:
         raise InvalidExample("flat_pack needs n >= 1 and s >= 1")
     scales = _default_scales(n) if scales is None else tuple(map(float, scales))
@@ -215,7 +222,7 @@ def _givens(m, i, j, theta):
 
 def rotated_pack(n=2, s=1, t=0.1, rotation=None):
     """Blend of two conjugate constant structures; weak nearly C."""
-    n, s, t = int(n), int(s), float(t)
+    n, s, t = _integer("n", n), _integer("s", s), float(t)
     if n < 1 or s < 1:
         raise InvalidExample("rotated_pack needs n >= 1 and s >= 1")
     m = 2 * n + s
@@ -251,7 +258,7 @@ def rotated_pack(n=2, s=1, t=0.1, rotation=None):
 
 def product_pack(n=1, s=2, scales=None):
     """Flat weak Kahler factor times R^s; weak nearly C."""
-    n, s = int(n), int(s)
+    n, s = _integer("n", n), _integer("s", s)
     if n < 1 or s < 1:
         raise InvalidExample("product_pack needs n >= 1 and s >= 1")
     scales = (1.0,) * n if scales is None else tuple(map(float, scales))
@@ -344,7 +351,7 @@ def _sphere_embedding(n):
 
 def hypersphere(n=1, ambient_skew="standard", normal="inward"):
     """Unit S^(2n+1) in flat R^(2n+2) with the position normal, s = 1."""
-    n = int(n)
+    n = _integer("n", n)
     if n < 1:
         raise InvalidExample("hypersphere needs n >= 1")
     if ambient_skew not in ("standard", "weak"):
@@ -401,7 +408,7 @@ def hypersphere(n=1, ambient_skew="standard", normal="inward"):
 
 def linear_subspace(n=1, s=1, scales=None):
     """R^(2n+s) as a totally geodesic linear subspace of flat R^(2n+2s)."""
-    n, s = int(n), int(s)
+    n, s = _integer("n", n), _integer("s", s)
     if n < 1 or s < 1:
         raise InvalidExample("linear_subspace needs n >= 1 and s >= 1")
     scales = (1.0,) * n if scales is None else tuple(map(float, scales))
@@ -472,5 +479,5 @@ def make_example(spec, **params):
         raise InvalidExample(f"unknown example {name!r} (known: {known})")
     try:
         return builder(**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InvalidExample(f"bad parameters for {name!r}: {exc}") from exc

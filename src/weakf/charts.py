@@ -185,23 +185,3 @@ def constant_field(chart, kind, data, name=""):
 
 def euclidean_metric(chart, name="euclidean"):
     return constant_field(chart, "metric", np.eye(chart.dim), name=name)
-
-
-def scale_field(f, factor, name=""):
-    """Pointwise scaling of all components; used to build broken packs."""
-    factor = float(factor)
-
-    def fn(x, base=f.fn, c=factor):
-        out = base(x)
-        if f.kind == "scalar":
-            return c * out
-        if f.kind in ("vector", "oneform"):
-            return [c * e for e in out]
-        return [[c * e for e in row] for row in out]
-
-    return SmoothField(f.chart, f.kind, fn, name=name or f.name)
-
-
-def metric_eigen_floor(g_val):
-    """Smallest eigenvalue of a symmetric matrix (diagnostic helper)."""
-    return float(np.linalg.eigvalsh(0.5 * (g_val + g_val.T)).min())

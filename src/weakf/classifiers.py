@@ -6,8 +6,8 @@ parts. Theorem checks are gated: when the hypotheses of a statement fail on
 the given pack, :class:`HypothesisNotMet` is raised instead of reporting a
 vacuous pass. Vector-valued residuals are measured in the g-norm.
 
-Default tolerances: 1e-9 for identities built from first derivatives, 1e-6
-once curvature (second derivatives of g) enters.
+Gates use the exact tolerance (default 1e-9); the report measures the
+curvature steps of ``thm32_chain`` against its own curvature tolerance.
 """
 
 from __future__ import annotations
@@ -21,48 +21,6 @@ from .fstructure import PackFrame, axioms_residual
 from .sampling import sup_abs, sup_gnorm
 
 TOL_EXACT = 1e-9
-TOL_CURVATURE = 1e-6
-
-CLASS_TAGS = (
-    "weak_metric_f",
-    "weak_almost_C",
-    "weak_almost_S",
-    "weak_almost_K",
-    "normal",
-    "weak_C",
-    "weak_S",
-    "weak_K",
-    "weak_nearly_S",
-    "weak_nearly_C",
-    "S_structure",
-    "f_K_contact",
-)
-
-THEOREM_CHECKS = (
-    "prop1",
-    "prop_normal",
-    "fk_contact_nabla",
-    "thm32_chain",
-    "thm41",
-    "thm01_i",
-    "thm01_ii",
-    "corollary_rigidity",
-)
-
-
-@dataclass
-class ClassVerdict:
-    """Aggregated verdict of one class over a set of sampled points."""
-
-    class_tag: str
-    max_residual: float
-    breakdown: dict
-    points_sampled: int
-    tolerance: float
-
-    @property
-    def holds(self):
-        return self.max_residual <= self.tolerance
 
 
 @dataclass(frozen=True)
@@ -159,44 +117,51 @@ def killing_residual(pack, i, p, frame=None):
     return sup_abs(np.einsum("ab,Aa,Bb->AB", fr.lie_g_xi[i], V, V))
 
 
+# Each class is the conjunction of its parts: "axioms" stands for every
+# defining identity, "killing" for L_{xi_i} g = 0 on each Reeb field, and
+# every other part for the single residual of the same name in _RESIDUALS.
+_CLASS_PARTS = {
+    "weak_metric_f": ("axioms",),
+    "weak_almost_C": ("deta_zero", "dphi_zero"),
+    "weak_almost_S": ("phi_equals_deta",),
+    "weak_almost_K": ("dphi_zero",),
+    "normal": ("n1_zero",),
+    "weak_C": ("deta_zero", "dphi_zero", "n1_zero"),
+    "weak_S": ("phi_equals_deta", "n1_zero"),
+    "weak_K": ("dphi_zero", "n1_zero"),
+    "weak_nearly_S": ("nearly_s_defining",),
+    "weak_nearly_C": ("nearly_c_defining",),
+    "S_structure": ("s_structure_defining",),
+    "f_K_contact": ("phi_equals_deta", "killing"),
+}
+
+CLASS_TAGS = tuple(_CLASS_PARTS)
+
+_RESIDUALS = {
+    "phi_equals_deta": lambda fr: almost_s_residual(fr, fr.V),
+    "deta_zero": lambda fr: closed_eta_residual(fr, fr.V),
+    "dphi_zero": closed_phi_residual,
+    "n1_zero": lambda fr: normality_residual(fr, fr.V),
+    "nearly_s_defining": lambda fr: nearly_s_residual(fr, fr.V),
+    "nearly_c_defining": lambda fr: nearly_c_residual(fr, fr.V),
+    "s_structure_defining": lambda fr: s_structure_residual(fr, fr.V),
+}
+
+
 def class_residual(pack, p, class_tag, frame=None):
     """(max residual, per-identity breakdown) of ``class_tag`` at ``p``."""
-    fr = frame or PackFrame(pack, p)
-    V = fr.V
-    br = {}
-    if class_tag == "weak_metric_f":
-        br = dict(axioms_residual(pack, p, frame=fr))
-    elif class_tag == "weak_almost_S":
-        br["phi_equals_deta"] = almost_s_residual(fr, V)
-    elif class_tag == "weak_almost_C":
-        br["deta_zero"] = closed_eta_residual(fr, V)
-        br["dphi_zero"] = closed_phi_residual(fr)
-    elif class_tag == "weak_almost_K":
-        br["dphi_zero"] = closed_phi_residual(fr)
-    elif class_tag == "normal":
-        br["n1_zero"] = normality_residual(fr, V)
-    elif class_tag == "weak_S":
-        br["phi_equals_deta"] = almost_s_residual(fr, V)
-        br["n1_zero"] = normality_residual(fr, V)
-    elif class_tag == "weak_C":
-        br["deta_zero"] = closed_eta_residual(fr, V)
-        br["dphi_zero"] = closed_phi_residual(fr)
-        br["n1_zero"] = normality_residual(fr, V)
-    elif class_tag == "weak_K":
-        br["dphi_zero"] = closed_phi_residual(fr)
-        br["n1_zero"] = normality_residual(fr, V)
-    elif class_tag == "weak_nearly_S":
-        br["nearly_s_defining"] = nearly_s_residual(fr, V)
-    elif class_tag == "weak_nearly_C":
-        br["nearly_c_defining"] = nearly_c_residual(fr, V)
-    elif class_tag == "S_structure":
-        br["s_structure_defining"] = s_structure_residual(fr, V)
-    elif class_tag == "f_K_contact":
-        br["phi_equals_deta"] = almost_s_residual(fr, V)
-        for i in range(pack.s):
-            br[f"killing_xi_{i + 1}"] = killing_residual(pack, i, p, frame=fr)
-    else:
+    if class_tag not in _CLASS_PARTS:
         raise ValueError(f"unknown class tag {class_tag!r}")
+    fr = frame or PackFrame(pack, p)
+    br = {}
+    for part in _CLASS_PARTS[class_tag]:
+        if part == "axioms":
+            br.update(axioms_residual(pack, p, frame=fr))
+        elif part == "killing":
+            for i in range(pack.s):
+                br[f"killing_xi_{i + 1}"] = killing_residual(pack, i, p, frame=fr)
+        else:
+            br[part] = _RESIDUALS[part](fr)
     return max(br.values()), br
 
 
@@ -292,8 +257,7 @@ def _frame_gates(pack, p, fr, check, tol):
     return fc
 
 
-def theorem_check(pack, p, which, frame=None, tol_exact=TOL_EXACT,
-                  tol_curvature=TOL_CURVATURE):
+def theorem_check(pack, p, which, frame=None, tol_exact=TOL_EXACT):
     """Named residual map of one theorem-level identity bundle at ``p``.
 
     Raises :class:`HypothesisNotMet` when the statement's gates fail, naming
@@ -304,33 +268,12 @@ def theorem_check(pack, p, which, frame=None, tol_exact=TOL_EXACT,
     the entry is expected to be large and is reported for diagnosis, never
     asserted.
     """
+    check = _THEOREMS.get(which)
+    if check is None:
+        raise ValueError(f"unknown theorem check {which!r}")
     fr = frame or PackFrame(pack, p)
     _axioms_gate(pack, p, fr, which, tol_exact)
-    if which == "prop1":
-        return _prop1(pack, p, fr, tol_exact)
-    if which == "prop_normal":
-        return _prop_normal(pack, p, fr, tol_exact)
-    if which == "fk_contact_nabla":
-        _fk_gate(pack, p, fr, "fk_contact_nabla", tol_exact)
-        return {"nabla_xi_plus_f": _nabla_xi_plus_f(fr, fr.V)}
-    if which == "thm32_chain":
-        return _thm32_chain(pack, p, fr, tol_exact)
-    if which == "thm41":
-        _gate("thm41", "weak_nearly_C", nearly_c_residual(fr, fr.V), tol_exact)
-        return _thm41(fr)
-    if which == "thm01_i":
-        return _thm01_i(pack, p, fr, tol_exact)
-    if which == "thm01_ii":
-        return _thm01_ii(pack, p, fr, tol_exact)
-    if which == "corollary_rigidity":
-        _gate("corollary_rigidity", "weak_nearly_S",
-              nearly_s_residual(fr, fr.V), tol_exact)
-        _gate("corollary_rigidity", "normal",
-              normality_residual(fr, fr.V), tol_exact)
-        qt = sup_gnorm(np.einsum("ka,Aa->kA", fr.qtilde, fr.V), fr.g0)
-        _gate("corollary_rigidity", "Q_equals_id", qt, tol_exact)
-        return {"s_structure_defining": s_structure_residual(fr, fr.V)}
-    raise ValueError(f"unknown theorem check {which!r}")
+    return check(pack, p, fr, tol_exact)
 
 
 def _prop1(pack, p, fr, tol):
@@ -388,11 +331,12 @@ def _fk_gate(pack, p, fr, check, tol):
     _gate(check, "killing_reeb", kil, tol)
 
 
-def _nabla_xi_plus_f(fr, V):
-    res = np.einsum("ika,Aa->ikA", fr.nabla_xi, V) + np.einsum(
-        "kj,Aj->kA", fr.f0, V
+def _fk_contact_nabla(pack, p, fr, tol):
+    _fk_gate(pack, p, fr, "fk_contact_nabla", tol)
+    res = np.einsum("ika,Aa->ikA", fr.nabla_xi, fr.V) + np.einsum(
+        "kj,Aj->kA", fr.f0, fr.V
     )[None, :, :]
-    return sup_gnorm(np.einsum("ikA->kiA", res), fr.g0)
+    return {"nabla_xi_plus_f": sup_gnorm(np.einsum("ikA->kiA", res), fr.g0)}
 
 
 def _thm32_chain(pack, p, fr, tol):
@@ -450,7 +394,8 @@ def _thm32_chain(pack, p, fr, tol):
     return out
 
 
-def _thm41(fr):
+def _thm41(pack, p, fr, tol):
+    _gate("thm41", "weak_nearly_C", nearly_c_residual(fr, fr.V), tol)
     V = fr.V
     db = fr.d_basis
     res = {}
@@ -523,3 +468,26 @@ def _thm01_ii(pack, p, fr, tol):
     )
     res["dphi_nabla_f_expansion"] = sup_abs(expr)
     return res
+
+
+def _corollary_rigidity(pack, p, fr, tol):
+    _gate("corollary_rigidity", "weak_nearly_S", nearly_s_residual(fr, fr.V), tol)
+    _gate("corollary_rigidity", "normal", normality_residual(fr, fr.V), tol)
+    qt = sup_gnorm(np.einsum("ka,Aa->kA", fr.qtilde, fr.V), fr.g0)
+    _gate("corollary_rigidity", "Q_equals_id", qt, tol)
+    return {"s_structure_defining": s_structure_residual(fr, fr.V)}
+
+
+# Theorem bundles in report order: name -> (pack, p, frame, tol) -> residuals.
+_THEOREMS = {
+    "prop1": _prop1,
+    "prop_normal": _prop_normal,
+    "fk_contact_nabla": _fk_contact_nabla,
+    "thm32_chain": _thm32_chain,
+    "thm41": _thm41,
+    "thm01_i": _thm01_i,
+    "thm01_ii": _thm01_ii,
+    "corollary_rigidity": _corollary_rigidity,
+}
+
+THEOREM_CHECKS = tuple(_THEOREMS)

@@ -95,10 +95,6 @@ def main(argv=None):
         if unknown:
             print(f"unknown suites: {', '.join(unknown)}", file=sys.stderr)
             return 2
-    if args.samples < 1:
-        print("--samples must be >= 1", file=sys.stderr)
-        return 2
-
     try:
         params = _parse_params(args.param)
         config = SuiteConfig(

@@ -31,10 +31,6 @@ class DegenerateOperatorError(WeakfError):
         )
 
 
-class DegeneratePlaneError(WeakfError):
-    """Sectional curvature requested on a (nearly) degenerate 2-plane."""
-
-
 class HypothesisNotMet(WeakfError):
     """A gated theorem check was invoked on an object failing its hypotheses."""
 

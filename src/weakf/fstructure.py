@@ -269,9 +269,6 @@ class PackFrame:
             )
         return np.array(rows)
 
-    def gnorm(self, v):
-        return float(np.sqrt(max(v @ self.g0 @ v, 0.0)))
-
     def random_d_units(self, count):
         """Seeded unit vectors in the contact distribution."""
         db = self.d_basis
@@ -404,67 +401,3 @@ def _rank_residual(fr):
         return 1.0
     small = float(sv[s - 1]) if s > 0 else 0.0
     return 0.0 if small <= _RANK_ZERO_CEIL else small
-
-
-# -- derived tensor surface -----------------------------------------------------
-
-
-def phi(pack, x, y, p, frame=None):
-    """Fundamental two-form Phi(X, Y) = g(X, fY) at ``p``."""
-    fr = frame or PackFrame(pack, p)
-    x0 = np.asarray(x, dtype=float)
-    y0 = np.asarray(y, dtype=float)
-    return float(x0 @ fr.phi0 @ y0)
-
-
-def fundamental_form_field(pack):
-    """Phi as a twoform field on the pack's chart (for exterior calculus)."""
-    from .charts import SmoothField
-    from .jets import mat_mul
-
-    def fn(u, gfn=pack.g.fn, ffn=pack.f.fn):
-        return mat_mul(gfn(u), ffn(u))
-
-    return SmoothField(pack.chart, "twoform", fn, name="fundamental_form")
-
-
-def tensor_apply_field(t_field, v_field, name=""):
-    """The vector field T(V) built from a (1,1)-tensor field and a vector field."""
-    from .charts import SmoothField
-    from .jets import mat_vec
-
-    def fn(u, tfn=t_field.fn, vfn=v_field.fn):
-        return mat_vec(tfn(u), vfn(u))
-
-    return SmoothField(t_field.chart, "vector", fn, name=name)
-
-
-def structure_tensors(pack, p, which, frame=None):
-    """Evaluator for one of the four structure tensors at ``p``.
-
-    ``N1(X, Y)`` returns a tangent vector; ``N2(i, X, Y)`` a scalar;
-    ``N3(i, X)`` a tangent vector; ``N4(i, j, X)`` a scalar. Arguments are
-    coordinate vectors at ``p``.
-    """
-    fr = frame or PackFrame(pack, p)
-    if which == "N1":
-        def n1(x, y):
-            v = np.array([x, y], dtype=float)
-            return fr.n1(v)[:, 0, 1]
-        return n1
-    if which == "N2":
-        def n2(i, x, y):
-            v = np.array([x, y], dtype=float)
-            return float(fr.n2(v)[i, 0, 1])
-        return n2
-    if which == "N3":
-        mats = fr.n3()
-        def n3(i, x):
-            return mats[i] @ np.asarray(x, dtype=float)
-        return n3
-    if which == "N4":
-        def n4(i, j, x):
-            v = np.asarray(x, dtype=float)[None, :]
-            return float(fr.n4(v)[i, j, 0])
-        return n4
-    raise ValueError(f"unknown structure tensor {which!r}")

@@ -23,7 +23,9 @@ The overall verdict is ``pass`` iff every counted entry passes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from .classifiers import (
     q_parallel_residual,
     theorem_check,
 )
-from .errors import HypothesisNotMet, WeakfError
+from .errors import HypothesisNotMet, InvalidExample, WeakfError
 from .fstructure import PackFrame, axioms_residual
 from .submanifold import (
     frame_check,
@@ -54,13 +56,6 @@ CONVENTION_NOTE = (
     "the 1/3 factor on two-forms"
 )
 
-_ALMOST_CLASSES = {"weak_almost_S", "weak_almost_C", "weak_S", "weak_C",
-                   "f_K_contact"}
-
-_INFO_THEOREM_KEYS = {"chain_nearly_c_step", "chain_total"}
-
-_CURVATURE_KEYS = {"chain_connection_step", "chain_total"}
-
 
 class EvaluationFailure(WeakfError):
     """Internal evaluation failure, tagged with the identity being checked."""
@@ -68,7 +63,9 @@ class EvaluationFailure(WeakfError):
     def __init__(self, identity, cause):
         self.identity = identity
         self.cause = cause
-        super().__init__(f"evaluation failed in {identity}: {cause}")
+        super().__init__(
+            f"evaluation failed in {identity}: {type(cause).__name__}: {cause}"
+        )
 
 
 FORMULAS = {
@@ -169,10 +166,10 @@ FORMULAS = {
     "fbar_sq_negative": "fbar^2 negative-definite",
     "gauss_split": "ambient D_X Y = dI(D_X Y) + h(X,Y)",
     "aa_symmetry": "h_{N_i}(xi_j, xi_k) = h_{N_j}(xi_i, xi_k)",
-    "h_display.i":
+    "case_i.h_display":
         "h_{N_i}(X,Y) = g(-f^2 X, Y)"
         " + sum_{j,k} h_{N_i}(xi_j,xi_k) eta^j(X) eta^k(Y)",
-    "h_display.ii":
+    "case_ii.h_display":
         "h_{N_i}(X,Y) = sum_{j,k} h_{N_i}(xi_j,xi_k) eta^j(X) eta^k(Y)",
     "shape_display_duality": "the A-display is the g-transpose of the h-display",
     "weingarten_duality": "gbar(h(X,Y), N_i) = g(A_i X, Y)",
@@ -199,6 +196,14 @@ class SuiteConfig:
     tol_exact: float = 1e-9
     tol_curvature: float = 1e-6
     fmt: str = "json"
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise InvalidExample(f"samples must be >= 1, got {self.samples}")
+        for name in ("tol_exact", "tol_curvature"):
+            tol = getattr(self, name)
+            if not (math.isfinite(tol) and tol >= 0.0):
+                raise InvalidExample(f"{name} must be finite and >= 0, got {tol}")
 
     def echo(self):
         return {
@@ -238,34 +243,20 @@ class _Agg:
         self.count += 1
 
 
-def _entry(identity, formula_key, agg, tol, counted, note=None):
+def _entry(identity, formula_key, agg, tol, counted, note=None, verdict=None):
     e = {
         "identity": identity,
-        "formula": FORMULAS.get(formula_key, ""),
+        "formula": FORMULAS[formula_key],
         "max_residual": agg.max if agg.count else None,
         "mean_residual": (agg.total / agg.count) if agg.count else None,
         "tolerance": tol,
         "points": agg.count,
         "counted": bool(counted),
-        "verdict": "pass" if agg.count and agg.max <= tol else "fail",
+        "verdict": verdict or ("pass" if agg.count and agg.max <= tol else "fail"),
     }
     if note is not None:
         e["note"] = note
     return e
-
-
-def _skipped(identity, formula_key, tol, note):
-    return {
-        "identity": identity,
-        "formula": FORMULAS.get(formula_key, ""),
-        "max_residual": None,
-        "mean_residual": None,
-        "tolerance": tol,
-        "points": 0,
-        "counted": False,
-        "verdict": "skipped",
-        "note": note,
-    }
 
 
 def run_suite(config):
@@ -284,21 +275,13 @@ def run_suite(config):
     ]
 
     suites = {}
-    wanted = [s for s in config.suites if s in SUITES]
-    for name in wanted:
-        if name == "submanifold" and sub is None:
-            continue
-        runner = {
-            "axioms": _run_axioms,
-            "classes": _run_classes,
-            "frames": _run_frames,
-            "theorems": _run_theorems,
-            "submanifold": _run_submanifold,
-        }[name]
-        if name == "submanifold":
-            suites[name] = runner(config, cat, sub, pack, points, frames)
-        else:
-            suites[name] = runner(config, cat, pack, points, frames)
+    for name in config.suites:
+        if name in SUITES and (name != "submanifold" or sub is not None):
+            suites[name] = [
+                e
+                for bundle in _bundles(name, config, cat, pack, sub)
+                for e in _bundle_entries(config, name, bundle, points, frames)
+            ]
 
     entries = [e for lst in suites.values() for e in lst]
     failures = [
@@ -330,215 +313,128 @@ def run_suite(config):
     return report
 
 
-# -- individual suites --------------------------------------------------------------
+# -- suites -------------------------------------------------------------------------
 
 
-def _run_axioms(config, cat, pack, points, frames):
-    aggs = {}
-    order = []
-    for i, (p, fr) in enumerate(zip(points, frames)):
-        try:
-            res = axioms_residual(pack, p, frame=fr)
-        except WeakfError as exc:
-            raise EvaluationFailure(f"axioms[point {i}]", exc) from exc
-        for key, val in res.items():
-            if key not in aggs:
-                aggs[key] = _Agg()
-                order.append(key)
-            aggs[key].add(val)
-    counted = "weak_metric_f" in cat.declared_classes
+class _Bundle(NamedTuple):
+    """One evaluator of a suite and how its residuals become report entries."""
+
+    label: str              # names the bundle in an EvaluationFailure
+    evaluate: object        # (point, frame) -> {key: residual}
+    prefix: str = ""        # entry identities read "prefix.key", else "key"
+    skip_formula: str = ""  # formula of the one entry left when a gate fails
+    counted: object = None  # (key, aggregates) -> bool; None counts all
+    note: str = None        # note on the entries that are not counted
+
+
+# Classes whose Reeb-frame conditions the frames suite counts.
+_ALMOST_CLASSES = {"weak_almost_S", "weak_almost_C", "weak_S", "weak_C",
+                   "f_K_contact"}
+
+# thm32_chain steps measured against the curvature tolerance, and the steps
+# that only hold on weak nearly-C packs (reported, never counted).
+_CURVATURE = {"thm32_chain.chain_connection_step", "thm32_chain.chain_total"}
+_NEARLY_C_STEPS = {"chain_nearly_c_step", "chain_total"}
+
+# Submanifold identities that hold whichever case the example declares.
+_CASE_FREE = {"aa_symmetry", "shape_display_duality", "weingarten_duality",
+              "h_symmetric", "tangential_expansion"}
+
+
+def _bundles(suite, config, cat, pack, sub):
+    """The evaluator bundles of ``suite`` in report order.
+
+    The evaluators call the residual functions by their module names at call
+    time, so that a wrapper installed on those names sees every call.
+    """
+    declared = cat.declared_classes
+    tol = config.tol_exact
+    if suite == "axioms":
+        return [_Bundle("", lambda p, fr: axioms_residual(pack, p, frame=fr),
+                        counted=lambda key, aggs: "weak_metric_f" in declared)]
+    if suite == "classes":
+        return [
+            _Bundle(tag, lambda p, fr, tag=tag: {
+                tag: class_residual(pack, p, tag, frame=fr)[0]},
+                counted=lambda key, aggs: key in declared)
+            for tag in CLASS_TAGS
+        ]
+    if suite == "frames":
+        almost = not _ALMOST_CLASSES.isdisjoint(declared)
+        return [_Bundle(
+            "",
+            lambda p, fr: {
+                **asdict(frame_residuals(pack, p, frame=fr)),
+                "q_parallel_expansion": q_parallel_residual(pack, p, frame=fr)[1],
+            },
+            # the expansion is only asserted where its hypothesis holds
+            counted=lambda key, aggs: almost and (
+                key != "q_parallel_expansion" or aggs["q_parallel_d"].max <= tol),
+        )]
+    if suite == "theorems":
+        return [
+            _Bundle(which, lambda p, fr, which=which: theorem_check(
+                pack, p, which, frame=fr, tol_exact=tol),
+                prefix=which, skip_formula=which,
+                counted=lambda key, aggs: key not in _NEARLY_C_STEPS,
+                note="informational: breaks unless the pack is weak nearly C")
+            for which in THEOREM_CHECKS
+        ]
+    cases = [
+        _Bundle(f"case_{case}", lambda p, fr, case=case: thsubm_check(
+            sub, p, case, induced=pack, frame=fr, tol_exact=tol),
+            prefix=f"case_{case}", skip_formula=f"case_{case}.h_display",
+            counted=lambda key, aggs, c=case in cat.declared_cases: (
+                c or key in _CASE_FREE),
+            note="informational: case not declared for this example")
+        for case in ("i", "ii")
+    ]
     return [
-        _entry(key, key, aggs[key], config.tol_exact, counted) for key in order
+        _Bundle("frame", lambda p, fr: {
+            **frame_check(sub, p),
+            "gauss_split": gauss_split_residual(sub, p, pack, frame=fr)}),
+        *cases,
+        _Bundle("parallel_q", lambda p, fr: lemma_parallel_claim(
+            sub, p, induced=pack, frame=fr, tol=tol),
+            prefix="parallel_q", skip_formula="q_parallel_d"),
     ]
 
 
-def _run_classes(config, cat, pack, points, frames):
-    entries = []
-    for tag in CLASS_TAGS:
-        agg = _Agg()
-        try:
-            for p, fr in zip(points, frames):
-                val, _ = class_residual(pack, p, tag, frame=fr)
-                agg.add(val)
-        except WeakfError as exc:
-            raise EvaluationFailure(f"classes.{tag}", exc) from exc
-        entries.append(
-            _entry(tag, tag, agg, config.tol_exact, tag in cat.declared_classes)
-        )
-    return entries
+def _collect(evaluate, points, frames, where):
+    """Aggregate ``evaluate`` per key over every point, in first-seen order.
 
-
-def _run_frames(config, cat, pack, points, frames):
-    keys = ("reeb_brackets", "reeb_flat", "reeb_totally_geodesic",
-            "q_parallel_d", "q_parallel_expansion")
-    aggs = {k: _Agg() for k in keys}
+    Returns ``(aggregates, None)``, or ``(None, note)`` when a gate fails at
+    some point. Any other exception, whether from the engine or from a
+    catalog component function, becomes an :class:`EvaluationFailure`.
+    """
+    aggs = {}
     for i, (p, fr) in enumerate(zip(points, frames)):
         try:
-            fc = frame_residuals(pack, p, frame=fr)
-            _, expansion = q_parallel_residual(pack, p, frame=fr)
-        except WeakfError as exc:
-            raise EvaluationFailure(f"frames[point {i}]", exc) from exc
-        aggs["reeb_brackets"].add(fc.reeb_brackets)
-        aggs["reeb_flat"].add(fc.reeb_flat)
-        aggs["reeb_totally_geodesic"].add(fc.reeb_totally_geodesic)
-        aggs["q_parallel_d"].add(fc.q_parallel_d)
-        aggs["q_parallel_expansion"].add(expansion)
-    counted = bool(_ALMOST_CLASSES & set(cat.declared_classes))
-    entries = []
-    for key in keys:
-        c = counted
-        if key == "q_parallel_expansion":
-            c = counted and aggs["q_parallel_d"].max <= config.tol_exact
-        entries.append(_entry(key, key, aggs[key], config.tol_exact, c))
-    return entries
-
-
-def _run_theorems(config, cat, pack, points, frames):
-    entries = []
-    for which in THEOREM_CHECKS:
-        aggs = {}
-        order = []
-        skip = None
-        for i, (p, fr) in enumerate(zip(points, frames)):
-            try:
-                res = theorem_check(
-                    pack, p, which, frame=fr,
-                    tol_exact=config.tol_exact,
-                    tol_curvature=config.tol_curvature,
-                )
-            except HypothesisNotMet as exc:
-                skip = (
-                    f"hypothesis failed: {exc.gate} "
-                    f"(residual {exc.residual:.3e} at point {i})"
-                )
-                break
-            except WeakfError as exc:
-                raise EvaluationFailure(f"theorems.{which}[point {i}]", exc) from exc
-            for key, val in res.items():
-                if key not in aggs:
-                    aggs[key] = _Agg()
-                    order.append(key)
-                aggs[key].add(val)
-        if skip is not None:
-            entries.append(_skipped(which, which, config.tol_exact, skip))
-            continue
-        for key in order:
-            fk = f"{which}.{key}"
-            tol = (
-                config.tol_curvature
-                if key in _CURVATURE_KEYS
-                else config.tol_exact
-            )
-            counted = key not in _INFO_THEOREM_KEYS
-            note = None
-            if key in _INFO_THEOREM_KEYS:
-                note = "informational: breaks unless the pack is weak nearly C"
-            entries.append(
-                _entry(f"{which}.{key}", fk, aggs[key], tol, counted, note)
-            )
-    return entries
-
-
-def _run_submanifold(config, cat, sub, induced, points, frames):
-    entries = []
-    frame_keys = ("normals_orthonormal", "normals_perp_image",
-                  "skew_normal_pairs", "xi_tangent", "ambient_skew",
-                  "fbar_sq_negative")
-    aggs = {k: _Agg() for k in frame_keys}
-    gauss = _Agg()
-    for i, (p, fr) in enumerate(zip(points, frames)):
-        try:
-            fc = frame_check(sub, p)
-            gauss.add(gauss_split_residual(sub, p, induced, frame=fr))
-        except WeakfError as exc:
-            raise EvaluationFailure(f"submanifold.frame[point {i}]", exc) from exc
-        for k in frame_keys:
-            aggs[k].add(fc[k])
-    for k in frame_keys:
-        entries.append(_entry(k, k, aggs[k], config.tol_exact, True))
-    entries.append(_entry("gauss_split", "gauss_split", gauss,
-                          config.tol_exact, True))
-
-    for case in ("i", "ii"):
-        case_aggs = {}
-        order = []
-        skip = None
-        for i, (p, fr) in enumerate(zip(points, frames)):
-            try:
-                res = thsubm_check(
-                    sub, p, case, induced=induced, frame=fr,
-                    tol_exact=config.tol_exact,
-                )
-            except HypothesisNotMet as exc:
-                skip = (
-                    f"hypothesis failed: {exc.gate} "
-                    f"(residual {exc.residual:.3e} at point {i})"
-                )
-                break
-            except WeakfError as exc:
-                raise EvaluationFailure(
-                    f"submanifold.case_{case}[point {i}]", exc
-                ) from exc
-            for key, val in res.items():
-                if key not in case_aggs:
-                    case_aggs[key] = _Agg()
-                    order.append(key)
-                case_aggs[key].add(val)
-        prefix = f"case_{case}"
-        if skip is not None:
-            entries.append(
-                _skipped(prefix, f"h_display.{case}", config.tol_exact, skip)
-            )
-            continue
-        counted_case = case in cat.declared_cases
-        for key in order:
-            fk = f"h_display.{case}" if key == "h_display" else key
-            note = None
-            counted = counted_case
-            if key in ("weingarten_duality", "h_symmetric",
-                       "shape_display_duality", "aa_symmetry",
-                       "tangential_expansion"):
-                counted = True  # structural identities, case-independent
-            if not counted:
-                note = "informational: case not declared for this example"
-            entries.append(
-                _entry(f"{prefix}.{key}", fk, case_aggs[key],
-                       config.tol_exact, counted, note)
-            )
-
-    lemma_aggs = {}
-    order = []
-    skip = None
-    for i, (p, fr) in enumerate(zip(points, frames)):
-        try:
-            res = lemma_parallel_claim(
-                sub, p, induced=induced, frame=fr, tol=config.tol_exact
-            )
+            res = evaluate(p, fr)
         except HypothesisNotMet as exc:
-            skip = (
-                f"hypothesis failed: {exc.gate} "
-                f"(residual {exc.residual:.3e} at point {i})"
-            )
-            break
-        except WeakfError as exc:
-            raise EvaluationFailure(
-                f"submanifold.parallel_q[point {i}]", exc
-            ) from exc
+            return None, (f"hypothesis failed: {exc.gate} "
+                          f"(residual {exc.residual:.3e} at point {i})")
+        except Exception as exc:
+            raise EvaluationFailure(f"{where}[point {i}]", exc) from exc
         for key, val in res.items():
-            if key not in lemma_aggs:
-                lemma_aggs[key] = _Agg()
-                order.append(key)
-            lemma_aggs[key].add(val)
+            aggs.setdefault(key, _Agg()).add(val)
+    return aggs, None
+
+
+def _bundle_entries(config, suite, bundle, points, frames):
+    where = f"{suite}.{bundle.label}" if bundle.label else suite
+    aggs, skip = _collect(bundle.evaluate, points, frames, where)
     if skip is not None:
-        entries.append(
-            _skipped("parallel_q", "q_parallel_d", config.tol_exact, skip)
-        )
-    else:
-        for key in order:
-            entries.append(
-                _entry(f"parallel_q.{key}", key, lemma_aggs[key],
-                       config.tol_exact, True)
-            )
+        return [_entry(bundle.prefix, bundle.skip_formula, _Agg(),
+                       config.tol_exact, False, skip, "skipped")]
+    entries = []
+    for key, agg in aggs.items():
+        identity = f"{bundle.prefix}.{key}" if bundle.prefix else key
+        counted = bundle.counted is None or bundle.counted(key, aggs)
+        tol = config.tol_curvature if identity in _CURVATURE else config.tol_exact
+        entries.append(_entry(
+            identity, identity if identity in FORMULAS else key, agg, tol,
+            counted, None if counted else bundle.note))
     return entries
 
 

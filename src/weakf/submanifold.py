@@ -325,17 +325,6 @@ def induce_structure(sub, validate=True):
 # -- second fundamental form ------------------------------------------------------
 
 
-def second_fundamental(sub, x, y, p):
-    """(h(X,Y) as an ambient normal vector, [A_i X] as domain tangents)."""
-    ap = _AmbientPoint(sub, p)
-    h_vec = ap.normal_part(ap.ambient_derivative(x, y))
-    a_list = [
-        ap.to_domain(ap.tangent_part(-ap.normal_derivative(i, x)))
-        for i in range(sub.s)
-    ]
-    return h_vec, a_list
-
-
 def second_fundamental_data(sub, p):
     """Shape data at ``p`` packaged as evaluators, plus the ambient cache."""
     ap = _AmbientPoint(sub, p)

@@ -1,0 +1,304 @@
+"""Field-level tensor calculus: the independent oracle of the test suite.
+
+The engine in ``src/weakf`` evaluates every identity as numpy contractions
+of the jet arrays cached on a ``PackFrame``. The functions here take genuine
+fields instead: vector-field arguments are ``SmoothField`` objects, brackets
+and exterior derivatives use the co-boundary formulas on those extensions,
+and the Nijenhuis torsion exists in both its commutator and connection
+forms. The tests compare the engine against them, and them against central
+finite differences. Conventions are those of ``weakf.calculus``.
+"""
+
+import numpy as np
+
+from weakf.calculus import (
+    christoffel_from_jets,
+    lie_metric_kernel,
+    lie_tensor11_kernel,
+    nabla_tensor11_kernel,
+    riemann_from_jets,
+)
+from weakf.charts import SmoothField
+from weakf.errors import WeakfError
+from weakf.fstructure import PackFrame
+from weakf.jets import mat_mul, mat_vec
+from weakf.submanifold import _AmbientPoint
+
+
+class DegeneratePlaneError(WeakfError):
+    """Sectional curvature requested on a (nearly) degenerate 2-plane."""
+
+
+# -- kernels on raw jet arrays -------------------------------------------------
+
+
+def nabla_vector_kernel(gamma, x0, y0, y1):
+    """(D_X Y)^k at a point from Y's first jets; X enters by value only."""
+    return x0 @ y1.T + np.einsum("kij,i,j->k", gamma, x0, y0)
+
+
+def lie_bracket_kernel(x0, x1, y0, y1):
+    """[X,Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
+    return np.einsum("i,ki->k", x0, y1) - np.einsum("i,ki->k", y0, x1)
+
+
+def lie_oneform_kernel(w0, w1, x0, x1):
+    """(L_X w)_a = X^k d_k w_a + w_k d_a X^k."""
+    return np.einsum("k,ak->a", x0, w1) + np.einsum("k,ka->a", w0, x1)
+
+
+def nijenhuis_nabla_kernel(gamma, s0, s1, x0, y0):
+    """(S D_Y S - D_{SY} S)X - (S D_X S - D_{SX} S)Y."""
+    ns = nabla_tensor11_kernel(gamma, s0, s1)  # [i,k,j]
+    sx = s0 @ x0
+    sy = s0 @ y0
+
+    def half(u, su, w):
+        # (S D_u S - D_{su} S) w
+        a = s0 @ np.einsum("ikj,i,j->k", ns, u, w)
+        b = np.einsum("ikj,i,j->k", ns, su, w)
+        return a - b
+
+    return half(y0, sy, x0) - half(x0, sx, y0)
+
+
+# -- field-level operations ----------------------------------------------------
+
+
+def _vec_jets(x, p, order=1):
+    return x.jet(p, order=order)
+
+
+def christoffel(g, p):
+    """Levi-Civita coefficients Gamma^k_ij of ``g`` at ``p``."""
+    g0, g1 = g.jet(p, order=1)
+    return christoffel_from_jets(g0, g1, p)
+
+
+def nabla_vector(g, x, y, p):
+    """Covariant derivative (D_X Y) at ``p``; Y must be a field near p."""
+    gamma = christoffel(g, p)
+    x0 = x.value(p)
+    y0, y1 = _vec_jets(y, p)
+    return nabla_vector_kernel(gamma, x0, y0, y1)
+
+
+def nabla_tensor11(g, t, x, y, p):
+    """((D_X T) Y) at ``p``; tensorial in both X and Y."""
+    gamma = christoffel(g, p)
+    t0, t1 = t.jet(p, order=1)
+    nt = nabla_tensor11_kernel(gamma, t0, t1)
+    return np.einsum("ikj,i,j->k", nt, x.value(p), y.value(p))
+
+
+def lie_bracket(x, y, p):
+    """[X, Y] at ``p``."""
+    x0, x1 = _vec_jets(x, p)
+    y0, y1 = _vec_jets(y, p)
+    return lie_bracket_kernel(x0, x1, y0, y1)
+
+
+def lie_derivative(target, x, p):
+    """(L_X target) at ``p``; kind read off the target field."""
+    x0, x1 = _vec_jets(x, p)
+    t0, t1 = target.jet(p, order=1)
+    if target.kind == "metric":
+        return lie_metric_kernel(t0, t1, x0, x1)
+    if target.kind == "tensor11":
+        return lie_tensor11_kernel(t0, t1, x0, x1)
+    if target.kind == "oneform":
+        return lie_oneform_kernel(t0, t1, x0, x1)
+    raise ValueError(f"lie_derivative does not handle kind {target.kind!r}")
+
+
+def d_oneform(w, x, y, p):
+    """dw(X,Y) at ``p`` via the half-normalized co-boundary formula."""
+    x0, x1 = _vec_jets(x, p)
+    y0, y1 = _vec_jets(y, p)
+    w0, w1 = w.jet(p, order=1)
+    # X(w(Y)) = X^i d_i (w_k Y^k)
+    xwy = np.einsum("i,ki,k->", x0, w1, y0) + np.einsum("i,k,ki->", x0, w0, y1)
+    ywx = np.einsum("i,ki,k->", y0, w1, x0) + np.einsum("i,k,ki->", y0, w0, x1)
+    br = lie_bracket_kernel(x0, x1, y0, y1)
+    return 0.5 * (xwy - ywx - w0 @ br)
+
+
+def d_twoform(w, x, y, z, p):
+    """dw(X,Y,Z) at ``p`` via the third-normalized co-boundary formula."""
+    x0, x1 = _vec_jets(x, p)
+    y0, y1 = _vec_jets(y, p)
+    z0, z1 = _vec_jets(z, p)
+    w0, w1 = w.jet(p, order=1)
+
+    def dirderiv(u0, a0, a1, b0, b1):
+        # U(w(A,B)) with all three fields varying
+        return (
+            np.einsum("i,abi,a,b->", u0, w1, a0, b0)
+            + np.einsum("i,ab,ai,b->", u0, w0, a1, b0)
+            + np.einsum("i,ab,a,bi->", u0, w0, a0, b1)
+        )
+
+    term = (
+        dirderiv(x0, y0, y1, z0, z1)
+        + dirderiv(y0, z0, z1, x0, x1)
+        + dirderiv(z0, x0, x1, y0, y1)
+    )
+    bxy = lie_bracket_kernel(x0, x1, y0, y1)
+    bzx = lie_bracket_kernel(z0, z1, x0, x1)
+    byz = lie_bracket_kernel(y0, y1, z0, z1)
+    term -= np.einsum("ab,a,b->", w0, bxy, z0)
+    term -= np.einsum("ab,a,b->", w0, bzx, y0)
+    term -= np.einsum("ab,a,b->", w0, byz, x0)
+    return term / 3.0
+
+
+def nijenhuis(s, x, y, p, mode="bracket", g=None):
+    """Nijenhuis torsion [S,S](X,Y) at ``p``.
+
+    ``mode="bracket"`` uses the commutator definition on the given field
+    extensions; ``mode="nabla"`` rewrites it through the Levi-Civita
+    connection of ``g`` and is tensorial in X and Y.
+    """
+    s0, s1 = s.jet(p, order=1)
+    if mode == "bracket":
+        x0, x1 = _vec_jets(x, p)
+        y0, y1 = _vec_jets(y, p)
+        sx0 = s0 @ x0
+        sy0 = s0 @ y0
+        # first jets of the composite fields SX, SY
+        sx1 = np.einsum("kji,j->ki", s1, x0) + s0 @ x1
+        sy1 = np.einsum("kji,j->ki", s1, y0) + s0 @ y1
+        term = s0 @ (s0 @ lie_bracket_kernel(x0, x1, y0, y1))
+        term = term + lie_bracket_kernel(sx0, sx1, sy0, sy1)
+        term = term - s0 @ lie_bracket_kernel(sx0, sx1, y0, y1)
+        term = term - s0 @ lie_bracket_kernel(x0, x1, sy0, sy1)
+        return term
+    if mode == "nabla":
+        if g is None:
+            raise ValueError("mode='nabla' needs the metric g")
+        gamma = christoffel(g, p)
+        return nijenhuis_nabla_kernel(gamma, s0, s1, x.value(p), y.value(p))
+    raise ValueError(f"unknown nijenhuis mode {mode!r}")
+
+
+def curvature(g, x, y, z, p):
+    """R(X,Y)Z at ``p``; tensorial, needs second metric derivatives."""
+    g0, g1, g2 = g.jet(p, order=2)
+    riem = riemann_from_jets(g0, g1, g2, p)
+    return np.einsum(
+        "lijk,i,j,k->l", riem, x.value(p), y.value(p), z.value(p)
+    )
+
+
+def sectional(g, x, y, p):
+    """Sectional curvature of the plane spanned by X and Y at ``p``."""
+    g0, g1, g2 = g.jet(p, order=2)
+    riem = riemann_from_jets(g0, g1, g2, p)
+    x0 = x.value(p) if hasattr(x, "value") else np.asarray(x, dtype=float)
+    y0 = y.value(p) if hasattr(y, "value") else np.asarray(y, dtype=float)
+    return sectional_from_riemann(riem, g0, x0, y0)
+
+
+def sectional_from_riemann(riem, g0, x0, y0):
+    gram = (x0 @ g0 @ x0) * (y0 @ g0 @ y0) - (x0 @ g0 @ y0) ** 2
+    if gram < 1e-12:
+        raise DegeneratePlaneError(
+            f"degenerate plane: |X wedge Y|^2 = {gram:.3e}"
+        )
+    rxyyx = np.einsum("lijk,i,j,k->l", riem, x0, y0, y0) @ g0 @ x0
+    return float(rxyyx / gram)
+
+
+# -- fields built from other fields --------------------------------------------
+
+
+def scale_field(f, factor, name=""):
+    """Pointwise scaling of all components; used to build broken packs."""
+    factor = float(factor)
+
+    def fn(x, base=f.fn, c=factor):
+        out = base(x)
+        if f.kind == "scalar":
+            return c * out
+        if f.kind in ("vector", "oneform"):
+            return [c * e for e in out]
+        return [[c * e for e in row] for row in out]
+
+    return SmoothField(f.chart, f.kind, fn, name=name or f.name)
+
+
+def metric_eigen_floor(g_val):
+    """Smallest eigenvalue of a symmetric matrix (diagnostic helper)."""
+    return float(np.linalg.eigvalsh(0.5 * (g_val + g_val.T)).min())
+
+
+def fundamental_form_field(pack):
+    """Phi as a twoform field on the pack's chart (for exterior calculus)."""
+
+    def fn(u, gfn=pack.g.fn, ffn=pack.f.fn):
+        return mat_mul(gfn(u), ffn(u))
+
+    return SmoothField(pack.chart, "twoform", fn, name="fundamental_form")
+
+
+def tensor_apply_field(t_field, v_field, name=""):
+    """The vector field T(V) built from a (1,1)-tensor field and a vector field."""
+
+    def fn(u, tfn=t_field.fn, vfn=v_field.fn):
+        return mat_vec(tfn(u), vfn(u))
+
+    return SmoothField(t_field.chart, "vector", fn, name=name)
+
+
+# -- pack and submanifold evaluators -------------------------------------------
+
+
+def phi(pack, x, y, p, frame=None):
+    """Fundamental two-form Phi(X, Y) = g(X, fY) at ``p``."""
+    fr = frame or PackFrame(pack, p)
+    x0 = np.asarray(x, dtype=float)
+    y0 = np.asarray(y, dtype=float)
+    return float(x0 @ fr.phi0 @ y0)
+
+
+def structure_tensors(pack, p, which, frame=None):
+    """Evaluator for one of the four structure tensors at ``p``.
+
+    ``N1(X, Y)`` returns a tangent vector; ``N2(i, X, Y)`` a scalar;
+    ``N3(i, X)`` a tangent vector; ``N4(i, j, X)`` a scalar. Arguments are
+    coordinate vectors at ``p``.
+    """
+    fr = frame or PackFrame(pack, p)
+    if which == "N1":
+        def n1(x, y):
+            v = np.array([x, y], dtype=float)
+            return fr.n1(v)[:, 0, 1]
+        return n1
+    if which == "N2":
+        def n2(i, x, y):
+            v = np.array([x, y], dtype=float)
+            return float(fr.n2(v)[i, 0, 1])
+        return n2
+    if which == "N3":
+        mats = fr.n3()
+        def n3(i, x):
+            return mats[i] @ np.asarray(x, dtype=float)
+        return n3
+    if which == "N4":
+        def n4(i, j, x):
+            v = np.asarray(x, dtype=float)[None, :]
+            return float(fr.n4(v)[i, j, 0])
+        return n4
+    raise ValueError(f"unknown structure tensor {which!r}")
+
+
+def second_fundamental(sub, x, y, p):
+    """(h(X,Y) as an ambient normal vector, [A_i X] as domain tangents)."""
+    ap = _AmbientPoint(sub, p)
+    h_vec = ap.normal_part(ap.ambient_derivative(x, y))
+    a_list = [
+        ap.to_domain(ap.tangent_part(-ap.normal_derivative(i, x)))
+        for i in range(sub.s)
+    ]
+    return h_vec, a_list
+

@@ -13,8 +13,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import oracles
 from conftest import interior_point, random_tensor_field, random_vector_field
-from weakf import calculus as calc
+from oracles import scale_field
 from weakf.catalog import (
     flat_pack,
     hypersphere,
@@ -23,7 +24,7 @@ from weakf.catalog import (
     rotated_pack,
     sasakian_s3,
 )
-from weakf.charts import constant_field, euclidean_metric, scale_field
+from weakf.charts import constant_field, euclidean_metric
 from weakf.classifiers import (
     class_residual,
     nearly_s_residual,
@@ -194,8 +195,8 @@ def test_criterion_08_engine_cross_validation(all_packs):
                 x = random_vector_field(chart, rng)
                 y = random_vector_field(chart, rng)
                 p = interior_point(chart, rng)
-                nb = calc.nijenhuis(s, x, y, p, mode="bracket")
-                nn = calc.nijenhuis(s, x, y, p, mode="nabla", g=g)
+                nb = oracles.nijenhuis(s, x, y, p, mode="bracket")
+                nn = oracles.nijenhuis(s, x, y, p, mode="nabla", g=g)
                 assert np.abs(nb - nn).max() <= TOL
         # (b) jet evaluator versus central finite differences
         step = 1e-5
@@ -222,7 +223,7 @@ def test_criterion_08_engine_cross_validation(all_packs):
         for i, p in enumerate(pack.chart.sample(5, SEED)):
             fr = PackFrame(pack, p, seed=SEED, index=i)
             for x in fr.random_d_units(4):
-                k = calc.sectional_from_riemann(
+                k = oracles.sectional_from_riemann(
                     fr.riemann, fr.g0, fr.xi0[0], x
                 )
                 assert abs(k - 1.0) <= 1e-6

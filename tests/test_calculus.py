@@ -8,6 +8,7 @@ curvature path.
 import numpy as np
 import pytest
 
+import oracles
 from conftest import (
     interior_point,
     random_oneform_field,
@@ -15,10 +16,16 @@ from conftest import (
     random_tensor_field,
     random_vector_field,
 )
+from oracles import (
+    DegeneratePlaneError,
+    fundamental_form_field,
+    phi,
+    tensor_apply_field,
+)
 from weakf import calculus as calc
 from weakf.charts import Chart, SmoothField, constant_field, euclidean_metric
-from weakf.errors import DegenerateMetricError, DegeneratePlaneError
-from weakf.fstructure import PackFrame, fundamental_form_field, tensor_apply_field
+from weakf.errors import DegenerateMetricError
+from weakf.fstructure import PackFrame
 from weakf.jets import cos, sin
 from weakf.sampling import orthonormal_basis
 
@@ -97,13 +104,13 @@ def fd_riemann(metric, p, h=1e-4):
 def test_christoffel_euclidean_vanishes(r3):
     g = euclidean_metric(r3)
     p = np.array([0.3, -0.2, 1.0])
-    assert np.abs(calc.christoffel(g, p)).max() == 0.0
+    assert np.abs(oracles.christoffel(g, p)).max() == 0.0
 
 
 def test_christoffel_round_sphere_value(sphere2):
     chart, g = sphere2
     p = np.array([np.pi / 4, 1.3])
-    gamma = calc.christoffel(g, p)
+    gamma = oracles.christoffel(g, p)
     oracle = fd_christoffel(g, p)
     assert np.abs(gamma - oracle).max() < 1e-9
     assert gamma[0, 1, 1] == pytest.approx(-0.5, abs=1e-12)
@@ -112,7 +119,7 @@ def test_christoffel_round_sphere_value(sphere2):
 def test_christoffel_poincare_value(halfplane):
     chart, g = halfplane
     p = np.array([0.0, 2.0])
-    gamma = calc.christoffel(g, p)
+    gamma = oracles.christoffel(g, p)
     oracle = fd_christoffel(g, p)
     assert np.abs(gamma - oracle).max() < 1e-9
     assert gamma[0, 0, 1] == pytest.approx(-0.5, abs=1e-12)
@@ -135,7 +142,7 @@ def test_christoffel_metric_compatibility(sphere2):
 def test_degenerate_metric_raises(r3):
     bad = constant_field(r3, "metric", np.diag([1.0, 1.0, 0.0]))
     with pytest.raises(DegenerateMetricError) as err:
-        calc.christoffel(bad, np.zeros(3))
+        oracles.christoffel(bad, np.zeros(3))
     assert err.value.min_eigenvalue <= 1e-12
 
 
@@ -146,7 +153,7 @@ def test_nabla_vector_flat_constants(r3):
     g = euclidean_metric(r3)
     x = constant_field(r3, "vector", [1.0, 0.0, 0.0])
     y = constant_field(r3, "vector", [0.0, 2.0, -1.0])
-    assert np.abs(calc.nabla_vector(g, x, y, np.zeros(3))).max() == 0.0
+    assert np.abs(oracles.nabla_vector(g, x, y, np.zeros(3))).max() == 0.0
 
 
 def test_nabla_vector_coordinate_derivative(r3):
@@ -154,7 +161,7 @@ def test_nabla_vector_coordinate_derivative(r3):
     x = constant_field(r3, "vector", [1.0, 0.0, 0.0])
     y = SmoothField(r3, "vector", lambda u: [u[0] ** 2, 0.0, 0.0])
     p = np.array([0.7, 0.0, 0.0])
-    out = calc.nabla_vector(g, x, y, p)
+    out = oracles.nabla_vector(g, x, y, p)
     assert np.allclose(out, [1.4, 0.0, 0.0], atol=1e-14)
 
 
@@ -168,9 +175,9 @@ def test_torsion_free_and_metric_compatible(sphere2):
         y = random_vector_field(chart, rng2)
         z = random_vector_field(chart, rng2)
         lhs = (
-            calc.nabla_vector(g, x, y, p)
-            - calc.nabla_vector(g, y, x, p)
-            - calc.lie_bracket(x, y, p)
+            oracles.nabla_vector(g, x, y, p)
+            - oracles.nabla_vector(g, y, x, p)
+            - oracles.lie_bracket(x, y, p)
         )
         assert np.abs(lhs).max() < 1e-10
         # X g(Y,Z) = g(D_X Y, Z) + g(Y, D_X Z)
@@ -185,9 +192,9 @@ def test_torsion_free_and_metric_compatible(sphere2):
             for c, e in enumerate(np.eye(chart.dim))
         )
         g0 = g.value(p)
-        rhs = calc.nabla_vector(g, x, y, p) @ g0 @ z.value(p) + y.value(
+        rhs = oracles.nabla_vector(g, x, y, p) @ g0 @ z.value(p) + y.value(
             p
-        ) @ g0 @ calc.nabla_vector(g, x, z, p)
+        ) @ g0 @ oracles.nabla_vector(g, x, z, p)
         assert abs(xg - rhs) < 1e-6
 
 
@@ -201,7 +208,7 @@ def test_nabla_vector_product_rule(r3):
         r3, "vector", lambda u: [hfn(u) * c for c in y.fn(u)]
     )
     p = interior_point(r3, rng)
-    left = calc.nabla_vector(g, x, hy, p)
+    left = oracles.nabla_vector(g, x, hy, p)
     # X(h) Y + h D_X Y
     x0 = x.value(p)
     xh = sum(
@@ -210,7 +217,7 @@ def test_nabla_vector_product_rule(r3):
         / (2 * FD)
         for c, e in enumerate(np.eye(3))
     )
-    right = xh * y.value(p) + hfn(list(p)) * calc.nabla_vector(g, x, y, p)
+    right = xh * y.value(p) + hfn(list(p)) * oracles.nabla_vector(g, x, y, p)
     assert np.abs(left - right).max() < 1e-6
 
 
@@ -219,7 +226,7 @@ def test_nabla_tensor11_constant_parallel(r3):
     t = constant_field(r3, "tensor11", np.arange(9.0).reshape(3, 3))
     x = constant_field(r3, "vector", [1.0, 1.0, 0.0])
     y = constant_field(r3, "vector", [0.0, 1.0, 2.0])
-    assert np.abs(calc.nabla_tensor11(g, t, x, y, np.zeros(3))).max() == 0.0
+    assert np.abs(oracles.nabla_tensor11(g, t, x, y, np.zeros(3))).max() == 0.0
 
 
 def test_nabla_tensor11_leibniz_and_extension_independence(sphere2):
@@ -239,12 +246,12 @@ def test_nabla_tensor11_leibniz_and_extension_independence(sphere2):
             yv[k] + (u[0] - p0) * w[k] for k in range(len(yv))
         ],
     )
-    out1 = calc.nabla_tensor11(g, t, x, y1, p)
-    out2 = calc.nabla_tensor11(g, t, x, y2, p)
+    out1 = oracles.nabla_tensor11(g, t, x, y1, p)
+    out2 = oracles.nabla_tensor11(g, t, x, y2, p)
     assert np.abs(out1 - out2).max() < 1e-12
     # (D_X T)Y = D_X (TY) - T(D_X Y) for the field extension y1
     ty = tensor_apply_field(t, y1)
-    lhs = calc.nabla_vector(g, x, ty, p) - t.value(p) @ calc.nabla_vector(
+    lhs = oracles.nabla_vector(g, x, ty, p) - t.value(p) @ oracles.nabla_vector(
         g, x, y1, p
     )
     assert np.abs(out1 - lhs).max() < 1e-12
@@ -253,7 +260,7 @@ def test_nabla_tensor11_leibniz_and_extension_independence(sphere2):
 def test_nabla_vector_sasakian_reeb_parallel(cat_sasakian):
     pack = cat_sasakian.obj
     for p in pack.chart.sample(4, seed=83):
-        out = calc.nabla_vector(pack.g, pack.xi[0], pack.xi[0], p)
+        out = oracles.nabla_vector(pack.g, pack.xi[0], pack.xi[0], p)
         assert np.abs(out).max() < 1e-9
 
 
@@ -270,7 +277,7 @@ def test_nabla_tensor11_sasakian_defining_relation(cat_sasakian):
             yv = rng.standard_normal(3)
             x = constant_field(pack.chart, "vector", xv)
             y = constant_field(pack.chart, "vector", yv)
-            out = calc.nabla_tensor11(pack.g, pack.f, x, y, p)
+            out = oracles.nabla_tensor11(pack.g, pack.f, x, y, p)
             expected = float(xv @ g0 @ yv) * xi0 - float(eta0 @ yv) * xv
             assert np.abs(out - expected).max() < 1e-9
 
@@ -283,7 +290,7 @@ def test_nabla_tensor11_product_pack_symmetrized(cat_product):
     for _ in range(3):
         x = constant_field(pack.chart, "vector", rng.standard_normal(pack.dim))
         y = constant_field(pack.chart, "vector", rng.standard_normal(pack.dim))
-        out = calc.nabla_tensor11(pack.g, pack.f, x, y, p) + calc.nabla_tensor11(
+        out = oracles.nabla_tensor11(pack.g, pack.f, x, y, p) + oracles.nabla_tensor11(
             pack.g, pack.f, y, x, p
         )
         assert np.abs(out).max() < 1e-12
@@ -294,7 +301,7 @@ def test_lie_bracket_reeb_fields_commute(cat_product):
     p = pack.chart.sample(1, seed=89)[0]
     for i in range(pack.s):
         for j in range(pack.s):
-            out = calc.lie_bracket(pack.xi[i], pack.xi[j], p)
+            out = oracles.lie_bracket(pack.xi[i], pack.xi[j], p)
             assert np.abs(out).max() < 1e-12
 
 
@@ -304,11 +311,11 @@ def test_lie_bracket_reeb_fields_commute(cat_product):
 def test_lie_bracket_constants_and_textbook(r3):
     x = constant_field(r3, "vector", [1.0, 2.0, 3.0])
     y = constant_field(r3, "vector", [0.0, 1.0, -1.0])
-    assert np.abs(calc.lie_bracket(x, y, np.zeros(3))).max() == 0.0
+    assert np.abs(oracles.lie_bracket(x, y, np.zeros(3))).max() == 0.0
     r2 = Chart("r2", 2, ((-2.0, 2.0),) * 2)
     dx = constant_field(r2, "vector", [1.0, 0.0])
     xdy = SmoothField(r2, "vector", lambda u: [0.0, u[0]])
-    out = calc.lie_bracket(dx, xdy, np.array([0.4, -0.3]))
+    out = oracles.lie_bracket(dx, xdy, np.array([0.4, -0.3]))
     assert np.allclose(out, [0.0, 1.0], atol=1e-15)
 
 
@@ -319,7 +326,7 @@ def test_lie_bracket_antisymmetric_jacobi(r3):
     z = random_vector_field(r3, rng)
     p = interior_point(r3, rng)
     assert np.abs(
-        calc.lie_bracket(x, y, p) + calc.lie_bracket(y, x, p)
+        oracles.lie_bracket(x, y, p) + oracles.lie_bracket(y, x, p)
     ).max() < 1e-14
 
     def bracket_field(a, b):
@@ -346,9 +353,9 @@ def test_lie_bracket_antisymmetric_jacobi(r3):
         return SmoothField(a.chart, "vector", fn)
 
     jac = (
-        calc.lie_bracket(bracket_field(x, y), z, p)
-        + calc.lie_bracket(bracket_field(y, z), x, p)
-        + calc.lie_bracket(bracket_field(z, x), y, p)
+        oracles.lie_bracket(bracket_field(x, y), z, p)
+        + oracles.lie_bracket(bracket_field(y, z), x, p)
+        + oracles.lie_bracket(bracket_field(z, x), y, p)
     )
     assert np.abs(jac).max() < 1e-9
 
@@ -357,16 +364,16 @@ def test_lie_derivative_translation_and_homothety(r3):
     g = euclidean_metric(r3)
     const = constant_field(r3, "vector", [0.3, -1.0, 0.5])
     p = np.array([0.2, 0.1, -0.4])
-    assert np.abs(calc.lie_derivative(g, const, p)).max() == 0.0
+    assert np.abs(oracles.lie_derivative(g, const, p)).max() == 0.0
     radial = SmoothField(r3, "vector", lambda u: [u[0], u[1], u[2]])
-    out = calc.lie_derivative(g, radial, p)
+    out = oracles.lie_derivative(g, radial, p)
     assert np.abs(out - 2.0 * np.eye(3)).max() < 1e-14
 
 
 def test_lie_derivative_sasakian_reeb_killing(cat_sasakian):
     pack = cat_sasakian.obj
     for i, p in enumerate(pack.chart.sample(5, seed=9)):
-        out = calc.lie_derivative(pack.g, pack.xi[0], p)
+        out = oracles.lie_derivative(pack.g, pack.xi[0], p)
         assert np.abs(out).max() < 1e-9
 
 
@@ -378,7 +385,7 @@ def test_lie_derivative_oneform_tensor_kinds(r3):
     p = interior_point(r3, rng)
     # Cartan-style consistency: (L_X w)(Y) = X(w(Y)) - w([X,Y]) for constant Y
     yv = rng.standard_normal(3)
-    lw = calc.lie_derivative(w, x, p)
+    lw = oracles.lie_derivative(w, x, p)
     x0 = x.value(p)
 
     def wy(q):
@@ -389,12 +396,12 @@ def test_lie_derivative_oneform_tensor_kinds(r3):
         for c, e in enumerate(np.eye(3))
     )
     ycst = constant_field(r3, "vector", yv)
-    br = calc.lie_bracket(x, ycst, p)
+    br = oracles.lie_bracket(x, ycst, p)
     assert abs(lw @ yv - (xwy - w.value(p) @ br)) < 1e-6
     # tensor kind: (L_X T)Y = [X, TY] - T([X, Y]) for constant Y
-    lt = calc.lie_derivative(t, x, p)
+    lt = oracles.lie_derivative(t, x, p)
     ty = tensor_apply_field(t, ycst)
-    rhs = calc.lie_bracket(x, ty, p) - t.value(p) @ br
+    rhs = oracles.lie_bracket(x, ty, p) - t.value(p) @ br
     assert np.abs(lt @ yv - rhs).max() < 1e-12
 
 
@@ -407,10 +414,10 @@ def test_d_oneform_conventions(r3):
     e1 = constant_field(r2, "vector", [1.0, 0.0])
     e2 = constant_field(r2, "vector", [0.0, 1.0])
     p = np.array([0.3, 0.8])
-    assert calc.d_oneform(dx, e1, e2, p) == 0.0
+    assert oracles.d_oneform(dx, e1, e2, p) == 0.0
     xdy = SmoothField(r2, "oneform", lambda u: [0.0, u[0]])
-    assert calc.d_oneform(xdy, e1, e2, p) == pytest.approx(0.5, abs=1e-15)
-    assert calc.d_oneform(xdy, e2, e1, p) == pytest.approx(-0.5, abs=1e-15)
+    assert oracles.d_oneform(xdy, e1, e2, p) == pytest.approx(0.5, abs=1e-15)
+    assert oracles.d_oneform(xdy, e2, e1, p) == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_d_oneform_exact_forms_closed(r3):
@@ -425,7 +432,7 @@ def test_d_oneform_exact_forms_closed(r3):
     y = random_vector_field(r3, rng)
     for _ in range(3):
         p = interior_point(r3, rng)
-        assert abs(calc.d_oneform(w, x, y, p)) < 1e-10
+        assert abs(oracles.d_oneform(w, x, y, p)) < 1e-10
 
 
 def test_d_oneform_extension_independent(r3):
@@ -443,22 +450,20 @@ def test_d_oneform_extension_independent(r3):
             xv[k] + (u[1] - p0) * 0.7 for k in range(3)
         ],
     )
-    a = calc.d_oneform(w, x1, y1, p)
-    b = calc.d_oneform(w, x2, y1, p)
+    a = oracles.d_oneform(w, x1, y1, p)
+    b = oracles.d_oneform(w, x2, y1, p)
     assert abs(a - b) < 1e-12
 
 
 def test_d_oneform_sasakian_contact_form(cat_sasakian):
     pack = cat_sasakian.obj
-    from weakf.fstructure import phi
-
     rng = np.random.default_rng(71)
     for i, p in enumerate(pack.chart.sample(4, seed=13)):
         xv = rng.standard_normal(3)
         yv = rng.standard_normal(3)
         x = constant_field(pack.chart, "vector", xv)
         y = constant_field(pack.chart, "vector", yv)
-        de = calc.d_oneform(pack.eta[0], x, y, p)
+        de = oracles.d_oneform(pack.eta[0], x, y, p)
         assert abs(de - phi(pack, xv, yv, p)) < 1e-9
 
 
@@ -468,14 +473,14 @@ def test_d_twoform_constant_and_block(r3):
     )
     e = [constant_field(r3, "vector", v) for v in np.eye(3)]
     p = np.array([0.1, 0.2, 0.3])
-    assert calc.d_twoform(w, e[0], e[1], e[2], p) == 0.0
+    assert oracles.d_twoform(w, e[0], e[1], e[2], p) == 0.0
 
     # w(d_y, d_z) = x block: the third-normalized co-boundary gives 1/3
     def block(u):
         return [[0.0, 0.0, 0.0], [0.0, 0.0, u[0]], [0.0, -u[0], 0.0]]
 
     wx = SmoothField(r3, "twoform", block)
-    val = calc.d_twoform(wx, e[0], e[1], e[2], p)
+    val = oracles.d_twoform(wx, e[0], e[1], e[2], p)
     assert val == pytest.approx(1.0 / 3.0, abs=1e-15)
 
 
@@ -494,9 +499,9 @@ def test_d_twoform_fully_antisymmetric(r3):
     y = random_vector_field(r3, rng)
     z = random_vector_field(r3, rng)
     p = interior_point(r3, rng)
-    v = calc.d_twoform(w, x, y, z, p)
-    assert abs(v + calc.d_twoform(w, y, x, z, p)) < 1e-12
-    assert abs(v - calc.d_twoform(w, y, z, x, p)) < 1e-12
+    v = oracles.d_twoform(w, x, y, z, p)
+    assert abs(v + oracles.d_twoform(w, y, x, z, p)) < 1e-12
+    assert abs(v - oracles.d_twoform(w, y, z, x, p)) < 1e-12
 
 
 def test_d_twoform_sasakian_fundamental_closed(cat_sasakian):
@@ -508,7 +513,7 @@ def test_d_twoform_sasakian_fundamental_closed(cat_sasakian):
             constant_field(pack.chart, "vector", rng.standard_normal(3))
             for _ in range(3)
         ]
-        assert abs(calc.d_twoform(phi_field, *vecs, p)) < 1e-9
+        assert abs(oracles.d_twoform(phi_field, *vecs, p)) < 1e-9
 
 
 def test_d_of_d_vanishes(r3):
@@ -534,7 +539,7 @@ def test_d_of_d_vanishes(r3):
     z = random_vector_field(r3, rng)
     for _ in range(3):
         p = interior_point(r3, rng)
-        assert abs(calc.d_twoform(dw, x, y, z, p)) < 1e-9
+        assert abs(oracles.d_twoform(dw, x, y, z, p)) < 1e-9
 
 
 # -- Nijenhuis torsion --------------------------------------------------------------
@@ -545,7 +550,7 @@ def test_nijenhuis_constant_tensor_flat(r3):
     x = constant_field(r3, "vector", [1.0, 0.5, 0.0])
     y = constant_field(r3, "vector", [0.0, 1.0, -1.0])
     p = np.zeros(3)
-    assert np.abs(calc.nijenhuis(s, x, y, p, mode="bracket")).max() == 0.0
+    assert np.abs(oracles.nijenhuis(s, x, y, p, mode="bracket")).max() == 0.0
 
 
 def test_nijenhuis_modes_agree_random(r3):
@@ -556,11 +561,11 @@ def test_nijenhuis_modes_agree_random(r3):
         x = random_vector_field(r3, rng)
         y = random_vector_field(r3, rng)
         p = interior_point(r3, rng)
-        nb = calc.nijenhuis(s, x, y, p, mode="bracket")
-        nn = calc.nijenhuis(s, x, y, p, mode="nabla", g=g)
+        nb = oracles.nijenhuis(s, x, y, p, mode="bracket")
+        nn = oracles.nijenhuis(s, x, y, p, mode="nabla", g=g)
         assert np.abs(nb - nn).max() < 1e-9
         assert np.abs(
-            nb + calc.nijenhuis(s, y, x, p, mode="bracket")
+            nb + oracles.nijenhuis(s, y, x, p, mode="bracket")
         ).max() < 1e-12
 
 
@@ -572,8 +577,8 @@ def test_nijenhuis_sasakian_normality(cat_sasakian):
         yv = rng.standard_normal(3)
         x = constant_field(pack.chart, "vector", xv)
         y = constant_field(pack.chart, "vector", yv)
-        ff = calc.nijenhuis(pack.f, x, y, p, mode="bracket")
-        de = calc.d_oneform(pack.eta[0], x, y, p)
+        ff = oracles.nijenhuis(pack.f, x, y, p, mode="bracket")
+        de = oracles.d_oneform(pack.eta[0], x, y, p)
         n1 = ff + 2.0 * de * pack.xi[0].value(p)
         assert np.abs(n1).max() < 1e-9
 
@@ -585,7 +590,7 @@ def test_curvature_flat_zero(r3):
     g = euclidean_metric(r3)
     vecs = [constant_field(r3, "vector", v) for v in np.eye(3)]
     p = np.array([0.5, -0.5, 0.25])
-    out = calc.curvature(g, vecs[0], vecs[1], vecs[2], p)
+    out = oracles.curvature(g, vecs[0], vecs[1], vecs[2], p)
     assert np.abs(out).max() == 0.0
 
 
@@ -594,7 +599,7 @@ def test_round_sphere_curvature_one(sphere2):
     x = constant_field(chart, "vector", [1.0, 0.0])
     y = constant_field(chart, "vector", [0.0, 1.0])
     for p in chart.sample(4, seed=29):
-        assert calc.sectional(g, x, y, p) == pytest.approx(1.0, abs=1e-8)
+        assert oracles.sectional(g, x, y, p) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_riemann_matches_fd_oracle(sphere2):
@@ -611,7 +616,7 @@ def test_sasakian_reeb_sectional_curvature(cat_sasakian):
     for i, p in enumerate(pack.chart.sample(4, seed=31)):
         fr = PackFrame(pack, p, seed=31, index=i)
         for x in fr.random_d_units(3):
-            k = calc.sectional_from_riemann(fr.riemann, fr.g0, fr.xi0[0], x)
+            k = oracles.sectional_from_riemann(fr.riemann, fr.g0, fr.xi0[0], x)
             assert k == pytest.approx(1.0, abs=1e-6)
 
 
@@ -629,8 +634,8 @@ def test_curvature_symmetries(cat_sasakian):
     assert np.abs(bianchi).max() < 1e-8
     # plane invariance of the sectional curvature
     e = orthonormal_basis(fr.g0)
-    k1 = calc.sectional_from_riemann(riem, fr.g0, e[0], e[1])
-    k2 = calc.sectional_from_riemann(
+    k1 = oracles.sectional_from_riemann(riem, fr.g0, e[0], e[1])
+    k2 = oracles.sectional_from_riemann(
         riem, fr.g0, 2.0 * e[0] + 0.3 * e[1], -0.4 * e[0] + e[1]
     )
     assert abs(k1 - k2) < 1e-8
@@ -640,7 +645,7 @@ def test_degenerate_plane_rejected(r3):
     g = euclidean_metric(r3)
     x = constant_field(r3, "vector", [1.0, 0.0, 0.0])
     with pytest.raises(DegeneratePlaneError):
-        calc.sectional(g, x, x, np.zeros(3))
+        oracles.sectional(g, x, x, np.zeros(3))
 
 
 # -- jet evaluator vs finite differences ----------------------------------------------

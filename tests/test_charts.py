@@ -6,9 +6,8 @@ from weakf.charts import (
     SmoothField,
     constant_field,
     euclidean_metric,
-    metric_eigen_floor,
-    scale_field,
 )
+from oracles import metric_eigen_floor, scale_field
 from weakf.jets import log, sin
 
 

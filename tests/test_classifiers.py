@@ -1,9 +1,10 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from weakf.charts import SmoothField
 from weakf.classifiers import (
-    ClassVerdict,
     class_residual,
     frame_residuals,
     killing_residual,
@@ -15,6 +16,21 @@ from weakf.errors import HypothesisNotMet
 from weakf.fstructure import PackFrame, StructurePack
 
 TOL = 1e-9
+
+
+@dataclass
+class ClassVerdict:
+    """Aggregated verdict of one class over a set of sampled points."""
+
+    class_tag: str
+    max_residual: float
+    breakdown: dict
+    points_sampled: int
+    tolerance: float
+
+    @property
+    def holds(self):
+        return self.max_residual <= self.tolerance
 
 
 def _verdict(pack, tag, count=5, seed=42, tol=TOL):

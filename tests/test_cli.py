@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import subprocess
 import sys
 
-from weakf import cli
+from weakf import catalog, cli
+from weakf.charts import SmoothField
+from weakf.jets import sqrt
 from weakf.report import EvaluationFailure
 
 
@@ -49,6 +52,14 @@ def test_bad_parameter_is_usage_error():
          "--samples", "2"]
     )
     assert proc.returncode == 2
+    # fractional counts are rejected, not truncated; so are tolerances that
+    # are not finite numbers >= 0, and an empty sample
+    for extra in (["--param", "n=1.5"], ["--param", "s=0.5"],
+                  ["--tol-exact", "nan"], ["--tol-exact", "inf"],
+                  ["--tol-curv", "-1e-6"], ["--samples", "0"]):
+        code = cli.main(["verify", "--example", "hypersphere", "--param",
+                         "n=1", "--samples", "2", *extra])
+        assert code == 2, extra
 
 
 def test_rejected_parameters_are_usage_errors():
@@ -76,6 +87,23 @@ def test_internal_failure_exits_three(monkeypatch):
         ["verify", "--example", "flat_pack", "--samples", "2"]
     )
     assert code == 3
+
+
+def test_component_function_error_exits_three(monkeypatch, capsys):
+    # a metric that leaves its domain (sqrt of a negative coordinate) on
+    # part of the chart
+    def sqrt_pack():
+        cat = catalog.flat_pack(n=1, s=1)
+        g = SmoothField(cat.obj.chart, "metric", lambda u: [
+            [sqrt(u[0]), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        return dataclasses.replace(cat, obj=dataclasses.replace(cat.obj, g=g))
+
+    monkeypatch.setitem(catalog.BUILDERS, "sqrt_pack", sqrt_pack)
+    code = cli.main(["verify", "--example", "sqrt_pack", "--samples", "8"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "axioms[point" in err
+    assert "ValueError: math domain error" in err
 
 
 def test_json_byte_identical_across_runs():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import second_fundamental
 from weakf.catalog import hypersphere, linear_subspace
 from weakf.charts import Chart, SmoothField, constant_field
 from weakf.errors import HypothesisNotMet, SetupRejected
@@ -14,7 +15,6 @@ from weakf.submanifold import (
     induce_structure,
     lemma_parallel_claim,
     require_valid_frame,
-    second_fundamental,
     second_fundamental_data,
     thsubm_check,
 )
