@@ -48,6 +48,7 @@ Built-in examples
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -130,8 +131,21 @@ def _integer(name, value):
     return int(value)
 
 
-def _default_scales(n):
-    return tuple(float(k + 1) for k in range(n))
+def _block_weights(example, n, scales, default):
+    """One finite, non-zero weight per complex block, as a float tuple.
+
+    A bare number is the weight of a single block (``--param scales=2``).
+    """
+    if scales is None:
+        return default
+    weights = tuple(map(float, scales if np.ndim(scales) else (scales,)))
+    if len(weights) != n:
+        raise InvalidExample(f"{example} needs one block weight per complex block")
+    if not all(math.isfinite(c) and c != 0.0 for c in weights):
+        raise InvalidExample(
+            f"{example} block weights must be finite and non-zero, got {weights}"
+        )
+    return weights
 
 
 def _constant_pack(chart, f_mat, q_mat, n, s):
@@ -168,9 +182,8 @@ def flat_pack(n=2, s=1, scales=None):
     n, s = _integer("n", n), _integer("s", s)
     if n < 1 or s < 1:
         raise InvalidExample("flat_pack needs n >= 1 and s >= 1")
-    scales = _default_scales(n) if scales is None else tuple(map(float, scales))
-    if len(scales) != n:
-        raise InvalidExample("flat_pack needs one block weight per complex block")
+    scales = _block_weights("flat_pack", n, scales,
+                            tuple(float(k + 1) for k in range(n)))
     m = 2 * n + s
     chart = _flat_chart(m, "flat")
     f = np.zeros((m, m))
@@ -225,6 +238,8 @@ def rotated_pack(n=2, s=1, t=0.1, rotation=None):
     n, s, t = _integer("n", n), _integer("s", s), float(t)
     if n < 1 or s < 1:
         raise InvalidExample("rotated_pack needs n >= 1 and s >= 1")
+    if not math.isfinite(t):
+        raise InvalidExample(f"rotated_pack needs a finite blend angle t, got {t}")
     m = 2 * n + s
     f1x = _block_skew(n, (1.0,) * n)
     r = _rotation_matrix(n, rotation)
@@ -261,9 +276,7 @@ def product_pack(n=1, s=2, scales=None):
     n, s = _integer("n", n), _integer("s", s)
     if n < 1 or s < 1:
         raise InvalidExample("product_pack needs n >= 1 and s >= 1")
-    scales = (1.0,) * n if scales is None else tuple(map(float, scales))
-    if len(scales) != n:
-        raise InvalidExample("product_pack needs one block weight per complex block")
+    scales = _block_weights("product_pack", n, scales, (1.0,) * n)
     m = 2 * n + s
     chart = _flat_chart(m, "product")
     abar = _block_skew(n, scales)
@@ -411,9 +424,7 @@ def linear_subspace(n=1, s=1, scales=None):
     n, s = _integer("n", n), _integer("s", s)
     if n < 1 or s < 1:
         raise InvalidExample("linear_subspace needs n >= 1 and s >= 1")
-    scales = (1.0,) * n if scales is None else tuple(map(float, scales))
-    if len(scales) != n:
-        raise InvalidExample("linear_subspace needs one block weight per complex block")
+    scales = _block_weights("linear_subspace", n, scales, (1.0,) * n)
     m = 2 * n + s
     d = 2 * n + 2 * s
     domain = _flat_chart(m, "subspace")

@@ -13,11 +13,12 @@ curvature steps of ``thm32_chain`` against its own curvature tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
 from .errors import HypothesisNotMet
-from .fstructure import PackFrame, axioms_residual
+from .fstructure import PackFrame, frame_axioms
 from .sampling import sup_abs, sup_gnorm
 
 TOL_EXACT = 1e-9
@@ -36,6 +37,18 @@ class FrameConditions:
 # -- per-identity residuals ------------------------------------------------------
 
 
+def _kept(residual):
+    """Keep ``residual(fr, V)`` on the frame when V is the frame's test set.
+
+    Class, theorem-gate and submanifold checks ask for the same residuals
+    at the same point; each is computed once per frame.
+    """
+    @wraps(residual)
+    def once(fr, V):
+        return fr.kept(residual.__name__, V, lambda: residual(fr, V))
+    return once
+
+
 def _nabla_f_pairs(fr, V, W=None):
     """T[k,A,B] = ((D_{V_A} f) W_B)^k; W defaults to V."""
     if W is None:
@@ -43,6 +56,7 @@ def _nabla_f_pairs(fr, V, W=None):
     return np.einsum("Ai,ikj,Bj->kAB", V, fr.nabla_f, W)
 
 
+@_kept
 def nearly_s_residual(fr, V):
     """(D_X f)Y + (D_Y f)X - 2 g(fX,fY) xibar - etabar(X) f^2 Y - etabar(Y) f^2 X."""
     t = _nabla_f_pairs(fr, V)
@@ -60,6 +74,7 @@ def nearly_s_residual(fr, V):
     return sup_gnorm(res, fr.g0)
 
 
+@_kept
 def nearly_c_residual(fr, V):
     """(D_X f)Y + (D_Y f)X."""
     t = _nabla_f_pairs(fr, V)
@@ -81,6 +96,7 @@ def s_structure_residual(fr, V):
     return sup_gnorm(res, fr.g0)
 
 
+@_kept
 def almost_s_residual(fr, V):
     """Phi = d eta^i for every i."""
     ph = np.einsum("Aa,ab,Bb->AB", V, fr.phi0, V)
@@ -106,6 +122,7 @@ def closed_phi_residual(fr):
     return max(sup_abs(de), sup_abs(extra))
 
 
+@_kept
 def normality_residual(fr, V):
     return sup_gnorm(fr.n1(V), fr.g0)
 
@@ -156,7 +173,7 @@ def class_residual(pack, p, class_tag, frame=None):
     br = {}
     for part in _CLASS_PARTS[class_tag]:
         if part == "axioms":
-            br.update(axioms_residual(pack, p, frame=fr))
+            br.update(frame_axioms(fr))
         elif part == "killing":
             for i in range(pack.s):
                 br[f"killing_xi_{i + 1}"] = killing_residual(pack, i, p, frame=fr)
@@ -228,11 +245,7 @@ def _gate(check, name, residual, tol):
 
 
 def _axioms_gate(pack, p, fr, check, tol):
-    cached = getattr(fr, "_axioms_max", None)
-    if cached is None:
-        cached = max(axioms_residual(pack, p, frame=fr).values())
-        fr._axioms_max = cached
-    _gate(check, "weak_metric_f_axioms", cached, tol)
+    _gate(check, "weak_metric_f_axioms", max(frame_axioms(fr).values()), tol)
 
 
 def _nearly_class_gate(pack, p, fr, check, tol):

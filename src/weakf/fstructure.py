@@ -67,20 +67,41 @@ class PackFrame:
         self.p = np.asarray(p, dtype=float)
         self.m = pack.dim
         self._rng = point_rng(seed, index)
+        self._kept = {}
 
     # -- raw jets -----------------------------------------------------------
 
     @cached_property
-    def _gjets(self):
-        return self.pack.g.jet(self.p, order=1)
+    def _jets(self):
+        """Order-1 (value, d1) of every field, fetched together at one point.
 
-    @property
-    def g0(self):
-        return self._gjets[0]
+        Induced packs evaluate all their fields in one pullback per point
+        and keep only the last one, so the fields are asked for back to back.
+        """
+        pk, p = self.pack, self.p
 
-    @property
-    def g1(self):
-        return self._gjets[1]
+        def stacked(fields):
+            jets = [x.jet(p, order=1) for x in fields]
+            return np.array([j[0] for j in jets]), np.array([j[1] for j in jets])
+
+        return {
+            "g": pk.g.jet(p, order=1),
+            "f": pk.f.jet(p, order=1),
+            "q": pk.Q.jet(p, order=1),
+            "xi": stacked(pk.xi),
+            "eta": stacked(pk.eta),
+        }
+
+    g0 = property(lambda self: self._jets["g"][0])
+    g1 = property(lambda self: self._jets["g"][1])
+    f0 = property(lambda self: self._jets["f"][0])
+    f1 = property(lambda self: self._jets["f"][1])
+    q0 = property(lambda self: self._jets["q"][0])
+    q1 = property(lambda self: self._jets["q"][1])
+    xi0 = property(lambda self: self._jets["xi"][0])
+    xi1 = property(lambda self: self._jets["xi"][1])
+    eta0 = property(lambda self: self._jets["eta"][0])
+    eta1 = property(lambda self: self._jets["eta"][1])
 
     @cached_property
     def g2(self):
@@ -97,62 +118,6 @@ class PackFrame:
     @cached_property
     def riemann(self):
         return calculus.riemann_from_jets(self.g0, self.g1, self.g2, self.p)
-
-    @cached_property
-    def _fjets(self):
-        return self.pack.f.jet(self.p, order=1)
-
-    @property
-    def f0(self):
-        return self._fjets[0]
-
-    @property
-    def f1(self):
-        return self._fjets[1]
-
-    @cached_property
-    def _qjets(self):
-        return self.pack.Q.jet(self.p, order=1)
-
-    @property
-    def q0(self):
-        return self._qjets[0]
-
-    @property
-    def q1(self):
-        return self._qjets[1]
-
-    @cached_property
-    def _xijets(self):
-        jets = [x.jet(self.p, order=1) for x in self.pack.xi]
-        return (
-            np.array([j[0] for j in jets]),
-            np.array([j[1] for j in jets]),
-        )
-
-    @property
-    def xi0(self):
-        return self._xijets[0]
-
-    @property
-    def xi1(self):
-        return self._xijets[1]
-
-    @cached_property
-    def _etajets(self):
-        jets = [e.jet(self.p, order=1) for e in self.pack.eta]
-        return (
-            np.array([j[0] for j in jets]),
-            np.array([j[1] for j in jets]),
-        )
-
-    @property
-    def eta0(self):
-        return self._etajets[0]
-
-    @property
-    def eta1(self):
-        return self._etajets[1]
 
     # -- derived pointwise tensors -------------------------------------------
 
@@ -277,6 +242,19 @@ class PackFrame:
         norms = np.sqrt(np.einsum("ak,kl,al->a", vecs, self.g0, vecs))
         return vecs / norms[:, None]
 
+    def kept(self, key, V, compute):
+        """``compute()``, computed once per frame when ``V`` is its own test set.
+
+        Any other ``V`` is computed fresh. Only small results (scalars, the
+        axioms map) are kept, since a run keeps every frame alive.
+        """
+        tv = self.__dict__.get("tv")
+        if tv is None or V is not tv.vectors:
+            return compute()
+        if key not in self._kept:
+            self._kept[key] = compute()
+        return self._kept[key]
+
     # -- structure tensor evaluators -------------------------------------------
 
     def nijenhuis_ff(self, V):
@@ -319,6 +297,15 @@ class PackFrame:
 
 
 # -- axioms ---------------------------------------------------------------------
+
+
+def frame_axioms(fr):
+    """:func:`axioms_residual` at the frame's point, computed once per frame.
+
+    Returns a fresh copy of the map.
+    """
+    return dict(fr.kept("axioms", fr.V,
+                        lambda: axioms_residual(fr.pack, fr.p, frame=fr)))
 
 
 def q_eigen_floor(frame):

@@ -40,8 +40,9 @@ from .classifiers import (
     theorem_check,
 )
 from .errors import HypothesisNotMet, InvalidExample, WeakfError
-from .fstructure import PackFrame, axioms_residual
+from .fstructure import PackFrame, frame_axioms
 from .submanifold import (
+    _AmbientPoint,
     frame_check,
     gauss_split_residual,
     induce_structure,
@@ -345,12 +346,13 @@ def _bundles(suite, config, cat, pack, sub):
     """The evaluator bundles of ``suite`` in report order.
 
     The evaluators call the residual functions by their module names at call
-    time, so that a wrapper installed on those names sees every call.
+    time, so that a wrapper installed on those names sees every call. The
+    submanifold bundles share one ambient build per point.
     """
     declared = cat.declared_classes
     tol = config.tol_exact
     if suite == "axioms":
-        return [_Bundle("", lambda p, fr: axioms_residual(pack, p, frame=fr),
+        return [_Bundle("", lambda p, fr: frame_axioms(fr),
                         counted=lambda key, aggs: "weak_metric_f" in declared)]
     if suite == "classes":
         return [
@@ -380,9 +382,17 @@ def _bundles(suite, config, cat, pack, sub):
                 note="informational: breaks unless the pack is weak nearly C")
             for which in THEOREM_CHECKS
         ]
+    ambients = {}   # frame -> the one _AmbientPoint its point gets
+
+    def ambient(p, fr):
+        if fr not in ambients:
+            ambients[fr] = _AmbientPoint(sub, p)
+        return ambients[fr]
+
     cases = [
         _Bundle(f"case_{case}", lambda p, fr, case=case: thsubm_check(
-            sub, p, case, induced=pack, frame=fr, tol_exact=tol),
+            sub, p, case, induced=pack, frame=fr, tol_exact=tol,
+            ambient=ambient(p, fr)),
             prefix=f"case_{case}", skip_formula=f"case_{case}.h_display",
             counted=lambda key, aggs, c=case in cat.declared_cases: (
                 c or key in _CASE_FREE),
@@ -391,11 +401,12 @@ def _bundles(suite, config, cat, pack, sub):
     ]
     return [
         _Bundle("frame", lambda p, fr: {
-            **frame_check(sub, p),
-            "gauss_split": gauss_split_residual(sub, p, pack, frame=fr)}),
+            **frame_check(sub, p, ambient=ambient(p, fr)),
+            "gauss_split": gauss_split_residual(
+                sub, p, pack, frame=fr, ambient=ambient(p, fr))}),
         *cases,
         _Bundle("parallel_q", lambda p, fr: lemma_parallel_claim(
-            sub, p, induced=pack, frame=fr, tol=tol),
+            sub, p, induced=pack, frame=fr, tol=tol, ambient=ambient(p, fr)),
             prefix="parallel_q", skip_formula="q_parallel_d"),
     ]
 

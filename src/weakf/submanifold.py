@@ -29,6 +29,7 @@ with the inward position normal (h_N = +g) pins the orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .classifiers import (
 )
 from .errors import HypothesisNotMet, SetupRejected
 from .fstructure import PackFrame, StructurePack
-from .jets import dot, lift, mat_inv, mat_mul, mat_vec, parts, value_of
+from .jets import Jet, dot, lift, mat_inv, mat_mul, mat_vec, parts, value_of
 from .sampling import orthonormal_basis, sup_abs
 
 _FRAME_TOL = 1e-10
@@ -78,7 +79,11 @@ class SecondFundamentalData:
 
 
 class _AmbientPoint:
-    """Floating-point ambient data of the embedding at one domain point."""
+    """Floating-point ambient data of the embedding at one domain point.
+
+    The submanifold checks take it as ``ambient=`` so that one build per
+    point serves all of them; each builds its own when it is not given.
+    """
 
     def __init__(self, sub, p):
         self.sub = sub
@@ -151,6 +156,7 @@ class _AmbientPoint:
         conn = np.einsum("cab,a,b->c", self.gammabar, self.push(x), self.normals[i])
         return flat + conn
 
+    @cached_property
     def nabla_fbar(self):
         """nf[be, al, ga] = ((ambient D_{e_be}) fbar)^al_ga at the image."""
         return calculus.nabla_tensor11_kernel(
@@ -158,7 +164,7 @@ class _AmbientPoint:
         )
 
 
-def frame_check(sub, p):
+def frame_check(sub, p, ambient=None):
     """Residuals of the normal-frame requirements at ``p``.
 
     Keys: orthonormality of the normals, orthogonality to the image, the
@@ -166,7 +172,7 @@ def frame_check(sub, p):
     skewness of fbar at the image, and the negative-definiteness margin of
     fbar^2.
     """
-    ap = _AmbientPoint(sub, p)
+    ap = ambient or _AmbientPoint(sub, p)
     res = {}
     gram = np.einsum("ia,ab,jb->ij", ap.normals, ap.gbar0, ap.normals)
     res["normals_orthonormal"] = sup_abs(gram - np.eye(sub.s))
@@ -215,44 +221,64 @@ def require_valid_frame(sub, p):
 # -- induced structure -----------------------------------------------------------
 
 
-def _generic_ambient(sub, coords, need):
-    """Shared generic-scalar evaluation for induced component functions.
+def _point_key(coords):
+    """Memo key of a component-function argument: its point and lift order.
 
-    ``need`` selects the requested pieces; entries may be floats or jets of
-    any level and the result stays at the caller's level.
+    Plain float points (order 0, as :meth:`SmoothField.value` passes them)
+    and fresh lifts of float points (as :meth:`SmoothField.jet` makes them)
+    get a key. Any other argument, such as a nested lift, gets ``None`` and
+    is evaluated without the memo.
+    """
+    if all(isinstance(c, float) for c in coords):
+        return tuple(coords), 0
+    if not all(isinstance(c, Jet) and isinstance(c.val, float) for c in coords):
+        return None
+    point = tuple(c.val for c in coords)
+    order = 1 if coords[0].hess is None else 2
+    fresh = lift(list(point), order=order)
+    if any((c.level, c.grad, c.hess) != (f.level, f.grad, f.hess)
+           for c, f in zip(coords, fresh)):
+        return None
+    return point, order
+
+
+def _pullback(sub, coords, full):
+    """The induced g, and with ``full`` also eta, xi, f and Q, at ``coords``.
+
+    Entries of ``coords`` may be floats or jets of any level and the result
+    stays at the caller's level. The induced components depend on the first
+    derivatives of the embedding, which a nested order-1 lift supplies.
     """
     m = sub.domain.dim
     d = sub.ambient.dim
-    out = {}
     inner = lift(list(coords), order=1)
-    amb = sub.embedding(inner)
     lvl = inner[0].level
     vals, jac = [], []
-    for a in amb:
+    for a in sub.embedding(inner):
         v, g, _ = parts(a, m, order=1, level=lvl)
         vals.append(v)
         jac.append(g)
-    out["vals"] = vals
-    out["jac"] = jac
     gbar = sub.ambient_metric.fn(vals)
-    out["gbar"] = gbar
-    if need & {"fbar", "eta", "xi", "f", "q"}:
-        fbar = sub.ambient_skew.fn(vals)
-        out["fbar"] = fbar
+    cols = [[jac[al][a] for al in range(d)] for a in range(m)]
     # lowered frame vectors: gj[a] = gbar . (J e_a)
-    gj = [mat_vec(gbar, [jac[al][a] for al in range(d)]) for a in range(m)]
-    out["g"] = [
-        [dot([jac[al][b] for al in range(d)], gj[a]) for b in range(m)]
-        for a in range(m)
-    ]
-    if need & {"eta", "xi"}:
-        normals = sub.normals(list(coords))
-        fn = [mat_vec(out["fbar"], nrm) for nrm in normals]
-        out["eta"] = [
-            [dot(fn[i], gj[a]) for a in range(m)] for i in range(sub.s)
-        ]
-    if need & {"xi", "f", "q"}:
-        out["ginv"] = mat_inv(out["g"])
+    gj = [mat_vec(gbar, col) for col in cols]
+    out = {"g": [[dot(cols[b], gj[a]) for b in range(m)] for a in range(m)]}
+    if not full:
+        return out
+    fbar = sub.ambient_skew.fn(vals)
+    fn = [mat_vec(fbar, nrm) for nrm in sub.normals(list(coords))]
+    eta = [[dot(fn[i], gj[a]) for a in range(m)] for i in range(sub.s)]
+    ginv = mat_inv(out["g"])
+    fcols = [mat_vec(fbar, col) for col in cols]
+    f2cols = [mat_vec(fbar, fcol) for fcol in fcols]
+    out["eta"] = eta
+    out["xi"] = [mat_vec(ginv, row) for row in eta]
+    out["f"] = mat_mul(
+        ginv, [[dot(gj[c], fcols[b]) for b in range(m)] for c in range(m)]
+    )
+    out["q"] = mat_mul(
+        ginv, [[-dot(gj[c], f2cols[b]) for b in range(m)] for c in range(m)]
+    )
     return out
 
 
@@ -262,61 +288,48 @@ def induce_structure(sub, validate=True):
     With ``validate`` the normal frame is checked at one interior point and
     the setup rejected on violation; the full residual suite is the real
     verdict.
+
+    The induced fields share one evaluation per point: the pack keeps the
+    last one, keyed by the point and the lift, so fetching g, f, Q, xi and
+    eta at one point and order runs the embedding, the ambient fields and
+    the inverse of g once. An order-2 lift, which only the curvature of g
+    needs, evaluates g alone unless another field asks for it.
     """
     if validate:
         mid = np.array([0.5 * (lo + hi) for lo, hi in sub.domain.box])
         require_valid_frame(sub, mid)
 
-    m = sub.domain.dim
-    d = sub.ambient.dim
-    s = sub.s
+    last = [None, None]     # key, pieces
 
-    def metric_fn(coords):
-        return _generic_ambient(sub, coords, {"g"})["g"]
+    def pieces(coords, piece):
+        key = _point_key(coords)
+        full = piece != "g" or (key is not None and key[1] < 2)
+        if key is None:
+            return _pullback(sub, coords, full)
+        if last[0] != key or piece not in last[1]:
+            last[:] = key, _pullback(sub, coords, full)
+        return last[1]
 
-    def eta_fn(i):
-        def fn(coords, i=i):
-            return _generic_ambient(sub, coords, {"eta"})["eta"][i]
-        return fn
+    def square(piece):
+        return lambda coords: [list(r) for r in pieces(coords, piece)[piece]]
 
-    def xi_fn(i):
-        def fn(coords, i=i):
-            data = _generic_ambient(sub, coords, {"xi"})
-            return mat_vec(data["ginv"], data["eta"][i])
-        return fn
-
-    def f_fn(coords):
-        data = _generic_ambient(sub, coords, {"f"})
-        jac, gbar, fbar = data["jac"], data["gbar"], data["fbar"]
-        cols = [[jac[al][b] for al in range(d)] for b in range(m)]
-        fcols = [mat_vec(fbar, col) for col in cols]
-        gcols = [mat_vec(gbar, col) for col in cols]
-        low = [[dot(gcols[c], fcols[b]) for b in range(m)] for c in range(m)]
-        return mat_mul(data["ginv"], low)
-
-    def q_fn(coords):
-        data = _generic_ambient(sub, coords, {"q"})
-        jac, gbar, fbar = data["jac"], data["gbar"], data["fbar"]
-        cols = [[jac[al][b] for al in range(d)] for b in range(m)]
-        f2cols = [mat_vec(fbar, mat_vec(fbar, col)) for col in cols]
-        gcols = [mat_vec(gbar, col) for col in cols]
-        low = [[-dot(gcols[c], f2cols[b]) for b in range(m)] for c in range(m)]
-        return mat_mul(data["ginv"], low)
+    def row(piece, i):
+        return lambda coords: list(pieces(coords, piece)[piece][i])
 
     dom = sub.domain
     return StructurePack(
         chart=dom,
-        f=SmoothField(dom, "tensor11", f_fn, name="induced_f"),
-        Q=SmoothField(dom, "tensor11", q_fn, name="induced_Q"),
+        f=SmoothField(dom, "tensor11", square("f"), name="induced_f"),
+        Q=SmoothField(dom, "tensor11", square("q"), name="induced_Q"),
         xi=tuple(
-            SmoothField(dom, "vector", xi_fn(i), name=f"induced_xi_{i + 1}")
-            for i in range(s)
+            SmoothField(dom, "vector", row("xi", i), name=f"induced_xi_{i + 1}")
+            for i in range(sub.s)
         ),
         eta=tuple(
-            SmoothField(dom, "oneform", eta_fn(i), name=f"induced_eta_{i + 1}")
-            for i in range(s)
+            SmoothField(dom, "oneform", row("eta", i), name=f"induced_eta_{i + 1}")
+            for i in range(sub.s)
         ),
-        g=SmoothField(dom, "metric", metric_fn, name="induced_metric"),
+        g=SmoothField(dom, "metric", square("g"), name="induced_metric"),
         n=sub.n,
         s=sub.s,
     )
@@ -325,9 +338,9 @@ def induce_structure(sub, validate=True):
 # -- second fundamental form ------------------------------------------------------
 
 
-def second_fundamental_data(sub, p):
+def second_fundamental_data(sub, p, ambient=None):
     """Shape data at ``p`` packaged as evaluators, plus the ambient cache."""
-    ap = _AmbientPoint(sub, p)
+    ap = ambient or _AmbientPoint(sub, p)
     m = sub.domain.dim
 
     def h(x, y):
@@ -353,9 +366,9 @@ def h_matrix(ap, v):
     return np.einsum("ia,ab,bAB->iAB", ap.normals, ap.gbar0, dxy)
 
 
-def gauss_split_residual(sub, p, induced, frame=None):
+def gauss_split_residual(sub, p, induced, frame=None, ambient=None):
     """Exactness of the split ambient D = dI(induced D) + h over the frame."""
-    ap = _AmbientPoint(sub, p)
+    ap = ambient or _AmbientPoint(sub, p)
     fr = frame or PackFrame(induced, p)
     gamma = fr.gamma
     m = sub.domain.dim
@@ -374,7 +387,7 @@ def gauss_split_residual(sub, p, induced, frame=None):
 
 def ambient_nearly_kahler_residual(ap):
     """Sup of (D_X fbar)Y + (D_Y fbar)X over an ambient frame at the image."""
-    nf = ap.nabla_fbar()
+    nf = ap.nabla_fbar
     eb = orthonormal_basis(ap.gbar0)
     t = np.einsum("Ab,bag,Cg->aAC", eb, nf, eb)
     sym = t + t.transpose(0, 2, 1)
@@ -382,7 +395,8 @@ def ambient_nearly_kahler_residual(ap):
     return float(np.sqrt(max(q.max(), 0.0)))
 
 
-def thsubm_check(sub, p, case, induced=None, frame=None, tol_exact=1e-9):
+def thsubm_check(sub, p, case, induced=None, frame=None, tol_exact=1e-9,
+                 ambient=None):
     """Hypotheses and conclusion of the induced nearly-S/C criterion.
 
     ``case="i"``: h_{N_i}(X,Y) = g(-f^2 X, Y) + sum_{j,k} h_{N_i}(xi_j,
@@ -404,7 +418,7 @@ def thsubm_check(sub, p, case, induced=None, frame=None, tol_exact=1e-9):
         raise ValueError("case must be 'i' or 'ii'")
     if induced is None:
         induced = induce_structure(sub, validate=False)
-    sfd, ap = second_fundamental_data(sub, p)
+    sfd, ap = second_fundamental_data(sub, p, ambient=ambient)
     gate = ambient_nearly_kahler_residual(ap)
     if gate > tol_exact:
         raise HypothesisNotMet("thsubm", "ambient_weak_nearly_kahler", gate)
@@ -460,7 +474,7 @@ def thsubm_check(sub, p, case, induced=None, frame=None, tol_exact=1e-9):
     res["h_symmetric"] = sup_abs(hmat - hmat.transpose(0, 2, 1))
 
     # tangential part of the ambient identity against the induced sum
-    nf = ap.nabla_fbar()
+    nf = ap.nabla_fbar
     nfd = fr.nabla_f
     e = np.eye(m)
     worst = 0.0
@@ -490,14 +504,15 @@ def thsubm_check(sub, p, case, induced=None, frame=None, tol_exact=1e-9):
     return res
 
 
-def lemma_parallel_claim(sub, p, induced=None, frame=None, tol=1e-9):
+def lemma_parallel_claim(sub, p, induced=None, frame=None, tol=1e-9,
+                         ambient=None):
     """Gated check: the parallel-Q condition holds on the induced pack.
 
     Hypotheses: fbar^2 N_i is normal to the image, and the tangential part
     of (ambient D_X fbar^2) Y vanishes for Y in the contact distribution.
     Conclusion: the induced pack satisfies (D_X Q)Y = 0 for Y in D.
     """
-    ap = _AmbientPoint(sub, p)
+    ap = ambient or _AmbientPoint(sub, p)
     f2n = ap.normals @ (ap.fbar0 @ ap.fbar0).T
     hyp1 = max(
         float(np.linalg.norm(ap.tangent_part(f2n[i]))) for i in range(sub.s)
@@ -509,7 +524,7 @@ def lemma_parallel_claim(sub, p, induced=None, frame=None, tol=1e-9):
     if induced is None:
         induced = induce_structure(sub, validate=False)
     fr = frame or PackFrame(induced, p)
-    nf = ap.nabla_fbar()
+    nf = ap.nabla_fbar
     worst = 0.0
     for x in np.eye(sub.domain.dim):
         jx = ap.push(x)

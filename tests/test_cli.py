@@ -60,6 +60,38 @@ def test_bad_parameter_is_usage_error():
         code = cli.main(["verify", "--example", "hypersphere", "--param",
                          "n=1", "--samples", "2", *extra])
         assert code == 2, extra
+    # block weights must be finite and non-zero, one per complex block
+    for example, params in (("flat_pack", ["n=2", "scales=nan,1"]),
+                            ("product_pack", ["n=2", "s=1", "scales=inf,1"]),
+                            ("flat_pack", ["n=2", "scales=0,1"]),
+                            ("linear_subspace", ["n=1", "s=1", "scales=0"]),
+                            ("flat_pack", ["n=2", "scales=2"])):
+        argv = ["verify", "--example", example, "--samples", "2"]
+        for p in params:
+            argv += ["--param", p]
+        assert cli.main(argv) == 2, params
+
+
+def test_single_block_weight_from_command_line():
+    # a bare number is the weight of the one block of n=1
+    for example, params in (("flat_pack", ["n=1", "scales=2"]),
+                            ("linear_subspace", ["n=1", "s=1", "scales=1.5"])):
+        argv = ["verify", "--example", example, "--samples", "2"]
+        for p in params:
+            argv += ["--param", p]
+        proc = run_cli(argv)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["object"]["params"]["scales"] == [
+            float(params[-1].split("=")[1])]
+
+
+def test_non_finite_blend_angle_is_usage_error():
+    for t in ("nan", "inf"):
+        proc = run_cli(["verify", "--example", "rotated_pack", "--param",
+                        f"t={t}", "--samples", "2"])
+        assert proc.returncode == 2, t
+        assert "blend angle t" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 def test_rejected_parameters_are_usage_errors():
