@@ -13,12 +13,11 @@ curvature steps of ``thm32_chain`` against its own curvature tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import wraps
 
 import numpy as np
 
 from .errors import HypothesisNotMet
-from .fstructure import PackFrame, frame_axioms
+from .fstructure import frame_axioms, kept_per_frame
 from .sampling import sup_abs, sup_gnorm
 
 TOL_EXACT = 1e-9
@@ -35,28 +34,18 @@ class FrameConditions:
 
 
 # -- per-identity residuals ------------------------------------------------------
+#
+# Class, theorem-gate and submanifold checks ask for the same residuals at
+# the same point; kept_per_frame computes each once per frame.
 
 
-def _kept(residual):
-    """Keep ``residual(fr, V)`` on the frame when V is the frame's test set.
-
-    Class, theorem-gate and submanifold checks ask for the same residuals
-    at the same point; each is computed once per frame.
-    """
-    @wraps(residual)
-    def once(fr, V):
-        return fr.kept(residual.__name__, V, lambda: residual(fr, V))
-    return once
+@kept_per_frame
+def _nabla_f_pairs(fr, V):
+    """T[k,A,B] = ((D_{V_A} f) V_B)^k."""
+    return np.einsum("Ai,ikj,Bj->kAB", V, fr.nabla_f, V)
 
 
-def _nabla_f_pairs(fr, V, W=None):
-    """T[k,A,B] = ((D_{V_A} f) W_B)^k; W defaults to V."""
-    if W is None:
-        W = V
-    return np.einsum("Ai,ikj,Bj->kAB", V, fr.nabla_f, W)
-
-
-@_kept
+@kept_per_frame
 def nearly_s_residual(fr, V):
     """(D_X f)Y + (D_Y f)X - 2 g(fX,fY) xibar - etabar(X) f^2 Y - etabar(Y) f^2 X."""
     t = _nabla_f_pairs(fr, V)
@@ -74,13 +63,14 @@ def nearly_s_residual(fr, V):
     return sup_gnorm(res, fr.g0)
 
 
-@_kept
+@kept_per_frame
 def nearly_c_residual(fr, V):
     """(D_X f)Y + (D_Y f)X."""
     t = _nabla_f_pairs(fr, V)
     return sup_gnorm(t + t.transpose(0, 2, 1), fr.g0)
 
 
+@kept_per_frame
 def s_structure_residual(fr, V):
     """(D_X f)Y - g(fX,fY) xibar - etabar(Y) f^2 X."""
     t = _nabla_f_pairs(fr, V)
@@ -96,7 +86,7 @@ def s_structure_residual(fr, V):
     return sup_gnorm(res, fr.g0)
 
 
-@_kept
+@kept_per_frame
 def almost_s_residual(fr, V):
     """Phi = d eta^i for every i."""
     ph = np.einsum("Aa,ab,Bb->AB", V, fr.phi0, V)
@@ -104,10 +94,12 @@ def almost_s_residual(fr, V):
     return sup_abs(de - ph[None, :, :])
 
 
+@kept_per_frame
 def closed_eta_residual(fr, V):
     return sup_abs(np.einsum("iab,Aa,Bb->iAB", fr.deta, V, V))
 
 
+@kept_per_frame
 def closed_phi_residual(fr):
     tr = fr.tv
     e = tr.basis
@@ -122,14 +114,13 @@ def closed_phi_residual(fr):
     return max(sup_abs(de), sup_abs(extra))
 
 
-@_kept
+@kept_per_frame
 def normality_residual(fr, V):
     return sup_gnorm(fr.n1(V), fr.g0)
 
 
-def killing_residual(pack, i, p, frame=None):
-    """Sup-norm of (L_{xi_i} g) at ``p`` over the test frame."""
-    fr = frame or PackFrame(pack, p)
+def killing_residual(fr, i):
+    """Sup-norm of (L_{xi_i} g) at the frame's point over its test vectors."""
     V = fr.V
     return sup_abs(np.einsum("ab,Aa,Bb->AB", fr.lie_g_xi[i], V, V))
 
@@ -165,31 +156,35 @@ _RESIDUALS = {
 }
 
 
-def class_residual(pack, p, class_tag, frame=None):
-    """(max residual, per-identity breakdown) of ``class_tag`` at ``p``."""
+def class_residual(pack, p, class_tag, frame):
+    """(max residual, per-identity breakdown) of ``class_tag`` on ``frame``.
+
+    Only the frame is read: ``pack`` and ``p`` are its pack and point, and
+    they stay the first two parameters so that ``bench/layertrace.py`` can
+    name a span after the third positional argument.
+    """
     if class_tag not in _CLASS_PARTS:
         raise ValueError(f"unknown class tag {class_tag!r}")
-    fr = frame or PackFrame(pack, p)
     br = {}
     for part in _CLASS_PARTS[class_tag]:
         if part == "axioms":
-            br.update(frame_axioms(fr))
+            br.update(frame_axioms(frame))
         elif part == "killing":
-            for i in range(pack.s):
-                br[f"killing_xi_{i + 1}"] = killing_residual(pack, i, p, frame=fr)
+            for i in range(frame.pack.s):
+                br[f"killing_xi_{i + 1}"] = killing_residual(frame, i)
         else:
-            br[part] = _RESIDUALS[part](fr)
+            br[part] = _RESIDUALS[part](frame)
     return max(br.values()), br
 
 
-def q_parallel_residual(pack, p, frame=None):
+@kept_per_frame
+def q_parallel_residual(fr):
     """(residual of (D_X Q)Y = 0 on Y in D, residual of the ker-f expansion).
 
     The second component checks (D_X Q)Y + sum_i eta^i(Y) (Q - id) D_X xi_i
     over all Y; it must hold whenever the first component holds, and both
     are reported separately.
     """
-    fr = frame or PackFrame(pack, p)
     V = fr.V
     db = fr.d_basis
     nq = fr.nabla_q
@@ -201,16 +196,16 @@ def q_parallel_residual(pack, p, frame=None):
     return first, second
 
 
-def frame_residuals(pack, p, frame=None):
-    """Reeb-frame condition residuals at ``p``.
+@kept_per_frame
+def frame_residuals(fr):
+    """Reeb-frame condition residuals at the frame's point.
 
     The test set for the middle condition includes the Reeb fields
     themselves, so the totally-geodesic residual is always bounded by the
     flatness residual.
     """
-    fr = frame or PackFrame(pack, p)
     V = fr.V
-    s = pack.s
+    s = fr.pack.s
     br = np.array(
         [
             [
@@ -227,7 +222,7 @@ def frame_residuals(pack, p, frame=None):
     reeb_flat = sup_abs(flat)
     nxx = np.einsum("jka,ia->ijk", fr.nabla_xi, fr.xi0)
     reeb_tg = sup_abs(np.einsum("lk,ijk->ijl", fr.eta0, nxx))
-    qpar, _ = q_parallel_residual(pack, p, frame=fr)
+    qpar, _ = q_parallel_residual(fr)
     return FrameConditions(
         reeb_brackets=reeb_brackets,
         reeb_flat=reeb_flat,
@@ -244,11 +239,7 @@ def _gate(check, name, residual, tol):
         raise HypothesisNotMet(check, name, residual)
 
 
-def _axioms_gate(pack, p, fr, check, tol):
-    _gate(check, "weak_metric_f_axioms", max(frame_axioms(fr).values()), tol)
-
-
-def _nearly_class_gate(pack, p, fr, check, tol):
+def _nearly_class_gate(fr, check, tol):
     """Require the pack to be weak nearly S or weak nearly C."""
     rs = nearly_s_residual(fr, fr.V)
     if rs <= tol:
@@ -261,8 +252,8 @@ def _nearly_class_gate(pack, p, fr, check, tol):
     raise HypothesisNotMet(check, "weak_nearly_C", rc)
 
 
-def _frame_gates(pack, p, fr, check, tol):
-    fc = frame_residuals(pack, p, frame=fr)
+def _frame_gates(fr, check, tol):
+    fc = frame_residuals(fr)
     _gate(check, "reeb_brackets", fc.reeb_brackets, tol)
     _gate(check, "reeb_totally_geodesic", fc.reeb_totally_geodesic, tol)
     _gate(check, "reeb_flat", fc.reeb_flat, tol)
@@ -270,8 +261,8 @@ def _frame_gates(pack, p, fr, check, tol):
     return fc
 
 
-def theorem_check(pack, p, which, frame=None, tol_exact=TOL_EXACT):
-    """Named residual map of one theorem-level identity bundle at ``p``.
+def theorem_check(pack, p, which, frame, tol_exact=TOL_EXACT):
+    """Named residual map of one theorem-level identity bundle on ``frame``.
 
     Raises :class:`HypothesisNotMet` when the statement's gates fail, naming
     the failing gate and its residual; every statement presupposes a valid
@@ -280,18 +271,22 @@ def theorem_check(pack, p, which, frame=None, tol_exact=TOL_EXACT):
     valid under the nearly-C hypothesis; on packs failing that hypothesis
     the entry is expected to be large and is reported for diagnosis, never
     asserted.
+
+    Only the frame is read: ``pack`` and ``p`` are its pack and point, and
+    they stay the first two parameters so that ``bench/layertrace.py`` can
+    name a span after the third positional argument.
     """
     check = _THEOREMS.get(which)
     if check is None:
         raise ValueError(f"unknown theorem check {which!r}")
-    fr = frame or PackFrame(pack, p)
-    _axioms_gate(pack, p, fr, which, tol_exact)
-    return check(pack, p, fr, tol_exact)
+    _gate(which, "weak_metric_f_axioms", max(frame_axioms(frame).values()),
+          tol_exact)
+    return check(frame, tol_exact)
 
 
-def _prop1(pack, p, fr, tol):
-    _nearly_class_gate(pack, p, fr, "prop1", tol)
-    _frame_gates(pack, p, fr, "prop1", tol)
+def _prop1(fr, tol):
+    _nearly_class_gate(fr, "prop1", tol)
+    _frame_gates(fr, "prop1", tol)
     nxx = np.einsum("jka,ia->ijk", fr.nabla_xi, fr.xi0)
     res = {
         "reeb_parallel_pairs": sup_gnorm(np.einsum("ijk->kij", nxx), fr.g0)
@@ -300,12 +295,12 @@ def _prop1(pack, p, fr, tol):
     dual = np.einsum("ijb,bc,ijc->ij", ne, fr.ginv, ne)
     res["reeb_coparallel"] = float(np.sqrt(max(dual.max(), 0.0)))
     res["reeb_killing"] = max(
-        killing_residual(pack, i, p, frame=fr) for i in range(pack.s)
+        killing_residual(fr, i) for i in range(fr.pack.s)
     )
     return res
 
 
-def _prop_normal(pack, p, fr, tol):
+def _prop_normal(fr, tol):
     """Consequences of normality, reported on packs with N1 = 0."""
     _gate("prop_normal", "normality", normality_residual(fr, fr.V), tol)
     V = fr.V
@@ -338,21 +333,21 @@ def _prop_normal(pack, p, fr, tol):
     return res
 
 
-def _fk_gate(pack, p, fr, check, tol):
+def _fk_gate(fr, check, tol):
     _gate(check, "phi_equals_deta", almost_s_residual(fr, fr.V), tol)
-    kil = max(killing_residual(pack, i, p, frame=fr) for i in range(pack.s))
+    kil = max(killing_residual(fr, i) for i in range(fr.pack.s))
     _gate(check, "killing_reeb", kil, tol)
 
 
-def _fk_contact_nabla(pack, p, fr, tol):
-    _fk_gate(pack, p, fr, "fk_contact_nabla", tol)
+def _fk_contact_nabla(fr, tol):
+    _fk_gate(fr, "fk_contact_nabla", tol)
     res = np.einsum("ika,Aa->ikA", fr.nabla_xi, fr.V) + np.einsum(
         "kj,Aj->kA", fr.f0, fr.V
     )[None, :, :]
     return {"nabla_xi_plus_f": sup_gnorm(np.einsum("ikA->kiA", res), fr.g0)}
 
 
-def _thm32_chain(pack, p, fr, tol):
+def _thm32_chain(fr, tol):
     """Identity chain for the Reeb-sectional curvature of f-K-contact packs.
 
     For unit X in the contact distribution and each Reeb direction xi:
@@ -367,7 +362,7 @@ def _thm32_chain(pack, p, fr, tol):
     alone and must hold on any f-K-contact pack; the nearly-C step is the
     one that breaks when the pack is not weak nearly C.
     """
-    _fk_gate(pack, p, fr, "thm32_chain", tol)
+    _fk_gate(fr, "thm32_chain", tol)
     xs = np.vstack([fr.d_basis, fr.random_d_units(4)])
     riem = fr.riemann
     out = {
@@ -377,7 +372,7 @@ def _thm32_chain(pack, p, fr, tol):
         "f2_nonpositive": 0.0,
         "chain_total": 0.0,
     }
-    for i in range(pack.s):
+    for i in range(fr.pack.s):
         xi = fr.xi0[i]
         nf_xi = np.einsum("a,akj->kj", xi, fr.nabla_f)
         for x in xs:
@@ -407,7 +402,7 @@ def _thm32_chain(pack, p, fr, tol):
     return out
 
 
-def _thm41(pack, p, fr, tol):
+def _thm41(fr, tol):
     _gate("thm41", "weak_nearly_C", nearly_c_residual(fr, fr.V), tol)
     V = fr.V
     db = fr.d_basis
@@ -427,13 +422,13 @@ def _thm41(pack, p, fr, tol):
     return res
 
 
-def _thm01_gates(pack, p, fr, check, tol):
+def _thm01_gates(fr, check, tol):
     _gate(check, "weak_nearly_S", nearly_s_residual(fr, fr.V), tol)
-    _frame_gates(pack, p, fr, check, tol)
+    _frame_gates(fr, check, tol)
 
 
-def _thm01_i(pack, p, fr, tol):
-    _thm01_gates(pack, p, fr, "thm01_i", tol)
+def _thm01_i(fr, tol):
+    _thm01_gates(fr, "thm01_i", tol)
     V = fr.V
     n1 = fr.n1(V)
     eta_n1 = np.einsum("ia,aAB->iAB", fr.eta0, n1)
@@ -455,8 +450,8 @@ def _thm01_i(pack, p, fr, tol):
     return res
 
 
-def _thm01_ii(pack, p, fr, tol):
-    _thm01_gates(pack, p, fr, "thm01_ii", tol)
+def _thm01_ii(fr, tol):
+    _thm01_gates(fr, "thm01_ii", tol)
     V = fr.V
     _gate("thm01_ii", "phi_equals_deta", almost_s_residual(fr, V), tol)
     n1 = fr.n1(V)
@@ -483,7 +478,7 @@ def _thm01_ii(pack, p, fr, tol):
     return res
 
 
-def _corollary_rigidity(pack, p, fr, tol):
+def _corollary_rigidity(fr, tol):
     _gate("corollary_rigidity", "weak_nearly_S", nearly_s_residual(fr, fr.V), tol)
     _gate("corollary_rigidity", "normal", normality_residual(fr, fr.V), tol)
     qt = sup_gnorm(np.einsum("ka,Aa->kA", fr.qtilde, fr.V), fr.g0)
@@ -491,7 +486,7 @@ def _corollary_rigidity(pack, p, fr, tol):
     return {"s_structure_defining": s_structure_residual(fr, fr.V)}
 
 
-# Theorem bundles in report order: name -> (pack, p, frame, tol) -> residuals.
+# Theorem bundles in report order: name -> (frame, tol) -> residuals.
 _THEOREMS = {
     "prop1": _prop1,
     "prop_normal": _prop_normal,

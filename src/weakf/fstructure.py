@@ -22,7 +22,7 @@ arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -57,6 +57,19 @@ class StructurePack:
     @property
     def dim(self):
         return self.chart.dim
+
+
+def kept_per_frame(compute):
+    """Keep ``compute(fr)`` or ``compute(fr, V)`` on the frame ``fr``.
+
+    With ``V`` omitted the result is computed on the frame's test vectors.
+    See :meth:`PackFrame.kept` for the rule.
+    """
+    @wraps(compute)
+    def once(fr, *V):
+        return fr.kept(compute.__qualname__, V[0] if V else fr.V,
+                       lambda: compute(fr, *V))
+    return once
 
 
 class PackFrame:
@@ -245,8 +258,9 @@ class PackFrame:
     def kept(self, key, V, compute):
         """``compute()``, computed once per frame when ``V`` is its own test set.
 
-        Any other ``V`` is computed fresh. Only small results (scalars, the
-        axioms map) are kept, since a run keeps every frame alive.
+        This is the one keep rule: every result computed on the frame's own
+        test vectors is kept, whatever its size, because the runner keeps one
+        frame alive at a time. Any other ``V`` is computed fresh.
         """
         tv = self.__dict__.get("tv")
         if tv is None or V is not tv.vectors:
@@ -257,6 +271,7 @@ class PackFrame:
 
     # -- structure tensor evaluators -------------------------------------------
 
+    @kept_per_frame
     def nijenhuis_ff(self, V):
         """[f,f](X,Y) for all test pairs: tensor [k, A, B]."""
         f0, f1 = self.f0, self.f1
@@ -270,6 +285,7 @@ class PackFrame:
         b3 = np.einsum("Aa,kba,Bb->kAB", V, f1, V)
         return b1 - np.einsum("kl,lAB->kAB", f0, b2 + b3)
 
+    @kept_per_frame
     def n1(self, V):
         """N1[k,A,B] = [f,f](X,Y) + 2 sum_i deta^i(X,Y) xi_i."""
         ff = self.nijenhuis_ff(V)
@@ -304,8 +320,7 @@ def frame_axioms(fr):
 
     Returns a fresh copy of the map.
     """
-    return dict(fr.kept("axioms", fr.V,
-                        lambda: axioms_residual(fr.pack, fr.p, frame=fr)))
+    return dict(fr.kept("axioms", fr.V, lambda: axioms_residual(fr)))
 
 
 def q_eigen_floor(frame):
@@ -315,17 +330,16 @@ def q_eigen_floor(frame):
     return float(np.linalg.eigvalsh(0.5 * (q_mat + q_mat.T)).min())
 
 
-def axioms_residual(pack, p, frame=None):
-    """Named sup-norm residuals of every defining identity at ``p``.
+def axioms_residual(fr):
+    """Named sup-norm residuals of every defining identity at the frame's point.
 
     Raises :class:`DegenerateOperatorError` when the symmetrized Q fails to
     be positive-definite, since the object then leaves the weak class.
     """
-    fr = frame or PackFrame(pack, p)
     V = fr.V
     g0, f0, q0 = fr.g0, fr.f0, fr.q0
     eta0, xi0 = fr.eta0, fr.xi0
-    s = pack.s
+    s = fr.pack.s
 
     floor = q_eigen_floor(fr)
     if floor <= _Q_EIGEN_FLOOR:

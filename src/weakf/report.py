@@ -199,8 +199,18 @@ class SuiteConfig:
     fmt: str = "json"
 
     def __post_init__(self):
-        if self.samples < 1:
-            raise InvalidExample(f"samples must be >= 1, got {self.samples}")
+        suites = list(self.suites)
+        if not suites or any(s not in SUITES or suites.count(s) > 1
+                             for s in suites):
+            raise InvalidExample(f"suites must be distinct names from "
+                                 f"{','.join(SUITES)}, got {suites}")
+        for name, least in (("samples", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise InvalidExample(
+                    f"{name} must be an integer >= {least}, got {value!r}")
+        if self.fmt not in ("json", "text"):
+            raise InvalidExample(f"format must be json or text, got {self.fmt!r}")
         for name in ("tol_exact", "tol_curvature"):
             tol = getattr(self, name)
             if not (math.isfinite(tol) and tol >= 0.0):
@@ -261,28 +271,50 @@ def _entry(identity, formula_key, agg, tol, counted, note=None, verdict=None):
 
 
 def run_suite(config):
-    """Execute the configured suites and assemble the report dict."""
+    """Execute the configured suites and assemble the report dict.
+
+    Points are walked once. Each gets one :class:`PackFrame`, and one
+    ``_AmbientPoint`` if a submanifold bundle runs there; every bundle that
+    has not skipped is evaluated on them, then both are dropped. A failed
+    gate skips its bundle for good; any other exception, from the engine or
+    a component function, becomes an :class:`EvaluationFailure`.
+    """
     cat = make_example(config.example, **config.params)
-    pack = cat.obj if cat.is_pack else None
     sub = None if cat.is_pack else cat.obj
-    if sub is not None:
-        pack = induce_structure(sub, validate=False)
+    pack = cat.obj if sub is None else induce_structure(sub, validate=False)
+    names = [n for n in config.suites if n != "submanifold" or sub is not None]
+    if not names:
+        raise InvalidExample(
+            f"no requested suite applies to {cat.name}: the submanifold "
+            "suite needs an embedded example")
+    bundles = [(n, b) for n in names for b in _bundles(n, config, cat)]
+    aggs = [{} for _ in bundles]
+    skips = [None] * len(bundles)
 
     chart = cat.chart
-    points = chart.sample(config.samples, config.seed)
-    frames = [
-        PackFrame(pack, p, seed=config.seed, index=i)
-        for i, p in enumerate(points)
-    ]
+    for i, p in enumerate(chart.sample(config.samples, config.seed)):
+        fr, ap = PackFrame(pack, p, seed=config.seed, index=i), None
+        for k, (suite, bundle) in enumerate(bundles):
+            if skips[k] is not None:
+                continue
+            try:
+                if suite == "submanifold" and ap is None:
+                    ap = _AmbientPoint(sub, p)
+                res = bundle.evaluate(fr, ap)
+            except HypothesisNotMet as exc:
+                skips[k] = (f"hypothesis failed: {exc.gate} "
+                            f"(residual {exc.residual:.3e} at point {i})")
+                continue
+            except Exception as exc:
+                where = f"{suite}.{bundle.label}" if bundle.label else suite
+                raise EvaluationFailure(f"{where}[point {i}]", exc) from exc
+            for key, val in res.items():
+                aggs[k].setdefault(key, _Agg()).add(val)
+        del fr, ap      # one point's state is alive at a time
 
-    suites = {}
-    for name in config.suites:
-        if name in SUITES and (name != "submanifold" or sub is not None):
-            suites[name] = [
-                e
-                for bundle in _bundles(name, config, cat, pack, sub)
-                for e in _bundle_entries(config, name, bundle, points, frames)
-            ]
+    suites = {n: [] for n in names}
+    for (suite, bundle), agg, skip in zip(bundles, aggs, skips):
+        suites[suite] += _bundle_entries(config, bundle, agg, skip)
 
     entries = [e for lst in suites.values() for e in lst]
     failures = [
@@ -321,7 +353,7 @@ class _Bundle(NamedTuple):
     """One evaluator of a suite and how its residuals become report entries."""
 
     label: str              # names the bundle in an EvaluationFailure
-    evaluate: object        # (point, frame) -> {key: residual}
+    evaluate: object        # (frame, ambient point or None) -> {key: residual}
     prefix: str = ""        # entry identities read "prefix.key", else "key"
     skip_formula: str = ""  # formula of the one entry left when a gate fails
     counted: object = None  # (key, aggregates) -> bool; None counts all
@@ -342,22 +374,23 @@ _CASE_FREE = {"aa_symmetry", "shape_display_duality", "weingarten_duality",
               "h_symmetric", "tangential_expansion"}
 
 
-def _bundles(suite, config, cat, pack, sub):
+def _bundles(suite, config, cat):
     """The evaluator bundles of ``suite`` in report order.
 
     The evaluators call the residual functions by their module names at call
-    time, so that a wrapper installed on those names sees every call. The
-    submanifold bundles share one ambient build per point.
+    time, so that a wrapper installed on those names sees every call. Every
+    evaluator takes the point's frame; the submanifold ones also take its
+    ambient point.
     """
     declared = cat.declared_classes
     tol = config.tol_exact
     if suite == "axioms":
-        return [_Bundle("", lambda p, fr: frame_axioms(fr),
+        return [_Bundle("", lambda fr, ap: frame_axioms(fr),
                         counted=lambda key, aggs: "weak_metric_f" in declared)]
     if suite == "classes":
         return [
-            _Bundle(tag, lambda p, fr, tag=tag: {
-                tag: class_residual(pack, p, tag, frame=fr)[0]},
+            _Bundle(tag, lambda fr, ap, tag=tag: {
+                tag: class_residual(fr.pack, fr.p, tag, frame=fr)[0]},
                 counted=lambda key, aggs: key in declared)
             for tag in CLASS_TAGS
         ]
@@ -365,9 +398,9 @@ def _bundles(suite, config, cat, pack, sub):
         almost = not _ALMOST_CLASSES.isdisjoint(declared)
         return [_Bundle(
             "",
-            lambda p, fr: {
-                **asdict(frame_residuals(pack, p, frame=fr)),
-                "q_parallel_expansion": q_parallel_residual(pack, p, frame=fr)[1],
+            lambda fr, ap: {
+                **asdict(frame_residuals(fr)),
+                "q_parallel_expansion": q_parallel_residual(fr)[1],
             },
             # the expansion is only asserted where its hypothesis holds
             counted=lambda key, aggs: almost and (
@@ -375,24 +408,16 @@ def _bundles(suite, config, cat, pack, sub):
         )]
     if suite == "theorems":
         return [
-            _Bundle(which, lambda p, fr, which=which: theorem_check(
-                pack, p, which, frame=fr, tol_exact=tol),
+            _Bundle(which, lambda fr, ap, which=which: theorem_check(
+                fr.pack, fr.p, which, frame=fr, tol_exact=tol),
                 prefix=which, skip_formula=which,
                 counted=lambda key, aggs: key not in _NEARLY_C_STEPS,
                 note="informational: breaks unless the pack is weak nearly C")
             for which in THEOREM_CHECKS
         ]
-    ambients = {}   # frame -> the one _AmbientPoint its point gets
-
-    def ambient(p, fr):
-        if fr not in ambients:
-            ambients[fr] = _AmbientPoint(sub, p)
-        return ambients[fr]
-
     cases = [
-        _Bundle(f"case_{case}", lambda p, fr, case=case: thsubm_check(
-            sub, p, case, induced=pack, frame=fr, tol_exact=tol,
-            ambient=ambient(p, fr)),
+        _Bundle(f"case_{case}", lambda fr, ap, case=case: thsubm_check(
+            ap, fr, case, tol_exact=tol),
             prefix=f"case_{case}", skip_formula=f"case_{case}.h_display",
             counted=lambda key, aggs, c=case in cat.declared_cases: (
                 c or key in _CASE_FREE),
@@ -400,41 +425,16 @@ def _bundles(suite, config, cat, pack, sub):
         for case in ("i", "ii")
     ]
     return [
-        _Bundle("frame", lambda p, fr: {
-            **frame_check(sub, p, ambient=ambient(p, fr)),
-            "gauss_split": gauss_split_residual(
-                sub, p, pack, frame=fr, ambient=ambient(p, fr))}),
+        _Bundle("frame", lambda fr, ap: {
+            **frame_check(ap), "gauss_split": gauss_split_residual(ap, fr)}),
         *cases,
-        _Bundle("parallel_q", lambda p, fr: lemma_parallel_claim(
-            sub, p, induced=pack, frame=fr, tol=tol, ambient=ambient(p, fr)),
-            prefix="parallel_q", skip_formula="q_parallel_d"),
+        _Bundle("parallel_q", lambda fr, ap: lemma_parallel_claim(ap, fr, tol),
+                prefix="parallel_q", skip_formula="q_parallel_d"),
     ]
 
 
-def _collect(evaluate, points, frames, where):
-    """Aggregate ``evaluate`` per key over every point, in first-seen order.
-
-    Returns ``(aggregates, None)``, or ``(None, note)`` when a gate fails at
-    some point. Any other exception, whether from the engine or from a
-    catalog component function, becomes an :class:`EvaluationFailure`.
-    """
-    aggs = {}
-    for i, (p, fr) in enumerate(zip(points, frames)):
-        try:
-            res = evaluate(p, fr)
-        except HypothesisNotMet as exc:
-            return None, (f"hypothesis failed: {exc.gate} "
-                          f"(residual {exc.residual:.3e} at point {i})")
-        except Exception as exc:
-            raise EvaluationFailure(f"{where}[point {i}]", exc) from exc
-        for key, val in res.items():
-            aggs.setdefault(key, _Agg()).add(val)
-    return aggs, None
-
-
-def _bundle_entries(config, suite, bundle, points, frames):
-    where = f"{suite}.{bundle.label}" if bundle.label else suite
-    aggs, skip = _collect(bundle.evaluate, points, frames, where)
+def _bundle_entries(config, bundle, aggs, skip):
+    """One bundle's entries, in first-seen key order; one entry if it skipped."""
     if skip is not None:
         return [_entry(bundle.prefix, bundle.skip_formula, _Agg(),
                        config.tol_exact, False, skip, "skipped")]

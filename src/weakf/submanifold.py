@@ -36,12 +36,13 @@ import numpy as np
 from . import calculus
 from .charts import SmoothField
 from .classifiers import (
+    TOL_EXACT,
     nearly_c_residual,
     nearly_s_residual,
     q_parallel_residual,
 )
 from .errors import HypothesisNotMet, SetupRejected
-from .fstructure import PackFrame, StructurePack
+from .fstructure import StructurePack
 from .jets import Jet, dot, lift, mat_inv, mat_mul, mat_vec, parts, value_of
 from .sampling import orthonormal_basis, sup_abs
 
@@ -81,8 +82,10 @@ class SecondFundamentalData:
 class _AmbientPoint:
     """Floating-point ambient data of the embedding at one domain point.
 
-    The submanifold checks take it as ``ambient=`` so that one build per
-    point serves all of them; each builds its own when it is not given.
+    The runner builds one per sample point, next to the point's
+    :class:`~weakf.fstructure.PackFrame`, and every submanifold check takes
+    it as its first argument; only :func:`require_valid_frame` builds its
+    own.
     """
 
     def __init__(self, sub, p):
@@ -164,18 +167,17 @@ class _AmbientPoint:
         )
 
 
-def frame_check(sub, p, ambient=None):
-    """Residuals of the normal-frame requirements at ``p``.
+def frame_check(ap):
+    """Residuals of the normal-frame requirements at the ambient point ``ap``.
 
     Keys: orthonormality of the normals, orthogonality to the image, the
     skew-pairing condition gbar(fbar N_i, N_j) = 0, tangency of fbar N_i,
     skewness of fbar at the image, and the negative-definiteness margin of
     fbar^2.
     """
-    ap = ambient or _AmbientPoint(sub, p)
     res = {}
     gram = np.einsum("ia,ab,jb->ij", ap.normals, ap.gbar0, ap.normals)
-    res["normals_orthonormal"] = sup_abs(gram - np.eye(sub.s))
+    res["normals_orthonormal"] = sup_abs(gram - np.eye(ap.sub.s))
     res["normals_perp_image"] = sup_abs(
         np.einsum("ia,ab,bk->ik", ap.normals, ap.gbar0, ap.jac)
     )
@@ -184,7 +186,7 @@ def frame_check(sub, p, ambient=None):
         np.einsum("ia,ab,jb->ij", fn, ap.gbar0, ap.normals)
     )
     res["xi_tangent"] = max(
-        float(np.linalg.norm(ap.normal_part(fn[i]))) for i in range(sub.s)
+        float(np.linalg.norm(ap.normal_part(fn[i]))) for i in range(ap.sub.s)
     )
     gf = ap.gbar0 @ ap.fbar0
     eb = orthonormal_basis(ap.gbar0)
@@ -198,7 +200,7 @@ def frame_check(sub, p, ambient=None):
 
 
 def require_valid_frame(sub, p):
-    res = frame_check(sub, p)
+    res = frame_check(_AmbientPoint(sub, p))
     for key in ("normals_orthonormal", "normals_perp_image", "skew_normal_pairs"):
         if res[key] > _FRAME_TOL:
             raise SetupRejected(
@@ -338,16 +340,15 @@ def induce_structure(sub, validate=True):
 # -- second fundamental form ------------------------------------------------------
 
 
-def second_fundamental_data(sub, p, ambient=None):
-    """Shape data at ``p`` packaged as evaluators, plus the ambient cache."""
-    ap = ambient or _AmbientPoint(sub, p)
-    m = sub.domain.dim
+def second_fundamental_data(ap):
+    """Shape data at the ambient point ``ap`` packaged as evaluators."""
+    m = ap.sub.domain.dim
 
     def h(x, y):
         return ap.normal_part(ap.ambient_derivative(x, y))
 
     a_mats = []
-    for i in range(sub.s):
+    for i in range(ap.sub.s):
         cols = [
             ap.to_domain(ap.tangent_part(-ap.normal_derivative(i, e)))
             for e in np.eye(m)
@@ -357,7 +358,7 @@ def second_fundamental_data(sub, p, ambient=None):
     def h_n(i, x, y):
         return float(ap.normals[i] @ ap.gbar0 @ ap.ambient_derivative(x, y))
 
-    return SecondFundamentalData(h=h, A=a_mats, hN=h_n), ap
+    return SecondFundamentalData(h=h, A=a_mats, hN=h_n)
 
 
 def h_matrix(ap, v):
@@ -366,12 +367,10 @@ def h_matrix(ap, v):
     return np.einsum("ia,ab,bAB->iAB", ap.normals, ap.gbar0, dxy)
 
 
-def gauss_split_residual(sub, p, induced, frame=None, ambient=None):
+def gauss_split_residual(ap, fr):
     """Exactness of the split ambient D = dI(induced D) + h over the frame."""
-    ap = ambient or _AmbientPoint(sub, p)
-    fr = frame or PackFrame(induced, p)
     gamma = fr.gamma
-    m = sub.domain.dim
+    m = ap.sub.domain.dim
     e = np.eye(m)
     worst = 0.0
     for a in range(m):
@@ -395,9 +394,11 @@ def ambient_nearly_kahler_residual(ap):
     return float(np.sqrt(max(q.max(), 0.0)))
 
 
-def thsubm_check(sub, p, case, induced=None, frame=None, tol_exact=1e-9,
-                 ambient=None):
+def thsubm_check(ap, fr, case, tol_exact=TOL_EXACT):
     """Hypotheses and conclusion of the induced nearly-S/C criterion.
+
+    ``ap`` is the ambient point and ``fr`` the induced pack's frame at the
+    same domain point.
 
     ``case="i"``: h_{N_i}(X,Y) = g(-f^2 X, Y) + sum_{j,k} h_{N_i}(xi_j,
     xi_k) eta^j(X) eta^k(Y) forces a weak nearly-S induced structure;
@@ -416,15 +417,12 @@ def thsubm_check(sub, p, case, induced=None, frame=None, tol_exact=1e-9,
     """
     if case not in ("i", "ii"):
         raise ValueError("case must be 'i' or 'ii'")
-    if induced is None:
-        induced = induce_structure(sub, validate=False)
-    sfd, ap = second_fundamental_data(sub, p, ambient=ambient)
+    sfd = second_fundamental_data(ap)
     gate = ambient_nearly_kahler_residual(ap)
     if gate > tol_exact:
         raise HypothesisNotMet("thsubm", "ambient_weak_nearly_kahler", gate)
-    fr = frame or PackFrame(induced, p)
-    m = sub.domain.dim
-    s = sub.s
+    m = ap.sub.domain.dim
+    s = ap.sub.s
     g0, xi0, eta0, f0 = fr.g0, fr.xi0, fr.eta0, fr.f0
     V = fr.V
 
@@ -504,29 +502,25 @@ def thsubm_check(sub, p, case, induced=None, frame=None, tol_exact=1e-9,
     return res
 
 
-def lemma_parallel_claim(sub, p, induced=None, frame=None, tol=1e-9,
-                         ambient=None):
+def lemma_parallel_claim(ap, fr, tol=TOL_EXACT):
     """Gated check: the parallel-Q condition holds on the induced pack.
 
     Hypotheses: fbar^2 N_i is normal to the image, and the tangential part
     of (ambient D_X fbar^2) Y vanishes for Y in the contact distribution.
-    Conclusion: the induced pack satisfies (D_X Q)Y = 0 for Y in D.
+    Conclusion: the induced pack, whose frame is ``fr``, satisfies
+    (D_X Q)Y = 0 for Y in D.
     """
-    ap = ambient or _AmbientPoint(sub, p)
     f2n = ap.normals @ (ap.fbar0 @ ap.fbar0).T
     hyp1 = max(
-        float(np.linalg.norm(ap.tangent_part(f2n[i]))) for i in range(sub.s)
+        float(np.linalg.norm(ap.tangent_part(f2n[i]))) for i in range(ap.sub.s)
     )
     if hyp1 > tol:
         raise HypothesisNotMet(
             "lemma_parallel_q", "fbar_sq_normal_is_normal", hyp1
         )
-    if induced is None:
-        induced = induce_structure(sub, validate=False)
-    fr = frame or PackFrame(induced, p)
     nf = ap.nabla_fbar
     worst = 0.0
-    for x in np.eye(sub.domain.dim):
+    for x in np.eye(ap.sub.domain.dim):
         jx = ap.push(x)
         for y in fr.d_basis:
             jy = ap.push(y)
@@ -538,7 +532,7 @@ def lemma_parallel_claim(sub, p, induced=None, frame=None, tol=1e-9,
         raise HypothesisNotMet(
             "lemma_parallel_q", "tangential_nabla_fbar_sq", worst
         )
-    first, second = q_parallel_residual(induced, p, frame=fr)
+    first, second = q_parallel_residual(fr)
     return {
         "fbar_sq_normal_is_normal": hyp1,
         "tangential_nabla_fbar_sq": worst,

@@ -35,7 +35,7 @@ from weakf.classifiers import (
 from weakf.errors import InvalidExample
 from weakf.fstructure import PackFrame, StructurePack, axioms_residual
 from weakf.report import SuiteConfig, render_json, run_suite
-from weakf.submanifold import thsubm_check
+from weakf.submanifold import _AmbientPoint, thsubm_check
 
 POINTS = 50
 SEED = 42
@@ -56,7 +56,7 @@ def _axioms_worst(pack, points=POINTS, seed=SEED):
     worst = 0.0
     for i, p in enumerate(pack.chart.sample(points, seed)):
         fr = PackFrame(pack, p, seed=seed, index=i)
-        worst = max(worst, max(axioms_residual(pack, p, frame=fr).values()))
+        worst = max(worst, max(axioms_residual(fr).values()))
     return worst
 
 
@@ -163,15 +163,13 @@ def test_criterion_07_submanifold_suite(sphere_induced, subspace_induced):
         assert worst <= 1e-10
         for i, p in enumerate(sphere.domain.sample(10, SEED)):
             fr = PackFrame(sphere_induced, p, seed=SEED, index=i)
-            res = thsubm_check(sphere, p, "i", induced=sphere_induced, frame=fr)
+            res = thsubm_check(_AmbientPoint(sphere, p), fr, "i")
             assert res["aa_symmetry"] <= TOL
             assert res["h_display"] <= TOL
             assert res["conclusion_weak_nearly_S"] <= TOL
         for i, p in enumerate(subspace.domain.sample(10, SEED)):
             fr = PackFrame(subspace_induced, p, seed=SEED, index=i)
-            res = thsubm_check(
-                subspace, p, "ii", induced=subspace_induced, frame=fr
-            )
+            res = thsubm_check(_AmbientPoint(subspace, p), fr, "ii")
             assert res["aa_symmetry"] <= TOL
             assert res["h_display"] <= TOL
             assert res["conclusion_weak_nearly_C"] <= TOL
@@ -246,25 +244,25 @@ def test_criterion_09_negative_controls():
             return StructurePack(**fields)
 
         scaled_f = replaced(sas, f=scale_field(sas.f, 1.1))
-        ax = axioms_residual(scaled_f, p)
-        assert ax["f_squared"] >= 0.1 and ax["compatibility"] >= 0.1
         fr = PackFrame(scaled_f, p)
+        ax = axioms_residual(fr)
+        assert ax["f_squared"] >= 0.1 and ax["compatibility"] >= 0.1
         assert s_structure_residual(fr, fr.V) >= 0.1
 
         scaled_eta = replaced(
             sas, eta=tuple(scale_field(e, 1.05) for e in sas.eta)
         )
-        ax = axioms_residual(scaled_eta, p)
+        ax = axioms_residual(PackFrame(scaled_eta, p))
         assert max(ax.values()) >= 0.1
 
         weak = flat_pack(n=2, s=1).obj  # Q = diag(1,1,4,4,1)
         q_id = replaced(
             weak, Q=constant_field(weak.chart, "tensor11", np.eye(5))
         )
-        ax = axioms_residual(q_id, weak.chart.sample(1, SEED)[0])
+        fr = PackFrame(q_id, weak.chart.sample(1, SEED)[0])
+        ax = axioms_residual(fr)
         assert ax["f_squared"] >= 0.1
-        _, br = class_residual(q_id, weak.chart.sample(1, SEED)[0],
-                               "weak_metric_f")
+        _, br = class_residual(q_id, fr.p, "weak_metric_f", fr)
         assert max(br.values()) >= 0.1
 
 

@@ -73,7 +73,7 @@ def test_verdict_breakdown_keys_match_class():
 
     pack = product_pack(n=1, s=2).obj
     p = pack.chart.sample(1, seed=1)[0]
-    _, br = class_residual(pack, p, "weak_C")
+    _, br = class_residual(pack, p, "weak_C", PackFrame(pack, p))
     assert set(br) == {"deta_zero", "dphi_zero", "n1_zero"}
 
 
@@ -83,7 +83,7 @@ def test_killing_residuals(cat_product, cat_sasakian, cat_flat):
         for i, p in enumerate(pack.chart.sample(4, seed=7)):
             fr = PackFrame(pack, p, seed=7, index=i)
             for j in range(pack.s):
-                assert killing_residual(pack, j, p, frame=fr) <= TOL
+                assert killing_residual(fr, j) <= TOL
 
     # rescaling the Reeb field by a coordinate function breaks the isometry
     pack = cat_flat.obj
@@ -100,7 +100,7 @@ def test_killing_residuals(cat_product, cat_sasakian, cat_flat):
         n=pack.n, s=pack.s,
     )
     p = pack.chart.sample(1, seed=7)[0]
-    assert killing_residual(broken, 0, p) > 0.1
+    assert killing_residual(PackFrame(broken, p), 0) > 0.1
 
 
 def test_q_parallel_residuals(cat_flat, cat_product, cat_sasakian):
@@ -108,7 +108,7 @@ def test_q_parallel_residuals(cat_flat, cat_product, cat_sasakian):
         pack = cat.obj
         for i, p in enumerate(pack.chart.sample(3, seed=11)):
             fr = PackFrame(pack, p, seed=11, index=i)
-            first, second = q_parallel_residual(pack, p, frame=fr)
+            first, second = q_parallel_residual(fr)
             assert first <= TOL
             assert second <= TOL
 
@@ -117,9 +117,10 @@ def test_q_parallel_detects_varying_q(varying_q_pack):
     from weakf.fstructure import axioms_residual
 
     p = np.array([0.2, 0.5, -0.3])
-    ax = axioms_residual(varying_q_pack, p)
+    fr = PackFrame(varying_q_pack, p)
+    ax = axioms_residual(fr)
     assert max(ax.values()) <= 1e-12  # a genuine weak pack
-    first, second = q_parallel_residual(varying_q_pack, p)
+    first, second = q_parallel_residual(fr)
     assert first >= 0.1
     assert second >= 0.1
 
@@ -129,7 +130,7 @@ def test_frame_residuals_catalog(all_packs):
         pack = cat.obj
         for i, p in enumerate(pack.chart.sample(3, seed=13)):
             fr = PackFrame(pack, p, seed=13, index=i)
-            fc = frame_residuals(pack, p, frame=fr)
+            fc = frame_residuals(fr)
             assert fc.reeb_brackets <= TOL
             assert fc.reeb_flat <= TOL
             assert fc.reeb_totally_geodesic <= TOL
@@ -154,7 +155,7 @@ def test_prop1_gate_rejects_non_nearly_pack(varying_q_pack):
     # and does not match the nearly-S right side either
     p = varying_q_pack.chart.sample(1, seed=19)[0]
     with pytest.raises(HypothesisNotMet) as err:
-        theorem_check(varying_q_pack, p, "prop1")
+        theorem_check(varying_q_pack, p, "prop1", PackFrame(varying_q_pack, p))
     assert err.value.gate in ("weak_nearly_S", "weak_nearly_C")
 
 
@@ -172,7 +173,7 @@ def test_theorem_checks_gate_on_axioms(cat_sasakian):
     )
     p = pack.chart.sample(1, seed=19)[0]
     with pytest.raises(HypothesisNotMet) as err:
-        theorem_check(broken, p, "prop1")
+        theorem_check(broken, p, "prop1", PackFrame(broken, p))
     assert err.value.gate == "weak_metric_f_axioms"
 
 
@@ -181,7 +182,7 @@ def test_prop_normal_consequences(all_packs):
     for cat in all_packs:
         pack = cat.obj
         p = pack.chart.sample(1, seed=23)[0]
-        res = theorem_check(pack, p, "prop_normal")
+        res = theorem_check(pack, p, "prop_normal", PackFrame(pack, p))
         assert max(res.values()) <= TOL, (cat.name, res)
 
 
@@ -197,7 +198,7 @@ def test_fk_contact_gate_rejects_product(cat_product):
     pack = cat_product.obj
     p = pack.chart.sample(1, seed=31)[0]
     with pytest.raises(HypothesisNotMet) as err:
-        theorem_check(pack, p, "fk_contact_nabla")
+        theorem_check(pack, p, "fk_contact_nabla", PackFrame(pack, p))
     assert err.value.gate == "phi_equals_deta"
 
 
@@ -228,7 +229,8 @@ def test_thm41_on_product_pack(cat_product):
 def test_thm41_gate_rejects_sasakian(cat_sasakian):
     p = cat_sasakian.obj.chart.sample(1, seed=43)[0]
     with pytest.raises(HypothesisNotMet) as err:
-        theorem_check(cat_sasakian.obj, p, "thm41")
+        theorem_check(cat_sasakian.obj, p, "thm41",
+                      PackFrame(cat_sasakian.obj, p))
     assert err.value.gate == "weak_nearly_C"
 
 
@@ -249,7 +251,8 @@ def test_thm01_gates_reject_nearly_c_packs(cat_product):
     p = cat_product.obj.chart.sample(1, seed=53)[0]
     for which in ("thm01_i", "thm01_ii"):
         with pytest.raises(HypothesisNotMet) as err:
-            theorem_check(cat_product.obj, p, which)
+            theorem_check(cat_product.obj, p, which,
+                          PackFrame(cat_product.obj, p))
         assert err.value.gate == "weak_nearly_S"
 
 
@@ -265,7 +268,8 @@ def test_corollary_gate_requires_q_identity(cat_flat):
     # flat pack is normal and nearly C but not nearly S: gate must fire
     p = cat_flat.obj.chart.sample(1, seed=61)[0]
     with pytest.raises(HypothesisNotMet):
-        theorem_check(cat_flat.obj, p, "corollary_rigidity")
+        theorem_check(cat_flat.obj, p, "corollary_rigidity",
+                      PackFrame(cat_flat.obj, p))
 
 
 def test_implication_lattice(all_packs):
@@ -284,7 +288,7 @@ def test_implication_lattice(all_packs):
         av = _verdict(pack, "weak_almost_S", count=3)
         if av.holds:
             kil = max(
-                killing_residual(pack, i, p)
+                killing_residual(PackFrame(pack, p), i)
                 for i in range(pack.s)
                 for p in pack.chart.sample(3, 5)
             )

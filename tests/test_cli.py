@@ -3,10 +3,13 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from weakf import catalog, cli
 from weakf.charts import SmoothField
+from weakf.errors import InvalidExample
 from weakf.jets import sqrt
-from weakf.report import EvaluationFailure
+from weakf.report import EvaluationFailure, SuiteConfig
 
 
 def run_cli(args):
@@ -53,13 +56,26 @@ def test_bad_parameter_is_usage_error():
     )
     assert proc.returncode == 2
     # fractional counts are rejected, not truncated; so are tolerances that
-    # are not finite numbers >= 0, and an empty sample
+    # are not finite numbers >= 0, an empty sample, a negative seed, and a
+    # suite list that is empty, names an unknown suite or repeats one
     for extra in (["--param", "n=1.5"], ["--param", "s=0.5"],
                   ["--tol-exact", "nan"], ["--tol-exact", "inf"],
-                  ["--tol-curv", "-1e-6"], ["--samples", "0"]):
+                  ["--tol-curv", "-1e-6"], ["--samples", "0"],
+                  ["--seed", "-1"], ["--suites", ","], ["--suites", "axiom"],
+                  ["--suites", "axioms,axioms"], ["--suites", "axioms,,classes"]):
         code = cli.main(["verify", "--example", "hypersphere", "--param",
                          "n=1", "--samples", "2", *extra])
         assert code == 2, extra
+    # a run that checks nothing: the submanifold suite on a pack
+    assert cli.main(["verify", "--example", "flat_pack", "--suites",
+                     "submanifold", "--samples", "2"]) == 2
+    # the library refuses what the command line cannot express
+    for bad in ({"suites": ()}, {"suites": ("axiom",)},
+                {"suites": ("axioms", "axioms")}, {"samples": 2.5},
+                {"samples": True}, {"seed": -1}, {"seed": 1.0},
+                {"fmt": "xml"}):
+        with pytest.raises(InvalidExample):
+            SuiteConfig(example="flat_pack", **bad)
     # block weights must be finite and non-zero, one per complex block
     for example, params in (("flat_pack", ["n=2", "scales=nan,1"]),
                             ("product_pack", ["n=2", "s=1", "scales=inf,1"]),
@@ -174,13 +190,6 @@ def test_classes_suite_reports_failing_undeclared_class():
     assert entries["weak_almost_S"]["verdict"] == "fail"
     assert not entries["weak_almost_S"]["counted"]
     assert entries["weak_almost_S"]["max_residual"] >= 0.5
-
-
-def test_seed_env_override(monkeypatch):
-    monkeypatch.setenv("WEAKF_SEED", "7")
-    parser = cli.build_parser()
-    args = parser.parse_args(["verify", "--example", "flat_pack"])
-    assert args.seed == 7
 
 
 def test_skipped_entries_note_hypothesis():

@@ -29,7 +29,7 @@ def _axioms_max(pack, count=5, seed=3):
     worst = {}
     for i, p in enumerate(pack.chart.sample(count, seed)):
         fr = PackFrame(pack, p, seed=seed, index=i)
-        for k, v in axioms_residual(pack, p, frame=fr).items():
+        for k, v in axioms_residual(fr).items():
             worst[k] = max(worst.get(k, 0.0), v)
     return worst
 
@@ -84,7 +84,7 @@ def test_indefinite_q_raises(cat_flat):
     broken = _replace(pack, Q=constant_field(pack.chart, "tensor11", q_bad))
     p = pack.chart.sample(1, seed=5)[0]
     with pytest.raises(DegenerateOperatorError) as err:
-        axioms_residual(broken, p)
+        axioms_residual(PackFrame(broken, p))
     assert err.value.min_eigenvalue <= 1e-12
 
 

@@ -1,7 +1,10 @@
 """Per-point work is done once: counted with wrappers on a small run."""
 
+import types
+import weakref
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from weakf import charts, classifiers, report, submanifold
@@ -20,20 +23,29 @@ def _lift_order(coords):
     return 1 if c.hess is None else 2
 
 
+def _tracked(init, refs, counts, name):
+    """``init`` that records the most objects of its class alive at a build."""
+    def tracking_init(self, *args, **kwargs):
+        alive = sum(r() is not None for r in refs)
+        counts[f"{name}_alive_at_build"] = max(
+            counts[f"{name}_alive_at_build"], alive)
+        counts[name] += 1
+        refs.append(weakref.ref(self))
+        init(self, *args, **kwargs)
+    return tracking_init
+
+
 @pytest.fixture(scope="module")
 def counted_run():
     counts = Counter()
     jet_keys = Counter()
+    einsums = Counter()     # (subscripts, operand ids) -> calls
+    operands = []           # keeps the operands alive so that ids stay unique
     inside_theorems = [0]
 
-    ambient_init = submanifold._AmbientPoint.__init__
     pullback = submanifold._pullback
     jet = charts.SmoothField.jet
     theorem_check = report.theorem_check
-
-    def counting_init(self, sub, p):
-        counts["ambient"] += 1
-        ambient_init(self, sub, p)
 
     def counting_pullback(sub, coords, full):
         order = _lift_order(coords)
@@ -54,25 +66,37 @@ def counted_run():
         finally:
             inside_theorems[0] -= 1
 
+    def counting_einsum(subscripts, *ops, **kwargs):
+        operands.append(ops)
+        einsums[subscripts, tuple(map(id, ops))] += 1
+        return np.einsum(subscripts, *ops, **kwargs)
+
+    counted_np = types.ModuleType("numpy")
+    counted_np.__dict__.update(vars(np))
+    counted_np.einsum = counting_einsum
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(submanifold._AmbientPoint, "__init__", counting_init)
+        for cls, name in ((submanifold._AmbientPoint, "ambient"),
+                          (PackFrame, "frame")):
+            mp.setattr(cls, "__init__", _tracked(cls.__init__, [], counts, name))
         mp.setattr(submanifold, "_pullback", counting_pullback)
         mp.setattr(charts.SmoothField, "jet", counting_jet)
         mp.setattr(report, "theorem_check", flagged_theorem_check)
+        mp.setattr(classifiers, "np", counted_np)
         rep = run_suite(SuiteConfig(example="hypersphere", params={"n": 1},
                                     suites=SUITES, samples=SAMPLES))
-    return rep, counts, jet_keys
+    return rep, counts, jet_keys, einsums
 
 
 def test_one_ambient_build_per_sample(counted_run):
-    rep, counts, _ = counted_run
+    rep, counts, _, _ = counted_run
     assert rep["overall"]["verdict"] == "pass"
     assert "submanifold" in rep["suites"]
     assert counts["ambient"] == SAMPLES
 
 
 def test_one_order1_pullback_per_sample(counted_run):
-    _, counts, jet_keys = counted_run
+    _, counts, jet_keys, _ = counted_run
     assert counts["pullback_o1"] == SAMPLES
     assert counts["pullback_o0"] == 0
     # every field is asked for once per point and order
@@ -80,11 +104,40 @@ def test_one_order1_pullback_per_sample(counted_run):
 
 
 def test_order2_pullback_only_inside_theorem_checks(counted_run):
-    _, counts, _ = counted_run
+    _, counts, _, _ = counted_run
     # thm32_chain runs on the Sasakian hypersphere: g alone, once per sample
     assert counts["pullback_o2"] == SAMPLES
     assert counts["pullback_o2_full"] == 0
     assert counts["order2_outside_theorems"] == 0
+
+
+def test_one_point_state_alive_at_a_time(counted_run):
+    _, counts, _, _ = counted_run
+    assert counts["frame"] == SAMPLES
+    # the previous point's frame and ambient point are gone by the next build
+    assert counts["frame_alive_at_build"] == 0
+    assert counts["ambient_alive_at_build"] == 0
+
+
+def _calls(einsums, subscripts):
+    return sum(n for (sub, _), n in einsums.items() if sub == subscripts)
+
+
+def test_frame_residuals_once_per_sample(counted_run):
+    _, _, _, einsums = counted_run
+    # contractions that only frame_residuals and q_parallel_residual make
+    assert _calls(einsums, "ikA,kl,jl->ijA") == SAMPLES
+    assert _calls(einsums, "iB,kl,ilA->kAB") == SAMPLES
+
+
+def test_nabla_f_pairs_once_per_sample(counted_run):
+    _, _, _, einsums = counted_run
+    # (D_V f)V and the (D_V Q) contractions share these subscripts; none of
+    # them is built twice from the same arrays
+    pairs = {ids: n for (sub, ids), n in einsums.items()
+             if sub == "Ai,ikj,Bj->kAB"}
+    assert len(pairs) >= SAMPLES
+    assert max(pairs.values()) == 1
 
 
 def test_kept_residual_is_fresh_for_other_vectors():

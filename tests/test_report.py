@@ -1,8 +1,14 @@
-"""Report assembly: the formula registry and the independence of suites."""
+"""Report assembly: the formula registry, the independence of suites, and
+where a point's state is built."""
+
+import ast
+from pathlib import Path
 
 import pytest
 
+import weakf
 from weakf import report
+from weakf.errors import InvalidExample
 from weakf.report import SUITES, SuiteConfig, run_suite
 
 EXAMPLES = (
@@ -53,6 +59,40 @@ def test_suite_entries_do_not_depend_on_other_suites(full_runs):
     for (ex, params), full in zip(EXAMPLES, runs):
         assert _suites(ex, params, SUITES[::-1]) == full, ex
         for suite in SUITES:
+            if suite not in full:
+                # a run in which no requested suite applies is refused
+                with pytest.raises(InvalidExample):
+                    _suites(ex, params, (suite,))
+                continue
             alone = _suites(ex, params, (suite,))
-            expected = {suite: full[suite]} if suite in full else {}
-            assert alone == expected, (ex, params, suite)
+            assert alone == {suite: full[suite]}, (ex, params, suite)
+
+
+# The only places that build a point's state: the runner builds one of each
+# per point and every check takes them as arguments.
+BUILDERS = {
+    "PackFrame": {("report.py", "run_suite")},
+    "_AmbientPoint": {("report.py", "run_suite"),
+                      ("submanifold.py", "require_valid_frame")},
+}
+
+
+def _builds(node, module, where="<module>"):
+    """(class, module, innermost enclosing function) of every build call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            f = child.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in BUILDERS:
+                yield name, module, where
+        inner = child.name if isinstance(child, ast.FunctionDef) else where
+        yield from _builds(child, module, inner)
+
+
+def test_point_state_is_built_only_by_the_runner():
+    built = set()
+    for path in Path(weakf.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        built.update(_builds(tree, path.name))
+    for name, allowed in BUILDERS.items():
+        assert {(m, fn) for n, m, fn in built if n == name} == allowed, name

@@ -25,7 +25,7 @@ TOL = 1e-9
 def test_frame_requirements_on_hypersphere(cat_sphere):
     sub = cat_sphere.obj
     for p in sub.domain.sample(4, seed=3):
-        res = frame_check(sub, p)
+        res = frame_check(_AmbientPoint(sub, p))
         assert max(res.values()) <= 1e-10
 
 
@@ -33,7 +33,7 @@ def test_induced_sphere_pack_is_standard(cat_sphere, sphere_induced):
     pack = sphere_induced
     for i, p in enumerate(pack.chart.sample(4, seed=5)):
         fr = PackFrame(pack, p, seed=5, index=i)
-        ax = axioms_residual(pack, p, frame=fr)
+        ax = axioms_residual(fr)
         assert max(ax.values()) <= 1e-10
         # standard ambient: induced Q is the identity
         assert np.abs(fr.q0 - np.eye(3)).max() <= 1e-10
@@ -47,7 +47,7 @@ def test_weak_skew_sphere_partial_axioms(cat_sphere_weak):
     worst = {}
     for i, p in enumerate(induced.chart.sample(4, seed=7)):
         fr = PackFrame(induced, p, seed=7, index=i)
-        for k, v in axioms_residual(induced, p, frame=fr).items():
+        for k, v in axioms_residual(fr).items():
             worst[k] = max(worst.get(k, 0.0), v)
         # genuinely weak: Q differs from the identity but stays
         # positive-definite
@@ -74,7 +74,7 @@ def test_second_fundamental_sphere_shape_operator():
     hn = float(ap.normals[0] @ ap.gbar0 @ h_vec)
     assert abs(hn + float(x @ g_out @ y)) <= 1e-12
     # inward normal flips the sign: h_N = +g
-    sfd, api = second_fundamental_data(inward, p)
+    sfd = second_fundamental_data(_AmbientPoint(inward, p))
     g_in = induce_structure(inward).g.value(p)
     assert abs(sfd.hN(0, x, y) - float(x @ g_in @ y)) <= 1e-12
     assert np.abs(sfd.A[0] - np.eye(3)).max() <= 1e-12
@@ -97,7 +97,8 @@ def test_weingarten_duality_and_symmetry(cat_sphere):
     induced = induce_structure(sub)
     rng = np.random.default_rng(17)
     for p in sub.domain.sample(3, seed=17):
-        sfd, ap = second_fundamental_data(sub, p)
+        ap = _AmbientPoint(sub, p)
+        sfd = second_fundamental_data(ap)
         g0 = induced.g.value(p)
         for _ in range(4):
             x = rng.standard_normal(3)
@@ -117,7 +118,7 @@ def test_gauss_split_exact(cat_sphere, sphere_induced, cat_subspace,
         sub = cat.obj
         for i, p in enumerate(sub.domain.sample(3, seed=19)):
             fr = PackFrame(induced, p, seed=19, index=i)
-            assert gauss_split_residual(sub, p, induced, frame=fr) <= TOL
+            assert gauss_split_residual(_AmbientPoint(sub, p), fr) <= TOL
 
 
 def test_curved_ambient_gauss_and_weingarten():
@@ -153,7 +154,8 @@ def test_curved_ambient_gauss_and_weingarten():
         n=0, s=1,
     )
     q = np.array([0.4])
-    sfd, ap = second_fundamental_data(horizontal, q)
+    ap = _AmbientPoint(horizontal, q)
+    sfd = second_fundamental_data(ap)
     x = np.array([1.0])
     g0 = ap.g0
     assert abs(sfd.hN(0, x, x) - float((sfd.A[0] @ x) @ g0 @ x)) <= 1e-12
@@ -164,7 +166,8 @@ def test_thsubm_case_i_on_hypersphere(cat_sphere, sphere_induced):
     sub = cat_sphere.obj
     for i, p in enumerate(sub.domain.sample(3, seed=23)):
         fr = PackFrame(sphere_induced, p, seed=23, index=i)
-        res = thsubm_check(sub, p, "i", induced=sphere_induced, frame=fr)
+        ap = _AmbientPoint(sub, p)
+        res = thsubm_check(ap, fr, "i")
         assert res["aa_symmetry"] == 0.0  # single normal: trivially symmetric
         assert res["h_display"] <= TOL
         assert res["shape_display_duality"] <= 1e-10
@@ -172,10 +175,10 @@ def test_thsubm_case_i_on_hypersphere(cat_sphere, sphere_induced):
         assert res["tangential_expansion"] <= TOL
         assert res["conclusion_weak_nearly_S"] <= TOL
         # orientation pin: the inward normal gives h_N(xi, xi) = +1
-        sfd, _ = second_fundamental_data(sub, p)
+        sfd = second_fundamental_data(ap)
         assert sfd.hN(0, fr.xi0[0], fr.xi0[0]) == pytest.approx(1.0, abs=1e-10)
         # the other case's display must fail on a sphere
-        res2 = thsubm_check(sub, p, "ii", induced=sphere_induced, frame=fr)
+        res2 = thsubm_check(ap, fr, "ii")
         assert res2["h_display"] >= 0.5
 
 
@@ -183,11 +186,12 @@ def test_thsubm_case_ii_on_linear_subspace(cat_subspace, subspace_induced):
     sub = cat_subspace.obj
     for i, p in enumerate(sub.domain.sample(3, seed=29)):
         fr = PackFrame(subspace_induced, p, seed=29, index=i)
-        res = thsubm_check(sub, p, "ii", induced=subspace_induced, frame=fr)
+        ap = _AmbientPoint(sub, p)
+        res = thsubm_check(ap, fr, "ii")
         assert res["aa_symmetry"] <= 1e-14
         assert res["h_display"] <= 1e-14
         assert res["conclusion_weak_nearly_C"] <= TOL
-        res1 = thsubm_check(sub, p, "i", induced=subspace_induced, frame=fr)
+        res1 = thsubm_check(ap, fr, "i")
         assert res1["h_display"] >= 0.5
 
 
@@ -216,7 +220,8 @@ def test_thsubm_rejects_non_nearly_kahler_ambient():
     ap = _AmbientPoint(sub, p)
     assert ambient_nearly_kahler_residual(ap) > 1e-3
     with pytest.raises(HypothesisNotMet) as err:
-        thsubm_check(sub, p, "i")
+        thsubm_check(ap, PackFrame(induce_structure(sub, validate=False), p),
+                     "i")
     assert err.value.gate == "ambient_weak_nearly_kahler"
 
 
@@ -226,14 +231,15 @@ def test_lemma_parallel_claim(cat_sphere, sphere_induced, cat_subspace,
                          (cat_subspace, subspace_induced)):
         sub = cat.obj
         p = sub.domain.sample(1, seed=37)[0]
-        res = lemma_parallel_claim(sub, p, induced=induced)
+        res = lemma_parallel_claim(_AmbientPoint(sub, p), PackFrame(induced, p))
         assert res["q_parallel_d"] <= TOL
         assert res["q_parallel_expansion"] <= TOL
     # the weak skew moves fbar^2 N off the normal bundle: gate must fire
     sub = cat_sphere_weak.obj
     p = sub.domain.sample(1, seed=37)[0]
     with pytest.raises(HypothesisNotMet) as err:
-        lemma_parallel_claim(sub, p)
+        lemma_parallel_claim(_AmbientPoint(sub, p), PackFrame(
+            induce_structure(sub, validate=False), p))
     assert err.value.gate == "fbar_sq_normal_is_normal"
 
 
