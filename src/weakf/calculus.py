@@ -56,7 +56,7 @@ def christoffel_from_jets(g0, g1, p=None):
 def christoffel_partials(g0, g1, g2, p=None):
     """dGamma[k,i,j,c] = d_c Gamma^k_ij, using second metric partials."""
     ginv = metric_inverse(g0, p)
-    dginv = -np.einsum("ka,abc,bl->klc", ginv, g1, ginv)
+    dginv = -np.moveaxis(ginv @ np.moveaxis(g1, 2, 0) @ ginv, 0, 2)
     t = (
         np.einsum("jli->lij", g1)
         + np.einsum("ilj->lij", g1)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import HypothesisNotMet
 from .fstructure import frame_axioms, kept_per_frame
-from .sampling import sup_abs, sup_gnorm
+from .sampling import pair_form, sup_abs, sup_gnorm
 
 TOL_EXACT = 1e-9
 
@@ -42,7 +42,7 @@ class FrameConditions:
 @kept_per_frame
 def _nabla_f_pairs(fr, V):
     """T[k,A,B] = ((D_{V_A} f) V_B)^k."""
-    return np.einsum("Ai,ikj,Bj->kAB", V, fr.nabla_f, V)
+    return pair_form(fr.nabla_f.transpose(1, 0, 2), V, V)
 
 
 @kept_per_frame
@@ -52,7 +52,7 @@ def nearly_s_residual(fr, V):
     sym = t + t.transpose(0, 2, 1)
     fV = V @ fr.f0.T
     f2V = fV @ fr.f0.T
-    gff = np.einsum("Ak,kl,Bl->AB", fV, fr.g0, fV)
+    gff = pair_form(fr.g0, fV, fV)
     eb = V @ fr.etabar
     res = (
         sym
@@ -76,7 +76,7 @@ def s_structure_residual(fr, V):
     t = _nabla_f_pairs(fr, V)
     fV = V @ fr.f0.T
     f2V = fV @ fr.f0.T
-    gff = np.einsum("Ak,kl,Bl->AB", fV, fr.g0, fV)
+    gff = pair_form(fr.g0, fV, fV)
     eb = V @ fr.etabar
     res = (
         t
@@ -89,29 +89,27 @@ def s_structure_residual(fr, V):
 @kept_per_frame
 def almost_s_residual(fr, V):
     """Phi = d eta^i for every i."""
-    ph = np.einsum("Aa,ab,Bb->AB", V, fr.phi0, V)
-    de = np.einsum("iab,Aa,Bb->iAB", fr.deta, V, V)
-    return sup_abs(de - ph[None, :, :])
+    return sup_abs(fr.deta_pairs(V) - pair_form(fr.phi0, V, V))
 
 
 @kept_per_frame
 def closed_eta_residual(fr, V):
-    return sup_abs(np.einsum("iab,Aa,Bb->iAB", fr.deta, V, V))
+    return sup_abs(fr.deta_pairs(V))
+
+
+@kept_per_frame
+def _dphi_on_basis(fr):
+    """dPhi(e_A, e_B, e_C) on the frame's orthonormal basis."""
+    e = fr.tv.basis
+    return np.tensordot(e, pair_form(fr.dphi, e, e), 1)
 
 
 @kept_per_frame
 def closed_phi_residual(fr):
-    tr = fr.tv
-    e = tr.basis
-    de = np.einsum("abc,Aa,Bb,Cc->ABC", fr.dphi, e, e, e)
-    extra = np.einsum(
-        "abc,ta,tb,tc->t",
-        fr.dphi,
-        tr.triples[:, 0],
-        tr.triples[:, 1],
-        tr.triples[:, 2],
-    )
-    return max(sup_abs(de), sup_abs(extra))
+    x, y, z = fr.tv.triples.transpose(1, 0, 2)
+    # dPhi(x_t, y_t, z_t) for each random triple t
+    extra = y[:, None] @ np.tensordot(x, fr.dphi, 1) @ z[:, :, None]
+    return max(sup_abs(_dphi_on_basis(fr)), sup_abs(extra))
 
 
 @kept_per_frame
@@ -122,7 +120,7 @@ def normality_residual(fr, V):
 def killing_residual(fr, i):
     """Sup-norm of (L_{xi_i} g) at the frame's point over its test vectors."""
     V = fr.V
-    return sup_abs(np.einsum("ab,Aa,Bb->AB", fr.lie_g_xi[i], V, V))
+    return sup_abs(pair_form(fr.lie_g_xi[i], V, V))
 
 
 # Each class is the conjunction of its parts: "axioms" stands for every
@@ -186,12 +184,11 @@ def q_parallel_residual(fr):
     are reported separately.
     """
     V = fr.V
-    db = fr.d_basis
-    nq = fr.nabla_q
-    first = sup_gnorm(np.einsum("Ai,ikj,Bj->kAB", V, nq, db), fr.g0)
-    nxiV = np.einsum("ika,Aa->ikA", fr.nabla_xi, V)
-    corr = np.einsum("iB,kl,ilA->kAB", fr.eta0 @ V.T, fr.qtilde, nxiV)
-    full = np.einsum("Ai,ikj,Bj->kAB", V, nq, V) + corr
+    nq = fr.nabla_q.transpose(1, 0, 2)
+    first = sup_gnorm(pair_form(nq, V, fr.d_basis), fr.g0)
+    # sum_i eta^i(V_B) (Q - id) D_{V_A} xi_i
+    corr = np.tensordot(fr.qtilde, fr.nabla_v_xi(V), (1, 1)).transpose(0, 2, 1)
+    full = pair_form(nq, V, V) + corr @ (fr.eta0 @ V.T)
     second = sup_gnorm(full, fr.g0)
     return first, second
 
@@ -204,24 +201,12 @@ def frame_residuals(fr):
     themselves, so the totally-geodesic residual is always bounded by the
     flatness residual.
     """
-    V = fr.V
-    s = fr.pack.s
-    br = np.array(
-        [
-            [
-                np.einsum("a,ka->k", fr.xi0[i], fr.xi1[j])
-                - np.einsum("a,ka->k", fr.xi0[j], fr.xi1[i])
-                for j in range(s)
-            ]
-            for i in range(s)
-        ]
-    )
-    reeb_brackets = sup_gnorm(np.einsum("ijk->kij", br), fr.g0)
-    nxiV = np.einsum("ika,Aa->ikA", fr.nabla_xi, V)
-    flat = np.einsum("ikA,kl,jl->ijA", nxiV, fr.g0, fr.xi0)
-    reeb_flat = sup_abs(flat)
-    nxx = np.einsum("jka,ia->ijk", fr.nabla_xi, fr.xi0)
-    reeb_tg = sup_abs(np.einsum("lk,ijk->ijl", fr.eta0, nxx))
+    # xi_i^a d_a xi_j, for [xi_i, xi_j] = u[i,j] - u[j,i]
+    u = np.tensordot(fr.xi0, fr.xi1, (1, 2))
+    reeb_brackets = sup_gnorm((u - u.transpose(1, 0, 2)).transpose(2, 0, 1), fr.g0)
+    # g(D_X xi_i, xi_j)
+    reeb_flat = sup_abs((fr.xi0 @ fr.g0.T) @ fr.nabla_v_xi(fr.V))
+    reeb_tg = sup_abs(fr.nabla_xi_xi @ fr.eta0.T)
     qpar, _ = q_parallel_residual(fr)
     return FrameConditions(
         reeb_brackets=reeb_brackets,
@@ -287,12 +272,11 @@ def theorem_check(pack, p, which, frame, tol_exact=TOL_EXACT):
 def _prop1(fr, tol):
     _nearly_class_gate(fr, "prop1", tol)
     _frame_gates(fr, "prop1", tol)
-    nxx = np.einsum("jka,ia->ijk", fr.nabla_xi, fr.xi0)
     res = {
-        "reeb_parallel_pairs": sup_gnorm(np.einsum("ijk->kij", nxx), fr.g0)
+        "reeb_parallel_pairs": sup_gnorm(fr.nabla_xi_xi.transpose(2, 0, 1), fr.g0)
     }
     ne = np.einsum("jab,ia->ijb", fr.nabla_eta, fr.xi0)
-    dual = np.einsum("ijb,bc,ijc->ij", ne, fr.ginv, ne)
+    dual = ((ne @ fr.ginv) * ne).sum(-1)
     res["reeb_coparallel"] = float(np.sqrt(max(dual.max(), 0.0)))
     res["reeb_killing"] = max(
         killing_residual(fr, i) for i in range(fr.pack.s)
@@ -307,28 +291,21 @@ def _prop_normal(fr, tol):
     res = {}
     res["lie_xi_f"] = sup_gnorm(np.einsum("iab,Ab->aiA", fr.n3(), V), fr.g0)
     res["deta_xi_contraction"] = sup_abs(fr.n4(V))
-    # d eta^i(fX, Y) - d eta^i(fY, X) = (1/2) eta^i([(Q - id)X, fY])
-    fV = V @ fr.f0.T
-    qtV = V @ fr.qtilde.T
-    lhs = np.einsum("iab,Aa,Bb->iAB", fr.deta, fV, V) - np.einsum(
-        "iab,Ba,Ab->iAB", fr.deta, fV, V
-    )
-    b = np.einsum("Aa,kba,Bb->kAB", qtV, fr.f1, V) - np.einsum(
-        "Ba,kca,Ac->kAB", fV, fr.q1, V
-    )
-    rhs = 0.5 * np.einsum("ik,kAB->iAB", fr.eta0, b)
-    res["deta_f_swap"] = sup_abs(lhs - rhs)
-    nxx = np.einsum("jka,ia->ijk", fr.nabla_xi, fr.xi0)
-    res["reeb_derivatives_in_d"] = sup_abs(
-        np.einsum("lk,ijk->ijl", fr.eta0, nxx)
-    )
+    # d eta^i(fX, Y) - d eta^i(fY, X) = (1/2) eta^i([(Q - id)X, fY]), where
+    # [(Q - id)X, fY] = ((Q - id)X)^a d_a (fY) - (fY)^a d_a (Q X)
+    qtV, fV = V @ fr.qtilde.T, V @ fr.f0.T
+    b = pair_form(fr.f1, V, qtV).transpose(0, 2, 1) - pair_form(fr.q1, V, fV)
+    rhs = 0.5 * np.tensordot(fr.eta0, b, 1)
+    res["deta_f_swap"] = sup_abs(0.5 * fr.n2(V) - rhs)
+    nxx = fr.nabla_xi_xi
+    res["reeb_derivatives_in_d"] = sup_abs(nxx @ fr.eta0.T)
     db = fr.d_basis
     brk = np.einsum("Aa,ika->ikA", db, fr.xi1)  # [X, xi_i], X constant in D
     res["d_brackets_stay_in_d"] = sup_abs(
         np.einsum("jk,ikA->ijA", fr.eta0, brk)
     )
     res["reeb_symmetric_geodesic"] = sup_gnorm(
-        np.einsum("ijk->kij", nxx + nxx.transpose(1, 0, 2)), fr.g0
+        (nxx + nxx.transpose(1, 0, 2)).transpose(2, 0, 1), fr.g0
     )
     return res
 
@@ -341,10 +318,8 @@ def _fk_gate(fr, check, tol):
 
 def _fk_contact_nabla(fr, tol):
     _fk_gate(fr, "fk_contact_nabla", tol)
-    res = np.einsum("ika,Aa->ikA", fr.nabla_xi, fr.V) + np.einsum(
-        "kj,Aj->kA", fr.f0, fr.V
-    )[None, :, :]
-    return {"nabla_xi_plus_f": sup_gnorm(np.einsum("ikA->kiA", res), fr.g0)}
+    res = fr.nabla_v_xi(fr.V) + fr.f0 @ fr.V.T
+    return {"nabla_xi_plus_f": sup_gnorm(res.transpose(1, 0, 2), fr.g0)}
 
 
 def _thm32_chain(fr, tol):
@@ -364,61 +339,46 @@ def _thm32_chain(fr, tol):
     """
     _fk_gate(fr, "thm32_chain", tol)
     xs = np.vstack([fr.d_basis, fr.random_d_units(4)])
-    riem = fr.riemann
-    out = {
-        "chain_connection_step": 0.0,
-        "chain_nearly_c_step": 0.0,
-        "chain_algebra_step": 0.0,
-        "f2_nonpositive": 0.0,
-        "chain_total": 0.0,
+    g0, f0 = fr.g0, fr.f0
+
+    def g_xs(w):
+        """g(w_A, X_A) for the rows w_A of ``w`` and X_A of ``xs``."""
+        return ((w @ g0) * xs).sum(1)
+
+    fx = xs @ f0.T
+    f2x = fx @ f0.T
+    g_f2x = g_xs(f2x)
+    final = 2.0 * g_f2x
+    worst = np.zeros(4)     # connection, nearly-C, algebra steps; total
+    for xi in fr.xi0:
+        r_xi = np.tensordot(xi, fr.riemann @ xi, (0, 1))   # X -> R(xi, X) xi
+        lhs = g_xs(xs @ r_xi.T)
+        nf_xi = np.tensordot(xi, fr.nabla_f, 1)             # X -> (D_xi f)X
+        mid1 = g_xs(f2x - xs @ nf_xi.T)
+        mid2 = g_xs(xs @ (fr.nabla_f @ xi)) - ((fx @ g0) * fx).sum(1)
+        steps = (lhs - mid1, mid1 - mid2, mid2 - final, lhs - final)
+        worst = np.maximum(worst, [np.abs(d).max() for d in steps])
+    return {
+        "chain_connection_step": float(worst[0]),
+        "chain_nearly_c_step": float(worst[1]),
+        "chain_algebra_step": float(worst[2]),
+        "f2_nonpositive": max(0.0, float(g_f2x.max())),
+        "chain_total": float(worst[3]),
     }
-    for i in range(fr.pack.s):
-        xi = fr.xi0[i]
-        nf_xi = np.einsum("a,akj->kj", xi, fr.nabla_f)
-        for x in xs:
-            lhs = float(
-                np.einsum("lijk,i,j,k->l", riem, xi, x, xi) @ fr.g0 @ x
-            )
-            f2x = fr.f0 @ (fr.f0 @ x)
-            mid1 = float((-(nf_xi @ x) + f2x) @ fr.g0 @ x)
-            nf_x_xi = np.einsum("a,akj,j->k", x, fr.nabla_f, xi)
-            fx = fr.f0 @ x
-            mid2 = float(nf_x_xi @ fr.g0 @ x - fx @ fr.g0 @ fx)
-            final = float(2.0 * (f2x @ fr.g0 @ x))
-            out["chain_connection_step"] = max(
-                out["chain_connection_step"], abs(lhs - mid1)
-            )
-            out["chain_nearly_c_step"] = max(
-                out["chain_nearly_c_step"], abs(mid1 - mid2)
-            )
-            out["chain_algebra_step"] = max(
-                out["chain_algebra_step"], abs(mid2 - final)
-            )
-            out["f2_nonpositive"] = max(
-                out["f2_nonpositive"], float(f2x @ fr.g0 @ x)
-            )
-            out["chain_total"] = max(out["chain_total"], abs(lhs - final))
-    out["f2_nonpositive"] = max(0.0, out["f2_nonpositive"])
-    return out
 
 
 def _thm41(fr, tol):
     _gate("thm41", "weak_nearly_C", nearly_c_residual(fr, fr.V), tol)
-    V = fr.V
     db = fr.d_basis
-    res = {}
-    nxiV = np.einsum("ika,Aa->ikA", fr.nabla_xi, V)
-    res["nabla_xi_zero"] = sup_gnorm(np.einsum("ikA->kiA", nxiV), fr.g0)
-    de_d = np.einsum("iab,Aa,Bb->iAB", fr.deta, db, db)
+    res = {"nabla_xi_zero": sup_gnorm(fr.nabla_v_xi(fr.V).transpose(1, 0, 2), fr.g0)}
+    de_d = pair_form(fr.deta, db, db)
     res["deta_on_d"] = sup_abs(de_d)
-    conn = np.einsum("ika,Aa,kl,Bl->iAB", fr.nabla_xi, db, fr.g0, db)
+    # conn[i,A,B] = g(D_{e_A} xi_i, e_B) for e_A, e_B in D
+    conn = pair_form(fr.nabla_xi, db @ fr.g0, db).transpose(0, 2, 1)
     res["coboundary_vs_connection"] = sup_abs(
         2.0 * de_d - (conn - conn.transpose(0, 2, 1))
     )
-    nxiD = np.einsum("ika,Aa->ikA", fr.nabla_xi, db)
-    res["d_totally_geodesic"] = sup_abs(
-        np.einsum("Bk,kl,ilA->iAB", db, fr.g0, nxiD)
-    )
+    res["d_totally_geodesic"] = sup_abs(conn)
     return res
 
 
@@ -431,22 +391,17 @@ def _thm01_i(fr, tol):
     _thm01_gates(fr, "thm01_i", tol)
     V = fr.V
     n1 = fr.n1(V)
-    eta_n1 = np.einsum("ia,aAB->iAB", fr.eta0, n1)
+    eta_n1 = np.tensordot(fr.eta0, n1, 1)
     _gate("thm01_i", "eta_circ_n1", sup_abs(eta_n1), tol)
-    de = np.einsum("iab,Aa,Bb->iAB", fr.deta, V, V)
-    qV = V @ fr.q0.T
-    phq = np.einsum("Aa,ab,Bb->AB", qV, fr.phi0, V)
-    res = {"deta_equals_phi_q": sup_abs(de - phq[None, :, :])}
+    de = fr.deta_pairs(V)
+    phq = pair_form(fr.phi0, V @ fr.q0.T, V)     # Phi(QX, Y) = g(QX, fY)
+    res = {"deta_equals_phi_q": sup_abs(de - phq)}
     # proof-internal: eta^j(N1(X,Y)) - 2 d eta^j(X,Y) = eta^j([f,f](X,Y))
-    ff = fr.nijenhuis_ff(V)
-    eta_ff = np.einsum("ia,aAB->iAB", fr.eta0, ff)
+    eta_ff = np.tensordot(fr.eta0, fr.nijenhuis_ff(V), 1)
     res["eta_n1_expansion"] = sup_abs(eta_n1 - 2.0 * de - eta_ff)
     # and its reduction through the nearly-S identity:
     # eta^j([f,f](X,Y)) = 2 d eta^j(X,Y) - 4 g(QX, fY)
-    gqf = np.einsum("Aa,ab,Bb->AB", qV, fr.g0 @ fr.f0, V)
-    res["eta_ff_reduction"] = sup_abs(
-        eta_ff - 2.0 * de + 4.0 * gqf[None, :, :]
-    )
+    res["eta_ff_reduction"] = sup_abs(eta_ff - 2.0 * de + 4.0 * phq)
     return res
 
 
@@ -455,21 +410,17 @@ def _thm01_ii(fr, tol):
     V = fr.V
     _gate("thm01_ii", "phi_equals_deta", almost_s_residual(fr, V), tol)
     n1 = fr.n1(V)
-    qtV = V @ fr.qtilde.T
-    phqt = np.einsum("Aa,ab,Bb->AB", qtV, fr.phi0, V)
+    phqt = pair_form(fr.phi0, V @ fr.qtilde.T, V)
     rhs = 2.0 * np.einsum("AB,k->kAB", phqt, fr.xibar)
     res = {"n1_equals_qtilde_phi": sup_gnorm(n1 - rhs, fr.g0)}
     # proof-internal: 3 dPhi(X,Y,Z) + 3 g((D_X f)Y, Z)
     #                 + 3 g(f^2 X, Y) etabar(Z) - 3 g(f^2 X, Z) etabar(Y) = 0
     e = fr.tv.basis
-    nf = _nabla_f_pairs(fr, e)
-    g_nf = np.einsum("kAB,kl,Cl->ABC", nf, fr.g0, e)
-    f2e = (e @ fr.f0.T) @ fr.f0.T
-    gf2 = np.einsum("Ak,kl,Bl->AB", f2e, fr.g0, e)
+    g_nf = np.tensordot(_nabla_f_pairs(fr, e), e @ fr.g0.T, (0, 1))
+    gf2 = pair_form(fr.g0, (e @ fr.f0.T) @ fr.f0.T, e)
     ebar = e @ fr.etabar
-    dphi = np.einsum("abc,Aa,Bb,Cc->ABC", fr.dphi, e, e, e)
     expr = (
-        3.0 * dphi
+        3.0 * _dphi_on_basis(fr)
         + 3.0 * g_nf
         + 3.0 * np.einsum("AB,C->ABC", gf2, ebar)
         - 3.0 * np.einsum("AC,B->ABC", gf2, ebar)

@@ -42,7 +42,10 @@ def _parse_params(pairs):
         if "=" not in item:
             raise InvalidExample(f"--param expects key=value, got {item!r}")
         key, _, val = item.partition("=")
-        params[key.strip()] = _parse_value(val.strip())
+        key = key.strip()
+        if key in params:
+            raise InvalidExample(f"--param {key} is given more than once")
+        params[key] = _parse_value(val.strip())
     return params
 
 
@@ -110,10 +113,15 @@ def main(argv=None):
         return 3
 
     text = render_json(report) if args.format == "json" else render_text(report)
-    sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write --out {args.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
+    sys.stdout.write(text)
     return 0 if report["overall"]["verdict"] == "pass" else 1
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import calculus
 from .errors import DegenerateOperatorError
-from .sampling import build_test_vectors, point_rng, sup_abs, sup_gnorm
+from .sampling import build_test_vectors, pair_form, point_rng, sup_abs, sup_gnorm
 
 _RANK_ZERO_CEIL = 1e-8
 _RANK_POSITIVE_FLOOR = 1e-4
@@ -173,6 +173,11 @@ class PackFrame:
         )
 
     @cached_property
+    def nabla_xi_xi(self):
+        """nabla_xi_xi[i,j,k] = (D_{xi_i} xi_j)^k."""
+        return np.tensordot(self.nabla_xi, self.xi0, (2, 1)).transpose(2, 0, 1)
+
+    @cached_property
     def nabla_eta(self):
         """nabla_eta[i,a,b] = (D_{e_a} eta^i)_b."""
         return np.array(
@@ -252,7 +257,7 @@ class PackFrame:
         db = self.d_basis
         coeff = self._rng.standard_normal((count, db.shape[0]))
         vecs = coeff @ db
-        norms = np.sqrt(np.einsum("ak,kl,al->a", vecs, self.g0, vecs))
+        norms = np.sqrt(((vecs @ self.g0) * vecs).sum(1))
         return vecs / norms[:, None]
 
     def kept(self, key, V, compute):
@@ -275,27 +280,34 @@ class PackFrame:
     def nijenhuis_ff(self, V):
         """[f,f](X,Y) for all test pairs: tensor [k, A, B]."""
         f0, f1 = self.f0, self.f1
-        fV = V @ f0.T
+        # P[k,A,B] = (fV_B)^a d_a (f V_A)^k, with f1[k,b,a] = d_a f^k_b;
+        # R is the same with V_B in place of fV_B
+        P = pair_form(f1, V, V @ f0.T)
         # [fX, fY]^k = (fX)^a d_a (fY)^k - (fY)^a d_a (fX)^k
-        b1 = np.einsum("Aa,kba,Bb->kAB", fV, f1, V) - np.einsum(
-            "Ba,kba,Ab->kAB", fV, f1, V
-        )
-        # [fX, Y]^k = -Y^a d_a (fX)^k ; [X, fY]^k = X^a d_a (fY)^k
-        b2 = -np.einsum("Ba,kba,Ab->kAB", V, f1, V)
-        b3 = np.einsum("Aa,kba,Bb->kAB", V, f1, V)
-        return b1 - np.einsum("kl,lAB->kAB", f0, b2 + b3)
+        b1 = P.transpose(0, 2, 1) - P
+        # [fX, Y]^k + [X, fY]^k = X^a d_a (fY)^k - Y^a d_a (fX)^k
+        R = pair_form(f1, V, V)
+        return b1 - np.tensordot(f0, R.transpose(0, 2, 1) - R, 1)
 
     @kept_per_frame
     def n1(self, V):
         """N1[k,A,B] = [f,f](X,Y) + 2 sum_i deta^i(X,Y) xi_i."""
         ff = self.nijenhuis_ff(V)
-        de = np.einsum("iab,Aa,Bb->iAB", self.deta, V, V)
-        return ff + 2.0 * np.einsum("iAB,ik->kAB", de, self.xi0)
+        return ff + 2.0 * np.tensordot(self.xi0, self.deta_pairs(V), (0, 0))
+
+    @kept_per_frame
+    def deta_pairs(self, V):
+        """deta^i(X, Y) for all test pairs: tensor [i, A, B]."""
+        return pair_form(self.deta, V, V)
+
+    @kept_per_frame
+    def nabla_v_xi(self, V):
+        """(D_X xi_i)^k for all test vectors: tensor [i, k, A]."""
+        return np.tensordot(self.nabla_xi, V, (2, 1))
 
     def n2(self, V):
         """N2[i,A,B] = 2 deta^i(fX, Y) - 2 deta^i(fY, X)."""
-        fV = V @ self.f0.T
-        t = np.einsum("iab,Aa,Bb->iAB", self.deta, fV, V)
+        t = pair_form(self.deta, V @ self.f0.T, V)
         return 2.0 * (t - t.transpose(0, 2, 1))
 
     def n3(self):
@@ -309,7 +321,7 @@ class PackFrame:
 
     def n4(self, V):
         """N4[i,j,A] = 2 deta^j(xi_i, X)."""
-        return 2.0 * np.einsum("jab,ia,Ab->ijA", self.deta, self.xi0, V)
+        return 2.0 * pair_form(self.deta, self.xi0, V).transpose(1, 0, 2)
 
 
 # -- axioms ---------------------------------------------------------------------
@@ -326,7 +338,7 @@ def frame_axioms(fr):
 def q_eigen_floor(frame):
     """Smallest eigenvalue of Q's matrix in a g-orthonormal basis."""
     e = frame.tv.basis  # rows g-orthonormal
-    q_mat = np.einsum("ak,kl,bl->ab", e, frame.g0, (frame.q0 @ e.T).T)
+    q_mat = e @ frame.g0 @ (frame.q0 @ e.T)
     return float(np.linalg.eigvalsh(0.5 * (q_mat + q_mat.T)).min())
 
 
@@ -347,9 +359,9 @@ def axioms_residual(fr):
 
     res = {}
     gf = g0 @ f0
-    res["f_skew"] = sup_abs(np.einsum("Aa,ab,Bb->AB", V, gf + gf.T, V))
+    res["f_skew"] = sup_abs(pair_form(gf + gf.T, V, V))
     gq = g0 @ q0
-    res["q_selfadjoint"] = sup_abs(np.einsum("Aa,ab,Bb->AB", V, gq - gq.T, V))
+    res["q_selfadjoint"] = sup_abs(pair_form(gq - gq.T, V, V))
     res["q_positive"] = max(0.0, -floor)
     res["eta_xi_pairing"] = sup_abs(
         np.einsum("ia,ja->ij", eta0, xi0) - np.eye(s)
@@ -364,30 +376,24 @@ def axioms_residual(fr):
         np.einsum("ka,Aa->kA", f2 + q0 - corr, V), g0
     )
     # g(fX, fY) = g(X, QY) - sum eta^i(X) eta^i(Y)
-    lhs = np.einsum("Ak,kl,Bl->AB", V @ f0.T, g0, V @ f0.T)
-    rhs = np.einsum("Aa,ab,Bb->AB", V, gq, V) - np.einsum(
-        "iA,iB->AB", eta0 @ V.T, eta0 @ V.T
-    )
+    fV = V @ f0.T
+    etaV = eta0 @ V.T
+    lhs = pair_form(g0, fV, fV)
+    rhs = pair_form(gq, V, V) - etaV.T @ etaV
     res["compatibility"] = sup_abs(lhs - rhs)
     res["f_kills_xi"] = sup_gnorm(np.einsum("kl,il->ki", f0, xi0), g0)
-    res["eta_after_f"] = sup_abs(np.einsum("ia,ab,Ab->iA", eta0, f0, V))
-    res["eta_after_q"] = sup_abs(
-        np.einsum("ia,ab,Ab->iA", eta0, q0, V) - eta0 @ V.T
-    )
+    res["eta_after_f"] = sup_abs(pair_form(f0, eta0, V))
+    res["eta_after_q"] = sup_abs(pair_form(q0, eta0, V) - etaV)
     qf = q0 @ f0 - f0 @ q0
     res["qf_commute"] = sup_gnorm(np.einsum("ka,Aa->kA", qf, V), g0)
-    res["eta_metric_dual"] = sup_abs(
-        eta0 @ V.T - np.einsum("Aa,ab,ib->iA", V, g0, xi0)
-    )
-    res["xi_orthonormal"] = sup_abs(
-        np.einsum("ia,ab,jb->ij", xi0, g0, xi0) - np.eye(s)
-    )
+    res["eta_metric_dual"] = sup_abs(etaV - pair_form(g0.T, xi0, V))
+    res["xi_orthonormal"] = sup_abs(pair_form(g0, xi0, xi0) - np.eye(s))
     res["f_rank"] = _rank_residual(fr)
     # f-invariance of D = cap ker eta^i, checked on a basis of D
     db = fr.d_basis
-    res["d_f_invariant"] = sup_abs(np.einsum("ia,ab,Ab->iA", eta0, f0, db))
+    res["d_f_invariant"] = sup_abs(pair_form(f0, eta0, db))
     # splitting X = (X - sum eta^i(X) xi_i) + sum eta^i(X) xi_i with D-part in D
-    dpart = V - np.einsum("iA,ik->Ak", eta0 @ V.T, xi0)
+    dpart = V - np.einsum("iA,ik->Ak", etaV, xi0)
     res["tangent_split"] = sup_abs(np.einsum("ia,Aa->iA", eta0, dpart))
     return res
 
@@ -395,7 +401,7 @@ def axioms_residual(fr):
 def _rank_residual(fr):
     """Rank-2n check: s singular values below 1e-8, 2n above 1e-4."""
     e = fr.tv.basis
-    f_mat = np.einsum("ak,kl,bl->ab", e, fr.g0, (fr.f0 @ e.T).T)
+    f_mat = e @ fr.g0 @ (fr.f0 @ e.T)
     sv = np.sort(np.linalg.svd(f_mat, compute_uv=False))
     s = fr.pack.s
     if sv.size > s and sv[s] <= _RANK_POSITIVE_FLOOR:

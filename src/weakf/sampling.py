@@ -82,9 +82,19 @@ def build_test_vectors(g0, rng, distinguished=None):
     )
 
 
+def pair_form(t, X, Y):
+    """r[..., A, B] = sum_ab X[..., A, a] t[..., a, b] Y[B, b].
+
+    X and Y hold vectors as rows, and the leading axes of ``t`` and ``X``
+    broadcast; the contraction is two matrix products.
+    """
+    return X @ t @ Y.T
+
+
 def sup_gnorm(res, g0):
     """Max g-norm over the trailing test axes of ``res[k, ...]``."""
-    q = np.einsum("k...,kl,l...->...", res, g0, res)
+    r = res.reshape(res.shape[0], -1)
+    q = ((g0 @ r) * r).sum(0)
     return float(np.sqrt(max(q.max(), 0.0)))
 
 

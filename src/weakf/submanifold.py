@@ -44,7 +44,7 @@ from .classifiers import (
 from .errors import HypothesisNotMet, SetupRejected
 from .fstructure import StructurePack
 from .jets import Jet, dot, lift, mat_inv, mat_mul, mat_vec, parts, value_of
-from .sampling import orthonormal_basis, sup_abs
+from .sampling import orthonormal_basis, pair_form, sup_abs, sup_gnorm
 
 _FRAME_TOL = 1e-10
 _TANGENCY_TOL = 1e-9
@@ -123,13 +123,15 @@ class _AmbientPoint:
         self.fbar0, self.fbar1 = sub.ambient_skew.jet(self.iota, order=1)
         self.g0 = self.jac.T @ self.gbar0 @ self.jac
 
+    # Ambient vectors are indexed by the leading axis: v[c] or v[c, ...].
+
     def to_domain(self, v):
-        """Coordinates of a tangent ambient vector in the embedded basis."""
+        """Coordinates of tangent ambient vectors in the embedded basis."""
         return np.linalg.solve(self.g0, self.jac.T @ (self.gbar0 @ v))
 
     def normal_part(self, v):
-        coef = np.einsum("ia,ab,b->i", self.normals, self.gbar0, v)
-        return coef @ self.normals
+        coef = np.tensordot(self.normals @ self.gbar0, v, 1)
+        return np.tensordot(self.normals, coef, (0, 0))
 
     def tangent_part(self, v):
         return v - self.normal_part(v)
@@ -141,23 +143,17 @@ class _AmbientPoint:
         """Ambient covariant derivative along X of the pushed constant field Y."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        flat = np.einsum("cab,a,b->c", self.hess, x, y)
-        conn = np.einsum("cab,a,b->c", self.gammabar, self.push(x), self.push(y))
-        return flat + conn
+        return self.hess @ y @ x + self.gammabar @ self.push(y) @ self.push(x)
 
     def ambient_derivative_pairs(self, v):
         """dxy[c, A, B] for all rows of ``v`` at once."""
         vj = v @ self.jac.T
-        return np.einsum("cab,Aa,Bb->cAB", self.hess, v, v) + np.einsum(
-            "cab,Aa,Bb->cAB", self.gammabar, vj, vj
-        )
+        return pair_form(self.hess, v, v) + pair_form(self.gammabar, vj, vj)
 
     def normal_derivative(self, i, x):
-        """Ambient covariant derivative of N_i along the tangent direction X."""
+        """Ambient covariant derivative of N_i along X (or the columns of X)."""
         x = np.asarray(x, dtype=float)
-        flat = self.dnormals[i] @ x
-        conn = np.einsum("cab,a,b->c", self.gammabar, self.push(x), self.normals[i])
-        return flat + conn
+        return self.dnormals[i] @ x + self.gammabar @ self.normals[i] @ self.push(x)
 
     @cached_property
     def nabla_fbar(self):
@@ -176,23 +172,17 @@ def frame_check(ap):
     fbar^2.
     """
     res = {}
-    gram = np.einsum("ia,ab,jb->ij", ap.normals, ap.gbar0, ap.normals)
+    gram = pair_form(ap.gbar0, ap.normals, ap.normals)
     res["normals_orthonormal"] = sup_abs(gram - np.eye(ap.sub.s))
-    res["normals_perp_image"] = sup_abs(
-        np.einsum("ia,ab,bk->ik", ap.normals, ap.gbar0, ap.jac)
-    )
+    res["normals_perp_image"] = sup_abs(ap.normals @ ap.gbar0 @ ap.jac)
     fn = ap.normals @ ap.fbar0.T
-    res["skew_normal_pairs"] = sup_abs(
-        np.einsum("ia,ab,jb->ij", fn, ap.gbar0, ap.normals)
-    )
-    res["xi_tangent"] = max(
-        float(np.linalg.norm(ap.normal_part(fn[i]))) for i in range(ap.sub.s)
-    )
+    res["skew_normal_pairs"] = sup_abs(pair_form(ap.gbar0, fn, ap.normals))
+    res["xi_tangent"] = float(np.linalg.norm(ap.normal_part(fn.T), axis=0).max())
     gf = ap.gbar0 @ ap.fbar0
     eb = orthonormal_basis(ap.gbar0)
-    res["ambient_skew"] = sup_abs(np.einsum("Aa,ab,Bb->AB", eb, gf + gf.T, eb))
+    res["ambient_skew"] = sup_abs(pair_form(gf + gf.T, eb, eb))
     f2 = ap.fbar0 @ ap.fbar0
-    f2_mat = np.einsum("ak,kl,bl->ab", eb, ap.gbar0, (f2 @ eb.T).T)
+    f2_mat = eb @ ap.gbar0 @ (f2 @ eb.T)
     res["fbar_sq_negative"] = max(
         0.0, float(np.linalg.eigvalsh(0.5 * (f2_mat + f2_mat.T)).max())
     )
@@ -347,13 +337,11 @@ def second_fundamental_data(ap):
     def h(x, y):
         return ap.normal_part(ap.ambient_derivative(x, y))
 
-    a_mats = []
-    for i in range(ap.sub.s):
-        cols = [
-            ap.to_domain(ap.tangent_part(-ap.normal_derivative(i, e)))
-            for e in np.eye(m)
-        ]
-        a_mats.append(np.array(cols).T)
+    e = np.eye(m)   # columns: the coordinate directions
+    a_mats = [
+        ap.to_domain(ap.tangent_part(-ap.normal_derivative(i, e)))
+        for i in range(ap.sub.s)
+    ]
 
     def h_n(i, x, y):
         return float(ap.normals[i] @ ap.gbar0 @ ap.ambient_derivative(x, y))
@@ -364,21 +352,14 @@ def second_fundamental_data(ap):
 def h_matrix(ap, v):
     """hN over all test pairs: hmat[i, A, B] = gbar(h(V_A, V_B), N_i)."""
     dxy = ap.ambient_derivative_pairs(v)
-    return np.einsum("ia,ab,bAB->iAB", ap.normals, ap.gbar0, dxy)
+    return np.tensordot(ap.normals @ ap.gbar0, dxy, 1)
 
 
 def gauss_split_residual(ap, fr):
     """Exactness of the split ambient D = dI(induced D) + h over the frame."""
-    gamma = fr.gamma
-    m = ap.sub.domain.dim
-    e = np.eye(m)
-    worst = 0.0
-    for a in range(m):
-        for b in range(m):
-            full = ap.ambient_derivative(e[a], e[b])
-            r = full - ap.push(gamma[:, a, b]) - ap.normal_part(full)
-            worst = max(worst, float(np.sqrt(r @ ap.gbar0 @ r)))
-    return worst
+    full = ap.ambient_derivative_pairs(np.eye(ap.sub.domain.dim))
+    r = full - np.tensordot(ap.jac, fr.gamma, 1) - ap.normal_part(full)
+    return sup_gnorm(r, ap.gbar0)
 
 
 # -- theorem-level machinery -------------------------------------------------------
@@ -386,12 +367,9 @@ def gauss_split_residual(ap, fr):
 
 def ambient_nearly_kahler_residual(ap):
     """Sup of (D_X fbar)Y + (D_Y fbar)X over an ambient frame at the image."""
-    nf = ap.nabla_fbar
     eb = orthonormal_basis(ap.gbar0)
-    t = np.einsum("Ab,bag,Cg->aAC", eb, nf, eb)
-    sym = t + t.transpose(0, 2, 1)
-    q = np.einsum("aAC,ab,bAC->AC", sym, ap.gbar0, sym)
-    return float(np.sqrt(max(q.max(), 0.0)))
+    t = pair_form(ap.nabla_fbar.transpose(1, 0, 2), eb, eb)
+    return sup_gnorm(t + t.transpose(0, 2, 1), ap.gbar0)
 
 
 def thsubm_check(ap, fr, case, tol_exact=TOL_EXACT):
@@ -421,79 +399,44 @@ def thsubm_check(ap, fr, case, tol_exact=TOL_EXACT):
     gate = ambient_nearly_kahler_residual(ap)
     if gate > tol_exact:
         raise HypothesisNotMet("thsubm", "ambient_weak_nearly_kahler", gate)
-    m = ap.sub.domain.dim
-    s = ap.sub.s
     g0, xi0, eta0, f0 = fr.g0, fr.xi0, fr.eta0, fr.f0
     V = fr.V
+    a_mats = np.array(sfd.A)
 
-    hxx = np.array(
-        [
-            [[sfd.hN(i, xi0[j], xi0[k]) for k in range(s)] for j in range(s)]
-            for i in range(s)
-        ]
-    )
+    def g_shaped(mats):
+        """g(M_i X, Y) over all test pairs for each matrix M_i of ``mats``."""
+        return pair_form(g0, V @ mats.transpose(0, 2, 1), V)
+
+    hxx = h_matrix(ap, xi0)     # h_{N_i}(xi_j, xi_k)
     res = {"aa_symmetry": sup_abs(hxx - hxx.transpose(1, 0, 2))}
 
-    hmat = h_matrix(ap, V)
+    hmat = fr.kept("h_matrix", V, lambda: h_matrix(ap, V))
     etaV = eta0 @ V.T
+    disp = pair_form(hxx, etaV.T, etaV.T)
+    # the shape operators of the display: sum_jk h_{N_i}(xi_j, xi_k) xi_k eta^j
+    a_disp = pair_form(hxx.transpose(0, 2, 1), xi0.T, eta0.T)
     if case == "i":
         f2V = (V @ f0.T) @ f0.T
-        base = -np.einsum("Ak,kl,Bl->AB", f2V, g0, V)
-        disp = base[None, :, :] + np.einsum("ijk,jA,kB->iAB", hxx, etaV, etaV)
-    else:
-        disp = np.einsum("ijk,jA,kB->iAB", hxx, etaV, etaV)
+        disp = disp - pair_form(g0, f2V, V)
+        a_disp = a_disp - f0 @ f0
     res["h_display"] = sup_abs(hmat - disp)
-
-    if case == "i":
-        f2 = f0 @ f0
-        a_disp = [
-            -f2 + np.einsum("jk,ka,jb->ab", hxx[i], xi0, eta0)
-            for i in range(s)
-        ]
-    else:
-        a_disp = [
-            np.einsum("jk,ka,jb->ab", hxx[i], xi0, eta0) for i in range(s)
-        ]
-    dual = np.array(
-        [
-            np.einsum("Aa,ab,Bb->AB", V @ a_disp[i].T, g0, V) - disp[i]
-            for i in range(s)
-        ]
-    )
-    res["shape_display_duality"] = sup_abs(dual)
-
-    wd = np.array(
-        [
-            np.einsum("Aa,ab,Bb->AB", V @ sfd.A[i].T, g0, V) - hmat[i]
-            for i in range(s)
-        ]
-    )
-    res["weingarten_duality"] = sup_abs(wd)
+    res["shape_display_duality"] = sup_abs(g_shaped(a_disp) - disp)
+    res["weingarten_duality"] = sup_abs(g_shaped(a_mats) - hmat)
     res["h_symmetric"] = sup_abs(hmat - hmat.transpose(0, 2, 1))
 
-    # tangential part of the ambient identity against the induced sum
-    nf = ap.nabla_fbar
-    nfd = fr.nabla_f
-    e = np.eye(m)
-    worst = 0.0
-    for a in range(m):
-        for b in range(m):
-            x, y = e[a], e[b]
-            jx, jy = ap.push(x), ap.push(y)
-            lhs = np.einsum("b,bag,g->a", jx, nf, jy) + np.einsum(
-                "b,bag,g->a", jy, nf, jx
-            )
-            lhs_t = ap.tangent_part(lhs)
-            dom = np.einsum("i,ikj,j->k", x, nfd, y) + np.einsum(
-                "i,ikj,j->k", y, nfd, x
-            )
-            for i in range(s):
-                dom = dom + float(eta0[i] @ x) * (sfd.A[i] @ y)
-                dom = dom + float(eta0[i] @ y) * (sfd.A[i] @ x)
-                dom = dom - 2.0 * sfd.hN(i, x, y) * xi0[i]
-            r = lhs_t - ap.push(dom)
-            worst = max(worst, float(np.sqrt(r @ ap.gbar0 @ r)))
-    res["tangential_expansion"] = worst
+    # tangential part of the ambient identity against the induced sum, on
+    # every pair of coordinate directions (X, Y) = (e_A, e_B)
+    jv = ap.jac.T
+    t = pair_form(ap.nabla_fbar.transpose(1, 0, 2), jv, jv)
+    lhs_t = ap.tangent_part(t + t.transpose(0, 2, 1))
+    # (D_X f)Y + sum_i eta^i(X) A_i Y, then symmetrized in X and Y
+    dom = fr.nabla_f.transpose(1, 0, 2) + np.einsum("iA,ikB->kAB", eta0, a_mats)
+    dom = dom + dom.transpose(0, 2, 1) - 2.0 * np.tensordot(
+        xi0, h_matrix(ap, np.eye(ap.sub.domain.dim)), (0, 0)
+    )
+    res["tangential_expansion"] = sup_gnorm(
+        lhs_t - np.tensordot(ap.jac, dom, 1), ap.gbar0
+    )
 
     if case == "i":
         res["conclusion_weak_nearly_S"] = nearly_s_residual(fr, V)
@@ -511,23 +454,20 @@ def lemma_parallel_claim(ap, fr, tol=TOL_EXACT):
     (D_X Q)Y = 0 for Y in D.
     """
     f2n = ap.normals @ (ap.fbar0 @ ap.fbar0).T
-    hyp1 = max(
-        float(np.linalg.norm(ap.tangent_part(f2n[i]))) for i in range(ap.sub.s)
-    )
+    hyp1 = float(np.linalg.norm(ap.tangent_part(f2n.T), axis=0).max())
     if hyp1 > tol:
         raise HypothesisNotMet(
             "lemma_parallel_q", "fbar_sq_normal_is_normal", hyp1
         )
-    nf = ap.nabla_fbar
-    worst = 0.0
-    for x in np.eye(ap.sub.domain.dim):
-        jx = ap.push(x)
-        for y in fr.d_basis:
-            jy = ap.push(y)
-            t = np.einsum("b,bag,g->a", jx, nf, ap.fbar0 @ jy)
-            t = t + ap.fbar0 @ np.einsum("b,bag,g->a", jx, nf, jy)
-            r = ap.tangent_part(t)
-            worst = max(worst, float(np.sqrt(r @ ap.gbar0 @ r)))
+    # (D_X fbar^2) Y = (D_X fbar) fbar Y + fbar (D_X fbar) Y for X a
+    # coordinate direction and Y in D, both pushed forward
+    nf = ap.nabla_fbar.transpose(1, 0, 2)
+    jx = ap.jac.T
+    jy = fr.d_basis @ ap.jac.T
+    t = pair_form(nf, jx, jy @ ap.fbar0.T) + np.tensordot(
+        ap.fbar0, pair_form(nf, jx, jy), 1
+    )
+    worst = sup_gnorm(ap.tangent_part(t), ap.gbar0)
     if worst > tol:
         raise HypothesisNotMet(
             "lemma_parallel_q", "tangential_nabla_fbar_sq", worst

@@ -49,7 +49,7 @@ def test_unknown_example_is_usage_error():
     assert "unknown example" in proc.stderr
 
 
-def test_bad_parameter_is_usage_error():
+def test_bad_parameter_is_usage_error(tmp_path):
     proc = run_cli(
         ["verify", "--example", "flat_pack", "--param", "bogus=1",
          "--samples", "2"]
@@ -62,10 +62,18 @@ def test_bad_parameter_is_usage_error():
                   ["--tol-exact", "nan"], ["--tol-exact", "inf"],
                   ["--tol-curv", "-1e-6"], ["--samples", "0"],
                   ["--seed", "-1"], ["--suites", ","], ["--suites", "axiom"],
-                  ["--suites", "axioms,axioms"], ["--suites", "axioms,,classes"]):
+                  ["--suites", "axioms,axioms"], ["--suites", "axioms,,classes"],
+                  ["--param", "n=2"]):
         code = cli.main(["verify", "--example", "hypersphere", "--param",
                          "n=1", "--samples", "2", *extra])
         assert code == 2, extra
+    # an --out path that cannot be written: named on stderr, no traceback
+    missing = tmp_path / "nonexistent" / "r.json"
+    proc = run_cli(["verify", "--example", "flat_pack", "--samples", "2",
+                    "--out", str(missing)])
+    assert proc.returncode == 2
+    assert str(missing) in proc.stderr and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
     # a run that checks nothing: the submanifold suite on a pack
     assert cli.main(["verify", "--example", "flat_pack", "--suites",
                      "submanifold", "--samples", "2"]) == 2
@@ -76,12 +84,17 @@ def test_bad_parameter_is_usage_error():
                 {"fmt": "xml"}):
         with pytest.raises(InvalidExample):
             SuiteConfig(example="flat_pack", **bad)
-    # block weights must be finite and non-zero, one per complex block
+    # block weights must be finite and non-zero, one per complex block;
+    # n and s are integers on the examples that take them; a key is given
+    # at most once, even with the same value
     for example, params in (("flat_pack", ["n=2", "scales=nan,1"]),
                             ("product_pack", ["n=2", "s=1", "scales=inf,1"]),
                             ("flat_pack", ["n=2", "scales=0,1"]),
                             ("linear_subspace", ["n=1", "s=1", "scales=0"]),
-                            ("flat_pack", ["n=2", "scales=2"])):
+                            ("flat_pack", ["n=2", "scales=2"]),
+                            ("flat_pack", ["n=1.5"]),
+                            ("product_pack", ["n=1", "s=0.5"]),
+                            ("flat_pack", ["n=1", "n=1"])):
         argv = ["verify", "--example", example, "--samples", "2"]
         for p in params:
             argv += ["--param", p]

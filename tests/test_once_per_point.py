@@ -3,17 +3,30 @@
 import types
 import weakref
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from weakf import charts, classifiers, report, submanifold
+from weakf import charts, classifiers, fstructure, report, submanifold
 from weakf.catalog import hypersphere
 from weakf.fstructure import PackFrame, frame_axioms
 from weakf.jets import Jet
 from weakf.report import SUITES, SuiteConfig, run_suite
 
 SAMPLES = 3
+
+# Frame arrays that the contraction counts recognise as operands, by the
+# PackFrame attribute that builds them.
+FRAME_ARRAYS = {
+    "tv": {"V": lambda tv: tv.vectors},
+    "_jets": {"xi0": lambda j: j["xi"][0], "xi1": lambda j: j["xi"][1]},
+    "d_basis": {"d_basis": lambda a: a},
+    "deta": {"deta": lambda a: a},
+    "nabla_f": {"nabla_f": lambda a: a},
+    "nabla_q": {"nabla_q": lambda a: a},
+    "nabla_xi": {"nabla_xi": lambda a: a},
+}
 
 
 def _lift_order(coords):
@@ -35,17 +48,33 @@ def _tracked(init, refs, counts, name):
     return tracking_init
 
 
+def _recording(prop, picks, names, alive):
+    """``prop`` (a cached property) that names the arrays it builds."""
+    def get(fr):
+        val = prop.func(fr)
+        for name, pick in picks.items():
+            arr = pick(val)
+            alive.append(arr)
+            names[id(arr)] = name
+        return val
+    rec = cached_property(get)
+    rec.__set_name__(PackFrame, prop.attrname)
+    return rec
+
+
 @pytest.fixture(scope="module")
 def counted_run():
     counts = Counter()
     jet_keys = Counter()
-    einsums = Counter()     # (subscripts, operand ids) -> calls
-    operands = []           # keeps the operands alive so that ids stay unique
+    contractions = Counter()    # operand ids -> calls, for every contraction
+    names = {}                  # id -> name of each recorded frame array
+    alive = []                  # keeps arrays alive so that ids stay unique
     inside_theorems = [0]
 
     pullback = submanifold._pullback
     jet = charts.SmoothField.jet
     theorem_check = report.theorem_check
+    h_matrix = submanifold.h_matrix
 
     def counting_pullback(sub, coords, full):
         order = _lift_order(coords)
@@ -66,26 +95,54 @@ def counted_run():
         finally:
             inside_theorems[0] -= 1
 
-    def counting_einsum(subscripts, *ops, **kwargs):
-        operands.append(ops)
-        einsums[subscripts, tuple(map(id, ops))] += 1
-        return np.einsum(subscripts, *ops, **kwargs)
+    def counting_h_matrix(ap, v):
+        counts["h_matrix_on_V"] += names.get(id(v)) == "V"
+        return h_matrix(ap, v)
+
+    def operand_id(a):
+        # a transposed view of a frame array stands for the array itself
+        base = getattr(a, "base", None)
+        if id(a) not in names and id(base) in names and a.size == base.size:
+            return id(base)
+        return id(a)
+
+    def counting(contract, skip=0):
+        def counted(*args, **kwargs):
+            ops = [a for a in args[skip:] if isinstance(a, np.ndarray)]
+            alive.append(ops)
+            contractions[tuple(map(operand_id, ops))] += 1
+            return contract(*args, **kwargs)
+        return counted
 
     counted_np = types.ModuleType("numpy")
     counted_np.__dict__.update(vars(np))
-    counted_np.einsum = counting_einsum
+    counted_np.einsum = counting(np.einsum, skip=1)
+    counted_np.tensordot = counting(np.tensordot)
 
     with pytest.MonkeyPatch.context() as mp:
         for cls, name in ((submanifold._AmbientPoint, "ambient"),
                           (PackFrame, "frame")):
             mp.setattr(cls, "__init__", _tracked(cls.__init__, [], counts, name))
+        for attr, picks in FRAME_ARRAYS.items():
+            mp.setattr(PackFrame, attr, _recording(
+                vars(PackFrame)[attr], picks, names, alive))
         mp.setattr(submanifold, "_pullback", counting_pullback)
+        mp.setattr(submanifold, "h_matrix", counting_h_matrix)
         mp.setattr(charts.SmoothField, "jet", counting_jet)
         mp.setattr(report, "theorem_check", flagged_theorem_check)
-        mp.setattr(classifiers, "np", counted_np)
+        for mod in (classifiers, fstructure, submanifold):
+            mp.setattr(mod, "np", counted_np)
+            mp.setattr(mod, "pair_form", counting(getattr(
+                mod, "pair_form", None)), raising=False)
         rep = run_suite(SuiteConfig(example="hypersphere", params={"n": 1},
                                     suites=SUITES, samples=SAMPLES))
-    return rep, counts, jet_keys, einsums
+
+    def named(*operands):
+        """{operand ids: calls} of the contractions of these frame arrays."""
+        return {ids: n for ids, n in contractions.items()
+                if tuple(names.get(i) for i in ids) == operands}
+
+    return rep, counts, jet_keys, named
 
 
 def test_one_ambient_build_per_sample(counted_run):
@@ -119,25 +176,36 @@ def test_one_point_state_alive_at_a_time(counted_run):
     assert counts["ambient_alive_at_build"] == 0
 
 
-def _calls(einsums, subscripts):
-    return sum(n for (sub, _), n in einsums.items() if sub == subscripts)
-
-
 def test_frame_residuals_once_per_sample(counted_run):
-    _, _, _, einsums = counted_run
-    # contractions that only frame_residuals and q_parallel_residual make
-    assert _calls(einsums, "ikA,kl,jl->ijA") == SAMPLES
-    assert _calls(einsums, "iB,kl,ilA->kAB") == SAMPLES
+    _, _, _, named = counted_run
+    # contractions that only frame_residuals and q_parallel_residual make:
+    # the Reeb brackets, and (D_V Q) on the contact basis
+    assert sum(named("xi0", "xi1").values()) == SAMPLES
+    assert sum(named("nabla_q", "V", "d_basis").values()) == SAMPLES
 
 
 def test_nabla_f_pairs_once_per_sample(counted_run):
-    _, _, _, einsums = counted_run
-    # (D_V f)V and the (D_V Q) contractions share these subscripts; none of
-    # them is built twice from the same arrays
-    pairs = {ids: n for (sub, ids), n in einsums.items()
-             if sub == "Ai,ikj,Bj->kAB"}
+    _, _, _, named = counted_run
+    # (D_V f)V and the (D_V Q) contractions: none of them is built twice from
+    # the same arrays
+    pairs = {**named("nabla_f", "V", "V"), **named("nabla_q", "V", "V"),
+             **named("nabla_q", "V", "d_basis")}
     assert len(pairs) >= SAMPLES
     assert max(pairs.values()) == 1
+
+
+def test_shared_contractions_once_per_sample(counted_run):
+    _, _, _, named = counted_run
+    # d eta(V, V), D_V xi and D_xi xi each serve several checks at a point
+    for operands in (("deta", "V", "V"), ("nabla_xi", "V"),
+                     ("nabla_xi", "xi0")):
+        assert sum(named(*operands).values()) == SAMPLES, operands
+
+
+def test_h_matrix_once_per_sample(counted_run):
+    _, counts, _, _ = counted_run
+    # both thsubm cases read h(V, V) at a point
+    assert counts["h_matrix_on_V"] == SAMPLES
 
 
 def test_kept_residual_is_fresh_for_other_vectors():

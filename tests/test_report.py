@@ -96,3 +96,24 @@ def test_point_state_is_built_only_by_the_runner():
         built.update(_builds(tree, path.name))
     for name, allowed in BUILDERS.items():
         assert {(m, fn) for n, m, fn in built if n == name} == allowed, name
+
+
+def _unplanned_multi_operand(call):
+    """An ``einsum`` call with three or more operands, or with ``optimize=``."""
+    operands = call.args[1:]
+    return (len(operands) > 2
+            or any(isinstance(a, ast.Starred) for a in operands)
+            or any(k.arg == "optimize" for k in call.keywords))
+
+
+def test_no_unplanned_multi_operand_einsum_in_src():
+    # every contraction in the package is a chain of steps with at most two
+    # operands each (pair_form, @, np.tensordot or a two-operand einsum),
+    # and none asks numpy for a contraction plan
+    bad = []
+    for path in sorted(Path(weakf.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "einsum" and _unplanned_multi_operand(node)):
+                bad.append(f"{path.name}:{node.lineno}")
+    assert bad == []
