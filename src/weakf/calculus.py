@@ -41,48 +41,40 @@ def metric_inverse(g0, p=None):
     return np.linalg.inv(g0)
 
 
-def christoffel_from_jets(g0, g1, p=None):
-    """Gamma[k,i,j] from metric values ``g0[a,b]`` and partials ``g1[a,b,c]``."""
-    ginv = metric_inverse(g0, p)
-    # d_i g_jl = g1[j, l, i]
-    t = (
-        np.einsum("jli->lij", g1)
-        + np.einsum("ilj->lij", g1)
-        - np.einsum("ijl->lij", g1)
+def _lowered_sum(g1):
+    """t[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij (with d_i g_jl = g1[j, l, i]);
+    its last axis may carry a further derivative index."""
+    return (
+        np.einsum("jli...->lij...", g1)
+        + np.einsum("ilj...->lij...", g1)
+        - np.einsum("ijl...->lij...", g1)
     )
-    return 0.5 * np.einsum("kl,lij->kij", ginv, t)
 
 
-def christoffel_partials(g0, g1, g2, p=None):
-    """dGamma[k,i,j,c] = d_c Gamma^k_ij, using second metric partials."""
-    ginv = metric_inverse(g0, p)
+def christoffel_from_jets(ginv, g1):
+    """Gamma[k,i,j] from the metric inverse ``ginv`` and partials ``g1[a,b,c]``."""
+    return 0.5 * np.einsum("kl,lij->kij", ginv, _lowered_sum(g1))
+
+
+def riemann_from_jets(ginv, gamma, g1, g2):
+    """Riem[l,i,j,k] with (R(e_i,e_j)e_k)^l = Riem[l,i,j,k].
+
+    ``ginv`` and ``gamma`` are the metric inverse and Christoffel symbols at
+    the point; ``g2`` holds the second metric partials, from which
+    dGamma[k,i,j,c] = d_c Gamma^k_ij is formed.
+    """
     dginv = -np.moveaxis(ginv @ np.moveaxis(g1, 2, 0) @ ginv, 0, 2)
-    t = (
-        np.einsum("jli->lij", g1)
-        + np.einsum("ilj->lij", g1)
-        - np.einsum("ijl->lij", g1)
-    )
-    dt = (
-        np.einsum("jlic->lijc", g2)
-        + np.einsum("iljc->lijc", g2)
-        - np.einsum("ijlc->lijc", g2)
-    )
-    return 0.5 * (
+    t = _lowered_sum(g1)
+    dt = _lowered_sum(g2)
+    dga = 0.5 * (
         np.einsum("klc,lij->kijc", dginv, t) + np.einsum("kl,lijc->kijc", ginv, dt)
     )
-
-
-def riemann_from_jets(g0, g1, g2, p=None):
-    """Riem[l,i,j,k] with (R(e_i,e_j)e_k)^l = Riem[l,i,j,k]."""
-    ga = christoffel_from_jets(g0, g1, p)
-    dga = christoffel_partials(g0, g1, g2, p)
-    r = (
+    return (
         np.einsum("ljki->lijk", dga)
         - np.einsum("likj->lijk", dga)
-        + np.einsum("lia,ajk->lijk", ga, ga)
-        - np.einsum("lja,aik->lijk", ga, ga)
+        + np.einsum("lia,ajk->lijk", gamma, gamma)
+        - np.einsum("lja,aik->lijk", gamma, gamma)
     )
-    return r
 
 
 def nabla_tensor11_kernel(gamma, t0, t1):
@@ -94,32 +86,37 @@ def nabla_tensor11_kernel(gamma, t0, t1):
     )
 
 
+def nabla_vector_kernel(gamma, x0, x1):
+    """nx[..., k, a] = (D_{e_a} X)^k."""
+    return x1 + np.einsum("kab,...b->...ka", gamma, x0)
+
+
 def nabla_oneform_kernel(gamma, w0, w1):
-    """nw[i,b] = (D_{e_i} w)_b."""
-    return np.einsum("bi->ib", w1) - np.einsum("cib,c->ib", gamma, w0)
+    """nw[..., i, b] = (D_{e_i} w)_b."""
+    return np.swapaxes(w1, -1, -2) - np.einsum("cib,...c->...ib", gamma, w0)
 
 
 def lie_metric_kernel(g0, g1, x0, x1):
     """(L_X g)_ab = X^k d_k g_ab + g_kb d_a X^k + g_ak d_b X^k."""
     return (
-        np.einsum("k,abk->ab", x0, g1)
-        + np.einsum("kb,ka->ab", g0, x1)
-        + np.einsum("ak,kb->ab", g0, x1)
+        np.einsum("...k,abk->...ab", x0, g1)
+        + np.einsum("kb,...ka->...ab", g0, x1)
+        + np.einsum("ak,...kb->...ab", g0, x1)
     )
 
 
 def lie_tensor11_kernel(t0, t1, x0, x1):
     """(L_X T)^a_b = X^k d_k T^a_b - T^k_b d_k X^a + T^a_k d_b X^k."""
     return (
-        np.einsum("k,abk->ab", x0, t1)
-        - np.einsum("kb,ak->ab", t0, x1)
-        + np.einsum("ak,kb->ab", t0, x1)
+        np.einsum("...k,abk->...ab", x0, t1)
+        - np.einsum("kb,...ak->...ab", t0, x1)
+        + np.einsum("ak,...kb->...ab", t0, x1)
     )
 
 
 def d_oneform_kernel(w1):
-    """dw[a,b] = (1/2)(d_a w_b - d_b w_a); equals the co-boundary formula."""
-    return 0.5 * (w1.T - w1)
+    """dw[..., a, b] = (1/2)(d_a w_b - d_b w_a); equals the co-boundary formula."""
+    return 0.5 * (np.swapaxes(w1, -1, -2) - w1)
 
 
 def d_twoform_kernel(w1):

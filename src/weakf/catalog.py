@@ -216,6 +216,8 @@ def _rotation_matrix(n, rotation):
     r = np.asarray(rotation, dtype=float)
     if r.shape != (2 * n, 2 * n):
         raise InvalidExample("rotation matrix must act on the rank-2n block")
+    if not np.isfinite(r).all():
+        raise InvalidExample(f"rotation matrix entries must be finite, got {r.tolist()}")
     if np.abs(r @ r.T - np.eye(2 * n)).max() > 1e-10:
         raise InvalidExample("rotation matrix must be orthogonal")
     return r
@@ -224,6 +226,8 @@ def _rotation_matrix(n, rotation):
 def _givens(m, i, j, theta):
     if not (0 <= i < m and 0 <= j < m and i != j):
         raise InvalidExample("givens indices out of range")
+    if not math.isfinite(theta):
+        raise InvalidExample(f"givens angle must be finite, got {theta}")
     r = np.eye(m)
     c, sn = np.cos(theta), np.sin(theta)
     r[i, i] = c

@@ -46,20 +46,25 @@ def _nabla_f_pairs(fr, V):
 
 
 @kept_per_frame
+def nearly_s_terms(fr, V):
+    """(f^2 V, g(fX,fY) xibar, etabar(Y) f^2 X) over all test pairs.
+
+    The algebraic terms of the nearly-S and S-structure identities; the
+    last two are tensors [k, A, B].
+    """
+    fV = V @ fr.f0.T
+    f2V = fV @ fr.f0.T
+    gff = np.einsum("AB,k->kAB", pair_form(fr.g0, fV, fV), fr.xibar)
+    ef2 = np.einsum("B,Ak->kAB", V @ fr.etabar, f2V)
+    return f2V, gff, ef2
+
+
+@kept_per_frame
 def nearly_s_residual(fr, V):
     """(D_X f)Y + (D_Y f)X - 2 g(fX,fY) xibar - etabar(X) f^2 Y - etabar(Y) f^2 X."""
     t = _nabla_f_pairs(fr, V)
-    sym = t + t.transpose(0, 2, 1)
-    fV = V @ fr.f0.T
-    f2V = fV @ fr.f0.T
-    gff = pair_form(fr.g0, fV, fV)
-    eb = V @ fr.etabar
-    res = (
-        sym
-        - 2.0 * np.einsum("AB,k->kAB", gff, fr.xibar)
-        - np.einsum("A,Bk->kAB", eb, f2V)
-        - np.einsum("B,Ak->kAB", eb, f2V)
-    )
+    _, gff, ef2 = nearly_s_terms(fr, V)
+    res = t + t.transpose(0, 2, 1) - 2.0 * gff - ef2.transpose(0, 2, 1) - ef2
     return sup_gnorm(res, fr.g0)
 
 
@@ -73,17 +78,8 @@ def nearly_c_residual(fr, V):
 @kept_per_frame
 def s_structure_residual(fr, V):
     """(D_X f)Y - g(fX,fY) xibar - etabar(Y) f^2 X."""
-    t = _nabla_f_pairs(fr, V)
-    fV = V @ fr.f0.T
-    f2V = fV @ fr.f0.T
-    gff = pair_form(fr.g0, fV, fV)
-    eb = V @ fr.etabar
-    res = (
-        t
-        - np.einsum("AB,k->kAB", gff, fr.xibar)
-        - np.einsum("B,Ak->kAB", eb, f2V)
-    )
-    return sup_gnorm(res, fr.g0)
+    _, gff, ef2 = nearly_s_terms(fr, V)
+    return sup_gnorm(_nabla_f_pairs(fr, V) - gff - ef2, fr.g0)
 
 
 @kept_per_frame

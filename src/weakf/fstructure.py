@@ -28,7 +28,14 @@ import numpy as np
 
 from . import calculus
 from .errors import DegenerateOperatorError
-from .sampling import build_test_vectors, pair_form, point_rng, sup_abs, sup_gnorm
+from .sampling import (
+    build_test_vectors,
+    orthonormal_basis,
+    pair_form,
+    point_rng,
+    sup_abs,
+    sup_gnorm,
+)
 
 _RANK_ZERO_CEIL = 1e-8
 _RANK_POSITIVE_FLOOR = 1e-4
@@ -126,11 +133,11 @@ class PackFrame:
 
     @cached_property
     def gamma(self):
-        return calculus.christoffel_from_jets(self.g0, self.g1, self.p)
+        return calculus.christoffel_from_jets(self.ginv, self.g1)
 
     @cached_property
     def riemann(self):
-        return calculus.riemann_from_jets(self.g0, self.g1, self.g2, self.p)
+        return calculus.riemann_from_jets(self.ginv, self.gamma, self.g1, self.g2)
 
     # -- derived pointwise tensors -------------------------------------------
 
@@ -152,7 +159,7 @@ class PackFrame:
     @cached_property
     def deta(self):
         """deta[i,a,b] = d(eta^i)(e_a, e_b), half-normalized."""
-        return np.array([calculus.d_oneform_kernel(w1) for w1 in self.eta1])
+        return calculus.d_oneform_kernel(self.eta1)
 
     @cached_property
     def nabla_f(self):
@@ -165,12 +172,7 @@ class PackFrame:
     @cached_property
     def nabla_xi(self):
         """nabla_xi[i,k,a] = (D_{e_a} xi_i)^k."""
-        return np.array(
-            [
-                x1 + np.einsum("kab,b->ka", self.gamma, x0)
-                for x0, x1 in zip(self.xi0, self.xi1)
-            ]
-        )
+        return calculus.nabla_vector_kernel(self.gamma, self.xi0, self.xi1)
 
     @cached_property
     def nabla_xi_xi(self):
@@ -180,22 +182,12 @@ class PackFrame:
     @cached_property
     def nabla_eta(self):
         """nabla_eta[i,a,b] = (D_{e_a} eta^i)_b."""
-        return np.array(
-            [
-                calculus.nabla_oneform_kernel(self.gamma, w0, w1)
-                for w0, w1 in zip(self.eta0, self.eta1)
-            ]
-        )
+        return calculus.nabla_oneform_kernel(self.gamma, self.eta0, self.eta1)
 
     @cached_property
     def lie_g_xi(self):
         """lie_g_xi[i,a,b] = (L_{xi_i} g)(e_a, e_b)."""
-        return np.array(
-            [
-                calculus.lie_metric_kernel(self.g0, self.g1, x0, x1)
-                for x0, x1 in zip(self.xi0, self.xi1)
-            ]
-        )
+        return calculus.lie_metric_kernel(self.g0, self.g1, self.xi0, self.xi1)
 
     @property
     def xibar(self):
@@ -228,29 +220,17 @@ class PackFrame:
         the intersection of the ker eta^i on any pack satisfying the
         axioms, and stays well-defined on deliberately broken packs.
         """
-        reeb = []
-        for v in self.xi0:
-            w = np.array(v, dtype=float)
-            for u in reeb:
-                w = w - (u @ self.g0 @ w) * u
-            nrm = float(np.sqrt(max(w @ self.g0 @ w, 0.0)))
-            if nrm < 1e-8:
-                raise RuntimeError("Reeb fields are linearly dependent")
-            reeb.append(w / nrm)
-        rows = []
-        for v in np.eye(self.m):
-            w = v
-            for u in reeb + rows:
-                w = w - (u @ self.g0 @ w) * u
-            nrm = float(np.sqrt(max(w @ self.g0 @ w, 0.0)))
-            if nrm > 1e-8 and len(rows) < 2 * self.pack.n:
-                rows.append(w / nrm)
+        reeb = orthonormal_basis(self.g0, self.xi0, floor=1e-8)
+        if len(reeb) < self.pack.s:
+            raise RuntimeError("Reeb fields are linearly dependent")
+        rows = orthonormal_basis(self.g0, against=reeb, floor=1e-8,
+                                 limit=2 * self.pack.n)
         if len(rows) != 2 * self.pack.n:
             raise RuntimeError(
                 f"could not build a basis of the contact distribution "
                 f"(got {len(rows)} of {2 * self.pack.n} directions)"
             )
-        return np.array(rows)
+        return rows
 
     def random_d_units(self, count):
         """Seeded unit vectors in the contact distribution."""
@@ -312,12 +292,7 @@ class PackFrame:
 
     def n3(self):
         """N3[i,a,b] = (L_{xi_i} f)^a_b."""
-        return np.array(
-            [
-                calculus.lie_tensor11_kernel(self.f0, self.f1, x0, x1)
-                for x0, x1 in zip(self.xi0, self.xi1)
-            ]
-        )
+        return calculus.lie_tensor11_kernel(self.f0, self.f1, self.xi0, self.xi1)
 
     def n4(self, V):
         """N4[i,j,A] = 2 deta^j(xi_i, X)."""

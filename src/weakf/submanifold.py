@@ -39,6 +39,7 @@ from .classifiers import (
     TOL_EXACT,
     nearly_c_residual,
     nearly_s_residual,
+    nearly_s_terms,
     q_parallel_residual,
 )
 from .errors import HypothesisNotMet, SetupRejected
@@ -68,15 +69,6 @@ class EmbeddedSubmanifold:
             raise ValueError("domain dimension must be 2n + s")
         if self.ambient.dim != 2 * self.n + 2 * self.s:
             raise ValueError("ambient dimension must be 2n + 2s")
-
-
-@dataclass
-class SecondFundamentalData:
-    """Pointwise second-fundamental-form evaluators at one domain point."""
-
-    h: object        # h(X, Y) -> ambient normal vector
-    A: list          # A[i]: (m, m) shape operator matrices, domain indices
-    hN: object       # hN(i, X, Y) -> float
 
 
 class _AmbientPoint:
@@ -118,7 +110,7 @@ class _AmbientPoint:
         self.dnormals = np.array(ngrads)
         self.gbar0, self.gbar1 = sub.ambient_metric.jet(self.iota, order=1)
         self.gammabar = calculus.christoffel_from_jets(
-            self.gbar0, self.gbar1, self.iota
+            calculus.metric_inverse(self.gbar0, self.iota), self.gbar1
         )
         self.fbar0, self.fbar1 = sub.ambient_skew.jet(self.iota, order=1)
         self.g0 = self.jac.T @ self.gbar0 @ self.jac
@@ -129,31 +121,48 @@ class _AmbientPoint:
         """Coordinates of tangent ambient vectors in the embedded basis."""
         return np.linalg.solve(self.g0, self.jac.T @ (self.gbar0 @ v))
 
+    def normal_coefficients(self, v):
+        """gbar(v, N_i) for each normal: an array [i, ...]."""
+        return np.tensordot(self.normals @ self.gbar0, v, 1)
+
     def normal_part(self, v):
-        coef = np.tensordot(self.normals @ self.gbar0, v, 1)
-        return np.tensordot(self.normals, coef, (0, 0))
+        return np.tensordot(self.normals, self.normal_coefficients(v), (0, 0))
 
     def tangent_part(self, v):
         return v - self.normal_part(v)
 
-    def push(self, x):
-        return self.jac @ np.asarray(x, dtype=float)
-
-    def ambient_derivative(self, x, y):
-        """Ambient covariant derivative along X of the pushed constant field Y."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        return self.hess @ y @ x + self.gammabar @ self.push(y) @ self.push(x)
-
     def ambient_derivative_pairs(self, v):
-        """dxy[c, A, B] for all rows of ``v`` at once."""
+        """dxy[c, A, B]: ambient D along V_A of the pushed constant field V_B."""
         vj = v @ self.jac.T
         return pair_form(self.hess, v, v) + pair_form(self.gammabar, vj, vj)
 
-    def normal_derivative(self, i, x):
-        """Ambient covariant derivative of N_i along X (or the columns of X)."""
-        x = np.asarray(x, dtype=float)
-        return self.dnormals[i] @ x + self.gammabar @ self.normals[i] @ self.push(x)
+    @cached_property
+    def coordinate_derivative(self):
+        """:meth:`ambient_derivative_pairs` on the coordinate directions."""
+        return self.ambient_derivative_pairs(np.eye(self.sub.domain.dim))
+
+    @cached_property
+    def shape_operators(self):
+        """A[i, a, b]: the shape operator A_i X = -(ambient D_X N_i)^T of
+        each normal, in domain coordinates (column b is A_i e_b)."""
+        m, s = self.sub.domain.dim, self.sub.s
+        # dn[i, c, b] = (ambient D_{e_b} N_i)^c: d_b N_i^c plus the
+        # Christoffel term Gammabar^c_{ae} (J e_b)^a N_i^e
+        gn = (self.gammabar @ self.normals.T).transpose(2, 0, 1)
+        dn = self.dnormals + gn @ self.jac
+        t = self.tangent_part(-dn.transpose(1, 0, 2))
+        a = self.to_domain(t.reshape(len(t), -1))
+        return a.reshape(m, s, m).transpose(1, 0, 2)
+
+    @cached_property
+    def basis(self):
+        """A gbar-orthonormal basis of the ambient space at the image (rows)."""
+        return orthonormal_basis(self.gbar0)
+
+    @cached_property
+    def nearly_kahler_residual(self):
+        """:func:`ambient_nearly_kahler_residual` at this point."""
+        return ambient_nearly_kahler_residual(self)
 
     @cached_property
     def nabla_fbar(self):
@@ -179,7 +188,7 @@ def frame_check(ap):
     res["skew_normal_pairs"] = sup_abs(pair_form(ap.gbar0, fn, ap.normals))
     res["xi_tangent"] = float(np.linalg.norm(ap.normal_part(fn.T), axis=0).max())
     gf = ap.gbar0 @ ap.fbar0
-    eb = orthonormal_basis(ap.gbar0)
+    eb = ap.basis
     res["ambient_skew"] = sup_abs(pair_form(gf + gf.T, eb, eb))
     f2 = ap.fbar0 @ ap.fbar0
     f2_mat = eb @ ap.gbar0 @ (f2 @ eb.T)
@@ -330,34 +339,14 @@ def induce_structure(sub, validate=True):
 # -- second fundamental form ------------------------------------------------------
 
 
-def second_fundamental_data(ap):
-    """Shape data at the ambient point ``ap`` packaged as evaluators."""
-    m = ap.sub.domain.dim
-
-    def h(x, y):
-        return ap.normal_part(ap.ambient_derivative(x, y))
-
-    e = np.eye(m)   # columns: the coordinate directions
-    a_mats = [
-        ap.to_domain(ap.tangent_part(-ap.normal_derivative(i, e)))
-        for i in range(ap.sub.s)
-    ]
-
-    def h_n(i, x, y):
-        return float(ap.normals[i] @ ap.gbar0 @ ap.ambient_derivative(x, y))
-
-    return SecondFundamentalData(h=h, A=a_mats, hN=h_n)
-
-
 def h_matrix(ap, v):
     """hN over all test pairs: hmat[i, A, B] = gbar(h(V_A, V_B), N_i)."""
-    dxy = ap.ambient_derivative_pairs(v)
-    return np.tensordot(ap.normals @ ap.gbar0, dxy, 1)
+    return ap.normal_coefficients(ap.ambient_derivative_pairs(v))
 
 
 def gauss_split_residual(ap, fr):
     """Exactness of the split ambient D = dI(induced D) + h over the frame."""
-    full = ap.ambient_derivative_pairs(np.eye(ap.sub.domain.dim))
+    full = ap.coordinate_derivative
     r = full - np.tensordot(ap.jac, fr.gamma, 1) - ap.normal_part(full)
     return sup_gnorm(r, ap.gbar0)
 
@@ -367,16 +356,59 @@ def gauss_split_residual(ap, fr):
 
 def ambient_nearly_kahler_residual(ap):
     """Sup of (D_X fbar)Y + (D_Y fbar)X over an ambient frame at the image."""
-    eb = orthonormal_basis(ap.gbar0)
-    t = pair_form(ap.nabla_fbar.transpose(1, 0, 2), eb, eb)
+    t = pair_form(ap.nabla_fbar.transpose(1, 0, 2), ap.basis, ap.basis)
     return sup_gnorm(t + t.transpose(0, 2, 1), ap.gbar0)
+
+
+def _g_shaped(fr, mats):
+    """g(M_i X, Y) over all test pairs for each matrix M_i of ``mats``."""
+    V = fr.V
+    return pair_form(fr.g0, V @ mats.transpose(0, 2, 1), V)
+
+
+def _thsubm_shared(ap, fr):
+    """The parts of :func:`thsubm_check` that do not depend on the case."""
+    g0, xi0, eta0 = fr.g0, fr.xi0, fr.eta0
+    V = fr.V
+    a_mats = ap.shape_operators
+    hxx = h_matrix(ap, xi0)     # h_{N_i}(xi_j, xi_k)
+    hmat = h_matrix(ap, V)
+    etaV = eta0 @ V.T
+    res = {
+        "weingarten_duality": sup_abs(_g_shaped(fr, a_mats) - hmat),
+        "h_symmetric": sup_abs(hmat - hmat.transpose(0, 2, 1)),
+    }
+
+    # tangential part of the ambient identity against the induced sum, on
+    # every pair of coordinate directions (X, Y) = (e_A, e_B)
+    jv = ap.jac.T
+    t = pair_form(ap.nabla_fbar.transpose(1, 0, 2), jv, jv)
+    lhs_t = ap.tangent_part(t + t.transpose(0, 2, 1))
+    # (D_X f)Y + sum_i eta^i(X) A_i Y, then symmetrized in X and Y
+    dom = fr.nabla_f.transpose(1, 0, 2) + np.einsum("iA,ikB->kAB", eta0, a_mats)
+    dom = dom + dom.transpose(0, 2, 1) - 2.0 * np.tensordot(
+        xi0, ap.normal_coefficients(ap.coordinate_derivative), (0, 0)
+    )
+    res["tangential_expansion"] = sup_gnorm(
+        lhs_t - np.tensordot(ap.jac, dom, 1), ap.gbar0
+    )
+    return {
+        "aa_symmetry": sup_abs(hxx - hxx.transpose(1, 0, 2)),
+        "case_free": res,
+        "hmat": hmat,
+        # the Reeb part of both displays and of their shape operators:
+        # sum_jk h_{N_i}(xi_j, xi_k) eta^j(X) eta^k(Y), and xi_k eta^j
+        "disp": pair_form(hxx, etaV.T, etaV.T),
+        "a_disp": pair_form(hxx.transpose(0, 2, 1), xi0.T, eta0.T),
+    }
 
 
 def thsubm_check(ap, fr, case, tol_exact=TOL_EXACT):
     """Hypotheses and conclusion of the induced nearly-S/C criterion.
 
     ``ap`` is the ambient point and ``fr`` the induced pack's frame at the
-    same domain point.
+    same domain point; the parts both cases share are computed once per
+    frame.
 
     ``case="i"``: h_{N_i}(X,Y) = g(-f^2 X, Y) + sum_{j,k} h_{N_i}(xi_j,
     xi_k) eta^j(X) eta^k(Y) forces a weak nearly-S induced structure;
@@ -395,49 +427,21 @@ def thsubm_check(ap, fr, case, tol_exact=TOL_EXACT):
     """
     if case not in ("i", "ii"):
         raise ValueError("case must be 'i' or 'ii'")
-    sfd = second_fundamental_data(ap)
-    gate = ambient_nearly_kahler_residual(ap)
+    gate = ap.nearly_kahler_residual
     if gate > tol_exact:
         raise HypothesisNotMet("thsubm", "ambient_weak_nearly_kahler", gate)
-    g0, xi0, eta0, f0 = fr.g0, fr.xi0, fr.eta0, fr.f0
     V = fr.V
-    a_mats = np.array(sfd.A)
-
-    def g_shaped(mats):
-        """g(M_i X, Y) over all test pairs for each matrix M_i of ``mats``."""
-        return pair_form(g0, V @ mats.transpose(0, 2, 1), V)
-
-    hxx = h_matrix(ap, xi0)     # h_{N_i}(xi_j, xi_k)
-    res = {"aa_symmetry": sup_abs(hxx - hxx.transpose(1, 0, 2))}
-
-    hmat = fr.kept("h_matrix", V, lambda: h_matrix(ap, V))
-    etaV = eta0 @ V.T
-    disp = pair_form(hxx, etaV.T, etaV.T)
-    # the shape operators of the display: sum_jk h_{N_i}(xi_j, xi_k) xi_k eta^j
-    a_disp = pair_form(hxx.transpose(0, 2, 1), xi0.T, eta0.T)
+    shared = fr.kept("thsubm", V, lambda: _thsubm_shared(ap, fr))
+    disp, a_disp = shared["disp"], shared["a_disp"]
     if case == "i":
-        f2V = (V @ f0.T) @ f0.T
-        disp = disp - pair_form(g0, f2V, V)
-        a_disp = a_disp - f0 @ f0
-    res["h_display"] = sup_abs(hmat - disp)
-    res["shape_display_duality"] = sup_abs(g_shaped(a_disp) - disp)
-    res["weingarten_duality"] = sup_abs(g_shaped(a_mats) - hmat)
-    res["h_symmetric"] = sup_abs(hmat - hmat.transpose(0, 2, 1))
-
-    # tangential part of the ambient identity against the induced sum, on
-    # every pair of coordinate directions (X, Y) = (e_A, e_B)
-    jv = ap.jac.T
-    t = pair_form(ap.nabla_fbar.transpose(1, 0, 2), jv, jv)
-    lhs_t = ap.tangent_part(t + t.transpose(0, 2, 1))
-    # (D_X f)Y + sum_i eta^i(X) A_i Y, then symmetrized in X and Y
-    dom = fr.nabla_f.transpose(1, 0, 2) + np.einsum("iA,ikB->kAB", eta0, a_mats)
-    dom = dom + dom.transpose(0, 2, 1) - 2.0 * np.tensordot(
-        xi0, h_matrix(ap, np.eye(ap.sub.domain.dim)), (0, 0)
-    )
-    res["tangential_expansion"] = sup_gnorm(
-        lhs_t - np.tensordot(ap.jac, dom, 1), ap.gbar0
-    )
-
+        disp = disp - pair_form(fr.g0, nearly_s_terms(fr, V)[0], V)
+        a_disp = a_disp - fr.f0 @ fr.f0
+    res = {
+        "aa_symmetry": shared["aa_symmetry"],
+        "h_display": sup_abs(shared["hmat"] - disp),
+        "shape_display_duality": sup_abs(_g_shaped(fr, a_disp) - disp),
+        **shared["case_free"],
+    }
     if case == "i":
         res["conclusion_weak_nearly_S"] = nearly_s_residual(fr, V)
     else:

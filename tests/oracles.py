@@ -15,6 +15,7 @@ from weakf.calculus import (
     christoffel_from_jets,
     lie_metric_kernel,
     lie_tensor11_kernel,
+    metric_inverse,
     nabla_tensor11_kernel,
     riemann_from_jets,
 )
@@ -72,7 +73,14 @@ def _vec_jets(x, p, order=1):
 def christoffel(g, p):
     """Levi-Civita coefficients Gamma^k_ij of ``g`` at ``p``."""
     g0, g1 = g.jet(p, order=1)
-    return christoffel_from_jets(g0, g1, p)
+    return christoffel_from_jets(metric_inverse(g0, p), g1)
+
+
+def riemann(g, p):
+    """Riem[l,i,j,k] of ``g`` at ``p`` from its second jets."""
+    g0, g1, g2 = g.jet(p, order=2)
+    ginv = metric_inverse(g0, p)
+    return riemann_from_jets(ginv, christoffel_from_jets(ginv, g1), g1, g2)
 
 
 def nabla_vector(g, x, y, p):
@@ -183,17 +191,15 @@ def nijenhuis(s, x, y, p, mode="bracket", g=None):
 
 def curvature(g, x, y, z, p):
     """R(X,Y)Z at ``p``; tensorial, needs second metric derivatives."""
-    g0, g1, g2 = g.jet(p, order=2)
-    riem = riemann_from_jets(g0, g1, g2, p)
     return np.einsum(
-        "lijk,i,j,k->l", riem, x.value(p), y.value(p), z.value(p)
+        "lijk,i,j,k->l", riemann(g, p), x.value(p), y.value(p), z.value(p)
     )
 
 
 def sectional(g, x, y, p):
     """Sectional curvature of the plane spanned by X and Y at ``p``."""
-    g0, g1, g2 = g.jet(p, order=2)
-    riem = riemann_from_jets(g0, g1, g2, p)
+    riem = riemann(g, p)
+    g0 = g.value(p)
     x0 = x.value(p) if hasattr(x, "value") else np.asarray(x, dtype=float)
     y0 = y.value(p) if hasattr(y, "value") else np.asarray(y, dtype=float)
     return sectional_from_riemann(riem, g0, x0, y0)
@@ -293,12 +299,22 @@ def structure_tensors(pack, p, which, frame=None):
 
 
 def second_fundamental(sub, x, y, p):
-    """(h(X,Y) as an ambient normal vector, [A_i X] as domain tangents)."""
+    """(h(X,Y) as an ambient normal vector, [A_i X] as domain tangents).
+
+    Built for one pair of vectors from the embedding's second derivatives,
+    the normals' first derivatives and the ambient Christoffel symbols.
+    """
     ap = _AmbientPoint(sub, p)
-    h_vec = ap.normal_part(ap.ambient_derivative(x, y))
-    a_list = [
-        ap.to_domain(ap.tangent_part(-ap.normal_derivative(i, x)))
-        for i in range(sub.s)
-    ]
+    jx, jy = ap.jac @ x, ap.jac @ y
+    # ambient D_X of the pushed constant field Y
+    dxy = np.einsum("cab,a,b->c", ap.hess, x, y) + np.einsum(
+        "cab,a,b->c", ap.gammabar, jx, jy)
+    h_vec = ap.normal_part(dxy)
+    a_list = []
+    for i in range(sub.s):
+        # ambient D_X N_i
+        dn = ap.dnormals[i] @ x + np.einsum(
+            "cab,a,b->c", ap.gammabar, jx, ap.normals[i])
+        a_list.append(ap.to_domain(ap.tangent_part(-dn)))
     return h_vec, a_list
 

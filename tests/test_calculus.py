@@ -131,7 +131,7 @@ def test_christoffel_metric_compatibility(sphere2):
     for _ in range(5):
         p = interior_point(chart, rng)
         g0, g1 = g.jet(p, order=1)
-        gamma = calc.christoffel_from_jets(g0, g1)
+        gamma = calc.christoffel_from_jets(calc.metric_inverse(g0), g1)
         # d_k g_ij - gamma^l_{ki} g_lj - gamma^l_{kj} g_il
         comp = g1 - np.einsum("lki,lj->ijk", gamma, g0) - np.einsum(
             "lkj,il->ijk", gamma, g0
@@ -606,7 +606,9 @@ def test_riemann_matches_fd_oracle(sphere2):
     chart, g = sphere2
     p = np.array([0.9, 2.0])
     g0, g1, g2 = g.jet(p, order=2)
-    riem = calc.riemann_from_jets(g0, g1, g2)
+    ginv = calc.metric_inverse(g0)
+    riem = calc.riemann_from_jets(
+        ginv, calc.christoffel_from_jets(ginv, g1), g1, g2)
     oracle = fd_riemann(g, p)
     assert np.abs(riem - oracle).max() < 1e-5
 

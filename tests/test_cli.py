@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from weakf import catalog, cli
@@ -121,6 +122,17 @@ def test_non_finite_blend_angle_is_usage_error():
         assert proc.returncode == 2, t
         assert "blend angle t" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
+    # so is a non-finite Givens angle, named before numpy sees it
+    for theta in ("nan", "inf"):
+        proc = run_cli(["verify", "--example", "rotated_pack", "--param",
+                        f"rotation=givens:0:2:{theta}", "--samples", "2"])
+        assert proc.returncode == 2, theta
+        assert f"givens angle must be finite, got {theta}" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+    # and a rotation matrix with non-finite entries, which the orthogonality
+    # test alone would pass because NaN compares false
+    with pytest.raises(InvalidExample, match="must be finite"):
+        catalog.rotated_pack(n=1, rotation=np.full((2, 2), np.nan))
 
 
 def test_rejected_parameters_are_usage_errors():

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from weakf import charts, classifiers, fstructure, report, submanifold
+from weakf import calculus, charts, classifiers, fstructure, report, submanifold
 from weakf.catalog import hypersphere
 from weakf.fstructure import PackFrame, frame_axioms
 from weakf.jets import Jet
@@ -46,6 +46,26 @@ def _tracked(init, refs, counts, name):
         refs.append(weakref.ref(self))
         init(self, *args, **kwargs)
     return tracking_init
+
+
+def _counting(fn, counts, name, when=lambda *args: True):
+    """``fn`` that adds one to ``counts[name]`` per call that ``when`` accepts."""
+    def counted(*args, **kwargs):
+        counts[name] += bool(when(*args, **kwargs))
+        return fn(*args, **kwargs)
+    return counted
+
+
+def _counted_property(cls, attr, counts):
+    """Cached property ``cls.attr`` that counts its builds under ``attr``."""
+    prop = vars(cls)[attr]
+    rec = cached_property(_counting(prop.func, counts, attr))
+    rec.__set_name__(cls, attr)
+    return rec
+
+
+def _is_identity(ap, v):
+    return v.shape == (len(v), len(v)) and np.array_equal(v, np.eye(len(v)))
 
 
 def _recording(prop, picks, names, alive):
@@ -127,6 +147,17 @@ def counted_run():
             mp.setattr(PackFrame, attr, _recording(
                 vars(PackFrame)[attr], picks, names, alive))
         mp.setattr(submanifold, "_pullback", counting_pullback)
+        for name in ("metric_inverse", "christoffel_from_jets"):
+            mp.setattr(calculus, name, _counting(
+                getattr(calculus, name), counts, name))
+        mp.setattr(submanifold, "ambient_nearly_kahler_residual", _counting(
+            submanifold.ambient_nearly_kahler_residual, counts, "nearly_kahler"))
+        ap_cls = submanifold._AmbientPoint
+        mp.setattr(ap_cls, "shape_operators", _counted_property(
+            ap_cls, "shape_operators", counts))
+        mp.setattr(ap_cls, "ambient_derivative_pairs", _counting(
+            ap_cls.ambient_derivative_pairs, counts, "coordinate_pairs",
+            when=_is_identity))
         mp.setattr(submanifold, "h_matrix", counting_h_matrix)
         mp.setattr(charts.SmoothField, "jet", counting_jet)
         mp.setattr(report, "theorem_check", flagged_theorem_check)
@@ -206,6 +237,34 @@ def test_h_matrix_once_per_sample(counted_run):
     _, counts, _, _ = counted_run
     # both thsubm cases read h(V, V) at a point
     assert counts["h_matrix_on_V"] == SAMPLES
+
+
+def test_inverse_and_christoffel_once_per_metric(counted_run):
+    _, counts, _, _ = counted_run
+    # one g^-1 and Gamma for the induced metric, one for the ambient metric;
+    # the curvature reads the frame's
+    assert counts["metric_inverse"] == 2 * SAMPLES
+    assert counts["christoffel_from_jets"] == 2 * SAMPLES
+
+
+def test_ambient_point_quantities_once_per_sample(counted_run):
+    _, counts, _, _ = counted_run
+    # both thsubm cases read the shape operators and the gate; the Gauss
+    # split and the tangential expansion read D on coordinate pairs
+    assert counts["shape_operators"] == SAMPLES
+    assert counts["nearly_kahler"] == SAMPLES
+    assert counts["coordinate_pairs"] == SAMPLES
+
+
+def test_pack_metric_inverse_once_per_sample():
+    counts = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(calculus, "metric_inverse", _counting(
+            calculus.metric_inverse, counts, "metric_inverse"))
+        rep = run_suite(SuiteConfig(example="sasakian_s3", suites=SUITES,
+                                    samples=SAMPLES))
+    assert rep["overall"]["verdict"] == "pass"
+    assert counts["metric_inverse"] == SAMPLES
 
 
 def test_kept_residual_is_fresh_for_other_vectors():

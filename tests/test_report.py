@@ -2,12 +2,14 @@
 where a point's state is built."""
 
 import ast
+import hashlib
 from pathlib import Path
 
 import pytest
+from report_digests import CONFIGS, digest_lines
 
 import weakf
-from weakf import report
+from weakf import cli, report
 from weakf.errors import InvalidExample
 from weakf.report import SUITES, SuiteConfig, run_suite
 
@@ -117,3 +119,16 @@ def test_no_unplanned_multi_operand_einsum_in_src():
                     and node.func.attr == "einsum" and _unplanned_multi_operand(node)):
                 bad.append(f"{path.name}:{node.lineno}")
     assert bad == []
+
+
+def test_report_digests_match_the_command_line(capsys):
+    # the byte-identity tool hashes exactly what `weakf verify` prints
+    config = CONFIGS[0]
+    (line,) = digest_lines([config], samples=2, seeds=[42])
+    seed, json_sum, text_sum, argv = line.split(" ", 3)
+    assert (seed, argv) == ("42", config)
+    for fmt, expected in (("json", json_sum), ("text", text_sum)):
+        assert cli.main(["verify", *config.split(), "--samples", "2",
+                         "--seed", "42", "--format", fmt]) == 0
+        printed = capsys.readouterr().out
+        assert hashlib.sha256(printed.encode()).hexdigest() == expected, fmt

@@ -13,9 +13,9 @@ from weakf.submanifold import (
     frame_check,
     gauss_split_residual,
     induce_structure,
+    h_matrix,
     lemma_parallel_claim,
     require_valid_frame,
-    second_fundamental_data,
     thsubm_check,
 )
 
@@ -74,10 +74,11 @@ def test_second_fundamental_sphere_shape_operator():
     hn = float(ap.normals[0] @ ap.gbar0 @ h_vec)
     assert abs(hn + float(x @ g_out @ y)) <= 1e-12
     # inward normal flips the sign: h_N = +g
-    sfd = second_fundamental_data(_AmbientPoint(inward, p))
+    ap = _AmbientPoint(inward, p)
     g_in = induce_structure(inward).g.value(p)
-    assert abs(sfd.hN(0, x, y) - float(x @ g_in @ y)) <= 1e-12
-    assert np.abs(sfd.A[0] - np.eye(3)).max() <= 1e-12
+    assert abs(h_matrix(ap, np.array([x, y]))[0, 0, 1]
+               - float(x @ g_in @ y)) <= 1e-12
+    assert np.abs(ap.shape_operators[0] - np.eye(3)).max() <= 1e-12
 
 
 def test_second_fundamental_affine_subspace(cat_subspace):
@@ -98,16 +99,15 @@ def test_weingarten_duality_and_symmetry(cat_sphere):
     rng = np.random.default_rng(17)
     for p in sub.domain.sample(3, seed=17):
         ap = _AmbientPoint(sub, p)
-        sfd = second_fundamental_data(ap)
         g0 = induced.g.value(p)
         for _ in range(4):
             x = rng.standard_normal(3)
             y = rng.standard_normal(3)
-            hv = sfd.h(x, y)
-            assert np.abs(hv - sfd.h(y, x)).max() <= 1e-12
+            hv, _ = second_fundamental(sub, x, y, p)
+            assert np.abs(hv - second_fundamental(sub, y, x, p)[0]).max() <= 1e-12
             for i in range(sub.s):
                 lhs = float(ap.normals[i] @ ap.gbar0 @ hv)
-                rhs = float((sfd.A[i] @ x) @ g0 @ y)
+                rhs = float((ap.shape_operators[i] @ x) @ g0 @ y)
                 assert abs(lhs - rhs) <= TOL
 
 
@@ -155,11 +155,11 @@ def test_curved_ambient_gauss_and_weingarten():
     )
     q = np.array([0.4])
     ap = _AmbientPoint(horizontal, q)
-    sfd = second_fundamental_data(ap)
     x = np.array([1.0])
     g0 = ap.g0
-    assert abs(sfd.hN(0, x, x) - float((sfd.A[0] @ x) @ g0 @ x)) <= 1e-12
-    assert abs(sfd.hN(0, x, x)) > 1e-3
+    hxx = h_matrix(ap, x[None])[0, 0, 0]
+    assert abs(hxx - float((ap.shape_operators[0] @ x) @ g0 @ x)) <= 1e-12
+    assert abs(hxx) > 1e-3
 
 
 def test_thsubm_case_i_on_hypersphere(cat_sphere, sphere_induced):
@@ -175,8 +175,7 @@ def test_thsubm_case_i_on_hypersphere(cat_sphere, sphere_induced):
         assert res["tangential_expansion"] <= TOL
         assert res["conclusion_weak_nearly_S"] <= TOL
         # orientation pin: the inward normal gives h_N(xi, xi) = +1
-        sfd = second_fundamental_data(ap)
-        assert sfd.hN(0, fr.xi0[0], fr.xi0[0]) == pytest.approx(1.0, abs=1e-10)
+        assert h_matrix(ap, fr.xi0)[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
         # the other case's display must fail on a sphere
         res2 = thsubm_check(ap, fr, "ii")
         assert res2["h_display"] >= 0.5
