@@ -295,10 +295,16 @@ def _prop_normal(fr, tol):
     res["deta_f_swap"] = sup_abs(0.5 * fr.n2(V) - rhs)
     nxx = fr.nabla_xi_xi
     res["reeb_derivatives_in_d"] = sup_abs(nxx @ fr.eta0.T)
+    # eta^j([X, xi_i]) for X in D, extended as the section
+    # X - sum_k eta^k(X) xi_k of D: for X constant in the chart,
+    # eta^j([X, xi_i]) = eta^j(X^a d_a xi_i), and the extension adds
+    # sum_k eta^j(xi_k) xi_i(eta^k(X))
     db = fr.d_basis
-    brk = np.einsum("Aa,ika->ikA", db, fr.xi1)  # [X, xi_i], X constant in D
+    brk = np.einsum("Aa,ika->ikA", db, fr.xi1)
+    xi_eta_x = pair_form(fr.eta1, db, fr.xi0)  # [k, A, i] = xi_i(eta^k(X_A))
+    ext = np.tensordot(fr.eta0 @ fr.xi0.T, xi_eta_x, 1).transpose(2, 0, 1)
     res["d_brackets_stay_in_d"] = sup_abs(
-        np.einsum("jk,ikA->ijA", fr.eta0, brk)
+        np.einsum("jk,ikA->ijA", fr.eta0, brk) + ext
     )
     res["reeb_symmetric_geodesic"] = sup_gnorm(
         (nxx + nxx.transpose(1, 0, 2)).transpose(2, 0, 1), fr.g0

@@ -21,8 +21,8 @@ from weakf.calculus import (
 )
 from weakf.charts import SmoothField
 from weakf.errors import WeakfError
-from weakf.fstructure import PackFrame
-from weakf.jets import mat_mul, mat_vec
+from weakf.fstructure import PackFrame, StructurePack
+from weakf.jets import cos, mat_mul, mat_vec, sin
 from weakf.submanifold import _AmbientPoint
 
 
@@ -318,3 +318,74 @@ def second_fundamental(sub, x, y, p):
         a_list.append(ap.to_domain(ap.tangent_part(-dn)))
     return h_vec, a_list
 
+
+
+# -- reparametrized packs --------------------------------------------------------
+
+
+def _shear(m, row, col, t):
+    """The m x m identity with ``t`` at (row, col)."""
+    out = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
+    out[row][col] = t
+    return out
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def sheared_pack(pack, eps=0.3):
+    """``pack`` pulled back by the shear phi = S_b o S_a, where S_a adds
+    eps sin(u_l) to u_d and S_b adds eps sin(u_d) to u_l; d = 2n - 1 is the
+    last contact coordinate and l the last coordinate.
+
+    Both Jacobians are unipotent, so dphi = J_b J_a has the closed-form
+    inverse (I - a e_d e_l^T)(I - b e_l e_d^T) with a = eps cos(u_l) and
+    b = eps cos(phi_d). The pulled-back fields are g' = dphi^T g dphi,
+    f' = dphi^-1 f dphi, Q' = dphi^-1 Q dphi, xi' = dphi^-1 xi and
+    eta' = eta dphi, with the base fields read at phi(u). Every tensorial
+    identity holds on it exactly when it holds on ``pack``.
+    """
+    m, d, last = pack.dim, 2 * pack.n - 1, pack.dim - 1
+
+    def pulled(u):
+        """(phi(u), dphi, dphi^-1)."""
+        pd = u[d] + eps * sin(u[last])
+        phi = [*u[:d], pd, *u[d + 1:last], u[last] + eps * sin(pd)]
+        a, b = eps * cos(u[last]), eps * cos(pd)
+        jac = mat_mul(_shear(m, last, d, b), _shear(m, d, last, a))
+        inv = mat_mul(_shear(m, d, last, -a), _shear(m, last, d, -b))
+        return phi, jac, inv
+
+    def metric(u):
+        phi, jac, _ = pulled(u)
+        return mat_mul(_transpose(jac), mat_mul(pack.g.fn(phi), jac))
+
+    def conjugated(field):
+        def fn(u):
+            phi, jac, inv = pulled(u)
+            return mat_mul(inv, mat_mul(field.fn(phi), jac))
+        return SmoothField(pack.chart, "tensor11", fn, name=f"sheared_{field.name}")
+
+    def vector(field):
+        def fn(u):
+            phi, _, inv = pulled(u)
+            return mat_vec(inv, field.fn(phi))
+        return SmoothField(pack.chart, "vector", fn, name=f"sheared_{field.name}")
+
+    def oneform(field):
+        def fn(u):
+            phi, jac, _ = pulled(u)
+            return mat_vec(_transpose(jac), field.fn(phi))
+        return SmoothField(pack.chart, "oneform", fn, name=f"sheared_{field.name}")
+
+    return StructurePack(
+        chart=pack.chart,
+        f=conjugated(pack.f),
+        Q=conjugated(pack.Q),
+        xi=tuple(vector(x) for x in pack.xi),
+        eta=tuple(oneform(w) for w in pack.eta),
+        g=SmoothField(pack.chart, "metric", metric, name="sheared_metric"),
+        n=pack.n,
+        s=pack.s,
+    )

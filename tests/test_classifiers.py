@@ -1,8 +1,10 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from oracles import sheared_pack
 
+from weakf import catalog
 from weakf.charts import SmoothField
 from weakf.classifiers import (
     class_residual,
@@ -14,6 +16,7 @@ from weakf.classifiers import (
 )
 from weakf.errors import HypothesisNotMet
 from weakf.fstructure import PackFrame, StructurePack
+from weakf.report import SUITES, SuiteConfig, run_suite
 
 TOL = 1e-9
 
@@ -314,3 +317,29 @@ def test_symmetrized_residual_matches_diagonal(all_packs):
             )
             diag_norm = float(np.sqrt(2.0 * diag @ fr.g0 @ (2.0 * diag)))
             assert abs(pair - diag_norm) <= 1e-10
+
+
+@pytest.mark.parametrize("params", [{}, {"n": 1, "s": 2}])
+def test_sheared_flat_pack_keeps_every_verdict(params, monkeypatch):
+    """The report does not depend on the chart: the flat pack pulled back
+    by a nonlinear shear, on which the connection terms are not zero, gets
+    the flat pack's verdict on every entry."""
+    base = catalog.flat_pack(**params)
+    sheared = replace(base, obj=sheared_pack(base.obj))
+    monkeypatch.setitem(catalog.BUILDERS, "sheared_flat_pack", lambda: sheared)
+    p = base.chart.sample(1, seed=3)[0]
+    assert np.abs(PackFrame(sheared.obj, p).gamma).max() > 0.05
+
+    def verdicts(example, params):
+        rep = run_suite(SuiteConfig(example=example, params=params,
+                                    suites=SUITES, samples=4))
+        return {e["identity"]: e for entries in rep["suites"].values()
+                for e in entries}
+
+    got = verdicts("sheared_flat_pack", {})
+    want = verdicts("flat_pack", params)
+    assert {k: e["verdict"] for k, e in got.items()} == {
+        k: e["verdict"] for k, e in want.items()}
+    # the Reeb brackets with D are taken with X extended as a section of D;
+    # a coordinate-constant X leaves D off the point and reads ~1e-2 here
+    assert got["prop_normal.d_brackets_stay_in_d"]["max_residual"] <= 1e-14
