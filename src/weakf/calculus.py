@@ -42,8 +42,10 @@ def metric_inverse(g0, p=None):
 
 
 def _lowered_sum(g1):
-    """t[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij (with d_i g_jl = g1[j, l, i]);
-    its last axis may carry a further derivative index."""
+    """t[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij, with d_i g_jl = g1[j, l, i].
+
+    Trailing axes of ``g1``, such as a further derivative index, are kept.
+    """
     return (
         np.einsum("jli...->lij...", g1)
         + np.einsum("ilj...->lij...", g1)

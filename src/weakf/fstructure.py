@@ -223,8 +223,7 @@ class PackFrame:
         reeb = orthonormal_basis(self.g0, self.xi0, floor=1e-8)
         if len(reeb) < self.pack.s:
             raise RuntimeError("Reeb fields are linearly dependent")
-        rows = orthonormal_basis(self.g0, against=reeb, floor=1e-8,
-                                 limit=2 * self.pack.n)
+        rows = orthonormal_basis(self.g0, against=reeb, floor=1e-8)
         if len(rows) != 2 * self.pack.n:
             raise RuntimeError(
                 f"could not build a basis of the contact distribution "

@@ -24,20 +24,17 @@ def point_rng(seed, index, tag=0):
     return np.random.default_rng([int(seed), int(index), int(tag)])
 
 
-def orthonormal_basis(g0, vectors=None, against=(), floor=None, limit=None):
+def orthonormal_basis(g0, vectors=None, against=(), floor=None):
     """Gram-Schmidt of ``vectors`` (rows; the coordinate frame by default)
     with respect to ``g0``.
 
     Each vector is made g0-orthogonal to the rows of ``against`` and to the
     rows kept before it, then normalized. With a ``floor``, a vector whose
-    remainder has norm at most ``floor`` is dropped; the sweep stops after
-    ``limit`` rows. Returns the kept rows.
+    remainder has norm at most ``floor`` is dropped. Returns the kept rows.
     """
     basis = list(against)
     start = len(basis)
     for v in np.eye(len(g0)) if vectors is None else vectors:
-        if len(basis) - start == limit:
-            break
         for u in basis:
             v = v - (u @ g0 @ v) * u
         q = v @ g0 @ v
