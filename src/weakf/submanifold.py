@@ -368,8 +368,7 @@ def _g_shaped(fr, mats):
 
 def _thsubm_shared(ap, fr):
     """The parts of :func:`thsubm_check` that do not depend on the case."""
-    g0, xi0, eta0 = fr.g0, fr.xi0, fr.eta0
-    V = fr.V
+    xi0, eta0, V = fr.xi0, fr.eta0, fr.V
     a_mats = ap.shape_operators
     hxx = h_matrix(ap, xi0)     # h_{N_i}(xi_j, xi_k)
     hmat = h_matrix(ap, V)
