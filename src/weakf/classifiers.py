@@ -113,10 +113,15 @@ def normality_residual(fr, V):
     return sup_gnorm(fr.n1(V), fr.g0)
 
 
+@kept_per_frame
+def _killing_residuals(fr):
+    V = fr.V
+    return [sup_abs(pair_form(lie, V, V)) for lie in fr.lie_g_xi]
+
+
 def killing_residual(fr, i):
     """Sup-norm of (L_{xi_i} g) at the frame's point over its test vectors."""
-    V = fr.V
-    return sup_abs(pair_form(fr.lie_g_xi[i], V, V))
+    return _killing_residuals(fr)[i]
 
 
 # Each class is the conjunction of its parts: "axioms" stands for every

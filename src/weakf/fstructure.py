@@ -80,12 +80,18 @@ def kept_per_frame(compute):
 
 
 class PackFrame:
-    """All jets and test data of a pack at a single chart point."""
+    """All jets and test data of a pack at a single chart point.
 
-    def __init__(self, pack, p, seed=0, index=0):
+    A pack induced on an embedded submanifold takes the point's ambient
+    data as ``ambient`` (see :func:`weakf.submanifold.induce_structure`):
+    its jets, g^-1 and curvature are read from there.
+    """
+
+    def __init__(self, pack, p, seed=0, index=0, ambient=None):
         self.pack = pack
         self.p = np.asarray(p, dtype=float)
         self.m = pack.dim
+        self.ambient = ambient
         self._rng = point_rng(seed, index)
         self._kept = {}
 
@@ -93,11 +99,9 @@ class PackFrame:
 
     @cached_property
     def _jets(self):
-        """Order-1 (value, d1) of every field, fetched together at one point.
-
-        Induced packs evaluate all their fields in one pullback per point
-        and keep only the last one, so the fields are asked for back to back.
-        """
+        """Order-1 (value, d1) of every field at the frame's point."""
+        if self.ambient is not None:
+            return self.ambient.induced_jets
         pk, p = self.pack, self.p
 
         def stacked(fields):
@@ -124,11 +128,9 @@ class PackFrame:
     eta1 = property(lambda self: self._jets["eta"][1])
 
     @cached_property
-    def g2(self):
-        return self.pack.g.jet(self.p, order=2)[2]
-
-    @cached_property
     def ginv(self):
+        if self.ambient is not None:
+            return self._jets["ginv"]
         return calculus.metric_inverse(self.g0, self.p)
 
     @cached_property
@@ -137,7 +139,10 @@ class PackFrame:
 
     @cached_property
     def riemann(self):
-        return calculus.riemann_from_jets(self.ginv, self.gamma, self.g1, self.g2)
+        if self.ambient is not None:
+            return self.ambient.induced_riemann
+        g2 = self.pack.g.jet(self.p, order=2)[2]
+        return calculus.riemann_from_jets(self.ginv, self.gamma, self.g1, g2)
 
     # -- derived pointwise tensors -------------------------------------------
 
@@ -205,6 +210,9 @@ class PackFrame:
 
     @cached_property
     def tv(self):
+        # g^-1 first: it names an indefinite metric (point and smallest
+        # eigenvalue) before Gram-Schmidt meets a negative norm
+        self.ginv
         return build_test_vectors(self.g0, self._rng, distinguished=self.xi0)
 
     @property

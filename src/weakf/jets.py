@@ -5,9 +5,9 @@ Chart component functions are written against the math helpers exported here
 and on :class:`Jet` scalars. A ``Jet`` stores the value, the gradient and
 (optionally) the Hessian of a quantity with respect to the coordinates of
 one *lift*. Lifts nest: seeding a lift whose entries are themselves jets
-yields derivatives of derivative data, which is how pulled-back fields on
-embedded submanifolds obtain exact derivatives of their induced components
-(those depend on first derivatives of the embedding map).
+yields derivatives of derivative data. The package itself never nests (the
+induced structure of an embedding is differentiated in closed form); the
+test suite's independent pullback oracle does.
 
 Every lift carries a level tag so that nested lifts never mix their
 perturbations: a jet of a lower level behaves as a constant inside a higher
@@ -29,10 +29,6 @@ __all__ = [
     "exp",
     "log",
     "sqrt",
-    "mat_inv",
-    "mat_vec",
-    "mat_mul",
-    "dot",
 ]
 
 
@@ -278,45 +274,3 @@ def sqrt(x):
             lambda t: -0.25 / (t * sqrt(t)),
         )
     return math.sqrt(x)
-
-
-# -- small dense linear algebra over generic scalars --------------------------
-#
-# Needed by induced-field component functions, whose entries can be jets of
-# any level. Partial pivoting compares stripped float magnitudes only.
-
-
-def dot(u, v):
-    acc = u[0] * v[0]
-    for a, b in zip(u[1:], v[1:]):
-        acc = acc + a * b
-    return acc
-
-
-def mat_vec(a, v):
-    return [dot(row, v) for row in a]
-
-
-def mat_mul(a, b):
-    n = len(b[0])
-    return [[dot(row, [b[k][j] for k in range(len(b))]) for j in range(n)] for row in a]
-
-
-def mat_inv(a):
-    """Gauss-Jordan inverse of a small matrix of generic scalars."""
-    m = len(a)
-    aug = [list(row) + [1.0 if i == j else 0.0 for j in range(m)] for i, row in enumerate(a)]
-    for col in range(m):
-        piv = max(range(col, m), key=lambda r: abs(value_of(aug[r][col])))
-        if abs(value_of(aug[piv][col])) < 1e-14:
-            raise ZeroDivisionError("singular matrix in generic inverse")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1.0 / aug[col][col]
-        aug[col] = [e * inv_p for e in aug[col]]
-        for r in range(m):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if isinstance(factor, Jet) or factor != 0.0:
-                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[col])]
-    return [row[m:] for row in aug]

@@ -273,11 +273,13 @@ def _entry(identity, formula_key, agg, tol, counted, note=None, verdict=None):
 def run_suite(config):
     """Execute the configured suites and assemble the report dict.
 
-    Points are walked once. Each gets one :class:`PackFrame`, and one
-    ``_AmbientPoint`` if a submanifold bundle runs there; every bundle that
-    has not skipped is evaluated on them, then both are dropped. A failed
-    gate skips its bundle for good; any other exception, from the engine or
-    a component function, becomes an :class:`EvaluationFailure`.
+    Points are walked once. Each gets one :class:`PackFrame`, and on an
+    embedded example one ``_AmbientPoint``, from which the frame reads the
+    induced pack's jets; both are built with the first bundle that runs
+    there. Every bundle that has not skipped is evaluated on them, then
+    both are dropped. A failed gate skips its bundle for good; any other
+    exception, from the engine or a component function, becomes an
+    :class:`EvaluationFailure` naming the suite, the bundle and the point.
     """
     cat = make_example(config.example, **config.params)
     sub = None if cat.is_pack else cat.obj
@@ -293,13 +295,15 @@ def run_suite(config):
 
     chart = cat.chart
     for i, p in enumerate(chart.sample(config.samples, config.seed)):
-        fr, ap = PackFrame(pack, p, seed=config.seed, index=i), None
+        fr = ap = None
         for k, (suite, bundle) in enumerate(bundles):
             if skips[k] is not None:
                 continue
             try:
-                if suite == "submanifold" and ap is None:
-                    ap = _AmbientPoint(sub, p)
+                if fr is None:
+                    ap = None if sub is None else _AmbientPoint(sub, p)
+                    fr = PackFrame(pack, p, seed=config.seed, index=i,
+                                   ambient=ap)
                 res = bundle.evaluate(fr, ap)
             except HypothesisNotMet as exc:
                 skips[k] = (f"hypothesis failed: {exc.gate} "

@@ -14,10 +14,10 @@ inherits a weak metric f-structure
     f = fbar + sum_i gbar(fbar N_i, .) N_i,
     Q = -fbar^2 + sum_i gbar(fbar^2 N_i, .) N_i,
 
-pulled back to domain-chart components. Component functions of the induced
-fields are generic over jet scalars, so the induced metric carries exact
-derivatives of any requested order (they resolve into higher derivatives of
-the embedding through nested lifts).
+pulled back to domain-chart components. The induced fields take float
+points; their first derivatives come in closed form from the ambient data
+at the point (:class:`_AmbientPoint`), by the product rule, and the
+curvature of the induced metric from the Gauss equation.
 
 Second-fundamental-form conventions: ``h(X,Y)`` is the normal part of the
 ambient derivative of pushed-forward fields, the shape operator is
@@ -44,7 +44,7 @@ from .classifiers import (
 )
 from .errors import HypothesisNotMet, SetupRejected
 from .fstructure import StructurePack
-from .jets import Jet, dot, lift, mat_inv, mat_mul, mat_vec, parts, value_of
+from .jets import lift, parts
 from .sampling import orthonormal_basis, pair_form, sup_abs, sup_gnorm
 
 _FRAME_TOL = 1e-10
@@ -71,49 +71,132 @@ class EmbeddedSubmanifold:
             raise ValueError("ambient dimension must be 2n + 2s")
 
 
+def _lifted(fn, p, order, what):
+    """Value and partials of the generic component function ``fn`` at ``p``.
+
+    Returns ``order + 1`` float arrays shaped like the output of ``fn``,
+    with the derivative axes last. ``what`` names ``fn`` if they are not
+    finite.
+    """
+    m = len(p)
+    out = np.array(fn(lift([float(c) for c in p], order=order)), dtype=object)
+    pts = [parts(e, m, order) for e in out.flat]
+    arrays = [np.array([pt[k] for pt in pts], dtype=float).reshape(
+        out.shape + (m,) * k) for k in range(order + 1)]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise ValueError(f"non-finite jet of the {what} at "
+                         f"{tuple(float(c) for c in p)}")
+    return arrays
+
+
+def _product(a, b):
+    """``a @ b`` for matrices stacked on axis 0 as [value, d_1, ..., d_m].
+
+    A stack of one holds values only.
+    """
+    out = a[0] @ b
+    out[1:] += a[1:] @ b[0]
+    return out
+
+
+def _transposed(a):
+    return a.transpose(0, 2, 1)
+
+
+def _induced(jac, gbar, fbar, normals, p):
+    """The induced g, g^-1, f, Q, eta and xi at the domain point ``p``.
+
+    Every argument and result is stacked as in :func:`_product`. ``jac`` is
+    the embedding's Jacobian J (d, m), ``gbar`` and ``fbar`` are the ambient
+    metric and skew tensor along the image (d, d), and ``normals`` holds the
+    normals as columns (d, s). Then g = J^T gbar J, f = g^-1 J^T gbar fbar J,
+    Q = -g^-1 J^T gbar fbar^2 J, eta^i = (fbar N_i)^T gbar J and
+    xi_i = g^-1 eta^i (both as rows, [i, a]), with d(g^-1) = -g^-1 dg g^-1.
+    """
+    gj = _product(gbar, jac)            # lowered frame vectors gbar J
+    jg = _transposed(gj)
+    g = _product(_transposed(jac), gj)
+    ginv0 = calculus.metric_inverse(g[0], p)
+    ginv = np.concatenate([ginv0[None], -ginv0 @ g[1:] @ ginv0])
+    fj = _product(fbar, jac)
+    eta = _product(_transposed(_product(fbar, normals)), gj)
+    return {
+        "g": g,
+        "ginv": ginv,
+        "f": _product(ginv, _product(jg, fj)),
+        "q": -_product(ginv, _product(jg, _product(fbar, fj))),
+        "eta": eta,
+        "xi": _transposed(_product(ginv, _transposed(eta))),
+    }
+
+
 class _AmbientPoint:
     """Floating-point ambient data of the embedding at one domain point.
 
-    The runner builds one per sample point, next to the point's
-    :class:`~weakf.fstructure.PackFrame`, and every submanifold check takes
-    it as its first argument; only :func:`require_valid_frame` builds its
+    The runner builds one per sample point of an embedded example and hands
+    it to the point's :class:`~weakf.fstructure.PackFrame`, which reads the
+    induced pack's jets and curvature from it; every submanifold check takes
+    it as its first argument. Only :func:`require_valid_frame` builds its
     own.
     """
 
     def __init__(self, sub, p):
         self.sub = sub
-        p = np.asarray(p, dtype=float)
-        m = sub.domain.dim
-        co = lift([float(c) for c in p], order=2)
-        amb = sub.embedding(co)
-        iota, jac, hess = [], [], []
-        for a in amb:
-            v, g, h = parts(a, m, order=2, level=co[0].level)
-            iota.append(value_of(v))
-            jac.append([value_of(x) for x in g])
-            hess.append([[value_of(x) for x in row] for row in h])
-        self.iota = np.array(iota)
-        self.jac = np.array(jac)
-        self.hess = np.array(hess)
-        co1 = lift([float(c) for c in p], order=1)
-        nor = sub.normals(co1)
-        nvals, ngrads = [], []
-        for row in nor:
-            vrow, grow = [], []
-            for c in row:
-                v, g, _ = parts(c, m, order=1, level=co1[0].level)
-                vrow.append(value_of(v))
-                grow.append([value_of(x) for x in g])
-            nvals.append(vrow)
-            ngrads.append(grow)
-        self.normals = np.array(nvals)
-        self.dnormals = np.array(ngrads)
+        self.p = p = np.asarray(p, dtype=float)
+        self.iota, self.jac, self.hess = _lifted(sub.embedding, p, 2, "embedding")
+        self.normals, self.dnormals = _lifted(sub.normals, p, 1, "normals")
         self.gbar0, self.gbar1 = sub.ambient_metric.jet(self.iota, order=1)
-        self.gammabar = calculus.christoffel_from_jets(
-            calculus.metric_inverse(self.gbar0, self.iota), self.gbar1
-        )
+        self.ginvbar = calculus.metric_inverse(self.gbar0, self.iota)
+        self.gammabar = calculus.christoffel_from_jets(self.ginvbar, self.gbar1)
         self.fbar0, self.fbar1 = sub.ambient_skew.jet(self.iota, order=1)
-        self.g0 = self.jac.T @ self.gbar0 @ self.jac
+
+    @property
+    def g0(self):
+        """The induced metric at the point."""
+        return self.induced_jets["g"][0]
+
+    @cached_property
+    def induced_jets(self):
+        """Order-1 (value, d1) of the induced g, f, Q, xi and eta, and g^-1.
+
+        Laid out as :meth:`SmoothField.jet` lays them out (the derivative
+        index last; xi and eta stacked over the Reeb fields). Ambient fields
+        are differentiated along the image through J.
+        """
+        def stacked(v, d1):
+            return np.concatenate([v[None], np.moveaxis(d1, -1, 0)])
+
+        out = _induced(
+            stacked(self.jac, self.hess),
+            stacked(self.gbar0, self.gbar1 @ self.jac),
+            stacked(self.fbar0, self.fbar1 @ self.jac),
+            stacked(self.normals.T, self.dnormals.transpose(1, 0, 2)),
+            self.p,
+        )
+        jets = {k: (a[0], np.moveaxis(a[1:], 0, -1)) for k, a in out.items()}
+        jets["ginv"] = out["ginv"][0]
+        return jets
+
+    @cached_property
+    def induced_riemann(self):
+        """Riem[l,i,j,k] of the induced metric, from the Gauss equation
+
+        g(R(X,Y)Z, W) = gbar(Rbar(X,Y)Z, W) + gbar(h(Y,Z), h(X,W))
+                        - gbar(h(X,Z), h(Y,W)),
+
+        with Rbar from a second-order jet of gbar, taken here only. No
+        third derivative of the embedding is needed.
+        """
+        gbar2 = self.sub.ambient_metric.jet(self.iota, order=2)[2]
+        rbar = calculus.riemann_from_jets(
+            self.ginvbar, self.gammabar, self.gbar1, gbar2)
+        low = np.tensordot(self.gbar0, rbar, 1)     # [w, i, j, k], lowered
+        for _ in range(4):                          # each slot through J
+            low = np.tensordot(low, self.jac, (0, 0))
+        hn = self.normal_coefficients(self.coordinate_derivative)
+        hh = np.tensordot(hn, hn, (0, 0))           # [a, b, c, e]
+        low = low + np.einsum("jkiw->wijk", hh) - np.einsum("ikjw->wijk", hh)
+        return np.tensordot(self.induced_jets["ginv"], low, 1)
 
     # Ambient vectors are indexed by the leading axis: v[c] or v[c, ...].
 
@@ -222,65 +305,17 @@ def require_valid_frame(sub, p):
 # -- induced structure -----------------------------------------------------------
 
 
-def _point_key(coords):
-    """Memo key of a component-function argument: its point and lift order.
-
-    Plain float points (order 0, as :meth:`SmoothField.value` passes them)
-    and fresh lifts of float points (as :meth:`SmoothField.jet` makes them)
-    get a key. Any other argument, such as a nested lift, gets ``None`` and
-    is evaluated without the memo.
-    """
-    if all(isinstance(c, float) for c in coords):
-        return tuple(coords), 0
-    if not all(isinstance(c, Jet) and isinstance(c.val, float) for c in coords):
-        return None
-    point = tuple(c.val for c in coords)
-    order = 1 if coords[0].hess is None else 2
-    fresh = lift(list(point), order=order)
-    if any((c.level, c.grad, c.hess) != (f.level, f.grad, f.hess)
-           for c, f in zip(coords, fresh)):
-        return None
-    return point, order
-
-
-def _pullback(sub, coords, full):
-    """The induced g, and with ``full`` also eta, xi, f and Q, at ``coords``.
-
-    Entries of ``coords`` may be floats or jets of any level and the result
-    stays at the caller's level. The induced components depend on the first
-    derivatives of the embedding, which a nested order-1 lift supplies.
-    """
-    m = sub.domain.dim
-    d = sub.ambient.dim
-    inner = lift(list(coords), order=1)
-    lvl = inner[0].level
-    vals, jac = [], []
-    for a in sub.embedding(inner):
-        v, g, _ = parts(a, m, order=1, level=lvl)
-        vals.append(v)
-        jac.append(g)
-    gbar = sub.ambient_metric.fn(vals)
-    cols = [[jac[al][a] for al in range(d)] for a in range(m)]
-    # lowered frame vectors: gj[a] = gbar . (J e_a)
-    gj = [mat_vec(gbar, col) for col in cols]
-    out = {"g": [[dot(cols[b], gj[a]) for b in range(m)] for a in range(m)]}
-    if not full:
-        return out
-    fbar = sub.ambient_skew.fn(vals)
-    fn = [mat_vec(fbar, nrm) for nrm in sub.normals(list(coords))]
-    eta = [[dot(fn[i], gj[a]) for a in range(m)] for i in range(sub.s)]
-    ginv = mat_inv(out["g"])
-    fcols = [mat_vec(fbar, col) for col in cols]
-    f2cols = [mat_vec(fbar, fcol) for fcol in fcols]
-    out["eta"] = eta
-    out["xi"] = [mat_vec(ginv, row) for row in eta]
-    out["f"] = mat_mul(
-        ginv, [[dot(gj[c], fcols[b]) for b in range(m)] for c in range(m)]
-    )
-    out["q"] = mat_mul(
-        ginv, [[-dot(gj[c], f2cols[b]) for b in range(m)] for c in range(m)]
-    )
-    return out
+def _induced_values(sub, coords):
+    """Values of the induced g, g^-1, f, Q, eta and xi at a float point."""
+    if not all(isinstance(c, float) for c in coords):
+        raise TypeError(
+            "induced fields are evaluated at float points; a PackFrame of an "
+            "induced pack reads their jets from the point's _AmbientPoint")
+    iota, jac = _lifted(sub.embedding, coords, 1, "embedding")
+    normals = np.array(sub.normals(coords), dtype=float)
+    out = _induced(jac[None], sub.ambient_metric.value(iota)[None],
+                   sub.ambient_skew.value(iota)[None], normals.T[None], coords)
+    return {k: a[0] for k, a in out.items()}
 
 
 def induce_structure(sub, validate=True):
@@ -290,47 +325,32 @@ def induce_structure(sub, validate=True):
     the setup rejected on violation; the full residual suite is the real
     verdict.
 
-    The induced fields share one evaluation per point: the pack keeps the
-    last one, keyed by the point and the lift, so fetching g, f, Q, xi and
-    eta at one point and order runs the embedding, the ambient fields and
-    the inverse of g once. An order-2 lift, which only the curvature of g
-    needs, evaluates g alone unless another field asks for it.
+    The induced fields give values only (:meth:`SmoothField.value`). A
+    :class:`~weakf.fstructure.PackFrame` of the pack takes the point's
+    :class:`_AmbientPoint` and reads every jet, g^-1 and the curvature from
+    it.
     """
     if validate:
         mid = np.array([0.5 * (lo + hi) for lo, hi in sub.domain.box])
         require_valid_frame(sub, mid)
 
-    last = [None, None]     # key, pieces
-
-    def pieces(coords, piece):
-        key = _point_key(coords)
-        full = piece != "g" or (key is not None and key[1] < 2)
-        if key is None:
-            return _pullback(sub, coords, full)
-        if last[0] != key or piece not in last[1]:
-            last[:] = key, _pullback(sub, coords, full)
-        return last[1]
-
-    def square(piece):
-        return lambda coords: [list(r) for r in pieces(coords, piece)[piece]]
-
-    def row(piece, i):
-        return lambda coords: list(pieces(coords, piece)[piece][i])
+    def piece(name, *row):
+        return lambda coords: _induced_values(sub, coords)[name][row]
 
     dom = sub.domain
     return StructurePack(
         chart=dom,
-        f=SmoothField(dom, "tensor11", square("f"), name="induced_f"),
-        Q=SmoothField(dom, "tensor11", square("q"), name="induced_Q"),
+        f=SmoothField(dom, "tensor11", piece("f"), name="induced_f"),
+        Q=SmoothField(dom, "tensor11", piece("q"), name="induced_Q"),
         xi=tuple(
-            SmoothField(dom, "vector", row("xi", i), name=f"induced_xi_{i + 1}")
+            SmoothField(dom, "vector", piece("xi", i), name=f"induced_xi_{i + 1}")
             for i in range(sub.s)
         ),
         eta=tuple(
-            SmoothField(dom, "oneform", row("eta", i), name=f"induced_eta_{i + 1}")
+            SmoothField(dom, "oneform", piece("eta", i), name=f"induced_eta_{i + 1}")
             for i in range(sub.s)
         ),
-        g=SmoothField(dom, "metric", square("g"), name="induced_metric"),
+        g=SmoothField(dom, "metric", piece("g"), name="induced_metric"),
         n=sub.n,
         s=sub.s,
     )

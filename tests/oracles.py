@@ -22,7 +22,7 @@ from weakf.calculus import (
 from weakf.charts import SmoothField
 from weakf.errors import WeakfError
 from weakf.fstructure import PackFrame, StructurePack
-from weakf.jets import cos, mat_mul, mat_vec, sin
+from weakf.jets import Jet, cos, lift, parts, sin, value_of
 from weakf.submanifold import _AmbientPoint
 
 
@@ -318,6 +318,129 @@ def second_fundamental(sub, x, y, p):
         a_list.append(ap.to_domain(ap.tangent_part(-dn)))
     return h_vec, a_list
 
+
+
+# -- small dense linear algebra over generic scalars ------------------------------
+#
+# Entries can be floats or jets of any level. Partial pivoting compares
+# stripped float magnitudes only.
+
+
+def dot(u, v):
+    acc = u[0] * v[0]
+    for a, b in zip(u[1:], v[1:]):
+        acc = acc + a * b
+    return acc
+
+
+def mat_vec(a, v):
+    return [dot(row, v) for row in a]
+
+
+def mat_mul(a, b):
+    n = len(b[0])
+    return [[dot(row, [b[k][j] for k in range(len(b))]) for j in range(n)] for row in a]
+
+
+def mat_inv(a):
+    """Gauss-Jordan inverse of a small matrix of generic scalars."""
+    m = len(a)
+    aug = [list(row) + [1.0 if i == j else 0.0 for j in range(m)] for i, row in enumerate(a)]
+    for col in range(m):
+        piv = max(range(col, m), key=lambda r: abs(value_of(aug[r][col])))
+        if abs(value_of(aug[piv][col])) < 1e-14:
+            raise ZeroDivisionError("singular matrix in generic inverse")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv_p = 1.0 / aug[col][col]
+        aug[col] = [e * inv_p for e in aug[col]]
+        for r in range(m):
+            if r == col:
+                continue
+            factor = aug[r][col]
+            if isinstance(factor, Jet) or factor != 0.0:
+                aug[r] = [e - factor * p for e, p in zip(aug[r], aug[col])]
+    return [row[m:] for row in aug]
+
+
+# -- induced structure through nested lifts ----------------------------------------
+
+
+def nested_pullback(sub, coords, full=True):
+    """The induced g, and with ``full`` also eta, xi, f and Q, at ``coords``.
+
+    Entries of ``coords`` may be floats or jets of any level and the result
+    stays at the caller's level: the induced components depend on the first
+    derivatives of the embedding, which a nested order-1 lift supplies. This
+    is generic jet arithmetic, independent of the closed form in
+    ``weakf.submanifold``.
+    """
+    m = sub.domain.dim
+    d = sub.ambient.dim
+    inner = lift(list(coords), order=1)
+    lvl = inner[0].level
+    vals, jac = [], []
+    for a in sub.embedding(inner):
+        v, g, _ = parts(a, m, order=1, level=lvl)
+        vals.append(v)
+        jac.append(g)
+    gbar = sub.ambient_metric.fn(vals)
+    cols = [[jac[al][a] for al in range(d)] for a in range(m)]
+    # lowered frame vectors: gj[a] = gbar . (J e_a)
+    gj = [mat_vec(gbar, col) for col in cols]
+    out = {"g": [[dot(cols[b], gj[a]) for b in range(m)] for a in range(m)]}
+    if not full:
+        return out
+    fbar = sub.ambient_skew.fn(vals)
+    fn = [mat_vec(fbar, nrm) for nrm in sub.normals(list(coords))]
+    eta = [[dot(fn[i], gj[a]) for a in range(m)] for i in range(sub.s)]
+    ginv = mat_inv(out["g"])
+    fcols = [mat_vec(fbar, col) for col in cols]
+    f2cols = [mat_vec(fbar, fcol) for fcol in fcols]
+    out["eta"] = eta
+    out["xi"] = [mat_vec(ginv, row) for row in eta]
+    out["f"] = mat_mul(
+        ginv, [[dot(gj[c], fcols[b]) for b in range(m)] for c in range(m)]
+    )
+    out["q"] = mat_mul(
+        ginv, [[-dot(gj[c], f2cols[b]) for b in range(m)] for c in range(m)]
+    )
+    return out
+
+
+def nested_induced_pack(sub):
+    """The induced pack of ``sub`` with generic component functions.
+
+    Its fields have jets of every order by :func:`nested_pullback`, so the
+    field-level calculus applies to it directly; the metric evaluates g
+    alone.
+    """
+    def square(piece):
+        return lambda u: nested_pullback(sub, u, piece != "g")[piece]
+
+    def row(piece, i):
+        return lambda u: nested_pullback(sub, u)[piece][i]
+
+    dom = sub.domain
+    return StructurePack(
+        chart=dom,
+        f=SmoothField(dom, "tensor11", square("f"), name="nested_f"),
+        Q=SmoothField(dom, "tensor11", square("q"), name="nested_Q"),
+        xi=tuple(SmoothField(dom, "vector", row("xi", i), name=f"nested_xi_{i + 1}")
+                 for i in range(sub.s)),
+        eta=tuple(SmoothField(dom, "oneform", row("eta", i), name=f"nested_eta_{i + 1}")
+                  for i in range(sub.s)),
+        g=SmoothField(dom, "metric", square("g"), name="nested_metric"),
+        n=sub.n,
+        s=sub.s,
+    )
+
+
+def frame(pack, p, sub=None, **kwargs):
+    """``PackFrame(pack, p)``; with the submanifold ``sub`` of an induced
+    pack, the frame takes the ambient point at ``p``, as the runner builds
+    it."""
+    ambient = None if sub is None else _AmbientPoint(sub, p)
+    return PackFrame(pack, p, ambient=ambient, **kwargs)
 
 
 # -- reparametrized packs --------------------------------------------------------

@@ -5,13 +5,25 @@ the commit before it and on the commit itself and comparing the output:
 
     PYTHONPATH=src python tests/report_digests.py --samples 50 --seeds 42,7
 
-Each configuration is a ``weakf verify`` argument list; the report is built
-once and rendered in both formats.
+A change to the arithmetic must keep every verdict and move residuals by at
+most 1e-14. Dump the JSON reports of both commits and compare them:
+
+    PYTHONPATH=src python tests/report_digests.py --dump before   # old commit
+    PYTHONPATH=src python tests/report_digests.py --dump after    # new commit
+    PYTHONPATH=src python tests/report_digests.py --compare before after
+
+``--compare`` prints, per configuration, the verdict changes and the
+largest |delta| of any residual, and exits 1 on a verdict change or a delta
+above 1e-14. Each configuration is a ``weakf verify`` argument list; the
+report is built once and rendered in both formats.
 """
 
 import argparse
 import hashlib
+import json
+import re
 import sys
+from pathlib import Path
 
 from weakf import cli
 from weakf.report import SUITES, SuiteConfig, render_json, render_text, run_suite
@@ -62,15 +74,79 @@ def digest_lines(configs, samples, seeds):
             yield f"{seed} {sums[0]} {sums[1]} {config}"
 
 
+def report_name(seed, config):
+    """File name of one configuration's dumped report."""
+    return f"{seed}-" + re.sub(r"[^A-Za-z0-9.=-]+", "_", config).strip("_-") + ".json"
+
+
+def dump_reports(out, configs, samples, seeds):
+    """Write the JSON report of each configuration and seed under ``out``."""
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    for seed in seeds:
+        for config in configs:
+            text = report_texts(config.split(), samples, seed)[0]
+            (out / report_name(seed, config)).write_text(text, encoding="utf-8")
+
+
+RESIDUAL_TOL = 1e-14
+
+
+def _entries(path):
+    report = json.loads(path.read_text(encoding="utf-8"))
+    return {(suite, e["identity"]): e
+            for suite, entries in report["suites"].items() for e in entries}
+
+
+def compare_reports(before, after):
+    """Per report file: (name, changed identities, max |delta residual|)."""
+    before, after = Path(before), Path(after)
+    names = sorted({p.name for p in before.glob("*.json")}
+                   | {p.name for p in after.glob("*.json")})
+    for name in names:
+        if not (before / name).is_file() or not (after / name).is_file():
+            yield name, ["<report missing>"], float("inf")
+            continue
+        old, new = _entries(before / name), _entries(after / name)
+        changed = sorted(".".join(key) for key in old.keys() | new.keys()
+                         if key not in old or key not in new
+                         or old[key]["verdict"] != new[key]["verdict"])
+        delta = 0.0
+        for key in old.keys() & new.keys():
+            for field in ("max_residual", "mean_residual"):
+                a, b = old[key][field], new[key][field]
+                if a is not None and b is not None:
+                    delta = max(delta, abs(a - b))
+        yield name, changed, delta
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--samples", type=int, default=50)
     parser.add_argument("--seeds", default="42,7",
                         help="comma list of seeds (default 42,7)")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--dump", metavar="DIR",
+                      help="write each configuration's JSON report to DIR")
+    mode.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                      help="compare the reports dumped to A and B")
     args = parser.parse_args(argv)
+    if args.compare:
+        bad = 0
+        for name, changed, delta in compare_reports(*args.compare):
+            print(f"{name}: {len(changed)} verdict changes, "
+                  f"max |delta residual| {delta:.2e}")
+            for identity in changed:
+                print(f"  changed: {identity}")
+            bad += bool(changed) or delta > RESIDUAL_TOL
+        return 1 if bad else 0
     seeds = [int(s) for s in args.seeds.split(",")]
+    if args.dump:
+        dump_reports(args.dump, CONFIGS, args.samples, seeds)
+        return 0
     for line in digest_lines(CONFIGS, args.samples, seeds):
         print(line, flush=True)
+    return 0
 
 
 if __name__ == "__main__":

@@ -52,25 +52,25 @@ def criterion(num, desc):
     print(f"[criterion {num:02d}] PASS  {desc}")
 
 
-def _axioms_worst(pack, points=POINTS, seed=SEED):
+def _axioms_worst(pack, points=POINTS, seed=SEED, sub=None):
     worst = 0.0
     for i, p in enumerate(pack.chart.sample(points, seed)):
-        fr = PackFrame(pack, p, seed=seed, index=i)
+        fr = oracles.frame(pack, p, sub, seed=seed, index=i)
         worst = max(worst, max(axioms_residual(fr).values()))
     return worst
 
 
-def test_criterion_01_axiom_suite(sphere_induced):
+def test_criterion_01_axiom_suite(cat_sphere, sphere_induced):
     packs = {
-        "flat_pack": flat_pack().obj,
-        "rotated_pack": rotated_pack(t=0.1).obj,
-        "product_pack": product_pack().obj,
-        "sasakian_s3": sasakian_s3().obj,
-        "hypersphere_induced": sphere_induced,
+        "flat_pack": (flat_pack().obj, None),
+        "rotated_pack": (rotated_pack(t=0.1).obj, None),
+        "product_pack": (product_pack().obj, None),
+        "sasakian_s3": (sasakian_s3().obj, None),
+        "hypersphere_induced": (sphere_induced, cat_sphere.obj),
     }
     with criterion(1, "axiom residuals <= 1e-9 on 50 seeded points per pack"):
-        for name, pack in packs.items():
-            worst = _axioms_worst(pack)
+        for name, (pack, sub) in packs.items():
+            worst = _axioms_worst(pack, sub=sub)
             assert worst <= TOL, (name, worst)
 
 
@@ -159,17 +159,19 @@ def test_criterion_07_submanifold_suite(sphere_induced, subspace_induced):
         7, "hypersphere: induced axioms <= 1e-10, case-i hypotheses and "
            "nearly-S conclusion; linear subspace: case ii and nearly-C"
     ):
-        worst = _axioms_worst(sphere_induced, points=POINTS)
+        worst = _axioms_worst(sphere_induced, points=POINTS, sub=sphere)
         assert worst <= 1e-10
         for i, p in enumerate(sphere.domain.sample(10, SEED)):
-            fr = PackFrame(sphere_induced, p, seed=SEED, index=i)
-            res = thsubm_check(_AmbientPoint(sphere, p), fr, "i")
+            ap = _AmbientPoint(sphere, p)
+            fr = PackFrame(sphere_induced, p, seed=SEED, index=i, ambient=ap)
+            res = thsubm_check(ap, fr, "i")
             assert res["aa_symmetry"] <= TOL
             assert res["h_display"] <= TOL
             assert res["conclusion_weak_nearly_S"] <= TOL
         for i, p in enumerate(subspace.domain.sample(10, SEED)):
-            fr = PackFrame(subspace_induced, p, seed=SEED, index=i)
-            res = thsubm_check(_AmbientPoint(subspace, p), fr, "ii")
+            ap = _AmbientPoint(subspace, p)
+            fr = PackFrame(subspace_induced, p, seed=SEED, index=i, ambient=ap)
+            res = thsubm_check(ap, fr, "ii")
             assert res["aa_symmetry"] <= TOL
             assert res["h_display"] <= TOL
             assert res["conclusion_weak_nearly_C"] <= TOL

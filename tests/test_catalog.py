@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from weakf.catalog import (
     BUILDERS,
     ExampleSpec,
@@ -14,7 +15,6 @@ from weakf.catalog import (
 )
 from weakf.classifiers import class_residual
 from weakf.errors import InvalidExample
-from weakf.fstructure import PackFrame
 from weakf.report import SuiteConfig, render_json, run_suite
 from weakf.submanifold import induce_structure
 
@@ -143,10 +143,11 @@ def test_declared_class_table_full_catalog():
     ]
     for cat in cats:
         pack = cat.obj if cat.is_pack else induce_structure(cat.obj)
+        sub = None if cat.is_pack else cat.obj
         for tag in cat.declared_classes:
             worst = 0.0
             for i, p in enumerate(pack.chart.sample(3, seed=11)):
-                fr = PackFrame(pack, p, seed=11, index=i)
+                fr = oracles.frame(pack, p, sub, seed=11, index=i)
                 val, _ = class_residual(pack, p, tag, frame=fr)
                 worst = max(worst, val)
             assert worst <= 1e-9, (cat.name, tag, worst)

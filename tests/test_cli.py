@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weakf import catalog, cli
-from weakf.charts import SmoothField
+from weakf.charts import SmoothField, constant_field
 from weakf.errors import InvalidExample
 from weakf.jets import sqrt
 from weakf.report import EvaluationFailure, SuiteConfig
@@ -177,6 +177,46 @@ def test_component_function_error_exits_three(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "axioms[point" in err
     assert "ValueError: math domain error" in err
+
+
+@pytest.mark.parametrize("suites, where", [("all", "axioms[point"),
+                                           ("submanifold", "submanifold.frame[point")])
+def test_failing_embedding_is_named_and_exits_three(monkeypatch, capsys,
+                                                    suites, where):
+    # an embedding that leaves its domain on part of the chart: the frame
+    # reads the induced jets from the ambient point, which is built inside
+    # the first bundle that runs at the point
+    def bad_sphere():
+        cat = catalog.hypersphere(n=1)
+        emb = cat.obj.embedding
+        sub = dataclasses.replace(
+            cat.obj, embedding=lambda u: [c * sqrt(u[0] - 0.8) for c in emb(u)])
+        return dataclasses.replace(cat, obj=sub)
+
+    monkeypatch.setitem(catalog.BUILDERS, "bad_sphere", bad_sphere)
+    code = cli.main(["verify", "--example", "bad_sphere", "--suites", suites,
+                     "--samples", "8"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert where in err
+    assert "ValueError: math domain error" in err
+
+
+@pytest.mark.parametrize("suites", ["axioms", "classes"])
+def test_indefinite_metric_is_named_and_exits_three(monkeypatch, capsys, suites):
+    def indefinite_pack():
+        cat = catalog.flat_pack(n=1, s=1)
+        g = constant_field(cat.obj.chart, "metric", np.diag([1.0, -1.0, 1.0]))
+        return dataclasses.replace(cat, obj=dataclasses.replace(cat.obj, g=g))
+
+    monkeypatch.setitem(catalog.BUILDERS, "indefinite_pack", indefinite_pack)
+    code = cli.main(["verify", "--example", "indefinite_pack", "--suites",
+                     suites, "--samples", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{suites}" in err and "[point 0]" in err
+    assert "DegenerateMetricError: degenerate metric at (" in err
+    assert "smallest eigenvalue -1.000e+00" in err
 
 
 def test_json_byte_identical_across_runs():

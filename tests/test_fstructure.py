@@ -25,10 +25,10 @@ def _replace(pack, **kw):
     return StructurePack(**fields)
 
 
-def _axioms_max(pack, count=5, seed=3):
+def _axioms_max(pack, count=5, seed=3, sub=None):
     worst = {}
     for i, p in enumerate(pack.chart.sample(count, seed)):
-        fr = PackFrame(pack, p, seed=seed, index=i)
+        fr = oracles.frame(pack, p, sub, seed=seed, index=i)
         for k, v in axioms_residual(fr).items():
             worst[k] = max(worst.get(k, 0.0), v)
     return worst
@@ -40,9 +40,11 @@ def test_axioms_pass_on_catalog_packs(all_packs):
         assert max(worst.values()) <= TOL, (cat.name, worst)
 
 
-def test_axioms_pass_on_induced_packs(sphere_induced, subspace_induced):
-    for pack in (sphere_induced, subspace_induced):
-        worst = _axioms_max(pack, count=3)
+def test_axioms_pass_on_induced_packs(cat_sphere, sphere_induced,
+                                      cat_subspace, subspace_induced):
+    for cat, pack in ((cat_sphere, sphere_induced),
+                      (cat_subspace, subspace_induced)):
+        worst = _axioms_max(pack, count=3, sub=cat.obj)
         assert max(worst.values()) <= 1e-10
 
 

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import mat_inv, mat_vec
 from weakf.jets import (
     Jet,
     cos,
     exp,
     lift,
     log,
-    mat_inv,
-    mat_vec,
     parts,
     sin,
     sqrt,

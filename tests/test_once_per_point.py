@@ -8,10 +8,10 @@ from functools import cached_property
 import numpy as np
 import pytest
 
+import oracles
 from weakf import calculus, charts, classifiers, fstructure, report, submanifold
 from weakf.catalog import hypersphere
 from weakf.fstructure import PackFrame, frame_axioms
-from weakf.jets import Jet
 from weakf.report import SUITES, SuiteConfig, run_suite
 
 SAMPLES = 3
@@ -27,13 +27,6 @@ FRAME_ARRAYS = {
     "nabla_q": {"nabla_q": lambda a: a},
     "nabla_xi": {"nabla_xi": lambda a: a},
 }
-
-
-def _lift_order(coords):
-    c = coords[0]
-    if not isinstance(c, Jet):
-        return 0
-    return 1 if c.hess is None else 2
 
 
 def _tracked(init, refs, counts, name):
@@ -91,21 +84,17 @@ def counted_run():
     alive = []                  # keeps arrays alive so that ids stay unique
     inside_theorems = [0]
 
-    pullback = submanifold._pullback
     jet = charts.SmoothField.jet
     theorem_check = report.theorem_check
     h_matrix = submanifold.h_matrix
 
-    def counting_pullback(sub, coords, full):
-        order = _lift_order(coords)
-        counts[f"pullback_o{order}"] += 1
-        counts[f"pullback_o{order}_full"] += full
-        if order == 2 and not inside_theorems[0]:
-            counts["order2_outside_theorems"] += 1
-        return pullback(sub, coords, full)
-
     def counting_jet(self, p, order=2):
         jet_keys[id(self), order, tuple(float(c) for c in p)] += 1
+        counts["induced_jets"] += self.name.startswith("induced_")
+        if order == 2:
+            where = "inside" if inside_theorems[0] else "outside"
+            counts[f"order2_{where}_theorems"] += 1
+            counts[f"order2_field:{self.name}"] += 1
         return jet(self, p, order)
 
     def flagged_theorem_check(*args, **kwargs):
@@ -146,7 +135,6 @@ def counted_run():
         for attr, picks in FRAME_ARRAYS.items():
             mp.setattr(PackFrame, attr, _recording(
                 vars(PackFrame)[attr], picks, names, alive))
-        mp.setattr(submanifold, "_pullback", counting_pullback)
         for name in ("metric_inverse", "christoffel_from_jets"):
             mp.setattr(calculus, name, _counting(
                 getattr(calculus, name), counts, name))
@@ -185,18 +173,50 @@ def test_one_ambient_build_per_sample(counted_run):
 
 def test_one_order1_pullback_per_sample(counted_run):
     _, counts, jet_keys, _ = counted_run
-    assert counts["pullback_o1"] == SAMPLES
-    assert counts["pullback_o0"] == 0
+    # the induced pack's jets come in closed form from the one ambient point
+    # per sample: no induced field is differentiated by SmoothField.jet
+    assert counts["ambient"] == SAMPLES
+    assert counts["induced_jets"] == 0
     # every field is asked for once per point and order
     assert jet_keys and max(jet_keys.values()) == 1
 
 
 def test_order2_pullback_only_inside_theorem_checks(counted_run):
     _, counts, _, _ = counted_run
-    # thm32_chain runs on the Sasakian hypersphere: g alone, once per sample
-    assert counts["pullback_o2"] == SAMPLES
-    assert counts["pullback_o2_full"] == 0
+    # thm32_chain runs on the Sasakian hypersphere: the Gauss equation takes
+    # one order-2 jet of the ambient metric per sample, inside the check
+    assert counts["order2_inside_theorems"] == SAMPLES
     assert counts["order2_outside_theorems"] == 0
+    assert {k for k in counts if k.startswith("order2_field:")} == {
+        "order2_field:euclidean"}
+
+
+def test_killing_residual_once_per_frame():
+    # the f_K_contact class, prop1 and the gates of fk_contact_nabla and
+    # thm32_chain all read (L_xi g)(V, V) on sasakian_s3 (s = 1)
+    lie, counts = [], Counter()
+    prop = vars(PackFrame)["lie_g_xi"]
+
+    def recording(fr):
+        lie.append(prop.func(fr))
+        return lie[-1]
+
+    def counting_pair_form(t, X, Y):
+        counts["killing"] += any(
+            t is a or getattr(t, "base", None) is a for a in lie)
+        return pair_form(t, X, Y)
+
+    rec = cached_property(recording)
+    rec.__set_name__(PackFrame, "lie_g_xi")
+    pair_form = classifiers.pair_form
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PackFrame, "lie_g_xi", rec)
+        mp.setattr(classifiers, "pair_form", counting_pair_form)
+        rep = run_suite(SuiteConfig(example="sasakian_s3", suites=SUITES,
+                                    samples=SAMPLES))
+    assert rep["overall"]["verdict"] == "pass"
+    assert len(lie) == SAMPLES
+    assert counts["killing"] == SAMPLES
 
 
 def test_one_point_state_alive_at_a_time(counted_run):
@@ -268,9 +288,10 @@ def test_pack_metric_inverse_once_per_sample():
 
 
 def test_kept_residual_is_fresh_for_other_vectors():
-    pack = submanifold.induce_structure(hypersphere(n=1).obj, validate=False)
+    sub = hypersphere(n=1).obj
+    pack = submanifold.induce_structure(sub, validate=False)
     p = pack.chart.sample(1, seed=5)[0]
-    fr = PackFrame(pack, p, seed=5)
+    fr = oracles.frame(pack, p, sub, seed=5)
     residual = classifiers.nearly_c_residual
     own = residual(fr, fr.V)
     assert own > 1e-3       # the Sasakian sphere is not nearly C
@@ -282,8 +303,9 @@ def test_kept_residual_is_fresh_for_other_vectors():
 
 
 def test_kept_axioms_map_is_a_copy():
-    pack = submanifold.induce_structure(hypersphere(n=1).obj, validate=False)
-    fr = PackFrame(pack, pack.chart.sample(1, seed=5)[0], seed=5)
+    sub = hypersphere(n=1).obj
+    pack = submanifold.induce_structure(sub, validate=False)
+    fr = oracles.frame(pack, pack.chart.sample(1, seed=5)[0], sub, seed=5)
     first = frame_axioms(fr)
     first["f_skew"] = 1.0
     assert frame_axioms(fr)["f_skew"] < 1e-9

@@ -3,10 +3,12 @@ where a point's state is built."""
 
 import ast
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
-from report_digests import CONFIGS, digest_lines
+import report_digests
+from report_digests import CONFIGS, digest_lines, dump_reports
 
 import weakf
 from weakf import cli, report
@@ -132,3 +134,34 @@ def test_report_digests_match_the_command_line(capsys):
                          "--seed", "42", "--format", fmt]) == 0
         printed = capsys.readouterr().out
         assert hashlib.sha256(printed.encode()).hexdigest() == expected, fmt
+
+
+def test_report_digests_compare_mode(tmp_path, capsys):
+    before, after = tmp_path / "before", tmp_path / "after"
+    for out in (before, after):
+        dump_reports(out, CONFIGS[:1], samples=2, seeds=[42])
+    compare = ["--compare", str(before), str(after)]
+    assert report_digests.main(compare) == 0
+    (path,) = after.iterdir()
+    original = path.read_text(encoding="utf-8")
+    entry = json.loads(original)["suites"]["axioms"][0]
+    identity = f"axioms.{entry['identity']}"
+
+    def edited(**changes):
+        rep = json.loads(original)
+        rep["suites"]["axioms"][0].update(changes)
+        path.write_text(json.dumps(rep), encoding="utf-8")
+        capsys.readouterr()
+        code = report_digests.main(compare)
+        return code, capsys.readouterr().out
+
+    # a residual that moved by more than the arithmetic gate allows
+    code, out = edited(max_residual=entry["max_residual"] + 1e-13)
+    assert code == 1
+    assert "0 verdict changes, max |delta residual| 1.00e-13" in out
+    # a move within the gate passes
+    assert edited(max_residual=entry["max_residual"] + 5e-15)[0] == 0
+    # a flipped verdict fails and is named
+    code, out = edited(verdict="fail")
+    assert code == 1
+    assert "1 verdict changes" in out and f"changed: {identity}" in out

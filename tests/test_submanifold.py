@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import second_fundamental
-from weakf.catalog import hypersphere, linear_subspace
+from weakf.calculus import christoffel_from_jets, metric_inverse, riemann_from_jets
+from weakf.catalog import hypersphere, linear_subspace, make_example
 from weakf.charts import Chart, SmoothField, constant_field
 from weakf.errors import HypothesisNotMet, SetupRejected
 from weakf.fstructure import PackFrame, axioms_residual
@@ -32,7 +34,7 @@ def test_frame_requirements_on_hypersphere(cat_sphere):
 def test_induced_sphere_pack_is_standard(cat_sphere, sphere_induced):
     pack = sphere_induced
     for i, p in enumerate(pack.chart.sample(4, seed=5)):
-        fr = PackFrame(pack, p, seed=5, index=i)
+        fr = oracles.frame(pack, p, cat_sphere.obj, seed=5, index=i)
         ax = axioms_residual(fr)
         assert max(ax.values()) <= 1e-10
         # standard ambient: induced Q is the identity
@@ -46,7 +48,7 @@ def test_weak_skew_sphere_partial_axioms(cat_sphere_weak):
     induced = induce_structure(sub)
     worst = {}
     for i, p in enumerate(induced.chart.sample(4, seed=7)):
-        fr = PackFrame(induced, p, seed=7, index=i)
+        fr = oracles.frame(induced, p, sub, seed=7, index=i)
         for k, v in axioms_residual(fr).items():
             worst[k] = max(worst.get(k, 0.0), v)
         # genuinely weak: Q differs from the identity but stays
@@ -117,8 +119,9 @@ def test_gauss_split_exact(cat_sphere, sphere_induced, cat_subspace,
                          (cat_subspace, subspace_induced)):
         sub = cat.obj
         for i, p in enumerate(sub.domain.sample(3, seed=19)):
-            fr = PackFrame(induced, p, seed=19, index=i)
-            assert gauss_split_residual(_AmbientPoint(sub, p), fr) <= TOL
+            ap = _AmbientPoint(sub, p)
+            fr = PackFrame(induced, p, seed=19, index=i, ambient=ap)
+            assert gauss_split_residual(ap, fr) <= TOL
 
 
 def test_curved_ambient_gauss_and_weingarten():
@@ -165,8 +168,8 @@ def test_curved_ambient_gauss_and_weingarten():
 def test_thsubm_case_i_on_hypersphere(cat_sphere, sphere_induced):
     sub = cat_sphere.obj
     for i, p in enumerate(sub.domain.sample(3, seed=23)):
-        fr = PackFrame(sphere_induced, p, seed=23, index=i)
         ap = _AmbientPoint(sub, p)
+        fr = PackFrame(sphere_induced, p, seed=23, index=i, ambient=ap)
         res = thsubm_check(ap, fr, "i")
         assert res["aa_symmetry"] == 0.0  # single normal: trivially symmetric
         assert res["h_display"] <= TOL
@@ -184,8 +187,8 @@ def test_thsubm_case_i_on_hypersphere(cat_sphere, sphere_induced):
 def test_thsubm_case_ii_on_linear_subspace(cat_subspace, subspace_induced):
     sub = cat_subspace.obj
     for i, p in enumerate(sub.domain.sample(3, seed=29)):
-        fr = PackFrame(subspace_induced, p, seed=29, index=i)
         ap = _AmbientPoint(sub, p)
+        fr = PackFrame(subspace_induced, p, seed=29, index=i, ambient=ap)
         res = thsubm_check(ap, fr, "ii")
         assert res["aa_symmetry"] <= 1e-14
         assert res["h_display"] <= 1e-14
@@ -219,8 +222,8 @@ def test_thsubm_rejects_non_nearly_kahler_ambient():
     ap = _AmbientPoint(sub, p)
     assert ambient_nearly_kahler_residual(ap) > 1e-3
     with pytest.raises(HypothesisNotMet) as err:
-        thsubm_check(ap, PackFrame(induce_structure(sub, validate=False), p),
-                     "i")
+        thsubm_check(ap, PackFrame(induce_structure(sub, validate=False), p,
+                                   ambient=ap), "i")
     assert err.value.gate == "ambient_weak_nearly_kahler"
 
 
@@ -230,15 +233,17 @@ def test_lemma_parallel_claim(cat_sphere, sphere_induced, cat_subspace,
                          (cat_subspace, subspace_induced)):
         sub = cat.obj
         p = sub.domain.sample(1, seed=37)[0]
-        res = lemma_parallel_claim(_AmbientPoint(sub, p), PackFrame(induced, p))
+        ap = _AmbientPoint(sub, p)
+        res = lemma_parallel_claim(ap, PackFrame(induced, p, ambient=ap))
         assert res["q_parallel_d"] <= TOL
         assert res["q_parallel_expansion"] <= TOL
     # the weak skew moves fbar^2 N off the normal bundle: gate must fire
     sub = cat_sphere_weak.obj
     p = sub.domain.sample(1, seed=37)[0]
+    ap = _AmbientPoint(sub, p)
     with pytest.raises(HypothesisNotMet) as err:
-        lemma_parallel_claim(_AmbientPoint(sub, p), PackFrame(
-            induce_structure(sub, validate=False), p))
+        lemma_parallel_claim(ap, PackFrame(
+            induce_structure(sub, validate=False), p, ambient=ap))
     assert err.value.gate == "fbar_sq_normal_is_normal"
 
 
@@ -258,11 +263,13 @@ def test_setup_rejection_on_bad_normals():
         require_valid_frame(bad, mid)
 
 
-def test_induced_f_squared_expansion(sphere_induced, subspace_induced):
+def test_induced_f_squared_expansion(cat_sphere, sphere_induced, cat_subspace,
+                                     subspace_induced):
     # f^2 X + QX - sum_i eta^i(X) xi_i = 0 on induced packs
-    for pack in (sphere_induced, subspace_induced):
+    for cat, pack in ((cat_sphere, sphere_induced),
+                      (cat_subspace, subspace_induced)):
         p = pack.chart.sample(1, seed=41)[0]
-        fr = PackFrame(pack, p, seed=41)
+        fr = oracles.frame(pack, p, cat.obj, seed=41)
         rng = np.random.default_rng(41)
         for _ in range(4):
             x = rng.standard_normal(pack.dim)
@@ -271,3 +278,50 @@ def test_induced_f_squared_expansion(sphere_induced, subspace_induced):
                 float(fr.eta0[i] @ x) * fr.xi0[i] for i in range(pack.s)
             )
             assert np.abs(lhs - rhs).max() <= 1e-10
+
+
+# Every embedded catalog configuration; the tolerance was fixed before the
+# first comparison: |closed form - nested| <= 1e-12 max(1, |nested|).
+EMBEDDED = [
+    ("hypersphere", {"n": 1}),
+    ("hypersphere", {"n": 2}),
+    ("hypersphere", {"n": 3}),
+    ("hypersphere", {"n": 1, "normal": "outward"}),
+    ("hypersphere", {"n": 1, "ambient_skew": "weak"}),
+    ("hypersphere", {"n": 2, "ambient_skew": "weak"}),
+    ("linear_subspace", {"n": 1, "s": 2}),
+    ("linear_subspace", {"n": 2, "s": 2}),
+]
+CLOSED_FORM_TOL = 1e-12
+
+
+@pytest.mark.parametrize("example, params", EMBEDDED,
+                         ids=[f"{e}-{p}" for e, p in EMBEDDED])
+def test_closed_form_matches_nested_oracle(example, params):
+    sub = make_example(example, **params).obj
+    closed = induce_structure(sub, validate=False)
+    nested = oracles.nested_induced_pack(sub)
+    pairs = [("g", closed.g, nested.g), ("f", closed.f, nested.f),
+             ("q", closed.Q, nested.Q)]
+    pairs += [(("xi", i), closed.xi[i], nested.xi[i]) for i in range(sub.s)]
+    pairs += [(("eta", i), closed.eta[i], nested.eta[i]) for i in range(sub.s)]
+
+    def close(got, want, what):
+        err = np.abs(got - want).max()
+        assert err <= CLOSED_FORM_TOL * max(1.0, np.abs(want).max()), (what, err)
+
+    for p in sub.domain.sample(3, seed=53):
+        fr = PackFrame(closed, p, ambient=_AmbientPoint(sub, p))
+        for key, field, oracle in pairs:
+            want0, want1 = oracle.jet(p, order=1)
+            name, i = key if isinstance(key, tuple) else (key, None)
+            got0, got1 = fr._jets[name]
+            if i is not None:
+                got0, got1 = got0[i], got1[i]
+            close(got0, want0, (key, "value"))
+            close(got1, want1, (key, "d1"))
+            close(field.value(p), want0, (key, "SmoothField.value"))
+        g0, g1, g2 = nested.g.jet(p, order=2)
+        ginv = metric_inverse(g0, p)
+        close(fr.riemann, riemann_from_jets(
+            ginv, christoffel_from_jets(ginv, g1), g1, g2), "riemann")
