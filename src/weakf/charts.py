@@ -27,11 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import lift, parts, value_of
+from .jets import arrays, lift
 
 KINDS = ("scalar", "vector", "oneform", "tensor11", "metric", "twoform")
-
-_SQUARE_KINDS = ("tensor11", "metric", "twoform")
 
 
 @dataclass(frozen=True)
@@ -88,32 +86,19 @@ def _stable_chart_key(name):
     return acc
 
 
-def _structure(values, kind, dim, m, order, level):
-    """Convert fn output (nested generic scalars) into value/d1/d2 arrays."""
+def _structure(values, kind, m, order, level=None):
+    """Convert fn output (nested generic scalars) into value[/d1/d2] arrays."""
     if kind == "scalar":
         entries = [values]
         shape = ()
     elif kind in ("vector", "oneform"):
         entries = list(values)
-        shape = (dim,)
+        shape = (m,)
     else:
         entries = [e for row in values for e in row]
-        shape = (dim, dim)
-    n = len(entries)
-    val = np.empty(n)
-    d1 = np.empty((n, m))
-    d2 = np.empty((n, m, m)) if order >= 2 else None
-    for idx, e in enumerate(entries):
-        v, g, h = parts(e, m, order, level)
-        val[idx] = value_of(v)
-        d1[idx] = [value_of(a) for a in g]
-        if order >= 2:
-            d2[idx] = [[value_of(a) for a in row] for row in h]
-    val = val.reshape(shape)
-    d1 = d1.reshape(shape + (m,))
-    if order >= 2:
-        d2 = d2.reshape(shape + (m, m))
-    return val, d1, d2
+        shape = (m, m)
+    return tuple(a.reshape(shape + a.shape[1:])
+                 for a in arrays(entries, m, order, level))
 
 
 @dataclass(frozen=True)
@@ -131,16 +116,9 @@ class SmoothField:
 
     def value(self, p):
         """Component values at ``p`` as a float array (fast path, no jets)."""
-        out = self.fn([float(c) for c in p])
-        if self.kind == "scalar":
-            return float(value_of(out))
-        arr = np.asarray(
-            [[value_of(e) for e in row] for row in out]
-            if self.kind in _SQUARE_KINDS
-            else [value_of(e) for e in out],
-            dtype=float,
-        )
-        return arr
+        (val,) = _structure(self.fn([float(c) for c in p]), self.kind,
+                            self.chart.dim, 0)
+        return float(val) if self.kind == "scalar" else val
 
     def jet(self, p, order=2):
         """(value, d1[, d2]) arrays; trailing axes index the derivative.
@@ -148,21 +126,16 @@ class SmoothField:
         All entries are required to be finite; a non-finite jet means the
         point left the domain where the components are smooth.
         """
-        m = self.chart.dim
         coords = lift([float(c) for c in p], order=order)
-        out = self.fn(coords)
-        val, d1, d2 = _structure(
-            out, self.kind, self.chart.dim, m, order, coords[0].level
-        )
-        for arr in (val, d1) if order < 2 else (val, d1, d2):
+        arrs = _structure(self.fn(coords), self.kind, self.chart.dim, order,
+                          coords[0].level)
+        for arr in arrs:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(
                     f"non-finite jet of field {self.name or self.kind!r} "
                     f"at {tuple(float(c) for c in p)}"
                 )
-        if order >= 2:
-            return val, d1, d2
-        return val, d1
+        return arrs
 
 
 # -- constructors -------------------------------------------------------------

@@ -18,11 +18,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 __all__ = [
     "Jet",
     "lift",
     "value_of",
     "parts",
+    "arrays",
     "sin",
     "cos",
     "tan",
@@ -229,6 +232,38 @@ def parts(x, m, order=2, level=None):
     if order < 2:
         return x, zeros, None
     return x, zeros, [[0.0] * m for _ in range(m)]
+
+
+def _stripped(xs):
+    """The scalars ``xs`` with every jet layer stripped."""
+    while any(isinstance(x, Jet) for x in xs):
+        xs = [x.val if isinstance(x, Jet) else x for x in xs]
+    return xs
+
+
+def arrays(entries, m, order, level=None):
+    """Float (value, d1, ..., up to ``order``) arrays of a flat list of
+    scalars with respect to one lift, stacked on a leading entry axis.
+
+    The rules are those of :func:`parts` and :func:`value_of`: constants,
+    and with ``level`` given jets of any other level, get zero partials, a
+    first-order jet gets a zero Hessian, and values lose every jet layer.
+    A jet's partials are copied in as one row; only a jet above level 1 can
+    hold lower-level jets there, and those are stripped too.
+    """
+    n = len(entries)
+    out = [np.array(_stripped(entries), dtype=float)]
+    out += [np.zeros((n,) + (m,) * k) for k in range(1, order + 1)]
+    if order < 1:
+        return out
+    for i, e in enumerate(entries):
+        if not isinstance(e, Jet) or level is not None and e.level != level:
+            continue
+        nested = e.level > 1
+        out[1][i] = _stripped(e.grad) if nested else e.grad
+        if order > 1 and e.hess is not None:
+            out[2][i] = [_stripped(r) for r in e.hess] if nested else e.hess
+    return out
 
 
 # -- generic math functions --------------------------------------------------

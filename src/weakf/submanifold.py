@@ -44,7 +44,7 @@ from .classifiers import (
 )
 from .errors import HypothesisNotMet, SetupRejected
 from .fstructure import StructurePack
-from .jets import lift, parts
+from .jets import arrays, lift
 from .sampling import orthonormal_basis, pair_form, sup_abs, sup_gnorm
 
 _FRAME_TOL = 1e-10
@@ -80,13 +80,12 @@ def _lifted(fn, p, order, what):
     """
     m = len(p)
     out = np.array(fn(lift([float(c) for c in p], order=order)), dtype=object)
-    pts = [parts(e, m, order) for e in out.flat]
-    arrays = [np.array([pt[k] for pt in pts], dtype=float).reshape(
-        out.shape + (m,) * k) for k in range(order + 1)]
-    if not all(np.isfinite(a).all() for a in arrays):
+    arrs = [a.reshape(out.shape + a.shape[1:])
+            for a in arrays(list(out.flat), m, order)]
+    if not all(np.isfinite(a).all() for a in arrs):
         raise ValueError(f"non-finite jet of the {what} at "
                          f"{tuple(float(c) for c in p)}")
-    return arrays
+    return arrs
 
 
 def _product(a, b):

@@ -320,6 +320,23 @@ def second_fundamental(sub, x, y, p):
 
 
 
+# -- generic scalars to float arrays ------------------------------------------------
+
+
+def entry_arrays(entries, m, order, level=None):
+    """Reference for :func:`weakf.jets.arrays`: each entry converted on its
+    own by ``parts``, with one ``value_of`` per value and partial."""
+    out = [np.empty((len(entries),) + (m,) * k) for k in range(order + 1)]
+    for idx, e in enumerate(entries):
+        v, g, h = parts(e, m, order, level)
+        out[0][idx] = value_of(v)
+        if order >= 1:
+            out[1][idx] = [value_of(a) for a in g]
+        if order >= 2:
+            out[2][idx] = [[value_of(a) for a in row] for row in h]
+    return out
+
+
 # -- small dense linear algebra over generic scalars ------------------------------
 #
 # Entries can be floats or jets of any level. Partial pivoting compares

@@ -7,6 +7,8 @@ curvature path.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import (
@@ -653,29 +655,40 @@ def test_degenerate_plane_rejected(r3):
 # -- jet evaluator vs finite differences ----------------------------------------------
 
 
-def _ad_vs_fd(field, p, d1=None):
-    """The field's jet, or the partials ``d1`` given for it, against central
-    differences of its values."""
-    if d1 is None:
-        _, d1 = field.jet(p, order=1)
-    flat = d1.reshape(-1, len(p))
+def _matches_fd(ad, fn, p):
+    """Partials ``ad`` (derivative axis last) against central differences
+    of the array-valued ``fn``."""
+    flat = ad.reshape(-1, len(p))
     for c in range(len(p)):
         e = np.zeros(len(p))
         e[c] = FD
-        fd = (np.asarray(field.value(p + e)) - np.asarray(field.value(p - e))) / (
-            2 * FD
-        )
+        fd = (np.asarray(fn(p + e)) - np.asarray(fn(p - e))) / (2 * FD)
         fd = np.asarray(fd).reshape(-1)
         ad = flat[:, c]
         assert np.abs(ad - fd).max() <= 1e-6 * (1.0 + np.abs(ad).max())
 
 
-def test_ad_matches_fd_on_catalog_fields(all_packs):
+def _ad_vs_fd(field, p, d1=None):
+    """The field's jet, or the partials ``d1`` given for it, against central
+    differences of its values."""
+    if d1 is None:
+        _, d1 = field.jet(p, order=1)
+    _matches_fd(d1, field.value, p)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.floats(0.01, 0.99), min_size=5, max_size=5))
+def test_ad_matches_fd_on_catalog_fields(all_packs, fractions):
+    # first partials against differences of the values, second partials
+    # against differences of the first, at a point drawn inside the box
     for cat in all_packs:
         pack = cat.obj
-        for p in pack.chart.sample(2, seed=41):
-            for field in (pack.g, pack.f, pack.Q, pack.xi[0], pack.eta[0]):
-                _ad_vs_fd(field, p)
+        box = np.array(pack.chart.box)
+        p = box[:, 0] + np.array(fractions[:pack.chart.dim]) * (box[:, 1] - box[:, 0])
+        for field in (pack.g, pack.f, pack.Q, *pack.xi, *pack.eta):
+            _ad_vs_fd(field, p)
+            _, _, d2 = field.jet(p, order=2)
+            _matches_fd(d2, lambda q, field=field: field.jet(q, order=1)[1], p)
 
 
 def test_ad_matches_fd_on_induced_fields(cat_sphere, sphere_induced):

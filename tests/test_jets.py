@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mat_inv, mat_vec
+from oracles import entry_arrays, mat_inv, mat_vec
 from weakf.jets import (
     Jet,
+    arrays,
     cos,
     exp,
     lift,
@@ -154,3 +155,40 @@ def test_mat_vec_mixed_scalars():
     (x,) = lift([0.25])
     out = mat_vec([[x, 1.0], [0.0, x]], [2.0, x])
     assert abs(value_of(out[0]) - (0.5 + 1.0 * 0.25)) < 1e-15
+
+
+# -- bulk conversion to float arrays --------------------------------------------
+
+# constants as component functions return them: floats of any size, and ints
+constants = st.floats(width=64) | st.integers(-10**6, 10**6)
+
+
+def _jets(level, m, scalars):
+    """Jets of ``level`` over m coordinates whose entries come from
+    ``scalars``, with and without a Hessian."""
+    row = st.lists(scalars, min_size=m, max_size=m)
+    hess = st.none() | st.lists(row, min_size=m, max_size=m)
+    return st.builds(lambda v, g, h: Jet(v, g, h, level), scalars, row, hess)
+
+
+@st.composite
+def conversions(draw):
+    """(entries, m, order, level): constants, level-1 jets, and level-2 jets
+    whose value and partials are themselves level-1 jets (over a lift of
+    another size) or constants."""
+    m = draw(st.integers(1, 3))
+    inner = constants | _jets(1, draw(st.integers(1, 3)), constants)
+    scalar = constants | _jets(1, m, constants) | _jets(2, m, inner)
+    entries = draw(st.lists(scalar, max_size=6))
+    return entries, m, draw(st.integers(0, 2)), draw(st.sampled_from((None, 1, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(conversions())
+def test_bulk_conversion_equals_per_entry_reference(case):
+    got = arrays(*case)
+    ref = entry_arrays(*case)
+    assert len(got) == len(ref) == case[2] + 1
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()  # bit for bit: signed zeros, NaN
