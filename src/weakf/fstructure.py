@@ -35,6 +35,7 @@ from .sampling import (
     point_rng,
     sup_abs,
     sup_gnorm,
+    unit_rows,
 )
 
 _RANK_ZERO_CEIL = 1e-8
@@ -243,9 +244,7 @@ class PackFrame:
         """Seeded unit vectors in the contact distribution."""
         db = self.d_basis
         coeff = self._rng.standard_normal((count, db.shape[0]))
-        vecs = coeff @ db
-        norms = np.sqrt(((vecs @ self.g0) * vecs).sum(1))
-        return vecs / norms[:, None]
+        return unit_rows(coeff @ db, self.g0)
 
     def kept(self, key, V, compute):
         """``compute()``, computed once per frame when ``V`` is its own test set.

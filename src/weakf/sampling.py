@@ -43,9 +43,15 @@ def orthonormal_basis(g0, vectors=None, against=(), floor=None):
     return np.array(basis[start:])
 
 
-def random_unit(g0, rng):
-    v = rng.standard_normal(g0.shape[0])
-    return v / math.sqrt(v @ g0 @ v)
+def unit_rows(vecs, g0):
+    """The rows of ``vecs`` scaled to g0-norm 1."""
+    return vecs / np.sqrt(((vecs @ g0) * vecs).sum(1))[:, None]
+
+
+def random_units(g0, rng, count):
+    """``count`` seeded g0-unit vectors (rows), from one draw of the same
+    normals, in the same order, as ``count`` draws of one vector each."""
+    return unit_rows(rng.standard_normal((count, g0.shape[0])), g0)
 
 
 @dataclass(frozen=True)
@@ -71,19 +77,14 @@ def build_test_vectors(g0, rng, distinguished=None):
         d = np.asarray(distinguished, dtype=float)
         rows.append(d)
         nd = d.shape[0]
-    rand = np.array([random_unit(g0, rng) for _ in range(2 * N_RANDOM_PAIRS)])
-    rows.append(rand)
-    triples = np.array(
-        [
-            [random_unit(g0, rng) for _ in range(3)]
-            for _ in range(N_RANDOM_TRIPLES)
-        ]
-    )
+    npair = 2 * N_RANDOM_PAIRS
+    rand = random_units(g0, rng, npair + 3 * N_RANDOM_TRIPLES)
+    rows.append(rand[:npair])
     return TestVectors(
         vectors=np.vstack(rows),
         n_basis=basis.shape[0],
         n_distinguished=nd,
-        triples=triples,
+        triples=rand[npair:].reshape(N_RANDOM_TRIPLES, 3, -1),
     )
 
 

@@ -1,11 +1,23 @@
 """The pairwise contraction helpers against the np.einsum expressions they
-replace, over random shapes and entries."""
+replace, over random shapes and entries, and the batched draw of the random
+test vectors against one draw per vector."""
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakf.sampling import pair_form, sup_gnorm
+from weakf.fstructure import PackFrame
+from weakf.sampling import (
+    N_RANDOM_PAIRS,
+    N_RANDOM_TRIPLES,
+    pair_form,
+    point_rng,
+    random_units,
+    sup_gnorm,
+    unit_rows,
+)
 
 # float64 sums of at most 10 x 10 products: the rounding error of either
 # order is a few hundred ulps of the sum of absolute terms
@@ -57,3 +69,62 @@ def test_sup_gnorm_matches_einsum(ops):
     ref = np.sqrt(max(np.einsum("k...,kl,l...->...", res, g0, res).max(), 0.0))
     scale = np.einsum("k...,kl,l...->...", abs(res), abs(g0), abs(res)).max()
     assert abs(sup_gnorm(res, g0) ** 2 - ref**2) <= TOL * scale
+
+
+# -- random test vectors --------------------------------------------------------------
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(1, 10), st.integers(1, 64))
+def test_batched_draw_equals_one_draw_per_vector(seed, m, count):
+    draws = [np.random.default_rng(seed) for _ in range(3)]
+    batched = draws[0].standard_normal((count, m))
+    sequential = np.array([draws[1].standard_normal(m) for _ in range(count)])
+    # the same normals bit for bit, and the generators end in the same state
+    assert batched.tobytes() == sequential.tobytes()
+    assert draws[0].bit_generator.state == draws[1].bit_generator.state
+    # random_units normalizes exactly that draw
+    g0 = np.eye(m)
+    assert random_units(g0, draws[2], count).tobytes() == \
+        unit_rows(sequential, g0).tobytes()
+    assert draws[2].bit_generator.state == draws[1].bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(1, 10))
+def test_random_units_are_g_unit(seed, m):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, (m, m))
+    g0 = np.eye(m) + a @ a.T       # eigenvalues in [1, 1 + m]
+    units = random_units(g0, rng, 40)
+    assert units.shape == (40, m)
+    assert np.abs(((units @ g0) * units).sum(1) - 1.0).max() <= 1e-14
+
+
+def _one_draw_per_vector(g0, rng):
+    """The random test vectors drawn and normalized one at a time."""
+    def unit():
+        v = rng.standard_normal(g0.shape[0])
+        return v / math.sqrt(v @ g0 @ v)
+    pairs = [unit() for _ in range(2 * N_RANDOM_PAIRS)]
+    return np.array(pairs), np.array(
+        [[unit() for _ in range(3)] for _ in range(N_RANDOM_TRIPLES)])
+
+
+def test_frame_draws_continue_after_the_test_vectors(all_packs):
+    for cat in all_packs:
+        pack = cat.obj
+        for index, p in enumerate(pack.chart.sample(3, seed=5)):
+            fr = PackFrame(pack, p, seed=5, index=index)
+            tv = fr.tv
+            rng = point_rng(5, index)
+            pairs, triples = _one_draw_per_vector(fr.g0, rng)
+            nb = tv.n_basis + tv.n_distinguished
+            assert np.abs(tv.vectors[nb:] - pairs).max() <= 1e-15
+            assert np.abs(tv.triples - triples).max() <= 1e-15
+            # the frame's later draws are those the reference draws next
+            coeff = rng.standard_normal((4, fr.d_basis.shape[0]))
+            ref = unit_rows(coeff @ fr.d_basis, fr.g0)
+            assert fr.random_d_units(4).tobytes() == ref.tobytes()
