@@ -249,7 +249,8 @@ class _Agg:
 
     def add(self, value):
         v = float(value)
-        self.max = max(self.max, v)
+        if v > self.max or math.isnan(v):   # a NaN max stays: it fails
+            self.max = v
         self.total += v
         self.count += 1
 

@@ -4,6 +4,7 @@ where a point's state is built."""
 import ast
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,41 @@ def test_no_unplanned_multi_operand_einsum_in_src():
                     and node.func.attr == "einsum" and _unplanned_multi_operand(node)):
                 bad.append(f"{path.name}:{node.lineno}")
     assert bad == []
+
+
+def test_jets_are_converted_only_in_jets_module():
+    # every jet-to-array conversion is the one bulk converter, jets.arrays;
+    # the per-scalar parts/value_of route is left to jets.py and the tests
+    bad = []
+    for path in sorted(Path(weakf.__file__).parent.glob("*.py")):
+        if path.name == "jets.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if name in ("parts", "value_of"):
+                    bad.append(f"{path.name}:{node.lineno}")
+    assert bad == []
+
+
+def test_nan_residual_fails_its_entry(capsys):
+    # at this scale sup_gnorm overflows to NaN on qf_commute; the entry's
+    # max once read 0.0 and the entry passed
+    agg = report._Agg()
+    for v in (1e-20, math.nan, 1e-20):
+        agg.add(v)
+    assert math.isnan(agg.max)
+    assert report._entry("qf_commute", "qf_commute", agg, 1e-9, True)["verdict"] == "fail"
+    with pytest.warns(RuntimeWarning):
+        code = cli.main(["verify", "--example", "flat_pack", "--param", "n=1",
+                         "--param", "s=1", "--param", "scales=1e120",
+                         "--samples", "2", "--format", "json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 1 and rep["overall"]["verdict"] == "fail"
+    (entry,) = [e for e in rep["suites"]["axioms"] if e["identity"] == "qf_commute"]
+    assert math.isnan(entry["max_residual"]) and entry["verdict"] == "fail"
+    assert "qf_commute" in rep["overall"]["failures"]
 
 
 def test_report_digests_match_the_command_line(capsys):
