@@ -24,7 +24,6 @@ __all__ = [
     "Jet",
     "lift",
     "value_of",
-    "parts",
     "arrays",
     "sin",
     "cos",
@@ -215,25 +214,6 @@ def value_of(x):
     return float(x)
 
 
-def parts(x, m, order=2, level=None):
-    """(value, grad, hess) of a scalar with respect to one lift.
-
-    Constants produced by component functions carry zero derivatives; with
-    ``level`` given, jets of any other level count as constants too (they
-    belong to a different lift).
-    """
-    if isinstance(x, Jet) and (level is None or x.level == level):
-        g = list(x.grad)
-        if order < 2:
-            return x.val, g, None
-        h = x.hess if x.hess is not None else [[0.0] * m for _ in range(m)]
-        return x.val, g, h
-    zeros = [0.0] * m
-    if order < 2:
-        return x, zeros, None
-    return x, zeros, [[0.0] * m for _ in range(m)]
-
-
 def _stripped(xs):
     """The scalars ``xs`` with every jet layer stripped."""
     while any(isinstance(x, Jet) for x in xs):
@@ -245,11 +225,11 @@ def arrays(entries, m, order, level=None):
     """Float (value, d1, ..., up to ``order``) arrays of a flat list of
     scalars with respect to one lift, stacked on a leading entry axis.
 
-    The rules are those of :func:`parts` and :func:`value_of`: constants,
-    and with ``level`` given jets of any other level, get zero partials, a
-    first-order jet gets a zero Hessian, and values lose every jet layer.
-    A jet's partials are copied in as one row; only a jet above level 1 can
-    hold lower-level jets there, and those are stripped too.
+    Constants, and with ``level`` given jets of any other level, get zero
+    partials, a first-order jet gets a zero Hessian, and values lose every
+    jet layer, as with :func:`value_of`. A jet's partials are copied in as
+    one row; only a jet above level 1 can hold lower-level jets there, and
+    those are stripped too.
     """
     n = len(entries)
     out = [np.array(_stripped(entries), dtype=float)]

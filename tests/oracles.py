@@ -22,7 +22,7 @@ from weakf.calculus import (
 from weakf.charts import SmoothField
 from weakf.errors import WeakfError
 from weakf.fstructure import PackFrame, StructurePack
-from weakf.jets import Jet, cos, lift, parts, sin, value_of
+from weakf.jets import Jet, cos, lift, sin, value_of
 from weakf.submanifold import _AmbientPoint
 
 
@@ -319,8 +319,26 @@ def second_fundamental(sub, x, y, p):
     return h_vec, a_list
 
 
-
 # -- generic scalars to float arrays ------------------------------------------------
+
+
+def parts(x, m, order=2, level=None):
+    """(value, grad, hess) of a scalar with respect to one lift.
+
+    Constants produced by component functions carry zero derivatives; with
+    ``level`` given, jets of any other level count as constants too (they
+    belong to a different lift).
+    """
+    if isinstance(x, Jet) and (level is None or x.level == level):
+        g = list(x.grad)
+        if order < 2:
+            return x.val, g, None
+        h = x.hess if x.hess is not None else [[0.0] * m for _ in range(m)]
+        return x.val, g, h
+    zeros = [0.0] * m
+    if order < 2:
+        return x, zeros, None
+    return x, zeros, [[0.0] * m for _ in range(m)]
 
 
 def entry_arrays(entries, m, order, level=None):

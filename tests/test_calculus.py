@@ -333,7 +333,7 @@ def test_lie_bracket_antisymmetric_jacobi(r3):
 
     def bracket_field(a, b):
         def fn(u, afn=a.fn, bfn=b.fn):
-            from weakf.jets import lift, parts
+            from weakf.jets import lift
 
             lifted = lift(list(u), order=1)
             av = afn(lifted)
@@ -342,12 +342,12 @@ def test_lie_bracket_antisymmetric_jacobi(r3):
             lvl = lifted[0].level
             out = []
             for k in range(m):
-                va, ga, _ = parts(av[k], m, 1, lvl)
-                vb, gb, _ = parts(bv[k], m, 1, lvl)
+                va, ga, _ = oracles.parts(av[k], m, 1, lvl)
+                vb, gb, _ = oracles.parts(bv[k], m, 1, lvl)
                 acc = 0.0
                 for i in range(m):
-                    vai, _, _ = parts(av[i], m, 1, lvl)
-                    vbi, _, _ = parts(bv[i], m, 1, lvl)
+                    vai, _, _ = oracles.parts(av[i], m, 1, lvl)
+                    vbi, _, _ = oracles.parts(bv[i], m, 1, lvl)
                     acc = acc + vai * gb[i] - vbi * ga[i]
                 out.append(acc)
             return out
@@ -523,13 +523,13 @@ def test_d_of_d_vanishes(r3):
     w = random_oneform_field(r3, rng)
 
     def dw_fn(u, wf=w):
-        from weakf.jets import lift, parts
+        from weakf.jets import lift
 
         lifted = lift(list(u), order=1)
         comps = wf.fn(lifted)
         m = len(comps)
         lvl = lifted[0].level
-        graded = [parts(c, m, 1, lvl) for c in comps]
+        graded = [oracles.parts(c, m, 1, lvl) for c in comps]
         return [
             [0.5 * (graded[b][1][a] - graded[a][1][b]) for b in range(m)]
             for a in range(m)

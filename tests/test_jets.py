@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import entry_arrays, mat_inv, mat_vec
+from oracles import entry_arrays, mat_inv, mat_vec, parts
 from weakf.jets import (
     Jet,
     arrays,
@@ -13,7 +13,6 @@ from weakf.jets import (
     exp,
     lift,
     log,
-    parts,
     sin,
     sqrt,
     tan,
