@@ -662,8 +662,7 @@ def _matches_fd(ad, fn, p):
     for c in range(len(p)):
         e = np.zeros(len(p))
         e[c] = FD
-        fd = (np.asarray(fn(p + e)) - np.asarray(fn(p - e))) / (2 * FD)
-        fd = np.asarray(fd).reshape(-1)
+        fd = ((np.asarray(fn(p + e)) - np.asarray(fn(p - e))) / (2 * FD)).reshape(-1)
         ad = flat[:, c]
         assert np.abs(ad - fd).max() <= 1e-6 * (1.0 + np.abs(ad).max())
 
@@ -683,8 +682,8 @@ def test_ad_matches_fd_on_catalog_fields(all_packs, fractions):
     # against differences of the first, at a point drawn inside the box
     for cat in all_packs:
         pack = cat.obj
-        box = np.array(pack.chart.box)
-        p = box[:, 0] + np.array(fractions[:pack.chart.dim]) * (box[:, 1] - box[:, 0])
+        lo, hi = np.array(pack.chart.box).T
+        p = lo + np.array(fractions[:pack.chart.dim]) * (hi - lo)
         for field in (pack.g, pack.f, pack.Q, *pack.xi, *pack.eta):
             _ad_vs_fd(field, p)
             _, _, d2 = field.jet(p, order=2)

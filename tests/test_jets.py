@@ -173,8 +173,8 @@ def _jets(level, m, scalars):
 @st.composite
 def conversions(draw):
     """(entries, m, order, level): constants, level-1 jets, and level-2 jets
-    whose value and partials are themselves level-1 jets (over a lift of
-    another size) or constants."""
+    whose value and partials are level-1 jets (over a lift of any size) or
+    constants."""
     m = draw(st.integers(1, 3))
     inner = constants | _jets(1, draw(st.integers(1, 3)), constants)
     scalar = constants | _jets(1, m, constants) | _jets(2, m, inner)

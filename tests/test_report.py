@@ -82,14 +82,17 @@ BUILDERS = {
 }
 
 
+def _callee(call):
+    """The name a call calls: ``f`` of ``f(...)`` and of ``x.f(...)``."""
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
 def _builds(node, module, where="<module>"):
     """(class, module, innermost enclosing function) of every build call."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
-            f = child.func
-            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name in BUILDERS:
-                yield name, module, where
+        if isinstance(child, ast.Call) and _callee(child) in BUILDERS:
+            yield _callee(child), module, where
         inner = child.name if isinstance(child, ast.FunctionDef) else where
         yield from _builds(child, module, inner)
 
@@ -132,22 +135,20 @@ def test_jets_are_converted_only_in_jets_module():
         if path.name == "jets.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                f = node.func
-                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                if name in ("parts", "value_of"):
-                    bad.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Call) and _callee(node) in ("parts", "value_of"):
+                bad.append(f"{path.name}:{node.lineno}")
     assert bad == []
 
 
 def test_nan_residual_fails_its_entry(capsys):
-    # at this scale sup_gnorm overflows to NaN on qf_commute; the entry's
-    # max once read 0.0 and the entry passed
+    # sup_gnorm overflows to NaN on qf_commute at this scale: the NaN must
+    # stay the entry's max and fail it, wherever it falls among the points
     agg = report._Agg()
     for v in (1e-20, math.nan, 1e-20):
         agg.add(v)
     assert math.isnan(agg.max)
-    assert report._entry("qf_commute", "qf_commute", agg, 1e-9, True)["verdict"] == "fail"
+    entry = report._entry("qf_commute", "qf_commute", agg, 1e-9, True)
+    assert entry["verdict"] == "fail"
     with pytest.warns(RuntimeWarning):
         code = cli.main(["verify", "--example", "flat_pack", "--param", "n=1",
                          "--param", "s=1", "--param", "scales=1e120",

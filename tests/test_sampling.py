@@ -97,7 +97,7 @@ def test_batched_draw_equals_one_draw_per_vector(seed, m, count):
 def test_random_units_are_g_unit(seed, m):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, (m, m))
-    g0 = np.eye(m) + a @ a.T       # eigenvalues in [1, 1 + m]
+    g0 = np.eye(m) + a @ a.T       # eigenvalues in [1, 1 + m^2]
     units = random_units(g0, rng, 40)
     assert units.shape == (40, m)
     assert np.abs(((units @ g0) * units).sum(1) - 1.0).max() <= 1e-14
