@@ -131,6 +131,12 @@ def _integer(name, value):
     return int(value)
 
 
+# Q f is the third power of a block weight, and the squared g-norm of its
+# residual (sampling.sup_gnorm) the sixth, the largest power any residual
+# forms: above this ceiling that power overflows float64.
+_WEIGHT_CEIL = np.finfo(float).max ** (1 / 6)
+
+
 def _block_weights(example, n, scales, default):
     """One finite, non-zero weight per complex block, as a float tuple.
 
@@ -141,10 +147,12 @@ def _block_weights(example, n, scales, default):
     weights = tuple(map(float, scales if np.ndim(scales) else (scales,)))
     if len(weights) != n:
         raise InvalidExample(f"{example} needs one block weight per complex block")
-    if not all(math.isfinite(c) and c != 0.0 for c in weights):
+    bad = [c for c in weights if not 0.0 < abs(c) <= _WEIGHT_CEIL]
+    if bad:
         raise InvalidExample(
-            f"{example} block weights must be finite and non-zero, got {weights}"
-        )
+            f"{example} block weight {bad[0]!r} must be non-zero with |weight| <= "
+            f"{_WEIGHT_CEIL:.4e}, where its sixth power, the squared g-norm of "
+            "Q f, stays finite")
     return weights
 
 

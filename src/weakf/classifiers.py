@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import HypothesisNotMet
 from .fstructure import frame_axioms, kept_per_frame
-from .sampling import pair_form, sup_abs, sup_gnorm
+from .sampling import lead_dot, pair_form, sup_abs, sup_gnorm
 
 TOL_EXACT = 1e-9
 
@@ -35,77 +35,65 @@ class FrameConditions:
 
 # -- per-identity residuals ------------------------------------------------------
 #
+# Each bilinear identity B(X, Y) = 0 is summed as its coefficients C[k, a, b]
+# at the point and contracted with the test pairs once, pair_form(C, V, V).
 # Class, theorem-gate and submanifold checks ask for the same residuals at
 # the same point; kept_per_frame computes each once per frame.
 
 
-@kept_per_frame
-def _nabla_f_pairs(fr, V):
-    """T[k,A,B] = ((D_{V_A} f) V_B)^k."""
-    return pair_form(fr.nabla_f.transpose(1, 0, 2), V, V)
-
-
-@kept_per_frame
-def nearly_s_terms(fr, V):
-    """(f^2 V, g(fX,fY) xibar, etabar(Y) f^2 X) over all test pairs.
-
-    The algebraic terms of the nearly-S and S-structure identities; the
-    last two are tensors [k, A, B].
-    """
-    fV = V @ fr.f0.T
-    f2V = fV @ fr.f0.T
-    gff = np.einsum("AB,k->kAB", pair_form(fr.g0, fV, fV), fr.xibar)
-    ef2 = np.einsum("B,Ak->kAB", V @ fr.etabar, f2V)
-    return f2V, gff, ef2
+def _nearly_terms(fr):
+    """Coefficients of (D_X f)Y, g(fX,fY) xibar and etabar(Y) f^2 X: [k, a, b]."""
+    f0 = fr.f0
+    gff = fr.xibar[:, None, None] * (f0.T @ fr.g0 @ f0)
+    ef2 = (f0 @ f0)[:, :, None] * fr.etabar
+    return fr.nabla_f.transpose(1, 0, 2), gff, ef2
 
 
 @kept_per_frame
 def nearly_s_residual(fr, V):
     """(D_X f)Y + (D_Y f)X - 2 g(fX,fY) xibar - etabar(X) f^2 Y - etabar(Y) f^2 X."""
-    t = _nabla_f_pairs(fr, V)
-    _, gff, ef2 = nearly_s_terms(fr, V)
-    res = t + t.transpose(0, 2, 1) - 2.0 * gff - ef2.transpose(0, 2, 1) - ef2
-    return sup_gnorm(res, fr.g0)
+    nf, gff, ef2 = _nearly_terms(fr)
+    c = nf + nf.transpose(0, 2, 1) - 2.0 * gff - ef2.transpose(0, 2, 1) - ef2
+    return sup_gnorm(pair_form(c, V, V), fr.g0)
 
 
 @kept_per_frame
 def nearly_c_residual(fr, V):
     """(D_X f)Y + (D_Y f)X."""
-    t = _nabla_f_pairs(fr, V)
-    return sup_gnorm(t + t.transpose(0, 2, 1), fr.g0)
+    nf = fr.nabla_f.transpose(1, 0, 2)
+    return sup_gnorm(pair_form(nf + nf.transpose(0, 2, 1), V, V), fr.g0)
 
 
 @kept_per_frame
 def s_structure_residual(fr, V):
     """(D_X f)Y - g(fX,fY) xibar - etabar(Y) f^2 X."""
-    _, gff, ef2 = nearly_s_terms(fr, V)
-    return sup_gnorm(_nabla_f_pairs(fr, V) - gff - ef2, fr.g0)
+    nf, gff, ef2 = _nearly_terms(fr)
+    return sup_gnorm(pair_form(nf - gff - ef2, V, V), fr.g0)
 
 
 @kept_per_frame
 def almost_s_residual(fr, V):
     """Phi = d eta^i for every i."""
-    return sup_abs(fr.deta_pairs(V) - pair_form(fr.phi0, V, V))
+    return sup_abs(pair_form(fr.deta - fr.phi0, V, V))
 
 
 @kept_per_frame
 def closed_eta_residual(fr, V):
-    return sup_abs(fr.deta_pairs(V))
+    return sup_abs(pair_form(fr.deta, V, V))
 
 
-@kept_per_frame
-def _dphi_on_basis(fr):
-    """dPhi(e_A, e_B, e_C) on the frame's orthonormal basis."""
+def _on_basis(fr, t):
+    """t(e_A, e_B, e_C) of a trilinear form on the frame's orthonormal basis."""
     e = fr.tv.basis
-    return np.tensordot(e, pair_form(fr.dphi, e, e), 1)
+    return lead_dot(e, pair_form(t, e, e))
 
 
 @kept_per_frame
 def closed_phi_residual(fr):
     x, y, z = fr.tv.triples.transpose(1, 0, 2)
     # dPhi(x_t, y_t, z_t) for each random triple t
-    extra = y[:, None] @ np.tensordot(x, fr.dphi, 1) @ z[:, :, None]
-    return max(sup_abs(_dphi_on_basis(fr)), sup_abs(extra))
+    extra = y[:, None] @ lead_dot(x, fr.dphi) @ z[:, :, None]
+    return max(sup_abs(_on_basis(fr, fr.dphi)), sup_abs(extra))
 
 
 @kept_per_frame
@@ -115,8 +103,8 @@ def normality_residual(fr, V):
 
 @kept_per_frame
 def _killing_residuals(fr):
-    V = fr.V
-    return [sup_abs(pair_form(lie, V, V)) for lie in fr.lie_g_xi]
+    r = pair_form(fr.lie_g_xi, fr.V, fr.V)
+    return [float(x) for x in np.abs(r).reshape(len(r), -1).max(1)]
 
 
 def killing_residual(fr, i):
@@ -187,10 +175,9 @@ def q_parallel_residual(fr):
     V = fr.V
     nq = fr.nabla_q.transpose(1, 0, 2)
     first = sup_gnorm(pair_form(nq, V, fr.d_basis), fr.g0)
-    # sum_i eta^i(V_B) (Q - id) D_{V_A} xi_i
-    corr = np.tensordot(fr.qtilde, fr.nabla_v_xi(V), (1, 1)).transpose(0, 2, 1)
-    full = pair_form(nq, V, V) + corr @ (fr.eta0 @ V.T)
-    second = sup_gnorm(full, fr.g0)
+    # sum_i eta^i(e_b) ((Q - id) D_{e_a} xi_i)^k
+    corr = (fr.qtilde @ fr.nabla_xi).transpose(1, 2, 0) @ fr.eta0
+    second = sup_gnorm(pair_form(nq + corr, V, V), fr.g0)
     return first, second
 
 
@@ -203,10 +190,10 @@ def frame_residuals(fr):
     flatness residual.
     """
     # xi_i^a d_a xi_j, for [xi_i, xi_j] = u[i,j] - u[j,i]
-    u = np.tensordot(fr.xi0, fr.xi1, (1, 2))
+    u = lead_dot(fr.xi0, fr.xi1.transpose(2, 0, 1))
     reeb_brackets = sup_gnorm((u - u.transpose(1, 0, 2)).transpose(2, 0, 1), fr.g0)
     # g(D_X xi_i, xi_j)
-    reeb_flat = sup_abs((fr.xi0 @ fr.g0.T) @ fr.nabla_v_xi(fr.V))
+    reeb_flat = sup_abs((fr.xi0 @ fr.g0.T) @ fr.nabla_xi @ fr.V.T)
     reeb_tg = sup_abs(fr.nabla_xi_xi @ fr.eta0.T)
     qpar, _ = q_parallel_residual(fr)
     return FrameConditions(
@@ -294,10 +281,9 @@ def _prop_normal(fr, tol):
     res["deta_xi_contraction"] = sup_abs(fr.n4(V))
     # d eta^i(fX, Y) - d eta^i(fY, X) = (1/2) eta^i([(Q - id)X, fY]), where
     # [(Q - id)X, fY] = ((Q - id)X)^a d_a (fY) - (fY)^a d_a (Q X)
-    qtV, fV = V @ fr.qtilde.T, V @ fr.f0.T
-    b = pair_form(fr.f1, V, qtV).transpose(0, 2, 1) - pair_form(fr.q1, V, fV)
-    rhs = 0.5 * np.tensordot(fr.eta0, b, 1)
-    res["deta_f_swap"] = sup_abs(0.5 * fr.n2(V) - rhs)
+    b = (fr.f1 @ fr.qtilde).transpose(0, 2, 1) - fr.q1 @ fr.f0
+    res["deta_f_swap"] = sup_abs(
+        pair_form(0.5 * (fr.n2_coeff - lead_dot(fr.eta0, b)), V, V))
     nxx = fr.nabla_xi_xi
     res["reeb_derivatives_in_d"] = sup_abs(nxx @ fr.eta0.T)
     # eta^j([X, xi_i]) for X in D, extended as the section
@@ -307,7 +293,7 @@ def _prop_normal(fr, tol):
     db = fr.d_basis
     brk = np.einsum("Aa,ika->ikA", db, fr.xi1)
     xi_eta_x = pair_form(fr.eta1, db, fr.xi0)  # [k, A, i] = xi_i(eta^k(X_A))
-    ext = np.tensordot(fr.eta0 @ fr.xi0.T, xi_eta_x, 1).transpose(2, 0, 1)
+    ext = lead_dot(fr.eta0 @ fr.xi0.T, xi_eta_x).transpose(2, 0, 1)
     res["d_brackets_stay_in_d"] = sup_abs(
         np.einsum("jk,ikA->ijA", fr.eta0, brk) + ext
     )
@@ -325,7 +311,7 @@ def _fk_gate(fr, check, tol):
 
 def _fk_contact_nabla(fr, tol):
     _fk_gate(fr, "fk_contact_nabla", tol)
-    res = fr.nabla_v_xi(fr.V) + fr.f0 @ fr.V.T
+    res = (fr.nabla_xi + fr.f0) @ fr.V.T
     return {"nabla_xi_plus_f": sup_gnorm(res.transpose(1, 0, 2), fr.g0)}
 
 
@@ -358,9 +344,9 @@ def _thm32_chain(fr, tol):
     final = 2.0 * g_f2x
     worst = np.zeros(4)     # connection, nearly-C, algebra steps; total
     for xi in fr.xi0:
-        r_xi = np.tensordot(xi, fr.riemann @ xi, (0, 1))   # X -> R(xi, X) xi
+        r_xi = xi @ (fr.riemann @ xi)               # X -> R(xi, X) xi
         lhs = g_xs(xs @ r_xi.T)
-        nf_xi = np.tensordot(xi, fr.nabla_f, 1)             # X -> (D_xi f)X
+        nf_xi = lead_dot(xi, fr.nabla_f)            # X -> (D_xi f)X
         mid1 = g_xs(f2x - xs @ nf_xi.T)
         mid2 = g_xs(xs @ (fr.nabla_f @ xi)) - ((fx @ g0) * fx).sum(1)
         steps = (lhs - mid1, mid1 - mid2, mid2 - final, lhs - final)
@@ -377,7 +363,8 @@ def _thm32_chain(fr, tol):
 def _thm41(fr, tol):
     _gate("thm41", "weak_nearly_C", nearly_c_residual(fr, fr.V), tol)
     db = fr.d_basis
-    res = {"nabla_xi_zero": sup_gnorm(fr.nabla_v_xi(fr.V).transpose(1, 0, 2), fr.g0)}
+    res = {"nabla_xi_zero": sup_gnorm((fr.nabla_xi @ fr.V.T).transpose(1, 0, 2),
+                                      fr.g0)}
     de_d = pair_form(fr.deta, db, db)
     res["deta_on_d"] = sup_abs(de_d)
     # conn[i,A,B] = g(D_{e_A} xi_i, e_B) for e_A, e_B in D
@@ -397,18 +384,19 @@ def _thm01_gates(fr, check, tol):
 def _thm01_i(fr, tol):
     _thm01_gates(fr, "thm01_i", tol)
     V = fr.V
-    n1 = fr.n1(V)
-    eta_n1 = np.tensordot(fr.eta0, n1, 1)
-    _gate("thm01_i", "eta_circ_n1", sup_abs(eta_n1), tol)
-    de = fr.deta_pairs(V)
-    phq = pair_form(fr.phi0, V @ fr.q0.T, V)     # Phi(QX, Y) = g(QX, fY)
-    res = {"deta_equals_phi_q": sup_abs(de - phq)}
-    # proof-internal: eta^j(N1(X,Y)) - 2 d eta^j(X,Y) = eta^j([f,f](X,Y))
-    eta_ff = np.tensordot(fr.eta0, fr.nijenhuis_ff(V), 1)
-    res["eta_n1_expansion"] = sup_abs(eta_n1 - 2.0 * de - eta_ff)
+    eta_n1 = lead_dot(fr.eta0, fr.n1_coeff)
+    _gate("thm01_i", "eta_circ_n1", sup_abs(pair_form(eta_n1, V, V)), tol)
+    phq = fr.q0.T @ fr.phi0                     # Phi(QX, Y) = g(QX, fY)
+    res = {"deta_equals_phi_q": sup_abs(pair_form(fr.deta - phq, V, V))}
+    # proof-internal: eta^j(N1(X,Y)) - 2 d eta^j(X,Y) = eta^j([f,f](X,Y)),
+    # the right side from the Nijenhuis torsion on the test pairs
+    eta_ff = lead_dot(fr.eta0, fr.nijenhuis_ff(V))
+    res["eta_n1_expansion"] = sup_abs(
+        pair_form(eta_n1 - 2.0 * fr.deta, V, V) - eta_ff)
     # and its reduction through the nearly-S identity:
     # eta^j([f,f](X,Y)) = 2 d eta^j(X,Y) - 4 g(QX, fY)
-    res["eta_ff_reduction"] = sup_abs(eta_ff - 2.0 * de + 4.0 * phq)
+    res["eta_ff_reduction"] = sup_abs(
+        eta_ff - pair_form(2.0 * fr.deta - 4.0 * phq, V, V))
     return res
 
 
@@ -416,23 +404,16 @@ def _thm01_ii(fr, tol):
     _thm01_gates(fr, "thm01_ii", tol)
     V = fr.V
     _gate("thm01_ii", "phi_equals_deta", almost_s_residual(fr, V), tol)
-    n1 = fr.n1(V)
-    phqt = pair_form(fr.phi0, V @ fr.qtilde.T, V)
-    rhs = 2.0 * np.einsum("AB,k->kAB", phqt, fr.xibar)
-    res = {"n1_equals_qtilde_phi": sup_gnorm(n1 - rhs, fr.g0)}
+    phqt = fr.qtilde.T @ fr.phi0                # Phi((Q - id)X, Y)
+    c = fr.n1_coeff - 2.0 * fr.xibar[:, None, None] * phqt
+    res = {"n1_equals_qtilde_phi": sup_gnorm(pair_form(c, V, V), fr.g0)}
     # proof-internal: 3 dPhi(X,Y,Z) + 3 g((D_X f)Y, Z)
     #                 + 3 g(f^2 X, Y) etabar(Z) - 3 g(f^2 X, Z) etabar(Y) = 0
-    e = fr.tv.basis
-    g_nf = np.tensordot(_nabla_f_pairs(fr, e), e @ fr.g0.T, (0, 1))
-    gf2 = pair_form(fr.g0, (e @ fr.f0.T) @ fr.f0.T, e)
-    ebar = e @ fr.etabar
-    expr = (
-        3.0 * _dphi_on_basis(fr)
-        + 3.0 * g_nf
-        + 3.0 * np.einsum("AB,C->ABC", gf2, ebar)
-        - 3.0 * np.einsum("AC,B->ABC", gf2, ebar)
-    )
-    res["dphi_nabla_f_expansion"] = sup_abs(expr)
+    gf2 = (fr.f0 @ fr.f0).T @ fr.g0             # g(f^2 X, Y)
+    gf2_ebar = gf2[:, :, None] * fr.etabar
+    expr = 3.0 * (fr.dphi + fr.nabla_f.transpose(0, 2, 1) @ fr.g0
+                  + gf2_ebar - gf2_ebar.transpose(0, 2, 1))
+    res["dphi_nabla_f_expansion"] = sup_abs(_on_basis(fr, expr))
     return res
 
 

@@ -30,6 +30,7 @@ from . import calculus
 from .errors import DegenerateOperatorError
 from .sampling import (
     build_test_vectors,
+    lead_dot,
     orthonormal_basis,
     pair_form,
     point_rng,
@@ -183,7 +184,7 @@ class PackFrame:
     @cached_property
     def nabla_xi_xi(self):
         """nabla_xi_xi[i,j,k] = (D_{xi_i} xi_j)^k."""
-        return np.tensordot(self.nabla_xi, self.xi0, (2, 1)).transpose(2, 0, 1)
+        return (self.nabla_xi @ self.xi0.T).transpose(2, 0, 1)
 
     @cached_property
     def nabla_eta(self):
@@ -261,40 +262,43 @@ class PackFrame:
         return self._kept[key]
 
     # -- structure tensor evaluators -------------------------------------------
+    #
+    # Each bilinear tensor is kept as its coefficients C[k, a, b] at the
+    # point; its value on test pairs is the one contraction pair_form(C, V, V).
 
-    @kept_per_frame
+    @cached_property
+    def ff_coeff(self):
+        """[f,f](e_a, e_b)^k."""
+        f0, f1 = self.f0, self.f1
+        # P[k,a,b] = (f e_b)^c d_c f^k_a, with f1[k,b,c] = d_c f^k_b:
+        # [fX, fY]^k = (fX)^c d_c (fY)^k - (fY)^c d_c (fX)^k
+        p = f1 @ f0
+        # [fX, Y]^k + [X, fY]^k = X^c d_c (fY)^k - Y^c d_c (fX)^k
+        r = f1.transpose(0, 2, 1) - f1
+        return p.transpose(0, 2, 1) - p - lead_dot(f0, r)
+
+    @cached_property
+    def n1_coeff(self):
+        """N1(e_a, e_b)^k = [f,f](e_a, e_b)^k + 2 sum_i deta^i(e_a, e_b) xi_i^k."""
+        return self.ff_coeff + 2.0 * lead_dot(self.xi0.T, self.deta)
+
+    @cached_property
+    def n2_coeff(self):
+        """N2[i,a,b] = 2 deta^i(f e_a, e_b) - 2 deta^i(f e_b, e_a)."""
+        t = self.f0.T @ self.deta
+        return 2.0 * (t - t.transpose(0, 2, 1))
+
     def nijenhuis_ff(self, V):
         """[f,f](X,Y) for all test pairs: tensor [k, A, B]."""
-        f0, f1 = self.f0, self.f1
-        # P[k,A,B] = (fV_B)^a d_a (f V_A)^k, with f1[k,b,a] = d_a f^k_b;
-        # R is the same with V_B in place of fV_B
-        P = pair_form(f1, V, V @ f0.T)
-        # [fX, fY]^k = (fX)^a d_a (fY)^k - (fY)^a d_a (fX)^k
-        b1 = P.transpose(0, 2, 1) - P
-        # [fX, Y]^k + [X, fY]^k = X^a d_a (fY)^k - Y^a d_a (fX)^k
-        R = pair_form(f1, V, V)
-        return b1 - np.tensordot(f0, R.transpose(0, 2, 1) - R, 1)
+        return pair_form(self.ff_coeff, V, V)
 
-    @kept_per_frame
     def n1(self, V):
         """N1[k,A,B] = [f,f](X,Y) + 2 sum_i deta^i(X,Y) xi_i."""
-        ff = self.nijenhuis_ff(V)
-        return ff + 2.0 * np.tensordot(self.xi0, self.deta_pairs(V), (0, 0))
-
-    @kept_per_frame
-    def deta_pairs(self, V):
-        """deta^i(X, Y) for all test pairs: tensor [i, A, B]."""
-        return pair_form(self.deta, V, V)
-
-    @kept_per_frame
-    def nabla_v_xi(self, V):
-        """(D_X xi_i)^k for all test vectors: tensor [i, k, A]."""
-        return np.tensordot(self.nabla_xi, V, (2, 1))
+        return pair_form(self.n1_coeff, V, V)
 
     def n2(self, V):
         """N2[i,A,B] = 2 deta^i(fX, Y) - 2 deta^i(fY, X)."""
-        t = pair_form(self.deta, V @ self.f0.T, V)
-        return 2.0 * (t - t.transpose(0, 2, 1))
+        return pair_form(self.n2_coeff, V, V)
 
     def n3(self):
         """N3[i,a,b] = (L_{xi_i} f)^a_b."""
@@ -357,11 +361,9 @@ def axioms_residual(fr):
         np.einsum("ka,Aa->kA", f2 + q0 - corr, V), g0
     )
     # g(fX, fY) = g(X, QY) - sum eta^i(X) eta^i(Y)
-    fV = V @ f0.T
+    res["compatibility"] = sup_abs(
+        pair_form(f0.T @ g0 @ f0 - gq + eta0.T @ eta0, V, V))
     etaV = eta0 @ V.T
-    lhs = pair_form(g0, fV, fV)
-    rhs = pair_form(gq, V, V) - etaV.T @ etaV
-    res["compatibility"] = sup_abs(lhs - rhs)
     res["f_kills_xi"] = sup_gnorm(np.einsum("kl,il->ki", f0, xi0), g0)
     res["eta_after_f"] = sup_abs(pair_form(f0, eta0, V))
     res["eta_after_q"] = sup_abs(pair_form(q0, eta0, V) - etaV)
@@ -374,8 +376,7 @@ def axioms_residual(fr):
     db = fr.d_basis
     res["d_f_invariant"] = sup_abs(pair_form(f0, eta0, db))
     # splitting X = (X - sum eta^i(X) xi_i) + sum eta^i(X) xi_i with D-part in D
-    dpart = V - np.einsum("iA,ik->Ak", etaV, xi0)
-    res["tangent_split"] = sup_abs(np.einsum("ia,Aa->iA", eta0, dpart))
+    res["tangent_split"] = sup_abs((eta0 - eta0 @ xi0.T @ eta0) @ V.T)
     return res
 
 

@@ -230,12 +230,16 @@ class SuiteConfig:
 
 
 def _jsonable(value):
+    """``value`` as strict JSON data: numpy scalars become Python numbers and
+    a non-finite float the string "NaN", "Infinity" or "-Infinity"."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return json.dumps(value)
     return value
 
 
@@ -458,7 +462,8 @@ def _bundle_entries(config, bundle, aggs, skip):
 
 
 def render_json(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(_jsonable(report), sort_keys=True, indent=2,
+                      allow_nan=False) + "\n"
 
 
 def _fmt_num(x):

@@ -43,6 +43,15 @@ def orthonormal_basis(g0, vectors=None, against=(), floor=None):
     return np.array(basis[start:])
 
 
+def cholesky_basis(g0):
+    """The rows of L^-1 for g0 = L L^T: a g0-orthonormal basis.
+
+    It is the Gram-Schmidt of the coordinate frame, ``orthonormal_basis(g0)``,
+    from one factorization: row k of L^-1 lies in the span of e_1..e_k.
+    """
+    return np.linalg.inv(np.linalg.cholesky(g0))
+
+
 def unit_rows(vecs, g0):
     """The rows of ``vecs`` scaled to g0-norm 1."""
     return vecs / np.sqrt(((vecs @ g0) * vecs).sum(1))[:, None]
@@ -70,7 +79,7 @@ class TestVectors:
 
 def build_test_vectors(g0, rng, distinguished=None):
     """Basis + distinguished vectors + 2 * N_RANDOM_PAIRS random units."""
-    basis = orthonormal_basis(g0)
+    basis = cholesky_basis(g0)
     rows = [basis]
     nd = 0
     if distinguished is not None and len(distinguished):
@@ -95,6 +104,13 @@ def pair_form(t, X, Y):
     broadcast; the contraction is two matrix products.
     """
     return X @ t @ Y.T
+
+
+def lead_dot(a, t):
+    """r[..., j...] = sum_c a[..., c] t[c, j...]: the last axis of ``a``
+    against the first axis of ``t``, as one matrix product."""
+    r = a @ t.reshape(t.shape[0], -1)
+    return r.reshape(a.shape[:-1] + t.shape[1:])
 
 
 def sup_gnorm(res, g0):

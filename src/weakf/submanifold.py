@@ -39,13 +39,12 @@ from .classifiers import (
     TOL_EXACT,
     nearly_c_residual,
     nearly_s_residual,
-    nearly_s_terms,
     q_parallel_residual,
 )
 from .errors import HypothesisNotMet, SetupRejected
 from .fstructure import StructurePack
 from .jets import arrays, lift
-from .sampling import orthonormal_basis, pair_form, sup_abs, sup_gnorm
+from .sampling import cholesky_basis, lead_dot, pair_form, sup_abs, sup_gnorm
 
 _FRAME_TOL = 1e-10
 _TANGENCY_TOL = 1e-9
@@ -189,13 +188,14 @@ class _AmbientPoint:
         gbar2 = self.sub.ambient_metric.jet(self.iota, order=2)[2]
         rbar = calculus.riemann_from_jets(
             self.ginvbar, self.gammabar, self.gbar1, gbar2)
-        low = np.tensordot(self.gbar0, rbar, 1)     # [w, i, j, k], lowered
+        low = lead_dot(self.gbar0, rbar)            # [w, i, j, k], lowered
         for _ in range(4):                          # each slot through J
-            low = np.tensordot(low, self.jac, (0, 0))
-        hn = self.normal_coefficients(self.coordinate_derivative)
-        hh = np.tensordot(hn, hn, (0, 0))           # [a, b, c, e]
+            low = (low.reshape(len(low), -1).T @ self.jac).reshape(
+                low.shape[1:] + (-1,))
+        hn = self.hn.reshape(len(self.hn), -1)
+        hh = (hn.T @ hn).reshape(self.hn.shape[1:] * 2)     # [a, b, c, e]
         low = low + np.einsum("jkiw->wijk", hh) - np.einsum("ikjw->wijk", hh)
-        return np.tensordot(self.induced_jets["ginv"], low, 1)
+        return lead_dot(self.induced_jets["ginv"], low)
 
     # Ambient vectors are indexed by the leading axis: v[c] or v[c, ...].
 
@@ -205,23 +205,24 @@ class _AmbientPoint:
 
     def normal_coefficients(self, v):
         """gbar(v, N_i) for each normal: an array [i, ...]."""
-        return np.tensordot(self.normals @ self.gbar0, v, 1)
+        return lead_dot(self.normals @ self.gbar0, v)
 
     def normal_part(self, v):
-        return np.tensordot(self.normals, self.normal_coefficients(v), (0, 0))
+        return lead_dot(self.normals.T, self.normal_coefficients(v))
 
     def tangent_part(self, v):
         return v - self.normal_part(v)
 
-    def ambient_derivative_pairs(self, v):
-        """dxy[c, A, B]: ambient D along V_A of the pushed constant field V_B."""
-        vj = v @ self.jac.T
-        return pair_form(self.hess, v, v) + pair_form(self.gammabar, vj, vj)
-
     @cached_property
     def coordinate_derivative(self):
-        """:meth:`ambient_derivative_pairs` on the coordinate directions."""
-        return self.ambient_derivative_pairs(np.eye(self.sub.domain.dim))
+        """dxy[c, a, b]: ambient D along e_a of the pushed constant field e_b."""
+        return self.hess + self.jac.T @ self.gammabar @ self.jac
+
+    @cached_property
+    def hn(self):
+        """hn[i, a, b] = gbar(h(e_a, e_b), N_i), the second fundamental form
+        of each normal on the coordinate directions."""
+        return self.normal_coefficients(self.coordinate_derivative)
 
     @cached_property
     def shape_operators(self):
@@ -239,7 +240,7 @@ class _AmbientPoint:
     @cached_property
     def basis(self):
         """A gbar-orthonormal basis of the ambient space at the image (rows)."""
-        return orthonormal_basis(self.gbar0)
+        return cholesky_basis(self.gbar0)
 
     @cached_property
     def nearly_kahler_residual(self):
@@ -358,15 +359,10 @@ def induce_structure(sub, validate=True):
 # -- second fundamental form ------------------------------------------------------
 
 
-def h_matrix(ap, v):
-    """hN over all test pairs: hmat[i, A, B] = gbar(h(V_A, V_B), N_i)."""
-    return ap.normal_coefficients(ap.ambient_derivative_pairs(v))
-
-
 def gauss_split_residual(ap, fr):
     """Exactness of the split ambient D = dI(induced D) + h over the frame."""
-    full = ap.coordinate_derivative
-    r = full - np.tensordot(ap.jac, fr.gamma, 1) - ap.normal_part(full)
+    r = (ap.coordinate_derivative - lead_dot(ap.jac, fr.gamma)
+         - lead_dot(ap.normals.T, ap.hn))
     return sup_gnorm(r, ap.gbar0)
 
 
@@ -379,22 +375,16 @@ def ambient_nearly_kahler_residual(ap):
     return sup_gnorm(t + t.transpose(0, 2, 1), ap.gbar0)
 
 
-def _g_shaped(fr, mats):
-    """g(M_i X, Y) over all test pairs for each matrix M_i of ``mats``."""
-    V = fr.V
-    return pair_form(fr.g0, V @ mats.transpose(0, 2, 1), V)
-
-
 def _thsubm_shared(ap, fr):
     """The parts of :func:`thsubm_check` that do not depend on the case."""
-    xi0, eta0, V = fr.xi0, fr.eta0, fr.V
+    xi0, eta0, V, hn = fr.xi0, fr.eta0, fr.V, ap.hn
     a_mats = ap.shape_operators
-    hxx = h_matrix(ap, xi0)     # h_{N_i}(xi_j, xi_k)
-    hmat = h_matrix(ap, V)
-    etaV = eta0 @ V.T
+    hxx = pair_form(hn, xi0, xi0)       # h_{N_i}(xi_j, xi_k)
     res = {
-        "weingarten_duality": sup_abs(_g_shaped(fr, a_mats) - hmat),
-        "h_symmetric": sup_abs(hmat - hmat.transpose(0, 2, 1)),
+        # g(A_i X, Y) against h_{N_i}(X, Y)
+        "weingarten_duality": sup_abs(
+            pair_form(a_mats.transpose(0, 2, 1) @ fr.g0 - hn, V, V)),
+        "h_symmetric": sup_abs(pair_form(hn - hn.transpose(0, 2, 1), V, V)),
     }
 
     # tangential part of the ambient identity against the induced sum, on
@@ -404,19 +394,16 @@ def _thsubm_shared(ap, fr):
     lhs_t = ap.tangent_part(t + t.transpose(0, 2, 1))
     # (D_X f)Y + sum_i eta^i(X) A_i Y, then symmetrized in X and Y
     dom = fr.nabla_f.transpose(1, 0, 2) + np.einsum("iA,ikB->kAB", eta0, a_mats)
-    dom = dom + dom.transpose(0, 2, 1) - 2.0 * np.tensordot(
-        xi0, ap.normal_coefficients(ap.coordinate_derivative), (0, 0)
-    )
+    dom = dom + dom.transpose(0, 2, 1) - 2.0 * lead_dot(xi0.T, hn)
     res["tangential_expansion"] = sup_gnorm(
-        lhs_t - np.tensordot(ap.jac, dom, 1), ap.gbar0
+        lhs_t - lead_dot(ap.jac, dom), ap.gbar0
     )
     return {
         "aa_symmetry": sup_abs(hxx - hxx.transpose(1, 0, 2)),
         "case_free": res,
-        "hmat": hmat,
         # the Reeb part of both displays and of their shape operators:
         # sum_jk h_{N_i}(xi_j, xi_k) eta^j(X) eta^k(Y), and xi_k eta^j
-        "disp": pair_form(hxx, etaV.T, etaV.T),
+        "disp": pair_form(hxx, eta0.T, eta0.T),
         "a_disp": pair_form(hxx.transpose(0, 2, 1), xi0.T, eta0.T),
     }
 
@@ -452,12 +439,14 @@ def thsubm_check(ap, fr, case, tol_exact=TOL_EXACT):
     shared = fr.kept("thsubm", V, lambda: _thsubm_shared(ap, fr))
     disp, a_disp = shared["disp"], shared["a_disp"]
     if case == "i":
-        disp = disp - pair_form(fr.g0, nearly_s_terms(fr, V)[0], V)
-        a_disp = a_disp - fr.f0 @ fr.f0
+        f2 = fr.f0 @ fr.f0              # the display adds g(-f^2 X, Y)
+        disp = disp - f2.T @ fr.g0
+        a_disp = a_disp - f2
     res = {
         "aa_symmetry": shared["aa_symmetry"],
-        "h_display": sup_abs(shared["hmat"] - disp),
-        "shape_display_duality": sup_abs(_g_shaped(fr, a_disp) - disp),
+        "h_display": sup_abs(pair_form(ap.hn - disp, V, V)),
+        "shape_display_duality": sup_abs(
+            pair_form(a_disp.transpose(0, 2, 1) @ fr.g0 - disp, V, V)),
         **shared["case_free"],
     }
     if case == "i":
@@ -486,8 +475,8 @@ def lemma_parallel_claim(ap, fr, tol=TOL_EXACT):
     nf = ap.nabla_fbar.transpose(1, 0, 2)
     jx = ap.jac.T
     jy = fr.d_basis @ ap.jac.T
-    t = pair_form(nf, jx, jy @ ap.fbar0.T) + np.tensordot(
-        ap.fbar0, pair_form(nf, jx, jy), 1
+    t = pair_form(nf, jx, jy @ ap.fbar0.T) + lead_dot(
+        ap.fbar0, pair_form(nf, jx, jy)
     )
     worst = sup_gnorm(ap.tangent_part(t), ap.gbar0)
     if worst > tol:

@@ -19,11 +19,14 @@ from weakf.calculus import (
     nabla_tensor11_kernel,
     riemann_from_jets,
 )
+from weakf import cli
+from weakf.catalog import make_example
 from weakf.charts import SmoothField
 from weakf.errors import WeakfError
 from weakf.fstructure import PackFrame, StructurePack
 from weakf.jets import Jet, cos, lift, sin, value_of
-from weakf.submanifold import _AmbientPoint
+from weakf.sampling import pair_form, sup_abs, sup_gnorm
+from weakf.submanifold import _AmbientPoint, induce_structure
 
 
 class DegeneratePlaneError(WeakfError):
@@ -476,6 +479,101 @@ def frame(pack, p, sub=None, **kwargs):
     it."""
     ambient = None if sub is None else _AmbientPoint(sub, p)
     return PackFrame(pack, p, ambient=ambient, **kwargs)
+
+
+def config_frames(argv, samples, seed=42):
+    """The frames of the first ``samples`` points of a ``weakf verify``
+    argument list's example, built as the runner builds them."""
+    args = cli.build_parser().parse_args(["verify", *argv.split()])
+    cat = make_example(args.example, **cli._parse_params(args.param))
+    sub = None if cat.is_pack else cat.obj
+    pack = cat.obj if sub is None else induce_structure(sub, validate=False)
+    return [frame(pack, p, sub, seed=seed, index=i)
+            for i, p in enumerate(cat.chart.sample(samples, seed))]
+
+
+# -- pair-level residuals ------------------------------------------------------------
+#
+# The engine sums the terms of each bilinear identity as coefficients at the
+# point and contracts them with the test pairs once. These evaluate every
+# term on the test pairs first and sum the pair values.
+
+
+def nabla_f_pairs(fr, V):
+    """T[k,A,B] = ((D_{V_A} f) V_B)^k."""
+    return pair_form(fr.nabla_f.transpose(1, 0, 2), V, V)
+
+
+def nearly_s_terms(fr, V):
+    """(f^2 V, g(fX,fY) xibar, etabar(Y) f^2 X) over all test pairs."""
+    fV = V @ fr.f0.T
+    f2V = fV @ fr.f0.T
+    gff = np.einsum("AB,k->kAB", pair_form(fr.g0, fV, fV), fr.xibar)
+    ef2 = np.einsum("B,Ak->kAB", V @ fr.etabar, f2V)
+    return f2V, gff, ef2
+
+
+def nearly_s_residual(fr, V):
+    t = nabla_f_pairs(fr, V)
+    _, gff, ef2 = nearly_s_terms(fr, V)
+    res = t + t.transpose(0, 2, 1) - 2.0 * gff - ef2.transpose(0, 2, 1) - ef2
+    return sup_gnorm(res, fr.g0)
+
+
+def nearly_c_residual(fr, V):
+    t = nabla_f_pairs(fr, V)
+    return sup_gnorm(t + t.transpose(0, 2, 1), fr.g0)
+
+
+def s_structure_residual(fr, V):
+    _, gff, ef2 = nearly_s_terms(fr, V)
+    return sup_gnorm(nabla_f_pairs(fr, V) - gff - ef2, fr.g0)
+
+
+def nijenhuis_ff(fr, V):
+    """[f,f](X,Y) for all test pairs: tensor [k, A, B]."""
+    f0, f1 = fr.f0, fr.f1
+    # P[k,A,B] = (fV_B)^a d_a (f V_A)^k, with f1[k,b,a] = d_a f^k_b;
+    # R is the same with V_B in place of fV_B
+    P = pair_form(f1, V, V @ f0.T)
+    R = pair_form(f1, V, V)
+    return P.transpose(0, 2, 1) - P - np.tensordot(f0, R.transpose(0, 2, 1) - R, 1)
+
+
+def n1(fr, V):
+    """N1[k,A,B] = [f,f](X,Y) + 2 sum_i deta^i(X,Y) xi_i."""
+    return nijenhuis_ff(fr, V) + 2.0 * np.tensordot(
+        fr.xi0, pair_form(fr.deta, V, V), (0, 0))
+
+
+def h_pairs(ap, V):
+    """gbar(h(V_A, V_B), N_i) from the ambient derivative of the pushed
+    constant fields on each pair."""
+    vj = V @ ap.jac.T
+    dxy = pair_form(ap.hess, V, V) + pair_form(ap.gammabar, vj, vj)
+    return np.tensordot(ap.normals @ ap.gbar0, dxy, 1)
+
+
+def thsubm_displays(ap, fr, case):
+    """The h-display residuals of ``thsubm_check`` for ``case``."""
+    V, xi0, eta0 = fr.V, fr.xi0, fr.eta0
+
+    def g_shaped(mats):
+        return pair_form(fr.g0, V @ mats.transpose(0, 2, 1), V)
+
+    hmat, hxx = h_pairs(ap, V), h_pairs(ap, xi0)
+    etaV = eta0 @ V.T
+    disp = pair_form(hxx, etaV.T, etaV.T)
+    a_disp = pair_form(hxx.transpose(0, 2, 1), xi0.T, eta0.T)
+    if case == "i":
+        disp = disp - pair_form(fr.g0, nearly_s_terms(fr, V)[0], V)
+        a_disp = a_disp - fr.f0 @ fr.f0
+    return {
+        "h_display": sup_abs(hmat - disp),
+        "shape_display_duality": sup_abs(g_shaped(a_disp) - disp),
+        "weingarten_duality": sup_abs(g_shaped(ap.shape_operators) - hmat),
+        "h_symmetric": sup_abs(hmat - hmat.transpose(0, 2, 1)),
+    }
 
 
 # -- reparametrized packs --------------------------------------------------------

@@ -14,13 +14,16 @@ most 1e-14. Dump the JSON reports of both commits and compare them:
 
 ``--compare`` prints, per configuration, the verdict changes and the
 largest |delta| of any residual, and exits 1 on a verdict change or a delta
-above 1e-14. Each configuration is a ``weakf verify`` argument list; the
-report is built once and rendered in both formats.
+above 1e-14. A non-finite residual is written as the string "NaN",
+"Infinity" or "-Infinity"; it matches only the same string. Each
+configuration is a ``weakf verify`` argument list; the report is built once
+and rendered in both formats.
 """
 
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -115,8 +118,11 @@ def compare_reports(before, after):
         for key in old.keys() & new.keys():
             for field in ("max_residual", "mean_residual"):
                 a, b = old[key][field], new[key][field]
-                if a is not None and b is not None:
-                    delta = max(delta, abs(a - b))
+                if a is None or b is None or a == b:
+                    continue
+                d = abs(float(a) - float(b))
+                # a non-finite residual against any other value
+                delta = max(delta, d) if math.isfinite(d) else math.inf
         yield name, changed, delta
 
 

@@ -115,6 +115,35 @@ def test_single_block_weight_from_command_line():
             float(params[-1].split("=")[1])]
 
 
+def test_overflowing_block_weight_is_usage_error():
+    # Q f cubes a block weight and the squared g-norm of its residual raises
+    # that to the sixth power: a weight whose sixth power overflows float64
+    # is refused by name, before numpy can overflow
+    ceil = float(np.finfo(float).max) ** (1 / 6)
+    for example, n in (("flat_pack", ["n=1"]), ("product_pack", []),
+                       ("linear_subspace", [])):
+        for weight in ("1e120", f"{-1.01 * ceil!r}"):
+            argv = ["verify", "--example", example, "--samples", "2"]
+            for p in [*n, f"scales={weight}"]:
+                argv += ["--param", p]
+            proc = run_cli(argv)
+            assert proc.returncode == 2, (example, weight, proc.stderr)
+            assert f"block weight {float(weight)!r}" in proc.stderr
+            assert "RuntimeWarning" not in proc.stderr
+        # just under the ceiling every residual stays finite
+        argv = ["verify", "--example", example, "--samples", "2", "--format",
+                "json", "--param", f"scales={0.99 * ceil!r}"]
+        for p in n:
+            argv += ["--param", p]
+        proc = run_cli(argv)
+        assert proc.returncode in (0, 1), proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        report = json.loads(proc.stdout)
+        assert all(isinstance(e["max_residual"], float)
+                   for entries in report["suites"].values() for e in entries
+                   if e["max_residual"] is not None)
+
+
 def test_non_finite_blend_angle_is_usage_error():
     for t in ("nan", "inf"):
         proc = run_cli(["verify", "--example", "rotated_pack", "--param",

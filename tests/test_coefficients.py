@@ -1,0 +1,66 @@
+"""Coefficient-first residuals against the pair-level oracle.
+
+The engine sums the terms of each bilinear identity as coefficients at the
+point and contracts them with the test pairs once; ``oracles`` evaluates
+every term on the test pairs and sums the pair values. Both must agree on
+every report configuration and on the sheared packs, whose connection terms
+are not zero.
+"""
+
+import numpy as np
+import pytest
+from report_digests import CONFIGS
+
+import oracles
+from weakf import catalog, classifiers
+from weakf.submanifold import thsubm_check
+
+# Both routes sum the same float64 products in another order; residuals reach
+# ~50 (the h-display of the weak hypersphere), so the gate scales with them.
+TOL = 1e-12
+SAMPLES = 3
+
+RESIDUALS = ("nearly_s_residual", "nearly_c_residual", "s_structure_residual")
+
+
+def _close(got, want):
+    scale = max(1.0, float(np.abs(want).max()))
+    return float(np.abs(np.asarray(got) - want).max()) <= TOL * scale
+
+
+def _sheared_frames(params):
+    pack = oracles.sheared_pack(catalog.flat_pack(**params).obj)
+    return [oracles.frame(pack, p, seed=3, index=i)
+            for i, p in enumerate(pack.chart.sample(SAMPLES, seed=3))]
+
+
+@pytest.fixture(scope="module", params=[*CONFIGS, "sheared n=2 s=1",
+                                        "sheared n=1 s=2"])
+def frames(request):
+    if request.param.startswith("sheared"):
+        n, s = (int(w[-1]) for w in request.param.split()[1:])
+        return _sheared_frames({"n": n, "s": s})
+    return oracles.config_frames(request.param, SAMPLES)
+
+
+def test_class_residuals_match_pair_oracle(frames):
+    for fr in frames:
+        for name in RESIDUALS:
+            got = getattr(classifiers, name)(fr, fr.V)
+            assert _close(got, getattr(oracles, name)(fr, fr.V)), name
+
+
+def test_nijenhuis_tensors_match_pair_oracle(frames):
+    for fr in frames:
+        assert _close(fr.nijenhuis_ff(fr.V), oracles.nijenhuis_ff(fr, fr.V))
+        assert _close(fr.n1(fr.V), oracles.n1(fr, fr.V))
+
+
+def test_thsubm_displays_match_pair_oracle(frames):
+    for fr in frames:
+        if fr.ambient is None:
+            continue
+        for case in ("i", "ii"):
+            got = thsubm_check(fr.ambient, fr, case)
+            for key, want in oracles.thsubm_displays(fr.ambient, fr, case).items():
+                assert _close(got[key], want), (case, key)

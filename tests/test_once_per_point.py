@@ -1,5 +1,7 @@
 """Per-point work is done once: counted with wrappers on a small run."""
 
+import hashlib
+import sys
 import types
 import weakref
 from collections import Counter
@@ -22,10 +24,7 @@ FRAME_ARRAYS = {
     "tv": {"V": lambda tv: tv.vectors},
     "_jets": {"xi0": lambda j: j["xi"][0], "xi1": lambda j: j["xi"][1]},
     "d_basis": {"d_basis": lambda a: a},
-    "deta": {"deta": lambda a: a},
-    "nabla_f": {"nabla_f": lambda a: a},
     "nabla_q": {"nabla_q": lambda a: a},
-    "nabla_xi": {"nabla_xi": lambda a: a},
 }
 
 
@@ -41,10 +40,10 @@ def _tracked(init, refs, counts, name):
     return tracking_init
 
 
-def _counting(fn, counts, name, when=lambda *args: True):
-    """``fn`` that adds one to ``counts[name]`` per call that ``when`` accepts."""
+def _counting(fn, counts, name):
+    """``fn`` that adds one to ``counts[name]`` per call."""
     def counted(*args, **kwargs):
-        counts[name] += bool(when(*args, **kwargs))
+        counts[name] += 1
         return fn(*args, **kwargs)
     return counted
 
@@ -57,18 +56,29 @@ def _counted_property(cls, attr, counts):
     return rec
 
 
-def _is_identity(ap, v):
-    return v.shape == (len(v), len(v)) and np.array_equal(v, np.eye(len(v)))
+def _content(a):
+    """A key for the value of a contraction operand."""
+    if not isinstance(a, np.ndarray):
+        return a
+    return a.shape, hashlib.sha1(np.ascontiguousarray(a).tobytes()).digest()
 
 
-def _recording(prop, picks, names, alive):
-    """``prop`` (a cached property) that names the arrays it builds."""
+def _memory(a):
+    """Where an array's elements start, and how many there are: a transposed
+    view has the same."""
+    return a.__array_interface__["data"][0], a.size
+
+
+def _recording(prop, picks, names, owners, alive):
+    """``prop`` (a cached property) that names the arrays it builds, and
+    records each by where its elements are."""
     def get(fr):
         val = prop.func(fr)
         for name, pick in picks.items():
             arr = pick(val)
             alive.append(arr)
             names[id(arr)] = name
+            owners[_memory(arr)] = id(arr)
         return val
     rec = cached_property(get)
     rec.__set_name__(PackFrame, prop.attrname)
@@ -80,13 +90,16 @@ def counted_run():
     counts = Counter()
     jet_keys = Counter()
     contractions = Counter()    # operand ids -> calls, for every contraction
+    # (sample, helper, calling function, line, operand names, operand values)
+    # -> calls
+    sites = Counter()
     names = {}                  # id -> name of each recorded frame array
+    owners = {}                 # _memory -> id of each recorded frame array
     alive = []                  # keeps arrays alive so that ids stay unique
     inside_theorems = [0]
 
     jet = charts.SmoothField.jet
     theorem_check = report.theorem_check
-    h_matrix = submanifold.h_matrix
 
     def counting_jet(self, p, order=2):
         jet_keys[id(self), order, tuple(float(c) for c in p)] += 1
@@ -104,29 +117,26 @@ def counted_run():
         finally:
             inside_theorems[0] -= 1
 
-    def counting_h_matrix(ap, v):
-        counts["h_matrix_on_V"] += names.get(id(v)) == "V"
-        return h_matrix(ap, v)
-
     def operand_id(a):
         # a transposed view of a frame array stands for the array itself
-        base = getattr(a, "base", None)
-        if id(a) not in names and id(base) in names and a.size == base.size:
-            return id(base)
-        return id(a)
+        return id(a) if id(a) in names else owners.get(_memory(a), id(a))
 
     def counting(contract, skip=0):
         def counted(*args, **kwargs):
             ops = [a for a in args[skip:] if isinstance(a, np.ndarray)]
             alive.append(ops)
-            contractions[tuple(map(operand_id, ops))] += 1
+            ids = tuple(map(operand_id, ops))
+            contractions[ids] += 1
+            caller = sys._getframe(1)
+            sites[(counts["frame"], contract.__name__, caller.f_code.co_name,
+                   caller.f_lineno, tuple(map(names.get, ids)),
+                   *map(_content, args))] += 1
             return contract(*args, **kwargs)
         return counted
 
     counted_np = types.ModuleType("numpy")
     counted_np.__dict__.update(vars(np))
     counted_np.einsum = counting(np.einsum, skip=1)
-    counted_np.tensordot = counting(np.tensordot)
 
     with pytest.MonkeyPatch.context() as mp:
         for cls, name in ((submanifold._AmbientPoint, "ambient"),
@@ -134,25 +144,21 @@ def counted_run():
             mp.setattr(cls, "__init__", _tracked(cls.__init__, [], counts, name))
         for attr, picks in FRAME_ARRAYS.items():
             mp.setattr(PackFrame, attr, _recording(
-                vars(PackFrame)[attr], picks, names, alive))
+                vars(PackFrame)[attr], picks, names, owners, alive))
         for name in ("metric_inverse", "christoffel_from_jets"):
             mp.setattr(calculus, name, _counting(
                 getattr(calculus, name), counts, name))
         mp.setattr(submanifold, "ambient_nearly_kahler_residual", _counting(
             submanifold.ambient_nearly_kahler_residual, counts, "nearly_kahler"))
         ap_cls = submanifold._AmbientPoint
-        mp.setattr(ap_cls, "shape_operators", _counted_property(
-            ap_cls, "shape_operators", counts))
-        mp.setattr(ap_cls, "ambient_derivative_pairs", _counting(
-            ap_cls.ambient_derivative_pairs, counts, "coordinate_pairs",
-            when=_is_identity))
-        mp.setattr(submanifold, "h_matrix", counting_h_matrix)
+        for attr in ("shape_operators", "coordinate_derivative", "hn"):
+            mp.setattr(ap_cls, attr, _counted_property(ap_cls, attr, counts))
         mp.setattr(charts.SmoothField, "jet", counting_jet)
         mp.setattr(report, "theorem_check", flagged_theorem_check)
         for mod in (classifiers, fstructure, submanifold):
             mp.setattr(mod, "np", counted_np)
-            mp.setattr(mod, "pair_form", counting(getattr(
-                mod, "pair_form", None)), raising=False)
+            for helper in ("pair_form", "lead_dot"):
+                mp.setattr(mod, helper, counting(getattr(mod, helper)))
         rep = run_suite(SuiteConfig(example="hypersphere", params={"n": 1},
                                     suites=SUITES, samples=SAMPLES))
 
@@ -161,18 +167,18 @@ def counted_run():
         return {ids: n for ids, n in contractions.items()
                 if tuple(names.get(i) for i in ids) == operands}
 
-    return rep, counts, jet_keys, named
+    return rep, counts, jet_keys, named, sites
 
 
 def test_one_ambient_build_per_sample(counted_run):
-    rep, counts, _, _ = counted_run
+    rep, counts, _, _, _ = counted_run
     assert rep["overall"]["verdict"] == "pass"
     assert "submanifold" in rep["suites"]
     assert counts["ambient"] == SAMPLES
 
 
 def test_one_order1_pullback_per_sample(counted_run):
-    _, counts, jet_keys, _ = counted_run
+    _, counts, jet_keys, _, _ = counted_run
     # the induced pack's jets come in closed form from the one ambient point
     # per sample: no induced field is differentiated by SmoothField.jet
     assert counts["ambient"] == SAMPLES
@@ -182,7 +188,7 @@ def test_one_order1_pullback_per_sample(counted_run):
 
 
 def test_order2_pullback_only_inside_theorem_checks(counted_run):
-    _, counts, _, _ = counted_run
+    _, counts, _, _, _ = counted_run
     # thm32_chain runs on the Sasakian hypersphere: the Gauss equation takes
     # one order-2 jet of the ambient metric per sample, inside the check
     assert counts["order2_inside_theorems"] == SAMPLES
@@ -220,15 +226,24 @@ def test_killing_residual_once_per_frame():
 
 
 def test_one_point_state_alive_at_a_time(counted_run):
-    _, counts, _, _ = counted_run
+    _, counts, _, _, _ = counted_run
     assert counts["frame"] == SAMPLES
     # the previous point's frame and ambient point are gone by the next build
     assert counts["frame_alive_at_build"] == 0
     assert counts["ambient_alive_at_build"] == 0
 
 
+def _calls_in(sites, function):
+    """{(helper, line): calls} of the contractions made in ``function``."""
+    out = Counter()
+    for site, n in sites.items():
+        if site[2] == function:
+            out[site[1], site[3]] += n
+    return out
+
+
 def test_frame_residuals_once_per_sample(counted_run):
-    _, _, _, named = counted_run
+    _, _, _, named, _ = counted_run
     # contractions that only frame_residuals and q_parallel_residual make:
     # the Reeb brackets, and (D_V Q) on the contact basis
     assert sum(named("xi0", "xi1").values()) == SAMPLES
@@ -236,31 +251,47 @@ def test_frame_residuals_once_per_sample(counted_run):
 
 
 def test_nabla_f_pairs_once_per_sample(counted_run):
-    _, _, _, named = counted_run
-    # (D_V f)V and the (D_V Q) contractions: none of them is built twice from
-    # the same arrays
-    pairs = {**named("nabla_f", "V", "V"), **named("nabla_q", "V", "V"),
-             **named("nabla_q", "V", "d_basis")}
-    assert len(pairs) >= SAMPLES
-    assert max(pairs.values()) == 1
+    _, _, _, _, sites = counted_run
+    # the identities summed from (D_X f)Y, and the (D_X Q)Y expansion: each
+    # coefficient tensor is contracted with the test pairs once per sample
+    for function in ("nearly_s_residual", "nearly_c_residual",
+                     "s_structure_residual", "q_parallel_residual"):
+        calls = _calls_in(sites, function)
+        assert calls and set(calls.values()) == {SAMPLES}, function
 
 
 def test_shared_contractions_once_per_sample(counted_run):
-    _, _, _, named = counted_run
-    # d eta(V, V), D_V xi and D_xi xi each serve several checks at a point
-    for operands in (("deta", "V", "V"), ("nabla_xi", "V"),
-                     ("nabla_xi", "xi0")):
-        assert sum(named(*operands).values()) == SAMPLES, operands
+    _, _, _, _, sites = counted_run
+    # no contraction (pair_form, lead_dot or np.einsum in the classifiers,
+    # fstructure and submanifold modules) is made twice with the same
+    # operands at one point: what several checks share is computed once
+    assert len(sites) > 50
+    assert max(sites.values()) == 1
 
 
-def test_h_matrix_once_per_sample(counted_run):
-    _, counts, _, _ = counted_run
-    # both thsubm cases read h(V, V) at a point
-    assert counts["h_matrix_on_V"] == SAMPLES
+def test_each_coefficient_tensor_contracted_once_per_sample(counted_run):
+    _, _, _, _, sites = counted_run
+    # pair_form(C, V, V): every coefficient tensor C of a bilinear identity
+    # meets the test pairs once per sample, wherever it is formed
+    pairs = Counter()
+    for (sample, helper, _, _, operands, coeff, *_), n in sites.items():
+        if helper == "pair_form" and operands[1:] == ("V", "V"):
+            pairs[sample, coeff] += n
+    assert max(pairs.values()) == 1
+    per_sample = Counter(sample for sample, _ in pairs)
+    assert sorted(per_sample) == list(range(1, SAMPLES + 1))
+    assert min(per_sample.values()) >= 20
+
+
+def test_second_fundamental_form_once_per_sample(counted_run):
+    _, counts, _, _, _ = counted_run
+    # both thsubm cases, the Gauss split and the curvature read the
+    # coordinate second fundamental form, built once per point
+    assert counts["hn"] == SAMPLES
 
 
 def test_inverse_and_christoffel_once_per_metric(counted_run):
-    _, counts, _, _ = counted_run
+    _, counts, _, _, _ = counted_run
     # one g^-1 and Gamma for the induced metric, one for the ambient metric;
     # the curvature reads the frame's
     assert counts["metric_inverse"] == 2 * SAMPLES
@@ -268,12 +299,12 @@ def test_inverse_and_christoffel_once_per_metric(counted_run):
 
 
 def test_ambient_point_quantities_once_per_sample(counted_run):
-    _, counts, _, _ = counted_run
+    _, counts, _, _, _ = counted_run
     # both thsubm cases read the shape operators and the gate; the Gauss
     # split and the tangential expansion read D on coordinate pairs
     assert counts["shape_operators"] == SAMPLES
     assert counts["nearly_kahler"] == SAMPLES
-    assert counts["coordinate_pairs"] == SAMPLES
+    assert counts["coordinate_derivative"] == SAMPLES
 
 
 def test_pack_metric_inverse_once_per_sample():

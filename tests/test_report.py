@@ -12,7 +12,7 @@ import report_digests
 from report_digests import CONFIGS, digest_lines, dump_reports
 
 import weakf
-from weakf import cli, report
+from weakf import cli, fstructure, report
 from weakf.errors import InvalidExample
 from weakf.report import SUITES, SuiteConfig, run_suite
 
@@ -106,6 +106,12 @@ def test_point_state_is_built_only_by_the_runner():
         assert {(m, fn) for n, m, fn in built if n == name} == allowed, name
 
 
+def _np_call(node, name):
+    """``node`` is a call of ``np.<name>``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name)
+
+
 def _unplanned_multi_operand(call):
     """An ``einsum`` call with three or more operands, or with ``optimize=``."""
     operands = call.args[1:]
@@ -116,13 +122,14 @@ def _unplanned_multi_operand(call):
 
 def test_no_unplanned_multi_operand_einsum_in_src():
     # every contraction in the package is a chain of steps with at most two
-    # operands each (pair_form, @, np.tensordot or a two-operand einsum),
-    # and none asks numpy for a contraction plan
+    # operands each (pair_form, lead_dot, @ or a two-operand einsum), none
+    # asks numpy for a contraction plan, and none pays np.tensordot's
+    # argument handling
     bad = []
     for path in sorted(Path(weakf.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "einsum" and _unplanned_multi_operand(node)):
+            if (_np_call(node, "einsum") and _unplanned_multi_operand(node)
+                    or _np_call(node, "tensordot")):
                 bad.append(f"{path.name}:{node.lineno}")
     assert bad == []
 
@@ -140,24 +147,52 @@ def test_jets_are_converted_only_in_jets_module():
     assert bad == []
 
 
-def test_nan_residual_fails_its_entry(capsys):
-    # sup_gnorm overflows to NaN on qf_commute at this scale: the NaN must
-    # stay the entry's max and fail it, wherever it falls among the points
+def _strict_loads(text):
+    """``json.loads`` that refuses the bare NaN and Infinity tokens."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_nan_residual_fails_its_entry(capsys, monkeypatch):
+    # a NaN residual must stay the entry's max and fail it, wherever it falls
+    # among the points
     agg = report._Agg()
     for v in (1e-20, math.nan, 1e-20):
         agg.add(v)
     assert math.isnan(agg.max)
     entry = report._entry("qf_commute", "qf_commute", agg, 1e-9, True)
     assert entry["verdict"] == "fail"
-    with pytest.warns(RuntimeWarning):
-        code = cli.main(["verify", "--example", "flat_pack", "--param", "n=1",
-                         "--param", "s=1", "--param", "scales=1e120",
-                         "--samples", "2", "--format", "json"])
-    rep = json.loads(capsys.readouterr().out)
-    assert code == 1 and rep["overall"]["verdict"] == "fail"
+
+    # a residual that is NaN at the second point and +inf at the third
+    axioms = fstructure.axioms_residual
+    calls = []
+
+    def non_finite(fr):
+        res = axioms(fr)
+        calls.append(fr)
+        res["qf_commute"] = (0.0, math.nan, math.inf)[len(calls) - 1]
+        return res
+
+    monkeypatch.setattr(fstructure, "axioms_residual", non_finite)
+    argv = ["verify", "--example", "flat_pack", "--param", "n=1", "--param",
+            "s=1", "--suites", "axioms", "--samples", "3"]
+    assert cli.main([*argv, "--format", "json"]) == 1
+    # strict JSON: the non-finite max and mean are named by strings
+    rep = _strict_loads(capsys.readouterr().out)
+    assert rep["overall"]["verdict"] == "fail"
     (entry,) = [e for e in rep["suites"]["axioms"] if e["identity"] == "qf_commute"]
-    assert math.isnan(entry["max_residual"]) and entry["verdict"] == "fail"
+    assert entry["max_residual"] == "NaN" and entry["mean_residual"] == "NaN"
+    assert entry["verdict"] == "fail"
     assert "qf_commute" in rep["overall"]["failures"]
+    calls.clear()
+    assert cli.main([*argv, "--format", "text"]) == 1
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+               if " qf_commute " in ln]
+    assert line.split()[2:5] == ["nan", "nan", "fail"]
+    # an infinite residual is written the same way
+    assert report.render_json({"r": [math.inf, -math.inf]}).split() == [
+        "{", '"r":', "[", '"Infinity",', '"-Infinity"', "]", "}"]
 
 
 def test_report_digests_match_the_command_line(capsys):
@@ -202,3 +237,13 @@ def test_report_digests_compare_mode(tmp_path, capsys):
     code, out = edited(verdict="fail")
     assert code == 1
     assert "1 verdict changes" in out and f"changed: {identity}" in out
+    # a non-finite residual matches only the same string
+    path.write_text(original, encoding="utf-8")
+    for out in (before, after):
+        rep = json.loads((out / path.name).read_text(encoding="utf-8"))
+        rep["suites"]["axioms"][0]["max_residual"] = "NaN"
+        (out / path.name).write_text(json.dumps(rep), encoding="utf-8")
+    assert report_digests.main(compare) == 0
+    for changed in ("Infinity", entry["max_residual"]):
+        code, out = edited(max_residual=changed)
+        assert code == 1 and "max |delta residual| inf" in out, changed

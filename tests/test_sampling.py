@@ -1,17 +1,24 @@
-"""The pairwise contraction helpers against the np.einsum expressions they
-replace, over random shapes and entries, and the batched draw of the random
-test vectors against one draw per vector."""
+"""The pairwise contraction helpers against the np.einsum and np.tensordot
+expressions they replace, over random shapes and entries; the batched draw
+of the random test vectors against one draw per vector; and the Cholesky
+test basis against the Gram-Schmidt of the coordinate frame."""
 
 import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from report_digests import CONFIGS
 
+import oracles
+from weakf import catalog
 from weakf.fstructure import PackFrame
 from weakf.sampling import (
     N_RANDOM_PAIRS,
     N_RANDOM_TRIPLES,
+    cholesky_basis,
+    lead_dot,
+    orthonormal_basis,
     pair_form,
     point_rng,
     random_units,
@@ -60,6 +67,23 @@ def test_pair_form_matches_einsum(ops):
     got = pair_form(t, X, Y)
     assert got.shape == ref.shape
     assert np.all(abs(got - ref) <= TOL * scale)
+
+
+@st.composite
+def lead_operands(draw):
+    c = draw(st.integers(1, 10))
+    trailing = tuple(draw(st.lists(st.integers(1, 10), min_size=0, max_size=3)))
+    return draw(grid_arrays(draw(leading) + (c,), (c, *trailing)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead_operands())
+def test_lead_dot_matches_tensordot(ops):
+    a, t = ops
+    ref = np.tensordot(a, t, 1)
+    got = lead_dot(a, t)
+    assert got.shape == ref.shape
+    assert np.all(abs(got - ref) <= TOL * np.tensordot(abs(a), abs(t), 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -128,3 +152,36 @@ def test_frame_draws_continue_after_the_test_vectors(all_packs):
             coeff = rng.standard_normal((4, fr.d_basis.shape[0]))
             ref = unit_rows(coeff @ fr.d_basis, fr.g0)
             assert fr.random_d_units(4).tobytes() == ref.tobytes()
+
+
+# -- test basis ---------------------------------------------------------------------
+
+
+def _assert_gram_schmidt(g0):
+    """The rows of L^-1 for g0 = L L^T are the Gram-Schmidt of e_1..e_m."""
+    basis, ref = cholesky_basis(g0), orthonormal_basis(g0)
+    assert np.abs(basis - ref).max() <= TOL * max(1.0, np.abs(ref).max())
+    assert np.abs(basis @ g0 @ basis.T - np.eye(len(g0))).max() <= TOL
+
+
+def test_cholesky_basis_is_the_coordinate_gram_schmidt():
+    # on the metric of every report configuration, on the ambient metric of
+    # the embedded ones, and on the sheared flat packs, whose metric is not
+    # diagonal (every catalog metric is)
+    frames = [fr for config in CONFIGS for fr in oracles.config_frames(config, 2)]
+    for params in ({}, {"n": 1, "s": 2}):
+        pack = oracles.sheared_pack(catalog.flat_pack(**params).obj)
+        frames += [PackFrame(pack, p) for p in pack.chart.sample(2, seed=3)]
+    for fr in frames:
+        _assert_gram_schmidt(fr.g0)
+        if fr.ambient is not None:
+            _assert_gram_schmidt(fr.ambient.gbar0)
+    assert any(np.abs(fr.g0 - np.diag(np.diag(fr.g0))).max() > 0.1
+               for fr in frames)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seeds, st.integers(1, 10))
+def test_cholesky_basis_on_random_metrics(seed, m):
+    a = np.random.default_rng(seed).uniform(-1.0, 1.0, (m, m))
+    _assert_gram_schmidt(np.eye(m) + a @ a.T)    # eigenvalues in [1, 1 + m^2]

@@ -15,7 +15,6 @@ from weakf.submanifold import (
     frame_check,
     gauss_split_residual,
     induce_structure,
-    h_matrix,
     lemma_parallel_claim,
     require_valid_frame,
     thsubm_check,
@@ -78,8 +77,7 @@ def test_second_fundamental_sphere_shape_operator():
     # inward normal flips the sign: h_N = +g
     ap = _AmbientPoint(inward, p)
     g_in = induce_structure(inward).g.value(p)
-    assert abs(h_matrix(ap, np.array([x, y]))[0, 0, 1]
-               - float(x @ g_in @ y)) <= 1e-12
+    assert abs(float(x @ ap.hn[0] @ y) - float(x @ g_in @ y)) <= 1e-12
     assert np.abs(ap.shape_operators[0] - np.eye(3)).max() <= 1e-12
 
 
@@ -160,7 +158,7 @@ def test_curved_ambient_gauss_and_weingarten():
     ap = _AmbientPoint(horizontal, q)
     x = np.array([1.0])
     g0 = ap.g0
-    hxx = h_matrix(ap, x[None])[0, 0, 0]
+    hxx = float(x @ ap.hn[0] @ x)
     assert abs(hxx - float((ap.shape_operators[0] @ x) @ g0 @ x)) <= 1e-12
     assert abs(hxx) > 1e-3
 
@@ -178,7 +176,7 @@ def test_thsubm_case_i_on_hypersphere(cat_sphere, sphere_induced):
         assert res["tangential_expansion"] <= TOL
         assert res["conclusion_weak_nearly_S"] <= TOL
         # orientation pin: the inward normal gives h_N(xi, xi) = +1
-        assert h_matrix(ap, fr.xi0)[0, 0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert float(fr.xi0[0] @ ap.hn[0] @ fr.xi0[0]) == pytest.approx(1.0, abs=1e-10)
         # the other case's display must fail on a sphere
         res2 = thsubm_check(ap, fr, "ii")
         assert res2["h_display"] >= 0.5
