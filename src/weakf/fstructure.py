@@ -213,7 +213,7 @@ class PackFrame:
     @cached_property
     def tv(self):
         # g^-1 first: it names an indefinite metric (point and smallest
-        # eigenvalue) before Gram-Schmidt meets a negative norm
+        # eigenvalue) before the Cholesky factorization raises LinAlgError
         self.ginv
         return build_test_vectors(self.g0, self._rng, distinguished=self.xi0)
 
@@ -295,10 +295,6 @@ class PackFrame:
     def n1(self, V):
         """N1[k,A,B] = [f,f](X,Y) + 2 sum_i deta^i(X,Y) xi_i."""
         return pair_form(self.n1_coeff, V, V)
-
-    def n2(self, V):
-        """N2[i,A,B] = 2 deta^i(fX, Y) - 2 deta^i(fY, X)."""
-        return pair_form(self.n2_coeff, V, V)
 
     def n3(self):
         """N3[i,a,b] = (L_{xi_i} f)^a_b."""

@@ -285,8 +285,8 @@ def structure_tensors(pack, p, which, frame=None):
         return n1
     if which == "N2":
         def n2(i, x, y):
-            v = np.array([x, y], dtype=float)
-            return float(fr.n2(v)[i, 0, 1])
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            return float(x @ fr.n2_coeff[i] @ y)
         return n2
     if which == "N3":
         mats = fr.n3()
