@@ -55,7 +55,7 @@ import numpy as np
 
 from .charts import Chart, SmoothField, constant_field, euclidean_metric
 from .errors import InvalidExample
-from .fstructure import StructurePack
+from .fstructure import _Q_EIGEN_FLOOR, StructurePack
 from .jets import cos, sin, tan
 from .submanifold import EmbeddedSubmanifold
 
@@ -135,10 +135,14 @@ def _integer(name, value):
 # residual (sampling.sup_gnorm) the sixth, the largest power any residual
 # forms: above this ceiling that power overflows float64.
 _WEIGHT_CEIL = np.finfo(float).max ** (1 / 6)
+# Q is the square of a block weight on its block, and the axioms refuse a Q
+# whose smallest eigenvalue does not exceed their floor: a weight whose
+# square does not exceed it, |weight| <= this floor, can never pass them.
+_WEIGHT_FLOOR = math.sqrt(_Q_EIGEN_FLOOR)
 
 
 def _block_weights(example, n, scales, default):
-    """One finite, non-zero weight per complex block, as a float tuple.
+    """One finite weight per complex block, as a float tuple.
 
     A bare number is the weight of a single block (``--param scales=2``).
     """
@@ -147,12 +151,14 @@ def _block_weights(example, n, scales, default):
     weights = tuple(map(float, scales if np.ndim(scales) else (scales,)))
     if len(weights) != n:
         raise InvalidExample(f"{example} needs one block weight per complex block")
-    bad = [c for c in weights if not 0.0 < abs(c) <= _WEIGHT_CEIL]
+    bad = [c for c in weights
+           if not (c * c > _Q_EIGEN_FLOOR and abs(c) <= _WEIGHT_CEIL)]
     if bad:
         raise InvalidExample(
-            f"{example} block weight {bad[0]!r} must be non-zero with |weight| <= "
-            f"{_WEIGHT_CEIL:.4e}, where its sixth power, the squared g-norm of "
-            "Q f, stays finite")
+            f"{example} block weight {bad[0]!r} must have {_WEIGHT_FLOOR:.4e} < "
+            f"|weight| <= {_WEIGHT_CEIL:.4e}, where its square, the eigenvalue "
+            f"of Q on its block, exceeds the axioms' floor {_Q_EIGEN_FLOOR:g} "
+            "and its sixth power, the squared g-norm of Q f, stays finite")
     return weights
 
 

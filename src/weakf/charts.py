@@ -3,9 +3,11 @@
 A :class:`Chart` is an open coordinate box with a safe region chosen to stay
 clear of coordinate singularities. A :class:`SmoothField` wraps a component
 function ``fn(coords) -> components`` where ``coords`` is a list of generic
-scalars (floats or jets); the same function therefore yields values, first
-and second partial derivatives. Evaluation is deterministic: the same point
-always produces bitwise-identical output.
+scalars: floats, or jets over a stack of points. The same function therefore
+yields values at one point, and first and second partial derivatives at a
+whole stack of points in one call (:class:`PointStacks` keeps those stacks
+for a run). Evaluation is deterministic: the same point always produces
+bitwise-identical output, alone or in a stack.
 
 Component layout per kind:
 
@@ -24,6 +26,7 @@ twoform    m x m nested list        w[a][b] = w(e_a, e_b)
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -86,19 +89,27 @@ def _stable_chart_key(name):
     return acc
 
 
-def _structure(values, kind, m, order, level=None):
-    """Convert fn output (nested generic scalars) into value[/d1/d2] arrays."""
-    if kind == "scalar":
-        entries = [values]
-        shape = ()
-    elif kind in ("vector", "oneform"):
-        entries = list(values)
-        shape = (m,)
-    else:
-        entries = [e for row in values for e in row]
-        shape = (m, m)
-    return tuple(a.reshape(shape + a.shape[1:])
-                 for a in arrays(entries, m, order, level))
+def jet_stack(fn, points, order, what):
+    """(value, d1[, d2]) stacks of the component function ``fn`` over the
+    ``(P, m)`` stack ``points``: one call of ``fn`` on lifted coordinates.
+
+    Each stack is shaped ``(P,) + output shape + (m,) * k``, the derivative
+    axes last. Every entry must be finite; a non-finite row means that point
+    left the domain where the components are smooth, and is named by
+    ``what`` and its coordinates.
+    """
+    count, m = points.shape
+    with np.errstate(all="ignore"):     # non-finite rows are refused below
+        out = np.array(fn(lift(points, order)), dtype=object)
+    stacks = [a.reshape((count,) + out.shape + a.shape[2:])
+              for a in arrays(list(out.flat), count, m, order)]
+    if not all(np.isfinite(a).all() for a in stacks):
+        finite = np.logical_and.reduce(
+            [np.isfinite(a).reshape(count, -1).all(axis=1) for a in stacks])
+        p = points[np.argmin(finite)]
+        raise ValueError(
+            f"non-finite jet of {what} at {tuple(float(c) for c in p)}")
+    return stacks
 
 
 @dataclass(frozen=True)
@@ -114,28 +125,85 @@ class SmoothField:
         if self.kind not in KINDS:
             raise ValueError(f"unknown field kind {self.kind!r}")
 
+    @property
+    def label(self):
+        """How error messages name the field."""
+        return f"field {self.name or self.kind!r}"
+
     def value(self, p):
         """Component values at ``p`` as a float array (fast path, no jets)."""
-        (val,) = _structure(self.fn([float(c) for c in p]), self.kind,
-                            self.chart.dim, 0)
+        val = np.array(self.fn([float(c) for c in p]), dtype=float)
         return float(val) if self.kind == "scalar" else val
 
-    def jet(self, p, order=2):
-        """(value, d1[, d2]) arrays; trailing axes index the derivative.
+    def stack(self, points, order=2):
+        """(value, d1[, d2]) stacks over the ``(P, m)`` ``points``, from one
+        call of the component function; see :func:`jet_stack`."""
+        return jet_stack(self.fn, np.asarray(points, dtype=float), order,
+                         self.label)
 
-        All entries are required to be finite; a non-finite jet means the
-        point left the domain where the components are smooth.
-        """
-        coords = lift([float(c) for c in p], order=order)
-        arrs = _structure(self.fn(coords), self.kind, self.chart.dim, order,
-                          coords[0].level)
-        for arr in arrs:
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(
-                    f"non-finite jet of field {self.name or self.kind!r} "
-                    f"at {tuple(float(c) for c in p)}"
-                )
-        return arrs
+    def jet(self, p, order=2):
+        """(value, d1[, d2]) arrays at ``p``; trailing axes index the
+        derivative. The one-point case of :meth:`stack`."""
+        return tuple(a[0] for a in self.stack([p], order))
+
+
+# Sample points per stacked evaluation. Picked from a measured speed and
+# peak-RSS curve over chunk sizes (see CHANGES.md): larger chunks stopped
+# paying before memory moved.
+CHUNK = 50
+
+
+class PointStacks:
+    """Jet stacks of component functions over one case's sample points.
+
+    ``jet(i, fn, order, what)`` reads row i of the stack of ``fn`` at
+    ``order``. A stack is built on first use, by one call of ``fn`` over
+    the chunk of ``CHUNK`` consecutive points that holds i, and all stacks
+    are dropped when the walk reaches the next chunk, so memory does not
+    grow with the number of samples. With ``at = (fn', order', what')`` the
+    points are the values of the stack of ``fn'`` instead of the sample
+    points: an ambient field along the image of an embedding.
+
+    A stack whose evaluation raises, or has a non-finite row, is not used:
+    ``fn`` is then evaluated at each point asked for alone, so the exception
+    surfaces at the point it belongs to, as it would point by point.
+    """
+
+    def __init__(self, points):
+        self.points = np.asarray(points, dtype=float)
+        self._start = None
+        self._stacks = {}
+
+    def row(self, i):
+        """``jet`` at point ``i``: called as ``row(fn, order, what, at=None)``."""
+        return partial(self.jet, i)
+
+    def jet(self, i, fn, order, what, at=None):
+        start = i - i % CHUNK
+        if start != self._start:
+            self._start, self._stacks = start, {}
+        stack = self._stack(start, fn, order, what, at)
+        if stack is not None:
+            return tuple(a[i - start] for a in stack)
+        p = self.points[i] if at is None else self.jet(i, *at)[0]
+        return tuple(a[0] for a in jet_stack(fn, p[None], order, what))
+
+    def _stack(self, start, fn, order, what, at):
+        """The chunk's stack of ``fn`` at ``order``, or None if it failed."""
+        key = (fn, order, at)
+        if key not in self._stacks:
+            if at is None:
+                points = self.points[start:start + CHUNK]
+            else:
+                source = self._stack(start, *at, None)
+                points = None if source is None else source[0]
+            try:
+                stack = None if points is None else jet_stack(
+                    fn, points, order, what)
+            except Exception:
+                stack = None
+            self._stacks[key] = stack
+        return self._stacks[key]
 
 
 # -- constructors -------------------------------------------------------------

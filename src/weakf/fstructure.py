@@ -27,6 +27,7 @@ from functools import cached_property, wraps
 import numpy as np
 
 from . import calculus
+from .charts import PointStacks
 from .errors import DegenerateOperatorError
 from .sampling import (
     build_test_vectors,
@@ -84,36 +85,44 @@ def kept_per_frame(compute):
 class PackFrame:
     """All jets and test data of a pack at a single chart point.
 
-    A pack induced on an embedded submanifold takes the point's ambient
-    data as ``ambient`` (see :func:`weakf.submanifold.induce_structure`):
-    its jets, g^-1 and curvature are read from there.
+    The fields' jets are read from ``row``, the point's row of the run's
+    :class:`~weakf.charts.PointStacks` (by default a stack of this point
+    alone). A pack induced on an embedded submanifold takes the point's
+    ambient data as ``ambient`` (see
+    :func:`weakf.submanifold.induce_structure`): its jets, g^-1 and
+    curvature are read from there.
     """
 
-    def __init__(self, pack, p, seed=0, index=0, ambient=None):
+    def __init__(self, pack, p, seed=0, index=0, ambient=None, row=None):
         self.pack = pack
         self.p = np.asarray(p, dtype=float)
         self.m = pack.dim
         self.ambient = ambient
+        self._row = row or PointStacks([self.p]).row(0)
         self._rng = point_rng(seed, index)
         self._kept = {}
 
     # -- raw jets -----------------------------------------------------------
+
+    def _jet(self, field, order):
+        """(value, d1[, d2]) of ``field`` at the frame's point."""
+        return self._row(field.fn, order, field.label)
 
     @cached_property
     def _jets(self):
         """Order-1 (value, d1) of every field at the frame's point."""
         if self.ambient is not None:
             return self.ambient.induced_jets
-        pk, p = self.pack, self.p
+        pk = self.pack
 
         def stacked(fields):
-            jets = [x.jet(p, order=1) for x in fields]
+            jets = [self._jet(x, 1) for x in fields]
             return np.array([j[0] for j in jets]), np.array([j[1] for j in jets])
 
         return {
-            "g": pk.g.jet(p, order=1),
-            "f": pk.f.jet(p, order=1),
-            "q": pk.Q.jet(p, order=1),
+            "g": self._jet(pk.g, 1),
+            "f": self._jet(pk.f, 1),
+            "q": self._jet(pk.Q, 1),
             "xi": stacked(pk.xi),
             "eta": stacked(pk.eta),
         }
@@ -143,7 +152,7 @@ class PackFrame:
     def riemann(self):
         if self.ambient is not None:
             return self.ambient.induced_riemann
-        g2 = self.pack.g.jet(self.p, order=2)[2]
+        g2 = self._jet(self.pack.g, 2)[2]
         return calculus.riemann_from_jets(self.ginv, self.gamma, self.g1, g2)
 
     # -- derived pointwise tensors -------------------------------------------

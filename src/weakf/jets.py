@@ -1,29 +1,30 @@
-"""Forward-mode scalars carrying exact first and second partial derivatives.
+"""Forward-mode jets over stacks of points: exact first and second partials.
 
 Chart component functions are written against the math helpers exported here
 (``sin``, ``cos``, ``exp``, ...) so that the same code runs on plain floats
-and on :class:`Jet` scalars. A ``Jet`` stores the value, the gradient and
+and on :class:`Jet` scalars. A ``Jet`` holds the value, the gradient and
 (optionally) the Hessian of a quantity with respect to the coordinates of
-one *lift*. Lifts nest: seeding a lift whose entries are themselves jets
-yields derivatives of derivative data. The package itself never nests (the
-induced structure of an embedding is differentiated in closed form); the
-test suite's independent pullback oracle does.
+one :func:`lift`, at every point of a stack at once: one call of a component
+function on lifted coordinates differentiates it at all P points. This is
+forward mode with vectorised tangents.
 
-Every lift carries a level tag so that nested lifts never mix their
-perturbations: a jet of a lower level behaves as a constant inside a higher
-level. All arithmetic is non-mutating; jets can be shared freely.
+Arithmetic and the chain rule are broadcasting numpy operations that keep
+the association order of the scalar formulas, so every row is bitwise the
+jet of its point evaluated alone, and a Hessian is exactly symmetric: its
+lower triangle is a mirror of the upper one. All arithmetic is
+non-mutating; jets can be shared freely.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
 
 __all__ = [
     "Jet",
     "lift",
-    "value_of",
     "arrays",
     "sin",
     "cos",
@@ -33,234 +34,213 @@ __all__ = [
     "sqrt",
 ]
 
+# Scalars a jet combines with as constants; anything else (such as a jet of
+# another implementation) gets NotImplemented, so that it can take over.
+_CONSTANTS = (int, float, np.number, np.ndarray)
+
+
+def _col(v, k=1):
+    """``v`` with ``k`` trailing axes added when it is an array, so that it
+    broadcasts against a gradient (k = 1) or a Hessian (k = 2)."""
+    return v[(...,) + (None,) * k] if isinstance(v, np.ndarray) else v
+
+
+@cache
+def _upper(m):
+    mask = np.triu(np.ones((m, m), dtype=bool))
+    mask.flags.writeable = False        # shared by every caller
+    return mask
+
+
+def _mirrored(h):
+    """The Hessian stack ``h`` with its lower triangle mirrored from the upper."""
+    return np.where(_upper(h.shape[-1]), h, h.swapaxes(-1, -2))
+
 
 class Jet:
-    """Truncated Taylor scalar: value, gradient, optional Hessian.
+    """Truncated Taylor scalar over a stack of points.
 
-    ``grad`` is a list of length m, ``hess`` either ``None`` (first-order
-    jet) or an m-by-m list of lists. Entries are generic scalars: floats, or
-    jets of a strictly lower level.
+    ``val`` is a float or a ``(P,)`` array, ``grad`` a ``(..., m)`` array and
+    ``hess`` a ``(..., m, m)`` array, or ``None`` for a first-order jet.
     """
 
-    __slots__ = ("val", "grad", "hess", "level")
+    __slots__ = ("val", "grad", "hess")
     __array_ufunc__ = None  # force numpy scalars to defer to our operators
 
-    def __init__(self, val, grad, hess=None, level=1):
+    def __init__(self, val, grad, hess=None):
         self.val = val
         self.grad = grad
         self.hess = hess
-        self.level = level
-
-    @property
-    def dim(self):
-        return len(self.grad)
 
     def __repr__(self):
-        return f"Jet({self.val!r}, grad={self.grad!r}, level={self.level})"
-
-    @staticmethod
-    def _sym(m, build):
-        """Assemble a Hessian from its upper triangle; symmetry is exact."""
-        h = [[None] * m for _ in range(m)]
-        for i in range(m):
-            for j in range(i, m):
-                e = build(i, j)
-                h[i][j] = e
-                h[j][i] = e
-        return h
+        return f"Jet({self.val!r}, grad={self.grad!r})"
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            if other.level > self.level:
-                return other.__radd__(self)
-            if other.level == self.level:
-                h = None
-                if self.hess is not None and other.hess is not None:
-                    h = [
-                        [a + b for a, b in zip(ra, rb)]
-                        for ra, rb in zip(self.hess, other.hess)
-                    ]
-                return Jet(
-                    self.val + other.val,
-                    [a + b for a, b in zip(self.grad, other.grad)],
-                    h,
-                    self.level,
-                )
-        return Jet(self.val + other, self.grad, self.hess, self.level)
+            h = None
+            if self.hess is not None and other.hess is not None:
+                h = self.hess + other.hess
+            return Jet(self.val + other.val, self.grad + other.grad, h)
+        if not isinstance(other, _CONSTANTS):
+            return NotImplemented
+        return Jet(self.val + other, self.grad, self.hess)
 
     __radd__ = __add__
 
     def __neg__(self):
-        h = None
-        if self.hess is not None:
-            h = [[-a for a in row] for row in self.hess]
-        return Jet(-self.val, [-a for a in self.grad], h, self.level)
+        return Jet(-self.val, -self.grad,
+                   None if self.hess is None else -self.hess)
 
     def __sub__(self, other):
+        if not isinstance(other, (Jet,) + _CONSTANTS):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, _CONSTANTS):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, Jet):
-            if other.level > self.level:
-                return other.__rmul__(self)
-            if other.level == self.level:
-                sv, ov = self.val, other.val
-                g = [
-                    a * ov + sv * b for a, b in zip(self.grad, other.grad)
-                ]
-                h = None
-                if self.hess is not None and other.hess is not None:
-                    h = Jet._sym(
-                        len(self.grad),
-                        lambda i, j: self.hess[i][j] * ov
-                        + self.grad[i] * other.grad[j]
-                        + self.grad[j] * other.grad[i]
-                        + sv * other.hess[i][j],
-                    )
-                return Jet(sv * ov, g, h, self.level)
-        h = None
-        if self.hess is not None:
-            h = [[a * other for a in row] for row in self.hess]
-        return Jet(self.val * other, [a * other for a in self.grad], h, self.level)
+            sv, ov = self.val, other.val
+            g, og = self.grad, other.grad
+            grad = g * _col(ov) + _col(sv) * og
+            h = None
+            if self.hess is not None and other.hess is not None:
+                outer = g[..., :, None] * og[..., None, :]   # g_i og_j
+                h = _mirrored(self.hess * _col(ov, 2) + outer
+                              + outer.swapaxes(-1, -2)
+                              + _col(sv, 2) * other.hess)
+            return Jet(sv * ov, grad, h)
+        if not isinstance(other, _CONSTANTS):
+            return NotImplemented
+        return Jet(self.val * other, self.grad * _col(other),
+                   None if self.hess is None else self.hess * _col(other, 2))
 
     __rmul__ = __mul__
 
     def _recip(self):
         # 1/u: d = -1/u^2, dd = 2/u^3
-        v = self.val
-        inv = 1.0 / v
+        inv = 1.0 / self.val
         d = -inv * inv
-        g = [d * a for a in self.grad]
         h = None
         if self.hess is not None:
             dd = 2.0 * inv * inv * inv
-            h = Jet._sym(
-                len(self.grad),
-                lambda i, j: dd * self.grad[i] * self.grad[j]
-                + d * self.hess[i][j],
-            )
-        return Jet(inv, g, h, self.level)
+            h = self._curvature(dd, d)
+        return Jet(inv, _col(d) * self.grad, h)
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
-            if other.level > self.level:
-                return other.__rtruediv__(self)
-            if other.level == self.level:
-                return self * other._recip()
+            return self * other._recip()
+        if not isinstance(other, _CONSTANTS):
+            return NotImplemented
         return self * (1.0 / other)
 
     def __rtruediv__(self, other):
+        if not isinstance(other, _CONSTANTS):
+            return NotImplemented
         return self._recip() * other
 
     def __pow__(self, p):
         if isinstance(p, Jet):
             raise TypeError("jet exponents are not supported")
         if p == 0:
-            return Jet(1.0, [0.0] * len(self.grad),
-                       None if self.hess is None else
-                       [[0.0] * len(self.grad) for _ in self.grad],
-                       self.level)
+            return Jet(np.ones_like(self.val), np.zeros_like(self.grad),
+                       None if self.hess is None else np.zeros_like(self.hess))
         if p == 1:
             return self
         if p == 2:
             return self * self
         return self._chain(
-            lambda t: _pow(t, p),
-            lambda t: p * _pow(t, p - 1),
-            lambda t: p * (p - 1) * _pow(t, p - 2),
+            lambda t: t ** p,
+            lambda t: p * t ** (p - 1),
+            lambda t: p * (p - 1) * t ** (p - 2),
         )
 
     # -- chain rule ---------------------------------------------------------
 
+    def _curvature(self, d2, d1):
+        """Hessian of a composite: d2 g_i g_j + d1 h_ij, in that order."""
+        g = self.grad
+        return _mirrored((_col(d2, 2) * g[..., :, None]) * g[..., None, :]
+                         + _col(d1, 2) * self.hess)
+
     def _chain(self, f, df, ddf):
         """Compose with a scalar function given its first two derivatives."""
-        fv = f(self.val)
-        d1 = df(self.val)
-        g = [d1 * a for a in self.grad]
-        h = None
-        if self.hess is not None:
-            d2 = ddf(self.val)
-            h = Jet._sym(
-                len(self.grad),
-                lambda i, j: d2 * self.grad[i] * self.grad[j]
-                + d1 * self.hess[i][j],
-            )
-        return Jet(fv, g, h, self.level)
+        fv, d1 = f(self.val), df(self.val)
+        h = None if self.hess is None else self._curvature(ddf(self.val), d1)
+        return Jet(fv, _col(d1) * self.grad, h)
 
 
-def lift(coords, order=2):
-    """Seed coordinate jets over ``coords`` (floats or lower-level jets)."""
-    lvl = 1 + max(
-        (c.level for c in coords if isinstance(c, Jet)), default=0
-    )
-    m = len(coords)
-    out = []
-    for k, c in enumerate(coords):
-        g = [1.0 if j == k else 0.0 for j in range(m)]
-        h = None if order < 2 else [[0.0] * m for _ in range(m)]
-        out.append(Jet(c, g, h, lvl))
-    return out
+def lift(points, order=2):
+    """Coordinate jets over a ``(P, m)`` stack of points, one per coordinate.
+
+    Coordinate k has the values ``points[:, k]``, the unit gradient e_k and,
+    from ``order`` 2, a zero Hessian; the constant partials are broadcast
+    views, so lifting costs no per-point memory beyond the values.
+    """
+    cols = np.array(points, dtype=float).T.copy()   # one contiguous row each
+    m, count = cols.shape
+    eye = np.eye(m)
+    hess = None if order < 2 else np.broadcast_to(0.0, (count, m, m))
+    return [Jet(c, np.broadcast_to(eye[k], (count, m)), hess)
+            for k, c in enumerate(cols)]
 
 
-def value_of(x):
-    """Strip all jet layers from a scalar."""
-    while isinstance(x, Jet):
-        x = x.val
-    return float(x)
+def arrays(entries, count, m, order):
+    """Float stacks (value, d1, ..., up to ``order``) of a flat list of
+    scalars over ``count`` points, shaped ``(count, n) + (m,) * k``.
 
-
-def _stripped(xs):
-    """The scalars ``xs`` with every jet layer stripped."""
-    while any(isinstance(x, Jet) for x in xs):
-        xs = [x.val if isinstance(x, Jet) else x for x in xs]
-    return xs
-
-
-def arrays(entries, m, order, level=None):
-    """Float (value, d1, ..., up to ``order``) arrays of a flat list of
-    scalars with respect to one lift, stacked on a leading entry axis.
-
-    Constants, and with ``level`` given jets of any other level, get zero
-    partials, a first-order jet gets a zero Hessian, and values lose every
-    jet layer, as with :func:`value_of`. A jet's partials are copied in as
-    one row; only a jet above level 1 can hold lower-level jets there, and
-    those are stripped too.
+    Constants get zero partials and a first-order jet a zero Hessian. When
+    every entry is a constant, the stacks are read-only broadcast views of
+    one row.
     """
     n = len(entries)
-    out = [np.array(_stripped(entries), dtype=float)]
-    out += [np.zeros((n,) + (m,) * k) for k in range(1, order + 1)]
-    if order < 1:
-        return out
+    shapes = [(count, n) + (m,) * k for k in range(order + 1)]
+    if not any(isinstance(e, Jet) for e in entries):
+        rows = [np.array(entries, dtype=float)]
+        rows += [np.zeros(s[1:]) for s in shapes[1:]]
+        return [np.broadcast_to(r, s) for r, s in zip(rows, shapes)]
+    out = [np.empty(shapes[0])] + [np.zeros(s) for s in shapes[1:]]
     for i, e in enumerate(entries):
-        if not isinstance(e, Jet) or level is not None and e.level != level:
+        if not isinstance(e, Jet):
+            out[0][:, i] = e
             continue
-        nested = e.level > 1
-        out[1][i] = _stripped(e.grad) if nested else e.grad
+        out[0][:, i] = e.val
+        if order > 0:
+            out[1][:, i] = e.grad
         if order > 1 and e.hess is not None:
-            out[2][i] = [_stripped(r) for r in e.hess] if nested else e.hess
+            out[2][:, i] = e.hess
     return out
 
 
 # -- generic math functions --------------------------------------------------
+#
+# A float goes to ``math``, an array to numpy, and a jet (anything with a
+# ``_chain``) through the chain rule. On arrays, ``sqrt`` and ``log`` refuse
+# the arguments ``math`` refuses, with its message.
 
 
-def _pow(t, p):
-    return t ** p
+def _domain(ok):
+    if not np.all(ok):
+        raise ValueError("math domain error")
 
 
 def sin(x):
-    if isinstance(x, Jet):
+    if isinstance(x, np.ndarray):
+        return np.sin(x)
+    if hasattr(x, "_chain"):
         return x._chain(sin, cos, lambda t: -sin(t))
     return math.sin(x)
 
 
 def cos(x):
-    if isinstance(x, Jet):
+    if isinstance(x, np.ndarray):
+        return np.cos(x)
+    if hasattr(x, "_chain"):
         return x._chain(cos, lambda t: -sin(t), lambda t: -cos(t))
     return math.cos(x)
 
@@ -270,19 +250,27 @@ def tan(x):
 
 
 def exp(x):
-    if isinstance(x, Jet):
+    if isinstance(x, np.ndarray):
+        return np.exp(x)
+    if hasattr(x, "_chain"):
         return x._chain(exp, exp, exp)
     return math.exp(x)
 
 
 def log(x):
-    if isinstance(x, Jet):
+    if isinstance(x, np.ndarray):
+        _domain(~(x <= 0.0))
+        return np.log(x)
+    if hasattr(x, "_chain"):
         return x._chain(log, lambda t: 1.0 / t, lambda t: -1.0 / (t * t))
     return math.log(x)
 
 
 def sqrt(x):
-    if isinstance(x, Jet):
+    if isinstance(x, np.ndarray):
+        _domain(~(x < 0.0))
+        return np.sqrt(x)
+    if hasattr(x, "_chain"):
         return x._chain(
             sqrt,
             lambda t: 0.5 / sqrt(t),

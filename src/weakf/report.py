@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import make_example
+from .charts import PointStacks
 from .classifiers import (
     CLASS_TAGS,
     THEOREM_CHECKS,
@@ -281,10 +282,13 @@ def run_suite(config):
     Points are walked once. Each gets one :class:`PackFrame`, and on an
     embedded example one ``_AmbientPoint``, from which the frame reads the
     induced pack's jets; both are built with the first bundle that runs
-    there. Every bundle that has not skipped is evaluated on them, then
-    both are dropped. A failed gate skips its bundle for good; any other
-    exception, from the engine or a component function, becomes an
-    :class:`EvaluationFailure` naming the suite, the bundle and the point.
+    there, and read the jets of the component functions from the case's
+    one :class:`~weakf.charts.PointStacks`, which evaluates each function
+    once per chunk of points and order. Every bundle that has not skipped
+    is evaluated on them, then both are dropped. A failed gate skips its
+    bundle for good; any other exception, from the engine or a component
+    function, becomes an :class:`EvaluationFailure` naming the suite, the
+    bundle and the point.
     """
     cat = make_example(config.example, **config.params)
     sub = None if cat.is_pack else cat.obj
@@ -299,16 +303,19 @@ def run_suite(config):
     skips = [None] * len(bundles)
 
     chart = cat.chart
-    for i, p in enumerate(chart.sample(config.samples, config.seed)):
+    points = chart.sample(config.samples, config.seed)
+    stacks = PointStacks(points)
+    for i, p in enumerate(points):
         fr = ap = None
         for k, (suite, bundle) in enumerate(bundles):
             if skips[k] is not None:
                 continue
             try:
                 if fr is None:
-                    ap = None if sub is None else _AmbientPoint(sub, p)
+                    row = stacks.row(i)
+                    ap = None if sub is None else _AmbientPoint(sub, p, row)
                     fr = PackFrame(pack, p, seed=config.seed, index=i,
-                                   ambient=ap)
+                                   ambient=ap, row=row)
                 res = bundle.evaluate(fr, ap)
             except HypothesisNotMet as exc:
                 skips[k] = (f"hypothesis failed: {exc.gate} "

@@ -29,12 +29,12 @@ with the inward position normal (h_N = +g) pins the orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import calculus
-from .charts import SmoothField
+from .charts import PointStacks, SmoothField, jet_stack
 from .classifiers import (
     TOL_EXACT,
     nearly_c_residual,
@@ -43,7 +43,6 @@ from .classifiers import (
 )
 from .errors import HypothesisNotMet, SetupRejected
 from .fstructure import StructurePack
-from .jets import arrays, lift
 from .sampling import cholesky_basis, lead_dot, pair_form, sup_abs, sup_gnorm
 
 _FRAME_TOL = 1e-10
@@ -68,23 +67,6 @@ class EmbeddedSubmanifold:
             raise ValueError("domain dimension must be 2n + s")
         if self.ambient.dim != 2 * self.n + 2 * self.s:
             raise ValueError("ambient dimension must be 2n + 2s")
-
-
-def _lifted(fn, p, order, what):
-    """Value and partials of the generic component function ``fn`` at ``p``.
-
-    Returns ``order + 1`` float arrays shaped like the output of ``fn``,
-    with the derivative axes last. ``what`` names ``fn`` if they are not
-    finite.
-    """
-    m = len(p)
-    out = np.array(fn(lift([float(c) for c in p], order=order)), dtype=object)
-    arrs = [a.reshape(out.shape + a.shape[1:])
-            for a in arrays(list(out.flat), m, order)]
-    if not all(np.isfinite(a).all() for a in arrs):
-        raise ValueError(f"non-finite jet of the {what} at "
-                         f"{tuple(float(c) for c in p)}")
-    return arrs
 
 
 def _product(a, b):
@@ -135,18 +117,25 @@ class _AmbientPoint:
     it to the point's :class:`~weakf.fstructure.PackFrame`, which reads the
     induced pack's jets and curvature from it; every submanifold check takes
     it as its first argument. Only :func:`require_valid_frame` builds its
-    own.
+    own. The jets of the embedding, the normals and the ambient fields
+    along the image are read from ``row``, the point's row of the run's
+    :class:`~weakf.charts.PointStacks` (by default a stack of this point
+    alone).
     """
 
-    def __init__(self, sub, p):
+    def __init__(self, sub, p, row=None):
         self.sub = sub
         self.p = p = np.asarray(p, dtype=float)
-        self.iota, self.jac, self.hess = _lifted(sub.embedding, p, 2, "embedding")
-        self.normals, self.dnormals = _lifted(sub.normals, p, 1, "normals")
-        self.gbar0, self.gbar1 = sub.ambient_metric.jet(self.iota, order=1)
+        row = row or PointStacks([p]).row(0)
+        embedding = (sub.embedding, 2, "the embedding")
+        self.iota, self.jac, self.hess = row(*embedding)
+        self.normals, self.dnormals = row(sub.normals, 1, "the normals")
+        self._along = partial(row, at=embedding)
+        gbar, fbar = sub.ambient_metric, sub.ambient_skew
+        self.gbar0, self.gbar1 = self._along(gbar.fn, 1, gbar.label)
         self.ginvbar = calculus.metric_inverse(self.gbar0, self.iota)
         self.gammabar = calculus.christoffel_from_jets(self.ginvbar, self.gbar1)
-        self.fbar0, self.fbar1 = sub.ambient_skew.jet(self.iota, order=1)
+        self.fbar0, self.fbar1 = self._along(fbar.fn, 1, fbar.label)
 
     @property
     def g0(self):
@@ -185,7 +174,8 @@ class _AmbientPoint:
         with Rbar from a second-order jet of gbar, taken here only. No
         third derivative of the embedding is needed.
         """
-        gbar2 = self.sub.ambient_metric.jet(self.iota, order=2)[2]
+        gbar = self.sub.ambient_metric
+        gbar2 = self._along(gbar.fn, 2, gbar.label)[2]
         rbar = calculus.riemann_from_jets(
             self.ginvbar, self.gammabar, self.gbar1, gbar2)
         low = lead_dot(self.gbar0, rbar)            # [w, i, j, k], lowered
@@ -311,7 +301,8 @@ def _induced_values(sub, coords):
         raise TypeError(
             "induced fields are evaluated at float points; a PackFrame of an "
             "induced pack reads their jets from the point's _AmbientPoint")
-    iota, jac = _lifted(sub.embedding, coords, 1, "embedding")
+    iota, jac = (a[0] for a in jet_stack(sub.embedding, np.array([coords]), 1,
+                                         "the embedding"))
     normals = np.array(sub.normals(coords), dtype=float)
     out = _induced(jac[None], sub.ambient_metric.value(iota)[None],
                    sub.ambient_skew.value(iota)[None], normals.T[None], coords)

@@ -6,7 +6,8 @@ fields instead: vector-field arguments are ``SmoothField`` objects, brackets
 and exterior derivatives use the co-boundary formulas on those extensions,
 and the Nijenhuis torsion exists in both its commutator and connection
 forms. The tests compare the engine against them, and them against central
-finite differences. Conventions are those of ``weakf.calculus``.
+finite differences. Conventions are those of ``weakf.calculus``. The
+nesting scalar jet below is the oracle of the package's array jets.
 """
 
 import numpy as np
@@ -24,9 +25,204 @@ from weakf.catalog import make_example
 from weakf.charts import SmoothField
 from weakf.errors import WeakfError
 from weakf.fstructure import PackFrame, StructurePack
-from weakf.jets import Jet, cos, lift, sin, value_of
+from weakf import jets
+from weakf.jets import cos, sin
 from weakf.sampling import pair_form, sup_abs, sup_gnorm
 from weakf.submanifold import _AmbientPoint, induce_structure
+
+
+# -- the nesting scalar jet -------------------------------------------------------
+#
+# The package's jets are array-backed and never nest. This is the scalar
+# forward-mode jet they replaced, kept as their independent oracle and for
+# the nested lifts below: every lift carries a level tag so that nested
+# lifts never mix their perturbations (a jet of a lower level behaves as a
+# constant inside a higher level), and seeding a lift whose entries are
+# jets yields derivatives of derivative data. The package's math helpers
+# (``weakf.jets.sin``, ...) apply to it through its ``_chain``.
+
+
+class Jet:
+    """Truncated Taylor scalar at one point: value, gradient, optional Hessian.
+
+    ``grad`` is a list of length m, ``hess`` either ``None`` (first-order
+    jet) or an m-by-m list of lists. Entries are generic scalars: floats,
+    jets of a strictly lower level, or the package's array jets, which count
+    as constants here.
+    """
+
+    __slots__ = ("val", "grad", "hess", "level")
+    __array_ufunc__ = None  # force numpy scalars to defer to our operators
+
+    def __init__(self, val, grad, hess=None, level=1):
+        self.val = val
+        self.grad = grad
+        self.hess = hess
+        self.level = level
+
+    @property
+    def dim(self):
+        return len(self.grad)
+
+    def __repr__(self):
+        return f"Jet({self.val!r}, grad={self.grad!r}, level={self.level})"
+
+    @staticmethod
+    def _sym(m, build):
+        """Assemble a Hessian from its upper triangle; symmetry is exact."""
+        h = [[None] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(i, m):
+                e = build(i, j)
+                h[i][j] = e
+                h[j][i] = e
+        return h
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            if other.level > self.level:
+                return other.__radd__(self)
+            if other.level == self.level:
+                h = None
+                if self.hess is not None and other.hess is not None:
+                    h = [
+                        [a + b for a, b in zip(ra, rb)]
+                        for ra, rb in zip(self.hess, other.hess)
+                    ]
+                return Jet(
+                    self.val + other.val,
+                    [a + b for a, b in zip(self.grad, other.grad)],
+                    h,
+                    self.level,
+                )
+        return Jet(self.val + other, self.grad, self.hess, self.level)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        h = None
+        if self.hess is not None:
+            h = [[-a for a in row] for row in self.hess]
+        return Jet(-self.val, [-a for a in self.grad], h, self.level)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            if other.level > self.level:
+                return other.__rmul__(self)
+            if other.level == self.level:
+                sv, ov = self.val, other.val
+                g = [
+                    a * ov + sv * b for a, b in zip(self.grad, other.grad)
+                ]
+                h = None
+                if self.hess is not None and other.hess is not None:
+                    h = Jet._sym(
+                        len(self.grad),
+                        lambda i, j: self.hess[i][j] * ov
+                        + self.grad[i] * other.grad[j]
+                        + self.grad[j] * other.grad[i]
+                        + sv * other.hess[i][j],
+                    )
+                return Jet(sv * ov, g, h, self.level)
+        h = None
+        if self.hess is not None:
+            h = [[a * other for a in row] for row in self.hess]
+        return Jet(self.val * other, [a * other for a in self.grad], h, self.level)
+
+    __rmul__ = __mul__
+
+    def _recip(self):
+        # 1/u: d = -1/u^2, dd = 2/u^3
+        v = self.val
+        inv = 1.0 / v
+        d = -inv * inv
+        g = [d * a for a in self.grad]
+        h = None
+        if self.hess is not None:
+            dd = 2.0 * inv * inv * inv
+            h = Jet._sym(
+                len(self.grad),
+                lambda i, j: dd * self.grad[i] * self.grad[j]
+                + d * self.hess[i][j],
+            )
+        return Jet(inv, g, h, self.level)
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            if other.level > self.level:
+                return other.__rtruediv__(self)
+            if other.level == self.level:
+                return self * other._recip()
+        return self * (1.0 / other)
+
+    def __rtruediv__(self, other):
+        return self._recip() * other
+
+    def __pow__(self, p):
+        if isinstance(p, Jet):
+            raise TypeError("jet exponents are not supported")
+        if p == 0:
+            return Jet(1.0, [0.0] * len(self.grad),
+                       None if self.hess is None else
+                       [[0.0] * len(self.grad) for _ in self.grad],
+                       self.level)
+        if p == 1:
+            return self
+        if p == 2:
+            return self * self
+        return self._chain(
+            lambda t: t ** p,
+            lambda t: p * t ** (p - 1),
+            lambda t: p * (p - 1) * t ** (p - 2),
+        )
+
+    # -- chain rule ---------------------------------------------------------
+
+    def _chain(self, f, df, ddf):
+        """Compose with a scalar function given its first two derivatives."""
+        fv = f(self.val)
+        d1 = df(self.val)
+        g = [d1 * a for a in self.grad]
+        h = None
+        if self.hess is not None:
+            d2 = ddf(self.val)
+            h = Jet._sym(
+                len(self.grad),
+                lambda i, j: d2 * self.grad[i] * self.grad[j]
+                + d1 * self.hess[i][j],
+            )
+        return Jet(fv, g, h, self.level)
+
+
+def lift(coords, order=2):
+    """Seed coordinate jets over ``coords`` (floats, lower-level jets, or
+    array jets)."""
+    lvl = 1 + max(
+        (c.level for c in coords if isinstance(c, Jet)), default=0
+    )
+    m = len(coords)
+    out = []
+    for k, c in enumerate(coords):
+        g = [1.0 if j == k else 0.0 for j in range(m)]
+        h = None if order < 2 else [[0.0] * m for _ in range(m)]
+        out.append(Jet(c, g, h, lvl))
+    return out
+
+
+def value_of(x):
+    """Strip all jet layers from a scalar; an array jet must be over one
+    point."""
+    while isinstance(x, (Jet, jets.Jet)):
+        x = x.val
+    return float(np.reshape(x, ()))
 
 
 class DegeneratePlaneError(WeakfError):
@@ -322,7 +518,7 @@ def second_fundamental(sub, x, y, p):
     return h_vec, a_list
 
 
-# -- generic scalars to float arrays ------------------------------------------------
+# -- parts of an oracle jet ---------------------------------------------------------
 
 
 def parts(x, m, order=2, level=None):
@@ -342,20 +538,6 @@ def parts(x, m, order=2, level=None):
     if order < 2:
         return x, zeros, None
     return x, zeros, [[0.0] * m for _ in range(m)]
-
-
-def entry_arrays(entries, m, order, level=None):
-    """Reference for :func:`weakf.jets.arrays`: each entry converted on its
-    own by ``parts``, with one ``value_of`` per value and partial."""
-    out = [np.empty((len(entries),) + (m,) * k) for k in range(order + 1)]
-    for idx, e in enumerate(entries):
-        v, g, h = parts(e, m, order, level)
-        out[0][idx] = value_of(v)
-        if order >= 1:
-            out[1][idx] = [value_of(a) for a in g]
-        if order >= 2:
-            out[2][idx] = [[value_of(a) for a in row] for row in h]
-    return out
 
 
 # -- small dense linear algebra over generic scalars ------------------------------

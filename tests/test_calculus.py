@@ -333,9 +333,7 @@ def test_lie_bracket_antisymmetric_jacobi(r3):
 
     def bracket_field(a, b):
         def fn(u, afn=a.fn, bfn=b.fn):
-            from weakf.jets import lift
-
-            lifted = lift(list(u), order=1)
+            lifted = oracles.lift(list(u), order=1)
             av = afn(lifted)
             bv = bfn(lifted)
             m = len(av)
@@ -523,9 +521,7 @@ def test_d_of_d_vanishes(r3):
     w = random_oneform_field(r3, rng)
 
     def dw_fn(u, wf=w):
-        from weakf.jets import lift
-
-        lifted = lift(list(u), order=1)
+        lifted = oracles.lift(list(u), order=1)
         comps = wf.fn(lifted)
         m = len(comps)
         lvl = lifted[0].level

@@ -2,14 +2,16 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from weakf import catalog, cli
+import report_digests
+from weakf import catalog, cli, fstructure
 from weakf.charts import SmoothField, constant_field
 from weakf.errors import InvalidExample
-from weakf.jets import sqrt
+from weakf.jets import exp, sqrt
 from weakf.report import EvaluationFailure, SuiteConfig
 
 
@@ -144,6 +146,27 @@ def test_overflowing_block_weight_is_usage_error():
                    if e["max_residual"] is not None)
 
 
+def test_vanishing_block_weight_is_usage_error(capsys):
+    # Q is the square of a block weight on its block: a weight whose square
+    # does not exceed the axioms' Q eigenvalue floor can never pass them, so
+    # it is refused by name instead of failing every point with exit 3
+    floor = float(np.sqrt(fstructure._Q_EIGEN_FLOOR))
+    for example, n in (("flat_pack", ["n=1"]), ("product_pack", []),
+                       ("linear_subspace", [])):
+        for weight, codes in (("1e-100", {2}), ("1e-6", {2}), ("-1e-6", {2}),
+                              ("1.0001e-6", {0, 1})):
+            argv = ["verify", "--example", example, "--samples", "2"]
+            for p in [*n, f"scales={weight}"]:
+                argv += ["--param", p]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert cli.main(argv) in codes, (example, weight)
+            err = capsys.readouterr().err
+            if codes == {2}:
+                assert f"block weight {float(weight)!r}" in err
+                assert f"{floor:.4e} < |weight|" in err
+
+
 def test_non_finite_blend_angle_is_usage_error():
     for t in ("nan", "inf"):
         proc = run_cli(["verify", "--example", "rotated_pack", "--param",
@@ -229,6 +252,58 @@ def test_failing_embedding_is_named_and_exits_three(monkeypatch, capsys,
     err = capsys.readouterr().err
     assert where in err
     assert "ValueError: math domain error" in err
+
+
+# How a metric component leaves its domain below a coordinate threshold c:
+# a sqrt domain error, an overflow to inf, and an explicit raise.
+def _sqrt_below(u, c):
+    return sqrt(u[0] - c)
+
+
+def _overflow_below(u, c):
+    return 1.0 + exp(1e6 * (c - u[0]))
+
+
+def _raise_below(u, c):
+    if np.any(np.asarray(getattr(u[0], "val", u[0])) < c):
+        raise RuntimeError("component function refused the point")
+    return 1.0
+
+
+@pytest.mark.parametrize("below, message", [
+    (_sqrt_below, "ValueError: math domain error"),
+    (_overflow_below, "ValueError: non-finite jet of field 'metric'"),
+    (_raise_below, "RuntimeError: component function refused the point"),
+])
+def test_component_failing_at_a_later_point_is_named(monkeypatch, capsys,
+                                                    below, message):
+    # the metric fails at exactly one sample point k > 0: the stacked
+    # evaluation of its chunk fails, and the point walk names point k
+    chart = catalog.flat_pack(n=1, s=1).chart
+    first = np.array(chart.sample(8, 42))[:, 0]
+    k = int(np.argmin(first))
+    assert k > 0
+    c = 0.5 * (np.sort(first)[0] + np.sort(first)[1])
+
+    def failing_pack():
+        cat = catalog.flat_pack(n=1, s=1)
+        g = SmoothField(cat.obj.chart, "metric", lambda u: [
+            [below(u, c), 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        return dataclasses.replace(cat, obj=dataclasses.replace(cat.obj, g=g))
+
+    monkeypatch.setitem(catalog.BUILDERS, "failing_pack", failing_pack)
+    code = cli.main(["verify", "--example", "failing_pack", "--samples", "8"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"evaluation failed in axioms[point {k}]: {message}" in err
+    assert "RuntimeWarning" not in err
+
+
+def test_report_configurations_emit_no_runtime_warning():
+    for argv in report_digests.CONFIGS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report_digests.report_texts(argv.split(), 10, 42)
 
 
 @pytest.mark.parametrize("suites", ["axioms", "classes"])

@@ -5,15 +5,18 @@ import sys
 import types
 import weakref
 from collections import Counter
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
 import pytest
 
 import oracles
-from weakf import calculus, charts, classifiers, fstructure, report, submanifold
+from weakf import (calculus, catalog, charts, classifiers, fstructure, report,
+                   submanifold)
 from weakf.catalog import hypersphere
 from weakf.fstructure import PackFrame, frame_axioms
+from weakf.jets import Jet
 from weakf.report import SUITES, SuiteConfig, run_suite
 
 SAMPLES = 3
@@ -97,7 +100,6 @@ def _recording(prop, picks, names, owners, alive):
 @pytest.fixture(scope="module")
 def counted_run():
     counts = Counter()
-    jet_keys = Counter()
     contractions = Counter()    # operand ids -> calls, for every contraction
     # (sample, helper, calling function, line, operand names, operand values)
     # -> calls
@@ -105,26 +107,6 @@ def counted_run():
     names = {}                  # id -> name of each recorded frame array
     owners = {}                 # _memory -> id of each recorded frame array
     alive = []                  # keeps arrays alive so that ids stay unique
-    inside_theorems = [0]
-
-    jet = charts.SmoothField.jet
-    theorem_check = report.theorem_check
-
-    def counting_jet(self, p, order=2):
-        jet_keys[id(self), order, tuple(float(c) for c in p)] += 1
-        counts["induced_jets"] += self.name.startswith("induced_")
-        if order == 2:
-            where = "inside" if inside_theorems[0] else "outside"
-            counts[f"order2_{where}_theorems"] += 1
-            counts[f"order2_field:{self.name}"] += 1
-        return jet(self, p, order)
-
-    def flagged_theorem_check(*args, **kwargs):
-        inside_theorems[0] += 1
-        try:
-            return theorem_check(*args, **kwargs)
-        finally:
-            inside_theorems[0] -= 1
 
     def operand_id(a):
         # a transposed view of a frame array stands for the array itself
@@ -164,8 +146,6 @@ def counted_run():
             mp.setattr(ap_cls, attr, _counted_property(ap_cls, attr, counts))
         mp.setattr(PackFrame, "nabla_xi_xi", _counted_property(
             PackFrame, "nabla_xi_xi", counts))
-        mp.setattr(charts.SmoothField, "jet", counting_jet)
-        mp.setattr(report, "theorem_check", flagged_theorem_check)
         for mod in (classifiers, fstructure, submanifold):
             mp.setattr(mod, "np", counted_np)
             for helper in ("pair_form", "lead_dot"):
@@ -178,34 +158,103 @@ def counted_run():
         return {ids: n for ids, n in contractions.items()
                 if tuple(names.get(i) for i in ids) == operands}
 
-    return rep, counts, jet_keys, named, sites
+    return rep, counts, named, sites
 
 
 def test_one_ambient_build_per_sample(counted_run):
-    rep, counts, _, _, _ = counted_run
+    rep, counts, _, _ = counted_run
     assert rep["overall"]["verdict"] == "pass"
     assert "submanifold" in rep["suites"]
     assert counts["ambient"] == SAMPLES
 
 
-def test_one_order1_pullback_per_sample(counted_run):
-    _, counts, jet_keys, _, _ = counted_run
-    # the induced pack's jets come in closed form from the one ambient point
-    # per sample: no induced field is differentiated by SmoothField.jet
-    assert counts["ambient"] == SAMPLES
-    assert counts["induced_jets"] == 0
-    # every field is asked for once per point and order
-    assert jet_keys and max(jet_keys.values()) == 1
+# -- component functions: one stacked call per chunk of points ------------------
+
+# Two chunks: a full one and a part of one.
+CHUNKED = charts.CHUNK + 3
 
 
-def test_order2_pullback_only_inside_theorem_checks(counted_run):
-    _, counts, _, _, _ = counted_run
-    # thm32_chain runs on the Sasakian hypersphere: the Gauss equation takes
-    # one order-2 jet of the ambient metric per sample, inside the check
-    assert counts["order2_inside_theorems"] == SAMPLES
-    assert counts["order2_outside_theorems"] == 0
-    assert {k for k in counts if k.startswith("order2_field:")} == {
-        "order2_field:euclidean"}
+def _counting_component(calls, name, fn, theorem):
+    """``fn`` that records (name, order, points, enclosing theorem check) per
+    call; order 0 is a call on float coordinates."""
+    def counted(coords):
+        c = coords[0]
+        order = 0 if not isinstance(c, Jet) else 1 if c.hess is None else 2
+        count = len(c.val) if order else 1
+        calls.append((name, order, count, theorem[0]))
+        return fn(coords)
+    return counted
+
+
+def _counted_example(cat, calls, theorem):
+    """``cat`` with every component function counted, fields by name."""
+    def field(f, name):
+        return replace(f, fn=_counting_component(calls, name, f.fn, theorem))
+
+    obj = cat.obj
+    if cat.is_pack:
+        obj = replace(obj, g=field(obj.g, "g"), f=field(obj.f, "f"),
+                      Q=field(obj.Q, "Q"),
+                      xi=tuple(field(x, f"xi{i}") for i, x in enumerate(obj.xi)),
+                      eta=tuple(field(e, f"eta{i}") for i, e in enumerate(obj.eta)))
+    else:
+        obj = replace(
+            obj,
+            embedding=_counting_component(calls, "embedding", obj.embedding,
+                                          theorem),
+            normals=_counting_component(calls, "normals", obj.normals, theorem),
+            ambient_metric=field(obj.ambient_metric, "gbar"),
+            ambient_skew=field(obj.ambient_skew, "fbar"))
+    return replace(cat, obj=obj)
+
+
+@pytest.fixture(scope="module", params=[("sasakian_s3", {}),
+                                        ("hypersphere", {"n": 1})],
+                ids=["sasakian_s3", "hypersphere"])
+def component_calls(request):
+    """(name, order, points, theorem) of every component-function call of a
+    run over two chunks of points, all suites."""
+    example, params = request.param
+    calls, theorem = [], [None]
+    check = report.theorem_check
+
+    def flagged(pack, p, which, *args, **kwargs):
+        theorem[0] = which
+        try:
+            return check(pack, p, which, *args, **kwargs)
+        finally:
+            theorem[0] = None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(catalog.BUILDERS, "counted", lambda: _counted_example(
+            catalog.make_example(example, **params), calls, theorem))
+        mp.setattr(report, "theorem_check", flagged)
+        rep = run_suite(SuiteConfig(example="counted", suites=SUITES,
+                                    samples=CHUNKED))
+    assert rep["overall"]["verdict"] == "pass"
+    return calls
+
+
+def test_each_component_function_once_per_chunk(component_calls):
+    # every (function, order) is evaluated by one call over each chunk of
+    # points: CHUNK points, then the rest; never point by point, never on
+    # float coordinates
+    points = {}
+    for name, order, count, _ in component_calls:
+        points.setdefault((name, order), []).append(count)
+    assert points
+    assert all(order > 0 for _, order in points)
+    assert set(map(tuple, points.values())) == {(charts.CHUNK, 3)}
+
+
+def test_order2_field_stacks_only_inside_thm32_chain(component_calls):
+    # only the Reeb-sectional curvature chain reads a second-order metric
+    # jet; the embedding's second derivatives are the induced structure's
+    # first, so its stack is order 2 wherever the point is first built
+    order2 = {(name, theorem) for name, order, _, theorem in component_calls
+              if order == 2 and name != "embedding"}
+    assert order2 and {theorem for _, theorem in order2} == {"thm32_chain"}
+    assert {name for name, _ in order2} <= {"g", "gbar"}
 
 
 def test_killing_residual_once_per_frame():
@@ -237,7 +286,7 @@ def test_killing_residual_once_per_frame():
 
 
 def test_one_point_state_alive_at_a_time(counted_run):
-    _, counts, _, _, _ = counted_run
+    _, counts, _, _ = counted_run
     assert counts["frame"] == SAMPLES
     # the previous point's frame and ambient point are gone by the next build
     assert counts["frame_alive_at_build"] == 0
@@ -254,7 +303,7 @@ def _calls_in(sites, function):
 
 
 def test_frame_residuals_once_per_sample(counted_run):
-    _, _, _, named, _ = counted_run
+    _, _, named, _ = counted_run
     # contractions that only frame_residuals and q_parallel_residual make:
     # the Reeb brackets, and (D_V Q) on the contact basis
     assert sum(named("xi0", "xi1").values()) == SAMPLES
@@ -262,7 +311,7 @@ def test_frame_residuals_once_per_sample(counted_run):
 
 
 def test_nabla_f_pairs_once_per_sample(counted_run):
-    _, _, _, _, sites = counted_run
+    _, _, _, sites = counted_run
     # the identities summed from (D_X f)Y, and the (D_X Q)Y expansion: each
     # coefficient tensor is contracted with the test pairs once per sample
     for function in ("nearly_s_residual", "nearly_c_residual",
@@ -284,7 +333,7 @@ def _by_value(sites):
 
 
 def test_shared_contractions_once_per_sample(counted_run):
-    _, counts, _, _, sites = counted_run
+    _, counts, _, sites = counted_run
     # no contraction (pair_form, lead_dot or np.einsum in the classifiers,
     # fstructure and submanifold modules) is made twice with the same
     # operands at one point: what several checks share is computed once
@@ -297,7 +346,7 @@ def test_shared_contractions_once_per_sample(counted_run):
 
 
 def test_each_coefficient_tensor_contracted_once_per_sample(counted_run):
-    _, _, _, _, sites = counted_run
+    _, _, _, sites = counted_run
     # pair_form(C, V, V): every coefficient tensor C of a bilinear identity
     # meets the test pairs once per sample, wherever it is formed
     # (all-zero coefficients are left out by _by_value)
@@ -312,14 +361,14 @@ def test_each_coefficient_tensor_contracted_once_per_sample(counted_run):
 
 
 def test_second_fundamental_form_once_per_sample(counted_run):
-    _, counts, _, _, _ = counted_run
+    _, counts, _, _ = counted_run
     # both thsubm cases, the Gauss split and the curvature read the
     # coordinate second fundamental form, built once per point
     assert counts["hn"] == SAMPLES
 
 
 def test_inverse_and_christoffel_once_per_metric(counted_run):
-    _, counts, _, _, _ = counted_run
+    _, counts, _, _ = counted_run
     # one g^-1 and Gamma for the induced metric, one for the ambient metric;
     # the curvature reads the frame's
     assert counts["metric_inverse"] == 2 * SAMPLES
@@ -327,7 +376,7 @@ def test_inverse_and_christoffel_once_per_metric(counted_run):
 
 
 def test_ambient_point_quantities_once_per_sample(counted_run):
-    _, counts, _, _, _ = counted_run
+    _, counts, _, _ = counted_run
     # both thsubm cases read the shape operators and the gate; the Gauss
     # split and the tangential expansion read D on coordinate pairs
     assert counts["shape_operators"] == SAMPLES

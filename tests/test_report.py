@@ -136,11 +136,9 @@ def test_no_unplanned_multi_operand_einsum_in_src():
 
 def test_jets_are_converted_only_in_jets_module():
     # every jet-to-array conversion is the one bulk converter, jets.arrays;
-    # the per-scalar parts/value_of route is left to jets.py and the tests
+    # the per-scalar parts/value_of route is left to the test oracle
     bad = []
     for path in sorted(Path(weakf.__file__).parent.glob("*.py")):
-        if path.name == "jets.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and _callee(node) in ("parts", "value_of"):
                 bad.append(f"{path.name}:{node.lineno}")
