@@ -147,9 +147,9 @@ class SmoothField:
         return tuple(a[0] for a in self.stack([p], order))
 
 
-# Sample points per stacked evaluation. Picked from a measured speed and
-# peak-RSS curve over chunk sizes (see CHANGES.md): larger chunks stopped
-# paying before memory moved.
+# Sample points per stacked evaluation, picked from a measured speed and
+# peak-RSS curve over chunk sizes (see CHANGES.md): smaller chunks are
+# slower, and beyond it the time stays flat while the peak RSS grows.
 CHUNK = 50
 
 
@@ -200,7 +200,7 @@ class PointStacks:
             try:
                 stack = None if points is None else jet_stack(
                     fn, points, order, what)
-            except Exception:
+            except Exception:       # raised again point by point by jet()
                 stack = None
             self._stacks[key] = stack
         return self._stacks[key]
