@@ -135,16 +135,11 @@ class SmoothField:
         val = np.array(self.fn([float(c) for c in p]), dtype=float)
         return float(val) if self.kind == "scalar" else val
 
-    def stack(self, points, order=2):
-        """(value, d1[, d2]) stacks over the ``(P, m)`` ``points``, from one
-        call of the component function; see :func:`jet_stack`."""
-        return jet_stack(self.fn, np.asarray(points, dtype=float), order,
-                         self.label)
-
     def jet(self, p, order=2):
         """(value, d1[, d2]) arrays at ``p``; trailing axes index the
-        derivative. The one-point case of :meth:`stack`."""
-        return tuple(a[0] for a in self.stack([p], order))
+        derivative. The one-point case of :func:`jet_stack`."""
+        points = np.asarray(p, dtype=float)[None]
+        return tuple(a[0] for a in jet_stack(self.fn, points, order, self.label))
 
 
 # Sample points per stacked evaluation, picked from a measured speed and

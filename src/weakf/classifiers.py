@@ -50,36 +50,36 @@ def _nearly_terms(fr):
 
 
 @kept_per_frame
-def nearly_s_residual(fr, V):
+def nearly_s_residual(fr):
     """(D_X f)Y + (D_Y f)X - 2 g(fX,fY) xibar - etabar(X) f^2 Y - etabar(Y) f^2 X."""
     nf, gff, ef2 = _nearly_terms(fr)
     c = nf + nf.transpose(0, 2, 1) - 2.0 * gff - ef2.transpose(0, 2, 1) - ef2
-    return sup_gnorm(pair_form(c, V, V), fr.g0)
+    return sup_gnorm(pair_form(c, fr.V, fr.V), fr.g0)
 
 
 @kept_per_frame
-def nearly_c_residual(fr, V):
+def nearly_c_residual(fr):
     """(D_X f)Y + (D_Y f)X."""
     nf = fr.nabla_f.transpose(1, 0, 2)
-    return sup_gnorm(pair_form(nf + nf.transpose(0, 2, 1), V, V), fr.g0)
+    return sup_gnorm(pair_form(nf + nf.transpose(0, 2, 1), fr.V, fr.V), fr.g0)
 
 
 @kept_per_frame
-def s_structure_residual(fr, V):
+def s_structure_residual(fr):
     """(D_X f)Y - g(fX,fY) xibar - etabar(Y) f^2 X."""
     nf, gff, ef2 = _nearly_terms(fr)
-    return sup_gnorm(pair_form(nf - gff - ef2, V, V), fr.g0)
+    return sup_gnorm(pair_form(nf - gff - ef2, fr.V, fr.V), fr.g0)
 
 
 @kept_per_frame
-def almost_s_residual(fr, V):
+def almost_s_residual(fr):
     """Phi = d eta^i for every i."""
-    return sup_abs(pair_form(fr.deta - fr.phi0, V, V))
+    return sup_abs(pair_form(fr.deta - fr.phi0, fr.V, fr.V))
 
 
 @kept_per_frame
-def closed_eta_residual(fr, V):
-    return sup_abs(pair_form(fr.deta, V, V))
+def closed_eta_residual(fr):
+    return sup_abs(pair_form(fr.deta, fr.V, fr.V))
 
 
 def _on_basis(fr, t):
@@ -97,19 +97,15 @@ def closed_phi_residual(fr):
 
 
 @kept_per_frame
-def normality_residual(fr, V):
-    return sup_gnorm(fr.n1(V), fr.g0)
+def normality_residual(fr):
+    return sup_gnorm(fr.n1(), fr.g0)
 
 
 @kept_per_frame
-def _killing_residuals(fr):
+def killing_residuals(fr):
+    """Sup-norm of (L_{xi_i} g) over the test vectors, for each Reeb field."""
     r = pair_form(fr.lie_g_xi, fr.V, fr.V)
     return [float(x) for x in np.abs(r).reshape(len(r), -1).max(1)]
-
-
-def killing_residual(fr, i):
-    """Sup-norm of (L_{xi_i} g) at the frame's point over its test vectors."""
-    return _killing_residuals(fr)[i]
 
 
 # Each class is the conjunction of its parts: "axioms" stands for every
@@ -133,13 +129,13 @@ _CLASS_PARTS = {
 CLASS_TAGS = tuple(_CLASS_PARTS)
 
 _RESIDUALS = {
-    "phi_equals_deta": lambda fr: almost_s_residual(fr, fr.V),
-    "deta_zero": lambda fr: closed_eta_residual(fr, fr.V),
+    "phi_equals_deta": almost_s_residual,
+    "deta_zero": closed_eta_residual,
     "dphi_zero": closed_phi_residual,
-    "n1_zero": lambda fr: normality_residual(fr, fr.V),
-    "nearly_s_defining": lambda fr: nearly_s_residual(fr, fr.V),
-    "nearly_c_defining": lambda fr: nearly_c_residual(fr, fr.V),
-    "s_structure_defining": lambda fr: s_structure_residual(fr, fr.V),
+    "n1_zero": normality_residual,
+    "nearly_s_defining": nearly_s_residual,
+    "nearly_c_defining": nearly_c_residual,
+    "s_structure_defining": s_structure_residual,
 }
 
 
@@ -157,8 +153,8 @@ def class_residual(pack, p, class_tag, frame):
         if part == "axioms":
             br.update(frame_axioms(frame))
         elif part == "killing":
-            for i in range(frame.pack.s):
-                br[f"killing_xi_{i + 1}"] = killing_residual(frame, i)
+            for i, r in enumerate(killing_residuals(frame)):
+                br[f"killing_xi_{i + 1}"] = r
         else:
             br[part] = _RESIDUALS[part](frame)
     return max(br.values()), br
@@ -214,10 +210,10 @@ def _gate(check, name, residual, tol):
 
 def _nearly_class_gate(fr, check, tol):
     """Require the pack to be weak nearly S or weak nearly C."""
-    rs = nearly_s_residual(fr, fr.V)
+    rs = nearly_s_residual(fr)
     if rs <= tol:
         return "weak_nearly_S"
-    rc = nearly_c_residual(fr, fr.V)
+    rc = nearly_c_residual(fr)
     if rc <= tol:
         return "weak_nearly_C"
     if rs <= rc:
@@ -266,19 +262,17 @@ def _prop1(fr, tol):
     ne = np.einsum("jab,ia->ijb", fr.nabla_eta, fr.xi0)
     dual = ((ne @ fr.ginv) * ne).sum(-1)
     res["reeb_coparallel"] = float(np.sqrt(max(dual.max(), 0.0)))
-    res["reeb_killing"] = max(
-        killing_residual(fr, i) for i in range(fr.pack.s)
-    )
+    res["reeb_killing"] = max(killing_residuals(fr))
     return res
 
 
 def _prop_normal(fr, tol):
     """Consequences of normality, reported on packs with N1 = 0."""
-    _gate("prop_normal", "normality", normality_residual(fr, fr.V), tol)
+    _gate("prop_normal", "normality", normality_residual(fr), tol)
     V = fr.V
     res = {}
     res["lie_xi_f"] = sup_gnorm(np.einsum("iab,Ab->aiA", fr.n3(), V), fr.g0)
-    res["deta_xi_contraction"] = sup_abs(fr.n4(V))
+    res["deta_xi_contraction"] = sup_abs(fr.n4())
     # d eta^i(fX, Y) - d eta^i(fY, X) = (1/2) eta^i([(Q - id)X, fY]), where
     # [(Q - id)X, fY] = ((Q - id)X)^a d_a (fY) - (fY)^a d_a (Q X)
     b = (fr.f1 @ fr.qtilde).transpose(0, 2, 1) - fr.q1 @ fr.f0
@@ -304,9 +298,8 @@ def _prop_normal(fr, tol):
 
 
 def _fk_gate(fr, check, tol):
-    _gate(check, "phi_equals_deta", almost_s_residual(fr, fr.V), tol)
-    kil = max(killing_residual(fr, i) for i in range(fr.pack.s))
-    _gate(check, "killing_reeb", kil, tol)
+    _gate(check, "phi_equals_deta", almost_s_residual(fr), tol)
+    _gate(check, "killing_reeb", max(killing_residuals(fr)), tol)
 
 
 def _fk_contact_nabla(fr, tol):
@@ -361,7 +354,7 @@ def _thm32_chain(fr, tol):
 
 
 def _thm41(fr, tol):
-    _gate("thm41", "weak_nearly_C", nearly_c_residual(fr, fr.V), tol)
+    _gate("thm41", "weak_nearly_C", nearly_c_residual(fr), tol)
     db = fr.d_basis
     res = {"nabla_xi_zero": sup_gnorm((fr.nabla_xi @ fr.V.T).transpose(1, 0, 2),
                                       fr.g0)}
@@ -377,7 +370,7 @@ def _thm41(fr, tol):
 
 
 def _thm01_gates(fr, check, tol):
-    _gate(check, "weak_nearly_S", nearly_s_residual(fr, fr.V), tol)
+    _gate(check, "weak_nearly_S", nearly_s_residual(fr), tol)
     _frame_gates(fr, check, tol)
 
 
@@ -390,7 +383,7 @@ def _thm01_i(fr, tol):
     res = {"deta_equals_phi_q": sup_abs(pair_form(fr.deta - phq, V, V))}
     # proof-internal: eta^j(N1(X,Y)) - 2 d eta^j(X,Y) = eta^j([f,f](X,Y)),
     # the right side from the Nijenhuis torsion on the test pairs
-    eta_ff = lead_dot(fr.eta0, fr.nijenhuis_ff(V))
+    eta_ff = lead_dot(fr.eta0, fr.nijenhuis_ff())
     res["eta_n1_expansion"] = sup_abs(
         pair_form(eta_n1 - 2.0 * fr.deta, V, V) - eta_ff)
     # and its reduction through the nearly-S identity:
@@ -403,7 +396,7 @@ def _thm01_i(fr, tol):
 def _thm01_ii(fr, tol):
     _thm01_gates(fr, "thm01_ii", tol)
     V = fr.V
-    _gate("thm01_ii", "phi_equals_deta", almost_s_residual(fr, V), tol)
+    _gate("thm01_ii", "phi_equals_deta", almost_s_residual(fr), tol)
     phqt = fr.qtilde.T @ fr.phi0                # Phi((Q - id)X, Y)
     c = fr.n1_coeff - 2.0 * fr.xibar[:, None, None] * phqt
     res = {"n1_equals_qtilde_phi": sup_gnorm(pair_form(c, V, V), fr.g0)}
@@ -418,11 +411,11 @@ def _thm01_ii(fr, tol):
 
 
 def _corollary_rigidity(fr, tol):
-    _gate("corollary_rigidity", "weak_nearly_S", nearly_s_residual(fr, fr.V), tol)
-    _gate("corollary_rigidity", "normal", normality_residual(fr, fr.V), tol)
+    _gate("corollary_rigidity", "weak_nearly_S", nearly_s_residual(fr), tol)
+    _gate("corollary_rigidity", "normal", normality_residual(fr), tol)
     qt = sup_gnorm(np.einsum("ka,Aa->kA", fr.qtilde, fr.V), fr.g0)
     _gate("corollary_rigidity", "Q_equals_id", qt, tol)
-    return {"s_structure_defining": s_structure_residual(fr, fr.V)}
+    return {"s_structure_defining": s_structure_residual(fr)}
 
 
 # Theorem bundles in report order: name -> (frame, tol) -> residuals.

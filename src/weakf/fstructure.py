@@ -70,15 +70,10 @@ class StructurePack:
 
 
 def kept_per_frame(compute):
-    """Keep ``compute(fr)`` or ``compute(fr, V)`` on the frame ``fr``.
-
-    With ``V`` omitted the result is computed on the frame's test vectors.
-    See :meth:`PackFrame.kept` for the rule.
-    """
+    """Keep ``compute(fr)`` on the frame ``fr``; see :meth:`PackFrame.kept`."""
     @wraps(compute)
-    def once(fr, *V):
-        return fr.kept(compute.__qualname__, V[0] if V else fr.V,
-                       lambda: compute(fr, *V))
+    def once(fr):
+        return fr.kept(compute.__qualname__, lambda: compute(fr))
     return once
 
 
@@ -256,16 +251,12 @@ class PackFrame:
         coeff = self._rng.standard_normal((count, db.shape[0]))
         return unit_rows(coeff @ db, self.g0)
 
-    def kept(self, key, V, compute):
-        """``compute()``, computed once per frame when ``V`` is its own test set.
+    def kept(self, key, compute):
+        """``compute()``, computed once per frame and kept under ``key``.
 
-        This is the one keep rule: every result computed on the frame's own
-        test vectors is kept, whatever its size, because the runner keeps one
-        frame alive at a time. Any other ``V`` is computed fresh.
+        This is the one keep rule: every result is kept, whatever its size,
+        because the runner keeps one frame alive at a time.
         """
-        tv = self.__dict__.get("tv")
-        if tv is None or V is not tv.vectors:
-            return compute()
         if key not in self._kept:
             self._kept[key] = compute()
         return self._kept[key]
@@ -297,21 +288,21 @@ class PackFrame:
         t = self.f0.T @ self.deta
         return 2.0 * (t - t.transpose(0, 2, 1))
 
-    def nijenhuis_ff(self, V):
+    def nijenhuis_ff(self):
         """[f,f](X,Y) for all test pairs: tensor [k, A, B]."""
-        return pair_form(self.ff_coeff, V, V)
+        return pair_form(self.ff_coeff, self.V, self.V)
 
-    def n1(self, V):
+    def n1(self):
         """N1[k,A,B] = [f,f](X,Y) + 2 sum_i deta^i(X,Y) xi_i."""
-        return pair_form(self.n1_coeff, V, V)
+        return pair_form(self.n1_coeff, self.V, self.V)
 
     def n3(self):
         """N3[i,a,b] = (L_{xi_i} f)^a_b."""
         return calculus.lie_tensor11_kernel(self.f0, self.f1, self.xi0, self.xi1)
 
-    def n4(self, V):
+    def n4(self):
         """N4[i,j,A] = 2 deta^j(xi_i, X)."""
-        return 2.0 * pair_form(self.deta, self.xi0, V).transpose(1, 0, 2)
+        return 2.0 * pair_form(self.deta, self.xi0, self.V).transpose(1, 0, 2)
 
 
 # -- axioms ---------------------------------------------------------------------
@@ -322,7 +313,7 @@ def frame_axioms(fr):
 
     Returns a fresh copy of the map.
     """
-    return dict(fr.kept("axioms", fr.V, lambda: axioms_residual(fr)))
+    return dict(fr.kept("axioms", lambda: axioms_residual(fr)))
 
 
 def q_eigen_floor(frame):

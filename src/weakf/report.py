@@ -306,17 +306,17 @@ def run_suite(config):
     points = chart.sample(config.samples, config.seed)
     stacks = PointStacks(points)
     for i, p in enumerate(points):
-        fr = ap = None
+        fr = None
         for k, (suite, bundle) in enumerate(bundles):
             if skips[k] is not None:
                 continue
             try:
                 if fr is None:
                     row = stacks.row(i)
-                    ap = None if sub is None else _AmbientPoint(sub, p, row)
-                    fr = PackFrame(pack, p, seed=config.seed, index=i,
-                                   ambient=ap, row=row)
-                res = bundle.evaluate(fr, ap)
+                    fr = PackFrame(pack, p, seed=config.seed, index=i, row=row,
+                                   ambient=None if sub is None
+                                   else _AmbientPoint(sub, p, row))
+                res = bundle.evaluate(fr)
             except HypothesisNotMet as exc:
                 skips[k] = (f"hypothesis failed: {exc.gate} "
                             f"(residual {exc.residual:.3e} at point {i})")
@@ -326,7 +326,7 @@ def run_suite(config):
                 raise EvaluationFailure(f"{where}[point {i}]", exc) from exc
             for key, val in res.items():
                 aggs[k].setdefault(key, _Agg()).add(val)
-        del fr, ap      # one point's state is alive at a time
+        del fr          # one point's state is alive at a time
 
     suites = {n: [] for n in names}
     for (suite, bundle), agg, skip in zip(bundles, aggs, skips):
@@ -369,7 +369,7 @@ class _Bundle(NamedTuple):
     """One evaluator of a suite and how its residuals become report entries."""
 
     label: str              # names the bundle in an EvaluationFailure
-    evaluate: object        # (frame, ambient point or None) -> {key: residual}
+    evaluate: object        # frame -> {key: residual}
     prefix: str = ""        # entry identities read "prefix.key", else "key"
     skip_formula: str = ""  # formula of the one entry left when a gate fails
     counted: object = None  # (key, aggregates) -> bool; None counts all
@@ -395,17 +395,17 @@ def _bundles(suite, config, cat):
 
     The evaluators call the residual functions by their module names at call
     time, so that a wrapper installed on those names sees every call. Every
-    evaluator takes the point's frame; the submanifold ones also take its
-    ambient point.
+    evaluator takes the point's frame alone; the submanifold ones read its
+    ambient point from it.
     """
     declared = cat.declared_classes
     tol = config.tol_exact
     if suite == "axioms":
-        return [_Bundle("", lambda fr, ap: frame_axioms(fr),
+        return [_Bundle("", lambda fr: frame_axioms(fr),
                         counted=lambda key, aggs: "weak_metric_f" in declared)]
     if suite == "classes":
         return [
-            _Bundle(tag, lambda fr, ap, tag=tag: {
+            _Bundle(tag, lambda fr, tag=tag: {
                 tag: class_residual(fr.pack, fr.p, tag, frame=fr)[0]},
                 counted=lambda key, aggs: key in declared)
             for tag in CLASS_TAGS
@@ -414,7 +414,7 @@ def _bundles(suite, config, cat):
         almost = not _ALMOST_CLASSES.isdisjoint(declared)
         return [_Bundle(
             "",
-            lambda fr, ap: {
+            lambda fr: {
                 **asdict(frame_residuals(fr)),
                 "q_parallel_expansion": q_parallel_residual(fr)[1],
             },
@@ -424,7 +424,7 @@ def _bundles(suite, config, cat):
         )]
     if suite == "theorems":
         return [
-            _Bundle(which, lambda fr, ap, which=which: theorem_check(
+            _Bundle(which, lambda fr, which=which: theorem_check(
                 fr.pack, fr.p, which, frame=fr, tol_exact=tol),
                 prefix=which, skip_formula=which,
                 counted=lambda key, aggs: key not in _NEARLY_C_STEPS,
@@ -432,8 +432,8 @@ def _bundles(suite, config, cat):
             for which in THEOREM_CHECKS
         ]
     cases = [
-        _Bundle(f"case_{case}", lambda fr, ap, case=case: thsubm_check(
-            ap, fr, case, tol_exact=tol),
+        _Bundle(f"case_{case}", lambda fr, case=case: thsubm_check(
+            fr, case, tol_exact=tol),
             prefix=f"case_{case}", skip_formula=f"case_{case}.h_display",
             counted=lambda key, aggs, c=case in cat.declared_cases: (
                 c or key in _CASE_FREE),
@@ -441,10 +441,10 @@ def _bundles(suite, config, cat):
         for case in ("i", "ii")
     ]
     return [
-        _Bundle("frame", lambda fr, ap: {
-            **frame_check(ap), "gauss_split": gauss_split_residual(ap, fr)}),
+        _Bundle("frame", lambda fr: {
+            **frame_check(fr.ambient), "gauss_split": gauss_split_residual(fr)}),
         *cases,
-        _Bundle("parallel_q", lambda fr, ap: lemma_parallel_claim(ap, fr, tol),
+        _Bundle("parallel_q", lambda fr: lemma_parallel_claim(fr, tol),
                 prefix="parallel_q", skip_formula="q_parallel_d"),
     ]
 

@@ -69,7 +69,6 @@ class TestVectors:
 
     vectors: np.ndarray      # (nv, m): basis rows, distinguished, random units
     n_basis: int
-    n_distinguished: int
     triples: np.ndarray      # (nt, 3, m) extra random triples for 3-forms
 
     @property
@@ -81,18 +80,14 @@ def build_test_vectors(g0, rng, distinguished=None):
     """Basis + distinguished vectors + 2 * N_RANDOM_PAIRS random units."""
     basis = cholesky_basis(g0)
     rows = [basis]
-    nd = 0
     if distinguished is not None and len(distinguished):
-        d = np.asarray(distinguished, dtype=float)
-        rows.append(d)
-        nd = d.shape[0]
+        rows.append(np.asarray(distinguished, dtype=float))
     npair = 2 * N_RANDOM_PAIRS
     rand = random_units(g0, rng, npair + 3 * N_RANDOM_TRIPLES)
     rows.append(rand[:npair])
     return TestVectors(
         vectors=np.vstack(rows),
         n_basis=basis.shape[0],
-        n_distinguished=nd,
         triples=rand[npair:].reshape(N_RANDOM_TRIPLES, 3, -1),
     )
 

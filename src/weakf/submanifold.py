@@ -42,7 +42,7 @@ from .classifiers import (
     q_parallel_residual,
 )
 from .errors import HypothesisNotMet, SetupRejected
-from .fstructure import StructurePack
+from .fstructure import StructurePack, kept_per_frame
 from .sampling import cholesky_basis, lead_dot, pair_form, sup_abs, sup_gnorm
 
 _FRAME_TOL = 1e-10
@@ -114,11 +114,12 @@ class _AmbientPoint:
     """Floating-point ambient data of the embedding at one domain point.
 
     The runner builds one per sample point of an embedded example and hands
-    it to the point's :class:`~weakf.fstructure.PackFrame`, which reads the
-    induced pack's jets and curvature from it; every submanifold check takes
-    it as its first argument. Only :func:`require_valid_frame` builds its
-    own. The jets of the embedding, the normals and the ambient fields
-    along the image are read from ``row``, the point's row of the run's
+    it to the point's :class:`~weakf.fstructure.PackFrame` as ``ambient``;
+    the frame reads the induced pack's jets and curvature from it, and every
+    submanifold check reads it from the frame. Only
+    :func:`require_valid_frame` builds its own. The jets of the embedding,
+    the normals and the ambient fields along the image are read from
+    ``row``, the point's row of the run's
     :class:`~weakf.charts.PointStacks` (by default a stack of this point
     alone).
     """
@@ -350,8 +351,9 @@ def induce_structure(sub, validate=True):
 # -- second fundamental form ------------------------------------------------------
 
 
-def gauss_split_residual(ap, fr):
+def gauss_split_residual(fr):
     """Exactness of the split ambient D = dI(induced D) + h over the frame."""
+    ap = fr.ambient
     r = (ap.coordinate_derivative - lead_dot(ap.jac, fr.gamma)
          - lead_dot(ap.normals.T, ap.hn))
     return sup_gnorm(r, ap.gbar0)
@@ -366,8 +368,10 @@ def ambient_nearly_kahler_residual(ap):
     return sup_gnorm(t + t.transpose(0, 2, 1), ap.gbar0)
 
 
-def _thsubm_shared(ap, fr):
+@kept_per_frame
+def _thsubm_shared(fr):
     """The parts of :func:`thsubm_check` that do not depend on the case."""
+    ap = fr.ambient
     xi0, eta0, V, hn = fr.xi0, fr.eta0, fr.V, ap.hn
     a_mats = ap.shape_operators
     hxx = pair_form(hn, xi0, xi0)       # h_{N_i}(xi_j, xi_k)
@@ -399,12 +403,11 @@ def _thsubm_shared(ap, fr):
     }
 
 
-def thsubm_check(ap, fr, case, tol_exact=TOL_EXACT):
+def thsubm_check(fr, case, tol_exact=TOL_EXACT):
     """Hypotheses and conclusion of the induced nearly-S/C criterion.
 
-    ``ap`` is the ambient point and ``fr`` the induced pack's frame at the
-    same domain point; the parts both cases share are computed once per
-    frame.
+    ``fr`` is the induced pack's frame, which holds the ambient point as
+    ``fr.ambient``; the parts both cases share are computed once per frame.
 
     ``case="i"``: h_{N_i}(X,Y) = g(-f^2 X, Y) + sum_{j,k} h_{N_i}(xi_j,
     xi_k) eta^j(X) eta^k(Y) forces a weak nearly-S induced structure;
@@ -423,11 +426,11 @@ def thsubm_check(ap, fr, case, tol_exact=TOL_EXACT):
     """
     if case not in ("i", "ii"):
         raise ValueError("case must be 'i' or 'ii'")
-    gate = ap.nearly_kahler_residual
+    gate = fr.ambient.nearly_kahler_residual
     if gate > tol_exact:
         raise HypothesisNotMet("thsubm", "ambient_weak_nearly_kahler", gate)
     V = fr.V
-    shared = fr.kept("thsubm", V, lambda: _thsubm_shared(ap, fr))
+    shared = _thsubm_shared(fr)
     disp, a_disp = shared["disp"], shared["a_disp"]
     if case == "i":
         f2 = fr.f0 @ fr.f0              # the display adds g(-f^2 X, Y)
@@ -435,19 +438,19 @@ def thsubm_check(ap, fr, case, tol_exact=TOL_EXACT):
         a_disp = a_disp - f2
     res = {
         "aa_symmetry": shared["aa_symmetry"],
-        "h_display": sup_abs(pair_form(ap.hn - disp, V, V)),
+        "h_display": sup_abs(pair_form(fr.ambient.hn - disp, V, V)),
         "shape_display_duality": sup_abs(
             pair_form(a_disp.transpose(0, 2, 1) @ fr.g0 - disp, V, V)),
         **shared["case_free"],
     }
     if case == "i":
-        res["conclusion_weak_nearly_S"] = nearly_s_residual(fr, V)
+        res["conclusion_weak_nearly_S"] = nearly_s_residual(fr)
     else:
-        res["conclusion_weak_nearly_C"] = nearly_c_residual(fr, V)
+        res["conclusion_weak_nearly_C"] = nearly_c_residual(fr)
     return res
 
 
-def lemma_parallel_claim(ap, fr, tol=TOL_EXACT):
+def lemma_parallel_claim(fr, tol=TOL_EXACT):
     """Gated check: the parallel-Q condition holds on the induced pack.
 
     Hypotheses: fbar^2 N_i is normal to the image, and the tangential part
@@ -455,6 +458,7 @@ def lemma_parallel_claim(ap, fr, tol=TOL_EXACT):
     Conclusion: the induced pack, whose frame is ``fr``, satisfies
     (D_X Q)Y = 0 for Y in D.
     """
+    ap = fr.ambient
     f2n = ap.normals @ (ap.fbar0 @ ap.fbar0).T
     hyp1 = float(np.linalg.norm(ap.tangent_part(f2n.T), axis=0).max())
     if hyp1 > tol:

@@ -263,21 +263,37 @@ def nijenhuis_nabla_kernel(gamma, s0, s1, x0, y0):
 
 
 # -- field-level operations ----------------------------------------------------
+#
+# Every field jet here comes from the scalar Jet above, not from the engine's
+# array jets.
+
+
+def field_jet(field, p, order=2):
+    """(value, d1[, d2]) arrays of ``field`` at ``p``, laid out as
+    ``SmoothField.jet`` lays them out, from one call of the component
+    function on the scalar :class:`Jet`."""
+    m = len(p)
+    out = np.array(field.fn(lift([float(c) for c in p], order)), dtype=object)
+    entries = [parts(x, m, order) for x in out.flat]
+    return tuple(
+        np.array([e[k] for e in entries], dtype=float).reshape(
+            out.shape + (m,) * k)
+        for k in range(order + 1))
 
 
 def _vec_jets(x, p, order=1):
-    return x.jet(p, order=order)
+    return field_jet(x, p, order)
 
 
 def christoffel(g, p):
     """Levi-Civita coefficients Gamma^k_ij of ``g`` at ``p``."""
-    g0, g1 = g.jet(p, order=1)
+    g0, g1 = field_jet(g, p, 1)
     return christoffel_from_jets(metric_inverse(g0, p), g1)
 
 
 def riemann(g, p):
     """Riem[l,i,j,k] of ``g`` at ``p`` from its second jets."""
-    g0, g1, g2 = g.jet(p, order=2)
+    g0, g1, g2 = field_jet(g, p, 2)
     ginv = metric_inverse(g0, p)
     return riemann_from_jets(ginv, christoffel_from_jets(ginv, g1), g1, g2)
 
@@ -293,7 +309,7 @@ def nabla_vector(g, x, y, p):
 def nabla_tensor11(g, t, x, y, p):
     """((D_X T) Y) at ``p``; tensorial in both X and Y."""
     gamma = christoffel(g, p)
-    t0, t1 = t.jet(p, order=1)
+    t0, t1 = field_jet(t, p, 1)
     nt = nabla_tensor11_kernel(gamma, t0, t1)
     return np.einsum("ikj,i,j->k", nt, x.value(p), y.value(p))
 
@@ -308,7 +324,7 @@ def lie_bracket(x, y, p):
 def lie_derivative(target, x, p):
     """(L_X target) at ``p``; kind read off the target field."""
     x0, x1 = _vec_jets(x, p)
-    t0, t1 = target.jet(p, order=1)
+    t0, t1 = field_jet(target, p, 1)
     if target.kind == "metric":
         return lie_metric_kernel(t0, t1, x0, x1)
     if target.kind == "tensor11":
@@ -322,7 +338,7 @@ def d_oneform(w, x, y, p):
     """dw(X,Y) at ``p`` via the half-normalized co-boundary formula."""
     x0, x1 = _vec_jets(x, p)
     y0, y1 = _vec_jets(y, p)
-    w0, w1 = w.jet(p, order=1)
+    w0, w1 = field_jet(w, p, 1)
     # X(w(Y)) = X^i d_i (w_k Y^k)
     xwy = np.einsum("i,ki,k->", x0, w1, y0) + np.einsum("i,k,ki->", x0, w0, y1)
     ywx = np.einsum("i,ki,k->", y0, w1, x0) + np.einsum("i,k,ki->", y0, w0, x1)
@@ -335,7 +351,7 @@ def d_twoform(w, x, y, z, p):
     x0, x1 = _vec_jets(x, p)
     y0, y1 = _vec_jets(y, p)
     z0, z1 = _vec_jets(z, p)
-    w0, w1 = w.jet(p, order=1)
+    w0, w1 = field_jet(w, p, 1)
 
     def dirderiv(u0, a0, a1, b0, b1):
         # U(w(A,B)) with all three fields varying
@@ -366,7 +382,7 @@ def nijenhuis(s, x, y, p, mode="bracket", g=None):
     extensions; ``mode="nabla"`` rewrites it through the Levi-Civita
     connection of ``g`` and is tensorial in X and Y.
     """
-    s0, s1 = s.jet(p, order=1)
+    s0, s1 = field_jet(s, p, 1)
     if mode == "bracket":
         x0, x1 = _vec_jets(x, p)
         y0, y1 = _vec_jets(y, p)
@@ -476,8 +492,8 @@ def structure_tensors(pack, p, which, frame=None):
     fr = frame or PackFrame(pack, p)
     if which == "N1":
         def n1(x, y):
-            v = np.array([x, y], dtype=float)
-            return fr.n1(v)[:, 0, 1]
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            return fr.n1_coeff @ y @ x
         return n1
     if which == "N2":
         def n2(i, x, y):
@@ -491,8 +507,8 @@ def structure_tensors(pack, p, which, frame=None):
         return n3
     if which == "N4":
         def n4(i, j, x):
-            v = np.asarray(x, dtype=float)[None, :]
-            return float(fr.n4(v)[i, j, 0])
+            x = np.asarray(x, dtype=float)
+            return 2.0 * float(fr.xi0[i] @ fr.deta[j] @ x)
         return n4
     raise ValueError(f"unknown structure tensor {which!r}")
 

@@ -146,8 +146,8 @@ def test_criterion_06_rigidity():
     ):
         for i, p in enumerate(pack.chart.sample(POINTS, SEED)):
             fr = PackFrame(pack, p, seed=SEED, index=i)
-            assert normality_residual(fr, fr.V) <= TOL
-            assert nearly_s_residual(fr, fr.V) <= TOL
+            assert normality_residual(fr) <= TOL
+            assert nearly_s_residual(fr) <= TOL
             res = theorem_check(pack, p, "corollary_rigidity", frame=fr)
             assert res["s_structure_defining"] <= TOL
 
@@ -164,14 +164,14 @@ def test_criterion_07_submanifold_suite(sphere_induced, subspace_induced):
         for i, p in enumerate(sphere.domain.sample(10, SEED)):
             ap = _AmbientPoint(sphere, p)
             fr = PackFrame(sphere_induced, p, seed=SEED, index=i, ambient=ap)
-            res = thsubm_check(ap, fr, "i")
+            res = thsubm_check(fr, "i")
             assert res["aa_symmetry"] <= TOL
             assert res["h_display"] <= TOL
             assert res["conclusion_weak_nearly_S"] <= TOL
         for i, p in enumerate(subspace.domain.sample(10, SEED)):
             ap = _AmbientPoint(subspace, p)
             fr = PackFrame(subspace_induced, p, seed=SEED, index=i, ambient=ap)
-            res = thsubm_check(ap, fr, "ii")
+            res = thsubm_check(fr, "ii")
             assert res["aa_symmetry"] <= TOL
             assert res["h_display"] <= TOL
             assert res["conclusion_weak_nearly_C"] <= TOL
@@ -249,7 +249,7 @@ def test_criterion_09_negative_controls():
         fr = PackFrame(scaled_f, p)
         ax = axioms_residual(fr)
         assert ax["f_squared"] >= 0.1 and ax["compatibility"] >= 0.1
-        assert s_structure_residual(fr, fr.V) >= 0.1
+        assert s_structure_residual(fr) >= 0.1
 
         scaled_eta = replaced(
             sas, eta=tuple(scale_field(e, 1.05) for e in sas.eta)

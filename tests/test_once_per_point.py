@@ -395,21 +395,6 @@ def test_pack_metric_inverse_once_per_sample():
     assert counts["metric_inverse"] == SAMPLES
 
 
-def test_kept_residual_is_fresh_for_other_vectors():
-    sub = hypersphere(n=1).obj
-    pack = submanifold.induce_structure(sub, validate=False)
-    p = pack.chart.sample(1, seed=5)[0]
-    fr = oracles.frame(pack, p, sub, seed=5)
-    residual = classifiers.nearly_c_residual
-    own = residual(fr, fr.V)
-    assert own > 1e-3       # the Sasakian sphere is not nearly C
-    assert residual(fr, fr.V) == own
-    other = 2.0 * fr.V
-    fresh = residual(fr, other)
-    assert fresh == residual.__wrapped__(fr, other)
-    assert fresh != own
-
-
 def test_kept_axioms_map_is_a_copy():
     sub = hypersphere(n=1).obj
     pack = submanifold.induce_structure(sub, validate=False)

@@ -74,7 +74,9 @@ def test_suite_entries_do_not_depend_on_other_suites(full_runs):
 
 
 # The only places that build a point's state: the runner builds one of each
-# per point and every check takes them as arguments.
+# per point, hands the ambient point to the frame, and every check takes the
+# frame alone; require_valid_frame builds an ambient point of its own to
+# check an embedding's normal frame before any frame exists.
 BUILDERS = {
     "PackFrame": {("report.py", "run_suite")},
     "_AmbientPoint": {("report.py", "run_suite"),
@@ -104,6 +106,37 @@ def test_point_state_is_built_only_by_the_runner():
         built.update(_builds(tree, path.name))
     for name, allowed in BUILDERS.items():
         assert {(m, fn) for n, m, fn in built if n == name} == allowed, name
+
+
+# The definitions that take the ambient point itself: they check the
+# ambient data, also where no frame exists.
+AMBIENT_ONLY = {"frame_check", "require_valid_frame",
+                "ambient_nearly_kahler_residual", "_AmbientPoint"}
+
+
+def _point_parameters(node):
+    """(name, line) of every function or lambda under ``node`` outside
+    AMBIENT_ONLY that has a parameter named ``V`` or ``ap``."""
+    for child in ast.iter_child_nodes(node):
+        if getattr(child, "name", None) in AMBIENT_ONLY:
+            continue
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            a = child.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+            if any(p is not None and p.arg in ("V", "ap") for p in params):
+                yield getattr(child, "name", "<lambda>"), child.lineno
+        yield from _point_parameters(child)
+
+
+def test_checks_take_the_frame_alone():
+    # every check reads the test vectors and the ambient point from the
+    # point's frame; none takes them as separate arguments
+    bad = []
+    for name in ("classifiers.py", "fstructure.py", "submanifold.py"):
+        tree = ast.parse((Path(weakf.__file__).parent / name).read_text(
+            encoding="utf-8"))
+        bad += [f"{name}:{line} {fn}" for fn, line in _point_parameters(tree)]
+    assert bad == []
 
 
 def _np_call(node, name):

@@ -145,7 +145,7 @@ def test_frame_draws_continue_after_the_test_vectors(all_packs):
             tv = fr.tv
             rng = point_rng(5, index)
             pairs, triples = _one_draw_per_vector(fr.g0, rng)
-            nb = tv.n_basis + tv.n_distinguished
+            nb = tv.n_basis + len(fr.xi0)
             assert np.abs(tv.vectors[nb:] - pairs).max() <= 1e-15
             assert np.abs(tv.triples - triples).max() <= 1e-15
             # the frame's later draws are those the reference draws next

@@ -119,7 +119,7 @@ def test_gauss_split_exact(cat_sphere, sphere_induced, cat_subspace,
         for i, p in enumerate(sub.domain.sample(3, seed=19)):
             ap = _AmbientPoint(sub, p)
             fr = PackFrame(induced, p, seed=19, index=i, ambient=ap)
-            assert gauss_split_residual(ap, fr) <= TOL
+            assert gauss_split_residual(fr) <= TOL
 
 
 def test_curved_ambient_gauss_and_weingarten():
@@ -168,7 +168,7 @@ def test_thsubm_case_i_on_hypersphere(cat_sphere, sphere_induced):
     for i, p in enumerate(sub.domain.sample(3, seed=23)):
         ap = _AmbientPoint(sub, p)
         fr = PackFrame(sphere_induced, p, seed=23, index=i, ambient=ap)
-        res = thsubm_check(ap, fr, "i")
+        res = thsubm_check(fr, "i")
         assert res["aa_symmetry"] == 0.0  # single normal: trivially symmetric
         assert res["h_display"] <= TOL
         assert res["shape_display_duality"] <= 1e-10
@@ -178,7 +178,7 @@ def test_thsubm_case_i_on_hypersphere(cat_sphere, sphere_induced):
         # orientation pin: the inward normal gives h_N(xi, xi) = +1
         assert float(fr.xi0[0] @ ap.hn[0] @ fr.xi0[0]) == pytest.approx(1.0, abs=1e-10)
         # the other case's display must fail on a sphere
-        res2 = thsubm_check(ap, fr, "ii")
+        res2 = thsubm_check(fr, "ii")
         assert res2["h_display"] >= 0.5
 
 
@@ -187,11 +187,11 @@ def test_thsubm_case_ii_on_linear_subspace(cat_subspace, subspace_induced):
     for i, p in enumerate(sub.domain.sample(3, seed=29)):
         ap = _AmbientPoint(sub, p)
         fr = PackFrame(subspace_induced, p, seed=29, index=i, ambient=ap)
-        res = thsubm_check(ap, fr, "ii")
+        res = thsubm_check(fr, "ii")
         assert res["aa_symmetry"] <= 1e-14
         assert res["h_display"] <= 1e-14
         assert res["conclusion_weak_nearly_C"] <= TOL
-        res1 = thsubm_check(ap, fr, "i")
+        res1 = thsubm_check(fr, "i")
         assert res1["h_display"] >= 0.5
 
 
@@ -220,8 +220,8 @@ def test_thsubm_rejects_non_nearly_kahler_ambient():
     ap = _AmbientPoint(sub, p)
     assert ambient_nearly_kahler_residual(ap) > 1e-3
     with pytest.raises(HypothesisNotMet) as err:
-        thsubm_check(ap, PackFrame(induce_structure(sub, validate=False), p,
-                                   ambient=ap), "i")
+        thsubm_check(PackFrame(induce_structure(sub, validate=False), p,
+                               ambient=ap), "i")
     assert err.value.gate == "ambient_weak_nearly_kahler"
 
 
@@ -232,7 +232,7 @@ def test_lemma_parallel_claim(cat_sphere, sphere_induced, cat_subspace,
         sub = cat.obj
         p = sub.domain.sample(1, seed=37)[0]
         ap = _AmbientPoint(sub, p)
-        res = lemma_parallel_claim(ap, PackFrame(induced, p, ambient=ap))
+        res = lemma_parallel_claim(PackFrame(induced, p, ambient=ap))
         assert res["q_parallel_d"] <= TOL
         assert res["q_parallel_expansion"] <= TOL
     # the weak skew moves fbar^2 N off the normal bundle: gate must fire
@@ -240,7 +240,7 @@ def test_lemma_parallel_claim(cat_sphere, sphere_induced, cat_subspace,
     p = sub.domain.sample(1, seed=37)[0]
     ap = _AmbientPoint(sub, p)
     with pytest.raises(HypothesisNotMet) as err:
-        lemma_parallel_claim(ap, PackFrame(
+        lemma_parallel_claim(PackFrame(
             induce_structure(sub, validate=False), p, ambient=ap))
     assert err.value.gate == "fbar_sq_normal_is_normal"
 
