@@ -132,7 +132,7 @@ def _integer(name, value):
 
 
 # Q f is the third power of a block weight, and the squared g-norm of its
-# residual (sampling.sup_gnorm) the sixth, the largest power any residual
+# residual (sampling.sup_norm) the sixth, the largest power any residual
 # forms: above this ceiling that power overflows float64.
 _WEIGHT_CEIL = np.finfo(float).max ** (1 / 6)
 # Q is the square of a block weight on its block, and the axioms refuse a Q

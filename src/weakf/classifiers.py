@@ -3,8 +3,10 @@
 Each classifier returns the sup, over the test frame at a point, of the
 defining identity of a class; composite classes take the max over their
 parts. Theorem checks are gated: when the hypotheses of a statement fail on
-the given pack, :class:`HypothesisNotMet` is raised instead of reporting a
-vacuous pass. Vector-valued residuals are measured in the g-norm.
+the given pack (or read NaN), :class:`HypothesisNotMet` is raised instead of
+reporting a vacuous pass. Vector-valued residuals are measured in the g-norm:
+each is lowered by the frame's Cholesky factor u of g0 and reduced by
+:func:`~weakf.sampling.sup_norm`.
 
 Gates use the exact tolerance (default 1e-9); the report measures the
 curvature steps of ``thm32_chain`` against its own curvature tolerance.
@@ -18,7 +20,7 @@ import numpy as np
 
 from .errors import HypothesisNotMet
 from .fstructure import frame_axioms, kept_per_frame
-from .sampling import lead_dot, pair_form, sup_abs, sup_gnorm
+from .sampling import lead_dot, pair_form, sup_abs, sup_norm, worst
 
 TOL_EXACT = 1e-9
 
@@ -36,7 +38,8 @@ class FrameConditions:
 # -- per-identity residuals ------------------------------------------------------
 #
 # Each bilinear identity B(X, Y) = 0 is summed as its coefficients C[k, a, b]
-# at the point and contracted with the test pairs once, pair_form(C, V, V).
+# at the point and contracted with the test pairs once, pair_form(C, V, V);
+# a vector-valued one is lowered first, pair_form(lead_dot(u, C), V, V).
 # Class, theorem-gate and submanifold checks ask for the same residuals at
 # the same point; kept_per_frame computes each once per frame.
 
@@ -54,21 +57,22 @@ def nearly_s_residual(fr):
     """(D_X f)Y + (D_Y f)X - 2 g(fX,fY) xibar - etabar(X) f^2 Y - etabar(Y) f^2 X."""
     nf, gff, ef2 = _nearly_terms(fr)
     c = nf + nf.transpose(0, 2, 1) - 2.0 * gff - ef2.transpose(0, 2, 1) - ef2
-    return sup_gnorm(pair_form(c, fr.V, fr.V), fr.g0)
+    return sup_norm(pair_form(lead_dot(fr.u, c), fr.V, fr.V))
 
 
 @kept_per_frame
 def nearly_c_residual(fr):
     """(D_X f)Y + (D_Y f)X."""
     nf = fr.nabla_f.transpose(1, 0, 2)
-    return sup_gnorm(pair_form(nf + nf.transpose(0, 2, 1), fr.V, fr.V), fr.g0)
+    return sup_norm(pair_form(lead_dot(fr.u, nf + nf.transpose(0, 2, 1)),
+                              fr.V, fr.V))
 
 
 @kept_per_frame
 def s_structure_residual(fr):
     """(D_X f)Y - g(fX,fY) xibar - etabar(Y) f^2 X."""
     nf, gff, ef2 = _nearly_terms(fr)
-    return sup_gnorm(pair_form(nf - gff - ef2, fr.V, fr.V), fr.g0)
+    return sup_norm(pair_form(lead_dot(fr.u, nf - gff - ef2), fr.V, fr.V))
 
 
 @kept_per_frame
@@ -93,12 +97,13 @@ def closed_phi_residual(fr):
     x, y, z = fr.tv.triples.transpose(1, 0, 2)
     # dPhi(x_t, y_t, z_t) for each random triple t
     extra = y[:, None] @ lead_dot(x, fr.dphi) @ z[:, :, None]
-    return max(sup_abs(_on_basis(fr, fr.dphi)), sup_abs(extra))
+    return worst((sup_abs(_on_basis(fr, fr.dphi)), sup_abs(extra)))
 
 
 @kept_per_frame
 def normality_residual(fr):
-    return sup_gnorm(fr.n1(), fr.g0)
+    """N1(X, Y) = [f,f](X,Y) + 2 sum_i deta^i(X,Y) xi_i."""
+    return sup_norm(pair_form(lead_dot(fr.u, fr.n1_coeff), fr.V, fr.V))
 
 
 @kept_per_frame
@@ -157,7 +162,7 @@ def class_residual(pack, p, class_tag, frame):
                 br[f"killing_xi_{i + 1}"] = r
         else:
             br[part] = _RESIDUALS[part](frame)
-    return max(br.values()), br
+    return worst(br.values()), br
 
 
 @kept_per_frame
@@ -168,12 +173,12 @@ def q_parallel_residual(fr):
     over all Y; it must hold whenever the first component holds, and both
     are reported separately.
     """
-    V = fr.V
+    V, u = fr.V, fr.u
     nq = fr.nabla_q.transpose(1, 0, 2)
-    first = sup_gnorm(pair_form(nq, V, fr.d_basis), fr.g0)
+    first = sup_norm(pair_form(lead_dot(u, nq), V, fr.d_basis))
     # sum_i eta^i(e_b) ((Q - id) D_{e_a} xi_i)^k
     corr = (fr.qtilde @ fr.nabla_xi).transpose(1, 2, 0) @ fr.eta0
-    second = sup_gnorm(pair_form(nq + corr, V, V), fr.g0)
+    second = sup_norm(pair_form(lead_dot(u, nq + corr), V, V))
     return first, second
 
 
@@ -185,9 +190,10 @@ def frame_residuals(fr):
     themselves, so the totally-geodesic residual is always bounded by the
     flatness residual.
     """
-    # xi_i^a d_a xi_j, for [xi_i, xi_j] = u[i,j] - u[j,i]
-    u = lead_dot(fr.xi0, fr.xi1.transpose(2, 0, 1))
-    reeb_brackets = sup_gnorm((u - u.transpose(1, 0, 2)).transpose(2, 0, 1), fr.g0)
+    # xi_i^a d_a xi_j, for [xi_i, xi_j] = w[i,j] - w[j,i]
+    w = lead_dot(fr.xi0, fr.xi1.transpose(2, 0, 1))
+    reeb_brackets = sup_norm(
+        lead_dot(fr.u, (w - w.transpose(1, 0, 2)).transpose(2, 0, 1)))
     # g(D_X xi_i, xi_j)
     reeb_flat = sup_abs((fr.xi0 @ fr.g0.T) @ fr.nabla_xi @ fr.V.T)
     reeb_tg = sup_abs(fr.nabla_xi_xi @ fr.eta0.T)
@@ -204,7 +210,8 @@ def frame_residuals(fr):
 
 
 def _gate(check, name, residual, tol):
-    if residual > tol:
+    """Raise unless ``residual <= tol``: a NaN residual does not pass."""
+    if not residual <= tol:
         raise HypothesisNotMet(check, name, residual)
 
 
@@ -248,7 +255,7 @@ def theorem_check(pack, p, which, frame, tol_exact=TOL_EXACT):
     check = _THEOREMS.get(which)
     if check is None:
         raise ValueError(f"unknown theorem check {which!r}")
-    _gate(which, "weak_metric_f_axioms", max(frame_axioms(frame).values()),
+    _gate(which, "weak_metric_f_axioms", worst(frame_axioms(frame).values()),
           tol_exact)
     return check(frame, tol_exact)
 
@@ -257,12 +264,13 @@ def _prop1(fr, tol):
     _nearly_class_gate(fr, "prop1", tol)
     _frame_gates(fr, "prop1", tol)
     res = {
-        "reeb_parallel_pairs": sup_gnorm(fr.nabla_xi_xi.transpose(2, 0, 1), fr.g0)
+        "reeb_parallel_pairs": sup_norm(
+            lead_dot(fr.u, fr.nabla_xi_xi.transpose(2, 0, 1)))
     }
     ne = np.einsum("jab,ia->ijb", fr.nabla_eta, fr.xi0)
     dual = ((ne @ fr.ginv) * ne).sum(-1)
-    res["reeb_coparallel"] = float(np.sqrt(max(dual.max(), 0.0)))
-    res["reeb_killing"] = max(killing_residuals(fr))
+    res["reeb_coparallel"] = float(np.sqrt(np.maximum(dual.max(), 0.0)))
+    res["reeb_killing"] = worst(killing_residuals(fr))
     return res
 
 
@@ -271,7 +279,7 @@ def _prop_normal(fr, tol):
     _gate("prop_normal", "normality", normality_residual(fr), tol)
     V = fr.V
     res = {}
-    res["lie_xi_f"] = sup_gnorm(np.einsum("iab,Ab->aiA", fr.n3(), V), fr.g0)
+    res["lie_xi_f"] = sup_norm(pair_form(fr.n3(), fr.u, V).transpose(1, 0, 2))
     res["deta_xi_contraction"] = sup_abs(fr.n4())
     # d eta^i(fX, Y) - d eta^i(fY, X) = (1/2) eta^i([(Q - id)X, fY]), where
     # [(Q - id)X, fY] = ((Q - id)X)^a d_a (fY) - (fY)^a d_a (Q X)
@@ -291,21 +299,20 @@ def _prop_normal(fr, tol):
     res["d_brackets_stay_in_d"] = sup_abs(
         np.einsum("jk,ikA->ijA", fr.eta0, brk) + ext
     )
-    res["reeb_symmetric_geodesic"] = sup_gnorm(
-        (nxx + nxx.transpose(1, 0, 2)).transpose(2, 0, 1), fr.g0
-    )
+    res["reeb_symmetric_geodesic"] = sup_norm(
+        lead_dot(fr.u, (nxx + nxx.transpose(1, 0, 2)).transpose(2, 0, 1)))
     return res
 
 
 def _fk_gate(fr, check, tol):
     _gate(check, "phi_equals_deta", almost_s_residual(fr), tol)
-    _gate(check, "killing_reeb", max(killing_residuals(fr)), tol)
+    _gate(check, "killing_reeb", worst(killing_residuals(fr)), tol)
 
 
 def _fk_contact_nabla(fr, tol):
     _fk_gate(fr, "fk_contact_nabla", tol)
-    res = (fr.nabla_xi + fr.f0) @ fr.V.T
-    return {"nabla_xi_plus_f": sup_gnorm(res.transpose(1, 0, 2), fr.g0)}
+    res = pair_form(fr.nabla_xi + fr.f0, fr.u, fr.V)
+    return {"nabla_xi_plus_f": sup_norm(res.transpose(1, 0, 2))}
 
 
 def _thm32_chain(fr, tol):
@@ -335,7 +342,7 @@ def _thm32_chain(fr, tol):
     f2x = fx @ f0.T
     g_f2x = g_xs(f2x)
     final = 2.0 * g_f2x
-    worst = np.zeros(4)     # connection, nearly-C, algebra steps; total
+    peak = np.zeros(4)      # connection, nearly-C, algebra steps; total
     for xi in fr.xi0:
         r_xi = xi @ (fr.riemann @ xi)               # X -> R(xi, X) xi
         lhs = g_xs(xs @ r_xi.T)
@@ -343,21 +350,21 @@ def _thm32_chain(fr, tol):
         mid1 = g_xs(f2x - xs @ nf_xi.T)
         mid2 = g_xs(xs @ (fr.nabla_f @ xi)) - ((fx @ g0) * fx).sum(1)
         steps = (lhs - mid1, mid1 - mid2, mid2 - final, lhs - final)
-        worst = np.maximum(worst, [np.abs(d).max() for d in steps])
+        peak = np.maximum(peak, [np.abs(d).max() for d in steps])
     return {
-        "chain_connection_step": float(worst[0]),
-        "chain_nearly_c_step": float(worst[1]),
-        "chain_algebra_step": float(worst[2]),
-        "f2_nonpositive": max(0.0, float(g_f2x.max())),
-        "chain_total": float(worst[3]),
+        "chain_connection_step": float(peak[0]),
+        "chain_nearly_c_step": float(peak[1]),
+        "chain_algebra_step": float(peak[2]),
+        "f2_nonpositive": float(np.maximum(g_f2x.max(), 0.0)),  # a NaN stays
+        "chain_total": float(peak[3]),
     }
 
 
 def _thm41(fr, tol):
     _gate("thm41", "weak_nearly_C", nearly_c_residual(fr), tol)
     db = fr.d_basis
-    res = {"nabla_xi_zero": sup_gnorm((fr.nabla_xi @ fr.V.T).transpose(1, 0, 2),
-                                      fr.g0)}
+    res = {"nabla_xi_zero": sup_norm(
+        pair_form(fr.nabla_xi, fr.u, fr.V).transpose(1, 0, 2))}
     de_d = pair_form(fr.deta, db, db)
     res["deta_on_d"] = sup_abs(de_d)
     # conn[i,A,B] = g(D_{e_A} xi_i, e_B) for e_A, e_B in D
@@ -399,7 +406,7 @@ def _thm01_ii(fr, tol):
     _gate("thm01_ii", "phi_equals_deta", almost_s_residual(fr), tol)
     phqt = fr.qtilde.T @ fr.phi0                # Phi((Q - id)X, Y)
     c = fr.n1_coeff - 2.0 * fr.xibar[:, None, None] * phqt
-    res = {"n1_equals_qtilde_phi": sup_gnorm(pair_form(c, V, V), fr.g0)}
+    res = {"n1_equals_qtilde_phi": sup_norm(pair_form(lead_dot(fr.u, c), V, V))}
     # proof-internal: 3 dPhi(X,Y,Z) + 3 g((D_X f)Y, Z)
     #                 + 3 g(f^2 X, Y) etabar(Z) - 3 g(f^2 X, Z) etabar(Y) = 0
     gf2 = (fr.f0 @ fr.f0).T @ fr.g0             # g(f^2 X, Y)
@@ -413,7 +420,7 @@ def _thm01_ii(fr, tol):
 def _corollary_rigidity(fr, tol):
     _gate("corollary_rigidity", "weak_nearly_S", nearly_s_residual(fr), tol)
     _gate("corollary_rigidity", "normal", normality_residual(fr), tol)
-    qt = sup_gnorm(np.einsum("ka,Aa->kA", fr.qtilde, fr.V), fr.g0)
+    qt = sup_norm(pair_form(fr.qtilde, fr.u, fr.V))
     _gate("corollary_rigidity", "Q_equals_id", qt, tol)
     return {"s_structure_defining": s_structure_residual(fr)}
 

@@ -43,13 +43,22 @@ def orthonormal_basis(g0, vectors=None, against=(), floor=None):
     return np.array(basis[start:])
 
 
-def cholesky_basis(g0):
-    """The rows of L^-1 for g0 = L L^T: a g0-orthonormal basis.
+def cholesky_factor(g0):
+    """The upper triangular u with g0 = u^T u.
+
+    Lowering by u turns g0-norms into Euclidean ones: g0(v, v) = |u v|^2.
+    """
+    return np.linalg.cholesky(g0).T
+
+
+def cholesky_basis(u):
+    """The rows of L^-1 for the Cholesky factor L = u^T of g0 = L L^T: a
+    g0-orthonormal basis.
 
     It is the Gram-Schmidt of the coordinate frame, ``orthonormal_basis(g0)``,
     from one factorization: row k of L^-1 lies in the span of e_1..e_k.
     """
-    return np.linalg.inv(np.linalg.cholesky(g0))
+    return np.linalg.inv(u.T)
 
 
 def unit_rows(vecs, g0):
@@ -70,6 +79,7 @@ class TestVectors:
     vectors: np.ndarray      # (nv, m): basis rows, distinguished, random units
     n_basis: int
     triples: np.ndarray      # (nt, 3, m) extra random triples for 3-forms
+    factor: np.ndarray       # (m, m): upper u with g0 = u^T u; basis = u^-T
 
     @property
     def basis(self):
@@ -78,7 +88,8 @@ class TestVectors:
 
 def build_test_vectors(g0, rng, distinguished=None):
     """Basis + distinguished vectors + 2 * N_RANDOM_PAIRS random units."""
-    basis = cholesky_basis(g0)
+    u = cholesky_factor(g0)
+    basis = cholesky_basis(u)
     rows = [basis]
     if distinguished is not None and len(distinguished):
         rows.append(np.asarray(distinguished, dtype=float))
@@ -89,6 +100,7 @@ def build_test_vectors(g0, rng, distinguished=None):
         vectors=np.vstack(rows),
         n_basis=basis.shape[0],
         triples=rand[npair:].reshape(N_RANDOM_TRIPLES, 3, -1),
+        factor=u,
     )
 
 
@@ -108,12 +120,29 @@ def lead_dot(a, t):
     return r.reshape(a.shape[:-1] + t.shape[1:])
 
 
-def sup_gnorm(res, g0):
-    """Max g-norm over the trailing test axes of ``res[k, ...]``."""
-    r = res.reshape(res.shape[0], -1)
-    q = ((g0 @ r) * r).sum(0)
-    return float(np.sqrt(max(q.max(), 0.0)))
+def sup_norm(low):
+    """Max Euclidean norm over the leading axis of ``low[k, ...]``.
+
+    On a vector residual lowered by the Cholesky factor of g0 (``low = u
+    res``, see :func:`cholesky_factor`) it is the max g0-norm over the
+    trailing test axes. The one einsum builds only the squared norms, so the
+    residual is the only array of its size. A g0-weighted sum would hold two
+    more, and above glibc's 128 KiB mmap threshold each is a fresh mapping
+    that faults in every page it touches.
+    """
+    r = low.reshape(len(low), -1)
+    return float(np.sqrt(np.einsum("ki,ki->i", r, r).max()))
 
 
 def sup_abs(res):
     return float(np.abs(res).max())
+
+
+def worst(residuals):
+    """The largest of ``residuals``, and NaN if any of them is NaN.
+
+    Python's ``max`` keeps a NaN only when it comes first, so a NaN part
+    could leave a composite check passing.
+    """
+    values = list(residuals)
+    return math.nan if any(map(math.isnan, values)) else max(values)

@@ -43,7 +43,14 @@ from .classifiers import (
 )
 from .errors import HypothesisNotMet, SetupRejected
 from .fstructure import StructurePack, kept_per_frame
-from .sampling import cholesky_basis, lead_dot, pair_form, sup_abs, sup_gnorm
+from .sampling import (
+    cholesky_basis,
+    cholesky_factor,
+    lead_dot,
+    pair_form,
+    sup_abs,
+    sup_norm,
+)
 
 _FRAME_TOL = 1e-10
 _TANGENCY_TOL = 1e-9
@@ -229,9 +236,16 @@ class _AmbientPoint:
         return a.reshape(m, s, m).transpose(1, 0, 2)
 
     @cached_property
+    def ubar(self):
+        """The upper Cholesky factor of gbar0 = ubar^T ubar: an ambient
+        vector residual lowered by it has the gbar-norm as its Euclidean
+        norm (see :func:`~weakf.sampling.sup_norm`)."""
+        return cholesky_factor(self.gbar0)
+
+    @cached_property
     def basis(self):
         """A gbar-orthonormal basis of the ambient space at the image (rows)."""
-        return cholesky_basis(self.gbar0)
+        return cholesky_basis(self.ubar)
 
     @cached_property
     def nearly_kahler_residual(self):
@@ -260,32 +274,31 @@ def frame_check(ap):
     res["normals_perp_image"] = sup_abs(ap.normals @ ap.gbar0 @ ap.jac)
     fn = ap.normals @ ap.fbar0.T
     res["skew_normal_pairs"] = sup_abs(pair_form(ap.gbar0, fn, ap.normals))
-    res["xi_tangent"] = float(np.linalg.norm(ap.normal_part(fn.T), axis=0).max())
+    res["xi_tangent"] = sup_norm(lead_dot(ap.ubar, ap.normal_part(fn.T)))
     gf = ap.gbar0 @ ap.fbar0
     eb = ap.basis
     res["ambient_skew"] = sup_abs(pair_form(gf + gf.T, eb, eb))
     f2 = ap.fbar0 @ ap.fbar0
     f2_mat = eb @ ap.gbar0 @ (f2 @ eb.T)
-    res["fbar_sq_negative"] = max(
-        0.0, float(np.linalg.eigvalsh(0.5 * (f2_mat + f2_mat.T)).max())
-    )
+    res["fbar_sq_negative"] = float(np.maximum(   # a NaN stays
+        np.linalg.eigvalsh(0.5 * (f2_mat + f2_mat.T)).max(), 0.0))
     return res
 
 
 def require_valid_frame(sub, p):
     res = frame_check(_AmbientPoint(sub, p))
     for key in ("normals_orthonormal", "normals_perp_image", "skew_normal_pairs"):
-        if res[key] > _FRAME_TOL:
+        if not res[key] <= _FRAME_TOL:
             raise SetupRejected(
                 f"normal frame violates {key} at {tuple(np.asarray(p))}: "
                 f"residual {res[key]:.3e}"
             )
-    if res["xi_tangent"] > _TANGENCY_TOL:
+    if not res["xi_tangent"] <= _TANGENCY_TOL:
         raise SetupRejected(
             f"fbar N_i has a normal component {res['xi_tangent']:.3e}: "
             "the induced Reeb fields are not tangent"
         )
-    if res["fbar_sq_negative"] > 0.0:
+    if not res["fbar_sq_negative"] <= 0.0:
         raise SetupRejected(
             "ambient skew tensor squared is not negative-definite "
             f"(margin {res['fbar_sq_negative']:.3e})"
@@ -356,7 +369,7 @@ def gauss_split_residual(fr):
     ap = fr.ambient
     r = (ap.coordinate_derivative - lead_dot(ap.jac, fr.gamma)
          - lead_dot(ap.normals.T, ap.hn))
-    return sup_gnorm(r, ap.gbar0)
+    return sup_norm(lead_dot(ap.ubar, r))
 
 
 # -- theorem-level machinery -------------------------------------------------------
@@ -364,8 +377,9 @@ def gauss_split_residual(fr):
 
 def ambient_nearly_kahler_residual(ap):
     """Sup of (D_X fbar)Y + (D_Y fbar)X over an ambient frame at the image."""
-    t = pair_form(ap.nabla_fbar.transpose(1, 0, 2), ap.basis, ap.basis)
-    return sup_gnorm(t + t.transpose(0, 2, 1), ap.gbar0)
+    nf = ap.nabla_fbar.transpose(1, 0, 2)
+    c = lead_dot(ap.ubar, nf + nf.transpose(0, 2, 1))
+    return sup_norm(pair_form(c, ap.basis, ap.basis))
 
 
 @kept_per_frame
@@ -390,9 +404,8 @@ def _thsubm_shared(fr):
     # (D_X f)Y + sum_i eta^i(X) A_i Y, then symmetrized in X and Y
     dom = fr.nabla_f.transpose(1, 0, 2) + np.einsum("iA,ikB->kAB", eta0, a_mats)
     dom = dom + dom.transpose(0, 2, 1) - 2.0 * lead_dot(xi0.T, hn)
-    res["tangential_expansion"] = sup_gnorm(
-        lhs_t - lead_dot(ap.jac, dom), ap.gbar0
-    )
+    res["tangential_expansion"] = sup_norm(
+        lead_dot(ap.ubar, lhs_t - lead_dot(ap.jac, dom)))
     return {
         "aa_symmetry": sup_abs(hxx - hxx.transpose(1, 0, 2)),
         "case_free": res,
@@ -427,7 +440,7 @@ def thsubm_check(fr, case, tol_exact=TOL_EXACT):
     if case not in ("i", "ii"):
         raise ValueError("case must be 'i' or 'ii'")
     gate = fr.ambient.nearly_kahler_residual
-    if gate > tol_exact:
+    if not gate <= tol_exact:
         raise HypothesisNotMet("thsubm", "ambient_weak_nearly_kahler", gate)
     V = fr.V
     shared = _thsubm_shared(fr)
@@ -460,8 +473,8 @@ def lemma_parallel_claim(fr, tol=TOL_EXACT):
     """
     ap = fr.ambient
     f2n = ap.normals @ (ap.fbar0 @ ap.fbar0).T
-    hyp1 = float(np.linalg.norm(ap.tangent_part(f2n.T), axis=0).max())
-    if hyp1 > tol:
+    hyp1 = sup_norm(lead_dot(ap.ubar, ap.tangent_part(f2n.T)))
+    if not hyp1 <= tol:
         raise HypothesisNotMet(
             "lemma_parallel_q", "fbar_sq_normal_is_normal", hyp1
         )
@@ -473,8 +486,8 @@ def lemma_parallel_claim(fr, tol=TOL_EXACT):
     t = pair_form(nf, jx, jy @ ap.fbar0.T) + lead_dot(
         ap.fbar0, pair_form(nf, jx, jy)
     )
-    worst = sup_gnorm(ap.tangent_part(t), ap.gbar0)
-    if worst > tol:
+    worst = sup_norm(lead_dot(ap.ubar, ap.tangent_part(t)))
+    if not worst <= tol:
         raise HypothesisNotMet(
             "lemma_parallel_q", "tangential_nabla_fbar_sq", worst
         )

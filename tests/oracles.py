@@ -27,7 +27,7 @@ from weakf.errors import WeakfError
 from weakf.fstructure import PackFrame, StructurePack
 from weakf import jets
 from weakf.jets import cos, sin
-from weakf.sampling import pair_form, sup_abs, sup_gnorm
+from weakf.sampling import pair_form, sup_abs
 from weakf.submanifold import _AmbientPoint, induce_structure
 
 
@@ -693,8 +693,18 @@ def config_frames(argv, samples, seed=42):
 # -- pair-level residuals ------------------------------------------------------------
 #
 # The engine sums the terms of each bilinear identity as coefficients at the
-# point and contracts them with the test pairs once. These evaluate every
-# term on the test pairs first and sum the pair values.
+# point, lowers a vector-valued one by the Cholesky factor of g0 and
+# contracts it with the test pairs once. These evaluate every term on the
+# test pairs first, sum the pair values and take g-norms with g0 itself.
+
+
+def sup_gnorm(res, g0):
+    """Max g0-norm over the trailing test axes of ``res[k, ...]``: the
+    g0-weighted sum that ``sampling.sup_norm`` of the lowered residual
+    replaces."""
+    r = res.reshape(res.shape[0], -1)
+    q = ((g0 @ r) * r).sum(0)
+    return float(np.sqrt(max(q.max(), 0.0)))
 
 
 def nabla_f_pairs(fr, V):
@@ -742,6 +752,10 @@ def n1(fr, V):
     """N1[k,A,B] = [f,f](X,Y) + 2 sum_i deta^i(X,Y) xi_i."""
     return nijenhuis_ff(fr, V) + 2.0 * np.tensordot(
         fr.xi0, pair_form(fr.deta, V, V), (0, 0))
+
+
+def normality_residual(fr, V):
+    return sup_gnorm(n1(fr, V), fr.g0)
 
 
 def h_pairs(ap, V):

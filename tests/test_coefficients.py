@@ -13,6 +13,7 @@ from report_digests import CONFIGS
 
 import oracles
 from weakf import catalog, classifiers
+from weakf.sampling import pair_form
 from weakf.submanifold import thsubm_check
 
 # Both routes sum the same float64 products in another order; residuals reach
@@ -20,7 +21,8 @@ from weakf.submanifold import thsubm_check
 TOL = 1e-12
 SAMPLES = 3
 
-RESIDUALS = ("nearly_s_residual", "nearly_c_residual", "s_structure_residual")
+RESIDUALS = ("nearly_s_residual", "nearly_c_residual", "s_structure_residual",
+             "normality_residual")
 
 
 def _close(got, want):
@@ -53,7 +55,7 @@ def test_class_residuals_match_pair_oracle(frames):
 def test_nijenhuis_tensors_match_pair_oracle(frames):
     for fr in frames:
         assert _close(fr.nijenhuis_ff(), oracles.nijenhuis_ff(fr, fr.V))
-        assert _close(fr.n1(), oracles.n1(fr, fr.V))
+        assert _close(pair_form(fr.n1_coeff, fr.V, fr.V), oracles.n1(fr, fr.V))
 
 
 def test_thsubm_displays_match_pair_oracle(frames):

@@ -1,5 +1,5 @@
-"""Repeated runs keep nothing, and a run's peak memory does not follow its
-sample count."""
+"""Repeated runs keep nothing, a run's peak memory does not follow its
+sample count, and a g-norm residual is the one array of its size."""
 
 import gc
 import subprocess
@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from weakf import catalog, classifiers
+from weakf.fstructure import PackFrame
 from weakf.report import SUITES, SuiteConfig, run_suite
 
 # Fixed before the first measurement: what one more run may leave behind.
@@ -67,3 +69,27 @@ def test_peak_memory_does_not_follow_sample_count():
     scaled_code, scaled = _peak_rss_mb(20 * default)
     assert code == scaled_code == 0
     assert scaled - base <= SCALED_RSS_MARGIN_MB, (base, scaled)
+
+
+# A vector residual on flat_pack n=4 s=2: m = 10 components over 44 x 44
+# test pairs (10 basis vectors, 2 Reeb fields, 32 random units), float64.
+RESIDUAL_BYTES = 10 * 44 * 44 * 8
+
+
+@pytest.mark.parametrize("name", ["nearly_s_residual", "normality_residual",
+                                  "q_parallel_residual"])
+def test_g_norm_holds_one_residual_sized_array(name):
+    # lowering the coefficients first leaves the contraction result as the
+    # only array of residual size: a g-weighted sum over it holds three
+    pack = catalog.flat_pack(n=4, s=2).obj
+    fr = PackFrame(pack, pack.chart.sample(1, seed=42)[0], seed=42)
+    assert fr.V.shape == (44, 10)
+    for attr in ("u", "nabla_f", "nabla_q", "nabla_xi", "n1_coeff", "d_basis"):
+        getattr(fr, attr)       # the frame's inputs, built before the count
+    tracemalloc.start()
+    try:
+        getattr(classifiers, name)(fr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * RESIDUAL_BYTES, peak / RESIDUAL_BYTES

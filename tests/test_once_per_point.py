@@ -22,9 +22,11 @@ from weakf.report import SUITES, SuiteConfig, run_suite
 SAMPLES = 3
 
 # Frame arrays that the contraction counts recognise as operands, by the
-# PackFrame attribute that builds them.
+# PackFrame attribute that builds them. u is the Cholesky factor of g0 that
+# vector residuals are lowered by; a lowered coefficient, lead_dot(u, C), is
+# named by its source array C.
 FRAME_ARRAYS = {
-    "tv": {"V": lambda tv: tv.vectors},
+    "tv": {"V": lambda tv: tv.vectors, "u": lambda tv: tv.factor},
     "_jets": {"xi0": lambda j: j["xi"][0], "xi1": lambda j: j["xi"][1]},
     "d_basis": {"d_basis": lambda a: a},
     "nabla_q": {"nabla_q": lambda a: a},
@@ -122,7 +124,13 @@ def counted_run():
             sites[(counts["frame"], contract.__name__, caller.f_code.co_name,
                    caller.f_lineno, tuple(map(names.get, ids)),
                    *map(_content, args))] += 1
-            return contract(*args, **kwargs)
+            out = contract(*args, **kwargs)
+            if (contract.__name__ == "lead_dot" and names.get(ids[0]) == "u"
+                    and ids[1] in names):
+                alive.append(out)
+                names[id(out)] = names[ids[1]]
+                owners[_memory(out)] = id(out)
+            return out
         return counted
 
     counted_np = types.ModuleType("numpy")
@@ -139,6 +147,8 @@ def counted_run():
         for name in ("metric_inverse", "christoffel_from_jets"):
             mp.setattr(calculus, name, _counting(
                 getattr(calculus, name), counts, name))
+        mp.setattr(np.linalg, "cholesky", _counting(
+            np.linalg.cholesky, counts, "cholesky"))
         mp.setattr(submanifold, "ambient_nearly_kahler_residual", _counting(
             submanifold.ambient_nearly_kahler_residual, counts, "nearly_kahler"))
         ap_cls = submanifold._AmbientPoint
@@ -375,6 +385,13 @@ def test_inverse_and_christoffel_once_per_metric(counted_run):
     assert counts["christoffel_from_jets"] == 2 * SAMPLES
 
 
+def test_one_cholesky_factor_per_metric(counted_run):
+    _, counts, _, _ = counted_run
+    # the test basis and every g-norm of a point share one factor of the
+    # induced metric, and the ambient basis and gbar-norms one of gbar
+    assert counts["cholesky"] == 2 * SAMPLES
+
+
 def test_ambient_point_quantities_once_per_sample(counted_run):
     _, counts, _, _ = counted_run
     # both thsubm cases read the shape operators and the gate; the Gauss
@@ -389,10 +406,13 @@ def test_pack_metric_inverse_once_per_sample():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(calculus, "metric_inverse", _counting(
             calculus.metric_inverse, counts, "metric_inverse"))
+        mp.setattr(np.linalg, "cholesky", _counting(
+            np.linalg.cholesky, counts, "cholesky"))
         rep = run_suite(SuiteConfig(example="sasakian_s3", suites=SUITES,
                                     samples=SAMPLES))
     assert rep["overall"]["verdict"] == "pass"
     assert counts["metric_inverse"] == SAMPLES
+    assert counts["cholesky"] == SAMPLES
 
 
 def test_kept_axioms_map_is_a_copy():

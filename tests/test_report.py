@@ -14,6 +14,7 @@ from report_digests import CONFIGS, digest_lines, dump_reports
 import weakf
 from weakf import cli, fstructure, report
 from weakf.errors import InvalidExample
+from weakf.classifiers import THEOREM_CHECKS
 from weakf.report import SUITES, SuiteConfig, run_suite
 
 EXAMPLES = (
@@ -224,6 +225,26 @@ def test_nan_residual_fails_its_entry(capsys, monkeypatch):
     # an infinite residual is written the same way
     assert report.render_json({"r": [math.inf, -math.inf]}).split() == [
         "{", '"r":', "[", '"Infinity",', '"-Infinity"', "]", "}"]
+
+    # a NaN axiom that is not the first of the map: the class that conjoins
+    # the axioms fails with a NaN max, and the axiom gate of every theorem
+    # bundle skips it
+    def nan_axiom(fr):
+        res = axioms(fr)
+        res["qf_commute"] = math.nan
+        return res
+
+    monkeypatch.setattr(fstructure, "axioms_residual", nan_axiom)
+    rep = run_suite(SuiteConfig(example="sasakian_s3", samples=3,
+                                suites=("axioms", "classes", "theorems")))
+    (entry,) = [e for e in rep["suites"]["classes"]
+                if e["identity"] == "weak_metric_f"]
+    assert math.isnan(entry["max_residual"]) and entry["verdict"] == "fail"
+    theorems = rep["suites"]["theorems"]
+    assert [e["identity"] for e in theorems] == list(THEOREM_CHECKS)
+    for e in theorems:
+        assert e["verdict"] == "skipped"
+        assert e["note"].startswith("hypothesis failed: weak_metric_f_axioms")
 
 
 def test_report_digests_match_the_command_line(capsys):

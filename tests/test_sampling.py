@@ -1,7 +1,8 @@
 """The pairwise contraction helpers against the np.einsum and np.tensordot
-expressions they replace, over random shapes and entries; the batched draw
-of the random test vectors against one draw per vector; and the Cholesky
-test basis against the Gram-Schmidt of the coordinate frame."""
+expressions they replace, over random shapes and entries; the g-norm of a
+residual lowered by the Cholesky factor against the g-weighted sum; the
+batched draw of the random test vectors against one draw per vector; and the
+Cholesky test basis against the Gram-Schmidt of the coordinate frame."""
 
 import math
 
@@ -17,13 +18,15 @@ from weakf.sampling import (
     N_RANDOM_PAIRS,
     N_RANDOM_TRIPLES,
     cholesky_basis,
+    cholesky_factor,
     lead_dot,
     orthonormal_basis,
     pair_form,
     point_rng,
     random_units,
-    sup_gnorm,
+    sup_norm,
     unit_rows,
+    worst,
 )
 
 # float64 sums of at most 10 x 10 products: the rounding error of either
@@ -89,10 +92,21 @@ def test_lead_dot_matches_tensordot(ops):
 @settings(max_examples=200, deadline=None)
 @given(gnorm_operands())
 def test_sup_gnorm_matches_einsum(ops):
+    # the route every g-norm in src/ takes: lower by u, then sup_norm
     res, g0 = ops
     ref = np.sqrt(max(np.einsum("k...,kl,l...->...", res, g0, res).max(), 0.0))
     scale = np.einsum("k...,kl,l...->...", abs(res), abs(g0), abs(res)).max()
-    assert abs(sup_gnorm(res, g0) ** 2 - ref**2) <= TOL * scale
+    got = sup_norm(lead_dot(cholesky_factor(g0), res))
+    assert abs(got ** 2 - ref**2) <= TOL * scale
+    assert abs(oracles.sup_gnorm(res, g0) ** 2 - ref**2) <= TOL * scale
+
+
+def test_nan_propagates_through_the_reducers():
+    # a NaN anywhere is the result: Python's max would keep it only first
+    for values in ((math.nan, 1.0), (1.0, math.nan), (0.0, math.nan, 2.0)):
+        assert math.isnan(worst(values))
+        assert math.isnan(sup_norm(np.array(values)[None]))
+    assert worst((1e-20, 3.0, 2.0)) == 3.0
 
 
 # -- random test vectors --------------------------------------------------------------
@@ -157,9 +171,13 @@ def test_frame_draws_continue_after_the_test_vectors(all_packs):
 # -- test basis ---------------------------------------------------------------------
 
 
-def _assert_gram_schmidt(g0):
-    """The rows of L^-1 for g0 = L L^T are the Gram-Schmidt of e_1..e_m."""
-    basis, ref = cholesky_basis(g0), orthonormal_basis(g0)
+def _assert_gram_schmidt(g0, u=None):
+    """The rows of L^-1 for g0 = L L^T are the Gram-Schmidt of e_1..e_m, and
+    u = L^T is upper triangular with g0 = u^T u."""
+    u = cholesky_factor(g0) if u is None else u
+    assert not np.tril(u, -1).any()
+    assert np.abs(u.T @ u - g0).max() <= TOL * np.abs(g0).max()
+    basis, ref = cholesky_basis(u), orthonormal_basis(g0)
     assert np.abs(basis - ref).max() <= TOL * max(1.0, np.abs(ref).max())
     assert np.abs(basis @ g0 @ basis.T - np.eye(len(g0))).max() <= TOL
 
@@ -173,9 +191,13 @@ def test_cholesky_basis_is_the_coordinate_gram_schmidt():
         pack = oracles.sheared_pack(catalog.flat_pack(**params).obj)
         frames += [PackFrame(pack, p) for p in pack.chart.sample(2, seed=3)]
     for fr in frames:
-        _assert_gram_schmidt(fr.g0)
+        # the frame's test basis is built from the factor it lowers by
+        _assert_gram_schmidt(fr.g0, fr.u)
+        assert fr.tv.basis.tobytes() == cholesky_basis(fr.u).tobytes()
         if fr.ambient is not None:
-            _assert_gram_schmidt(fr.ambient.gbar0)
+            ap = fr.ambient
+            _assert_gram_schmidt(ap.gbar0, ap.ubar)
+            assert ap.basis.tobytes() == cholesky_basis(ap.ubar).tobytes()
     assert any(np.abs(fr.g0 - np.diag(np.diag(fr.g0))).max() > 0.1
                for fr in frames)
 

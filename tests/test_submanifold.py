@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -243,6 +245,61 @@ def test_lemma_parallel_claim(cat_sphere, sphere_induced, cat_subspace,
         lemma_parallel_claim(PackFrame(
             induce_structure(sub, validate=False), p, ambient=ap))
     assert err.value.gate == "fbar_sq_normal_is_normal"
+
+
+def _givens(d, i, j, theta):
+    r = np.eye(d)
+    r[[i, i, j, j], [i, j, i, j]] = (np.cos(theta), -np.sin(theta),
+                                     np.sin(theta), np.cos(theta))
+    return r
+
+
+def _tilted_subspace():
+    """linear_subspace n=1 s=2 (x_1, x_2, y_1, y_2, z_1, z_2; normals z_i)
+    with block weight 2 and fbar turned by rotations in the (y_1, z_2) and
+    (x_1, z_1) planes: fbar N_1 leaves the tangent space, and fbar^2 N_1
+    the normal bundle."""
+    sub = linear_subspace(n=1, s=2, scales=(2.0,)).obj
+    r = _givens(6, 0, 4, 0.3) @ _givens(6, 2, 5, 0.4)
+    fbar = sub.ambient_skew.fn(None)
+    return replace(sub, ambient_skew=constant_field(
+        sub.ambient, "tensor11", r @ np.array(fbar) @ r.T, name="fbar"))
+
+
+def _scaled_ambient(sub, c):
+    """``sub`` in the ambient coordinates c y of its flat ambient: gbar
+    becomes c^-2 I, the constant fbar keeps its components, and the
+    embedding and the normals scale by c."""
+    amb = sub.ambient
+    amb = replace(amb, box=tuple((c * lo, c * hi) for lo, hi in amb.box))
+    return replace(
+        sub, ambient=amb,
+        ambient_metric=constant_field(amb, "metric", np.eye(amb.dim) / c**2),
+        ambient_skew=replace(sub.ambient_skew, chart=amb),
+        embedding=lambda u, emb=sub.embedding: [c * y for y in emb(u)],
+        normals=lambda u, nf=sub.normals: [[c * v for v in n] for n in nf(u)])
+
+
+def test_ambient_residuals_are_gbar_norms():
+    # scaling the ambient coordinates changes every ambient component but
+    # no gbar-norm: both ambient vector residuals keep their values
+    sub = _tilted_subspace()
+    p = sub.domain.sample(1, seed=37)[0]
+
+    def residuals(s):
+        ap = _AmbientPoint(s, p)
+        with pytest.raises(HypothesisNotMet) as err:
+            lemma_parallel_claim(PackFrame(
+                induce_structure(s, validate=False), p, ambient=ap))
+        assert err.value.gate == "fbar_sq_normal_is_normal"
+        return {**frame_check(ap), "fbar_sq_normal_is_normal": err.value.residual}
+
+    base = residuals(sub)
+    assert base["xi_tangent"] > 0.1 and base["fbar_sq_normal_is_normal"] > 0.1
+    for c in (0.25, 3.0):
+        scaled = residuals(_scaled_ambient(sub, c))
+        for key, want in base.items():
+            assert scaled[key] == pytest.approx(want, rel=1e-12, abs=1e-15), key
 
 
 def test_setup_rejection_on_bad_normals():
