@@ -1,7 +1,9 @@
 """Exact-derivative tensor calculus kernels on raw jet arrays.
 
 Every kernel is a pure numpy function of the value and partial-derivative
-arrays of fields at one chart point (see ``SmoothField.jet``); ``PackFrame``
+arrays of fields at one chart point (see ``SmoothField.jet``), or at each
+point of a stack: leading axes ``...`` broadcast, and every row of a
+stacked result is bitwise the kernel at that row's point. ``PackFrame``
 and the submanifold code assemble their tensors from them. Field-level
 versions that take genuine vector fields, and finite differences, live in
 the test suite as independent oracles (``tests/oracles.py``).
@@ -34,28 +36,39 @@ _METRIC_EIGEN_FLOOR = 1e-12
 
 
 def metric_inverse(g0, p=None):
-    sym = 0.5 * (g0 + g0.T)
-    eigmin = float(np.linalg.eigvalsh(sym).min())
-    if eigmin <= _METRIC_EIGEN_FLOOR:
-        raise DegenerateMetricError(p if p is not None else (), eigmin)
+    """g0^-1, for one metric or a stack ``g0[..., m, m]`` at points
+    ``p[..., m]``.
+
+    A metric whose symmetric part has its smallest eigenvalue at or below
+    1e-12 is refused with :class:`DegenerateMetricError`, naming the first
+    such point of the stack.
+    """
+    sym = 0.5 * (g0 + np.swapaxes(g0, -1, -2))
+    eigmin = np.linalg.eigvalsh(sym)[..., 0]
+    bad = eigmin <= _METRIC_EIGEN_FLOOR
+    if bad.any():
+        first = np.unravel_index(np.argmax(bad), bad.shape)
+        raise DegenerateMetricError(
+            np.asarray(p)[first] if p is not None else (), eigmin[first])
     return np.linalg.inv(g0)
 
 
-def _lowered_sum(g1):
+def _lowered_sum(g1, tail=""):
     """t[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij, with d_i g_jl = g1[j, l, i].
 
-    Trailing axes of ``g1``, such as a further derivative index, are kept.
+    Leading axes of ``g1`` are kept, and so are the trailing axes named by
+    ``tail``, such as a further derivative index.
     """
     return (
-        np.einsum("jli...->lij...", g1)
-        + np.einsum("ilj...->lij...", g1)
-        - np.einsum("ijl...->lij...", g1)
+        np.einsum(f"...jli{tail}->...lij{tail}", g1)
+        + np.einsum(f"...ilj{tail}->...lij{tail}", g1)
+        - np.einsum(f"...ijl{tail}->...lij{tail}", g1)
     )
 
 
 def christoffel_from_jets(ginv, g1):
     """Gamma[k,i,j] from the metric inverse ``ginv`` and partials ``g1[a,b,c]``."""
-    return 0.5 * np.einsum("kl,lij->kij", ginv, _lowered_sum(g1))
+    return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _lowered_sum(g1))
 
 
 def riemann_from_jets(ginv, gamma, g1, g2):
@@ -67,7 +80,7 @@ def riemann_from_jets(ginv, gamma, g1, g2):
     """
     dginv = -np.moveaxis(ginv @ np.moveaxis(g1, 2, 0) @ ginv, 0, 2)
     t = _lowered_sum(g1)
-    dt = _lowered_sum(g2)
+    dt = _lowered_sum(g2, "c")
     dga = 0.5 * (
         np.einsum("klc,lij->kijc", dginv, t) + np.einsum("kl,lijc->kijc", ginv, dt)
     )
@@ -82,37 +95,37 @@ def riemann_from_jets(ginv, gamma, g1, g2):
 def nabla_tensor11_kernel(gamma, t0, t1):
     """nt[i,k,j] = (D_{e_i} T)^k_j for a (1,1)-tensor with jets t0, t1."""
     return (
-        np.einsum("kji->ikj", t1)
-        + np.einsum("kia,aj->ikj", gamma, t0)
-        - np.einsum("aij,ka->ikj", gamma, t0)
+        np.einsum("...kji->...ikj", t1)
+        + np.einsum("...kia,...aj->...ikj", gamma, t0)
+        - np.einsum("...aij,...ka->...ikj", gamma, t0)
     )
 
 
 def nabla_vector_kernel(gamma, x0, x1):
     """nx[..., k, a] = (D_{e_a} X)^k."""
-    return x1 + np.einsum("kab,...b->...ka", gamma, x0)
+    return x1 + np.einsum("...kab,...b->...ka", gamma, x0)
 
 
 def nabla_oneform_kernel(gamma, w0, w1):
     """nw[..., i, b] = (D_{e_i} w)_b."""
-    return np.swapaxes(w1, -1, -2) - np.einsum("cib,...c->...ib", gamma, w0)
+    return np.swapaxes(w1, -1, -2) - np.einsum("...cib,...c->...ib", gamma, w0)
 
 
 def lie_metric_kernel(g0, g1, x0, x1):
     """(L_X g)_ab = X^k d_k g_ab + g_kb d_a X^k + g_ak d_b X^k."""
     return (
-        np.einsum("...k,abk->...ab", x0, g1)
-        + np.einsum("kb,...ka->...ab", g0, x1)
-        + np.einsum("ak,...kb->...ab", g0, x1)
+        np.einsum("...k,...abk->...ab", x0, g1)
+        + np.einsum("...kb,...ka->...ab", g0, x1)
+        + np.einsum("...ak,...kb->...ab", g0, x1)
     )
 
 
 def lie_tensor11_kernel(t0, t1, x0, x1):
     """(L_X T)^a_b = X^k d_k T^a_b - T^k_b d_k X^a + T^a_k d_b X^k."""
     return (
-        np.einsum("...k,abk->...ab", x0, t1)
-        - np.einsum("kb,...ak->...ab", t0, x1)
-        + np.einsum("ak,...kb->...ab", t0, x1)
+        np.einsum("...k,...abk->...ab", x0, t1)
+        - np.einsum("...kb,...ak->...ab", t0, x1)
+        + np.einsum("...ak,...kb->...ab", t0, x1)
     )
 
 
@@ -124,5 +137,6 @@ def d_oneform_kernel(w1):
 def d_twoform_kernel(w1):
     """dw[a,b,c] = (1/3)(d_a w_bc + d_b w_ca + d_c w_ab)."""
     return (
-        np.einsum("bca->abc", w1) + np.einsum("cab->abc", w1) + np.einsum("abc->abc", w1)
+        np.einsum("...bca->...abc", w1) + np.einsum("...cab->...abc", w1)
+        + np.einsum("...abc->...abc", w1)
     ) / 3.0

@@ -26,7 +26,8 @@ twoform    m x m nested list        w[a][b] = w(e_a, e_b)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,63 +143,173 @@ class SmoothField:
         return tuple(a[0] for a in jet_stack(self.fn, points, order, self.label))
 
 
-# Sample points per stacked evaluation, picked from a measured speed and
-# peak-RSS curve over chunk sizes (see CHANGES.md): smaller chunks are
-# slower, and beyond it the time stays flat while the peak RSS grows.
-CHUNK = 50
+# Sample points per chunk, for the jet stacks and the set-up stacks alike,
+# picked from a measured speed and peak-RSS curve over chunk sizes (see
+# CHANGES.md): a (P, 10, 10, 10) float64 stack stays below glibc's 128 KiB
+# mmap threshold for P <= 16, and larger chunks raised the peak RSS more
+# than they saved time.
+CHUNK = 16
+
+
+class StackFailed(Exception):
+    """A stacked build over a chunk raised: read each row from a stack of
+    its point alone, where the error, if any, names that point."""
+
+
+def _kept(store, key, build, rows):
+    """``build()``, kept in ``store`` under ``key``.
+
+    On a stack of more than one row a build that raises is kept as failed,
+    and reading it raises :class:`StackFailed`. On one row the exception
+    propagates: it belongs to that row's point.
+    """
+    if key in store:
+        return store[key]
+    failed = (StackFailed, key)
+    if failed not in store:
+        try:
+            store[key] = build()
+            return store[key]
+        except Exception:       # raised again row by row, see StackFailed
+            if rows == 1:
+                raise
+            store[failed] = True
+    raise StackFailed(key)
+
+
+class stacked:
+    """A quantity of a stack over :class:`Rows`, with a leading point axis,
+    built on first read and kept (see :func:`_kept`)."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, stack, owner=None):
+        if stack is None:
+            return self
+        return _kept(stack.__dict__, self.name, lambda: self.build(stack),
+                     len(stack.rows))
+
+
+def take(value, k):
+    """Row ``k`` of a stacked value: an array, a tuple or dict of them, or
+    an object that takes its own ``row(k)``."""
+    if isinstance(value, np.ndarray):
+        return value[k]
+    if isinstance(value, dict):
+        return {key: take(v, k) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(take(v, k) for v in value)
+    return value.row(k)
+
+
+class RowView:
+    """One point's row of a stack of set-up quantities.
+
+    ``_chunk`` is the stack over the point's chunk, ``_row`` the point's
+    :class:`Row` of it, and ``_alone`` a stack over the point alone, built
+    only when the chunk's build of a quantity fails.
+    """
+
+    def _read(self, name):
+        try:
+            return take(getattr(self._chunk, name), self._row.k)
+        except StackFailed:
+            return take(getattr(self._alone, name), 0)
+
+
+def row_of(name):
+    """The attribute of a :class:`RowView` that is its row of the stacked
+    quantity ``name``, read once."""
+    return cached_property(lambda view: view._read(name))
+
+
+class Rows:
+    """Consecutive sample points ``start``, ``start + 1``, ...: a chunk of a
+    case's points, or one point alone.
+
+    ``jet(fn, order, what)`` is the stack of the component function ``fn``
+    at ``order`` over the points, built by one call of ``fn`` on first use.
+    With ``at = (fn', order', what')`` the points are the values of the
+    stack of ``fn'`` instead: an ambient field along the image of an
+    embedding.
+    """
+
+    def __init__(self, points, start=0):
+        self.points = points
+        self.start = start
+        self._store = {}
+
+    def __len__(self):
+        return len(self.points)
+
+    def row(self, k, stacks=None):
+        return Row(self, k, {} if stacks is None else stacks)
+
+    def jet(self, fn, order, what, at=None):
+        def build():
+            points = self.points if at is None else self.jet(*at)[0]
+            return tuple(jet_stack(fn, points, order, what))
+        return _kept(self._store, (fn, order, at), build, len(self))
+
+
+class Row(NamedTuple):
+    """Row ``k`` of ``rows``: one sample point of a chunk.
+
+    ``stacks`` holds the set-up stacks of frames and ambient points over
+    ``rows``, shared by the chunk's rows (see
+    :class:`~weakf.fstructure.PackFrame`). The stacks refer to ``rows``,
+    never the other way, so a chunk is freed as soon as the walk leaves it.
+    """
+
+    rows: Rows
+    k: int
+    stacks: dict
+
+    def kept(self, key, build):
+        """The chunk's stack under ``key``, built by ``build()`` once."""
+        if key not in self.stacks:
+            self.stacks[key] = build()
+        return self.stacks[key]
+
+    def alone(self):
+        """The point as rows of its own."""
+        return Rows(self.rows.points[self.k:self.k + 1],
+                    self.rows.start + self.k)
+
+    def jet(self, fn, order, what, at=None):
+        """Row k of ``rows.jet``; evaluated at the point alone if the
+        chunk's stack failed, so the exception names the point."""
+        try:
+            return take(self.rows.jet(fn, order, what, at), self.k)
+        except StackFailed:
+            return take(self.alone().jet(fn, order, what, at), 0)
 
 
 class PointStacks:
-    """Jet stacks of component functions over one case's sample points.
+    """One case's sample points, walked in chunks of ``CHUNK``.
 
-    ``jet(i, fn, order, what)`` reads row i of the stack of ``fn`` at
-    ``order``. A stack is built on first use, by one call of ``fn`` over
-    the chunk of ``CHUNK`` consecutive points that holds i, and all stacks
-    are dropped when the walk reaches the next chunk, so memory does not
-    grow with the number of samples. With ``at = (fn', order', what')`` the
-    points are the values of the stack of ``fn'`` instead of the sample
-    points: an ambient field along the image of an embedding.
-
-    A stack whose evaluation raises, or has a non-finite row, is not used:
-    ``fn`` is then evaluated at each point asked for alone, so the exception
-    surfaces at the point it belongs to, as it would point by point.
+    ``row(i)`` is point i as a row of the :class:`Rows` of its chunk. A
+    chunk's stacks are built on first use, and all of them are dropped when
+    the walk reaches the next chunk, so memory does not grow with the
+    number of samples.
     """
 
     def __init__(self, points):
         self.points = np.asarray(points, dtype=float)
-        self._start = None
+        self._chunk = None
         self._stacks = {}
 
     def row(self, i):
-        """``jet`` at point ``i``: called as ``row(fn, order, what, at=None)``."""
-        return partial(self.jet, i)
-
-    def jet(self, i, fn, order, what, at=None):
         start = i - i % CHUNK
-        if start != self._start:
-            self._start, self._stacks = start, {}
-        stack = self._stack(start, fn, order, what, at)
-        if stack is not None:
-            return tuple(a[i - start] for a in stack)
-        p = self.points[i] if at is None else self.jet(i, *at)[0]
-        return tuple(a[0] for a in jet_stack(fn, p[None], order, what))
-
-    def _stack(self, start, fn, order, what, at):
-        """The chunk's stack of ``fn`` at ``order``, or None if it failed."""
-        key = (fn, order, at)
-        if key not in self._stacks:
-            if at is None:
-                points = self.points[start:start + CHUNK]
-            else:
-                source = self._stack(start, *at, None)
-                points = None if source is None else source[0]
-            try:
-                stack = None if points is None else jet_stack(
-                    fn, points, order, what)
-            except Exception:       # raised again point by point by jet()
-                stack = None
-            self._stacks[key] = stack
-        return self._stacks[key]
+        if self._chunk is None or self._chunk.start != start:
+            self._chunk = Rows(self.points[start:start + CHUNK], start)
+            self._stacks = {}
+        return self._chunk.row(i - start, self._stacks)
 
 
 # -- constructors -------------------------------------------------------------

@@ -14,9 +14,9 @@ consequences over a test frame at a point. Packs are dumb containers:
 nothing is validated at construction time, so deliberately broken packs can
 be built for negative controls; the residual report is the verdict.
 
-:class:`PackFrame` caches jets, Christoffel symbols and test vectors of a
-pack at one point; all classifier functionals are numpy contractions of its
-arrays.
+:class:`PackFrame` holds jets, Christoffel symbols and test vectors of a
+pack at one point, as a row of their stacks over a chunk of points; all
+classifier functionals are numpy contractions of its arrays.
 """
 
 from __future__ import annotations
@@ -27,12 +27,12 @@ from functools import cached_property, wraps
 import numpy as np
 
 from . import calculus
-from .charts import PointStacks
+from .charts import Rows, RowView, row_of, stacked
 from .errors import DegenerateOperatorError
 from .sampling import (
     build_test_vectors,
+    gram_schmidt,
     lead_dot,
-    orthonormal_basis,
     pair_form,
     point_rng,
     sup_abs,
@@ -77,50 +77,8 @@ def kept_per_frame(compute):
     return once
 
 
-class PackFrame:
-    """All jets and test data of a pack at a single chart point.
-
-    The fields' jets are read from ``row``, the point's row of the run's
-    :class:`~weakf.charts.PointStacks` (by default a stack of this point
-    alone). A pack induced on an embedded submanifold takes the point's
-    ambient data as ``ambient`` (see
-    :func:`weakf.submanifold.induce_structure`): its jets, g^-1 and
-    curvature are read from there.
-    """
-
-    def __init__(self, pack, p, seed=0, index=0, ambient=None, row=None):
-        self.pack = pack
-        self.p = np.asarray(p, dtype=float)
-        self.m = pack.dim
-        self.ambient = ambient
-        self._row = row or PointStacks([self.p]).row(0)
-        self._rng = point_rng(seed, index)
-        self._kept = {}
-
-    # -- raw jets -----------------------------------------------------------
-
-    def _jet(self, field, order):
-        """(value, d1[, d2]) of ``field`` at the frame's point."""
-        return self._row(field.fn, order, field.label)
-
-    @cached_property
-    def _jets(self):
-        """Order-1 (value, d1) of every field at the frame's point."""
-        if self.ambient is not None:
-            return self.ambient.induced_jets
-        pk = self.pack
-
-        def stacked(fields):
-            jets = [self._jet(x, 1) for x in fields]
-            return np.array([j[0] for j in jets]), np.array([j[1] for j in jets])
-
-        return {
-            "g": self._jet(pk.g, 1),
-            "f": self._jet(pk.f, 1),
-            "q": self._jet(pk.Q, 1),
-            "xi": stacked(pk.xi),
-            "eta": stacked(pk.eta),
-        }
+class _Fields:
+    """The fields' order-1 jets, read from ``_jets``."""
 
     g0 = property(lambda self: self._jets["g"][0])
     g1 = property(lambda self: self._jets["g"][1])
@@ -133,72 +91,223 @@ class PackFrame:
     eta0 = property(lambda self: self._jets["eta"][0])
     eta1 = property(lambda self: self._jets["eta"][1])
 
-    @cached_property
+
+class _FrameStack(_Fields):
+    """The set-up of a pack's frames at the points of ``rows``.
+
+    Every quantity is stacked on a leading point axis and built on first
+    read (:class:`~weakf.charts.stacked`); row k of each is bitwise the
+    quantity of point k alone. ``rngs`` holds each point's generator, and
+    ``ambient`` the points' ambient stack when the pack is induced on an
+    embedded submanifold: its jets and g^-1 are read from there.
+    """
+
+    def __init__(self, pack, rows, rngs, ambient=None):
+        self.pack = pack
+        self.rows = rows
+        self.rngs = rngs
+        self.ambient = ambient
+
+    @stacked
+    def _jets(self):
+        """Order-1 (value, d1) of every field, the Reeb fields on axis 1."""
+        if self.ambient is not None:
+            return self.ambient.induced_jets
+        pk = self.pack
+
+        def jet(field):
+            return self.rows.jet(field.fn, 1, field.label)
+
+        def reeb(fields):
+            jets = [jet(x) for x in fields]
+            return tuple(np.stack(parts, axis=1) for parts in zip(*jets))
+
+        return {"g": jet(pk.g), "f": jet(pk.f), "q": jet(pk.Q),
+                "xi": reeb(pk.xi), "eta": reeb(pk.eta)}
+
+    @stacked
     def ginv(self):
         if self.ambient is not None:
             return self._jets["ginv"]
-        return calculus.metric_inverse(self.g0, self.p)
+        return calculus.metric_inverse(self.g0, self.rows.points)
 
-    @cached_property
+    @stacked
     def gamma(self):
         return calculus.christoffel_from_jets(self.ginv, self.g1)
+
+    @stacked
+    def phi0(self):
+        """Fundamental two-form, phi[a,b] = g(e_a, f e_b)."""
+        return self.g0 @ self.f0
+
+    @stacked
+    def dphi(self):
+        # the partials of phi, phi1[a,b,c] = d_c phi[a,b]
+        phi1 = np.einsum("...akc,...kb->...abc", self.g1, self.f0) + np.einsum(
+            "...ak,...kbc->...abc", self.g0, self.f1
+        )
+        return calculus.d_twoform_kernel(phi1)
+
+    @stacked
+    def deta(self):
+        """deta[i,a,b] = d(eta^i)(e_a, e_b), half-normalized."""
+        return calculus.d_oneform_kernel(self.eta1)
+
+    @stacked
+    def nabla_f(self):
+        return calculus.nabla_tensor11_kernel(self.gamma, self.f0, self.f1)
+
+    @stacked
+    def nabla_q(self):
+        return calculus.nabla_tensor11_kernel(self.gamma, self.q0, self.q1)
+
+    @stacked
+    def nabla_xi(self):
+        """nabla_xi[i,k,a] = (D_{e_a} xi_i)^k."""
+        return calculus.nabla_vector_kernel(self.gamma[:, None], self.xi0,
+                                            self.xi1)
+
+    @stacked
+    def nabla_xi_xi(self):
+        """nabla_xi_xi[i,j,k] = (D_{xi_i} xi_j)^k."""
+        xi_t = np.swapaxes(self.xi0, 1, 2)[:, None]
+        return (self.nabla_xi @ xi_t).transpose(0, 3, 1, 2)
+
+    @stacked
+    def nabla_eta(self):
+        """nabla_eta[i,a,b] = (D_{e_a} eta^i)_b."""
+        return calculus.nabla_oneform_kernel(self.gamma[:, None], self.eta0,
+                                             self.eta1)
+
+    @stacked
+    def lie_g_xi(self):
+        """lie_g_xi[i,a,b] = (L_{xi_i} g)(e_a, e_b)."""
+        return calculus.lie_metric_kernel(self.g0[:, None], self.g1[:, None],
+                                          self.xi0, self.xi1)
+
+    @stacked
+    def tv(self):
+        # g^-1 first: it names an indefinite metric (point and smallest
+        # eigenvalue) before the Cholesky factorization raises LinAlgError
+        self.ginv
+        return build_test_vectors(self.g0, self.rngs, distinguished=self.xi0)
+
+    @stacked
+    def d_basis(self):
+        """g-orthonormal basis of the contact distribution (2n rows).
+
+        Built as the g-orthogonal complement of the Reeb span, which equals
+        the intersection of the ker eta^i on any pack satisfying the
+        axioms, and stays well-defined on deliberately broken packs: the
+        Gram-Schmidt of the Reeb fields, then of the coordinate frame.
+        """
+        count, s, m = self.xi0.shape
+        n2 = 2 * self.pack.n
+        frame = np.broadcast_to(np.eye(m), (count, m, m))
+        units, kept = gram_schmidt(
+            self.g0, np.concatenate([self.xi0, frame], axis=1), floor=1e-8)
+        for reeb, rows in zip(kept[:, :s].sum(1), kept[:, s:].sum(1)):
+            if reeb < s:
+                raise RuntimeError("Reeb fields are linearly dependent")
+            if rows != n2:
+                raise RuntimeError(
+                    f"could not build a basis of the contact distribution "
+                    f"(got {rows} of {n2} directions)"
+                )
+        return units[:, s:][kept[:, s:]].reshape(count, n2, m)
+
+    # -- structure tensor coefficients -----------------------------------------
+    #
+    # Each bilinear tensor is kept as its coefficients C[k, a, b] at the
+    # point; its value on test pairs is the one contraction pair_form(C, V, V).
+
+    @stacked
+    def ff_coeff(self):
+        """[f,f](e_a, e_b)^k."""
+        f0, f1 = self.f0, self.f1
+        # P[k,a,b] = (f e_b)^c d_c f^k_a, with f1[k,b,c] = d_c f^k_b:
+        # [fX, fY]^k = (fX)^c d_c (fY)^k - (fY)^c d_c (fX)^k
+        p = f1 @ f0[:, None]
+        # [fX, Y]^k + [X, fY]^k = X^c d_c (fY)^k - Y^c d_c (fX)^k
+        r = f1.transpose(0, 1, 3, 2) - f1
+        return p.transpose(0, 1, 3, 2) - p - lead_dot(f0, r, lead=1)
+
+    @stacked
+    def n1_coeff(self):
+        """N1(e_a, e_b)^k = [f,f](e_a, e_b)^k + 2 sum_i deta^i(e_a, e_b) xi_i^k."""
+        xi_t = np.swapaxes(self.xi0, 1, 2)
+        return self.ff_coeff + 2.0 * lead_dot(xi_t, self.deta, lead=1)
+
+    @stacked
+    def n2_coeff(self):
+        """N2[i,a,b] = 2 deta^i(f e_a, e_b) - 2 deta^i(f e_b, e_a)."""
+        t = np.swapaxes(self.f0, 1, 2)[:, None] @ self.deta
+        return 2.0 * (t - t.transpose(0, 1, 3, 2))
+
+
+class PackFrame(RowView, _Fields):
+    """All jets and test data of a pack at a single chart point.
+
+    The frame is a row of the set-up stack of its chunk of sample points
+    (``row``, a :class:`~weakf.charts.Row` of the run's
+    :class:`~weakf.charts.PointStacks`; by default the point alone, as
+    sample ``index``): g^-1, Christoffel symbols, test vectors and the
+    derived tensors are built once per chunk with a leading point axis, and
+    the frame reads its row of each on first use. The checks are per
+    point. A pack induced on an embedded submanifold takes the point's
+    ambient data as ``ambient`` (see
+    :func:`weakf.submanifold.induce_structure`): its jets, g^-1 and
+    curvature are read from there.
+    """
+
+    def __init__(self, pack, p, seed=0, index=0, ambient=None, row=None):
+        self.pack = pack
+        self.p = np.asarray(p, dtype=float)
+        self.m = pack.dim
+        self.ambient = ambient
+        self._row = row or Rows(self.p[None], index).row(0)
+        rows = self._row.rows
+
+        def chunk():
+            rngs = [point_rng(seed, rows.start + k) for k in range(len(rows))]
+            return _FrameStack(pack, rows, rngs,
+                               None if ambient is None else ambient._chunk)
+
+        # keyed by id: the stack holds the pack, so the id stays its own
+        self._chunk = self._row.kept((PackFrame, id(pack), seed), chunk)
+        self._rng = self._chunk.rngs[self._row.k]
+        self._kept = {}
+
+    @cached_property
+    def _alone(self):
+        return _FrameStack(self.pack, self._row.alone(), [self._rng],
+                           None if self.ambient is None else self.ambient._alone)
+
+    _jets = row_of("_jets")
+    ginv = row_of("ginv")
+    gamma = row_of("gamma")
+    phi0 = row_of("phi0")
+    dphi = row_of("dphi")
+    deta = row_of("deta")
+    nabla_f = row_of("nabla_f")
+    nabla_q = row_of("nabla_q")
+    nabla_xi = row_of("nabla_xi")
+    nabla_xi_xi = row_of("nabla_xi_xi")
+    nabla_eta = row_of("nabla_eta")
+    lie_g_xi = row_of("lie_g_xi")
+    tv = row_of("tv")
+    d_basis = row_of("d_basis")
+    ff_coeff = row_of("ff_coeff")
+    n1_coeff = row_of("n1_coeff")
+    n2_coeff = row_of("n2_coeff")
 
     @cached_property
     def riemann(self):
         if self.ambient is not None:
             return self.ambient.induced_riemann
-        g2 = self._jet(self.pack.g, 2)[2]
+        g = self.pack.g
+        g2 = self._row.jet(g.fn, 2, g.label)[2]
         return calculus.riemann_from_jets(self.ginv, self.gamma, self.g1, g2)
-
-    # -- derived pointwise tensors -------------------------------------------
-
-    @cached_property
-    def phi0(self):
-        """Fundamental two-form, phi[a,b] = g(e_a, f e_b)."""
-        return self.g0 @ self.f0
-
-    @cached_property
-    def phi1(self):
-        return np.einsum("akc,kb->abc", self.g1, self.f0) + np.einsum(
-            "ak,kbc->abc", self.g0, self.f1
-        )
-
-    @cached_property
-    def dphi(self):
-        return calculus.d_twoform_kernel(self.phi1)
-
-    @cached_property
-    def deta(self):
-        """deta[i,a,b] = d(eta^i)(e_a, e_b), half-normalized."""
-        return calculus.d_oneform_kernel(self.eta1)
-
-    @cached_property
-    def nabla_f(self):
-        return calculus.nabla_tensor11_kernel(self.gamma, self.f0, self.f1)
-
-    @cached_property
-    def nabla_q(self):
-        return calculus.nabla_tensor11_kernel(self.gamma, self.q0, self.q1)
-
-    @cached_property
-    def nabla_xi(self):
-        """nabla_xi[i,k,a] = (D_{e_a} xi_i)^k."""
-        return calculus.nabla_vector_kernel(self.gamma, self.xi0, self.xi1)
-
-    @cached_property
-    def nabla_xi_xi(self):
-        """nabla_xi_xi[i,j,k] = (D_{xi_i} xi_j)^k."""
-        return (self.nabla_xi @ self.xi0.T).transpose(2, 0, 1)
-
-    @cached_property
-    def nabla_eta(self):
-        """nabla_eta[i,a,b] = (D_{e_a} eta^i)_b."""
-        return calculus.nabla_oneform_kernel(self.gamma, self.eta0, self.eta1)
-
-    @cached_property
-    def lie_g_xi(self):
-        """lie_g_xi[i,a,b] = (L_{xi_i} g)(e_a, e_b)."""
-        return calculus.lie_metric_kernel(self.g0, self.g1, self.xi0, self.xi1)
 
     @property
     def xibar(self):
@@ -214,13 +323,6 @@ class PackFrame:
 
     # -- test vectors ---------------------------------------------------------
 
-    @cached_property
-    def tv(self):
-        # g^-1 first: it names an indefinite metric (point and smallest
-        # eigenvalue) before the Cholesky factorization raises LinAlgError
-        self.ginv
-        return build_test_vectors(self.g0, self._rng, distinguished=self.xi0)
-
     @property
     def V(self):
         """Test vectors as rows."""
@@ -234,25 +336,6 @@ class PackFrame:
         :func:`~weakf.sampling.sup_norm`)."""
         return self.tv.factor
 
-    @cached_property
-    def d_basis(self):
-        """g-orthonormal basis of the contact distribution (2n rows).
-
-        Built as the g-orthogonal complement of the Reeb span, which equals
-        the intersection of the ker eta^i on any pack satisfying the
-        axioms, and stays well-defined on deliberately broken packs.
-        """
-        reeb = orthonormal_basis(self.g0, self.xi0, floor=1e-8)
-        if len(reeb) < self.pack.s:
-            raise RuntimeError("Reeb fields are linearly dependent")
-        rows = orthonormal_basis(self.g0, against=reeb, floor=1e-8)
-        if len(rows) != 2 * self.pack.n:
-            raise RuntimeError(
-                f"could not build a basis of the contact distribution "
-                f"(got {len(rows)} of {2 * self.pack.n} directions)"
-            )
-        return rows
-
     def random_d_units(self, count):
         """Seeded unit vectors in the contact distribution."""
         db = self.d_basis
@@ -263,38 +346,13 @@ class PackFrame:
         """``compute()``, computed once per frame and kept under ``key``.
 
         This is the one keep rule: every result is kept, whatever its size,
-        because the runner keeps one frame alive at a time.
+        because the runner keeps the frames of one chunk alive at a time.
         """
         if key not in self._kept:
             self._kept[key] = compute()
         return self._kept[key]
 
     # -- structure tensor evaluators -------------------------------------------
-    #
-    # Each bilinear tensor is kept as its coefficients C[k, a, b] at the
-    # point; its value on test pairs is the one contraction pair_form(C, V, V).
-
-    @cached_property
-    def ff_coeff(self):
-        """[f,f](e_a, e_b)^k."""
-        f0, f1 = self.f0, self.f1
-        # P[k,a,b] = (f e_b)^c d_c f^k_a, with f1[k,b,c] = d_c f^k_b:
-        # [fX, fY]^k = (fX)^c d_c (fY)^k - (fY)^c d_c (fX)^k
-        p = f1 @ f0
-        # [fX, Y]^k + [X, fY]^k = X^c d_c (fY)^k - Y^c d_c (fX)^k
-        r = f1.transpose(0, 2, 1) - f1
-        return p.transpose(0, 2, 1) - p - lead_dot(f0, r)
-
-    @cached_property
-    def n1_coeff(self):
-        """N1(e_a, e_b)^k = [f,f](e_a, e_b)^k + 2 sum_i deta^i(e_a, e_b) xi_i^k."""
-        return self.ff_coeff + 2.0 * lead_dot(self.xi0.T, self.deta)
-
-    @cached_property
-    def n2_coeff(self):
-        """N2[i,a,b] = 2 deta^i(f e_a, e_b) - 2 deta^i(f e_b, e_a)."""
-        t = self.f0.T @ self.deta
-        return 2.0 * (t - t.transpose(0, 2, 1))
 
     def nijenhuis_ff(self):
         """[f,f](X,Y) for all test pairs: tensor [k, A, B]."""

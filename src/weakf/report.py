@@ -282,10 +282,11 @@ def run_suite(config):
     Points are walked once. Each gets one :class:`PackFrame`, and on an
     embedded example one ``_AmbientPoint``, from which the frame reads the
     induced pack's jets; both are built with the first bundle that runs
-    there, and read the jets of the component functions from the case's
-    one :class:`~weakf.charts.PointStacks`, which evaluates each function
-    once per chunk of points and order. Every bundle that has not skipped
-    is evaluated on them, then both are dropped. A failed gate skips its
+    there. They are rows of the set-up stacks of the point's chunk in the
+    case's one :class:`~weakf.charts.PointStacks`, which evaluates each
+    component function once per chunk of points and order, and builds each
+    set-up quantity once per chunk. Every bundle that has not skipped is
+    evaluated on them, then both are dropped. A failed gate skips its
     bundle for good; any other exception, from the engine or a component
     function, becomes an :class:`EvaluationFailure` naming the suite, the
     bundle and the point.
@@ -326,7 +327,7 @@ def run_suite(config):
                 raise EvaluationFailure(f"{where}[point {i}]", exc) from exc
             for key, val in res.items():
                 aggs[k].setdefault(key, _Agg()).add(val)
-        del fr          # one point's state is alive at a time
+        del fr          # one point's frame is alive at a time
 
     suites = {n: [] for n in names}
     for (suite, bundle), agg, skip in zip(bundles, aggs, skips):

@@ -5,11 +5,16 @@ set at each sampled point: a g-orthonormalized coordinate basis, any
 distinguished vectors supplied by the caller (the Reeb frame of a pack),
 and 16 seeded random unit pairs. Everything is derived from explicit seeds
 so two runs with the same configuration produce identical numbers.
+
+The set-up functions take a stack of points on a leading axis (one metric,
+one generator and one row per point) and give each row bitwise what the
+point alone would get; ``lead_dot`` contracts at one point or at each point
+of a stack.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import math
 
@@ -24,57 +29,72 @@ def point_rng(seed, index, tag=0):
     return np.random.default_rng([int(seed), int(index), int(tag)])
 
 
-def orthonormal_basis(g0, vectors=None, against=(), floor=None):
-    """Gram-Schmidt of ``vectors`` (rows; the coordinate frame by default)
-    with respect to ``g0``.
+def _g_dot(u, g0, v):
+    """g0(u, v) for each row of the stacks u[P, m], g0[P, m, m], v[P, m],
+    as the matrix products u @ g0 @ v of each point alone."""
+    return (u[:, None] @ g0 @ v[:, :, None])[:, 0, 0]
 
-    Each vector is made g0-orthogonal to the rows of ``against`` and to the
-    rows kept before it, then normalized. With a ``floor``, a vector whose
-    remainder has norm at most ``floor`` is dropped. Returns the kept rows.
+
+def gram_schmidt(g0, vectors, floor):
+    """In-order Gram-Schmidt of the candidates ``vectors[P, n, m]`` with
+    respect to ``g0[P, m, m]``, at each point of the stack.
+
+    Each candidate is made g0-orthogonal to the candidates kept before it,
+    in order, and normalized; it is kept when its remainder's g0-norm
+    exceeds ``floor``. Returns ``(units, kept)``: units[P, n, m] holds the
+    normalized remainders (zero where not kept), kept[P, n] the keep masks.
     """
-    basis = list(against)
-    start = len(basis)
-    for v in np.eye(len(g0)) if vectors is None else vectors:
-        for u in basis:
-            v = v - (u @ g0 @ v) * u
-        q = v @ g0 @ v
-        if floor is None or q > floor * floor:
-            basis.append(v / math.sqrt(q))
-    return np.array(basis[start:])
+    units = np.zeros(vectors.shape)
+    kept = np.zeros(vectors.shape[:2], dtype=bool)
+    for j in range(vectors.shape[1]):
+        v = vectors[:, j]
+        for t in range(j):
+            u = units[:, t]
+            v = np.where(kept[:, t, None], v - _g_dot(u, g0, v)[:, None] * u, v)
+        q = _g_dot(v, g0, v)
+        kept[:, j] = keep = q > floor * floor
+        units[:, j] = np.where(keep[:, None], v, 0.0) / np.sqrt(
+            np.where(keep, q, 1.0))[:, None]
+    return units, kept
 
 
 def cholesky_factor(g0):
-    """The upper triangular u with g0 = u^T u.
+    """The upper triangular u with g0 = u^T u (of each metric of a stack).
 
     Lowering by u turns g0-norms into Euclidean ones: g0(v, v) = |u v|^2.
     """
-    return np.linalg.cholesky(g0).T
+    return np.swapaxes(np.linalg.cholesky(g0), -1, -2)
 
 
 def cholesky_basis(u):
     """The rows of L^-1 for the Cholesky factor L = u^T of g0 = L L^T: a
     g0-orthonormal basis.
 
-    It is the Gram-Schmidt of the coordinate frame, ``orthonormal_basis(g0)``,
-    from one factorization: row k of L^-1 lies in the span of e_1..e_k.
+    It is the Gram-Schmidt of the coordinate frame from one factorization:
+    row k of L^-1 lies in the span of e_1..e_k.
     """
-    return np.linalg.inv(u.T)
+    return np.linalg.inv(np.swapaxes(u, -1, -2))
 
 
 def unit_rows(vecs, g0):
-    """The rows of ``vecs`` scaled to g0-norm 1."""
-    return vecs / np.sqrt(((vecs @ g0) * vecs).sum(1))[:, None]
+    """The rows of ``vecs`` scaled to g0-norm 1 (at each point of a stack)."""
+    return vecs / np.sqrt(((vecs @ g0) * vecs).sum(-1))[..., None]
 
 
-def random_units(g0, rng, count):
-    """``count`` seeded g0-unit vectors (rows), from one draw of the same
-    normals, in the same order, as ``count`` draws of one vector each."""
-    return unit_rows(rng.standard_normal((count, g0.shape[0])), g0)
+def random_units(g0, rngs, count):
+    """``count`` seeded g0-unit vectors (rows) at each point of the stack
+    g0[P, m, m], drawn from that point's generator in ``rngs``: one draw of
+    the same normals, in the same order, as ``count`` draws of one vector
+    each."""
+    m = g0.shape[-1]
+    return unit_rows(np.stack([r.standard_normal((count, m)) for r in rngs]),
+                     g0)
 
 
 @dataclass(frozen=True)
 class TestVectors:
-    """Stacked test vectors at a point (rows), with index bookkeeping."""
+    """Test vectors at a point (rows), with index bookkeeping; with a
+    leading point axis on every array, at each point of a stack."""
 
     vectors: np.ndarray      # (nv, m): basis rows, distinguished, random units
     n_basis: int
@@ -83,23 +103,34 @@ class TestVectors:
 
     @property
     def basis(self):
-        return self.vectors[: self.n_basis]
+        return self.vectors[..., : self.n_basis, :]
+
+    def row(self, k):
+        """The test vectors of point ``k`` of a stack."""
+        return replace(self, vectors=self.vectors[k],
+                       triples=self.triples[k], factor=self.factor[k])
 
 
 def build_test_vectors(g0, rng, distinguished=None):
-    """Basis + distinguished vectors + 2 * N_RANDOM_PAIRS random units."""
+    """Basis + distinguished vectors + 2 * N_RANDOM_PAIRS random units at
+    each point of the stack g0[P, m, m]: ``rng`` holds one generator per
+    point, and ``distinguished[P, s, m]`` the caller's vectors.
+
+    The factorization comes first: it is what may raise, and a generator
+    draws only once it has passed.
+    """
     u = cholesky_factor(g0)
     basis = cholesky_basis(u)
     rows = [basis]
-    if distinguished is not None and len(distinguished):
-        rows.append(np.asarray(distinguished, dtype=float))
+    if distinguished is not None and distinguished.shape[1]:
+        rows.append(distinguished)
     npair = 2 * N_RANDOM_PAIRS
     rand = random_units(g0, rng, npair + 3 * N_RANDOM_TRIPLES)
-    rows.append(rand[:npair])
+    rows.append(rand[:, :npair])
     return TestVectors(
-        vectors=np.vstack(rows),
-        n_basis=basis.shape[0],
-        triples=rand[npair:].reshape(N_RANDOM_TRIPLES, 3, -1),
+        vectors=np.concatenate(rows, axis=1),
+        n_basis=basis.shape[1],
+        triples=rand[:, npair:].reshape(len(rand), N_RANDOM_TRIPLES, 3, -1),
         factor=u,
     )
 
@@ -113,11 +144,16 @@ def pair_form(t, X, Y):
     return X @ t @ Y.T
 
 
-def lead_dot(a, t):
+def lead_dot(a, t, lead=0):
     """r[..., j...] = sum_c a[..., c] t[c, j...]: the last axis of ``a``
-    against the first axis of ``t``, as one matrix product."""
-    r = a @ t.reshape(t.shape[0], -1)
-    return r.reshape(a.shape[:-1] + t.shape[1:])
+    against the first axis of ``t``, as one matrix product.
+
+    With ``lead`` leading axes that ``a`` and ``t`` share, such as a point
+    axis, the contraction is made at each of their entries.
+    """
+    head = t.shape[:lead]
+    r = a @ t.reshape(head + (t.shape[lead], -1))
+    return r.reshape(a.shape[:-1] + t.shape[lead + 1:])
 
 
 def sup_norm(low):

@@ -29,12 +29,12 @@ with the inward position normal (h_N = +g) pins the orientation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from . import calculus
-from .charts import PointStacks, SmoothField, jet_stack
+from .charts import Rows, RowView, SmoothField, jet_stack, row_of, stacked
 from .classifiers import (
     TOL_EXACT,
     nearly_c_residual,
@@ -77,21 +77,22 @@ class EmbeddedSubmanifold:
 
 
 def _product(a, b):
-    """``a @ b`` for matrices stacked on axis 0 as [value, d_1, ..., d_m].
+    """``a @ b`` for matrices stacked on axis 1 as [value, d_1, ..., d_m],
+    at each point of a stack on axis 0.
 
-    A stack of one holds values only.
+    A stack of one on axis 1 holds values only.
     """
-    out = a[0] @ b
-    out[1:] += a[1:] @ b[0]
+    out = a[:, :1] @ b
+    out[:, 1:] += a[:, 1:] @ b[:, :1]
     return out
 
 
 def _transposed(a):
-    return a.transpose(0, 2, 1)
+    return np.swapaxes(a, -1, -2)
 
 
 def _induced(jac, gbar, fbar, normals, p):
-    """The induced g, g^-1, f, Q, eta and xi at the domain point ``p``.
+    """The induced g, g^-1, f, Q, eta and xi at the domain points ``p``.
 
     Every argument and result is stacked as in :func:`_product`. ``jac`` is
     the embedding's Jacobian J (d, m), ``gbar`` and ``fbar`` are the ambient
@@ -103,8 +104,8 @@ def _induced(jac, gbar, fbar, normals, p):
     gj = _product(gbar, jac)            # lowered frame vectors gbar J
     jg = _transposed(gj)
     g = _product(_transposed(jac), gj)
-    ginv0 = calculus.metric_inverse(g[0], p)
-    ginv = np.concatenate([ginv0[None], -ginv0 @ g[1:] @ ginv0])
+    ginv0 = calculus.metric_inverse(g[:, 0], p)[:, None]
+    ginv = np.concatenate([ginv0, -ginv0 @ g[:, 1:] @ ginv0], axis=1)
     fj = _product(fbar, jac)
     eta = _product(_transposed(_product(fbar, normals)), gj)
     return {
@@ -117,40 +118,79 @@ def _induced(jac, gbar, fbar, normals, p):
     }
 
 
-class _AmbientPoint:
-    """Floating-point ambient data of the embedding at one domain point.
+def _jet_of(sub, which):
+    """The arguments of :meth:`~weakf.charts.Rows.jet` for one of the
+    embedding's jets: the embedding at order 2, the normals at order 1, and
+    the ambient metric ("gbar", and "gbar2" at order 2) and skew tensor
+    along the image."""
+    embedding = (sub.embedding, 2, "the embedding")
+    gbar, fbar = sub.ambient_metric, sub.ambient_skew
+    return {
+        "embedding": embedding,
+        "normals": (sub.normals, 1, "the normals"),
+        "gbar": (gbar.fn, 1, gbar.label, embedding),
+        "gbar2": (gbar.fn, 2, gbar.label, embedding),
+        "fbar": (fbar.fn, 1, fbar.label, embedding),
+    }[which]
 
-    The runner builds one per sample point of an embedded example and hands
-    it to the point's :class:`~weakf.fstructure.PackFrame` as ``ambient``;
-    the frame reads the induced pack's jets and curvature from it, and every
-    submanifold check reads it from the frame. Only
-    :func:`require_valid_frame` builds its own. The jets of the embedding,
-    the normals and the ambient fields along the image are read from
-    ``row``, the point's row of the run's
-    :class:`~weakf.charts.PointStacks` (by default a stack of this point
-    alone).
+
+class _Along:
+    """Ambient vectors at the image, indexed by the axis after the ``_lead``
+    leading point axes: v[c], v[c, ...], or v[P, c, ...] on a stack."""
+
+    def to_domain(self, v):
+        """Coordinates of tangent ambient vectors in the embedded basis."""
+        return np.linalg.solve(self.g0, _transposed(self.jac) @ (self.gbar0 @ v))
+
+    def normal_coefficients(self, v):
+        """gbar(v, N_i) for each normal: an array [i, ...]."""
+        return lead_dot(self.normals @ self.gbar0, v, self._lead)
+
+    def normal_part(self, v):
+        return lead_dot(_transposed(self.normals), self.normal_coefficients(v),
+                        self._lead)
+
+    def tangent_part(self, v):
+        return v - self.normal_part(v)
+
+
+class _AmbientStack(_Along):
+    """The ambient data of the embedding at the points of ``rows``.
+
+    Each quantity is stacked on a leading point axis and built on first
+    read (:class:`~weakf.charts.stacked`); row k of each is bitwise the
+    quantity of point k alone.
     """
 
-    def __init__(self, sub, p, row=None):
+    _lead = 1
+
+    def __init__(self, sub, rows):
         self.sub = sub
-        self.p = p = np.asarray(p, dtype=float)
-        row = row or PointStacks([p]).row(0)
-        embedding = (sub.embedding, 2, "the embedding")
-        self.iota, self.jac, self.hess = row(*embedding)
-        self.normals, self.dnormals = row(sub.normals, 1, "the normals")
-        self._along = partial(row, at=embedding)
-        gbar, fbar = sub.ambient_metric, sub.ambient_skew
-        self.gbar0, self.gbar1 = self._along(gbar.fn, 1, gbar.label)
-        self.ginvbar = calculus.metric_inverse(self.gbar0, self.iota)
-        self.gammabar = calculus.christoffel_from_jets(self.ginvbar, self.gbar1)
-        self.fbar0, self.fbar1 = self._along(fbar.fn, 1, fbar.label)
+        self.rows = rows
 
-    @property
-    def g0(self):
-        """The induced metric at the point."""
-        return self.induced_jets["g"][0]
+    def _jet(self, which):
+        return self.rows.jet(*_jet_of(self.sub, which))
 
-    @cached_property
+    iota = property(lambda self: self._jet("embedding")[0])
+    jac = property(lambda self: self._jet("embedding")[1])
+    hess = property(lambda self: self._jet("embedding")[2])
+    normals = property(lambda self: self._jet("normals")[0])
+    dnormals = property(lambda self: self._jet("normals")[1])
+    gbar0 = property(lambda self: self._jet("gbar")[0])
+    gbar1 = property(lambda self: self._jet("gbar")[1])
+    fbar0 = property(lambda self: self._jet("fbar")[0])
+    fbar1 = property(lambda self: self._jet("fbar")[1])
+    g0 = property(lambda self: self.induced_jets["g"][0])
+
+    @stacked
+    def ginvbar(self):
+        return calculus.metric_inverse(self.gbar0, self.iota)
+
+    @stacked
+    def gammabar(self):
+        return calculus.christoffel_from_jets(self.ginvbar, self.gbar1)
+
+    @stacked
     def induced_jets(self):
         """Order-1 (value, d1) of the induced g, f, Q, xi and eta, and g^-1.
 
@@ -159,18 +199,116 @@ class _AmbientPoint:
         are differentiated along the image through J.
         """
         def stacked(v, d1):
-            return np.concatenate([v[None], np.moveaxis(d1, -1, 0)])
+            return np.concatenate([v[:, None], np.moveaxis(d1, -1, 1)], axis=1)
 
+        jac = self.jac[:, None]
         out = _induced(
             stacked(self.jac, self.hess),
-            stacked(self.gbar0, self.gbar1 @ self.jac),
-            stacked(self.fbar0, self.fbar1 @ self.jac),
-            stacked(self.normals.T, self.dnormals.transpose(1, 0, 2)),
-            self.p,
+            stacked(self.gbar0, self.gbar1 @ jac),
+            stacked(self.fbar0, self.fbar1 @ jac),
+            stacked(_transposed(self.normals), self.dnormals.transpose(0, 2, 1, 3)),
+            self.rows.points,
         )
-        jets = {k: (a[0], np.moveaxis(a[1:], 0, -1)) for k, a in out.items()}
-        jets["ginv"] = out["ginv"][0]
+        jets = {k: (a[:, 0], np.moveaxis(a[:, 1:], 1, -1)) for k, a in out.items()}
+        jets["ginv"] = out["ginv"][:, 0]
         return jets
+
+    @stacked
+    def coordinate_derivative(self):
+        """dxy[c, a, b]: ambient D along e_a of the pushed constant field e_b."""
+        jac = self.jac[:, None]
+        return self.hess + _transposed(jac) @ self.gammabar @ jac
+
+    @stacked
+    def hn(self):
+        """hn[i, a, b] = gbar(h(e_a, e_b), N_i), the second fundamental form
+        of each normal on the coordinate directions."""
+        return self.normal_coefficients(self.coordinate_derivative)
+
+    @stacked
+    def shape_operators(self):
+        """A[i, a, b]: the shape operator A_i X = -(ambient D_X N_i)^T of
+        each normal, in domain coordinates (column b is A_i e_b)."""
+        count, m, s = len(self.rows), self.sub.domain.dim, self.sub.s
+        # dn[i, c, b] = (ambient D_{e_b} N_i)^c: d_b N_i^c plus the
+        # Christoffel term Gammabar^c_{ae} (J e_b)^a N_i^e
+        gn = (self.gammabar @ _transposed(self.normals)[:, None]).transpose(
+            0, 3, 1, 2)
+        dn = self.dnormals + gn @ self.jac[:, None]
+        t = self.tangent_part(-dn.transpose(0, 2, 1, 3))
+        a = self.to_domain(t.reshape(count, t.shape[1], -1))
+        return a.reshape(count, m, s, m).transpose(0, 2, 1, 3)
+
+    @stacked
+    def ubar(self):
+        """The upper Cholesky factor of gbar0 = ubar^T ubar: an ambient
+        vector residual lowered by it has the gbar-norm as its Euclidean
+        norm (see :func:`~weakf.sampling.sup_norm`)."""
+        return cholesky_factor(self.gbar0)
+
+    @stacked
+    def basis(self):
+        """A gbar-orthonormal basis of the ambient space at the image (rows)."""
+        return cholesky_basis(self.ubar)
+
+    @stacked
+    def nabla_fbar(self):
+        """nf[be, al, ga] = ((ambient D_{e_be}) fbar)^al_ga at the image."""
+        return calculus.nabla_tensor11_kernel(
+            self.gammabar, self.fbar0, self.fbar1
+        )
+
+
+class _AmbientPoint(RowView, _Along):
+    """Floating-point ambient data of the embedding at one domain point.
+
+    The runner builds one per sample point of an embedded example and hands
+    it to the point's :class:`~weakf.fstructure.PackFrame` as ``ambient``;
+    the frame reads the induced pack's jets and curvature from it, and every
+    submanifold check reads it from the frame. Only
+    :func:`require_valid_frame` builds its own. It is a row of the ambient
+    stack of its chunk of sample points (``row``, a
+    :class:`~weakf.charts.Row` of the run's
+    :class:`~weakf.charts.PointStacks`; by default the point alone): the
+    jets of the embedding, the normals and the ambient fields along the
+    image, and the quantities built from them, are stacked once per chunk.
+    """
+
+    _lead = 0
+
+    def __init__(self, sub, p, row=None):
+        self.sub = sub
+        self.p = p = np.asarray(p, dtype=float)
+        self._row = row or Rows(p[None]).row(0)
+        rows = self._row.rows
+        self._chunk = self._row.kept((_AmbientPoint, id(sub)),
+                                lambda: _AmbientStack(sub, rows))
+        self.iota, self.jac, self.hess = self._jet("embedding")
+        self.normals, self.dnormals = self._jet("normals")
+        self.gbar0, self.gbar1 = self._jet("gbar")
+        self.ginvbar = self._read("ginvbar")
+        self.gammabar = self._read("gammabar")
+        self.fbar0, self.fbar1 = self._jet("fbar")
+
+    @cached_property
+    def _alone(self):
+        return _AmbientStack(self.sub, self._row.alone())
+
+    def _jet(self, which):
+        return self._row.jet(*_jet_of(self.sub, which))
+
+    @property
+    def g0(self):
+        """The induced metric at the point."""
+        return self.induced_jets["g"][0]
+
+    induced_jets = row_of("induced_jets")
+    coordinate_derivative = row_of("coordinate_derivative")
+    hn = row_of("hn")
+    shape_operators = row_of("shape_operators")
+    ubar = row_of("ubar")
+    basis = row_of("basis")
+    nabla_fbar = row_of("nabla_fbar")
 
     @cached_property
     def induced_riemann(self):
@@ -182,8 +320,7 @@ class _AmbientPoint:
         with Rbar from a second-order jet of gbar, taken here only. No
         third derivative of the embedding is needed.
         """
-        gbar = self.sub.ambient_metric
-        gbar2 = self._along(gbar.fn, 2, gbar.label)[2]
+        gbar2 = self._jet("gbar2")[2]
         rbar = calculus.riemann_from_jets(
             self.ginvbar, self.gammabar, self.gbar1, gbar2)
         low = lead_dot(self.gbar0, rbar)            # [w, i, j, k], lowered
@@ -195,69 +332,10 @@ class _AmbientPoint:
         low = low + np.einsum("jkiw->wijk", hh) - np.einsum("ikjw->wijk", hh)
         return lead_dot(self.induced_jets["ginv"], low)
 
-    # Ambient vectors are indexed by the leading axis: v[c] or v[c, ...].
-
-    def to_domain(self, v):
-        """Coordinates of tangent ambient vectors in the embedded basis."""
-        return np.linalg.solve(self.g0, self.jac.T @ (self.gbar0 @ v))
-
-    def normal_coefficients(self, v):
-        """gbar(v, N_i) for each normal: an array [i, ...]."""
-        return lead_dot(self.normals @ self.gbar0, v)
-
-    def normal_part(self, v):
-        return lead_dot(self.normals.T, self.normal_coefficients(v))
-
-    def tangent_part(self, v):
-        return v - self.normal_part(v)
-
-    @cached_property
-    def coordinate_derivative(self):
-        """dxy[c, a, b]: ambient D along e_a of the pushed constant field e_b."""
-        return self.hess + self.jac.T @ self.gammabar @ self.jac
-
-    @cached_property
-    def hn(self):
-        """hn[i, a, b] = gbar(h(e_a, e_b), N_i), the second fundamental form
-        of each normal on the coordinate directions."""
-        return self.normal_coefficients(self.coordinate_derivative)
-
-    @cached_property
-    def shape_operators(self):
-        """A[i, a, b]: the shape operator A_i X = -(ambient D_X N_i)^T of
-        each normal, in domain coordinates (column b is A_i e_b)."""
-        m, s = self.sub.domain.dim, self.sub.s
-        # dn[i, c, b] = (ambient D_{e_b} N_i)^c: d_b N_i^c plus the
-        # Christoffel term Gammabar^c_{ae} (J e_b)^a N_i^e
-        gn = (self.gammabar @ self.normals.T).transpose(2, 0, 1)
-        dn = self.dnormals + gn @ self.jac
-        t = self.tangent_part(-dn.transpose(1, 0, 2))
-        a = self.to_domain(t.reshape(len(t), -1))
-        return a.reshape(m, s, m).transpose(1, 0, 2)
-
-    @cached_property
-    def ubar(self):
-        """The upper Cholesky factor of gbar0 = ubar^T ubar: an ambient
-        vector residual lowered by it has the gbar-norm as its Euclidean
-        norm (see :func:`~weakf.sampling.sup_norm`)."""
-        return cholesky_factor(self.gbar0)
-
-    @cached_property
-    def basis(self):
-        """A gbar-orthonormal basis of the ambient space at the image (rows)."""
-        return cholesky_basis(self.ubar)
-
     @cached_property
     def nearly_kahler_residual(self):
         """:func:`ambient_nearly_kahler_residual` at this point."""
         return ambient_nearly_kahler_residual(self)
-
-    @cached_property
-    def nabla_fbar(self):
-        """nf[be, al, ga] = ((ambient D_{e_be}) fbar)^al_ga at the image."""
-        return calculus.nabla_tensor11_kernel(
-            self.gammabar, self.fbar0, self.fbar1
-        )
 
 
 def frame_check(ap):
@@ -318,9 +396,10 @@ def _induced_values(sub, coords):
     iota, jac = (a[0] for a in jet_stack(sub.embedding, np.array([coords]), 1,
                                          "the embedding"))
     normals = np.array(sub.normals(coords), dtype=float)
-    out = _induced(jac[None], sub.ambient_metric.value(iota)[None],
-                   sub.ambient_skew.value(iota)[None], normals.T[None], coords)
-    return {k: a[0] for k, a in out.items()}
+    out = _induced(jac[None, None], sub.ambient_metric.value(iota)[None, None],
+                   sub.ambient_skew.value(iota)[None, None],
+                   normals.T[None, None], [coords])
+    return {k: a[0, 0] for k, a in out.items()}
 
 
 def induce_structure(sub, validate=True):

@@ -10,6 +10,8 @@ finite differences. Conventions are those of ``weakf.calculus``. The
 nesting scalar jet below is the oracle of the package's array jets.
 """
 
+import math
+
 import numpy as np
 
 from weakf.calculus import (
@@ -681,7 +683,8 @@ def frame(pack, p, sub=None, **kwargs):
 
 def config_frames(argv, samples, seed=42):
     """The frames of the first ``samples`` points of a ``weakf verify``
-    argument list's example, built as the runner builds them."""
+    argument list's example, each built alone with the seed and index the
+    runner gives it."""
     args = cli.build_parser().parse_args(["verify", *argv.split()])
     cat = make_example(args.example, **cli._parse_params(args.param))
     sub = None if cat.is_pack else cat.obj
@@ -696,6 +699,26 @@ def config_frames(argv, samples, seed=42):
 # point, lowers a vector-valued one by the Cholesky factor of g0 and
 # contracts it with the test pairs once. These evaluate every term on the
 # test pairs first, sum the pair values and take g-norms with g0 itself.
+
+
+def orthonormal_basis(g0, vectors=None, against=(), floor=None):
+    """Gram-Schmidt of ``vectors`` (rows; the coordinate frame by default)
+    with respect to ``g0``, one vector at a time at one point: the
+    reference of ``sampling.gram_schmidt`` and of the Cholesky test basis.
+
+    Each vector is made g0-orthogonal to the rows of ``against`` and to the
+    rows kept before it, then normalized. With a ``floor``, a vector whose
+    remainder has norm at most ``floor`` is dropped. Returns the kept rows.
+    """
+    basis = list(against)
+    start = len(basis)
+    for v in np.eye(len(g0)) if vectors is None else vectors:
+        for u in basis:
+            v = v - (u @ g0 @ v) * u
+        q = v @ g0 @ v
+        if floor is None or q > floor * floor:
+            basis.append(v / math.sqrt(q))
+    return np.array(basis[start:])
 
 
 def sup_gnorm(res, g0):

@@ -13,8 +13,8 @@ most 1e-14. Dump the JSON reports of both commits and compare them:
     PYTHONPATH=src python tests/report_digests.py --compare before after
 
 ``--compare`` prints, per configuration, the verdict changes and the
-largest |delta| of any residual, and exits 1 on a verdict change or a delta
-above 1e-14. A non-finite residual is written as the string "NaN",
+largest |delta| of any residual with the entry (suite.identity) and field
+it is in, and exits 1 on a verdict change or a delta above 1e-14. A non-finite residual is written as the string "NaN",
 "Infinity" or "-Infinity"; it matches only the same string. Each
 configuration is a ``weakf verify`` argument list; the report is built once
 and rendered in both formats.
@@ -102,28 +102,31 @@ def _entries(path):
 
 
 def compare_reports(before, after):
-    """Per report file: (name, changed identities, max |delta residual|)."""
+    """Per report file: (name, changed identities, max |delta residual|,
+    the "suite.identity field" it is in, or None if no residual moved)."""
     before, after = Path(before), Path(after)
     names = sorted({p.name for p in before.glob("*.json")}
                    | {p.name for p in after.glob("*.json")})
     for name in names:
         if not (before / name).is_file() or not (after / name).is_file():
-            yield name, ["<report missing>"], float("inf")
+            yield name, ["<report missing>"], float("inf"), None
             continue
         old, new = _entries(before / name), _entries(after / name)
         changed = sorted(".".join(key) for key in old.keys() | new.keys()
                          if key not in old or key not in new
                          or old[key]["verdict"] != new[key]["verdict"])
-        delta = 0.0
-        for key in old.keys() & new.keys():
+        delta, where = 0.0, None
+        for key in sorted(old.keys() & new.keys()):
             for field in ("max_residual", "mean_residual"):
                 a, b = old[key][field], new[key][field]
                 if a is None or b is None or a == b:
                     continue
                 d = abs(float(a) - float(b))
                 # a non-finite residual against any other value
-                delta = max(delta, d) if math.isfinite(d) else math.inf
-        yield name, changed, delta
+                d = d if math.isfinite(d) else math.inf
+                if where is None or d > delta:
+                    delta, where = d, f"{'.'.join(key)} {field}"
+        yield name, changed, delta, where
 
 
 def main(argv=None):
@@ -139,9 +142,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.compare:
         bad = 0
-        for name, changed, delta in compare_reports(*args.compare):
+        for name, changed, delta, where in compare_reports(*args.compare):
             print(f"{name}: {len(changed)} verdict changes, "
-                  f"max |delta residual| {delta:.2e}")
+                  f"max |delta residual| {delta:.2e}"
+                  + (f" at {where}" if where else ""))
             for identity in changed:
                 print(f"  changed: {identity}")
             bad += bool(changed) or delta > RESIDUAL_TOL

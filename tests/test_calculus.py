@@ -29,7 +29,6 @@ from weakf.charts import Chart, SmoothField, constant_field, euclidean_metric
 from weakf.errors import DegenerateMetricError
 from weakf.fstructure import PackFrame
 from weakf.jets import cos, sin
-from weakf.sampling import orthonormal_basis
 
 FD = 1e-5
 
@@ -633,7 +632,7 @@ def test_curvature_symmetries(cat_sasakian):
     )
     assert np.abs(bianchi).max() < 1e-8
     # plane invariance of the sectional curvature
-    e = orthonormal_basis(fr.g0)
+    e = oracles.orthonormal_basis(fr.g0)
     k1 = oracles.sectional_from_riemann(riem, fr.g0, e[0], e[1])
     k2 = oracles.sectional_from_riemann(
         riem, fr.g0, 2.0 * e[0] + 0.3 * e[1], -0.4 * e[0] + e[1]

@@ -323,6 +323,64 @@ def test_indefinite_metric_is_named_and_exits_three(monkeypatch, capsys, suites)
     assert "smallest eigenvalue -1.000e+00" in err
 
 
+# A pack broken at one sample point inside a chunk, K = 7 of 10: the point
+# walk names that point, and the message is the one it gets alone.
+K = 7
+
+
+def _at_sample(u, p):
+    """1.0 at the chart point ``p`` and 0.0 elsewhere, for float or jet
+    coordinates ``u`` (a jet's value is a stack of points)."""
+    vals = [np.asarray(getattr(c, "val", c)) for c in u]
+    return np.logical_and.reduce([v == c for v, c in zip(vals, p)]) * 1.0
+
+
+def _broken_at_k(n, s, field, kind, entries):
+    """flat_pack(n, s) with ``field`` replaced by one of ``kind`` whose
+    components are ``entries(u, at)``, ``at`` being _at_sample of sample K."""
+    def build():
+        cat = catalog.flat_pack(n=n, s=s)
+        p = cat.chart.sample(10, 42)[K]
+
+        def fn(u):
+            # + 0 u_0: a jet, with the (mask-valued) constant as its value
+            at = _at_sample(u, p)
+            return [[e + 0.0 * u[0] for e in row] if isinstance(row, list)
+                    else row + 0.0 * u[0] for row in entries(u, at)]
+
+        new = SmoothField(cat.obj.chart, kind, fn)
+        obj = cat.obj
+        if field == "xi":
+            obj = dataclasses.replace(obj, xi=(obj.xi[0], new))
+        else:
+            obj = dataclasses.replace(obj, **{field: new})
+        return dataclasses.replace(cat, obj=obj)
+    return build
+
+
+@pytest.mark.parametrize("n, s, field, kind, entries, message", [
+    # g(e_2, e_2) = -1 at sample K
+    (1, 1, "g", "metric", lambda u, at: [
+        [1.0, 0.0, 0.0], [0.0, 1.0 - 2.0 * at, 0.0], [0.0, 0.0, 1.0]],
+     "DegenerateMetricError: degenerate metric at ("),
+    # Q = 0 on the contact distribution at sample K
+    (1, 1, "Q", "tensor11", lambda u, at: [
+        [1.0 - at, 0.0, 0.0], [0.0, 1.0 - at, 0.0], [0.0, 0.0, 1.0]],
+     "DegenerateOperatorError: Q singular/indefinite at ("),
+    # xi_2 = xi_1 = e_3 at sample K
+    (1, 2, "xi", "vector", lambda u, at: [0.0, 0.0, at, 1.0 - at],
+     "RuntimeError: Reeb fields are linearly dependent"),
+], ids=["indefinite_metric", "degenerate_q", "dependent_reeb"])
+def test_refusal_inside_a_chunk_names_its_point(monkeypatch, capsys, n, s,
+                                               field, kind, entries, message):
+    monkeypatch.setitem(catalog.BUILDERS, "broken_at_k",
+                        _broken_at_k(n, s, field, kind, entries))
+    code = cli.main(["verify", "--example", "broken_at_k", "--samples", "10"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"evaluation failed in axioms[point {K}]: {message}" in err
+
+
 def test_json_byte_identical_across_runs():
     args = [
         "verify", "--example", "sasakian_s3", "--suites", "all",

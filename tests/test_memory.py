@@ -1,5 +1,6 @@
 """Repeated runs keep nothing, a run's peak memory does not follow its
-sample count, and a g-norm residual is the one array of its size."""
+sample count, one chunk's set-up stays within its bound, and a g-norm
+residual is the one array of its size."""
 
 import gc
 import subprocess
@@ -9,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from weakf import catalog, classifiers
+from weakf import catalog, charts, classifiers
+from weakf.charts import PointStacks
+from weakf.errors import HypothesisNotMet
 from weakf.fstructure import PackFrame
 from weakf.report import SUITES, SuiteConfig, run_suite
 
@@ -93,3 +96,41 @@ def test_g_norm_holds_one_residual_sized_array(name):
     finally:
         tracemalloc.stop()
     assert peak < 2 * RESIDUAL_BYTES, peak / RESIDUAL_BYTES
+
+
+# Fixed before the first measurement, from the arrays a chunk keeps on
+# flat_pack n=4 s=2 (m = 10, s = 2, 44 test vectors): about 83 KB per point
+# (seven (P, 10, 10, 10) stacks such as Gamma, D f, D Q and the [f,f] and
+# N1 coefficients at 8,000 B per point each, the test vectors, and the
+# smaller stacks), plus the temporaries of the largest build, 120 KB per
+# point in all; and the checks of one frame, which hold a few (10, 44, 44)
+# residuals of 155 KB at a time, 1 MB. The chunk size keeps each
+# (P, 10, 10, 10) float64 stack, 8,000 P B, below glibc's 128 KiB mmap
+# threshold (P <= 16): above it every such array is a fresh mapping, and
+# each mapping faults in every page it touches.
+CHUNK_BYTES_PER_POINT = 120_000
+FRAME_CHECK_BYTES = 1_000_000
+
+
+def test_one_chunk_of_setup_stays_within_its_bound():
+    pack = catalog.flat_pack(n=4, s=2).obj
+    points = pack.chart.sample(charts.CHUNK, seed=42)
+    stacks = PointStacks(points)
+    tracemalloc.start()
+    try:
+        # the chunk's set-up is built on the first frame's first reads
+        fr = PackFrame(pack, points[0], seed=42, index=0, row=stacks.row(0))
+        for tag in classifiers.CLASS_TAGS:
+            classifiers.class_residual(pack, fr.p, tag, frame=fr)
+        classifiers.frame_residuals(fr)
+        for which in classifiers.THEOREM_CHECKS:
+            try:
+                classifiers.theorem_check(pack, fr.p, which, frame=fr)
+            except HypothesisNotMet:
+                pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fr._chunk.gamma.shape == (charts.CHUNK, 10, 10, 10)
+    bound = CHUNK_BYTES_PER_POINT * charts.CHUNK + FRAME_CHECK_BYTES
+    assert peak < bound, (peak, bound)

@@ -1,4 +1,5 @@
-"""Per-point work is done once: counted with wrappers on a small run."""
+"""Per-point work is done once per point, and set-up and component
+functions once per chunk of points: counted with wrappers on small runs."""
 
 import hashlib
 import sys
@@ -221,11 +222,13 @@ def _counted_example(cat, calls, theorem):
 @pytest.fixture(scope="module", params=[("sasakian_s3", {}),
                                         ("hypersphere", {"n": 1})],
                 ids=["sasakian_s3", "hypersphere"])
-def component_calls(request):
-    """(name, order, points, theorem) of every component-function call of a
-    run over two chunks of points, all suites."""
+def chunked_run(request):
+    """A run over two chunks of points, all suites: (name, order, points,
+    theorem) of every component-function call, the counts of the set-up
+    builds, and the number of metrics (the pack's, and on an embedded
+    example the ambient one)."""
     example, params = request.param
-    calls, theorem = [], [None]
+    calls, theorem, counts = [], [None], Counter()
     check = report.theorem_check
 
     def flagged(pack, p, which, *args, **kwargs):
@@ -239,29 +242,39 @@ def component_calls(request):
         mp.setitem(catalog.BUILDERS, "counted", lambda: _counted_example(
             catalog.make_example(example, **params), calls, theorem))
         mp.setattr(report, "theorem_check", flagged)
+        for name in ("metric_inverse", "christoffel_from_jets"):
+            mp.setattr(calculus, name, _counting(
+                getattr(calculus, name), counts, name))
+        mp.setattr(np.linalg, "cholesky", _counting(
+            np.linalg.cholesky, counts, "cholesky"))
+        for cls, name in ((fstructure._FrameStack, "frame_stack"),
+                          (submanifold._AmbientStack, "ambient_stack"),
+                          (PackFrame, "frame"),
+                          (submanifold._AmbientPoint, "ambient")):
+            mp.setattr(cls, "__init__", _tracked(cls.__init__, [], counts, name))
         rep = run_suite(SuiteConfig(example="counted", suites=SUITES,
                                     samples=CHUNKED))
     assert rep["overall"]["verdict"] == "pass"
-    return calls
+    return calls, counts, 1 if example == "sasakian_s3" else 2
 
 
-def test_each_component_function_once_per_chunk(component_calls):
+def test_each_component_function_once_per_chunk(chunked_run):
     # every (function, order) is evaluated by one call over each chunk of
     # points: CHUNK points, then the rest; never point by point, never on
     # float coordinates
     points = {}
-    for name, order, count, _ in component_calls:
+    for name, order, count, _ in chunked_run[0]:
         points.setdefault((name, order), []).append(count)
     assert points
     assert all(order > 0 for _, order in points)
     assert set(map(tuple, points.values())) == {(charts.CHUNK, 3)}
 
 
-def test_order2_field_stacks_only_inside_thm32_chain(component_calls):
+def test_order2_field_stacks_only_inside_thm32_chain(chunked_run):
     # only the Reeb-sectional curvature chain reads a second-order metric
     # jet; the embedding's second derivatives are the induced structure's
     # first, so its stack is order 2 wherever the point is first built
-    order2 = {(name, theorem) for name, order, _, theorem in component_calls
+    order2 = {(name, theorem) for name, order, _, theorem in chunked_run[0]
               if order == 2 and name != "embedding"}
     assert order2 and {theorem for _, theorem in order2} == {"thm32_chain"}
     assert {name for name, _ in order2} <= {"g", "gbar"}
@@ -295,12 +308,21 @@ def test_killing_residual_once_per_frame():
     assert counts["killing"] == SAMPLES
 
 
-def test_one_point_state_alive_at_a_time(counted_run):
-    _, counts, _, _ = counted_run
-    assert counts["frame"] == SAMPLES
-    # the previous point's frame and ambient point are gone by the next build
+def test_one_chunk_of_state_alive_at_a_time(chunked_run):
+    _, counts, metrics = chunked_run
+    # one frame (and ambient point) per point, and the previous point's are
+    # gone by the next build
+    assert counts["frame"] == CHUNKED
     assert counts["frame_alive_at_build"] == 0
+    assert counts["ambient"] == CHUNKED * (metrics - 1)
     assert counts["ambient_alive_at_build"] == 0
+    # one set-up stack per chunk, and the previous chunk's stacks are gone
+    # when the walk reaches the next one: the memory they hold is bounded
+    # by tests/test_memory.py
+    assert counts["frame_stack"] == 2
+    assert counts["frame_stack_alive_at_build"] == 0
+    assert counts["ambient_stack"] == 2 * (metrics - 1)
+    assert counts["ambient_stack_alive_at_build"] == 0
 
 
 def _calls_in(sites, function):
@@ -377,19 +399,21 @@ def test_second_fundamental_form_once_per_sample(counted_run):
     assert counts["hn"] == SAMPLES
 
 
-def test_inverse_and_christoffel_once_per_metric(counted_run):
-    _, counts, _, _ = counted_run
-    # one g^-1 and Gamma for the induced metric, one for the ambient metric;
-    # the curvature reads the frame's
-    assert counts["metric_inverse"] == 2 * SAMPLES
-    assert counts["christoffel_from_jets"] == 2 * SAMPLES
+def test_inverse_and_christoffel_once_per_chunk(chunked_run):
+    _, counts, metrics = chunked_run
+    # one stacked g^-1 and Gamma per metric and chunk of points: the pack's
+    # (on an embedded example the induced one), and the ambient metric's;
+    # the curvature reads the frame's row
+    assert counts["metric_inverse"] == 2 * metrics
+    assert counts["christoffel_from_jets"] == 2 * metrics
 
 
-def test_one_cholesky_factor_per_metric(counted_run):
-    _, counts, _, _ = counted_run
+def test_one_cholesky_factor_per_metric_and_chunk(chunked_run):
+    _, counts, metrics = chunked_run
     # the test basis and every g-norm of a point share one factor of the
-    # induced metric, and the ambient basis and gbar-norms one of gbar
-    assert counts["cholesky"] == 2 * SAMPLES
+    # pack's metric, and the ambient basis and gbar-norms one of gbar: one
+    # stacked factorization per metric and chunk
+    assert counts["cholesky"] == 2 * metrics
 
 
 def test_ambient_point_quantities_once_per_sample(counted_run):
@@ -399,20 +423,6 @@ def test_ambient_point_quantities_once_per_sample(counted_run):
     assert counts["shape_operators"] == SAMPLES
     assert counts["nearly_kahler"] == SAMPLES
     assert counts["coordinate_derivative"] == SAMPLES
-
-
-def test_pack_metric_inverse_once_per_sample():
-    counts = Counter()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(calculus, "metric_inverse", _counting(
-            calculus.metric_inverse, counts, "metric_inverse"))
-        mp.setattr(np.linalg, "cholesky", _counting(
-            np.linalg.cholesky, counts, "cholesky"))
-        rep = run_suite(SuiteConfig(example="sasakian_s3", suites=SUITES,
-                                    samples=SAMPLES))
-    assert rep["overall"]["verdict"] == "pass"
-    assert counts["metric_inverse"] == SAMPLES
-    assert counts["cholesky"] == SAMPLES
 
 
 def test_kept_axioms_map_is_a_copy():

@@ -282,7 +282,15 @@ def test_report_digests_compare_mode(tmp_path, capsys):
     # a residual that moved by more than the arithmetic gate allows
     code, out = edited(max_residual=entry["max_residual"] + 1e-13)
     assert code == 1
-    assert "0 verdict changes, max |delta residual| 1.00e-13" in out
+    assert ("0 verdict changes, max |delta residual| 1.00e-13 at "
+            f"{identity} max_residual") in out
+    # the entry and field of the largest of several moves is named
+    code, out = edited(max_residual=entry["max_residual"] + 1e-13,
+                       mean_residual=entry["mean_residual"] + 3e-13)
+    assert f"max |delta residual| 3.00e-13 at {identity} mean_residual" in out
+    # no move, no entry
+    code, out = edited()
+    assert code == 0 and out.rstrip().endswith("max |delta residual| 0.00e+00")
     # a move within the gate passes
     assert edited(max_residual=entry["max_residual"] + 5e-15)[0] == 0
     # a flipped verdict fails and is named

@@ -20,7 +20,6 @@ from weakf.sampling import (
     cholesky_basis,
     cholesky_factor,
     lead_dot,
-    orthonormal_basis,
     pair_form,
     point_rng,
     random_units,
@@ -123,9 +122,9 @@ def test_batched_draw_equals_one_draw_per_vector(seed, m, count):
     # the same normals bit for bit, and the generators end in the same state
     assert batched.tobytes() == sequential.tobytes()
     assert draws[0].bit_generator.state == draws[1].bit_generator.state
-    # random_units normalizes exactly that draw
+    # random_units normalizes exactly that draw (a stack of one point)
     g0 = np.eye(m)
-    assert random_units(g0, draws[2], count).tobytes() == \
+    assert random_units(g0[None], [draws[2]], count)[0].tobytes() == \
         unit_rows(sequential, g0).tobytes()
     assert draws[2].bit_generator.state == draws[1].bit_generator.state
 
@@ -136,7 +135,7 @@ def test_random_units_are_g_unit(seed, m):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, (m, m))
     g0 = np.eye(m) + a @ a.T       # eigenvalues in [1, 1 + m^2]
-    units = random_units(g0, rng, 40)
+    units = random_units(g0[None], [rng], 40)[0]
     assert units.shape == (40, m)
     assert np.abs(((units @ g0) * units).sum(1) - 1.0).max() <= 1e-14
 
@@ -177,7 +176,7 @@ def _assert_gram_schmidt(g0, u=None):
     u = cholesky_factor(g0) if u is None else u
     assert not np.tril(u, -1).any()
     assert np.abs(u.T @ u - g0).max() <= TOL * np.abs(g0).max()
-    basis, ref = cholesky_basis(u), orthonormal_basis(g0)
+    basis, ref = cholesky_basis(u), oracles.orthonormal_basis(g0)
     assert np.abs(basis - ref).max() <= TOL * max(1.0, np.abs(ref).max())
     assert np.abs(basis @ g0 @ basis.T - np.eye(len(g0))).max() <= TOL
 
