@@ -131,6 +131,27 @@ def _integer(name, value):
     return int(value)
 
 
+# The largest ambient dimension 2n + 2s of an example (a pack's chart has
+# 2n + s): one chunk of a run at 32 peaks at 102 MB traced, on hypersphere
+# n=15 with all suites, the most of any builder (see CHANGES.md).
+MAX_AMBIENT_DIM = 32
+
+
+def _dimensions(example, n, s=None):
+    """``n`` and ``s`` as integers, both >= 1, with 2n + 2s at most
+    MAX_AMBIENT_DIM; ``s`` is None where the example fixes s = 1."""
+    fixed = s is None
+    n, s = _integer("n", n), 1 if fixed else _integer("s", s)
+    if n < 1 or s < 1:
+        raise InvalidExample(
+            f"{example} needs n >= 1" + ("" if fixed else " and s >= 1"))
+    if 2 * n + 2 * s > MAX_AMBIENT_DIM:
+        raise InvalidExample(
+            f"{example} needs an ambient dimension 2n + 2s <= "
+            f"{MAX_AMBIENT_DIM}, got {2 * n + 2 * s}")
+    return n, s
+
+
 # Q f is the third power of a block weight, and the squared g-norm of its
 # residual (sampling.sup_norm) the sixth, the largest power any residual
 # forms: above this ceiling that power overflows float64.
@@ -193,9 +214,7 @@ def _flat_chart(m, label):
 
 def flat_pack(n=2, s=1, scales=None):
     """Constant weak C-structure on R^(2n+s)."""
-    n, s = _integer("n", n), _integer("s", s)
-    if n < 1 or s < 1:
-        raise InvalidExample("flat_pack needs n >= 1 and s >= 1")
+    n, s = _dimensions("flat_pack", n, s)
     scales = _block_weights("flat_pack", n, scales,
                             tuple(float(k + 1) for k in range(n)))
     m = 2 * n + s
@@ -253,9 +272,8 @@ def _givens(m, i, j, theta):
 
 def rotated_pack(n=2, s=1, t=0.1, rotation=None):
     """Blend of two conjugate constant structures; weak nearly C."""
-    n, s, t = _integer("n", n), _integer("s", s), float(t)
-    if n < 1 or s < 1:
-        raise InvalidExample("rotated_pack needs n >= 1 and s >= 1")
+    n, s = _dimensions("rotated_pack", n, s)
+    t = float(t)
     if not math.isfinite(t):
         raise InvalidExample(f"rotated_pack needs a finite blend angle t, got {t}")
     m = 2 * n + s
@@ -291,9 +309,7 @@ def rotated_pack(n=2, s=1, t=0.1, rotation=None):
 
 def product_pack(n=1, s=2, scales=None):
     """Flat weak Kahler factor times R^s; weak nearly C."""
-    n, s = _integer("n", n), _integer("s", s)
-    if n < 1 or s < 1:
-        raise InvalidExample("product_pack needs n >= 1 and s >= 1")
+    n, s = _dimensions("product_pack", n, s)
     scales = _block_weights("product_pack", n, scales, (1.0,) * n)
     m = 2 * n + s
     chart = _flat_chart(m, "product")
@@ -382,9 +398,7 @@ def _sphere_embedding(n):
 
 def hypersphere(n=1, ambient_skew="standard", normal="inward"):
     """Unit S^(2n+1) in flat R^(2n+2) with the position normal, s = 1."""
-    n = _integer("n", n)
-    if n < 1:
-        raise InvalidExample("hypersphere needs n >= 1")
+    n, _ = _dimensions("hypersphere", n)
     if ambient_skew not in ("standard", "weak"):
         raise InvalidExample("ambient_skew must be 'standard' or 'weak'")
     if normal not in ("inward", "outward"):
@@ -439,9 +453,7 @@ def hypersphere(n=1, ambient_skew="standard", normal="inward"):
 
 def linear_subspace(n=1, s=1, scales=None):
     """R^(2n+s) as a totally geodesic linear subspace of flat R^(2n+2s)."""
-    n, s = _integer("n", n), _integer("s", s)
-    if n < 1 or s < 1:
-        raise InvalidExample("linear_subspace needs n >= 1 and s >= 1")
+    n, s = _dimensions("linear_subspace", n, s)
     scales = _block_weights("linear_subspace", n, scales, (1.0,) * n)
     m = 2 * n + s
     d = 2 * n + 2 * s

@@ -151,50 +151,6 @@ class SmoothField:
 CHUNK = 16
 
 
-class StackFailed(Exception):
-    """A stacked build over a chunk raised: read each row from a stack of
-    its point alone, where the error, if any, names that point."""
-
-
-def _kept(store, key, build, rows):
-    """``build()``, kept in ``store`` under ``key``.
-
-    On a stack of more than one row a build that raises is kept as failed,
-    and reading it raises :class:`StackFailed`. On one row the exception
-    propagates: it belongs to that row's point.
-    """
-    if key in store:
-        return store[key]
-    failed = (StackFailed, key)
-    if failed not in store:
-        try:
-            store[key] = build()
-            return store[key]
-        except Exception:       # raised again row by row, see StackFailed
-            if rows == 1:
-                raise
-            store[failed] = True
-    raise StackFailed(key)
-
-
-class stacked:
-    """A quantity of a stack over :class:`Rows`, with a leading point axis,
-    built on first read and kept (see :func:`_kept`)."""
-
-    def __init__(self, build):
-        self.build = build
-        self.__doc__ = build.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, stack, owner=None):
-        if stack is None:
-            return self
-        return _kept(stack.__dict__, self.name, lambda: self.build(stack),
-                     len(stack.rows))
-
-
 def take(value, k):
     """Row ``k`` of a stacked value: an array, a tuple or dict of them, or
     an object that takes its own ``row(k)``."""
@@ -207,25 +163,11 @@ def take(value, k):
     return value.row(k)
 
 
-class RowView:
-    """One point's row of a stack of set-up quantities.
-
-    ``_chunk`` is the stack over the point's chunk, ``_row`` the point's
-    :class:`Row` of it, and ``_alone`` a stack over the point alone, built
-    only when the chunk's build of a quantity fails.
-    """
-
-    def _read(self, name):
-        try:
-            return take(getattr(self._chunk, name), self._row.k)
-        except StackFailed:
-            return take(getattr(self._alone, name), 0)
-
-
 def row_of(name):
-    """The attribute of a :class:`RowView` that is its row of the stacked
-    quantity ``name``, read once."""
-    return cached_property(lambda view: view._read(name))
+    """The attribute of a frame or ambient point that is its row
+    ``_row.k`` of the quantity ``name`` of its stack ``_chunk``, read once."""
+    return cached_property(
+        lambda view: take(getattr(view._chunk, name), view._row.k))
 
 
 class Rows:
@@ -251,10 +193,11 @@ class Rows:
         return Row(self, k, {} if stacks is None else stacks)
 
     def jet(self, fn, order, what, at=None):
-        def build():
+        key = (fn, order, at)
+        if key not in self._store:
             points = self.points if at is None else self.jet(*at)[0]
-            return tuple(jet_stack(fn, points, order, what))
-        return _kept(self._store, (fn, order, at), build, len(self))
+            self._store[key] = tuple(jet_stack(fn, points, order, what))
+        return self._store[key]
 
 
 class Row(NamedTuple):
@@ -276,18 +219,9 @@ class Row(NamedTuple):
             self.stacks[key] = build()
         return self.stacks[key]
 
-    def alone(self):
-        """The point as rows of its own."""
-        return Rows(self.rows.points[self.k:self.k + 1],
-                    self.rows.start + self.k)
-
     def jet(self, fn, order, what, at=None):
-        """Row k of ``rows.jet``; evaluated at the point alone if the
-        chunk's stack failed, so the exception names the point."""
-        try:
-            return take(self.rows.jet(fn, order, what, at), self.k)
-        except StackFailed:
-            return take(self.alone().jet(fn, order, what, at), 0)
+        """Row k of ``rows.jet``."""
+        return take(self.rows.jet(fn, order, what, at), self.k)
 
 
 class PointStacks:
@@ -296,7 +230,9 @@ class PointStacks:
     ``row(i)`` is point i as a row of the :class:`Rows` of its chunk. A
     chunk's stacks are built on first use, and all of them are dropped when
     the walk reaches the next chunk, so memory does not grow with the
-    number of samples.
+    number of samples. ``alone(i)`` is point i as the one row of stacks of
+    its own, where the runner evaluates a point whose chunk's stacks
+    raised (see :func:`weakf.report.run_suite`).
     """
 
     def __init__(self, points):
@@ -310,6 +246,9 @@ class PointStacks:
             self._chunk = Rows(self.points[start:start + CHUNK], start)
             self._stacks = {}
         return self._chunk.row(i - start, self._stacks)
+
+    def alone(self, i):
+        return Rows(self.points[i:i + 1], i).row(0)
 
 
 # -- constructors -------------------------------------------------------------

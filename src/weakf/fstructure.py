@@ -27,7 +27,7 @@ from functools import cached_property, wraps
 import numpy as np
 
 from . import calculus
-from .charts import Rows, RowView, row_of, stacked
+from .charts import Rows, row_of
 from .errors import DegenerateOperatorError
 from .sampling import (
     build_test_vectors,
@@ -96,10 +96,10 @@ class _FrameStack(_Fields):
     """The set-up of a pack's frames at the points of ``rows``.
 
     Every quantity is stacked on a leading point axis and built on first
-    read (:class:`~weakf.charts.stacked`); row k of each is bitwise the
-    quantity of point k alone. ``rngs`` holds each point's generator, and
-    ``ambient`` the points' ambient stack when the pack is induced on an
-    embedded submanifold: its jets and g^-1 are read from there.
+    read; row k of each is bitwise the quantity of point k alone. ``rngs``
+    holds each point's generator, and ``ambient`` the points' ambient stack
+    when the pack is induced on an embedded submanifold: its jets and g^-1
+    are read from there.
     """
 
     def __init__(self, pack, rows, rngs, ambient=None):
@@ -108,7 +108,7 @@ class _FrameStack(_Fields):
         self.rngs = rngs
         self.ambient = ambient
 
-    @stacked
+    @cached_property
     def _jets(self):
         """Order-1 (value, d1) of every field, the Reeb fields on axis 1."""
         if self.ambient is not None:
@@ -125,22 +125,22 @@ class _FrameStack(_Fields):
         return {"g": jet(pk.g), "f": jet(pk.f), "q": jet(pk.Q),
                 "xi": reeb(pk.xi), "eta": reeb(pk.eta)}
 
-    @stacked
+    @cached_property
     def ginv(self):
         if self.ambient is not None:
             return self._jets["ginv"]
         return calculus.metric_inverse(self.g0, self.rows.points)
 
-    @stacked
+    @cached_property
     def gamma(self):
         return calculus.christoffel_from_jets(self.ginv, self.g1)
 
-    @stacked
+    @cached_property
     def phi0(self):
         """Fundamental two-form, phi[a,b] = g(e_a, f e_b)."""
         return self.g0 @ self.f0
 
-    @stacked
+    @cached_property
     def dphi(self):
         # the partials of phi, phi1[a,b,c] = d_c phi[a,b]
         phi1 = np.einsum("...akc,...kb->...abc", self.g1, self.f0) + np.einsum(
@@ -148,51 +148,51 @@ class _FrameStack(_Fields):
         )
         return calculus.d_twoform_kernel(phi1)
 
-    @stacked
+    @cached_property
     def deta(self):
         """deta[i,a,b] = d(eta^i)(e_a, e_b), half-normalized."""
         return calculus.d_oneform_kernel(self.eta1)
 
-    @stacked
+    @cached_property
     def nabla_f(self):
         return calculus.nabla_tensor11_kernel(self.gamma, self.f0, self.f1)
 
-    @stacked
+    @cached_property
     def nabla_q(self):
         return calculus.nabla_tensor11_kernel(self.gamma, self.q0, self.q1)
 
-    @stacked
+    @cached_property
     def nabla_xi(self):
         """nabla_xi[i,k,a] = (D_{e_a} xi_i)^k."""
         return calculus.nabla_vector_kernel(self.gamma[:, None], self.xi0,
                                             self.xi1)
 
-    @stacked
+    @cached_property
     def nabla_xi_xi(self):
         """nabla_xi_xi[i,j,k] = (D_{xi_i} xi_j)^k."""
         xi_t = np.swapaxes(self.xi0, 1, 2)[:, None]
         return (self.nabla_xi @ xi_t).transpose(0, 3, 1, 2)
 
-    @stacked
+    @cached_property
     def nabla_eta(self):
         """nabla_eta[i,a,b] = (D_{e_a} eta^i)_b."""
         return calculus.nabla_oneform_kernel(self.gamma[:, None], self.eta0,
                                              self.eta1)
 
-    @stacked
+    @cached_property
     def lie_g_xi(self):
         """lie_g_xi[i,a,b] = (L_{xi_i} g)(e_a, e_b)."""
         return calculus.lie_metric_kernel(self.g0[:, None], self.g1[:, None],
                                           self.xi0, self.xi1)
 
-    @stacked
+    @cached_property
     def tv(self):
         # g^-1 first: it names an indefinite metric (point and smallest
         # eigenvalue) before the Cholesky factorization raises LinAlgError
         self.ginv
         return build_test_vectors(self.g0, self.rngs, distinguished=self.xi0)
 
-    @stacked
+    @cached_property
     def d_basis(self):
         """g-orthonormal basis of the contact distribution (2n rows).
 
@@ -221,7 +221,7 @@ class _FrameStack(_Fields):
     # Each bilinear tensor is kept as its coefficients C[k, a, b] at the
     # point; its value on test pairs is the one contraction pair_form(C, V, V).
 
-    @stacked
+    @cached_property
     def ff_coeff(self):
         """[f,f](e_a, e_b)^k."""
         f0, f1 = self.f0, self.f1
@@ -232,20 +232,20 @@ class _FrameStack(_Fields):
         r = f1.transpose(0, 1, 3, 2) - f1
         return p.transpose(0, 1, 3, 2) - p - lead_dot(f0, r, lead=1)
 
-    @stacked
+    @cached_property
     def n1_coeff(self):
         """N1(e_a, e_b)^k = [f,f](e_a, e_b)^k + 2 sum_i deta^i(e_a, e_b) xi_i^k."""
         xi_t = np.swapaxes(self.xi0, 1, 2)
         return self.ff_coeff + 2.0 * lead_dot(xi_t, self.deta, lead=1)
 
-    @stacked
+    @cached_property
     def n2_coeff(self):
         """N2[i,a,b] = 2 deta^i(f e_a, e_b) - 2 deta^i(f e_b, e_a)."""
         t = np.swapaxes(self.f0, 1, 2)[:, None] @ self.deta
         return 2.0 * (t - t.transpose(0, 1, 3, 2))
 
 
-class PackFrame(RowView, _Fields):
+class PackFrame(_Fields):
     """All jets and test data of a pack at a single chart point.
 
     The frame is a row of the set-up stack of its chunk of sample points
@@ -277,11 +277,6 @@ class PackFrame(RowView, _Fields):
         self._chunk = self._row.kept((PackFrame, id(pack), seed), chunk)
         self._rng = self._chunk.rngs[self._row.k]
         self._kept = {}
-
-    @cached_property
-    def _alone(self):
-        return _FrameStack(self.pack, self._row.alone(), [self._rng],
-                           None if self.ambient is None else self.ambient._alone)
 
     _jets = row_of("_jets")
     ginv = row_of("ginv")

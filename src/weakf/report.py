@@ -287,9 +287,12 @@ def run_suite(config):
     component function once per chunk of points and order, and builds each
     set-up quantity once per chunk. Every bundle that has not skipped is
     evaluated on them, then both are dropped. A failed gate skips its
-    bundle for good; any other exception, from the engine or a component
-    function, becomes an :class:`EvaluationFailure` naming the suite, the
-    bundle and the point.
+    bundle for good. Any other exception, from the engine or a component
+    function, may belong to another point of the chunk: the point is built
+    again on stacks of its own (``PointStacks.alone``, with a fresh
+    generator), where that bundle and the point's later ones are evaluated.
+    Only an exception raised there becomes an :class:`EvaluationFailure`,
+    naming the suite, the bundle and the point.
     """
     cat = make_example(config.example, **config.params)
     sub = None if cat.is_pack else cat.obj
@@ -307,26 +310,29 @@ def run_suite(config):
     points = chart.sample(config.samples, config.seed)
     stacks = PointStacks(points)
     for i, p in enumerate(points):
-        fr = None
+        fr = alone = None
         for k, (suite, bundle) in enumerate(bundles):
-            if skips[k] is not None:
-                continue
-            try:
-                if fr is None:
-                    row = stacks.row(i)
-                    fr = PackFrame(pack, p, seed=config.seed, index=i, row=row,
-                                   ambient=None if sub is None
-                                   else _AmbientPoint(sub, p, row))
-                res = bundle.evaluate(fr)
-            except HypothesisNotMet as exc:
-                skips[k] = (f"hypothesis failed: {exc.gate} "
-                            f"(residual {exc.residual:.3e} at point {i})")
-                continue
-            except Exception as exc:
-                where = f"{suite}.{bundle.label}" if bundle.label else suite
-                raise EvaluationFailure(f"{where}[point {i}]", exc) from exc
-            for key, val in res.items():
-                aggs[k].setdefault(key, _Agg()).add(val)
+            while skips[k] is None:
+                try:
+                    if fr is None:
+                        row = stacks.row(i) if alone is None else alone
+                        fr = PackFrame(pack, p, seed=config.seed, index=i, row=row,
+                                       ambient=None if sub is None
+                                       else _AmbientPoint(sub, p, row))
+                    res = bundle.evaluate(fr)
+                except HypothesisNotMet as exc:
+                    skips[k] = (f"hypothesis failed: {exc.gate} "
+                                f"(residual {exc.residual:.3e} at point {i})")
+                except Exception as exc:
+                    if alone is None:   # retry on the point's own stacks
+                        fr, alone = None, stacks.alone(i)
+                        continue
+                    where = f"{suite}.{bundle.label}" if bundle.label else suite
+                    raise EvaluationFailure(f"{where}[point {i}]", exc) from exc
+                else:
+                    for key, val in res.items():
+                        aggs[k].setdefault(key, _Agg()).add(val)
+                    break
         del fr          # one point's frame is alive at a time
 
     suites = {n: [] for n in names}

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import calculus
-from .charts import Rows, RowView, SmoothField, jet_stack, row_of, stacked
+from .charts import Rows, SmoothField, jet_stack, row_of, take
 from .classifiers import (
     TOL_EXACT,
     nearly_c_residual,
@@ -158,8 +158,7 @@ class _AmbientStack(_Along):
     """The ambient data of the embedding at the points of ``rows``.
 
     Each quantity is stacked on a leading point axis and built on first
-    read (:class:`~weakf.charts.stacked`); row k of each is bitwise the
-    quantity of point k alone.
+    read; row k of each is bitwise the quantity of point k alone.
     """
 
     _lead = 1
@@ -182,15 +181,15 @@ class _AmbientStack(_Along):
     fbar1 = property(lambda self: self._jet("fbar")[1])
     g0 = property(lambda self: self.induced_jets["g"][0])
 
-    @stacked
+    @cached_property
     def ginvbar(self):
         return calculus.metric_inverse(self.gbar0, self.iota)
 
-    @stacked
+    @cached_property
     def gammabar(self):
         return calculus.christoffel_from_jets(self.ginvbar, self.gbar1)
 
-    @stacked
+    @cached_property
     def induced_jets(self):
         """Order-1 (value, d1) of the induced g, f, Q, xi and eta, and g^-1.
 
@@ -213,19 +212,19 @@ class _AmbientStack(_Along):
         jets["ginv"] = out["ginv"][:, 0]
         return jets
 
-    @stacked
+    @cached_property
     def coordinate_derivative(self):
         """dxy[c, a, b]: ambient D along e_a of the pushed constant field e_b."""
         jac = self.jac[:, None]
         return self.hess + _transposed(jac) @ self.gammabar @ jac
 
-    @stacked
+    @cached_property
     def hn(self):
         """hn[i, a, b] = gbar(h(e_a, e_b), N_i), the second fundamental form
         of each normal on the coordinate directions."""
         return self.normal_coefficients(self.coordinate_derivative)
 
-    @stacked
+    @cached_property
     def shape_operators(self):
         """A[i, a, b]: the shape operator A_i X = -(ambient D_X N_i)^T of
         each normal, in domain coordinates (column b is A_i e_b)."""
@@ -239,19 +238,19 @@ class _AmbientStack(_Along):
         a = self.to_domain(t.reshape(count, t.shape[1], -1))
         return a.reshape(count, m, s, m).transpose(0, 2, 1, 3)
 
-    @stacked
+    @cached_property
     def ubar(self):
         """The upper Cholesky factor of gbar0 = ubar^T ubar: an ambient
         vector residual lowered by it has the gbar-norm as its Euclidean
         norm (see :func:`~weakf.sampling.sup_norm`)."""
         return cholesky_factor(self.gbar0)
 
-    @stacked
+    @cached_property
     def basis(self):
         """A gbar-orthonormal basis of the ambient space at the image (rows)."""
         return cholesky_basis(self.ubar)
 
-    @stacked
+    @cached_property
     def nabla_fbar(self):
         """nf[be, al, ga] = ((ambient D_{e_be}) fbar)^al_ga at the image."""
         return calculus.nabla_tensor11_kernel(
@@ -259,7 +258,7 @@ class _AmbientStack(_Along):
         )
 
 
-class _AmbientPoint(RowView, _Along):
+class _AmbientPoint(_Along):
     """Floating-point ambient data of the embedding at one domain point.
 
     The runner builds one per sample point of an embedded example and hands
@@ -286,13 +285,9 @@ class _AmbientPoint(RowView, _Along):
         self.iota, self.jac, self.hess = self._jet("embedding")
         self.normals, self.dnormals = self._jet("normals")
         self.gbar0, self.gbar1 = self._jet("gbar")
-        self.ginvbar = self._read("ginvbar")
-        self.gammabar = self._read("gammabar")
+        self.ginvbar = take(self._chunk.ginvbar, self._row.k)
+        self.gammabar = take(self._chunk.gammabar, self._row.k)
         self.fbar0, self.fbar1 = self._jet("fbar")
-
-    @cached_property
-    def _alone(self):
-        return _AmbientStack(self.sub, self._row.alone())
 
     def _jet(self, which):
         return self._row.jet(*_jet_of(self.sub, which))

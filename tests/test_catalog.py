@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
 from weakf.catalog import (
     BUILDERS,
+    MAX_AMBIENT_DIM,
     ExampleSpec,
     flat_pack,
     hypersphere,
@@ -113,6 +116,33 @@ def test_builders_validate_parameters():
         make_example("unknown_example")
     with pytest.raises(InvalidExample):
         make_example("flat_pack", bogus=3)
+
+
+@pytest.mark.parametrize("builder", [flat_pack, rotated_pack, product_pack,
+                                     hypersphere, linear_subspace])
+def test_oversize_dimension_is_refused_before_allocation(builder):
+    # an m x m matrix at n = 100000 would take 320 GB: the dimension is
+    # refused before the builder allocates anything
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidExample, match=(
+                rf"needs an ambient dimension 2n \+ 2s <= {MAX_AMBIENT_DIM}, "
+                r"got 20000[24]")):
+            builder(n=100000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def test_largest_dimension_is_accepted():
+    assert flat_pack(n=15, s=1).obj.dim == MAX_AMBIENT_DIM - 1
+    assert hypersphere(n=15).obj.ambient.dim == MAX_AMBIENT_DIM
+    assert linear_subspace(n=1, s=15).obj.ambient.dim == MAX_AMBIENT_DIM
+    for build in (lambda: flat_pack(n=15, s=2), lambda: hypersphere(n=16),
+                  lambda: product_pack(n=1, s=16)):
+        with pytest.raises(InvalidExample, match="got 34"):
+            build()
 
 
 def test_make_example_spec_round_trip():

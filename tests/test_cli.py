@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import report_digests
-from weakf import catalog, cli, fstructure
+from weakf import catalog, charts, classifiers, cli, fstructure
 from weakf.charts import SmoothField, constant_field
-from weakf.errors import InvalidExample
+from weakf.errors import HypothesisNotMet, InvalidExample
 from weakf.jets import exp, sqrt
 from weakf.report import EvaluationFailure, SuiteConfig
 
@@ -379,6 +379,60 @@ def test_refusal_inside_a_chunk_names_its_point(monkeypatch, capsys, n, s,
     assert code == 3
     err = capsys.readouterr().err
     assert f"evaluation failed in axioms[point {K}]: {message}" in err
+
+
+def test_failing_stack_of_a_point_that_skipped_does_not_stop_the_run(
+        monkeypatch, capsys):
+    # thm41 reads the curvature, so the order-2 metric jet, at samples 0
+    # and 1, and skips from sample 2 on. The order-2 stack of the first
+    # chunk holds sample K, where the metric refuses it: sample K never
+    # asks for it, so the run is the one that point-sized chunks give.
+    samples = catalog.flat_pack(n=1, s=1).chart.sample(10, 42)
+    refused = []
+
+    def stack_fails():
+        cat = catalog.flat_pack(n=1, s=1)
+        g = cat.obj.g
+
+        def fn(u):
+            if getattr(u[0], "hess", None) is not None and any(
+                    _at_sample(u, samples[K]).flat):
+                refused.append(len(u[0].val))
+                raise RuntimeError("order-2 metric jet refused at sample K")
+            return g.fn(u)
+
+        return dataclasses.replace(cat, obj=dataclasses.replace(
+            cat.obj, g=dataclasses.replace(g, fn=fn)))
+
+    def thm41(fr, tol):
+        if next(i for i, q in enumerate(samples) if np.array_equal(q, fr.p)) >= 2:
+            raise HypothesisNotMet("thm41", "from_sample_2", 1.0)
+        return {"nabla_xi_zero": float(np.abs(fr.riemann).max())}
+
+    monkeypatch.setitem(catalog.BUILDERS, "stack_fails", stack_fails)
+    monkeypatch.setitem(classifiers._THEOREMS, "thm41", thm41)
+    outputs = []
+    for chunk in (charts.CHUNK, 1):
+        monkeypatch.setattr(charts, "CHUNK", chunk)
+        assert cli.main(["verify", "--example", "stack_fails",
+                         "--samples", "10"]) in (0, 1)
+        outputs.append(capsys.readouterr().out)
+    # only the stack of the whole chunk raised
+    assert refused and set(refused) == {10}
+    assert outputs[0] == outputs[1]
+    entry = next(e for e in json.loads(outputs[0])["suites"]["theorems"]
+                 if e["identity"] == "thm41")
+    assert entry["verdict"] == "skipped" and "at point 2" in entry["note"]
+
+
+def test_oversize_dimension_is_usage_error(capsys):
+    for param in ("n=100000", "s=100000"):
+        code = cli.main(["verify", "--example", "flat_pack", "--param", param])
+        assert code == 2, param
+        err = capsys.readouterr().err
+        assert (f"flat_pack needs an ambient dimension 2n + 2s <= "
+                f"{catalog.MAX_AMBIENT_DIM}, got 200") in err
+        assert "Traceback" not in err
 
 
 def test_json_byte_identical_across_runs():

@@ -12,7 +12,7 @@ import report_digests
 from report_digests import CONFIGS, digest_lines, dump_reports
 
 import weakf
-from weakf import cli, fstructure, report
+from weakf import charts, cli, fstructure, report
 from weakf.errors import InvalidExample
 from weakf.classifiers import THEOREM_CHECKS
 from weakf.report import SUITES, SuiteConfig, run_suite
@@ -138,6 +138,37 @@ def test_checks_take_the_frame_alone():
             encoding="utf-8"))
         bad += [f"{name}:{line} {fn}" for fn, line in _point_parameters(tree)]
     assert bad == []
+
+
+def _catches_everything(handler):
+    """``except:``, ``except Exception`` or ``except BaseException``, alone
+    or in a tuple."""
+    if handler.type is None:
+        return True
+    types = getattr(handler.type, "elts", [handler.type])
+    return any(getattr(t, "id", None) in ("Exception", "BaseException")
+               for t in types)
+
+
+def _broad_handlers(node, module, where="<module>"):
+    """(module, innermost enclosing function) of every handler that catches
+    every exception."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ExceptHandler) and _catches_everything(child):
+            yield module, where
+        inner = child.name if isinstance(child, ast.FunctionDef) else where
+        yield from _broad_handlers(child, module, inner)
+
+
+def test_only_the_runner_catches_every_exception():
+    # which point an exception belongs to is decided in one place: the
+    # runner retries the point on stacks of its own; no stack, frame or
+    # ambient point catches and re-routes a failure
+    found = set()
+    for path in Path(weakf.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found.update(_broad_handlers(tree, path.name))
+    assert found == {("report.py", "run_suite")}
 
 
 def _np_call(node, name):
@@ -307,3 +338,17 @@ def test_report_digests_compare_mode(tmp_path, capsys):
     for changed in ("Infinity", entry["max_residual"]):
         code, out = edited(max_residual=changed)
         assert code == 1 and "max |delta residual| inf" in out, changed
+
+
+def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
+    # row k of every stack is bitwise what point k alone would get, so
+    # whole reports are byte-identical whatever the chunk size
+    def reports():
+        return [report_digests.report_texts(argv.split(), 10, 42)[0]
+                for argv in CONFIGS]
+
+    reference = reports()
+    for chunk in (1, 4):
+        monkeypatch.setattr(charts, "CHUNK", chunk)
+        for argv, ref, text in zip(CONFIGS, reference, reports()):
+            assert text == ref, (chunk, argv)
