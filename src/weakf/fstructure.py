@@ -9,8 +9,9 @@ ker f with dual one-forms eta^i, and a Riemannian metric g, subject to
     Q xi_i = xi_i,
     g(fX, fY) = g(X, QY) - sum_i eta^i(X) eta^i(Y).
 
-``axioms_residual`` measures every defining identity and its standard
-consequences over a test frame at a point. Packs are dumb containers:
+The axioms map measures every defining identity and its standard
+consequences over the test vectors, once per chunk of points, and
+``axioms_residual`` reads a frame's row of it. Packs are dumb containers:
 nothing is validated at construction time, so deliberately broken packs can
 be built for negative controls; the residual report is the verdict.
 
@@ -22,7 +23,7 @@ classifier functionals are numpy contractions of its arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import cached_property, partial, wraps
 
 import numpy as np
 
@@ -216,6 +217,64 @@ class _FrameStack(_Fields):
                 )
         return units[:, s:][kept[:, s:]].reshape(count, n2, m)
 
+    @cached_property
+    def axioms(self):
+        """The residuals of every defining identity, one (P,) array each,
+        keyed as :func:`axioms_residual` returns them. Each is reduced to
+        its rows as soon as it is formed.
+
+        Raises :class:`DegenerateOperatorError` at the first point whose
+        symmetrized Q has its smallest eigenvalue at most 1e-12.
+        """
+        tv, g0, f0, q0, eta0, xi0 = (self.tv, self.g0, self.f0, self.q0,
+                                     self.eta0, self.xi0)
+        V, u, e = tv.vectors, tv.factor, tv.basis
+        s = self.pack.s
+
+        rows_abs = partial(sup_abs, lead=1)
+        rows_norm = partial(sup_norm, lead=1)
+        t = partial(np.swapaxes, axis1=1, axis2=2)
+
+        q_mat = e @ g0 @ (q0 @ t(e))
+        floor = np.linalg.eigvalsh(0.5 * (q_mat + t(q_mat))).min(-1)
+        bad = floor <= _Q_EIGEN_FLOOR
+        if bad.any():
+            k = np.argmax(bad)
+            raise DegenerateOperatorError(self.rows.points[k], floor[k])
+
+        res = {}
+        gf = g0 @ f0
+        res["f_skew"] = rows_abs(pair_form(gf + t(gf), V, V))
+        gq = g0 @ q0
+        res["q_selfadjoint"] = rows_abs(pair_form(gq - t(gq), V, V))
+        res["q_positive"] = np.maximum(-floor, 0.0)     # a NaN stays
+        res["eta_xi_pairing"] = rows_abs(
+            np.einsum("pia,pja->pij", eta0, xi0) - np.eye(s))
+        res["q_fixes_xi"] = rows_norm(u @ (q0 @ t(xi0) - t(xi0)))
+        # f^2 = -Q + sum eta^i (x) xi_i, applied to test vectors
+        corr = np.einsum("pik,pia->pka", xi0, eta0)
+        res["f_squared"] = rows_norm(pair_form(f0 @ f0 + q0 - corr, u, V))
+        # g(fX, fY) = g(X, QY) - sum eta^i(X) eta^i(Y)
+        res["compatibility"] = rows_abs(
+            pair_form(t(f0) @ g0 @ f0 - gq + t(eta0) @ eta0, V, V))
+        eta_v = eta0 @ t(V)
+        res["f_kills_xi"] = rows_norm(pair_form(f0, u, xi0))
+        res["eta_after_f"] = rows_abs(pair_form(f0, eta0, V))
+        res["eta_after_q"] = rows_abs(pair_form(q0, eta0, V) - eta_v)
+        res["qf_commute"] = rows_norm(pair_form(q0 @ f0 - f0 @ q0, u, V))
+        res["eta_metric_dual"] = rows_abs(eta_v - pair_form(t(g0), xi0, V))
+        res["xi_orthonormal"] = rows_abs(pair_form(g0, xi0, xi0) - np.eye(s))
+        # rank 2n: s singular values below 1e-8, 2n above 1e-4 (n, s >= 1)
+        sv = np.sort(np.linalg.svd(e @ g0 @ (f0 @ t(e)), compute_uv=False))
+        small = sv[:, s - 1]
+        res["f_rank"] = np.where(sv[:, s] <= _RANK_POSITIVE_FLOOR, 1.0,
+                                 np.where(small <= _RANK_ZERO_CEIL, 0.0, small))
+        # f-invariance of D = cap ker eta^i, checked on a basis of D
+        res["d_f_invariant"] = rows_abs(pair_form(f0, eta0, self.d_basis))
+        # splitting X = (X - sum eta^i(X) xi_i) + sum eta^i(X) xi_i, D-part in D
+        res["tangent_split"] = rows_abs((eta0 - eta0 @ t(xi0) @ eta0) @ t(V))
+        return res
+
     # -- structure tensor coefficients -----------------------------------------
     #
     # Each bilinear tensor is kept as its coefficients C[k, a, b] at the
@@ -253,9 +312,9 @@ class PackFrame(_Fields):
     :class:`~weakf.charts.PointStacks`; by default the point alone, as
     sample ``index``): g^-1, Christoffel symbols, test vectors and the
     derived tensors are built once per chunk with a leading point axis, and
-    the frame reads its row of each on first use. The checks are per
-    point. A pack induced on an embedded submanifold takes the point's
-    ambient data as ``ambient`` (see
+    the frame reads its row of each on first use, the axioms map included.
+    The other checks are per point. A pack induced on an embedded
+    submanifold takes the point's ambient data as ``ambient`` (see
     :func:`weakf.submanifold.induce_structure`): its jets, g^-1 and
     curvature are read from there.
     """
@@ -295,6 +354,7 @@ class PackFrame(_Fields):
     ff_coeff = row_of("ff_coeff")
     n1_coeff = row_of("n1_coeff")
     n2_coeff = row_of("n2_coeff")
+    axioms = row_of("axioms")
 
     @cached_property
     def riemann(self):
@@ -373,69 +433,13 @@ def frame_axioms(fr):
     return dict(fr.kept("axioms", lambda: axioms_residual(fr)))
 
 
-def q_eigen_floor(frame):
-    """Smallest eigenvalue of Q's matrix in a g-orthonormal basis."""
-    e = frame.tv.basis  # rows g-orthonormal
-    q_mat = e @ frame.g0 @ (frame.q0 @ e.T)
-    return float(np.linalg.eigvalsh(0.5 * (q_mat + q_mat.T)).min())
-
-
 def axioms_residual(fr):
     """Named sup-norm residuals of every defining identity at the frame's point.
 
-    Raises :class:`DegenerateOperatorError` when the symmetrized Q fails to
-    be positive-definite, since the object then leaves the weak class.
+    The map is built once per chunk of points (:attr:`_FrameStack.axioms`)
+    and this is the frame's row of it, as Python floats. Raises
+    :class:`DegenerateOperatorError` when the symmetrized Q fails to be
+    positive-definite at a point of the chunk: the object leaves the weak
+    class.
     """
-    V, u = fr.V, fr.u
-    g0, f0, q0 = fr.g0, fr.f0, fr.q0
-    eta0, xi0 = fr.eta0, fr.xi0
-    s = fr.pack.s
-
-    floor = q_eigen_floor(fr)
-    if floor <= _Q_EIGEN_FLOOR:
-        raise DegenerateOperatorError(fr.p, floor)
-
-    res = {}
-    gf = g0 @ f0
-    res["f_skew"] = sup_abs(pair_form(gf + gf.T, V, V))
-    gq = g0 @ q0
-    res["q_selfadjoint"] = sup_abs(pair_form(gq - gq.T, V, V))
-    res["q_positive"] = float(np.maximum(-floor, 0.0))   # a NaN stays
-    res["eta_xi_pairing"] = sup_abs(
-        np.einsum("ia,ja->ij", eta0, xi0) - np.eye(s)
-    )
-    res["q_fixes_xi"] = sup_norm(u @ (q0 @ xi0.T - xi0.T))
-    # f^2 = -Q + sum eta^i (x) xi_i, applied to test vectors
-    f2 = f0 @ f0
-    corr = np.einsum("ik,ia->ka", xi0, eta0)
-    res["f_squared"] = sup_norm(pair_form(f2 + q0 - corr, u, V))
-    # g(fX, fY) = g(X, QY) - sum eta^i(X) eta^i(Y)
-    res["compatibility"] = sup_abs(
-        pair_form(f0.T @ g0 @ f0 - gq + eta0.T @ eta0, V, V))
-    etaV = eta0 @ V.T
-    res["f_kills_xi"] = sup_norm(pair_form(f0, u, xi0))
-    res["eta_after_f"] = sup_abs(pair_form(f0, eta0, V))
-    res["eta_after_q"] = sup_abs(pair_form(q0, eta0, V) - etaV)
-    qf = q0 @ f0 - f0 @ q0
-    res["qf_commute"] = sup_norm(pair_form(qf, u, V))
-    res["eta_metric_dual"] = sup_abs(etaV - pair_form(g0.T, xi0, V))
-    res["xi_orthonormal"] = sup_abs(pair_form(g0, xi0, xi0) - np.eye(s))
-    res["f_rank"] = _rank_residual(fr)
-    # f-invariance of D = cap ker eta^i, checked on a basis of D
-    db = fr.d_basis
-    res["d_f_invariant"] = sup_abs(pair_form(f0, eta0, db))
-    # splitting X = (X - sum eta^i(X) xi_i) + sum eta^i(X) xi_i with D-part in D
-    res["tangent_split"] = sup_abs((eta0 - eta0 @ xi0.T @ eta0) @ V.T)
-    return res
-
-
-def _rank_residual(fr):
-    """Rank-2n check: s singular values below 1e-8, 2n above 1e-4."""
-    e = fr.tv.basis
-    f_mat = e @ fr.g0 @ (fr.f0 @ e.T)
-    sv = np.sort(np.linalg.svd(f_mat, compute_uv=False))
-    s = fr.pack.s
-    if sv.size > s and sv[s] <= _RANK_POSITIVE_FLOOR:
-        return 1.0
-    small = float(sv[s - 1]) if s > 0 else 0.0
-    return 0.0 if small <= _RANK_ZERO_CEIL else small
+    return {key: float(v) for key, v in fr.axioms.items()}

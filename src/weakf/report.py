@@ -186,6 +186,13 @@ FORMULAS = {
 }
 
 
+# The most sample points of a run. They are drawn before the first check,
+# about 660 B each at catalog.MAX_AMBIENT_DIM: 66 MB here, under the 102 MB
+# one-chunk peak that bounds the dimension; the fastest run (sasakian_s3,
+# axioms alone) takes about 10 s here (see CHANGES.md).
+MAX_SAMPLES = 100_000
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """One verification run: example, suites, sampling and tolerances."""
@@ -210,6 +217,9 @@ class SuiteConfig:
             if isinstance(value, bool) or not isinstance(value, int) or value < least:
                 raise InvalidExample(
                     f"{name} must be an integer >= {least}, got {value!r}")
+        if self.samples > MAX_SAMPLES:
+            raise InvalidExample(
+                f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
         if self.fmt not in ("json", "text"):
             raise InvalidExample(f"format must be json or text, got {self.fmt!r}")
         for name in ("tol_exact", "tol_curvature"):

@@ -136,12 +136,12 @@ def build_test_vectors(g0, rng, distinguished=None):
 
 
 def pair_form(t, X, Y):
-    """r[..., A, B] = sum_ab X[..., A, a] t[..., a, b] Y[B, b].
+    """r[..., A, B] = sum_ab X[..., A, a] t[..., a, b] Y[..., B, b].
 
-    X and Y hold vectors as rows, and the leading axes of ``t`` and ``X``
-    broadcast; the contraction is two matrix products.
+    X and Y hold vectors as rows, and the leading axes of ``t``, ``X`` and
+    ``Y`` broadcast; the contraction is two matrix products.
     """
-    return X @ t @ Y.T
+    return X @ t @ np.swapaxes(Y, -1, -2)
 
 
 def lead_dot(a, t, lead=0):
@@ -156,8 +156,10 @@ def lead_dot(a, t, lead=0):
     return r.reshape(a.shape[:-1] + t.shape[lead + 1:])
 
 
-def sup_norm(low):
-    """Max Euclidean norm over the leading axis of ``low[k, ...]``.
+def sup_norm(low, lead=0):
+    """Max Euclidean norm over the axis ``lead`` of ``low[..., k, ...]``;
+    with ``lead`` leading axes, such as a point axis, one max for each of
+    their entries.
 
     On a vector residual lowered by the Cholesky factor of g0 (``low = u
     res``, see :func:`cholesky_factor`) it is the max g0-norm over the
@@ -166,12 +168,15 @@ def sup_norm(low):
     more, and above glibc's 128 KiB mmap threshold each is a fresh mapping
     that faults in every page it touches.
     """
-    r = low.reshape(len(low), -1)
-    return float(np.sqrt(np.einsum("ki,ki->i", r, r).max()))
+    r = low.reshape(low.shape[:lead + 1] + (-1,))
+    top = np.sqrt(np.einsum("...ki,...ki->...i", r, r).max(-1))
+    return top if lead else float(top)
 
 
-def sup_abs(res):
-    return float(np.abs(res).max())
+def sup_abs(res, lead=0):
+    """Max absolute entry of ``res``; with ``lead`` leading axes, one each."""
+    top = np.abs(res).reshape(res.shape[:lead] + (-1,)).max(-1)
+    return top if lead else float(top)
 
 
 def worst(residuals):

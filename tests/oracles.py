@@ -24,12 +24,18 @@ from weakf.calculus import (
 )
 from weakf import cli
 from weakf.catalog import make_example
-from weakf.charts import SmoothField
-from weakf.errors import WeakfError
-from weakf.fstructure import PackFrame, StructurePack
+from weakf.charts import PointStacks, SmoothField
+from weakf.errors import DegenerateOperatorError, WeakfError
+from weakf.fstructure import (
+    _Q_EIGEN_FLOOR,
+    _RANK_POSITIVE_FLOOR,
+    _RANK_ZERO_CEIL,
+    PackFrame,
+    StructurePack,
+)
 from weakf import jets
 from weakf.jets import cos, sin
-from weakf.sampling import pair_form, sup_abs
+from weakf.sampling import pair_form, sup_abs, sup_norm
 from weakf.submanifold import _AmbientPoint, induce_structure
 
 
@@ -681,16 +687,37 @@ def frame(pack, p, sub=None, **kwargs):
     return PackFrame(pack, p, ambient=ambient, **kwargs)
 
 
-def config_frames(argv, samples, seed=42):
-    """The frames of the first ``samples`` points of a ``weakf verify``
-    argument list's example, each built alone with the seed and index the
-    runner gives it."""
+def config_example(argv):
+    """The pack of a ``weakf verify`` argument list's example, and on an
+    embedded example its submanifold (else None), as the runner builds
+    them."""
     args = cli.build_parser().parse_args(["verify", *argv.split()])
     cat = make_example(args.example, **cli._parse_params(args.param))
     sub = None if cat.is_pack else cat.obj
     pack = cat.obj if sub is None else induce_structure(sub, validate=False)
+    return pack, sub
+
+
+def config_frames(argv, samples, seed=42):
+    """The frames of the first ``samples`` points of a ``weakf verify``
+    argument list's example, each built alone with the seed and index the
+    runner gives it."""
+    pack, sub = config_example(argv)
     return [frame(pack, p, sub, seed=seed, index=i)
-            for i, p in enumerate(cat.chart.sample(samples, seed))]
+            for i, p in enumerate(pack.chart.sample(samples, seed))]
+
+
+def chunk_frames(pack, points, sub=None, seed=42):
+    """The frames of ``points`` as the runner builds them: rows of the
+    set-up stacks of chunks of ``charts.CHUNK`` points."""
+    stacks = PointStacks(points)
+    frames = []
+    for i, p in enumerate(points):
+        row = stacks.row(i)
+        frames.append(PackFrame(
+            pack, p, seed=seed, index=i, row=row,
+            ambient=None if sub is None else _AmbientPoint(sub, p, row)))
+    return frames
 
 
 # -- pair-level residuals ------------------------------------------------------------
@@ -719,6 +746,72 @@ def orthonormal_basis(g0, vectors=None, against=(), floor=None):
         if floor is None or q > floor * floor:
             basis.append(v / math.sqrt(q))
     return np.array(basis[start:])
+
+
+def q_eigen_floor(fr):
+    """Smallest eigenvalue of Q's matrix in a g-orthonormal basis."""
+    e = fr.tv.basis  # rows g-orthonormal
+    q_mat = e @ fr.g0 @ (fr.q0 @ e.T)
+    return float(np.linalg.eigvalsh(0.5 * (q_mat + q_mat.T)).min())
+
+
+def rank_residual(fr):
+    """Rank-2n check: s singular values below 1e-8, 2n above 1e-4."""
+    e = fr.tv.basis
+    f_mat = e @ fr.g0 @ (fr.f0 @ e.T)
+    sv = np.sort(np.linalg.svd(f_mat, compute_uv=False))
+    s = fr.pack.s
+    if sv.size > s and sv[s] <= _RANK_POSITIVE_FLOOR:
+        return 1.0
+    small = float(sv[s - 1]) if s > 0 else 0.0
+    return 0.0 if small <= _RANK_ZERO_CEIL else small
+
+
+def axioms_at_point(fr):
+    """Every axiom residual of the frame's point, computed from its arrays
+    alone: the reference of the chunk's stacked map
+    (``weakf.fstructure.axioms_residual`` reads the frame's row of it)."""
+    V, u = fr.V, fr.u
+    g0, f0, q0 = fr.g0, fr.f0, fr.q0
+    eta0, xi0 = fr.eta0, fr.xi0
+    s = fr.pack.s
+
+    floor = q_eigen_floor(fr)
+    if floor <= _Q_EIGEN_FLOOR:
+        raise DegenerateOperatorError(fr.p, floor)
+
+    res = {}
+    gf = g0 @ f0
+    res["f_skew"] = sup_abs(pair_form(gf + gf.T, V, V))
+    gq = g0 @ q0
+    res["q_selfadjoint"] = sup_abs(pair_form(gq - gq.T, V, V))
+    res["q_positive"] = float(np.maximum(-floor, 0.0))   # a NaN stays
+    res["eta_xi_pairing"] = sup_abs(
+        np.einsum("ia,ja->ij", eta0, xi0) - np.eye(s)
+    )
+    res["q_fixes_xi"] = sup_norm(u @ (q0 @ xi0.T - xi0.T))
+    # f^2 = -Q + sum eta^i (x) xi_i, applied to test vectors
+    f2 = f0 @ f0
+    corr = np.einsum("ik,ia->ka", xi0, eta0)
+    res["f_squared"] = sup_norm(pair_form(f2 + q0 - corr, u, V))
+    # g(fX, fY) = g(X, QY) - sum eta^i(X) eta^i(Y)
+    res["compatibility"] = sup_abs(
+        pair_form(f0.T @ g0 @ f0 - gq + eta0.T @ eta0, V, V))
+    etaV = eta0 @ V.T
+    res["f_kills_xi"] = sup_norm(pair_form(f0, u, xi0))
+    res["eta_after_f"] = sup_abs(pair_form(f0, eta0, V))
+    res["eta_after_q"] = sup_abs(pair_form(q0, eta0, V) - etaV)
+    qf = q0 @ f0 - f0 @ q0
+    res["qf_commute"] = sup_norm(pair_form(qf, u, V))
+    res["eta_metric_dual"] = sup_abs(etaV - pair_form(g0.T, xi0, V))
+    res["xi_orthonormal"] = sup_abs(pair_form(g0, xi0, xi0) - np.eye(s))
+    res["f_rank"] = rank_residual(fr)
+    # f-invariance of D = cap ker eta^i, checked on a basis of D
+    db = fr.d_basis
+    res["d_f_invariant"] = sup_abs(pair_form(f0, eta0, db))
+    # splitting X = (X - sum eta^i(X) xi_i) + sum eta^i(X) xi_i with D-part in D
+    res["tangent_split"] = sup_abs((eta0 - eta0 @ xi0.T @ eta0) @ V.T)
+    return res
 
 
 def sup_gnorm(res, g0):

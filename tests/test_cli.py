@@ -12,7 +12,7 @@ from weakf import catalog, charts, classifiers, cli, fstructure
 from weakf.charts import SmoothField, constant_field
 from weakf.errors import HypothesisNotMet, InvalidExample
 from weakf.jets import exp, sqrt
-from weakf.report import EvaluationFailure, SuiteConfig
+from weakf.report import MAX_SAMPLES, EvaluationFailure, SuiteConfig
 
 
 def run_cli(args):
@@ -59,14 +59,16 @@ def test_bad_parameter_is_usage_error(tmp_path):
     )
     assert proc.returncode == 2
     # fractional counts are rejected, not truncated; so are tolerances that
-    # are not finite numbers >= 0, an empty sample, a negative seed, and a
-    # suite list that is empty, names an unknown suite or repeats one
+    # are not finite numbers >= 0, an empty sample or one above
+    # MAX_SAMPLES, a negative seed, and a suite list that is empty, names an
+    # unknown suite or repeats one
     for extra in (["--param", "n=1.5"], ["--param", "s=0.5"],
                   ["--tol-exact", "nan"], ["--tol-exact", "inf"],
                   ["--tol-curv", "-1e-6"], ["--samples", "0"],
                   ["--seed", "-1"], ["--suites", ","], ["--suites", "axiom"],
                   ["--suites", "axioms,axioms"], ["--suites", "axioms,,classes"],
-                  ["--param", "n=2"]):
+                  ["--param", "n=2"], ["--samples", str(MAX_SAMPLES + 1)],
+                  ["--samples", "1000000000000"]):
         code = cli.main(["verify", "--example", "hypersphere", "--param",
                          "n=1", "--samples", "2", *extra])
         assert code == 2, extra
@@ -84,9 +86,10 @@ def test_bad_parameter_is_usage_error(tmp_path):
     for bad in ({"suites": ()}, {"suites": ("axiom",)},
                 {"suites": ("axioms", "axioms")}, {"samples": 2.5},
                 {"samples": True}, {"seed": -1}, {"seed": 1.0},
-                {"fmt": "xml"}):
+                {"samples": MAX_SAMPLES + 1}, {"fmt": "xml"}):
         with pytest.raises(InvalidExample):
             SuiteConfig(example="flat_pack", **bad)
+    SuiteConfig(example="flat_pack", samples=MAX_SAMPLES)     # the bound holds
     # block weights must be finite and non-zero, one per complex block;
     # n and s are integers on the examples that take them; a key is given
     # at most once, even with the same value

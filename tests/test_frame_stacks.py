@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from report_digests import CONFIGS
 
-from weakf import charts, cli
-from weakf.catalog import make_example
+import oracles
+from weakf import charts
 from weakf.charts import PointStacks
 from weakf.fstructure import PackFrame
-from weakf.submanifold import _AmbientPoint, induce_structure
+from weakf.submanifold import _AmbientPoint
 
 SAMPLES = 10
 SEED = 42
@@ -34,11 +34,8 @@ AMBIENT_QUANTITIES = (
 def _frames(argv):
     """(row, frame read from its chunk's stacks, frame built alone) at each
     of ROWS, walked in order as the runner walks the points."""
-    args = cli.build_parser().parse_args(["verify", *argv.split()])
-    cat = make_example(args.example, **cli._parse_params(args.param))
-    sub = None if cat.is_pack else cat.obj
-    pack = cat.obj if sub is None else induce_structure(sub, validate=False)
-    points = cat.chart.sample(SAMPLES, SEED)
+    pack, sub = oracles.config_example(argv)
+    points = pack.chart.sample(SAMPLES, SEED)
     stacks = PointStacks(points)
     for i in ROWS:
         p, row = points[i], stacks.row(i)

@@ -9,6 +9,8 @@ from oracles import (
     structure_tensors,
     tensor_apply_field,
 )
+from report_digests import CONFIGS
+from weakf import catalog, charts
 from weakf.charts import constant_field
 from weakf.errors import DegenerateOperatorError
 from weakf.fstructure import PackFrame, StructurePack, axioms_residual
@@ -95,6 +97,35 @@ def test_rank_check_flags_degenerate_f(cat_flat):
     broken = _replace(pack, f=scale_field(pack.f, 1e-6))
     worst = _axioms_max(broken, count=2)
     assert worst["f_rank"] >= 1.0
+
+
+def _assert_rows_are_the_point_oracle(pack, sub=None, seed=42):
+    # a full chunk of points and a part of one
+    points = pack.chart.sample(charts.CHUNK + 4, seed)
+    for fr in oracles.chunk_frames(pack, points, sub, seed):
+        stacked, alone = axioms_residual(fr), oracles.axioms_at_point(fr)
+        assert list(stacked) == list(alone)
+        # bitwise, the batched eigvalsh and svd included
+        assert ([v.hex() for v in stacked.values()]
+                == [v.hex() for v in alone.values()]), fr._row.k
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_stacked_axioms_are_the_point_oracle(config):
+    _assert_rows_are_the_point_oracle(*oracles.config_example(config))
+
+
+def test_stacked_axioms_are_the_point_oracle_on_sheared_and_broken_packs(
+        cat_sasakian, cat_flat):
+    sas, flat = cat_sasakian.obj, cat_flat.obj
+    for pack in (
+            oracles.sheared_pack(flat),
+            oracles.sheared_pack(catalog.flat_pack(n=1, s=2).obj),
+            _replace(sas, eta=tuple(scale_field(e, 1.05) for e in sas.eta)),
+            _replace(flat, Q=constant_field(flat.chart, "tensor11",
+                                            np.eye(flat.dim))),
+            _replace(flat, f=scale_field(flat.f, 1e-6))):
+        _assert_rows_are_the_point_oracle(pack)
 
 
 def test_phi_basics(cat_flat, cat_sasakian):

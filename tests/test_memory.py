@@ -104,8 +104,10 @@ def test_g_norm_holds_one_residual_sized_array(name):
 # N1 coefficients at 8,000 B per point each, the test vectors, and the
 # smaller stacks), plus the temporaries of the largest build, 120 KB per
 # point in all; and the checks of one frame, which hold a few (10, 44, 44)
-# residuals of 155 KB at a time, 1 MB. The chunk size keeps each
-# (P, 10, 10, 10) float64 stack, 8,000 P B, below glibc's 128 KiB mmap
+# residuals of 155 KB at a time, 1 MB. The stacked axioms map reduces its
+# (P, 44, 44) pair residuals to their rows one identity at a time, so it
+# holds one of them, with its temporaries, at a time. The chunk size keeps
+# each (P, 10, 10, 10) float64 stack, 8,000 P B, below glibc's 128 KiB mmap
 # threshold (P <= 16): above it every such array is a fresh mapping, and
 # each mapping faults in every page it touches.
 CHUNK_BYTES_PER_POINT = 120_000
@@ -132,5 +134,6 @@ def test_one_chunk_of_setup_stays_within_its_bound():
     finally:
         tracemalloc.stop()
     assert fr._chunk.gamma.shape == (charts.CHUNK, 10, 10, 10)
+    assert "axioms" in vars(fr._chunk)      # built inside the measurement
     bound = CHUNK_BYTES_PER_POINT * charts.CHUNK + FRAME_CHECK_BYTES
     assert peak < bound, (peak, bound)

@@ -416,6 +416,33 @@ def test_one_cholesky_factor_per_metric_and_chunk(chunked_run):
     assert counts["cholesky"] == 2 * metrics
 
 
+def test_axioms_map_once_per_chunk():
+    # the axioms bundle, the weak_metric_f class and the axiom gate of every
+    # theorem read the point's row of one stacked map: its build, with the
+    # eigvalsh of Q and the svd of f in the test basis, runs once per chunk
+    # of points, and the row is read once per point
+    samples, counts = 50, Counter()
+    linalg = types.SimpleNamespace(**vars(np.linalg))
+    for name in ("eigvalsh", "svd"):
+        setattr(linalg, name, _counting(getattr(np.linalg, name), counts, name))
+    counted_np = types.ModuleType("numpy")
+    counted_np.__dict__.update(vars(np))
+    counted_np.linalg = linalg
+    stack = fstructure._FrameStack
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fstructure, "np", counted_np)
+        mp.setattr(stack, "axioms", _counted_property(stack, "axioms", counts))
+        mp.setattr(fstructure, "axioms_residual", _counting(
+            fstructure.axioms_residual, counts, "rows"))
+        rep = run_suite(SuiteConfig(
+            example="sasakian_s3", suites=("axioms", "classes", "theorems"),
+            samples=samples))
+    assert rep["overall"]["verdict"] == "pass"
+    chunks = -(-samples // charts.CHUNK)
+    assert counts["axioms"] == counts["eigvalsh"] == counts["svd"] == chunks == 4
+    assert counts["rows"] == samples
+
+
 def test_ambient_point_quantities_once_per_sample(counted_run):
     _, counts, _, _ = counted_run
     # both thsubm cases read the shape operators and the gate; the Gauss
