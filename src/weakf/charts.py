@@ -72,14 +72,13 @@ class Chart:
         return p
 
     def sample(self, count, seed):
-        """Deterministic seeded points, uniform over the safe box."""
+        """Deterministic seeded points (rows), uniform over the safe box."""
         rng = np.random.default_rng([int(seed), _stable_chart_key(self.name)])
         lo = np.array([b[0] for b in self.box])
         hi = np.array([b[1] for b in self.box])
         # shrink slightly so samples respect the open box
         pad = 1e-6 * (hi - lo)
-        pts = rng.uniform(lo + pad, hi - pad, size=(int(count), self.dim))
-        return [pts[i] for i in range(int(count))]
+        return rng.uniform(lo + pad, hi - pad, size=(int(count), self.dim))
 
 
 def _stable_chart_key(name):
@@ -227,18 +226,21 @@ class Row(NamedTuple):
 class PointStacks:
     """One case's sample points, walked in chunks of ``CHUNK``.
 
-    ``row(i)`` is point i as a row of the :class:`Rows` of its chunk. A
-    chunk's stacks are built on first use, and all of them are dropped when
-    the walk reaches the next chunk, so memory does not grow with the
-    number of samples. ``alone(i)`` is point i as the one row of stacks of
-    its own, where the runner evaluates a point whose chunk's stacks
-    raised (see :func:`weakf.report.run_suite`).
+    ``row(i)`` is point i as a row of the :class:`Rows` of its chunk, and
+    ``chunks()`` the first row of each chunk in turn. A chunk's stacks are
+    built on first use and dropped when the walk reaches the next chunk, so
+    memory does not grow with the number of samples. ``alone(i)`` is point
+    i as the one row of stacks of its own, where the runner walks again the
+    points of a chunk that raised (see :func:`weakf.report.run_suite`).
     """
 
     def __init__(self, points):
-        self.points = np.asarray(points, dtype=float)
+        self.points = np.asarray(points, dtype=float)    # a float array as is
         self._chunk = None
         self._stacks = {}
+
+    def chunks(self):
+        return (self.row(i) for i in range(0, len(self.points), CHUNK))
 
     def row(self, i):
         start = i - i % CHUNK

@@ -1,11 +1,13 @@
 """Residual functionals for structure classes and theorem-level identities.
 
-Each classifier returns the sup, over the test frame at a point, of the
-defining identity of a class; composite classes take the max over their
-parts. Theorem checks are gated: when the hypotheses of a statement fail on
-the given pack (or read NaN), :class:`HypothesisNotMet` is raised instead of
-reporting a vacuous pass. Vector-valued residuals are measured in the g-norm:
-each is lowered by the frame's Cholesky factor u of g0 and reduced by
+Each class part is the sup, over the test frame at a point, of a defining
+identity; a class takes the max over its parts. The parts and the Reeb-frame
+conditions are stacked over a chunk of points, and the per-frame functions
+here read the frame's row. Theorem checks are per point and gated: when the
+hypotheses of a statement fail on the given pack (or read NaN),
+:class:`HypothesisNotMet` is raised instead of reporting a vacuous pass.
+Vector-valued residuals are measured in the g-norm: each is lowered by the
+frame's Cholesky factor u of g0 and reduced by
 :func:`~weakf.sampling.sup_norm`.
 
 Gates use the exact tolerance (default 1e-9); the report measures the
@@ -14,12 +16,12 @@ curvature steps of ``thm32_chain`` against its own curvature tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
 from .errors import HypothesisNotMet
-from .fstructure import frame_axioms, kept_per_frame
 from .sampling import lead_dot, pair_form, sup_abs, sup_norm, worst
 
 TOL_EXACT = 1e-9
@@ -35,87 +37,53 @@ class FrameConditions:
     q_parallel_d: float           # (D_X Q)Y = 0 for Y in D
 
 
-# -- per-identity residuals ------------------------------------------------------
+# -- class parts and frame conditions ---------------------------------------------
 #
-# Each bilinear identity B(X, Y) = 0 is summed as its coefficients C[k, a, b]
-# at the point and contracted with the test pairs once, pair_form(C, V, V);
-# a vector-valued one is lowered first, pair_form(lead_dot(u, C), V, V).
-# Class, theorem-gate and submanifold checks ask for the same residuals at
-# the same point; kept_per_frame computes each once per frame.
+# Each is a row over a chunk of points, an attribute of its stack (see
+# weakf.fstructure._FrameStack); a frame reads its point's entry.
 
 
-def _nearly_terms(fr):
-    """Coefficients of (D_X f)Y, g(fX,fY) xibar and etabar(Y) f^2 X: [k, a, b]."""
-    f0 = fr.f0
-    gff = fr.xibar[:, None, None] * (f0.T @ fr.g0 @ f0)
-    ef2 = (f0 @ f0)[:, :, None] * fr.etabar
-    return fr.nabla_f.transpose(1, 0, 2), gff, ef2
-
-
-@kept_per_frame
 def nearly_s_residual(fr):
     """(D_X f)Y + (D_Y f)X - 2 g(fX,fY) xibar - etabar(X) f^2 Y - etabar(Y) f^2 X."""
-    nf, gff, ef2 = _nearly_terms(fr)
-    c = nf + nf.transpose(0, 2, 1) - 2.0 * gff - ef2.transpose(0, 2, 1) - ef2
-    return sup_norm(pair_form(lead_dot(fr.u, c), fr.V, fr.V))
+    return float(fr.stacked("nearly_s_defining"))
 
 
-@kept_per_frame
 def nearly_c_residual(fr):
     """(D_X f)Y + (D_Y f)X."""
-    nf = fr.nabla_f.transpose(1, 0, 2)
-    return sup_norm(pair_form(lead_dot(fr.u, nf + nf.transpose(0, 2, 1)),
-                              fr.V, fr.V))
+    return float(fr.stacked("nearly_c_defining"))
 
 
-@kept_per_frame
 def s_structure_residual(fr):
     """(D_X f)Y - g(fX,fY) xibar - etabar(Y) f^2 X."""
-    nf, gff, ef2 = _nearly_terms(fr)
-    return sup_norm(pair_form(lead_dot(fr.u, nf - gff - ef2), fr.V, fr.V))
+    return float(fr.stacked("s_structure_defining"))
 
 
-@kept_per_frame
 def almost_s_residual(fr):
     """Phi = d eta^i for every i."""
-    return sup_abs(pair_form(fr.deta - fr.phi0, fr.V, fr.V))
+    return float(fr.stacked("phi_equals_deta"))
 
 
-@kept_per_frame
 def closed_eta_residual(fr):
-    return sup_abs(pair_form(fr.deta, fr.V, fr.V))
+    return float(fr.stacked("deta_zero"))
 
 
-def _on_basis(fr, t):
-    """t(e_A, e_B, e_C) of a trilinear form on the frame's orthonormal basis."""
-    e = fr.tv.basis
-    return lead_dot(e, pair_form(t, e, e))
-
-
-@kept_per_frame
 def closed_phi_residual(fr):
-    x, y, z = fr.tv.triples.transpose(1, 0, 2)
-    # dPhi(x_t, y_t, z_t) for each random triple t
-    extra = y[:, None] @ lead_dot(x, fr.dphi) @ z[:, :, None]
-    return worst((sup_abs(_on_basis(fr, fr.dphi)), sup_abs(extra)))
+    return float(fr.stacked("dphi_zero"))
 
 
-@kept_per_frame
 def normality_residual(fr):
     """N1(X, Y) = [f,f](X,Y) + 2 sum_i deta^i(X,Y) xi_i."""
-    return sup_norm(pair_form(lead_dot(fr.u, fr.n1_coeff), fr.V, fr.V))
+    return float(fr.stacked("n1_zero"))
 
 
-@kept_per_frame
 def killing_residuals(fr):
     """Sup-norm of (L_{xi_i} g) over the test vectors, for each Reeb field."""
-    r = pair_form(fr.lie_g_xi, fr.V, fr.V)
-    return [float(x) for x in np.abs(r).reshape(len(r), -1).max(1)]
+    return fr.stacked("killing").tolist()
 
 
 # Each class is the conjunction of its parts: "axioms" stands for every
 # defining identity, "killing" for L_{xi_i} g = 0 on each Reeb field, and
-# every other part for the single residual of the same name in _RESIDUALS.
+# every other part for the stacked residual of the same name.
 _CLASS_PARTS = {
     "weak_metric_f": ("axioms",),
     "weak_almost_C": ("deta_zero", "dphi_zero"),
@@ -133,15 +101,28 @@ _CLASS_PARTS = {
 
 CLASS_TAGS = tuple(_CLASS_PARTS)
 
-_RESIDUALS = {
-    "phi_equals_deta": almost_s_residual,
-    "deta_zero": closed_eta_residual,
-    "dphi_zero": closed_phi_residual,
-    "n1_zero": normality_residual,
-    "nearly_s_defining": nearly_s_residual,
-    "nearly_c_defining": nearly_c_residual,
-    "s_structure_defining": s_structure_residual,
-}
+
+def class_parts(read, class_tag):
+    """{part: residual} of ``class_tag``, each part read as ``read(name)``:
+    a chunk's rows from its stack (``getattr`` of it), or the values of one
+    frame's point (``frame.stacked``)."""
+    br = {}
+    for part in _CLASS_PARTS[class_tag]:
+        if part == "axioms":
+            br.update(read("axioms"))
+        elif part == "killing":
+            for i, r in enumerate(np.transpose(read("killing"))):
+                br[f"killing_xi_{i + 1}"] = r
+        else:
+            br[part] = read(part)
+    return br
+
+
+def class_rows(stack, class_tag):
+    """The residual of ``class_tag`` at each point of a chunk's stack: the
+    largest of its parts, NaN where any part is NaN."""
+    return np.maximum.reduce(list(class_parts(
+        partial(getattr, stack), class_tag).values()))
 
 
 def class_residual(pack, p, class_tag, frame):
@@ -153,19 +134,10 @@ def class_residual(pack, p, class_tag, frame):
     """
     if class_tag not in _CLASS_PARTS:
         raise ValueError(f"unknown class tag {class_tag!r}")
-    br = {}
-    for part in _CLASS_PARTS[class_tag]:
-        if part == "axioms":
-            br.update(frame_axioms(frame))
-        elif part == "killing":
-            for i, r in enumerate(killing_residuals(frame)):
-                br[f"killing_xi_{i + 1}"] = r
-        else:
-            br[part] = _RESIDUALS[part](frame)
+    br = {k: float(v) for k, v in class_parts(frame.stacked, class_tag).items()}
     return worst(br.values()), br
 
 
-@kept_per_frame
 def q_parallel_residual(fr):
     """(residual of (D_X Q)Y = 0 on Y in D, residual of the ker-f expansion).
 
@@ -173,16 +145,10 @@ def q_parallel_residual(fr):
     over all Y; it must hold whenever the first component holds, and both
     are reported separately.
     """
-    V, u = fr.V, fr.u
-    nq = fr.nabla_q.transpose(1, 0, 2)
-    first = sup_norm(pair_form(lead_dot(u, nq), V, fr.d_basis))
-    # sum_i eta^i(e_b) ((Q - id) D_{e_a} xi_i)^k
-    corr = (fr.qtilde @ fr.nabla_xi).transpose(1, 2, 0) @ fr.eta0
-    second = sup_norm(pair_form(lead_dot(u, nq + corr), V, V))
-    return first, second
+    return (float(fr.stacked("q_parallel_d")),
+            float(fr.stacked("q_parallel_expansion")))
 
 
-@kept_per_frame
 def frame_residuals(fr):
     """Reeb-frame condition residuals at the frame's point.
 
@@ -190,20 +156,8 @@ def frame_residuals(fr):
     themselves, so the totally-geodesic residual is always bounded by the
     flatness residual.
     """
-    # xi_i^a d_a xi_j, for [xi_i, xi_j] = w[i,j] - w[j,i]
-    w = lead_dot(fr.xi0, fr.xi1.transpose(2, 0, 1))
-    reeb_brackets = sup_norm(
-        lead_dot(fr.u, (w - w.transpose(1, 0, 2)).transpose(2, 0, 1)))
-    # g(D_X xi_i, xi_j)
-    reeb_flat = sup_abs((fr.xi0 @ fr.g0.T) @ fr.nabla_xi @ fr.V.T)
-    reeb_tg = sup_abs(fr.nabla_xi_xi @ fr.eta0.T)
-    qpar, _ = q_parallel_residual(fr)
-    return FrameConditions(
-        reeb_brackets=reeb_brackets,
-        reeb_flat=reeb_flat,
-        reeb_totally_geodesic=reeb_tg,
-        q_parallel_d=qpar,
-    )
+    return FrameConditions(**{f.name: float(fr.stacked(f.name))
+                              for f in fields(FrameConditions)})
 
 
 # -- gated theorem checks ---------------------------------------------------------
@@ -255,7 +209,7 @@ def theorem_check(pack, p, which, frame, tol_exact=TOL_EXACT):
     check = _THEOREMS.get(which)
     if check is None:
         raise ValueError(f"unknown theorem check {which!r}")
-    _gate(which, "weak_metric_f_axioms", worst(frame_axioms(frame).values()),
+    _gate(which, "weak_metric_f_axioms", float(frame.stacked("worst_axiom")),
           tol_exact)
     return check(frame, tol_exact)
 
@@ -398,6 +352,12 @@ def _thm01_i(fr, tol):
     res["eta_ff_reduction"] = sup_abs(
         eta_ff - pair_form(2.0 * fr.deta - 4.0 * phq, V, V))
     return res
+
+
+def _on_basis(fr, t):
+    """t(e_A, e_B, e_C) of a trilinear form on the frame's orthonormal basis."""
+    e = fr.tv.basis
+    return lead_dot(e, pair_form(t, e, e))
 
 
 def _thm01_ii(fr, tol):

@@ -11,7 +11,8 @@ ker f with dual one-forms eta^i, and a Riemannian metric g, subject to
 
 The axioms map measures every defining identity and its standard
 consequences over the test vectors, once per chunk of points, and
-``axioms_residual`` reads a frame's row of it. Packs are dumb containers:
+``axioms_residual`` reads a frame's row of it; the class parts and the
+Reeb-frame conditions are stacked the same way. Packs are dumb containers:
 nothing is validated at construction time, so deliberately broken packs can
 be built for negative controls; the residual report is the verdict.
 
@@ -23,12 +24,12 @@ classifier functionals are numpy contractions of its arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial, wraps
+from functools import cached_property, partial
 
 import numpy as np
 
 from . import calculus
-from .charts import Rows, row_of
+from .charts import Rows, row_of, take
 from .errors import DegenerateOperatorError
 from .sampling import (
     build_test_vectors,
@@ -44,6 +45,26 @@ from .sampling import (
 _RANK_ZERO_CEIL = 1e-8
 _RANK_POSITIVE_FLOOR = 1e-4
 _Q_EIGEN_FLOOR = 1e-12
+
+# Points per sub-chunk of a residual over the test pairs, (P, m, A, B) for a
+# vector identity: 2.5 MB over a chunk on flat_pack n=4 s=2 (m = 10, 44 test
+# vectors), 310 KB over 2 points. From a measured speed and peak-memory
+# curve over sub-chunk sizes (see CHANGES.md): 1 point was slower, 2 not.
+PAIR_CHUNK = 2
+
+_t = partial(np.swapaxes, axis1=-1, axis2=-2)
+_rows_abs = partial(sup_abs, lead=1)
+_rows_norm = partial(sup_norm, lead=1)
+
+
+def _pair_rows(reduce, c, X, Y=None):
+    """``reduce(pair_form(c, X, Y))`` of the stacks c[P, k, a, b], X[P, A, a]
+    and Y[P, B, b] (Y = X by default), ``PAIR_CHUNK`` points at a time."""
+    Y = X if Y is None else Y
+    return np.concatenate([
+        reduce(pair_form(c[i:i + PAIR_CHUNK], X[i:i + PAIR_CHUNK, None],
+                         Y[i:i + PAIR_CHUNK, None]))
+        for i in range(0, len(c), PAIR_CHUNK)])
 
 
 @dataclass(frozen=True)
@@ -70,14 +91,6 @@ class StructurePack:
         return self.chart.dim
 
 
-def kept_per_frame(compute):
-    """Keep ``compute(fr)`` on the frame ``fr``; see :meth:`PackFrame.kept`."""
-    @wraps(compute)
-    def once(fr):
-        return fr.kept(compute.__qualname__, lambda: compute(fr))
-    return once
-
-
 class _Fields:
     """The fields' order-1 jets, read from ``_jets``."""
 
@@ -91,6 +104,15 @@ class _Fields:
     xi1 = property(lambda self: self._jets["xi"][1])
     eta0 = property(lambda self: self._jets["eta"][0])
     eta1 = property(lambda self: self._jets["eta"][1])
+    xibar = property(lambda self: self.xi0.sum(axis=-2))
+    etabar = property(lambda self: self.eta0.sum(axis=-2))
+    qtilde = property(lambda self: self.q0 - np.eye(self.q0.shape[-1]))
+
+    # the test vectors as rows, and the upper Cholesky factor of g0 = u^T u:
+    # a vector residual C lowered by it, lead_dot(u, C), has its g-norm as
+    # its Euclidean norm (see sup_norm), and the test basis is u^-T
+    V = property(lambda self: self.tv.vectors)
+    u = property(lambda self: self.tv.factor)
 
 
 class _FrameStack(_Fields):
@@ -98,16 +120,23 @@ class _FrameStack(_Fields):
 
     Every quantity is stacked on a leading point axis and built on first
     read; row k of each is bitwise the quantity of point k alone. ``rngs``
-    holds each point's generator, and ``ambient`` the points' ambient stack
-    when the pack is induced on an embedded submanifold: its jets and g^-1
-    are read from there.
+    holds each point's generator, ``point_rng(seed, index)``, and
+    ``ambient`` the points' ambient stack when the pack is induced on an
+    embedded submanifold: its jets and g^-1 are read from there.
     """
 
-    def __init__(self, pack, rows, rngs, ambient=None):
+    def __init__(self, pack, rows, seed, ambient=None):
         self.pack = pack
         self.rows = rows
-        self.rngs = rngs
+        self.rngs = [point_rng(seed, rows.start + k) for k in range(len(rows))]
         self.ambient = ambient
+
+    @classmethod
+    def of(cls, pack, row, seed, ambient=None):
+        """The stack over the chunk of ``row``, built once per chunk."""
+        # keyed by id: the stack holds the pack, so the id stays its own
+        return row.kept((cls, id(pack), seed),
+                        lambda: cls(pack, row.rows, seed, ambient))
 
     @cached_property
     def _jets(self):
@@ -231,12 +260,8 @@ class _FrameStack(_Fields):
         V, u, e = tv.vectors, tv.factor, tv.basis
         s = self.pack.s
 
-        rows_abs = partial(sup_abs, lead=1)
-        rows_norm = partial(sup_norm, lead=1)
-        t = partial(np.swapaxes, axis1=1, axis2=2)
-
-        q_mat = e @ g0 @ (q0 @ t(e))
-        floor = np.linalg.eigvalsh(0.5 * (q_mat + t(q_mat))).min(-1)
+        q_mat = e @ g0 @ (q0 @ _t(e))
+        floor = np.linalg.eigvalsh(0.5 * (q_mat + _t(q_mat))).min(-1)
         bad = floor <= _Q_EIGEN_FLOOR
         if bad.any():
             k = np.argmax(bad)
@@ -244,36 +269,41 @@ class _FrameStack(_Fields):
 
         res = {}
         gf = g0 @ f0
-        res["f_skew"] = rows_abs(pair_form(gf + t(gf), V, V))
+        res["f_skew"] = _rows_abs(pair_form(gf + _t(gf), V, V))
         gq = g0 @ q0
-        res["q_selfadjoint"] = rows_abs(pair_form(gq - t(gq), V, V))
+        res["q_selfadjoint"] = _rows_abs(pair_form(gq - _t(gq), V, V))
         res["q_positive"] = np.maximum(-floor, 0.0)     # a NaN stays
-        res["eta_xi_pairing"] = rows_abs(
+        res["eta_xi_pairing"] = _rows_abs(
             np.einsum("pia,pja->pij", eta0, xi0) - np.eye(s))
-        res["q_fixes_xi"] = rows_norm(u @ (q0 @ t(xi0) - t(xi0)))
+        res["q_fixes_xi"] = _rows_norm(u @ (q0 @ _t(xi0) - _t(xi0)))
         # f^2 = -Q + sum eta^i (x) xi_i, applied to test vectors
         corr = np.einsum("pik,pia->pka", xi0, eta0)
-        res["f_squared"] = rows_norm(pair_form(f0 @ f0 + q0 - corr, u, V))
+        res["f_squared"] = _rows_norm(pair_form(f0 @ f0 + q0 - corr, u, V))
         # g(fX, fY) = g(X, QY) - sum eta^i(X) eta^i(Y)
-        res["compatibility"] = rows_abs(
-            pair_form(t(f0) @ g0 @ f0 - gq + t(eta0) @ eta0, V, V))
-        eta_v = eta0 @ t(V)
-        res["f_kills_xi"] = rows_norm(pair_form(f0, u, xi0))
-        res["eta_after_f"] = rows_abs(pair_form(f0, eta0, V))
-        res["eta_after_q"] = rows_abs(pair_form(q0, eta0, V) - eta_v)
-        res["qf_commute"] = rows_norm(pair_form(q0 @ f0 - f0 @ q0, u, V))
-        res["eta_metric_dual"] = rows_abs(eta_v - pair_form(t(g0), xi0, V))
-        res["xi_orthonormal"] = rows_abs(pair_form(g0, xi0, xi0) - np.eye(s))
+        res["compatibility"] = _rows_abs(
+            pair_form(_t(f0) @ g0 @ f0 - gq + _t(eta0) @ eta0, V, V))
+        eta_v = eta0 @ _t(V)
+        res["f_kills_xi"] = _rows_norm(pair_form(f0, u, xi0))
+        res["eta_after_f"] = _rows_abs(pair_form(f0, eta0, V))
+        res["eta_after_q"] = _rows_abs(pair_form(q0, eta0, V) - eta_v)
+        res["qf_commute"] = _rows_norm(pair_form(q0 @ f0 - f0 @ q0, u, V))
+        res["eta_metric_dual"] = _rows_abs(eta_v - pair_form(_t(g0), xi0, V))
+        res["xi_orthonormal"] = _rows_abs(pair_form(g0, xi0, xi0) - np.eye(s))
         # rank 2n: s singular values below 1e-8, 2n above 1e-4 (n, s >= 1)
-        sv = np.sort(np.linalg.svd(e @ g0 @ (f0 @ t(e)), compute_uv=False))
+        sv = np.sort(np.linalg.svd(e @ g0 @ (f0 @ _t(e)), compute_uv=False))
         small = sv[:, s - 1]
         res["f_rank"] = np.where(sv[:, s] <= _RANK_POSITIVE_FLOOR, 1.0,
                                  np.where(small <= _RANK_ZERO_CEIL, 0.0, small))
         # f-invariance of D = cap ker eta^i, checked on a basis of D
-        res["d_f_invariant"] = rows_abs(pair_form(f0, eta0, self.d_basis))
+        res["d_f_invariant"] = _rows_abs(pair_form(f0, eta0, self.d_basis))
         # splitting X = (X - sum eta^i(X) xi_i) + sum eta^i(X) xi_i, D-part in D
-        res["tangent_split"] = rows_abs((eta0 - eta0 @ t(xi0) @ eta0) @ t(V))
+        res["tangent_split"] = _rows_abs((eta0 - eta0 @ _t(xi0) @ eta0) @ _t(V))
         return res
+
+    @cached_property
+    def worst_axiom(self):
+        """Each point's largest axiom residual, NaN where any is NaN."""
+        return np.maximum.reduce(list(self.axioms.values()))
 
     # -- structure tensor coefficients -----------------------------------------
     #
@@ -303,6 +333,94 @@ class _FrameStack(_Fields):
         t = np.swapaxes(self.f0, 1, 2)[:, None] @ self.deta
         return 2.0 * (t - t.transpose(0, 1, 3, 2))
 
+    # -- class parts and Reeb-frame conditions ----------------------------------
+    #
+    # One row per point for each, named as the report names it and reduced
+    # as soon as it is formed (the Killing rows: one per Reeb field). A
+    # vector identity is lowered by u before it meets the test pairs.
+
+    def _nearly_terms(self):
+        """(D_X f)Y, g(fX,fY) xibar and etabar(Y) f^2 X: [P, k, a, b]."""
+        f0 = self.f0
+        gff = self.xibar[:, :, None, None] * (_t(f0) @ self.g0 @ f0)[:, None]
+        ef2 = (f0 @ f0)[..., None] * self.etabar[:, None, None]
+        return self.nabla_f.transpose(0, 2, 1, 3), gff, ef2
+
+    def _vector_rows(self, c, Y=None):
+        return _pair_rows(_rows_norm, lead_dot(self.u, c, lead=1), self.V, Y)
+
+    @cached_property
+    def nearly_s_defining(self):
+        nf, gff, ef2 = self._nearly_terms()
+        return self._vector_rows(nf + _t(nf) - 2.0 * gff - _t(ef2) - ef2)
+
+    @cached_property
+    def nearly_c_defining(self):
+        nf = self.nabla_f.transpose(0, 2, 1, 3)
+        return self._vector_rows(nf + _t(nf))
+
+    @cached_property
+    def s_structure_defining(self):
+        nf, gff, ef2 = self._nearly_terms()
+        return self._vector_rows(nf - gff - ef2)
+
+    @cached_property
+    def phi_equals_deta(self):
+        return _pair_rows(_rows_abs, self.deta - self.phi0[:, None], self.V)
+
+    @cached_property
+    def deta_zero(self):
+        return _pair_rows(_rows_abs, self.deta, self.V)
+
+    @cached_property
+    def dphi_zero(self):
+        """dPhi on the orthonormal test basis and on random triples."""
+        x, y, z = np.moveaxis(self.tv.triples, 2, 0)
+        extra = y[:, :, None] @ lead_dot(x, self.dphi, lead=1) @ z[..., None]
+        e = self.tv.basis
+        on_basis = lead_dot(e, pair_form(self.dphi, e[:, None], e[:, None]),
+                            lead=1)
+        return np.maximum(_rows_abs(on_basis), _rows_abs(extra))
+
+    @cached_property
+    def n1_zero(self):
+        return self._vector_rows(self.n1_coeff)
+
+    @cached_property
+    def killing(self):
+        return _pair_rows(partial(sup_abs, lead=2), self.lie_g_xi, self.V)
+
+    @cached_property
+    def reeb_brackets(self):
+        # xi_i^a d_a xi_j, for [xi_i, xi_j] = w[i,j] - w[j,i]
+        w = lead_dot(self.xi0, self.xi1.transpose(0, 3, 1, 2), lead=1)
+        return _rows_norm(lead_dot(
+            self.u, (w - w.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2),
+            lead=1))
+
+    @cached_property
+    def reeb_flat(self):
+        # over test vectors that include the Reeb fields: it bounds the
+        # totally-geodesic residual
+        return _rows_abs((self.xi0 @ _t(self.g0))[:, None] @ self.nabla_xi
+                         @ _t(self.V)[:, None])
+
+    @cached_property
+    def reeb_totally_geodesic(self):
+        return _rows_abs(self.nabla_xi_xi @ _t(self.eta0)[:, None])
+
+    @cached_property
+    def q_parallel_d(self):
+        return self._vector_rows(self.nabla_q.transpose(0, 2, 1, 3),
+                                 self.d_basis)
+
+    @cached_property
+    def q_parallel_expansion(self):
+        # sum_i eta^i(e_b) ((Q - id) D_{e_a} xi_i)^k
+        corr = ((self.qtilde[:, None] @ self.nabla_xi).transpose(0, 2, 3, 1)
+                @ self.eta0[:, None])
+        return self._vector_rows(self.nabla_q.transpose(0, 2, 1, 3) + corr)
+
 
 class PackFrame(_Fields):
     """All jets and test data of a pack at a single chart point.
@@ -312,8 +430,10 @@ class PackFrame(_Fields):
     :class:`~weakf.charts.PointStacks`; by default the point alone, as
     sample ``index``): g^-1, Christoffel symbols, test vectors and the
     derived tensors are built once per chunk with a leading point axis, and
-    the frame reads its row of each on first use, the axioms map included.
-    The other checks are per point. A pack induced on an embedded
+    the frame reads its row of each on first use, the residual rows of the
+    axioms, the class parts and the Reeb-frame conditions included
+    (:meth:`stacked`). The theorem checks are per point. A pack induced on
+    an embedded
     submanifold takes the point's ambient data as ``ambient`` (see
     :func:`weakf.submanifold.induce_structure`): its jets, g^-1 and
     curvature are read from there.
@@ -322,18 +442,10 @@ class PackFrame(_Fields):
     def __init__(self, pack, p, seed=0, index=0, ambient=None, row=None):
         self.pack = pack
         self.p = np.asarray(p, dtype=float)
-        self.m = pack.dim
         self.ambient = ambient
         self._row = row or Rows(self.p[None], index).row(0)
-        rows = self._row.rows
-
-        def chunk():
-            rngs = [point_rng(seed, rows.start + k) for k in range(len(rows))]
-            return _FrameStack(pack, rows, rngs,
-                               None if ambient is None else ambient._chunk)
-
-        # keyed by id: the stack holds the pack, so the id stays its own
-        self._chunk = self._row.kept((PackFrame, id(pack), seed), chunk)
+        self._chunk = _FrameStack.of(pack, self._row, seed,
+                                     None if ambient is None else ambient._chunk)
         self._rng = self._chunk.rngs[self._row.k]
         self._kept = {}
 
@@ -354,7 +466,6 @@ class PackFrame(_Fields):
     ff_coeff = row_of("ff_coeff")
     n1_coeff = row_of("n1_coeff")
     n2_coeff = row_of("n2_coeff")
-    axioms = row_of("axioms")
 
     @cached_property
     def riemann(self):
@@ -364,38 +475,15 @@ class PackFrame(_Fields):
         g2 = self._row.jet(g.fn, 2, g.label)[2]
         return calculus.riemann_from_jets(self.ginv, self.gamma, self.g1, g2)
 
-    @property
-    def xibar(self):
-        return self.xi0.sum(axis=0)
-
-    @property
-    def etabar(self):
-        return self.eta0.sum(axis=0)
-
-    @property
-    def qtilde(self):
-        return self.q0 - np.eye(self.m)
-
-    # -- test vectors ---------------------------------------------------------
-
-    @property
-    def V(self):
-        """Test vectors as rows."""
-        return self.tv.vectors
-
-    @property
-    def u(self):
-        """The upper Cholesky factor of g0 = u^T u, from which the test
-        basis is built: a vector residual lowered by it, ``lead_dot(u, C)``,
-        has the g-norm as its Euclidean norm (see
-        :func:`~weakf.sampling.sup_norm`)."""
-        return self.tv.factor
-
     def random_d_units(self, count):
         """Seeded unit vectors in the contact distribution."""
         db = self.d_basis
         coeff = self._rng.standard_normal((count, db.shape[0]))
         return unit_rows(coeff @ db, self.g0)
+
+    def stacked(self, name):
+        """The frame's row of the quantity ``name`` of its chunk's stack."""
+        return take(getattr(self._chunk, name), self._row.k)
 
     def kept(self, key, compute):
         """``compute()``, computed once per frame and kept under ``key``.
@@ -425,14 +513,6 @@ class PackFrame(_Fields):
 # -- axioms ---------------------------------------------------------------------
 
 
-def frame_axioms(fr):
-    """:func:`axioms_residual` at the frame's point, computed once per frame.
-
-    Returns a fresh copy of the map.
-    """
-    return dict(fr.kept("axioms", lambda: axioms_residual(fr)))
-
-
 def axioms_residual(fr):
     """Named sup-norm residuals of every defining identity at the frame's point.
 
@@ -442,4 +522,4 @@ def axioms_residual(fr):
     positive-definite at a point of the chunk: the object leaves the weak
     class.
     """
-    return {key: float(v) for key, v in fr.axioms.items()}
+    return {key: float(v) for key, v in fr.stacked("axioms").items()}

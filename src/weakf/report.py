@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -35,15 +35,15 @@ from .charts import PointStacks
 from .classifiers import (
     CLASS_TAGS,
     THEOREM_CHECKS,
-    class_residual,
-    frame_residuals,
-    q_parallel_residual,
+    FrameConditions,
+    class_rows,
     theorem_check,
 )
 from .errors import HypothesisNotMet, InvalidExample, WeakfError
-from .fstructure import PackFrame, frame_axioms
+from .fstructure import PackFrame, _FrameStack
 from .submanifold import (
     _AmbientPoint,
+    _AmbientStack,
     frame_check,
     gauss_split_residual,
     induce_structure,
@@ -187,9 +187,9 @@ FORMULAS = {
 
 
 # The most sample points of a run. They are drawn before the first check,
-# about 660 B each at catalog.MAX_AMBIENT_DIM: 66 MB here, under the 102 MB
-# one-chunk peak that bounds the dimension; the fastest run (sasakian_s3,
-# axioms alone) takes about 10 s here (see CHANGES.md).
+# into one array: 256 B each at catalog.MAX_AMBIENT_DIM, 26 MB here, under
+# the 102 MB one-chunk peak that bounds the dimension; the fastest run
+# (sasakian_s3, axioms alone) takes about 10 s here (see CHANGES.md).
 MAX_SAMPLES = 100_000
 
 
@@ -262,12 +262,24 @@ class _Agg:
         self.total = 0.0
         self.count = 0
 
-    def add(self, value):
-        v = float(value)
-        if v > self.max or math.isnan(v):   # a NaN max stays: it fails
-            self.max = v
-        self.total += v
-        self.count += 1
+    def add(self, values):
+        """Fold a residual, or a row of them in point order, one at a time."""
+        for v in (values.tolist() if isinstance(values, np.ndarray)
+                  else (float(values),)):
+            if v > self.max or math.isnan(v):   # a NaN max stays: it fails
+                self.max = v
+            self.total += v
+            self.count += 1
+
+
+def _fold(found, skipped, aggs, skips):
+    """Fold a walk's residuals into their bundles' aggregates, and its skips."""
+    for b, res in found:
+        for key, val in res.items():
+            if key not in aggs[b]:
+                aggs[b][key] = _Agg()
+            aggs[b][key].add(val)
+    skips.update(skipped)
 
 
 def _entry(identity, formula_key, agg, tol, counted, note=None, verdict=None):
@@ -289,20 +301,18 @@ def _entry(identity, formula_key, agg, tol, counted, note=None, verdict=None):
 def run_suite(config):
     """Execute the configured suites and assemble the report dict.
 
-    Points are walked once. Each gets one :class:`PackFrame`, and on an
-    embedded example one ``_AmbientPoint``, from which the frame reads the
-    induced pack's jets; both are built with the first bundle that runs
-    there. They are rows of the set-up stacks of the point's chunk in the
-    case's one :class:`~weakf.charts.PointStacks`, which evaluates each
-    component function once per chunk of points and order, and builds each
-    set-up quantity once per chunk. Every bundle that has not skipped is
-    evaluated on them, then both are dropped. A failed gate skips its
-    bundle for good. Any other exception, from the engine or a component
-    function, may belong to another point of the chunk: the point is built
-    again on stacks of its own (``PointStacks.alone``, with a fresh
-    generator), where that bundle and the point's later ones are evaluated.
-    Only an exception raised there becomes an :class:`EvaluationFailure`,
-    naming the suite, the bundle and the point.
+    Points are walked once, in the chunks of the case's one
+    :class:`~weakf.charts.PointStacks`: component functions are evaluated,
+    and set-up quantities built, once per chunk. The axioms, classes and
+    frames bundles read residual rows over the chunk from its set-up stack;
+    the theorem and submanifold bundles run at each point in turn, on its
+    :class:`PackFrame` (and ``_AmbientPoint``), row views of the same
+    stacks. A failed gate skips its bundle for good. Any other exception,
+    from the engine or a component function, may belong to any point of
+    the chunk: the chunk's results are dropped and its points walked again,
+    each as a chunk of its own (``PointStacks.alone``, with a fresh
+    generator). Only an exception raised there becomes an
+    :class:`EvaluationFailure`, naming the suite, the bundle and the point.
     """
     cat = make_example(config.example, **config.params)
     sub = None if cat.is_pack else cat.obj
@@ -314,40 +324,55 @@ def run_suite(config):
             "suite needs an embedded example")
     bundles = [(n, b) for n in names for b in _bundles(n, config, cat)]
     aggs = [{} for _ in bundles]
-    skips = [None] * len(bundles)
+    skips = {}          # bundle -> the note of the gate that failed
+    at = [None]         # (bundle, point) under evaluation
 
-    chart = cat.chart
-    points = chart.sample(config.samples, config.seed)
-    stacks = PointStacks(points)
-    for i, p in enumerate(points):
-        fr = alone = None
-        for k, (suite, bundle) in enumerate(bundles):
-            while skips[k] is None:
+    def walk(first):
+        """[(bundle, residuals)] over the chunk of the row ``first``, in
+        the order they fold, and its skips; raises what a bundle raises."""
+        rows, found, skipped = first.rows, [], {}
+        ambient = None if sub is None else _AmbientStack.of(sub, first)
+        stack = _FrameStack.of(pack, first, config.seed, ambient)
+        for k, p in enumerate(rows.points):
+            i, row, fr = rows.start + k, rows.row(k, first.stacks), None
+            for b, (_, bundle) in enumerate(bundles):
+                if b in skips or b in skipped or bundle.stacked and k:
+                    continue
+                at[0] = b, i
                 try:
-                    if fr is None:
-                        row = stacks.row(i) if alone is None else alone
-                        fr = PackFrame(pack, p, seed=config.seed, index=i, row=row,
-                                       ambient=None if sub is None
+                    if not bundle.stacked and fr is None:
+                        fr = PackFrame(pack, p, seed=config.seed, index=i,
+                                       row=row, ambient=None if sub is None
                                        else _AmbientPoint(sub, p, row))
-                    res = bundle.evaluate(fr)
+                    found.append((b, bundle.evaluate(
+                        stack if bundle.stacked else fr)))
                 except HypothesisNotMet as exc:
-                    skips[k] = (f"hypothesis failed: {exc.gate} "
-                                f"(residual {exc.residual:.3e} at point {i})")
-                except Exception as exc:
-                    if alone is None:   # retry on the point's own stacks
-                        fr, alone = None, stacks.alone(i)
-                        continue
-                    where = f"{suite}.{bundle.label}" if bundle.label else suite
-                    raise EvaluationFailure(f"{where}[point {i}]", exc) from exc
-                else:
-                    for key, val in res.items():
-                        aggs[k].setdefault(key, _Agg()).add(val)
-                    break
-        del fr          # one point's frame is alive at a time
+                    skipped[b] = (f"hypothesis failed: {exc.gate} (residual "
+                                  f"{exc.residual:.3e} at point {i})")
+        return found, skipped
+
+    stacks = PointStacks(cat.chart.sample(config.samples, config.seed))
+    for first in stacks.chunks():
+        try:
+            found = walk(first)
+        except Exception:
+            found = None
+        if found is not None:
+            _fold(*found, aggs, skips)
+            continue
+        # the chunk raised: walk its points again, each alone
+        for i in range(first.rows.start, first.rows.start + len(first.rows)):
+            try:
+                found = walk(stacks.alone(i))
+            except Exception as exc:
+                (suite, bundle), i = bundles[at[0][0]], at[0][1]
+                where = f"{suite}.{bundle.label}" if bundle.label else suite
+                raise EvaluationFailure(f"{where}[point {i}]", exc) from exc
+            _fold(*found, aggs, skips)
 
     suites = {n: [] for n in names}
-    for (suite, bundle), agg, skip in zip(bundles, aggs, skips):
-        suites[suite] += _bundle_entries(config, bundle, agg, skip)
+    for b, ((suite, bundle), agg) in enumerate(zip(bundles, aggs)):
+        suites[suite] += _bundle_entries(config, bundle, agg, skips.get(b))
 
     entries = [e for lst in suites.values() for e in lst]
     failures = [
@@ -362,7 +387,7 @@ def run_suite(config):
             "example": cat.name,
             "params": _jsonable(cat.params),
             "kind": "structure_pack" if cat.is_pack else "embedded_submanifold",
-            "dimension": chart.dim,
+            "dimension": cat.chart.dim,
             "n": pack.n,
             "s": pack.s,
             "declared_classes": list(cat.declared_classes),
@@ -386,11 +411,13 @@ class _Bundle(NamedTuple):
     """One evaluator of a suite and how its residuals become report entries."""
 
     label: str              # names the bundle in an EvaluationFailure
-    evaluate: object        # frame -> {key: residual}
+    evaluate: object        # frame -> {key: residual}, or with stacked,
+                            # the chunk's stack -> {key: (P,) residuals}
     prefix: str = ""        # entry identities read "prefix.key", else "key"
     skip_formula: str = ""  # formula of the one entry left when a gate fails
     counted: object = None  # (key, aggregates) -> bool; None counts all
     note: str = None        # note on the entries that are not counted
+    stacked: bool = False
 
 
 # Classes whose Reeb-frame conditions the frames suite counts.
@@ -410,34 +437,33 @@ _CASE_FREE = {"aa_symmetry", "shape_display_duality", "weingarten_duality",
 def _bundles(suite, config, cat):
     """The evaluator bundles of ``suite`` in report order.
 
-    The evaluators call the residual functions by their module names at call
-    time, so that a wrapper installed on those names sees every call. Every
-    evaluator takes the point's frame alone; the submanifold ones read its
-    ambient point from it.
+    The stacked evaluators read residual rows, as attributes, from a
+    chunk's set-up stack. The others take a point's frame and call the
+    residual functions by their module names at call time, so that a
+    wrapper installed on those names sees every call.
     """
     declared = cat.declared_classes
     tol = config.tol_exact
     if suite == "axioms":
-        return [_Bundle("", lambda fr: frame_axioms(fr),
+        return [_Bundle("", lambda st: st.axioms, stacked=True,
                         counted=lambda key, aggs: "weak_metric_f" in declared)]
     if suite == "classes":
         return [
-            _Bundle(tag, lambda fr, tag=tag: {
-                tag: class_residual(fr.pack, fr.p, tag, frame=fr)[0]},
-                counted=lambda key, aggs: key in declared)
+            _Bundle(tag, lambda st, tag=tag: {tag: class_rows(st, tag)},
+                    counted=lambda key, aggs: key in declared, stacked=True)
             for tag in CLASS_TAGS
         ]
     if suite == "frames":
         almost = not _ALMOST_CLASSES.isdisjoint(declared)
         return [_Bundle(
             "",
-            lambda fr: {
-                **asdict(frame_residuals(fr)),
-                "q_parallel_expansion": q_parallel_residual(fr)[1],
-            },
+            lambda st: {**{f.name: getattr(st, f.name)
+                           for f in fields(FrameConditions)},
+                        "q_parallel_expansion": st.q_parallel_expansion},
             # the expansion is only asserted where its hypothesis holds
             counted=lambda key, aggs: almost and (
                 key != "q_parallel_expansion" or aggs["q_parallel_d"].max <= tol),
+            stacked=True,
         )]
     if suite == "theorems":
         return [

@@ -42,7 +42,7 @@ from .classifiers import (
     q_parallel_residual,
 )
 from .errors import HypothesisNotMet, SetupRejected
-from .fstructure import StructurePack, kept_per_frame
+from .fstructure import StructurePack
 from .sampling import (
     cholesky_basis,
     cholesky_factor,
@@ -167,6 +167,11 @@ class _AmbientStack(_Along):
         self.sub = sub
         self.rows = rows
 
+    @classmethod
+    def of(cls, sub, row):
+        """The stack over the chunk of ``row``, built once per chunk."""
+        return row.kept((cls, id(sub)), lambda: cls(sub, row.rows))
+
     def _jet(self, which):
         return self.rows.jet(*_jet_of(self.sub, which))
 
@@ -279,9 +284,7 @@ class _AmbientPoint(_Along):
         self.sub = sub
         self.p = p = np.asarray(p, dtype=float)
         self._row = row or Rows(p[None]).row(0)
-        rows = self._row.rows
-        self._chunk = self._row.kept((_AmbientPoint, id(sub)),
-                                lambda: _AmbientStack(sub, rows))
+        self._chunk = _AmbientStack.of(sub, self._row)
         self.iota, self.jac, self.hess = self._jet("embedding")
         self.normals, self.dnormals = self._jet("normals")
         self.gbar0, self.gbar1 = self._jet("gbar")
@@ -456,7 +459,6 @@ def ambient_nearly_kahler_residual(ap):
     return sup_norm(pair_form(c, ap.basis, ap.basis))
 
 
-@kept_per_frame
 def _thsubm_shared(fr):
     """The parts of :func:`thsubm_check` that do not depend on the case."""
     ap = fr.ambient
@@ -517,7 +519,7 @@ def thsubm_check(fr, case, tol_exact=TOL_EXACT):
     if not gate <= tol_exact:
         raise HypothesisNotMet("thsubm", "ambient_weak_nearly_kahler", gate)
     V = fr.V
-    shared = _thsubm_shared(fr)
+    shared = fr.kept(_thsubm_shared, lambda: _thsubm_shared(fr))
     disp, a_disp = shared["disp"], shared["a_disp"]
     if case == "i":
         f2 = fr.f0 @ fr.f0              # the display adds g(-f^2 X, Y)

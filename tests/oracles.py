@@ -35,7 +35,7 @@ from weakf.fstructure import (
 )
 from weakf import jets
 from weakf.jets import cos, sin
-from weakf.sampling import pair_form, sup_abs, sup_norm
+from weakf.sampling import lead_dot, pair_form, sup_abs, sup_norm, worst
 from weakf.submanifold import _AmbientPoint, induce_structure
 
 
@@ -811,6 +811,53 @@ def axioms_at_point(fr):
     res["d_f_invariant"] = sup_abs(pair_form(f0, eta0, db))
     # splitting X = (X - sum eta^i(X) xi_i) + sum eta^i(X) xi_i with D-part in D
     res["tangent_split"] = sup_abs((eta0 - eta0 @ xi0.T @ eta0) @ V.T)
+    return res
+
+
+def parts_at_point(fr):
+    """Every class part, the Killing residuals, the Reeb-frame conditions
+    and the q_parallel pair of the frame's point, computed from its arrays
+    alone: the reference of the chunk's stacked rows, keyed by the names of
+    the ``weakf.fstructure._FrameStack`` attributes that hold them."""
+    V, u = fr.V, fr.u
+    f0 = fr.f0
+
+    def lowered(c, Y=V):
+        """Max g-norm of a vector identity with coefficients c[k, a, b]."""
+        return sup_norm(pair_form(lead_dot(u, c), V, Y))
+
+    res = {}
+    # (D_X f)Y, g(fX,fY) xibar and etabar(Y) f^2 X as coefficients [k, a, b]
+    nf = fr.nabla_f.transpose(1, 0, 2)
+    gff = fr.xibar[:, None, None] * (f0.T @ fr.g0 @ f0)
+    ef2 = (f0 @ f0)[:, :, None] * fr.etabar
+    res["nearly_s_defining"] = lowered(
+        nf + nf.transpose(0, 2, 1) - 2.0 * gff - ef2.transpose(0, 2, 1) - ef2)
+    res["nearly_c_defining"] = lowered(nf + nf.transpose(0, 2, 1))
+    res["s_structure_defining"] = lowered(nf - gff - ef2)
+    res["phi_equals_deta"] = sup_abs(pair_form(fr.deta - fr.phi0, V, V))
+    res["deta_zero"] = sup_abs(pair_form(fr.deta, V, V))
+    # dPhi on the orthonormal basis, and dPhi(x_t, y_t, z_t) for each
+    # random triple t
+    e = fr.tv.basis
+    x, y, z = fr.tv.triples.transpose(1, 0, 2)
+    extra = y[:, None] @ lead_dot(x, fr.dphi) @ z[:, :, None]
+    res["dphi_zero"] = worst((sup_abs(lead_dot(e, pair_form(fr.dphi, e, e))),
+                              sup_abs(extra)))
+    res["n1_zero"] = lowered(fr.n1_coeff)
+    r = pair_form(fr.lie_g_xi, V, V)
+    res["killing"] = [float(x) for x in np.abs(r).reshape(len(r), -1).max(1)]
+    # xi_i^a d_a xi_j, for [xi_i, xi_j] = w[i,j] - w[j,i]
+    w = lead_dot(fr.xi0, fr.xi1.transpose(2, 0, 1))
+    res["reeb_brackets"] = sup_norm(
+        lead_dot(u, (w - w.transpose(1, 0, 2)).transpose(2, 0, 1)))
+    res["reeb_flat"] = sup_abs((fr.xi0 @ fr.g0.T) @ fr.nabla_xi @ V.T)
+    res["reeb_totally_geodesic"] = sup_abs(fr.nabla_xi_xi @ fr.eta0.T)
+    nq = fr.nabla_q.transpose(1, 0, 2)
+    res["q_parallel_d"] = lowered(nq, fr.d_basis)
+    # sum_i eta^i(e_b) ((Q - id) D_{e_a} xi_i)^k
+    corr = (fr.qtilde @ fr.nabla_xi).transpose(1, 2, 0) @ fr.eta0
+    res["q_parallel_expansion"] = lowered(nq + corr)
     return res
 
 

@@ -305,9 +305,9 @@ def test_symmetrized_residual_matches_diagonal(all_packs):
         fr = PackFrame(pack, p, seed=71)
         for _ in range(4):
             x = rng.standard_normal(pack.dim)
-            # a fresh frame, since the frame keeps the residual it computes
+            # a fresh frame, since its stack keeps the residual it computes
             one = PackFrame(pack, p, seed=71)
-            one.tv = replace(fr.tv, vectors=np.array([x]))
+            one._chunk.tv = replace(fr._chunk.tv, vectors=x[None, None])
             pair = nearly_s_residual(one)
             nf_xx = np.einsum("i,ikj,j->k", x, fr.nabla_f, x)
             fx = fr.f0 @ x

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import warnings
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -382,6 +383,31 @@ def test_refusal_inside_a_chunk_names_its_point(monkeypatch, capsys, n, s,
     assert code == 3
     err = capsys.readouterr().err
     assert f"evaluation failed in axioms[point {K}]: {message}" in err
+
+
+def test_a_chunk_that_raises_is_walked_again_once(monkeypatch, capsys):
+    # Q is degenerate at sample K of 10: the chunk's axioms map raises once,
+    # and the walk of its points alone builds each point's map up to K,
+    # where it raises again and is named
+    sizes = []
+    stack = fstructure._FrameStack
+    axioms = vars(stack)["axioms"].func
+
+    def counted(st):
+        sizes.append(len(st.rows))
+        return axioms(st)
+
+    prop = cached_property(counted)
+    prop.__set_name__(stack, "axioms")
+    monkeypatch.setattr(stack, "axioms", prop)
+    monkeypatch.setitem(catalog.BUILDERS, "broken_at_k", _broken_at_k(
+        1, 1, "Q", "tensor11", lambda u, at: [
+            [1.0 - at, 0.0, 0.0], [0.0, 1.0 - at, 0.0], [0.0, 0.0, 1.0]]))
+    code = cli.main(["verify", "--example", "broken_at_k", "--samples", "10"])
+    assert code == 3
+    assert sizes == [10] + [1] * (K + 1)
+    assert (f"evaluation failed in axioms[point {K}]: DegenerateOperatorError"
+            in capsys.readouterr().err)
 
 
 def test_failing_stack_of_a_point_that_skipped_does_not_stop_the_run(

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from oracles import (
     tensor_apply_field,
 )
 from report_digests import CONFIGS
-from weakf import catalog, charts
+from weakf import catalog, charts, classifiers
 from weakf.charts import constant_field
 from weakf.errors import DegenerateOperatorError
 from weakf.fstructure import PackFrame, StructurePack, axioms_residual
@@ -126,6 +128,55 @@ def test_stacked_axioms_are_the_point_oracle_on_sheared_and_broken_packs(
                                             np.eye(flat.dim))),
             _replace(flat, f=scale_field(flat.f, 1e-6))):
         _assert_rows_are_the_point_oracle(pack)
+
+
+def _assert_parts_are_the_point_oracle(pack, sub=None, seed=42):
+    # a full chunk of points and a part of one, read through the per-frame
+    # functions as every gate reads them
+    points = pack.chart.sample(charts.CHUNK + 4, seed)
+    for fr in oracles.chunk_frames(pack, points, sub, seed):
+        alone = oracles.parts_at_point(fr)
+        stacked = {part: classifiers.class_residual(pack, fr.p, tag, fr)[1][part]
+                   for part, tag in CLASS_OF_PART.items()}
+        stacked["killing"] = classifiers.killing_residuals(fr)
+        stacked.update(asdict(classifiers.frame_residuals(fr)))
+        stacked["q_parallel_expansion"] = classifiers.q_parallel_residual(fr)[1]
+        assert stacked.keys() == alone.keys()
+        for part, value in alone.items():
+            assert (_hex(stacked[part]) == _hex(value)), (part, fr._row.k)
+
+
+# A class that holds each part measured by one residual.
+CLASS_OF_PART = {"nearly_s_defining": "weak_nearly_S",
+                 "nearly_c_defining": "weak_nearly_C",
+                 "s_structure_defining": "S_structure",
+                 "phi_equals_deta": "weak_almost_S",
+                 "deta_zero": "weak_almost_C", "dphi_zero": "weak_almost_K",
+                 "n1_zero": "normal"}
+
+
+def _hex(value):
+    return [v.hex() for v in value] if isinstance(value, list) else value.hex()
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_stacked_class_parts_are_the_point_oracle(config):
+    _assert_parts_are_the_point_oracle(*oracles.config_example(config))
+
+
+def test_stacked_class_parts_are_the_point_oracle_on_sheared_and_broken_packs(
+        cat_sasakian, cat_flat):
+    sas, flat = cat_sasakian.obj, cat_flat.obj
+    for pack in (
+            oracles.sheared_pack(flat),
+            oracles.sheared_pack(catalog.flat_pack(n=1, s=2).obj),
+            oracles.sheared_pack(sas),
+            _replace(sas, f=scale_field(sas.f, 1.1)),
+            _replace(sas, eta=tuple(scale_field(e, 1.05) for e in sas.eta)),
+            _replace(flat, Q=constant_field(flat.chart, "tensor11",
+                                            np.eye(flat.dim))),
+            _replace(flat, f=scale_field(flat.f, 1e-6))):
+        _assert_parts_are_the_point_oracle(pack)
 
 
 def test_phi_basics(cat_flat, cat_sasakian):

@@ -106,10 +106,11 @@ def test_g_norm_holds_one_residual_sized_array(name):
 # point in all; and the checks of one frame, which hold a few (10, 44, 44)
 # residuals of 155 KB at a time, 1 MB. The stacked axioms map reduces its
 # (P, 44, 44) pair residuals to their rows one identity at a time, so it
-# holds one of them, with its temporaries, at a time. The chunk size keeps
-# each (P, 10, 10, 10) float64 stack, 8,000 P B, below glibc's 128 KiB mmap
-# threshold (P <= 16): above it every such array is a fresh mapping, and
-# each mapping faults in every page it touches.
+# holds one of them, with its temporaries, at a time; the stacked class
+# parts form theirs fstructure.PAIR_CHUNK points at a time. The chunk size
+# keeps each (P, 10, 10, 10) float64 stack, 8,000 P B, below glibc's 128 KiB
+# mmap threshold (P <= 16): above it every such array is a fresh mapping,
+# and each mapping faults in every page it touches.
 CHUNK_BYTES_PER_POINT = 120_000
 FRAME_CHECK_BYTES = 1_000_000
 
@@ -137,3 +138,25 @@ def test_one_chunk_of_setup_stays_within_its_bound():
     assert "axioms" in vars(fr._chunk)      # built inside the measurement
     bound = CHUNK_BYTES_PER_POINT * charts.CHUNK + FRAME_CHECK_BYTES
     assert peak < bound, (peak, bound)
+
+
+# Fixed before the sample points became one array, from tracemalloc of
+# drawing 100,000 points of a 3-dimensional chart and stacking them: 200 B
+# per sample (a list of one numpy view per row, copied back into an array)
+# for 24 B of coordinates.
+SAMPLE_BYTES_BOUND = 100
+
+
+def test_sample_points_cost_their_coordinates():
+    chart = catalog.sasakian_s3().chart
+    chart.sample(1, seed=42)        # allocations of the first draw
+    count = 100_000
+    tracemalloc.start()
+    try:
+        points = chart.sample(count, seed=42)
+        stacks = PointStacks(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stacks.points is points and points.shape == (count, 3)
+    assert peak / count < SAMPLE_BYTES_BOUND, peak / count

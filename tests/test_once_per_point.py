@@ -1,5 +1,6 @@
-"""Per-point work is done once per point, and set-up and component
-functions once per chunk of points: counted with wrappers on small runs."""
+"""Per-point work is done once per point, and set-up, the class parts and
+component functions once per chunk of points: counted with wrappers on
+small runs."""
 
 import hashlib
 import sys
@@ -16,7 +17,7 @@ import oracles
 from weakf import (calculus, catalog, charts, classifiers, fstructure, report,
                    submanifold)
 from weakf.catalog import hypersphere
-from weakf.fstructure import PackFrame, frame_axioms
+from weakf.fstructure import PackFrame, axioms_residual
 from weakf.jets import Jet
 from weakf.report import SUITES, SuiteConfig, run_suite
 
@@ -103,7 +104,6 @@ def _recording(prop, picks, names, owners, alive):
 @pytest.fixture(scope="module")
 def counted_run():
     counts = Counter()
-    contractions = Counter()    # operand ids -> calls, for every contraction
     # (sample, helper, calling function, line, operand names, operand values)
     # -> calls
     sites = Counter()
@@ -120,7 +120,6 @@ def counted_run():
             ops = [a for a in args[skip:] if isinstance(a, np.ndarray)]
             alive.append(ops)
             ids = tuple(map(operand_id, ops))
-            contractions[ids] += 1
             caller = sys._getframe(1)
             sites[(counts["frame"], contract.__name__, caller.f_code.co_name,
                    caller.f_lineno, tuple(map(names.get, ids)),
@@ -163,17 +162,11 @@ def counted_run():
                 mp.setattr(mod, helper, counting(getattr(mod, helper)))
         rep = run_suite(SuiteConfig(example="hypersphere", params={"n": 1},
                                     suites=SUITES, samples=SAMPLES))
-
-    def named(*operands):
-        """{operand ids: calls} of the contractions of these frame arrays."""
-        return {ids: n for ids, n in contractions.items()
-                if tuple(names.get(i) for i in ids) == operands}
-
-    return rep, counts, named, sites
+    return rep, counts, sites
 
 
 def test_one_ambient_build_per_sample(counted_run):
-    rep, counts, _, _ = counted_run
+    rep, counts, _ = counted_run
     assert rep["overall"]["verdict"] == "pass"
     assert "submanifold" in rep["suites"]
     assert counts["ambient"] == SAMPLES
@@ -280,32 +273,99 @@ def test_order2_field_stacks_only_inside_thm32_chain(chunked_run):
     assert {name for name, _ in order2} <= {"g", "gbar"}
 
 
-def test_killing_residual_once_per_frame():
-    # the f_K_contact class, prop1 and the gates of fk_contact_nabla and
-    # thm32_chain all read (L_xi g)(V, V) on sasakian_s3 (s = 1)
-    lie, counts = [], Counter()
-    prop = vars(PackFrame)["lie_g_xi"]
+def _sub_chunks(points):
+    """Sub-chunks of PAIR_CHUNK points over a run's chunks of CHUNK."""
+    chunks = [charts.CHUNK] * (points // charts.CHUNK) + [points % charts.CHUNK]
+    return sum(-(-p // fstructure.PAIR_CHUNK) for p in chunks if p)
 
-    def recording(fr):
-        lie.append(prop.func(fr))
+
+def test_killing_residual_once_per_chunk():
+    # the f_K_contact class, prop1 and the gates of fk_contact_nabla and
+    # thm32_chain all read (L_xi g)(V, V) on sasakian_s3 (s = 1): it is
+    # formed on the chunk's stack, once per sub-chunk of its points
+    lie, counts = [], Counter()
+    stack = fstructure._FrameStack
+    prop = vars(stack)["lie_g_xi"]
+
+    def recording(st):
+        lie.append(prop.func(st))
         return lie[-1]
 
-    def counting_pair_form(t, X, Y):
-        counts["killing"] += any(
-            t is a or getattr(t, "base", None) is a for a in lie)
-        return pair_form(t, X, Y)
+    def counting(pair_form):
+        def counted(t, X, Y):
+            counts["killing"] += any(np.may_share_memory(t, a) for a in lie)
+            return pair_form(t, X, Y)
+        return counted
 
     rec = cached_property(recording)
-    rec.__set_name__(PackFrame, "lie_g_xi")
-    pair_form = classifiers.pair_form
+    rec.__set_name__(stack, "lie_g_xi")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PackFrame, "lie_g_xi", rec)
-        mp.setattr(classifiers, "pair_form", counting_pair_form)
+        mp.setattr(stack, "lie_g_xi", rec)
+        for mod in (classifiers, fstructure):
+            mp.setattr(mod, "pair_form", counting(mod.pair_form))
         rep = run_suite(SuiteConfig(example="sasakian_s3", suites=SUITES,
-                                    samples=SAMPLES))
+                                    samples=CHUNKED))
     assert rep["overall"]["verdict"] == "pass"
-    assert len(lie) == SAMPLES
-    assert counts["killing"] == SAMPLES
+    assert len(lie) == 2
+    assert counts["killing"] == _sub_chunks(CHUNKED)
+
+
+# The class parts and Reeb-frame conditions of a chunk's stack, one row (the
+# Killing residuals one row per Reeb field) over the chunk's points each,
+# and those of them that are formed on the test pairs.
+STACKED_PARTS = ("nearly_s_defining", "nearly_c_defining",
+                 "s_structure_defining", "phi_equals_deta", "deta_zero",
+                 "dphi_zero", "n1_zero", "killing", "reeb_brackets",
+                 "reeb_flat", "reeb_totally_geodesic", "q_parallel_d",
+                 "q_parallel_expansion")
+ON_PAIRS = 9
+
+
+@pytest.fixture(scope="module")
+def stacked_run():
+    """An all-suite run of hypersphere n=1 over two chunks of points: the
+    builds of each stacked part, and (calling function, operand values) ->
+    calls of every pair_form of the fstructure module."""
+    counts, pairs = Counter(), Counter()
+    stack = fstructure._FrameStack
+    pair_form = fstructure.pair_form
+
+    def counting_pair_form(t, X, Y):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name.startswith("<"):   # a comprehension
+            caller = caller.f_back
+        pairs[caller.f_code.co_name, _content(t), _content(X),
+              _content(Y)] += 1
+        return pair_form(t, X, Y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in STACKED_PARTS:
+            mp.setattr(stack, name, _counted_property(stack, name, counts))
+        mp.setattr(fstructure, "pair_form", counting_pair_form)
+        rep = run_suite(SuiteConfig(example="hypersphere", params={"n": 1},
+                                    suites=SUITES, samples=CHUNKED))
+    assert rep["overall"]["verdict"] == "pass"
+    return counts, pairs
+
+
+def test_class_parts_and_frame_conditions_once_per_chunk(stacked_run):
+    # the classes and frames bundles, the class gates of the theorem checks
+    # and the submanifold conclusions read the rows of one stacked residual
+    # per part: each is built once per chunk of points
+    counts, _ = stacked_run
+    assert {name: counts[name] for name in STACKED_PARTS} == dict.fromkeys(
+        STACKED_PARTS, 2)
+
+
+def test_test_pairs_once_per_sub_chunk(stacked_run):
+    # the coefficients of each part measured on the test pairs, (D_X f)Y
+    # and (D_X Q)Y among them, meet the pairs once per sub-chunk of
+    # PAIR_CHUNK points, and never twice with the same operands (all-zero
+    # coefficients are left out: two identities may both vanish exactly)
+    _, pairs = stacked_run
+    made = {key: n for key, n in pairs.items() if key[0] == "_pair_rows"}
+    assert sum(made.values()) == ON_PAIRS * _sub_chunks(CHUNKED)
+    assert max(n for key, n in made.items() if ZERO not in key) == 1
 
 
 def test_one_chunk_of_state_alive_at_a_time(chunked_run):
@@ -325,33 +385,6 @@ def test_one_chunk_of_state_alive_at_a_time(chunked_run):
     assert counts["ambient_stack_alive_at_build"] == 0
 
 
-def _calls_in(sites, function):
-    """{(helper, line): calls} of the contractions made in ``function``."""
-    out = Counter()
-    for site, n in sites.items():
-        if site[2] == function:
-            out[site[1], site[3]] += n
-    return out
-
-
-def test_frame_residuals_once_per_sample(counted_run):
-    _, _, named, _ = counted_run
-    # contractions that only frame_residuals and q_parallel_residual make:
-    # the Reeb brackets, and (D_V Q) on the contact basis
-    assert sum(named("xi0", "xi1").values()) == SAMPLES
-    assert sum(named("nabla_q", "V", "d_basis").values()) == SAMPLES
-
-
-def test_nabla_f_pairs_once_per_sample(counted_run):
-    _, _, _, sites = counted_run
-    # the identities summed from (D_X f)Y, and the (D_X Q)Y expansion: each
-    # coefficient tensor is contracted with the test pairs once per sample
-    for function in ("nearly_s_residual", "nearly_c_residual",
-                     "s_structure_residual", "q_parallel_residual"):
-        calls = _calls_in(sites, function)
-        assert calls and set(calls.values()) == {SAMPLES}, function
-
-
 def _by_value(sites):
     """{(sample, helper, operand names, operand values): calls}, wherever
     each contraction is called from. Contractions with an all-zero operand
@@ -365,7 +398,7 @@ def _by_value(sites):
 
 
 def test_shared_contractions_once_per_sample(counted_run):
-    _, counts, _, sites = counted_run
+    _, counts, sites = counted_run
     # no contraction (pair_form, lead_dot or np.einsum in the classifiers,
     # fstructure and submanifold modules) is made twice with the same
     # operands at one point: what several checks share is computed once
@@ -378,10 +411,12 @@ def test_shared_contractions_once_per_sample(counted_run):
 
 
 def test_each_coefficient_tensor_contracted_once_per_sample(counted_run):
-    _, _, _, sites = counted_run
+    _, _, sites = counted_run
     # pair_form(C, V, V): every coefficient tensor C of a bilinear identity
-    # meets the test pairs once per sample, wherever it is formed
-    # (all-zero coefficients are left out by _by_value)
+    # in the theorem and submanifold checks meets the test pairs once per
+    # sample, wherever it is formed (all-zero coefficients are left out by
+    # _by_value); the class parts meet them on the chunk's stack
+    # (test_test_pairs_once_per_sub_chunk)
     pairs = {(sample, values): n
              for (sample, helper, operands, values), n in
              _by_value(sites).items()
@@ -389,11 +424,11 @@ def test_each_coefficient_tensor_contracted_once_per_sample(counted_run):
     assert max(pairs.values()) == 1
     per_sample = Counter(sample for sample, _ in pairs)
     assert sorted(per_sample) == list(range(1, SAMPLES + 1))
-    assert min(per_sample.values()) >= 20
+    assert min(per_sample.values()) >= 12
 
 
 def test_second_fundamental_form_once_per_sample(counted_run):
-    _, counts, _, _ = counted_run
+    _, counts, _ = counted_run
     # both thsubm cases, the Gauss split and the curvature read the
     # coordinate second fundamental form, built once per point
     assert counts["hn"] == SAMPLES
@@ -417,10 +452,11 @@ def test_one_cholesky_factor_per_metric_and_chunk(chunked_run):
 
 
 def test_axioms_map_once_per_chunk():
-    # the axioms bundle, the weak_metric_f class and the axiom gate of every
-    # theorem read the point's row of one stacked map: its build, with the
-    # eigvalsh of Q and the svd of f in the test basis, runs once per chunk
-    # of points, and the row is read once per point
+    # the axioms bundle and the weak_metric_f class read the rows of one
+    # stacked map, and the axiom gate of every theorem the rows of its
+    # worst: the map's build, with the eigvalsh of Q and the svd of f in the
+    # test basis, runs once per chunk of points, and no point's map is read
+    # on its own
     samples, counts = 50, Counter()
     linalg = types.SimpleNamespace(**vars(np.linalg))
     for name in ("eigvalsh", "svd"):
@@ -431,7 +467,8 @@ def test_axioms_map_once_per_chunk():
     stack = fstructure._FrameStack
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fstructure, "np", counted_np)
-        mp.setattr(stack, "axioms", _counted_property(stack, "axioms", counts))
+        for name in ("axioms", "worst_axiom"):
+            mp.setattr(stack, name, _counted_property(stack, name, counts))
         mp.setattr(fstructure, "axioms_residual", _counting(
             fstructure.axioms_residual, counts, "rows"))
         rep = run_suite(SuiteConfig(
@@ -440,11 +477,12 @@ def test_axioms_map_once_per_chunk():
     assert rep["overall"]["verdict"] == "pass"
     chunks = -(-samples // charts.CHUNK)
     assert counts["axioms"] == counts["eigvalsh"] == counts["svd"] == chunks == 4
-    assert counts["rows"] == samples
+    assert counts["worst_axiom"] == chunks
+    assert counts["rows"] == 0
 
 
 def test_ambient_point_quantities_once_per_sample(counted_run):
-    _, counts, _, _ = counted_run
+    _, counts, _ = counted_run
     # both thsubm cases read the shape operators and the gate; the Gauss
     # split and the tangential expansion read D on coordinate pairs
     assert counts["shape_operators"] == SAMPLES
@@ -456,6 +494,6 @@ def test_kept_axioms_map_is_a_copy():
     sub = hypersphere(n=1).obj
     pack = submanifold.induce_structure(sub, validate=False)
     fr = oracles.frame(pack, pack.chart.sample(1, seed=5)[0], sub, seed=5)
-    first = frame_axioms(fr)
+    first = axioms_residual(fr)
     first["f_skew"] = 1.0
-    assert frame_axioms(fr)["f_skew"] < 1e-9
+    assert axioms_residual(fr)["f_skew"] < 1e-9

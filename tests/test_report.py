@@ -5,8 +5,11 @@ import ast
 import hashlib
 import json
 import math
+import struct
+from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import pytest
 import report_digests
 from report_digests import CONFIGS, digest_lines, dump_reports
@@ -74,13 +77,14 @@ def test_suite_entries_do_not_depend_on_other_suites(full_runs):
             assert alone == {suite: full[suite]}, (ex, params, suite)
 
 
-# The only places that build a point's state: the runner builds one of each
-# per point, hands the ambient point to the frame, and every check takes the
-# frame alone; require_valid_frame builds an ambient point of its own to
-# check an embedding's normal frame before any frame exists.
+# The only places that build a point's state: the runner's walk of a chunk
+# builds one of each per point, hands the ambient point to the frame, and
+# every check takes the frame alone; require_valid_frame builds an ambient
+# point of its own to check an embedding's normal frame before any frame
+# exists.
 BUILDERS = {
-    "PackFrame": {("report.py", "run_suite")},
-    "_AmbientPoint": {("report.py", "run_suite"),
+    "PackFrame": {("report.py", "walk")},
+    "_AmbientPoint": {("report.py", "walk"),
                       ("submanifold.py", "require_valid_frame")},
 }
 
@@ -227,17 +231,24 @@ def test_nan_residual_fails_its_entry(capsys, monkeypatch):
     entry = report._entry("qf_commute", "qf_commute", agg, 1e-9, True)
     assert entry["verdict"] == "fail"
 
-    # a residual that is NaN at the second point and +inf at the third
-    axioms = fstructure.axioms_residual
-    calls = []
+    # a residual that is NaN at the second point and +inf at the third: rows
+    # 1 and 2 of the stacked map of the run's one chunk
+    axioms = vars(fstructure._FrameStack)["axioms"].func
 
-    def non_finite(fr):
-        res = axioms(fr)
-        calls.append(fr)
-        res["qf_commute"] = (0.0, math.nan, math.inf)[len(calls) - 1]
-        return res
+    def injected(edit):
+        def build(stack):
+            res = axioms(stack)
+            res["qf_commute"] = edit(res["qf_commute"].copy())
+            return res
+        prop = cached_property(build)
+        prop.__set_name__(fstructure._FrameStack, "axioms")
+        monkeypatch.setattr(fstructure._FrameStack, "axioms", prop)
 
-    monkeypatch.setattr(fstructure, "axioms_residual", non_finite)
+    def non_finite(row):
+        row[1:3] = math.nan, math.inf
+        return row
+
+    injected(non_finite)
     argv = ["verify", "--example", "flat_pack", "--param", "n=1", "--param",
             "s=1", "--suites", "axioms", "--samples", "3"]
     assert cli.main([*argv, "--format", "json"]) == 1
@@ -248,7 +259,6 @@ def test_nan_residual_fails_its_entry(capsys, monkeypatch):
     assert entry["max_residual"] == "NaN" and entry["mean_residual"] == "NaN"
     assert entry["verdict"] == "fail"
     assert "qf_commute" in rep["overall"]["failures"]
-    calls.clear()
     assert cli.main([*argv, "--format", "text"]) == 1
     (line,) = [ln for ln in capsys.readouterr().out.splitlines()
                if " qf_commute " in ln]
@@ -260,12 +270,11 @@ def test_nan_residual_fails_its_entry(capsys, monkeypatch):
     # a NaN axiom that is not the first of the map: the class that conjoins
     # the axioms fails with a NaN max, and the axiom gate of every theorem
     # bundle skips it
-    def nan_axiom(fr):
-        res = axioms(fr)
-        res["qf_commute"] = math.nan
-        return res
+    def nan_axiom(row):
+        row[:] = math.nan
+        return row
 
-    monkeypatch.setattr(fstructure, "axioms_residual", nan_axiom)
+    injected(nan_axiom)
     rep = run_suite(SuiteConfig(example="sasakian_s3", samples=3,
                                 suites=("axioms", "classes", "theorems")))
     (entry,) = [e for e in rep["suites"]["classes"]
@@ -276,6 +285,43 @@ def test_nan_residual_fails_its_entry(capsys, monkeypatch):
     for e in theorems:
         assert e["verdict"] == "skipped"
         assert e["note"].startswith("hypothesis failed: weak_metric_f_axioms")
+
+
+def _state(agg):
+    """An aggregate's max and total bit for bit, and its count."""
+    return struct.pack("<dd", agg.max, agg.total), agg.count
+
+
+def test_agg_folds_a_row_as_one_value_at_a_time():
+    # a chunk's row of residuals folds into an entry exactly as its points'
+    # values added one at a time in point order: the same max (a NaN stays
+    # it), the same sum bit for bit, the same count
+    base = [1e-3, 2.5, 0.25, 1e-9]
+    rows = []
+    for special in (math.nan, math.inf):
+        for k in range(len(base)):
+            row = np.array(base)
+            row[k] = special
+            rows.append(row)
+    rows += [np.array(base), np.array([-0.0, -0.0]), np.array([-0.0, 0.0]),
+             np.array([-1.0, -3.0, -2.0])]
+    for row in rows:
+        for before in ((), (0.75,), (-0.0,), (math.nan,), (math.inf,)):
+            one, folded = report._Agg(), report._Agg()
+            for v in before:
+                one.add(v)
+                folded.add(v)
+            for v in row.tolist():
+                one.add(v)
+            folded.add(row)
+            assert _state(folded) == _state(one), (before, row)
+            seen = [*before, *row.tolist()]
+            assert math.isnan(folded.max) == any(map(math.isnan, seen))
+            assert folded.count == len(seen)
+    # a row whose values are all below zero leaves the max at 0.0
+    agg = report._Agg()
+    agg.add(np.array([-1.0, -3.0]))
+    assert _state(agg) == (struct.pack("<dd", 0.0, -4.0), 2)
 
 
 def test_report_digests_match_the_command_line(capsys):
