@@ -17,8 +17,8 @@ nothing is validated at construction time, so deliberately broken packs can
 be built for negative controls; the residual report is the verdict.
 
 :class:`PackFrame` holds jets, Christoffel symbols and test vectors of a
-pack at one point, as a row of their stacks over a chunk of points; all
-classifier functionals are numpy contractions of its arrays.
+pack at one point, as a row of their stacks over a chunk of points; the
+theorem checks are numpy contractions of its arrays.
 """
 
 from __future__ import annotations
@@ -433,9 +433,8 @@ class PackFrame(_Fields):
     the frame reads its row of each on first use, the residual rows of the
     axioms, the class parts and the Reeb-frame conditions included
     (:meth:`stacked`). The theorem checks are per point. A pack induced on
-    an embedded
-    submanifold takes the point's ambient data as ``ambient`` (see
-    :func:`weakf.submanifold.induce_structure`): its jets, g^-1 and
+    an embedded submanifold takes the point's ambient data as ``ambient``
+    (see :func:`weakf.submanifold.induce_structure`): its jets, g^-1 and
     curvature are read from there.
     """
 
