@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 
 from .charts import Chart, SmoothField, constant_field, euclidean_metric
 from .fstructure import PackFrame, StructurePack, axioms_residual
-from .catalog import CatalogObject, ExampleSpec, make_example
+from .catalog import CatalogObject, make_example
 from .report import SuiteConfig, run_suite
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "PackFrame",
     "axioms_residual",
     "CatalogObject",
-    "ExampleSpec",
     "make_example",
     "SuiteConfig",
     "run_suite",

@@ -49,7 +49,7 @@ Built-in examples
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,14 +83,6 @@ _SASAKIAN_CLASSES = (
     "S_structure",
     "f_K_contact",
 )
-
-
-@dataclass(frozen=True)
-class ExampleSpec:
-    """Declarative description of a catalog object."""
-
-    name: str
-    params: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -508,12 +500,8 @@ BUILDERS = {
 }
 
 
-def make_example(spec, **params):
-    """Build a catalog object from an :class:`ExampleSpec` or a name."""
-    if isinstance(spec, ExampleSpec):
-        name, params = spec.name, dict(spec.params)
-    else:
-        name = str(spec)
+def make_example(name, /, **params):
+    """Build the catalog object ``name`` with the builder's ``params``."""
     builder = BUILDERS.get(name)
     if builder is None:
         known = ", ".join(sorted(BUILDERS))

@@ -5,9 +5,10 @@ clear of coordinate singularities. A :class:`SmoothField` wraps a component
 function ``fn(coords) -> components`` where ``coords`` is a list of generic
 scalars: floats, or jets over a stack of points. The same function therefore
 yields values at one point, and first and second partial derivatives at a
-whole stack of points in one call (:class:`PointStacks` keeps those stacks
-for a run). Evaluation is deterministic: the same point always produces
-bitwise-identical output, alone or in a stack.
+whole stack of points in one call: :class:`PointStacks` walks a run's points
+in chunks, and the :class:`Rows` of each chunk keeps its stacks. Evaluation
+is deterministic: the same point always produces bitwise-identical output,
+alone or in a stack.
 
 Component layout per kind:
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,22 +54,6 @@ class Chart:
         for lo, hi in self.box:
             if not lo < hi:
                 raise ValueError("empty box interval")
-
-    def contains(self, coords):
-        if len(coords) != self.dim:
-            return False
-        return all(lo < c < hi for c, (lo, hi) in zip(coords, self.box))
-
-    def point(self, coords):
-        """Validate and return a chart point as a float vector."""
-        p = np.asarray(coords, dtype=float)
-        if p.shape != (self.dim,):
-            raise ValueError(
-                f"point has {p.size} coordinates, chart {self.name!r} has dim {self.dim}"
-            )
-        if not self.contains(p):
-            raise ValueError(f"point {tuple(p)} outside safe box of chart {self.name!r}")
-        return p
 
     def sample(self, count, seed):
         """Deterministic seeded points (rows), uniform over the safe box."""
@@ -163,10 +147,10 @@ def take(value, k):
 
 
 def row_of(name):
-    """The attribute of a frame or ambient point that is its row
-    ``_row.k`` of the quantity ``name`` of its stack ``_chunk``, read once."""
+    """The attribute of a frame or ambient point that is its row ``_k`` of
+    the quantity ``name`` of its chunk's stack ``_chunk``, read once."""
     return cached_property(
-        lambda view: take(getattr(view._chunk, name), view._row.k))
+        lambda view: take(getattr(view._chunk, name), view._k))
 
 
 class Rows:
@@ -188,9 +172,6 @@ class Rows:
     def __len__(self):
         return len(self.points)
 
-    def row(self, k, stacks=None):
-        return Row(self, k, {} if stacks is None else stacks)
-
     def jet(self, fn, order, what, at=None):
         key = (fn, order, at)
         if key not in self._store:
@@ -199,58 +180,26 @@ class Rows:
         return self._store[key]
 
 
-class Row(NamedTuple):
-    """Row ``k`` of ``rows``: one sample point of a chunk.
-
-    ``stacks`` holds the set-up stacks of frames and ambient points over
-    ``rows``, shared by the chunk's rows (see
-    :class:`~weakf.fstructure.PackFrame`). The stacks refer to ``rows``,
-    never the other way, so a chunk is freed as soon as the walk leaves it.
-    """
-
-    rows: Rows
-    k: int
-    stacks: dict
-
-    def kept(self, key, build):
-        """The chunk's stack under ``key``, built by ``build()`` once."""
-        if key not in self.stacks:
-            self.stacks[key] = build()
-        return self.stacks[key]
-
-    def jet(self, fn, order, what, at=None):
-        """Row k of ``rows.jet``."""
-        return take(self.rows.jet(fn, order, what, at), self.k)
-
-
 class PointStacks:
     """One case's sample points, walked in chunks of ``CHUNK``.
 
-    ``row(i)`` is point i as a row of the :class:`Rows` of its chunk, and
-    ``chunks()`` the first row of each chunk in turn. A chunk's stacks are
-    built on first use and dropped when the walk reaches the next chunk, so
+    ``chunks()`` yields the :class:`Rows` of each chunk in turn. The runner
+    builds a chunk's set-up stacks over its rows and hands them to the
+    chunk's frames, so they are dropped when the walk leaves the chunk and
     memory does not grow with the number of samples. ``alone(i)`` is point
-    i as the one row of stacks of its own, where the runner walks again the
-    points of a chunk that raised (see :func:`weakf.report.run_suite`).
+    i as rows of its own, where the runner walks again the points of a
+    chunk that raised (see :func:`weakf.report.run_suite`).
     """
 
     def __init__(self, points):
         self.points = np.asarray(points, dtype=float)    # a float array as is
-        self._chunk = None
-        self._stacks = {}
 
     def chunks(self):
-        return (self.row(i) for i in range(0, len(self.points), CHUNK))
-
-    def row(self, i):
-        start = i - i % CHUNK
-        if self._chunk is None or self._chunk.start != start:
-            self._chunk = Rows(self.points[start:start + CHUNK], start)
-            self._stacks = {}
-        return self._chunk.row(i - start, self._stacks)
+        return (Rows(self.points[i:i + CHUNK], i)
+                for i in range(0, len(self.points), CHUNK))
 
     def alone(self, i):
-        return Rows(self.points[i:i + 1], i).row(0)
+        return Rows(self.points[i:i + 1], i)
 
 
 # -- constructors -------------------------------------------------------------

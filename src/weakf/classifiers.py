@@ -2,12 +2,13 @@
 
 Each class part is the sup, over the test frame at a point, of a defining
 identity; a class takes the max over its parts. The parts and the Reeb-frame
-conditions are stacked over a chunk of points, and the per-frame functions
-here read the frame's row. Theorem checks are per point and gated: when the
-hypotheses of a statement fail on the given pack (or read NaN),
-:class:`HypothesisNotMet` is raised instead of reporting a vacuous pass.
-Vector-valued residuals are measured in the g-norm: each is lowered by the
-frame's Cholesky factor u of g0 and reduced by
+conditions are stacked over a chunk of points, as attributes of
+:class:`~weakf.fstructure._FrameStack` named as the report names them, and a
+frame reads its point's entry as ``frame.stacked(name)``. Theorem checks are
+per point and gated: when the hypotheses of a statement fail on the given
+pack (or read NaN), :class:`HypothesisNotMet` is raised instead of reporting
+a vacuous pass. Vector-valued residuals are measured in the g-norm: each is
+lowered by the frame's Cholesky factor u of g0 and reduced by
 :func:`~weakf.sampling.sup_norm`.
 
 Gates use the exact tolerance (default 1e-9); the report measures the
@@ -16,7 +17,6 @@ curvature steps of ``thm32_chain`` against its own curvature tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -27,58 +27,11 @@ from .sampling import lead_dot, pair_form, sup_abs, sup_norm, worst
 TOL_EXACT = 1e-9
 
 
-@dataclass(frozen=True)
-class FrameConditions:
-    """Residuals of the Reeb-frame conditions of the almost S/C classes."""
-
-    reeb_brackets: float          # [xi_i, xi_j] = 0
-    reeb_flat: float              # g(D_X xi_i, xi_j) = 0
-    reeb_totally_geodesic: float  # eta^k(D_{xi_i} xi_j) = 0
-    q_parallel_d: float           # (D_X Q)Y = 0 for Y in D
-
-
-# -- class parts and frame conditions ---------------------------------------------
-#
-# Each is a row over a chunk of points, an attribute of its stack (see
-# weakf.fstructure._FrameStack); a frame reads its point's entry.
-
-
-def nearly_s_residual(fr):
-    """(D_X f)Y + (D_Y f)X - 2 g(fX,fY) xibar - etabar(X) f^2 Y - etabar(Y) f^2 X."""
-    return float(fr.stacked("nearly_s_defining"))
-
-
-def nearly_c_residual(fr):
-    """(D_X f)Y + (D_Y f)X."""
-    return float(fr.stacked("nearly_c_defining"))
-
-
-def s_structure_residual(fr):
-    """(D_X f)Y - g(fX,fY) xibar - etabar(Y) f^2 X."""
-    return float(fr.stacked("s_structure_defining"))
-
-
-def almost_s_residual(fr):
-    """Phi = d eta^i for every i."""
-    return float(fr.stacked("phi_equals_deta"))
-
-
-def closed_eta_residual(fr):
-    return float(fr.stacked("deta_zero"))
-
-
-def closed_phi_residual(fr):
-    return float(fr.stacked("dphi_zero"))
-
-
-def normality_residual(fr):
-    """N1(X, Y) = [f,f](X,Y) + 2 sum_i deta^i(X,Y) xi_i."""
-    return float(fr.stacked("n1_zero"))
-
-
-def killing_residuals(fr):
-    """Sup-norm of (L_{xi_i} g) over the test vectors, for each Reeb field."""
-    return fr.stacked("killing").tolist()
+# The Reeb-frame conditions of the almost S/C classes, in report order:
+# [xi_i, xi_j] = 0, g(D_X xi_i, xi_j) = 0, eta^k(D_{xi_i} xi_j) = 0 and
+# (D_X Q)Y = 0 for Y in D.
+FRAME_CONDITIONS = ("reeb_brackets", "reeb_flat", "reeb_totally_geodesic",
+                    "q_parallel_d")
 
 
 # Each class is the conjunction of its parts: "axioms" stands for every
@@ -150,14 +103,14 @@ def q_parallel_residual(fr):
 
 
 def frame_residuals(fr):
-    """Reeb-frame condition residuals at the frame's point.
+    """{condition: residual} of the Reeb-frame conditions at the frame's
+    point, in the order of :data:`FRAME_CONDITIONS`.
 
-    The test set for the middle condition includes the Reeb fields
+    The test set for the flatness condition includes the Reeb fields
     themselves, so the totally-geodesic residual is always bounded by the
     flatness residual.
     """
-    return FrameConditions(**{f.name: float(fr.stacked(f.name))
-                              for f in fields(FrameConditions)})
+    return {name: float(fr.stacked(name)) for name in FRAME_CONDITIONS}
 
 
 # -- gated theorem checks ---------------------------------------------------------
@@ -171,10 +124,10 @@ def _gate(check, name, residual, tol):
 
 def _nearly_class_gate(fr, check, tol):
     """Require the pack to be weak nearly S or weak nearly C."""
-    rs = nearly_s_residual(fr)
+    rs = fr.stacked("nearly_s_defining")
     if rs <= tol:
         return "weak_nearly_S"
-    rc = nearly_c_residual(fr)
+    rc = fr.stacked("nearly_c_defining")
     if rc <= tol:
         return "weak_nearly_C"
     if rs <= rc:
@@ -183,12 +136,9 @@ def _nearly_class_gate(fr, check, tol):
 
 
 def _frame_gates(fr, check, tol):
-    fc = frame_residuals(fr)
-    _gate(check, "reeb_brackets", fc.reeb_brackets, tol)
-    _gate(check, "reeb_totally_geodesic", fc.reeb_totally_geodesic, tol)
-    _gate(check, "reeb_flat", fc.reeb_flat, tol)
-    _gate(check, "q_parallel_d", fc.q_parallel_d, tol)
-    return fc
+    for name in ("reeb_brackets", "reeb_totally_geodesic", "reeb_flat",
+                 "q_parallel_d"):
+        _gate(check, name, fr.stacked(name), tol)
 
 
 def theorem_check(pack, p, which, frame, tol_exact=TOL_EXACT):
@@ -224,13 +174,13 @@ def _prop1(fr, tol):
     ne = np.einsum("jab,ia->ijb", fr.nabla_eta, fr.xi0)
     dual = ((ne @ fr.ginv) * ne).sum(-1)
     res["reeb_coparallel"] = float(np.sqrt(np.maximum(dual.max(), 0.0)))
-    res["reeb_killing"] = worst(killing_residuals(fr))
+    res["reeb_killing"] = worst(fr.stacked("killing"))
     return res
 
 
 def _prop_normal(fr, tol):
     """Consequences of normality, reported on packs with N1 = 0."""
-    _gate("prop_normal", "normality", normality_residual(fr), tol)
+    _gate("prop_normal", "normality", fr.stacked("n1_zero"), tol)
     V = fr.V
     res = {}
     res["lie_xi_f"] = sup_norm(pair_form(fr.n3(), fr.u, V).transpose(1, 0, 2))
@@ -259,8 +209,8 @@ def _prop_normal(fr, tol):
 
 
 def _fk_gate(fr, check, tol):
-    _gate(check, "phi_equals_deta", almost_s_residual(fr), tol)
-    _gate(check, "killing_reeb", worst(killing_residuals(fr)), tol)
+    _gate(check, "phi_equals_deta", fr.stacked("phi_equals_deta"), tol)
+    _gate(check, "killing_reeb", worst(fr.stacked("killing")), tol)
 
 
 def _fk_contact_nabla(fr, tol):
@@ -315,7 +265,7 @@ def _thm32_chain(fr, tol):
 
 
 def _thm41(fr, tol):
-    _gate("thm41", "weak_nearly_C", nearly_c_residual(fr), tol)
+    _gate("thm41", "weak_nearly_C", fr.stacked("nearly_c_defining"), tol)
     db = fr.d_basis
     res = {"nabla_xi_zero": sup_norm(
         pair_form(fr.nabla_xi, fr.u, fr.V).transpose(1, 0, 2))}
@@ -331,7 +281,7 @@ def _thm41(fr, tol):
 
 
 def _thm01_gates(fr, check, tol):
-    _gate(check, "weak_nearly_S", nearly_s_residual(fr), tol)
+    _gate(check, "weak_nearly_S", fr.stacked("nearly_s_defining"), tol)
     _frame_gates(fr, check, tol)
 
 
@@ -363,7 +313,7 @@ def _on_basis(fr, t):
 def _thm01_ii(fr, tol):
     _thm01_gates(fr, "thm01_ii", tol)
     V = fr.V
-    _gate("thm01_ii", "phi_equals_deta", almost_s_residual(fr), tol)
+    _gate("thm01_ii", "phi_equals_deta", fr.stacked("phi_equals_deta"), tol)
     phqt = fr.qtilde.T @ fr.phi0                # Phi((Q - id)X, Y)
     c = fr.n1_coeff - 2.0 * fr.xibar[:, None, None] * phqt
     res = {"n1_equals_qtilde_phi": sup_norm(pair_form(lead_dot(fr.u, c), V, V))}
@@ -378,11 +328,12 @@ def _thm01_ii(fr, tol):
 
 
 def _corollary_rigidity(fr, tol):
-    _gate("corollary_rigidity", "weak_nearly_S", nearly_s_residual(fr), tol)
-    _gate("corollary_rigidity", "normal", normality_residual(fr), tol)
+    _gate("corollary_rigidity", "weak_nearly_S",
+          fr.stacked("nearly_s_defining"), tol)
+    _gate("corollary_rigidity", "normal", fr.stacked("n1_zero"), tol)
     qt = sup_norm(pair_form(fr.qtilde, fr.u, fr.V))
     _gate("corollary_rigidity", "Q_equals_id", qt, tol)
-    return {"s_structure_defining": s_structure_residual(fr)}
+    return {"s_structure_defining": fr.stacked("s_structure_defining")}
 
 
 # Theorem bundles in report order: name -> (frame, tol) -> residuals.

@@ -16,9 +16,11 @@ Reeb-frame conditions are stacked the same way. Packs are dumb containers:
 nothing is validated at construction time, so deliberately broken packs can
 be built for negative controls; the residual report is the verdict.
 
-:class:`PackFrame` holds jets, Christoffel symbols and test vectors of a
-pack at one point, as a row of their stacks over a chunk of points; the
-theorem checks are numpy contractions of its arrays.
+:class:`_FrameStack` holds jets, Christoffel symbols and test vectors of a
+pack over a chunk of points, each with a leading point axis. The runner
+builds one per chunk and hands it to each :class:`PackFrame` of the chunk
+with the point's index; the frame reads its row of every quantity, and the
+theorem checks are numpy contractions of those rows.
 """
 
 from __future__ import annotations
@@ -130,13 +132,6 @@ class _FrameStack(_Fields):
         self.rows = rows
         self.rngs = [point_rng(seed, rows.start + k) for k in range(len(rows))]
         self.ambient = ambient
-
-    @classmethod
-    def of(cls, pack, row, seed, ambient=None):
-        """The stack over the chunk of ``row``, built once per chunk."""
-        # keyed by id: the stack holds the pack, so the id stays its own
-        return row.kept((cls, id(pack), seed),
-                        lambda: cls(pack, row.rows, seed, ambient))
 
     @cached_property
     def _jets(self):
@@ -425,10 +420,11 @@ class _FrameStack(_Fields):
 class PackFrame(_Fields):
     """All jets and test data of a pack at a single chart point.
 
-    The frame is a row of the set-up stack of its chunk of sample points
-    (``row``, a :class:`~weakf.charts.Row` of the run's
-    :class:`~weakf.charts.PointStacks`; by default the point alone, as
-    sample ``index``): g^-1, Christoffel symbols, test vectors and the
+    The frame is a row of ``stack``, the :class:`_FrameStack` of its chunk
+    of sample points, which the runner builds and hands to each frame of
+    the chunk; the point is sample ``index`` of the run, so row
+    ``index - stack.rows.start``. Without a stack the frame makes a stack
+    of its point alone. g^-1, Christoffel symbols, test vectors and the
     derived tensors are built once per chunk with a leading point axis, and
     the frame reads its row of each on first use, the residual rows of the
     axioms, the class parts and the Reeb-frame conditions included
@@ -438,14 +434,16 @@ class PackFrame(_Fields):
     curvature are read from there.
     """
 
-    def __init__(self, pack, p, seed=0, index=0, ambient=None, row=None):
+    def __init__(self, pack, p, seed=0, index=0, ambient=None, stack=None):
         self.pack = pack
         self.p = np.asarray(p, dtype=float)
         self.ambient = ambient
-        self._row = row or Rows(self.p[None], index).row(0)
-        self._chunk = _FrameStack.of(pack, self._row, seed,
-                                     None if ambient is None else ambient._chunk)
-        self._rng = self._chunk.rngs[self._row.k]
+        if stack is None:
+            stack = _FrameStack(pack, Rows(self.p[None], index), seed,
+                                None if ambient is None else ambient._chunk)
+        self._chunk = stack
+        self._k = index - stack.rows.start
+        self._rng = stack.rngs[self._k]
         self._kept = {}
 
     _jets = row_of("_jets")
@@ -471,7 +469,7 @@ class PackFrame(_Fields):
         if self.ambient is not None:
             return self.ambient.induced_riemann
         g = self.pack.g
-        g2 = self._row.jet(g.fn, 2, g.label)[2]
+        g2 = self._chunk.rows.jet(g.fn, 2, g.label)[2][self._k]
         return calculus.riemann_from_jets(self.ginv, self.gamma, self.g1, g2)
 
     def random_d_units(self, count):
@@ -482,7 +480,7 @@ class PackFrame(_Fields):
 
     def stacked(self, name):
         """The frame's row of the quantity ``name`` of its chunk's stack."""
-        return take(getattr(self._chunk, name), self._row.k)
+        return take(getattr(self._chunk, name), self._k)
 
     def kept(self, key, compute):
         """``compute()``, computed once per frame and kept under ``key``.

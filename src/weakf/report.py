@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -34,8 +34,8 @@ from .catalog import make_example
 from .charts import PointStacks
 from .classifiers import (
     CLASS_TAGS,
+    FRAME_CONDITIONS,
     THEOREM_CHECKS,
-    FrameConditions,
     class_rows,
     theorem_check,
 )
@@ -302,12 +302,15 @@ def run_suite(config):
     """Execute the configured suites and assemble the report dict.
 
     Points are walked once, in the chunks of the case's one
-    :class:`~weakf.charts.PointStacks`: component functions are evaluated,
-    and set-up quantities built, once per chunk. The axioms, classes and
-    frames bundles read residual rows over the chunk from its set-up stack;
-    the theorem and submanifold bundles run at each point in turn, on its
-    :class:`PackFrame` (and ``_AmbientPoint``), row views of the same
-    stacks. A failed gate skips its bundle for good. Any other exception,
+    :class:`~weakf.charts.PointStacks`. The walk builds each chunk's set-up
+    stack, a :class:`_FrameStack` (over an ``_AmbientStack`` on an embedded
+    example), so component functions are evaluated, and set-up quantities
+    built, once per chunk. The axioms, classes and frames bundles read
+    residual rows over the chunk from the stack; the theorem and
+    submanifold bundles run at each point in turn, on its
+    :class:`PackFrame` (and ``_AmbientPoint``), which the walk hands the
+    chunk's stacks and the point's index and which reads its row of them.
+    A failed gate skips its bundle for good. Any other exception,
     from the engine or a component function, may belong to any point of
     the chunk: the chunk's results are dropped and its points walked again,
     each as a chunk of its own (``PointStacks.alone``, with a fresh
@@ -327,14 +330,14 @@ def run_suite(config):
     skips = {}          # bundle -> the note of the gate that failed
     at = [None]         # (bundle, point) under evaluation
 
-    def walk(first):
-        """[(bundle, residuals)] over the chunk of the row ``first``, in
-        the order they fold, and its skips; raises what a bundle raises."""
-        rows, found, skipped = first.rows, [], {}
-        ambient = None if sub is None else _AmbientStack.of(sub, first)
-        stack = _FrameStack.of(pack, first, config.seed, ambient)
+    def walk(rows):
+        """[(bundle, residuals)] over the chunk ``rows``, in the order they
+        fold, and its skips; raises what a bundle raises."""
+        found, skipped = [], {}
+        ambient = None if sub is None else _AmbientStack(sub, rows)
+        stack = _FrameStack(pack, rows, config.seed, ambient)
         for k, p in enumerate(rows.points):
-            i, row, fr = rows.start + k, rows.row(k, first.stacks), None
+            i, fr = rows.start + k, None
             for b, (_, bundle) in enumerate(bundles):
                 if b in skips or b in skipped or bundle.stacked and k:
                     continue
@@ -342,8 +345,8 @@ def run_suite(config):
                 try:
                     if not bundle.stacked and fr is None:
                         fr = PackFrame(pack, p, seed=config.seed, index=i,
-                                       row=row, ambient=None if sub is None
-                                       else _AmbientPoint(sub, p, row))
+                                       stack=stack, ambient=None if sub is None
+                                       else _AmbientPoint(sub, p, ambient, i))
                     found.append((b, bundle.evaluate(
                         stack if bundle.stacked else fr)))
                 except HypothesisNotMet as exc:
@@ -352,16 +355,16 @@ def run_suite(config):
         return found, skipped
 
     stacks = PointStacks(cat.chart.sample(config.samples, config.seed))
-    for first in stacks.chunks():
+    for rows in stacks.chunks():
         try:
-            found = walk(first)
+            found = walk(rows)
         except Exception:
             found = None
         if found is not None:
             _fold(*found, aggs, skips)
             continue
         # the chunk raised: walk its points again, each alone
-        for i in range(first.rows.start, first.rows.start + len(first.rows)):
+        for i in range(rows.start, rows.start + len(rows)):
             try:
                 found = walk(stacks.alone(i))
             except Exception as exc:
@@ -457,9 +460,8 @@ def _bundles(suite, config, cat):
         almost = not _ALMOST_CLASSES.isdisjoint(declared)
         return [_Bundle(
             "",
-            lambda st: {**{f.name: getattr(st, f.name)
-                           for f in fields(FrameConditions)},
-                        "q_parallel_expansion": st.q_parallel_expansion},
+            lambda st: {name: getattr(st, name) for name in
+                        (*FRAME_CONDITIONS, "q_parallel_expansion")},
             # the expansion is only asserted where its hypothesis holds
             counted=lambda key, aggs: almost and (
                 key != "q_parallel_expansion" or aggs["q_parallel_d"].max <= tol),

@@ -35,12 +35,7 @@ import numpy as np
 
 from . import calculus
 from .charts import Rows, SmoothField, jet_stack, row_of, take
-from .classifiers import (
-    TOL_EXACT,
-    nearly_c_residual,
-    nearly_s_residual,
-    q_parallel_residual,
-)
+from .classifiers import TOL_EXACT, q_parallel_residual
 from .errors import HypothesisNotMet, SetupRejected
 from .fstructure import StructurePack
 from .sampling import (
@@ -167,11 +162,6 @@ class _AmbientStack(_Along):
         self.sub = sub
         self.rows = rows
 
-    @classmethod
-    def of(cls, sub, row):
-        """The stack over the chunk of ``row``, built once per chunk."""
-        return row.kept((cls, id(sub)), lambda: cls(sub, row.rows))
-
     def _jet(self, which):
         return self.rows.jet(*_jet_of(self.sub, which))
 
@@ -269,31 +259,34 @@ class _AmbientPoint(_Along):
     The runner builds one per sample point of an embedded example and hands
     it to the point's :class:`~weakf.fstructure.PackFrame` as ``ambient``;
     the frame reads the induced pack's jets and curvature from it, and every
-    submanifold check reads it from the frame. Only
-    :func:`require_valid_frame` builds its own. It is a row of the ambient
-    stack of its chunk of sample points (``row``, a
-    :class:`~weakf.charts.Row` of the run's
-    :class:`~weakf.charts.PointStacks`; by default the point alone): the
-    jets of the embedding, the normals and the ambient fields along the
-    image, and the quantities built from them, are stacked once per chunk.
+    submanifold check reads it from the frame; of the checks, only
+    :func:`require_valid_frame` builds its own. It is a row of ``stack``,
+    the :class:`_AmbientStack` of its chunk of sample points, which the
+    runner builds once per chunk and hands to each of the chunk's ambient
+    points with the point's sample ``index``; without a stack the point
+    makes one of its own. The jets of the embedding, the normals and the
+    ambient fields along the image, and the quantities built from them, are
+    stacked once per chunk.
     """
 
     _lead = 0
 
-    def __init__(self, sub, p, row=None):
+    def __init__(self, sub, p, stack=None, index=0):
         self.sub = sub
         self.p = p = np.asarray(p, dtype=float)
-        self._row = row or Rows(p[None]).row(0)
-        self._chunk = _AmbientStack.of(sub, self._row)
+        if stack is None:
+            stack = _AmbientStack(sub, Rows(p[None], index))
+        self._chunk = stack
+        self._k = index - stack.rows.start
         self.iota, self.jac, self.hess = self._jet("embedding")
         self.normals, self.dnormals = self._jet("normals")
         self.gbar0, self.gbar1 = self._jet("gbar")
-        self.ginvbar = take(self._chunk.ginvbar, self._row.k)
-        self.gammabar = take(self._chunk.gammabar, self._row.k)
+        self.ginvbar = take(self._chunk.ginvbar, self._k)
+        self.gammabar = take(self._chunk.gammabar, self._k)
         self.fbar0, self.fbar1 = self._jet("fbar")
 
     def _jet(self, which):
-        return self._row.jet(*_jet_of(self.sub, which))
+        return take(self._chunk._jet(which), self._k)
 
     @property
     def g0(self):
@@ -533,9 +526,9 @@ def thsubm_check(fr, case, tol_exact=TOL_EXACT):
         **shared["case_free"],
     }
     if case == "i":
-        res["conclusion_weak_nearly_S"] = nearly_s_residual(fr)
+        res["conclusion_weak_nearly_S"] = fr.stacked("nearly_s_defining")
     else:
-        res["conclusion_weak_nearly_C"] = nearly_c_residual(fr)
+        res["conclusion_weak_nearly_C"] = fr.stacked("nearly_c_defining")
     return res
 
 

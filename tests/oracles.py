@@ -32,11 +32,12 @@ from weakf.fstructure import (
     _RANK_ZERO_CEIL,
     PackFrame,
     StructurePack,
+    _FrameStack,
 )
 from weakf import jets
 from weakf.jets import cos, sin
 from weakf.sampling import lead_dot, pair_form, sup_abs, sup_norm, worst
-from weakf.submanifold import _AmbientPoint, induce_structure
+from weakf.submanifold import _AmbientPoint, _AmbientStack, induce_structure
 
 
 # -- the nesting scalar jet -------------------------------------------------------
@@ -709,14 +710,17 @@ def config_frames(argv, samples, seed=42):
 
 def chunk_frames(pack, points, sub=None, seed=42):
     """The frames of ``points`` as the runner builds them: rows of the
-    set-up stacks of chunks of ``charts.CHUNK`` points."""
-    stacks = PointStacks(points)
+    set-up stacks of chunks of ``charts.CHUNK`` points, handed to each frame
+    of the chunk with its point's index."""
     frames = []
-    for i, p in enumerate(points):
-        row = stacks.row(i)
-        frames.append(PackFrame(
-            pack, p, seed=seed, index=i, row=row,
-            ambient=None if sub is None else _AmbientPoint(sub, p, row)))
+    for rows in PointStacks(points).chunks():
+        ambient = None if sub is None else _AmbientStack(sub, rows)
+        stack = _FrameStack(pack, rows, seed, ambient)
+        for i, p in enumerate(rows.points, rows.start):
+            frames.append(PackFrame(
+                pack, p, seed=seed, index=i, stack=stack,
+                ambient=None if sub is None
+                else _AmbientPoint(sub, p, ambient, i)))
     return frames
 
 

@@ -27,9 +27,6 @@ from weakf.catalog import (
 from weakf.charts import constant_field, euclidean_metric
 from weakf.classifiers import (
     class_residual,
-    nearly_s_residual,
-    normality_residual,
-    s_structure_residual,
     theorem_check,
 )
 from weakf.errors import InvalidExample
@@ -146,8 +143,8 @@ def test_criterion_06_rigidity():
     ):
         for i, p in enumerate(pack.chart.sample(POINTS, SEED)):
             fr = PackFrame(pack, p, seed=SEED, index=i)
-            assert normality_residual(fr) <= TOL
-            assert nearly_s_residual(fr) <= TOL
+            assert fr.stacked("n1_zero") <= TOL
+            assert fr.stacked("nearly_s_defining") <= TOL
             res = theorem_check(pack, p, "corollary_rigidity", frame=fr)
             assert res["s_structure_defining"] <= TOL
 
@@ -249,7 +246,7 @@ def test_criterion_09_negative_controls():
         fr = PackFrame(scaled_f, p)
         ax = axioms_residual(fr)
         assert ax["f_squared"] >= 0.1 and ax["compatibility"] >= 0.1
-        assert s_structure_residual(fr) >= 0.1
+        assert fr.stacked("s_structure_defining") >= 0.1
 
         scaled_eta = replaced(
             sas, eta=tuple(scale_field(e, 1.05) for e in sas.eta)

@@ -7,7 +7,6 @@ import oracles
 from weakf.catalog import (
     BUILDERS,
     MAX_AMBIENT_DIM,
-    ExampleSpec,
     flat_pack,
     hypersphere,
     linear_subspace,
@@ -116,6 +115,10 @@ def test_builders_validate_parameters():
         make_example("unknown_example")
     with pytest.raises(InvalidExample):
         make_example("flat_pack", bogus=3)
+    # the name is positional only: a parameter called "name" goes to the
+    # builder, which refuses it
+    with pytest.raises(InvalidExample, match="argument 'name'"):
+        make_example("flat_pack", name="sasakian_s3")
 
 
 @pytest.mark.parametrize("builder", [flat_pack, rotated_pack, product_pack,
@@ -143,12 +146,6 @@ def test_largest_dimension_is_accepted():
                   lambda: product_pack(n=1, s=16)):
         with pytest.raises(InvalidExample, match="got 34"):
             build()
-
-
-def test_make_example_spec_round_trip():
-    cat = make_example(ExampleSpec("product_pack", {"n": 1, "s": 2}))
-    assert cat.name == "product_pack"
-    assert cat.obj.s == 2
 
 
 def test_registry_covers_all_builders():

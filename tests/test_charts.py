@@ -12,13 +12,6 @@ from weakf.jets import log, sin
 
 
 def test_chart_point_validation():
-    chart = Chart("box", 2, ((0.0, 1.0), (-1.0, 1.0)))
-    p = chart.point([0.5, 0.0])
-    assert p.shape == (2,)
-    with pytest.raises(ValueError):
-        chart.point([0.5])
-    with pytest.raises(ValueError):
-        chart.point([1.5, 0.0])
     with pytest.raises(ValueError):
         Chart("bad", 2, ((0.0, 1.0),))
     with pytest.raises(ValueError):
@@ -30,9 +23,9 @@ def test_sampling_inside_box_and_deterministic():
     a = chart.sample(20, seed=11)
     b = chart.sample(20, seed=11)
     c = chart.sample(20, seed=12)
-    for p, q in zip(a, b):
-        assert np.array_equal(p, q)
-        assert chart.contains(p)
+    assert a.shape == (20, 3) and np.array_equal(a, b)
+    lo, hi = np.array(chart.box).T
+    assert ((lo < a) & (a < hi)).all()
     assert any(not np.array_equal(p, q) for p, q in zip(a, c))
 
 

@@ -9,8 +9,6 @@ from weakf.charts import SmoothField
 from weakf.classifiers import (
     class_residual,
     frame_residuals,
-    killing_residuals,
-    nearly_s_residual,
     q_parallel_residual,
     theorem_check,
 )
@@ -85,7 +83,7 @@ def test_killing_residuals(cat_product, cat_sasakian, cat_flat):
         pack = cat.obj
         for i, p in enumerate(pack.chart.sample(4, seed=7)):
             fr = PackFrame(pack, p, seed=7, index=i)
-            assert max(killing_residuals(fr)) <= TOL
+            assert max(fr.stacked("killing")) <= TOL
 
     # rescaling the Reeb field by a coordinate function breaks the isometry
     pack = cat_flat.obj
@@ -102,7 +100,7 @@ def test_killing_residuals(cat_product, cat_sasakian, cat_flat):
         n=pack.n, s=pack.s,
     )
     p = pack.chart.sample(1, seed=7)[0]
-    assert killing_residuals(PackFrame(broken, p))[0] > 0.1
+    assert PackFrame(broken, p).stacked("killing")[0] > 0.1
 
 
 def test_q_parallel_residuals(cat_flat, cat_product, cat_sasakian):
@@ -133,13 +131,15 @@ def test_frame_residuals_catalog(all_packs):
         for i, p in enumerate(pack.chart.sample(3, seed=13)):
             fr = PackFrame(pack, p, seed=13, index=i)
             fc = frame_residuals(fr)
-            assert fc.reeb_brackets <= TOL
-            assert fc.reeb_flat <= TOL
-            assert fc.reeb_totally_geodesic <= TOL
-            assert fc.q_parallel_d <= TOL
+            assert list(fc) == ["reeb_brackets", "reeb_flat",
+                                "reeb_totally_geodesic", "q_parallel_d"]
+            assert fc["reeb_brackets"] <= TOL
+            assert fc["reeb_flat"] <= TOL
+            assert fc["reeb_totally_geodesic"] <= TOL
+            assert fc["q_parallel_d"] <= TOL
             # the totally geodesic condition is the Reeb restriction of the
             # flatness condition, whose test set includes the Reeb fields
-            assert fc.reeb_totally_geodesic <= fc.reeb_flat + 1e-12
+            assert fc["reeb_totally_geodesic"] <= fc["reeb_flat"] + 1e-12
 
 
 def test_prop1_on_product_pack(cat_product):
@@ -290,7 +290,7 @@ def test_implication_lattice(all_packs):
         av = _verdict(pack, "weak_almost_S", count=3)
         if av.holds:
             kil = max(
-                max(killing_residuals(PackFrame(pack, p)))
+                max(PackFrame(pack, p).stacked("killing"))
                 for p in pack.chart.sample(3, 5)
             )
             if kil <= TOL:
@@ -308,7 +308,7 @@ def test_symmetrized_residual_matches_diagonal(all_packs):
             # a fresh frame, since its stack keeps the residual it computes
             one = PackFrame(pack, p, seed=71)
             one._chunk.tv = replace(fr._chunk.tv, vectors=x[None, None])
-            pair = nearly_s_residual(one)
+            pair = one.stacked("nearly_s_defining")
             nf_xx = np.einsum("i,ikj,j->k", x, fr.nabla_f, x)
             fx = fr.f0 @ x
             diag = (

@@ -62,14 +62,16 @@ def test_bad_parameter_is_usage_error(tmp_path):
     # fractional counts are rejected, not truncated; so are tolerances that
     # are not finite numbers >= 0, an empty sample or one above
     # MAX_SAMPLES, a negative seed, and a suite list that is empty, names an
-    # unknown suite or repeats one
+    # unknown suite or repeats one; a parameter named like make_example's
+    # own argument is the builder's to refuse
     for extra in (["--param", "n=1.5"], ["--param", "s=0.5"],
                   ["--tol-exact", "nan"], ["--tol-exact", "inf"],
                   ["--tol-curv", "-1e-6"], ["--samples", "0"],
                   ["--seed", "-1"], ["--suites", ","], ["--suites", "axiom"],
                   ["--suites", "axioms,axioms"], ["--suites", "axioms,,classes"],
                   ["--param", "n=2"], ["--samples", str(MAX_SAMPLES + 1)],
-                  ["--samples", "1000000000000"]):
+                  ["--samples", "1000000000000"], ["--param", "name=x"],
+                  ["--param", "spec=x"]):
         code = cli.main(["verify", "--example", "hypersphere", "--param",
                          "n=1", "--samples", "2", *extra])
         assert code == 2, extra

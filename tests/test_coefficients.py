@@ -21,8 +21,11 @@ from weakf.submanifold import thsubm_check
 TOL = 1e-12
 SAMPLES = 3
 
-RESIDUALS = ("nearly_s_residual", "nearly_c_residual", "s_structure_residual",
-             "normality_residual")
+# The oracle of each stacked class part.
+RESIDUALS = {"nearly_s_defining": "nearly_s_residual",
+             "nearly_c_defining": "nearly_c_residual",
+             "s_structure_defining": "s_structure_residual",
+             "n1_zero": "normality_residual"}
 
 
 def _close(got, want):
@@ -47,9 +50,9 @@ def frames(request):
 
 def test_class_residuals_match_pair_oracle(frames):
     for fr in frames:
-        for name in RESIDUALS:
-            got = getattr(classifiers, name)(fr)
-            assert _close(got, getattr(oracles, name)(fr, fr.V)), name
+        for part, oracle in RESIDUALS.items():
+            got = fr.stacked(part)
+            assert _close(got, getattr(oracles, oracle)(fr, fr.V)), part
 
 
 def test_nijenhuis_tensors_match_pair_oracle(frames):

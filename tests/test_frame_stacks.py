@@ -7,9 +7,6 @@ from report_digests import CONFIGS
 
 import oracles
 from weakf import charts
-from weakf.charts import PointStacks
-from weakf.fstructure import PackFrame
-from weakf.submanifold import _AmbientPoint
 
 SAMPLES = 10
 SEED = 42
@@ -33,25 +30,20 @@ AMBIENT_QUANTITIES = (
 
 def _frames(argv):
     """(row, frame read from its chunk's stacks, frame built alone) at each
-    of ROWS, walked in order as the runner walks the points."""
+    of ROWS, the chunks' stacks built as the runner builds them."""
     pack, sub = oracles.config_example(argv)
     points = pack.chart.sample(SAMPLES, SEED)
-    stacks = PointStacks(points)
+    chunked = oracles.chunk_frames(pack, points, sub, SEED)
     for i in ROWS:
-        p, row = points[i], stacks.row(i)
-        chunked = PackFrame(pack, p, seed=SEED, index=i, row=row,
-                            ambient=None if sub is None
-                            else _AmbientPoint(sub, p, row))
-        alone = PackFrame(pack, p, seed=SEED, index=i,
-                          ambient=None if sub is None else _AmbientPoint(sub, p))
-        yield i, chunked, alone
+        yield i, chunked[i], oracles.frame(pack, points[i], sub, seed=SEED,
+                                           index=i)
 
 
 @pytest.mark.parametrize("argv", CONFIGS)
 def test_stacked_rows_equal_the_point_alone(monkeypatch, argv):
     monkeypatch.setattr(charts, "CHUNK", CHUNK)
     for i, chunked, alone in _frames(argv):
-        assert chunked._row.k == i % CHUNK
+        assert chunked._k == i % CHUNK
         for name in FRAME_QUANTITIES:
             assert np.array_equal(getattr(chunked, name),
                                   getattr(alone, name)), (i, name)

@@ -1,5 +1,3 @@
-from dataclasses import asdict
-
 import numpy as np
 import pytest
 
@@ -109,7 +107,7 @@ def _assert_rows_are_the_point_oracle(pack, sub=None, seed=42):
         assert list(stacked) == list(alone)
         # bitwise, the batched eigvalsh and svd included
         assert ([v.hex() for v in stacked.values()]
-                == [v.hex() for v in alone.values()]), fr._row.k
+                == [v.hex() for v in alone.values()]), fr._k
 
 
 @pytest.mark.parametrize("config", CONFIGS)
@@ -131,19 +129,19 @@ def test_stacked_axioms_are_the_point_oracle_on_sheared_and_broken_packs(
 
 
 def _assert_parts_are_the_point_oracle(pack, sub=None, seed=42):
-    # a full chunk of points and a part of one, read through the per-frame
-    # functions as every gate reads them
+    # a full chunk of points and a part of one, read as every gate reads
+    # them: the frame's row of the chunk's stack
     points = pack.chart.sample(charts.CHUNK + 4, seed)
     for fr in oracles.chunk_frames(pack, points, sub, seed):
         alone = oracles.parts_at_point(fr)
         stacked = {part: classifiers.class_residual(pack, fr.p, tag, fr)[1][part]
                    for part, tag in CLASS_OF_PART.items()}
-        stacked["killing"] = classifiers.killing_residuals(fr)
-        stacked.update(asdict(classifiers.frame_residuals(fr)))
+        stacked["killing"] = fr.stacked("killing").tolist()
+        stacked.update(classifiers.frame_residuals(fr))
         stacked["q_parallel_expansion"] = classifiers.q_parallel_residual(fr)[1]
         assert stacked.keys() == alone.keys()
         for part, value in alone.items():
-            assert (_hex(stacked[part]) == _hex(value)), (part, fr._row.k)
+            assert (_hex(stacked[part]) == _hex(value)), (part, fr._k)
 
 
 # A class that holds each part measured by one residual.

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from weakf import catalog, charts, classifiers
-from weakf.charts import PointStacks
+from weakf.charts import PointStacks, Rows
 from weakf.errors import HypothesisNotMet
-from weakf.fstructure import PackFrame
+from weakf.fstructure import PackFrame, _FrameStack
 from weakf.report import SUITES, SuiteConfig, run_suite
 
 # Fixed before the first measurement: what one more run may leave behind.
@@ -79,9 +79,12 @@ def test_peak_memory_does_not_follow_sample_count():
 RESIDUAL_BYTES = 10 * 44 * 44 * 8
 
 
-@pytest.mark.parametrize("name", ["nearly_s_residual", "normality_residual",
-                                  "q_parallel_residual"])
-def test_g_norm_holds_one_residual_sized_array(name):
+@pytest.mark.parametrize("read", [
+    lambda fr: fr.stacked("nearly_s_defining"),
+    lambda fr: fr.stacked("n1_zero"),
+    classifiers.q_parallel_residual,
+], ids=["nearly_s_residual", "normality_residual", "q_parallel_residual"])
+def test_g_norm_holds_one_residual_sized_array(read):
     # lowering the coefficients first leaves the contraction result as the
     # only array of residual size: a g-weighted sum over it holds three
     pack = catalog.flat_pack(n=4, s=2).obj
@@ -91,7 +94,7 @@ def test_g_norm_holds_one_residual_sized_array(name):
         getattr(fr, attr)       # the frame's inputs, built before the count
     tracemalloc.start()
     try:
-        getattr(classifiers, name)(fr)
+        read(fr)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -118,11 +121,11 @@ FRAME_CHECK_BYTES = 1_000_000
 def test_one_chunk_of_setup_stays_within_its_bound():
     pack = catalog.flat_pack(n=4, s=2).obj
     points = pack.chart.sample(charts.CHUNK, seed=42)
-    stacks = PointStacks(points)
     tracemalloc.start()
     try:
         # the chunk's set-up is built on the first frame's first reads
-        fr = PackFrame(pack, points[0], seed=42, index=0, row=stacks.row(0))
+        fr = PackFrame(pack, points[0], seed=42, index=0,
+                       stack=_FrameStack(pack, Rows(points), 42))
         for tag in classifiers.CLASS_TAGS:
             classifiers.class_residual(pack, fr.p, tag, frame=fr)
         classifiers.frame_residuals(fr)

@@ -1,0 +1,16 @@
+"""README's library example runs as written."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_library_use_example_runs(capsys):
+    section = README.read_text().split("## Library use", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(code, str(README), "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == code.count("print(")
+    # frame_residuals gives the Reeb-frame conditions in report order
+    assert out[1].startswith("{'reeb_brackets': ")
