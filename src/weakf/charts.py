@@ -147,8 +147,8 @@ def take(value, k):
 
 
 def row_of(name):
-    """The attribute of a frame or ambient point that is its row ``_k`` of
-    the quantity ``name`` of its chunk's stack ``_chunk``, read once."""
+    """The attribute of a frame that is its row ``_k`` of the quantity
+    ``name`` of its chunk's stack ``_chunk``, read once."""
     return cached_property(
         lambda view: take(getattr(view._chunk, name), view._k))
 

@@ -32,12 +32,17 @@ class DegenerateOperatorError(WeakfError):
 
 
 class HypothesisNotMet(WeakfError):
-    """A gated theorem check was invoked on an object failing its hypotheses."""
+    """A gated theorem check was invoked on an object failing its hypotheses.
 
-    def __init__(self, check, gate, residual):
+    ``row`` is the first row of a stacked check's chunk at which the gate
+    fails (0 for a check of one point).
+    """
+
+    def __init__(self, check, gate, residual, row=0):
         self.check = check
         self.gate = gate
         self.residual = float(residual)
+        self.row = row
         super().__init__(
             f"{check}: hypothesis not satisfied: {gate} "
             f"(residual {self.residual:.3e})"

@@ -12,7 +12,9 @@ ker f with dual one-forms eta^i, and a Riemannian metric g, subject to
 The axioms map measures every defining identity and its standard
 consequences over the test vectors, once per chunk of points, and
 ``axioms_residual`` reads a frame's row of it; the class parts and the
-Reeb-frame conditions are stacked the same way. Packs are dumb containers:
+Reeb-frame conditions are stacked the same way, and on an induced pack so
+are the rows of the submanifold criterion that both of its cases read.
+Packs are dumb containers:
 nothing is validated at construction time, so deliberately broken packs can
 be built for negative controls; the residual report is the verdict.
 
@@ -20,7 +22,8 @@ be built for negative controls; the residual report is the verdict.
 pack over a chunk of points, each with a leading point axis. The runner
 builds one per chunk and hands it to each :class:`PackFrame` of the chunk
 with the point's index; the frame reads its row of every quantity, and the
-theorem checks are numpy contractions of those rows.
+theorem checks are numpy contractions of those rows. The submanifold checks
+take the stack itself.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class _FrameStack(_Fields):
     read; row k of each is bitwise the quantity of point k alone. ``rngs``
     holds each point's generator, ``point_rng(seed, index)``, and
     ``ambient`` the points' ambient stack when the pack is induced on an
-    embedded submanifold: its jets and g^-1 are read from there.
+    embedded submanifold: its jets, g^-1 and curvature are read from there.
     """
 
     def __init__(self, pack, rows, seed, ambient=None):
@@ -416,6 +419,13 @@ class _FrameStack(_Fields):
                 @ self.eta0[:, None])
         return self._vector_rows(self.nabla_q.transpose(0, 2, 1, 3) + corr)
 
+    @cached_property
+    def thsubm_parts(self):
+        """On an induced pack, the rows of the submanifold criterion that do
+        not depend on its case, which both cases read (see
+        :meth:`weakf.submanifold._AmbientStack.thsubm_parts`)."""
+        return self.ambient.thsubm_parts(self)
+
 
 class PackFrame(_Fields):
     """All jets and test data of a pack at a single chart point.
@@ -424,27 +434,26 @@ class PackFrame(_Fields):
     of sample points, which the runner builds and hands to each frame of
     the chunk; the point is sample ``index`` of the run, so row
     ``index - stack.rows.start``. Without a stack the frame makes a stack
-    of its point alone. g^-1, Christoffel symbols, test vectors and the
-    derived tensors are built once per chunk with a leading point axis, and
-    the frame reads its row of each on first use, the residual rows of the
-    axioms, the class parts and the Reeb-frame conditions included
-    (:meth:`stacked`). The theorem checks are per point. A pack induced on
-    an embedded submanifold takes the point's ambient data as ``ambient``
-    (see :func:`weakf.submanifold.induce_structure`): its jets, g^-1 and
-    curvature are read from there.
+    of its point alone; a frame of a pack induced on an embedded
+    submanifold takes a stack over the ambient stack of its chunk (see
+    :func:`weakf.submanifold.induce_structure`). g^-1, Christoffel
+    symbols, test vectors and the derived tensors are built once per chunk
+    with a leading point axis, and the frame reads its row of each on first
+    use, the residual rows of the axioms, the class parts and the
+    Reeb-frame conditions included (:meth:`stacked`). The theorem checks
+    and the curvature are per point; the curvature of an induced pack comes
+    from the Gauss equation at the point's row of the chunk's ambient
+    stack. The submanifold checks take the stack itself.
     """
 
-    def __init__(self, pack, p, seed=0, index=0, ambient=None, stack=None):
+    def __init__(self, pack, p, seed=0, index=0, stack=None):
         self.pack = pack
         self.p = np.asarray(p, dtype=float)
-        self.ambient = ambient
         if stack is None:
-            stack = _FrameStack(pack, Rows(self.p[None], index), seed,
-                                None if ambient is None else ambient._chunk)
+            stack = _FrameStack(pack, Rows(self.p[None], index), seed)
         self._chunk = stack
         self._k = index - stack.rows.start
         self._rng = stack.rngs[self._k]
-        self._kept = {}
 
     _jets = row_of("_jets")
     ginv = row_of("ginv")
@@ -466,8 +475,9 @@ class PackFrame(_Fields):
 
     @cached_property
     def riemann(self):
-        if self.ambient is not None:
-            return self.ambient.induced_riemann
+        ambient = self._chunk.ambient
+        if ambient is not None:
+            return ambient.induced_riemann(self._k)
         g = self.pack.g
         g2 = self._chunk.rows.jet(g.fn, 2, g.label)[2][self._k]
         return calculus.riemann_from_jets(self.ginv, self.gamma, self.g1, g2)
@@ -481,16 +491,6 @@ class PackFrame(_Fields):
     def stacked(self, name):
         """The frame's row of the quantity ``name`` of its chunk's stack."""
         return take(getattr(self._chunk, name), self._k)
-
-    def kept(self, key, compute):
-        """``compute()``, computed once per frame and kept under ``key``.
-
-        This is the one keep rule: every result is kept, whatever its size,
-        because the runner keeps the frames of one chunk alive at a time.
-        """
-        if key not in self._kept:
-            self._kept[key] = compute()
-        return self._kept[key]
 
     # -- structure tensor evaluators -------------------------------------------
 

@@ -42,7 +42,6 @@ from .classifiers import (
 from .errors import HypothesisNotMet, InvalidExample, WeakfError
 from .fstructure import PackFrame, _FrameStack
 from .submanifold import (
-    _AmbientPoint,
     _AmbientStack,
     frame_check,
     gauss_split_residual,
@@ -305,17 +304,18 @@ def run_suite(config):
     :class:`~weakf.charts.PointStacks`. The walk builds each chunk's set-up
     stack, a :class:`_FrameStack` (over an ``_AmbientStack`` on an embedded
     example), so component functions are evaluated, and set-up quantities
-    built, once per chunk. The axioms, classes and frames bundles read
-    residual rows over the chunk from the stack; the theorem and
-    submanifold bundles run at each point in turn, on its
-    :class:`PackFrame` (and ``_AmbientPoint``), which the walk hands the
-    chunk's stacks and the point's index and which reads its row of them.
-    A failed gate skips its bundle for good. Any other exception,
-    from the engine or a component function, may belong to any point of
-    the chunk: the chunk's results are dropped and its points walked again,
-    each as a chunk of its own (``PointStacks.alone``, with a fresh
-    generator). Only an exception raised there becomes an
-    :class:`EvaluationFailure`, naming the suite, the bundle and the point.
+    built, once per chunk. The axioms, classes, frames and submanifold
+    bundles read residual rows over the chunk from the stack; the theorem
+    bundles run at each point in turn, on its :class:`PackFrame`, which the
+    walk hands the chunk's stack and the point's index and which reads its
+    row of it. A failed gate skips its bundle for good: a stacked bundle
+    raises at the chunk's first point whose gate fails, once every row is
+    computed, and the note names that point. Any other exception, from the
+    engine or a component function, may belong to any point of the chunk:
+    the chunk's results are dropped and its points walked again, each as a
+    chunk of its own (``PointStacks.alone``, with a fresh generator). Only
+    an exception raised there becomes an :class:`EvaluationFailure`, naming
+    the suite, the bundle and the point.
     """
     cat = make_example(config.example, **config.params)
     sub = None if cat.is_pack else cat.obj
@@ -345,13 +345,13 @@ def run_suite(config):
                 try:
                     if not bundle.stacked and fr is None:
                         fr = PackFrame(pack, p, seed=config.seed, index=i,
-                                       stack=stack, ambient=None if sub is None
-                                       else _AmbientPoint(sub, p, ambient, i))
+                                       stack=stack)
                     found.append((b, bundle.evaluate(
                         stack if bundle.stacked else fr)))
                 except HypothesisNotMet as exc:
                     skipped[b] = (f"hypothesis failed: {exc.gate} (residual "
-                                  f"{exc.residual:.3e} at point {i})")
+                                  f"{exc.residual:.3e} at point "
+                                  f"{i + exc.row})")
         return found, skipped
 
     stacks = PointStacks(cat.chart.sample(config.samples, config.seed))
@@ -440,10 +440,11 @@ _CASE_FREE = {"aa_symmetry", "shape_display_duality", "weingarten_duality",
 def _bundles(suite, config, cat):
     """The evaluator bundles of ``suite`` in report order.
 
-    The stacked evaluators read residual rows, as attributes, from a
-    chunk's set-up stack. The others take a point's frame and call the
-    residual functions by their module names at call time, so that a
-    wrapper installed on those names sees every call.
+    The stacked evaluators read residual rows over a chunk from its set-up
+    stack; the theorem evaluators take a point's frame. The theorem and
+    submanifold evaluators call the check functions by their module names
+    at call time, so that a wrapper installed on those names sees every
+    call.
     """
     declared = cat.declared_classes
     tol = config.tol_exact
@@ -477,20 +478,22 @@ def _bundles(suite, config, cat):
             for which in THEOREM_CHECKS
         ]
     cases = [
-        _Bundle(f"case_{case}", lambda fr, case=case: thsubm_check(
-            fr, case, tol_exact=tol),
+        _Bundle(f"case_{case}", lambda st, case=case: thsubm_check(
+            st, case, tol_exact=tol),
             prefix=f"case_{case}", skip_formula=f"case_{case}.h_display",
             counted=lambda key, aggs, c=case in cat.declared_cases: (
                 c or key in _CASE_FREE),
-            note="informational: case not declared for this example")
+            note="informational: case not declared for this example",
+            stacked=True)
         for case in ("i", "ii")
     ]
     return [
-        _Bundle("frame", lambda fr: {
-            **frame_check(fr.ambient), "gauss_split": gauss_split_residual(fr)}),
+        _Bundle("frame", lambda st: {
+            **frame_check(st.ambient), "gauss_split": gauss_split_residual(st)},
+            stacked=True),
         *cases,
-        _Bundle("parallel_q", lambda fr: lemma_parallel_claim(fr, tol),
-                prefix="parallel_q", skip_formula="q_parallel_d"),
+        _Bundle("parallel_q", lambda st: lemma_parallel_claim(st, tol),
+                prefix="parallel_q", skip_formula="q_parallel_d", stacked=True),
     ]
 
 

@@ -16,8 +16,16 @@ inherits a weak metric f-structure
 
 pulled back to domain-chart components. The induced fields take float
 points; their first derivatives come in closed form from the ambient data
-at the point (:class:`_AmbientPoint`), by the product rule, and the
-curvature of the induced metric from the Gauss equation.
+along the image (:class:`_AmbientStack`, over a chunk of points), by the
+product rule, and the curvature of the induced metric from the Gauss
+equation.
+
+The submanifold checks take the chunk's frame stack of the induced pack,
+whose ``ambient`` is the chunk's ambient stack, and return one row of
+residuals over the chunk's points per key, as the axioms, classes and
+frames bundles do. A gated check computes every row of its chunk before it
+raises :class:`~weakf.errors.HypothesisNotMet` at the first row whose gate
+fails.
 
 Second-fundamental-form conventions: ``h(X,Y)`` is the normal part of the
 ambient derivative of pushed-forward fields, the shape operator is
@@ -34,18 +42,11 @@ from functools import cached_property
 import numpy as np
 
 from . import calculus
-from .charts import Rows, SmoothField, jet_stack, row_of, take
-from .classifiers import TOL_EXACT, q_parallel_residual
+from .charts import Rows, SmoothField, jet_stack
+from .classifiers import TOL_EXACT
 from .errors import HypothesisNotMet, SetupRejected
-from .fstructure import StructurePack
-from .sampling import (
-    cholesky_basis,
-    cholesky_factor,
-    lead_dot,
-    pair_form,
-    sup_abs,
-    sup_norm,
-)
+from .fstructure import StructurePack, _pair_rows, _rows_abs, _rows_norm
+from .sampling import cholesky_basis, cholesky_factor, lead_dot, pair_form
 
 _FRAME_TOL = 1e-10
 _TANGENCY_TOL = 1e-9
@@ -129,34 +130,17 @@ def _jet_of(sub, which):
     }[which]
 
 
-class _Along:
-    """Ambient vectors at the image, indexed by the axis after the ``_lead``
-    leading point axes: v[c], v[c, ...], or v[P, c, ...] on a stack."""
-
-    def to_domain(self, v):
-        """Coordinates of tangent ambient vectors in the embedded basis."""
-        return np.linalg.solve(self.g0, _transposed(self.jac) @ (self.gbar0 @ v))
-
-    def normal_coefficients(self, v):
-        """gbar(v, N_i) for each normal: an array [i, ...]."""
-        return lead_dot(self.normals @ self.gbar0, v, self._lead)
-
-    def normal_part(self, v):
-        return lead_dot(_transposed(self.normals), self.normal_coefficients(v),
-                        self._lead)
-
-    def tangent_part(self, v):
-        return v - self.normal_part(v)
-
-
-class _AmbientStack(_Along):
+class _AmbientStack:
     """The ambient data of the embedding at the points of ``rows``.
 
     Each quantity is stacked on a leading point axis and built on first
-    read; row k of each is bitwise the quantity of point k alone.
+    read; row k of each is bitwise the quantity of point k alone. Ambient
+    vectors at the image are indexed by the axis after the point axis,
+    v[P, c, ...]. The runner builds one per chunk of sample points of an
+    embedded example and hands it to the chunk's ``_FrameStack`` as
+    ``ambient``: the induced pack's jets, g^-1 and curvature are read from
+    it, and the submanifold checks read the ambient data from there.
     """
-
-    _lead = 1
 
     def __init__(self, sub, rows):
         self.sub = sub
@@ -175,6 +159,21 @@ class _AmbientStack(_Along):
     fbar0 = property(lambda self: self._jet("fbar")[0])
     fbar1 = property(lambda self: self._jet("fbar")[1])
     g0 = property(lambda self: self.induced_jets["g"][0])
+
+    def to_domain(self, v):
+        """Coordinates of tangent ambient vectors in the embedded basis."""
+        return np.linalg.solve(self.g0, _transposed(self.jac) @ (self.gbar0 @ v))
+
+    def normal_coefficients(self, v):
+        """gbar(v, N_i) for each normal: an array [P, i, ...]."""
+        return lead_dot(self.normals @ self.gbar0, v, lead=1)
+
+    def normal_part(self, v):
+        return lead_dot(_transposed(self.normals), self.normal_coefficients(v),
+                        lead=1)
+
+    def tangent_part(self, v):
+        return v - self.normal_part(v)
 
     @cached_property
     def ginvbar(self):
@@ -209,19 +208,19 @@ class _AmbientStack(_Along):
 
     @cached_property
     def coordinate_derivative(self):
-        """dxy[c, a, b]: ambient D along e_a of the pushed constant field e_b."""
+        """dxy[P, c, a, b]: ambient D along e_a of the pushed constant field e_b."""
         jac = self.jac[:, None]
         return self.hess + _transposed(jac) @ self.gammabar @ jac
 
     @cached_property
     def hn(self):
-        """hn[i, a, b] = gbar(h(e_a, e_b), N_i), the second fundamental form
-        of each normal on the coordinate directions."""
+        """hn[P, i, a, b] = gbar(h(e_a, e_b), N_i), the second fundamental
+        form of each normal on the coordinate directions."""
         return self.normal_coefficients(self.coordinate_derivative)
 
     @cached_property
     def shape_operators(self):
-        """A[i, a, b]: the shape operator A_i X = -(ambient D_X N_i)^T of
+        """A[P, i, a, b]: the shape operator A_i X = -(ambient D_X N_i)^T of
         each normal, in domain coordinates (column b is A_i e_b)."""
         count, m, s = len(self.rows), self.sub.domain.dim, self.sub.s
         # dn[i, c, b] = (ambient D_{e_b} N_i)^c: d_b N_i^c plus the
@@ -247,115 +246,134 @@ class _AmbientStack(_Along):
 
     @cached_property
     def nabla_fbar(self):
-        """nf[be, al, ga] = ((ambient D_{e_be}) fbar)^al_ga at the image."""
+        """nf[P, be, al, ga] = ((ambient D_{e_be}) fbar)^al_ga at the image."""
         return calculus.nabla_tensor11_kernel(
             self.gammabar, self.fbar0, self.fbar1
         )
 
-
-class _AmbientPoint(_Along):
-    """Floating-point ambient data of the embedding at one domain point.
-
-    The runner builds one per sample point of an embedded example and hands
-    it to the point's :class:`~weakf.fstructure.PackFrame` as ``ambient``;
-    the frame reads the induced pack's jets and curvature from it, and every
-    submanifold check reads it from the frame; of the checks, only
-    :func:`require_valid_frame` builds its own. It is a row of ``stack``,
-    the :class:`_AmbientStack` of its chunk of sample points, which the
-    runner builds once per chunk and hands to each of the chunk's ambient
-    points with the point's sample ``index``; without a stack the point
-    makes one of its own. The jets of the embedding, the normals and the
-    ambient fields along the image, and the quantities built from them, are
-    stacked once per chunk.
-    """
-
-    _lead = 0
-
-    def __init__(self, sub, p, stack=None, index=0):
-        self.sub = sub
-        self.p = p = np.asarray(p, dtype=float)
-        if stack is None:
-            stack = _AmbientStack(sub, Rows(p[None], index))
-        self._chunk = stack
-        self._k = index - stack.rows.start
-        self.iota, self.jac, self.hess = self._jet("embedding")
-        self.normals, self.dnormals = self._jet("normals")
-        self.gbar0, self.gbar1 = self._jet("gbar")
-        self.ginvbar = take(self._chunk.ginvbar, self._k)
-        self.gammabar = take(self._chunk.gammabar, self._k)
-        self.fbar0, self.fbar1 = self._jet("fbar")
-
-    def _jet(self, which):
-        return take(self._chunk._jet(which), self._k)
-
-    @property
-    def g0(self):
-        """The induced metric at the point."""
-        return self.induced_jets["g"][0]
-
-    induced_jets = row_of("induced_jets")
-    coordinate_derivative = row_of("coordinate_derivative")
-    hn = row_of("hn")
-    shape_operators = row_of("shape_operators")
-    ubar = row_of("ubar")
-    basis = row_of("basis")
-    nabla_fbar = row_of("nabla_fbar")
-
     @cached_property
-    def induced_riemann(self):
-        """Riem[l,i,j,k] of the induced metric, from the Gauss equation
+    def nearly_kahler(self):
+        """The gate of :func:`thsubm_check`, one row: the sup of
+        (D_X fbar)Y + (D_Y fbar)X over an ambient frame at the image."""
+        nf = self.nabla_fbar.transpose(0, 2, 1, 3)
+        c = lead_dot(self.ubar, nf + _transposed(nf), lead=1)
+        return _pair_rows(_rows_norm, c, self.basis)
+
+    def thsubm_parts(self, st):
+        """The rows of :func:`thsubm_check` that do not depend on the case,
+        over ``st``, the frame stack of the induced pack, which keeps them
+        (``_FrameStack.thsubm_parts``) for both cases."""
+        xi0, eta0, V, hn = st.xi0, st.eta0, st.V, self.hn
+        xi_t, eta_t = _transposed(xi0)[:, None], _transposed(eta0)[:, None]
+        a_mats = self.shape_operators
+        hxx = pair_form(hn, xi0[:, None], xi0[:, None])    # h_{N_i}(xi_j, xi_k)
+        res = {
+            # g(A_i X, Y) against h_{N_i}(X, Y)
+            "weingarten_duality": _pair_rows(
+                _rows_abs, _transposed(a_mats) @ st.g0[:, None] - hn, V),
+            "h_symmetric": _pair_rows(_rows_abs, hn - _transposed(hn), V),
+        }
+
+        # tangential part of the ambient identity against the induced sum, on
+        # every pair of coordinate directions (X, Y) = (e_A, e_B)
+        jv = _transposed(self.jac)[:, None]
+        t = pair_form(self.nabla_fbar.transpose(0, 2, 1, 3), jv, jv)
+        lhs_t = self.tangent_part(t + _transposed(t))
+        # (D_X f)Y + sum_i eta^i(X) A_i Y, then symmetrized in X and Y
+        dom = st.nabla_f.transpose(0, 2, 1, 3) + np.einsum(
+            "piA,pikB->pkAB", eta0, a_mats)
+        dom = dom + _transposed(dom) - 2.0 * lead_dot(_transposed(xi0), hn,
+                                                      lead=1)
+        res["tangential_expansion"] = _rows_norm(lead_dot(
+            self.ubar, lhs_t - lead_dot(self.jac, dom, lead=1), lead=1))
+        return {
+            "aa_symmetry": _rows_abs(hxx - hxx.transpose(0, 2, 1, 3)),
+            "case_free": res,
+            # the Reeb part of both displays and of their shape operators:
+            # sum_jk h_{N_i}(xi_j, xi_k) eta^j(X) eta^k(Y), and xi_k eta^j
+            "disp": pair_form(hxx, eta_t, eta_t),
+            "a_disp": pair_form(hxx.transpose(0, 1, 3, 2), xi_t, eta_t),
+        }
+
+    def induced_riemann(self, k):
+        """Riem[l,i,j,k] of the induced metric at row ``k``, from the Gauss
+        equation
 
         g(R(X,Y)Z, W) = gbar(Rbar(X,Y)Z, W) + gbar(h(Y,Z), h(X,W))
                         - gbar(h(X,Z), h(Y,W)),
 
         with Rbar from a second-order jet of gbar, taken here only. No
-        third derivative of the embedding is needed.
+        third derivative of the embedding is needed. It is built at one
+        point: only the curvature chain of the theorems reads it.
         """
-        gbar2 = self._jet("gbar2")[2]
+        gbar2 = self._jet("gbar2")[2][k]
         rbar = calculus.riemann_from_jets(
-            self.ginvbar, self.gammabar, self.gbar1, gbar2)
-        low = lead_dot(self.gbar0, rbar)            # [w, i, j, k], lowered
+            self.ginvbar[k], self.gammabar[k], self.gbar1[k], gbar2)
+        low = lead_dot(self.gbar0[k], rbar)         # [w, i, j, k], lowered
+        jac = self.jac[k]
         for _ in range(4):                          # each slot through J
-            low = (low.reshape(len(low), -1).T @ self.jac).reshape(
+            low = (low.reshape(len(low), -1).T @ jac).reshape(
                 low.shape[1:] + (-1,))
-        hn = self.hn.reshape(len(self.hn), -1)
-        hh = (hn.T @ hn).reshape(self.hn.shape[1:] * 2)     # [a, b, c, e]
+        hn = self.hn[k]
+        flat = hn.reshape(len(hn), -1)
+        hh = (flat.T @ flat).reshape(hn.shape[1:] * 2)     # [a, b, c, e]
         low = low + np.einsum("jkiw->wijk", hh) - np.einsum("ikjw->wijk", hh)
-        return lead_dot(self.induced_jets["ginv"], low)
-
-    @cached_property
-    def nearly_kahler_residual(self):
-        """:func:`ambient_nearly_kahler_residual` at this point."""
-        return ambient_nearly_kahler_residual(self)
+        return lead_dot(self.induced_jets["ginv"][k], low)
 
 
-def frame_check(ap):
-    """Residuals of the normal-frame requirements at the ambient point ``ap``.
+class _AmbientPoint(_AmbientStack):
+    """The ambient data of the embedding at the one domain point ``p``: a
+    stack of one point. :func:`require_valid_frame` checks an embedding's
+    normal frame on it before any pack exists."""
+
+    def __init__(self, sub, p):
+        super().__init__(sub, Rows(np.asarray(p, dtype=float)[None]))
+
+
+def _require(check, gates, tol):
+    """Raise :class:`HypothesisNotMet` at the first row where one of the
+    ``gates`` (name -> row) exceeds ``tol`` (a NaN does), naming that row's
+    first failing gate in the order of ``gates``."""
+    failed = [~(rows <= tol) for rows in gates.values()]
+    bad = np.logical_or.reduce(failed)
+    if bad.any():
+        k = int(np.argmax(bad))
+        gate = next(g for g, f in zip(gates, failed) if f[k])
+        raise HypothesisNotMet(check, gate, gates[gate][k], row=k)
+
+
+def frame_check(ambient):
+    """Residuals of the normal-frame requirements over the ambient stack
+    ``ambient``, one row per key.
 
     Keys: orthonormality of the normals, orthogonality to the image, the
     skew-pairing condition gbar(fbar N_i, N_j) = 0, tangency of fbar N_i,
     skewness of fbar at the image, and the negative-definiteness margin of
-    fbar^2.
+    fbar^2. It takes the ambient stack, not a frame stack, because it also
+    validates an embedding before any pack exists.
     """
+    a = ambient
     res = {}
-    gram = pair_form(ap.gbar0, ap.normals, ap.normals)
-    res["normals_orthonormal"] = sup_abs(gram - np.eye(ap.sub.s))
-    res["normals_perp_image"] = sup_abs(ap.normals @ ap.gbar0 @ ap.jac)
-    fn = ap.normals @ ap.fbar0.T
-    res["skew_normal_pairs"] = sup_abs(pair_form(ap.gbar0, fn, ap.normals))
-    res["xi_tangent"] = sup_norm(lead_dot(ap.ubar, ap.normal_part(fn.T)))
-    gf = ap.gbar0 @ ap.fbar0
-    eb = ap.basis
-    res["ambient_skew"] = sup_abs(pair_form(gf + gf.T, eb, eb))
-    f2 = ap.fbar0 @ ap.fbar0
-    f2_mat = eb @ ap.gbar0 @ (f2 @ eb.T)
-    res["fbar_sq_negative"] = float(np.maximum(   # a NaN stays
-        np.linalg.eigvalsh(0.5 * (f2_mat + f2_mat.T)).max(), 0.0))
+    gram = pair_form(a.gbar0, a.normals, a.normals)
+    res["normals_orthonormal"] = _rows_abs(gram - np.eye(a.sub.s))
+    res["normals_perp_image"] = _rows_abs(a.normals @ a.gbar0 @ a.jac)
+    fn = a.normals @ _transposed(a.fbar0)
+    res["skew_normal_pairs"] = _rows_abs(pair_form(a.gbar0, fn, a.normals))
+    res["xi_tangent"] = _rows_norm(lead_dot(
+        a.ubar, a.normal_part(_transposed(fn)), lead=1))
+    gf = a.gbar0 @ a.fbar0
+    eb = a.basis
+    res["ambient_skew"] = _rows_abs(pair_form(gf + _transposed(gf), eb, eb))
+    f2 = a.fbar0 @ a.fbar0
+    f2_mat = eb @ a.gbar0 @ (f2 @ _transposed(eb))
+    res["fbar_sq_negative"] = np.maximum(        # a NaN stays
+        np.linalg.eigvalsh(0.5 * (f2_mat + _transposed(f2_mat))).max(-1), 0.0)
     return res
 
 
 def require_valid_frame(sub, p):
-    res = frame_check(_AmbientPoint(sub, p))
+    res = {key: float(rows[0])
+           for key, rows in frame_check(_AmbientPoint(sub, p)).items()}
     for key in ("normals_orthonormal", "normals_perp_image", "skew_normal_pairs"):
         if not res[key] <= _FRAME_TOL:
             raise SetupRejected(
@@ -382,8 +400,8 @@ def _induced_values(sub, coords):
     """Values of the induced g, g^-1, f, Q, eta and xi at a float point."""
     if not all(isinstance(c, float) for c in coords):
         raise TypeError(
-            "induced fields are evaluated at float points; a PackFrame of an "
-            "induced pack reads their jets from the point's _AmbientPoint")
+            "induced fields are evaluated at float points; the frame stack of "
+            "an induced pack reads their jets from its _AmbientStack")
     iota, jac = (a[0] for a in jet_stack(sub.embedding, np.array([coords]), 1,
                                          "the embedding"))
     normals = np.array(sub.normals(coords), dtype=float)
@@ -400,10 +418,9 @@ def induce_structure(sub, validate=True):
     the setup rejected on violation; the full residual suite is the real
     verdict.
 
-    The induced fields give values only (:meth:`SmoothField.value`). A
-    :class:`~weakf.fstructure.PackFrame` of the pack takes the point's
-    :class:`_AmbientPoint` and reads every jet, g^-1 and the curvature from
-    it.
+    The induced fields give values only (:meth:`SmoothField.value`). The
+    frame stack of the pack (``_FrameStack``) takes the :class:`_AmbientStack`
+    of the same points and reads every jet, g^-1 and the curvature from it.
     """
     if validate:
         mid = np.array([0.5 * (lo + hi) for lo, hi in sub.domain.box])
@@ -434,68 +451,30 @@ def induce_structure(sub, validate=True):
 # -- second fundamental form ------------------------------------------------------
 
 
-def gauss_split_residual(fr):
-    """Exactness of the split ambient D = dI(induced D) + h over the frame."""
-    ap = fr.ambient
-    r = (ap.coordinate_derivative - lead_dot(ap.jac, fr.gamma)
-         - lead_dot(ap.normals.T, ap.hn))
-    return sup_norm(lead_dot(ap.ubar, r))
+def gauss_split_residual(st):
+    """Exactness of the split ambient D = dI(induced D) + h, one row over
+    ``st``, the frame stack of the induced pack."""
+    a = st.ambient
+    r = (a.coordinate_derivative - lead_dot(a.jac, st.gamma, lead=1)
+         - lead_dot(_transposed(a.normals), a.hn, lead=1))
+    return _rows_norm(lead_dot(a.ubar, r, lead=1))
 
 
 # -- theorem-level machinery -------------------------------------------------------
 
 
-def ambient_nearly_kahler_residual(ap):
-    """Sup of (D_X fbar)Y + (D_Y fbar)X over an ambient frame at the image."""
-    nf = ap.nabla_fbar.transpose(1, 0, 2)
-    c = lead_dot(ap.ubar, nf + nf.transpose(0, 2, 1))
-    return sup_norm(pair_form(c, ap.basis, ap.basis))
-
-
-def _thsubm_shared(fr):
-    """The parts of :func:`thsubm_check` that do not depend on the case."""
-    ap = fr.ambient
-    xi0, eta0, V, hn = fr.xi0, fr.eta0, fr.V, ap.hn
-    a_mats = ap.shape_operators
-    hxx = pair_form(hn, xi0, xi0)       # h_{N_i}(xi_j, xi_k)
-    res = {
-        # g(A_i X, Y) against h_{N_i}(X, Y)
-        "weingarten_duality": sup_abs(
-            pair_form(a_mats.transpose(0, 2, 1) @ fr.g0 - hn, V, V)),
-        "h_symmetric": sup_abs(pair_form(hn - hn.transpose(0, 2, 1), V, V)),
-    }
-
-    # tangential part of the ambient identity against the induced sum, on
-    # every pair of coordinate directions (X, Y) = (e_A, e_B)
-    jv = ap.jac.T
-    t = pair_form(ap.nabla_fbar.transpose(1, 0, 2), jv, jv)
-    lhs_t = ap.tangent_part(t + t.transpose(0, 2, 1))
-    # (D_X f)Y + sum_i eta^i(X) A_i Y, then symmetrized in X and Y
-    dom = fr.nabla_f.transpose(1, 0, 2) + np.einsum("iA,ikB->kAB", eta0, a_mats)
-    dom = dom + dom.transpose(0, 2, 1) - 2.0 * lead_dot(xi0.T, hn)
-    res["tangential_expansion"] = sup_norm(
-        lead_dot(ap.ubar, lhs_t - lead_dot(ap.jac, dom)))
-    return {
-        "aa_symmetry": sup_abs(hxx - hxx.transpose(1, 0, 2)),
-        "case_free": res,
-        # the Reeb part of both displays and of their shape operators:
-        # sum_jk h_{N_i}(xi_j, xi_k) eta^j(X) eta^k(Y), and xi_k eta^j
-        "disp": pair_form(hxx, eta0.T, eta0.T),
-        "a_disp": pair_form(hxx.transpose(0, 2, 1), xi0.T, eta0.T),
-    }
-
-
-def thsubm_check(fr, case, tol_exact=TOL_EXACT):
-    """Hypotheses and conclusion of the induced nearly-S/C criterion.
-
-    ``fr`` is the induced pack's frame, which holds the ambient point as
-    ``fr.ambient``; the parts both cases share are computed once per frame.
+def thsubm_check(st, case, tol_exact=TOL_EXACT):
+    """Hypotheses and conclusion of the induced nearly-S/C criterion, one row
+    per key over ``st``, the frame stack of the induced pack, whose
+    ``ambient`` is the ambient stack of its points; the parts both cases
+    share are kept by the stack.
 
     ``case="i"``: h_{N_i}(X,Y) = g(-f^2 X, Y) + sum_{j,k} h_{N_i}(xi_j,
     xi_k) eta^j(X) eta^k(Y) forces a weak nearly-S induced structure;
     ``case="ii"``: h_{N_i} supported on the Reeb directions forces weak
     nearly-C. Gated on the ambient being weak nearly Kahler along the
-    image. Reported residuals:
+    image: every row is computed before the gate raises at its first
+    failing row. Reported residuals:
 
       aa_symmetry            h_{N_i}(xi_j, xi_k) = h_{N_j}(xi_i, xi_k)
       h_display              the case hypothesis itself
@@ -508,62 +487,58 @@ def thsubm_check(fr, case, tol_exact=TOL_EXACT):
     """
     if case not in ("i", "ii"):
         raise ValueError("case must be 'i' or 'ii'")
-    gate = fr.ambient.nearly_kahler_residual
-    if not gate <= tol_exact:
-        raise HypothesisNotMet("thsubm", "ambient_weak_nearly_kahler", gate)
-    V = fr.V
-    shared = fr.kept(_thsubm_shared, lambda: _thsubm_shared(fr))
+    gate = st.ambient.nearly_kahler
+    V, shared = st.V, st.thsubm_parts
     disp, a_disp = shared["disp"], shared["a_disp"]
     if case == "i":
-        f2 = fr.f0 @ fr.f0              # the display adds g(-f^2 X, Y)
-        disp = disp - f2.T @ fr.g0
-        a_disp = a_disp - f2
+        f2 = st.f0 @ st.f0              # the display adds g(-f^2 X, Y)
+        disp = disp - (_transposed(f2) @ st.g0)[:, None]
+        a_disp = a_disp - f2[:, None]
     res = {
         "aa_symmetry": shared["aa_symmetry"],
-        "h_display": sup_abs(pair_form(fr.ambient.hn - disp, V, V)),
-        "shape_display_duality": sup_abs(
-            pair_form(a_disp.transpose(0, 2, 1) @ fr.g0 - disp, V, V)),
+        "h_display": _pair_rows(_rows_abs, st.ambient.hn - disp, V),
+        "shape_display_duality": _pair_rows(
+            _rows_abs, _transposed(a_disp) @ st.g0[:, None] - disp, V),
         **shared["case_free"],
     }
     if case == "i":
-        res["conclusion_weak_nearly_S"] = fr.stacked("nearly_s_defining")
+        res["conclusion_weak_nearly_S"] = st.nearly_s_defining
     else:
-        res["conclusion_weak_nearly_C"] = fr.stacked("nearly_c_defining")
+        res["conclusion_weak_nearly_C"] = st.nearly_c_defining
+    _require("thsubm", {"ambient_weak_nearly_kahler": gate}, tol_exact)
     return res
 
 
-def lemma_parallel_claim(fr, tol=TOL_EXACT):
-    """Gated check: the parallel-Q condition holds on the induced pack.
+def _parallel_q_hypotheses(st):
+    """The hypotheses of :func:`lemma_parallel_claim` in the order they are
+    checked, one row each over the frame stack ``st``."""
+    a = st.ambient
+    f2n = a.normals @ _transposed(a.fbar0 @ a.fbar0)
+    hyp1 = _rows_norm(lead_dot(a.ubar, a.tangent_part(_transposed(f2n)),
+                               lead=1))
+    # (D_X fbar^2) Y = (D_X fbar) fbar Y + fbar (D_X fbar) Y for X a
+    # coordinate direction and Y in D, both pushed forward
+    nf = a.nabla_fbar.transpose(0, 2, 1, 3)
+    jx = _transposed(a.jac)[:, None]
+    jy = st.d_basis @ _transposed(a.jac)
+    t = pair_form(nf, jx, (jy @ _transposed(a.fbar0))[:, None]) + lead_dot(
+        a.fbar0, pair_form(nf, jx, jy[:, None]), lead=1)
+    worst = _rows_norm(lead_dot(a.ubar, a.tangent_part(t), lead=1))
+    return {"fbar_sq_normal_is_normal": hyp1,
+            "tangential_nabla_fbar_sq": worst}
+
+
+def lemma_parallel_claim(st, tol=TOL_EXACT):
+    """Gated check: the parallel-Q condition holds on the induced pack, one
+    row per key over its frame stack ``st``.
 
     Hypotheses: fbar^2 N_i is normal to the image, and the tangential part
     of (ambient D_X fbar^2) Y vanishes for Y in the contact distribution.
-    Conclusion: the induced pack, whose frame is ``fr``, satisfies
-    (D_X Q)Y = 0 for Y in D.
+    Conclusion: the induced pack satisfies (D_X Q)Y = 0 for Y in D. Every
+    row is computed before a hypothesis raises at its first failing row.
     """
-    ap = fr.ambient
-    f2n = ap.normals @ (ap.fbar0 @ ap.fbar0).T
-    hyp1 = sup_norm(lead_dot(ap.ubar, ap.tangent_part(f2n.T)))
-    if not hyp1 <= tol:
-        raise HypothesisNotMet(
-            "lemma_parallel_q", "fbar_sq_normal_is_normal", hyp1
-        )
-    # (D_X fbar^2) Y = (D_X fbar) fbar Y + fbar (D_X fbar) Y for X a
-    # coordinate direction and Y in D, both pushed forward
-    nf = ap.nabla_fbar.transpose(1, 0, 2)
-    jx = ap.jac.T
-    jy = fr.d_basis @ ap.jac.T
-    t = pair_form(nf, jx, jy @ ap.fbar0.T) + lead_dot(
-        ap.fbar0, pair_form(nf, jx, jy)
-    )
-    worst = sup_norm(lead_dot(ap.ubar, ap.tangent_part(t)))
-    if not worst <= tol:
-        raise HypothesisNotMet(
-            "lemma_parallel_q", "tangential_nabla_fbar_sq", worst
-        )
-    first, second = q_parallel_residual(fr)
-    return {
-        "fbar_sq_normal_is_normal": hyp1,
-        "tangential_nabla_fbar_sq": worst,
-        "q_parallel_d": first,
-        "q_parallel_expansion": second,
-    }
+    hypotheses = _parallel_q_hypotheses(st)
+    res = {**hypotheses, "q_parallel_d": st.q_parallel_d,
+           "q_parallel_expansion": st.q_parallel_expansion}
+    _require("lemma_parallel_q", hypotheses, tol)
+    return res

@@ -24,7 +24,7 @@ from weakf.calculus import (
 )
 from weakf import cli
 from weakf.catalog import make_example
-from weakf.charts import PointStacks, SmoothField
+from weakf.charts import PointStacks, Rows, SmoothField, take
 from weakf.errors import DegenerateOperatorError, WeakfError
 from weakf.fstructure import (
     _Q_EIGEN_FLOOR,
@@ -528,7 +528,7 @@ def second_fundamental(sub, x, y, p):
     Built for one pair of vectors from the embedding's second derivatives,
     the normals' first derivatives and the ambient Christoffel symbols.
     """
-    ap = _AmbientPoint(sub, p)
+    ap = ambient_point(sub, p)
     jx, jy = ap.jac @ x, ap.jac @ y
     # ambient D_X of the pushed constant field Y
     dxy = np.einsum("cab,a,b->c", ap.hess, x, y) + np.einsum(
@@ -680,12 +680,15 @@ def nested_induced_pack(sub):
     )
 
 
-def frame(pack, p, sub=None, **kwargs):
-    """``PackFrame(pack, p)``; with the submanifold ``sub`` of an induced
-    pack, the frame takes the ambient point at ``p``, as the runner builds
-    it."""
-    ambient = None if sub is None else _AmbientPoint(sub, p)
-    return PackFrame(pack, p, ambient=ambient, **kwargs)
+def frame(pack, p, sub=None, seed=0, index=0):
+    """The frame of ``p`` alone, sample ``index`` of a run; with the
+    submanifold ``sub`` of an induced pack, its stack is over the ambient
+    stack of that point alone (an ``_AmbientPoint``)."""
+    if sub is None:
+        return PackFrame(pack, p, seed=seed, index=index)
+    ambient = _AmbientPoint(sub, p)
+    stack = _FrameStack(pack, Rows(ambient.rows.points, index), seed, ambient)
+    return PackFrame(pack, p, seed=seed, index=index, stack=stack)
 
 
 def config_example(argv):
@@ -708,6 +711,14 @@ def config_frames(argv, samples, seed=42):
             for i, p in enumerate(pack.chart.sample(samples, seed))]
 
 
+def stack(pack, points, sub=None, seed=42):
+    """The set-up stack of ``points`` as one chunk, as the runner builds it:
+    on an induced pack over the ambient stack of the same rows."""
+    rows = Rows(np.asarray(points, dtype=float))
+    return _FrameStack(pack, rows, seed,
+                       None if sub is None else _AmbientStack(sub, rows))
+
+
 def chunk_frames(pack, points, sub=None, seed=42):
     """The frames of ``points`` as the runner builds them: rows of the
     set-up stacks of chunks of ``charts.CHUNK`` points, handed to each frame
@@ -716,12 +727,156 @@ def chunk_frames(pack, points, sub=None, seed=42):
     for rows in PointStacks(points).chunks():
         ambient = None if sub is None else _AmbientStack(sub, rows)
         stack = _FrameStack(pack, rows, seed, ambient)
-        for i, p in enumerate(rows.points, rows.start):
-            frames.append(PackFrame(
-                pack, p, seed=seed, index=i, stack=stack,
-                ambient=None if sub is None
-                else _AmbientPoint(sub, p, ambient, i)))
+        frames += [PackFrame(pack, p, seed=seed, index=i, stack=stack)
+                   for i, p in enumerate(rows.points, rows.start)]
     return frames
+
+
+# -- the submanifold checks at one point -----------------------------------------
+#
+# The engine checks an embedded example over a chunk of points at once, on
+# the chunk's ambient stack. These are the checks at one point, on the row
+# of that stack, as the engine made them point by point: the reference of
+# the stacked rows.
+
+AMBIENT_QUANTITIES = (
+    "iota", "jac", "hess", "normals", "dnormals", "gbar0", "gbar1", "fbar0",
+    "fbar1", "ginvbar", "gammabar", "g0", "coordinate_derivative", "hn",
+    "shape_operators", "ubar", "basis", "nabla_fbar",
+)
+
+
+class AmbientRow:
+    """Row ``k`` of an ambient stack: one point's ambient data, with
+    ambient vectors at the image indexed v[c, ...]."""
+
+    def __init__(self, stack, k):
+        self.sub = stack.sub
+        for name in AMBIENT_QUANTITIES:
+            setattr(self, name, take(getattr(stack, name), k))
+        self.induced_jets = take(stack.induced_jets, k)
+        self.induced_riemann = stack.induced_riemann(k)
+
+    def to_domain(self, v):
+        """Coordinates of tangent ambient vectors in the embedded basis."""
+        return np.linalg.solve(self.g0, self.jac.T @ (self.gbar0 @ v))
+
+    def normal_coefficients(self, v):
+        return lead_dot(self.normals @ self.gbar0, v)
+
+    def normal_part(self, v):
+        return lead_dot(self.normals.T, self.normal_coefficients(v))
+
+    def tangent_part(self, v):
+        return v - self.normal_part(v)
+
+
+def ambient_point(sub, p):
+    """The ambient data of ``sub`` at the one domain point ``p``."""
+    return AmbientRow(_AmbientPoint(sub, p), 0)
+
+
+def ambient_of(fr):
+    """The ambient data at a frame's point, or None on a pack that is not
+    induced."""
+    ambient = fr._chunk.ambient
+    return None if ambient is None else AmbientRow(ambient, fr._k)
+
+
+def nearly_kahler_at_point(ap):
+    """Sup of (D_X fbar)Y + (D_Y fbar)X over an ambient frame at the image."""
+    nf = ap.nabla_fbar.transpose(1, 0, 2)
+    c = lead_dot(ap.ubar, nf + nf.transpose(0, 2, 1))
+    return sup_norm(pair_form(c, ap.basis, ap.basis))
+
+
+def frame_check_at_point(ap):
+    """The normal-frame requirements at the ambient point ``ap``."""
+    res = {}
+    gram = pair_form(ap.gbar0, ap.normals, ap.normals)
+    res["normals_orthonormal"] = sup_abs(gram - np.eye(ap.sub.s))
+    res["normals_perp_image"] = sup_abs(ap.normals @ ap.gbar0 @ ap.jac)
+    fn = ap.normals @ ap.fbar0.T
+    res["skew_normal_pairs"] = sup_abs(pair_form(ap.gbar0, fn, ap.normals))
+    res["xi_tangent"] = sup_norm(lead_dot(ap.ubar, ap.normal_part(fn.T)))
+    gf = ap.gbar0 @ ap.fbar0
+    eb = ap.basis
+    res["ambient_skew"] = sup_abs(pair_form(gf + gf.T, eb, eb))
+    f2 = ap.fbar0 @ ap.fbar0
+    f2_mat = eb @ ap.gbar0 @ (f2 @ eb.T)
+    res["fbar_sq_negative"] = float(np.maximum(
+        np.linalg.eigvalsh(0.5 * (f2_mat + f2_mat.T)).max(), 0.0))
+    return res
+
+
+def thsubm_at_point(fr, ap, case):
+    """The residuals of the thsubm criterion for ``case`` at the frame's
+    point, whatever its gate reads."""
+    xi0, eta0, V, hn = fr.xi0, fr.eta0, fr.V, ap.hn
+    a_mats = ap.shape_operators
+    hxx = pair_form(hn, xi0, xi0)
+    jv = ap.jac.T
+    t = pair_form(ap.nabla_fbar.transpose(1, 0, 2), jv, jv)
+    lhs_t = ap.tangent_part(t + t.transpose(0, 2, 1))
+    dom = fr.nabla_f.transpose(1, 0, 2) + np.einsum("iA,ikB->kAB", eta0, a_mats)
+    dom = dom + dom.transpose(0, 2, 1) - 2.0 * lead_dot(xi0.T, hn)
+    disp = pair_form(hxx, eta0.T, eta0.T)
+    a_disp = pair_form(hxx.transpose(0, 2, 1), xi0.T, eta0.T)
+    if case == "i":
+        f2 = fr.f0 @ fr.f0
+        disp = disp - f2.T @ fr.g0
+        a_disp = a_disp - f2
+    res = {
+        "aa_symmetry": sup_abs(hxx - hxx.transpose(1, 0, 2)),
+        "h_display": sup_abs(pair_form(hn - disp, V, V)),
+        "shape_display_duality": sup_abs(
+            pair_form(a_disp.transpose(0, 2, 1) @ fr.g0 - disp, V, V)),
+        "weingarten_duality": sup_abs(
+            pair_form(a_mats.transpose(0, 2, 1) @ fr.g0 - hn, V, V)),
+        "h_symmetric": sup_abs(pair_form(hn - hn.transpose(0, 2, 1), V, V)),
+        "tangential_expansion": sup_norm(
+            lead_dot(ap.ubar, lhs_t - lead_dot(ap.jac, dom))),
+    }
+    conclusion = "nearly_s_defining" if case == "i" else "nearly_c_defining"
+    key = "conclusion_weak_nearly_S" if case == "i" else "conclusion_weak_nearly_C"
+    res[key] = float(fr.stacked(conclusion))
+    return res
+
+
+def parallel_q_at_point(fr, ap):
+    """The hypotheses and the conclusion of the parallel-Q lemma at the
+    frame's point, whatever its hypotheses read."""
+    f2n = ap.normals @ (ap.fbar0 @ ap.fbar0).T
+    nf = ap.nabla_fbar.transpose(1, 0, 2)
+    jx = ap.jac.T
+    jy = fr.d_basis @ ap.jac.T
+    t = pair_form(nf, jx, jy @ ap.fbar0.T) + lead_dot(
+        ap.fbar0, pair_form(nf, jx, jy))
+    return {
+        "fbar_sq_normal_is_normal": sup_norm(
+            lead_dot(ap.ubar, ap.tangent_part(f2n.T))),
+        "tangential_nabla_fbar_sq": sup_norm(
+            lead_dot(ap.ubar, ap.tangent_part(t))),
+        "q_parallel_d": float(fr.stacked("q_parallel_d")),
+        "q_parallel_expansion": float(fr.stacked("q_parallel_expansion")),
+    }
+
+
+def submanifold_at_point(fr):
+    """Every residual and gate of the submanifold suite at the frame's
+    point: {bundle: {key: value}}, the thsubm gate under "nearly_kahler"."""
+    a = ambient_of(fr)
+    r = (a.coordinate_derivative - lead_dot(a.jac, fr.gamma)
+         - lead_dot(a.normals.T, a.hn))
+    return {
+        "frame": {**frame_check_at_point(a),
+                  "gauss_split": sup_norm(lead_dot(a.ubar, r))},
+        "nearly_kahler": {"ambient_weak_nearly_kahler":
+                          nearly_kahler_at_point(a)},
+        "case_i": thsubm_at_point(fr, a, "i"),
+        "case_ii": thsubm_at_point(fr, a, "ii"),
+        "parallel_q": parallel_q_at_point(fr, a),
+    }
 
 
 # -- pair-level residuals ------------------------------------------------------------

@@ -32,7 +32,7 @@ from weakf.classifiers import (
 from weakf.errors import InvalidExample
 from weakf.fstructure import PackFrame, StructurePack, axioms_residual
 from weakf.report import SuiteConfig, render_json, run_suite
-from weakf.submanifold import _AmbientPoint, thsubm_check
+from weakf.submanifold import thsubm_check
 
 POINTS = 50
 SEED = 42
@@ -158,20 +158,16 @@ def test_criterion_07_submanifold_suite(sphere_induced, subspace_induced):
     ):
         worst = _axioms_worst(sphere_induced, points=POINTS, sub=sphere)
         assert worst <= 1e-10
-        for i, p in enumerate(sphere.domain.sample(10, SEED)):
-            ap = _AmbientPoint(sphere, p)
-            fr = PackFrame(sphere_induced, p, seed=SEED, index=i, ambient=ap)
-            res = thsubm_check(fr, "i")
-            assert res["aa_symmetry"] <= TOL
-            assert res["h_display"] <= TOL
-            assert res["conclusion_weak_nearly_S"] <= TOL
-        for i, p in enumerate(subspace.domain.sample(10, SEED)):
-            ap = _AmbientPoint(subspace, p)
-            fr = PackFrame(subspace_induced, p, seed=SEED, index=i, ambient=ap)
-            res = thsubm_check(fr, "ii")
-            assert res["aa_symmetry"] <= TOL
-            assert res["h_display"] <= TOL
-            assert res["conclusion_weak_nearly_C"] <= TOL
+        # one row per point of the 10
+        res = thsubm_check(oracles.stack(
+            sphere_induced, sphere.domain.sample(10, SEED), sphere, SEED), "i")
+        for key in ("aa_symmetry", "h_display", "conclusion_weak_nearly_S"):
+            assert res[key].shape == (10,) and res[key].max() <= TOL
+        res = thsubm_check(oracles.stack(
+            subspace_induced, subspace.domain.sample(10, SEED), subspace,
+            SEED), "ii")
+        for key in ("aa_symmetry", "h_display", "conclusion_weak_nearly_C"):
+            assert res[key].shape == (10,) and res[key].max() <= TOL
 
 
 def test_criterion_08_engine_cross_validation(all_packs):

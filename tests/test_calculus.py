@@ -686,7 +686,7 @@ def test_ad_matches_fd_on_catalog_fields(all_packs, fractions):
 
 
 def test_ad_matches_fd_on_induced_fields(cat_sphere, sphere_induced):
-    # the closed-form partials the frame reads from the ambient point
+    # the closed-form partials the frame reads from the ambient stack
     pack = sphere_induced
     for p in pack.chart.sample(2, seed=43):
         fr = oracles.frame(pack, p, cat_sphere.obj)

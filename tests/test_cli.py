@@ -242,8 +242,8 @@ def test_component_function_error_exits_three(monkeypatch, capsys):
 def test_failing_embedding_is_named_and_exits_three(monkeypatch, capsys,
                                                     suites, where):
     # an embedding that leaves its domain on part of the chart: the frame
-    # reads the induced jets from the ambient point, which is built inside
-    # the first bundle that runs at the point
+    # stack reads the induced jets from the chunk's ambient stack, which is
+    # built inside the first bundle that reads it
     def bad_sphere():
         cat = catalog.hypersphere(n=1)
         emb = cat.obj.embedding

@@ -54,9 +54,11 @@ def test_stacked_rows_equal_the_point_alone(monkeypatch, argv):
         assert np.array_equal(chunked.random_d_units(4),
                               alone.random_d_units(4)), i
         # on an embedded example the frame's jets and g^-1 above are the
-        # induced ones, read from the ambient point
-        if chunked.ambient is None:
+        # induced ones, read from the chunk's ambient stack: its row equals
+        # the ambient stack of the point alone
+        chunked_ap, alone_ap = map(oracles.ambient_of, (chunked, alone))
+        if chunked_ap is None:
             continue
         for name in AMBIENT_QUANTITIES:
-            assert np.array_equal(getattr(chunked.ambient, name),
-                                  getattr(alone.ambient, name)), (i, name)
+            assert np.array_equal(getattr(chunked_ap, name),
+                                  getattr(alone_ap, name)), (i, name)

@@ -15,6 +15,14 @@ from weakf.charts import PointStacks, Rows
 from weakf.errors import HypothesisNotMet
 from weakf.fstructure import PackFrame, _FrameStack
 from weakf.report import SUITES, SuiteConfig, run_suite
+from weakf.submanifold import (
+    _AmbientStack,
+    frame_check,
+    gauss_split_residual,
+    induce_structure,
+    lemma_parallel_claim,
+    thsubm_check,
+)
 
 # Fixed before the first measurement: what one more run may leave behind.
 GROWTH_BOUND = 64 * 1024    # bytes
@@ -140,6 +148,46 @@ def test_one_chunk_of_setup_stays_within_its_bound():
     assert fr._chunk.gamma.shape == (charts.CHUNK, 10, 10, 10)
     assert "axioms" in vars(fr._chunk)      # built inside the measurement
     bound = CHUNK_BYTES_PER_POINT * charts.CHUNK + FRAME_CHECK_BYTES
+    assert peak < bound, (peak, bound)
+
+
+# Fixed before the first measurement, from the arrays a chunk keeps on
+# linear_subspace n=2 s=2 (m = 6 domain and d = 8 ambient dimensions, s = 2
+# normals, 40 test vectors): about 34 KB per point of ambient stacks (the
+# jets of the embedding, the normals, gbar and fbar along the image, the
+# ambient g^-1, Gamma and D fbar at d^3 = 512 entries, the induced jets, D
+# on coordinate pairs, h and the shape operators), about 10 KB of the frame
+# stack (Gamma, D f, D Q, the test vectors, the displays), and the
+# temporaries of the largest build, the induced jets and the tangential
+# expansion, about 40 KB: 100 KB per point in all. The checks form their
+# residuals on the test pairs fstructure.PAIR_CHUNK points at a time, a few
+# (2, 6, 40, 40) arrays of 154 KB at most: 0.5 MB.
+SUBMANIFOLD_CHUNK_BYTES_PER_POINT = 100_000
+SUBMANIFOLD_CHECK_BYTES = 500_000
+
+
+def test_one_chunk_of_the_submanifold_suite_stays_within_its_bound():
+    sub = catalog.linear_subspace(n=2, s=2).obj
+    pack = induce_structure(sub, validate=False)
+    points = sub.domain.sample(charts.CHUNK, seed=42)
+    tracemalloc.start()
+    try:
+        # every row of the suite's bundles over one chunk, as the runner
+        # builds the chunk's stacks
+        rows = Rows(points)
+        st = _FrameStack(pack, rows, 42, _AmbientStack(sub, rows))
+        frame_check(st.ambient)
+        gauss_split_residual(st)
+        for case in ("i", "ii"):
+            thsubm_check(st, case)
+        lemma_parallel_claim(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.ambient.nabla_fbar.shape == (charts.CHUNK, 8, 8, 8)
+    assert "thsubm_parts" in vars(st)       # built inside the measurement
+    bound = (SUBMANIFOLD_CHUNK_BYTES_PER_POINT * charts.CHUNK
+             + SUBMANIFOLD_CHECK_BYTES)
     assert peak < bound, (peak, bound)
 
 

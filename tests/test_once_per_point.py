@@ -138,7 +138,8 @@ def counted_run():
     counted_np.einsum = counting(np.einsum, skip=1)
 
     with pytest.MonkeyPatch.context() as mp:
-        for cls, name in ((submanifold._AmbientPoint, "ambient"),
+        for cls, name in ((submanifold._AmbientStack, "ambient_stack"),
+                          (submanifold._AmbientPoint, "ambient"),
                           (PackFrame, "frame")):
             mp.setattr(cls, "__init__", _tracked(cls.__init__, [], counts, name))
         for attr, picks in FRAME_ARRAYS.items():
@@ -149,11 +150,10 @@ def counted_run():
                 getattr(calculus, name), counts, name))
         mp.setattr(np.linalg, "cholesky", _counting(
             np.linalg.cholesky, counts, "cholesky"))
-        mp.setattr(submanifold, "ambient_nearly_kahler_residual", _counting(
-            submanifold.ambient_nearly_kahler_residual, counts, "nearly_kahler"))
-        ap_cls = submanifold._AmbientPoint
-        for attr in ("shape_operators", "coordinate_derivative", "hn"):
-            mp.setattr(ap_cls, attr, _counted_property(ap_cls, attr, counts))
+        ambient = submanifold._AmbientStack
+        for attr in ("shape_operators", "coordinate_derivative", "hn",
+                     "nearly_kahler"):
+            mp.setattr(ambient, attr, _counted_property(ambient, attr, counts))
         mp.setattr(PackFrame, "nabla_xi_xi", _counted_property(
             PackFrame, "nabla_xi_xi", counts))
         for mod in (classifiers, fstructure, submanifold):
@@ -165,11 +165,14 @@ def counted_run():
     return rep, counts, sites
 
 
-def test_one_ambient_build_per_sample(counted_run):
+def test_one_ambient_stack_per_chunk(counted_run):
+    # the SAMPLES points are one chunk: one ambient stack holds the ambient
+    # data of all of them, and no ambient point is built
     rep, counts, _ = counted_run
     assert rep["overall"]["verdict"] == "pass"
     assert "submanifold" in rep["suites"]
-    assert counts["ambient"] == SAMPLES
+    assert counts["ambient_stack"] == 1
+    assert counts["ambient"] == 0
 
 
 # -- component functions: one stacked call per chunk of points ------------------
@@ -312,13 +315,16 @@ def test_killing_residual_once_per_chunk():
 
 # The class parts and Reeb-frame conditions of a chunk's stack, one row (the
 # Killing residuals one row per Reeb field) over the chunk's points each,
-# and those of them that are formed on the test pairs.
+# and the residuals formed on pairs of a chunk's stacks: 9 of the parts and
+# conditions, and 7 of the submanifold checks (the nearly-Kahler gate on
+# the ambient basis, the Weingarten duality, the symmetry of h, and the
+# h-display and the shape display of each case).
 STACKED_PARTS = ("nearly_s_defining", "nearly_c_defining",
                  "s_structure_defining", "phi_equals_deta", "deta_zero",
                  "dphi_zero", "n1_zero", "killing", "reeb_brackets",
                  "reeb_flat", "reeb_totally_geodesic", "q_parallel_d",
                  "q_parallel_expansion")
-ON_PAIRS = 9
+ON_PAIRS = 9 + 7
 
 
 @pytest.fixture(scope="module")
@@ -370,12 +376,12 @@ def test_test_pairs_once_per_sub_chunk(stacked_run):
 
 def test_one_chunk_of_state_alive_at_a_time(chunked_run):
     _, counts, metrics = chunked_run
-    # one frame (and ambient point) per point, and the previous point's are
-    # gone by the next build
+    # one frame per point, and the previous point's is gone by the next
+    # build; the submanifold checks read the chunk's ambient stack, so no
+    # ambient point is built
     assert counts["frame"] == CHUNKED
     assert counts["frame_alive_at_build"] == 0
-    assert counts["ambient"] == CHUNKED * (metrics - 1)
-    assert counts["ambient_alive_at_build"] == 0
+    assert counts["ambient"] == 0
     # one set-up stack per chunk, and the previous chunk's stacks are gone
     # when the walk reaches the next one: the memory they hold is bounded
     # by tests/test_memory.py
@@ -413,9 +419,9 @@ def test_shared_contractions_once_per_sample(counted_run):
 def test_each_coefficient_tensor_contracted_once_per_sample(counted_run):
     _, _, sites = counted_run
     # pair_form(C, V, V): every coefficient tensor C of a bilinear identity
-    # in the theorem and submanifold checks meets the test pairs once per
-    # sample, wherever it is formed (all-zero coefficients are left out by
-    # _by_value); the class parts meet them on the chunk's stack
+    # in the theorem checks meets the test pairs once per sample, wherever
+    # it is formed (all-zero coefficients are left out by _by_value); the
+    # class parts and the submanifold checks meet them on the chunk's stack
     # (test_test_pairs_once_per_sub_chunk)
     pairs = {(sample, values): n
              for (sample, helper, operands, values), n in
@@ -424,14 +430,14 @@ def test_each_coefficient_tensor_contracted_once_per_sample(counted_run):
     assert max(pairs.values()) == 1
     per_sample = Counter(sample for sample, _ in pairs)
     assert sorted(per_sample) == list(range(1, SAMPLES + 1))
-    assert min(per_sample.values()) >= 12
+    assert min(per_sample.values()) >= 7
 
 
-def test_second_fundamental_form_once_per_sample(counted_run):
+def test_second_fundamental_form_once_per_chunk(counted_run):
     _, counts, _ = counted_run
     # both thsubm cases, the Gauss split and the curvature read the
-    # coordinate second fundamental form, built once per point
-    assert counts["hn"] == SAMPLES
+    # coordinate second fundamental form, built once per chunk of points
+    assert counts["hn"] == 1
 
 
 def test_inverse_and_christoffel_once_per_chunk(chunked_run):
@@ -481,13 +487,14 @@ def test_axioms_map_once_per_chunk():
     assert counts["rows"] == 0
 
 
-def test_ambient_point_quantities_once_per_sample(counted_run):
+def test_ambient_quantities_once_per_chunk(counted_run):
     _, counts, _ = counted_run
     # both thsubm cases read the shape operators and the gate; the Gauss
-    # split and the tangential expansion read D on coordinate pairs
-    assert counts["shape_operators"] == SAMPLES
-    assert counts["nearly_kahler"] == SAMPLES
-    assert counts["coordinate_derivative"] == SAMPLES
+    # split and the tangential expansion read D on coordinate pairs: each
+    # is built once for the chunk of points
+    assert counts["shape_operators"] == 1
+    assert counts["nearly_kahler"] == 1
+    assert counts["coordinate_derivative"] == 1
 
 
 def test_kept_axioms_map_is_a_copy():

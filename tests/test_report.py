@@ -15,7 +15,7 @@ import report_digests
 from report_digests import CONFIGS, digest_lines, dump_reports
 
 import weakf
-from weakf import charts, cli, fstructure, report
+from weakf import charts, cli, fstructure, report, submanifold
 from weakf.errors import InvalidExample
 from weakf.classifiers import THEOREM_CHECKS
 from weakf.report import SUITES, SuiteConfig, run_suite
@@ -78,14 +78,13 @@ def test_suite_entries_do_not_depend_on_other_suites(full_runs):
 
 
 # The only places that build a point's state: the runner's walk of a chunk
-# builds one of each per point, hands the ambient point to the frame, and
-# every check takes the frame alone; require_valid_frame builds an ambient
-# point of its own to check an embedding's normal frame before any frame
-# exists.
+# builds a frame per point for the theorem checks, which read the chunk's
+# stacks through it, and the submanifold checks take the chunk's stacks; no
+# ambient point is built for a run. require_valid_frame builds one of its
+# own to check an embedding's normal frame before any pack exists.
 BUILDERS = {
     "PackFrame": {("report.py", "walk")},
-    "_AmbientPoint": {("report.py", "walk"),
-                      ("submanifold.py", "require_valid_frame")},
+    "_AmbientPoint": {("submanifold.py", "require_valid_frame")},
 }
 
 
@@ -113,29 +112,32 @@ def test_point_state_is_built_only_by_the_runner():
         assert {(m, fn) for n, m, fn in built if n == name} == allowed, name
 
 
-# The definitions that take the ambient point itself: they check the
-# ambient data, also where no frame exists.
-AMBIENT_ONLY = {"frame_check", "require_valid_frame",
-                "ambient_nearly_kahler_residual", "_AmbientPoint"}
+# The definitions that take the ambient data itself: frame_check and
+# require_valid_frame check it, also where no pack exists, and the
+# constructor of a frame stack takes the ambient stack it reads the induced
+# jets from.
+AMBIENT_ONLY = {"frame_check", "require_valid_frame", "__init__"}
 
 
 def _point_parameters(node):
     """(name, line) of every function or lambda under ``node`` outside
-    AMBIENT_ONLY that has a parameter named ``V`` or ``ap``."""
+    AMBIENT_ONLY that has a parameter named ``V``, ``ap`` or ``ambient``."""
     for child in ast.iter_child_nodes(node):
         if getattr(child, "name", None) in AMBIENT_ONLY:
             continue
         if isinstance(child, (ast.FunctionDef, ast.Lambda)):
             a = child.args
             params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
-            if any(p is not None and p.arg in ("V", "ap") for p in params):
+            if any(p is not None and p.arg in ("V", "ap", "ambient")
+                   for p in params):
                 yield getattr(child, "name", "<lambda>"), child.lineno
         yield from _point_parameters(child)
 
 
 def test_checks_take_the_frame_alone():
-    # every check reads the test vectors and the ambient point from the
-    # point's frame; none takes them as separate arguments
+    # every check reads the test vectors and the ambient data from the
+    # point's frame or the chunk's stack; none takes them as separate
+    # arguments
     bad = []
     for name in ("classifiers.py", "fstructure.py", "submanifold.py"):
         tree = ast.parse((Path(weakf.__file__).parent / name).read_text(
@@ -166,8 +168,8 @@ def _broad_handlers(node, module, where="<module>"):
 
 def test_only_the_runner_catches_every_exception():
     # which point an exception belongs to is decided in one place: the
-    # runner retries the point on stacks of its own; no stack, frame or
-    # ambient point catches and re-routes a failure
+    # runner retries the point on stacks of its own; no stack or frame
+    # catches and re-routes a failure
     found = set()
     for path in Path(weakf.__file__).parent.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -398,3 +400,95 @@ def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
         monkeypatch.setattr(charts, "CHUNK", chunk)
         for argv, ref, text in zip(CONFIGS, reference, reports()):
             assert text == ref, (chunk, argv)
+
+
+# A gate of a stacked submanifold bundle that fails from sample 7 of 10: in
+# the middle of the one chunk at CHUNK 16, at the last row of the second
+# chunk at CHUNK 4, and alone at CHUNK 1.
+FAIL_FROM = 7
+GATED = "--example hypersphere --param n=1"
+
+
+def _late(st, start):
+    """The rows of the stack ``st`` at sample ``start`` and after."""
+    return st.rows.start + np.arange(len(st.rows)) >= start
+
+
+def _fail_nearly_kahler(monkeypatch):
+    rows = vars(submanifold._AmbientStack)["nearly_kahler"].func
+    prop = cached_property(
+        lambda a: np.where(_late(a, FAIL_FROM), 0.5, rows(a)))
+    prop.__set_name__(submanifold._AmbientStack, "nearly_kahler")
+    monkeypatch.setattr(submanifold._AmbientStack, "nearly_kahler", prop)
+
+
+def _reports_at_each_chunk_size(monkeypatch):
+    texts = []
+    for chunk in (1, 4, 16):
+        monkeypatch.setattr(charts, "CHUNK", chunk)
+        texts.append(report_digests.report_texts(GATED.split(), 10, 42))
+    assert texts[0] == texts[1] == texts[2]
+    return json.loads(texts[0][0])["suites"]["submanifold"]
+
+
+def _skipped(entries, prefix):
+    (entry,) = [e for e in entries if e["identity"].split(".")[0] == prefix]
+    assert entry["identity"] == prefix and entry["verdict"] == "skipped"
+    return entry["note"]
+
+
+def test_gate_failing_inside_a_chunk_skips_as_point_by_point(monkeypatch):
+    # both cases read the nearly-Kahler row: each skips with a note naming
+    # sample 7, whatever the chunk size, and the other bundles are kept
+    _fail_nearly_kahler(monkeypatch)
+    entries = _reports_at_each_chunk_size(monkeypatch)
+    note = ("hypothesis failed: ambient_weak_nearly_kahler "
+            "(residual 5.000e-01 at point 7)")
+    assert _skipped(entries, "case_i") == _skipped(entries, "case_ii") == note
+    assert any(e["identity"] == "parallel_q.q_parallel_d" for e in entries)
+
+
+@pytest.mark.parametrize("first_from, gate", [
+    (FAIL_FROM, "fbar_sq_normal_is_normal"),
+    (FAIL_FROM + 1, "tangential_nabla_fbar_sq"),
+])
+def test_parallel_q_gates_failing_inside_a_chunk(monkeypatch, first_from,
+                                                 gate):
+    # the second hypothesis fails from sample 7, the first from
+    # ``first_from``: the note names sample 7 and its first failing
+    # hypothesis in the order they are checked
+    hypotheses = submanifold._parallel_q_hypotheses
+
+    def failing(st):
+        rows = hypotheses(st)
+        for key, start in (("fbar_sq_normal_is_normal", first_from),
+                           ("tangential_nabla_fbar_sq", FAIL_FROM)):
+            rows[key] = np.where(_late(st, start), 0.25, rows[key])
+        return rows
+
+    monkeypatch.setattr(submanifold, "_parallel_q_hypotheses", failing)
+    entries = _reports_at_each_chunk_size(monkeypatch)
+    assert _skipped(entries, "parallel_q") == (
+        f"hypothesis failed: {gate} (residual 2.500e-01 at point 7)")
+    assert any(e["identity"] == "case_i.h_display" for e in entries)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 16])
+def test_body_raising_before_the_failing_gate_exits_three(monkeypatch, capsys,
+                                                         chunk):
+    # the case-free rows of thsubm raise at sample 3 and the gate fails
+    # from sample 7: every row is computed before the gate raises, so the
+    # run fails at sample 3 instead of skipping
+    _fail_nearly_kahler(monkeypatch)
+    parts = submanifold._AmbientStack.thsubm_parts
+
+    def raising(ambient, st):
+        if ambient.rows.start <= 3 < ambient.rows.start + len(ambient.rows):
+            raise RuntimeError("the body refused sample 3")
+        return parts(ambient, st)
+
+    monkeypatch.setattr(submanifold._AmbientStack, "thsubm_parts", raising)
+    monkeypatch.setattr(charts, "CHUNK", chunk)
+    assert cli.main(["verify", *GATED.split(), "--samples", "10"]) == 3
+    assert ("evaluation failed in submanifold.case_i[point 3]: RuntimeError: "
+            "the body refused sample 3") in capsys.readouterr().err

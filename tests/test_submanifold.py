@@ -2,18 +2,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from report_digests import CONFIGS
 
 import oracles
 from oracles import second_fundamental
+from weakf import charts, submanifold
 from weakf.calculus import christoffel_from_jets, metric_inverse, riemann_from_jets
 from weakf.catalog import hypersphere, linear_subspace, make_example
-from weakf.charts import Chart, SmoothField, constant_field
+from weakf.charts import Chart, Rows, SmoothField, constant_field
 from weakf.errors import HypothesisNotMet, SetupRejected
-from weakf.fstructure import PackFrame, axioms_residual
+from weakf.fstructure import axioms_residual
 from weakf.submanifold import (
     EmbeddedSubmanifold,
-    ambient_nearly_kahler_residual,
     _AmbientPoint,
+    _AmbientStack,
     frame_check,
     gauss_split_residual,
     induce_structure,
@@ -27,9 +29,9 @@ TOL = 1e-9
 
 def test_frame_requirements_on_hypersphere(cat_sphere):
     sub = cat_sphere.obj
-    for p in sub.domain.sample(4, seed=3):
-        res = frame_check(_AmbientPoint(sub, p))
-        assert max(res.values()) <= 1e-10
+    res = frame_check(_AmbientStack(sub, Rows(sub.domain.sample(4, seed=3))))
+    assert all(rows.shape == (4,) for rows in res.values())
+    assert max(rows.max() for rows in res.values()) <= 1e-10
 
 
 def test_induced_sphere_pack_is_standard(cat_sphere, sphere_induced):
@@ -73,11 +75,11 @@ def test_second_fundamental_sphere_shape_operator():
     h_vec, a_list = second_fundamental(outward, x, y, p)
     # outward position normal: A = -id and h_N = -g
     assert np.abs(a_list[0] + x).max() <= 1e-12
-    ap = _AmbientPoint(outward, p)
+    ap = oracles.ambient_point(outward, p)
     hn = float(ap.normals[0] @ ap.gbar0 @ h_vec)
     assert abs(hn + float(x @ g_out @ y)) <= 1e-12
     # inward normal flips the sign: h_N = +g
-    ap = _AmbientPoint(inward, p)
+    ap = oracles.ambient_point(inward, p)
     g_in = induce_structure(inward).g.value(p)
     assert abs(float(x @ ap.hn[0] @ y) - float(x @ g_in @ y)) <= 1e-12
     assert np.abs(ap.shape_operators[0] - np.eye(3)).max() <= 1e-12
@@ -100,7 +102,7 @@ def test_weingarten_duality_and_symmetry(cat_sphere):
     induced = induce_structure(sub)
     rng = np.random.default_rng(17)
     for p in sub.domain.sample(3, seed=17):
-        ap = _AmbientPoint(sub, p)
+        ap = oracles.ambient_point(sub, p)
         g0 = induced.g.value(p)
         for _ in range(4):
             x = rng.standard_normal(3)
@@ -118,10 +120,8 @@ def test_gauss_split_exact(cat_sphere, sphere_induced, cat_subspace,
     for cat, induced in ((cat_sphere, sphere_induced),
                          (cat_subspace, subspace_induced)):
         sub = cat.obj
-        for i, p in enumerate(sub.domain.sample(3, seed=19)):
-            ap = _AmbientPoint(sub, p)
-            fr = PackFrame(induced, p, seed=19, index=i, ambient=ap)
-            assert gauss_split_residual(fr) <= TOL
+        st = oracles.stack(induced, sub.domain.sample(3, seed=19), sub, seed=19)
+        assert gauss_split_residual(st).max() <= TOL
 
 
 def test_curved_ambient_gauss_and_weingarten():
@@ -157,7 +157,7 @@ def test_curved_ambient_gauss_and_weingarten():
         n=0, s=1,
     )
     q = np.array([0.4])
-    ap = _AmbientPoint(horizontal, q)
+    ap = oracles.ambient_point(horizontal, q)
     x = np.array([1.0])
     g0 = ap.g0
     hxx = float(x @ ap.hn[0] @ x)
@@ -167,37 +167,39 @@ def test_curved_ambient_gauss_and_weingarten():
 
 def test_thsubm_case_i_on_hypersphere(cat_sphere, sphere_induced):
     sub = cat_sphere.obj
-    for i, p in enumerate(sub.domain.sample(3, seed=23)):
-        ap = _AmbientPoint(sub, p)
-        fr = PackFrame(sphere_induced, p, seed=23, index=i, ambient=ap)
-        res = thsubm_check(fr, "i")
-        assert res["aa_symmetry"] == 0.0  # single normal: trivially symmetric
-        assert res["h_display"] <= TOL
-        assert res["shape_display_duality"] <= 1e-10
-        assert res["weingarten_duality"] <= TOL
-        assert res["tangential_expansion"] <= TOL
-        assert res["conclusion_weak_nearly_S"] <= TOL
-        # orientation pin: the inward normal gives h_N(xi, xi) = +1
-        assert float(fr.xi0[0] @ ap.hn[0] @ fr.xi0[0]) == pytest.approx(1.0, abs=1e-10)
-        # the other case's display must fail on a sphere
-        res2 = thsubm_check(fr, "ii")
-        assert res2["h_display"] >= 0.5
+    st = oracles.stack(sphere_induced, sub.domain.sample(3, seed=23), sub,
+                       seed=23)
+    res = thsubm_check(st, "i")
+    assert all(rows.shape == (3,) for rows in res.values())
+    assert (res["aa_symmetry"] == 0.0).all()  # single normal: trivially symmetric
+    assert res["h_display"].max() <= TOL
+    assert res["shape_display_duality"].max() <= 1e-10
+    assert res["weingarten_duality"].max() <= TOL
+    assert res["tangential_expansion"].max() <= TOL
+    assert res["conclusion_weak_nearly_S"].max() <= TOL
+    # orientation pin: the inward normal gives h_N(xi, xi) = +1
+    for xi, hn in zip(st.xi0[:, 0], st.ambient.hn[:, 0]):
+        assert float(xi @ hn @ xi) == pytest.approx(1.0, abs=1e-10)
+    # the other case's display must fail on a sphere
+    res2 = thsubm_check(st, "ii")
+    assert res2["h_display"].min() >= 0.5
 
 
 def test_thsubm_case_ii_on_linear_subspace(cat_subspace, subspace_induced):
     sub = cat_subspace.obj
-    for i, p in enumerate(sub.domain.sample(3, seed=29)):
-        ap = _AmbientPoint(sub, p)
-        fr = PackFrame(subspace_induced, p, seed=29, index=i, ambient=ap)
-        res = thsubm_check(fr, "ii")
-        assert res["aa_symmetry"] <= 1e-14
-        assert res["h_display"] <= 1e-14
-        assert res["conclusion_weak_nearly_C"] <= TOL
-        res1 = thsubm_check(fr, "i")
-        assert res1["h_display"] >= 0.5
+    st = oracles.stack(subspace_induced, sub.domain.sample(3, seed=29), sub,
+                       seed=29)
+    res = thsubm_check(st, "ii")
+    assert res["aa_symmetry"].max() <= 1e-14
+    assert res["h_display"].max() <= 1e-14
+    assert res["conclusion_weak_nearly_C"].max() <= TOL
+    res1 = thsubm_check(st, "i")
+    assert res1["h_display"].min() >= 0.5
 
 
-def test_thsubm_rejects_non_nearly_kahler_ambient():
+def _non_kahler_sphere():
+    """The hypersphere n=1 in R^4 with the skew scaled by 1 + 0.2 u_0: the
+    ambient is not weak nearly Kahler along the image."""
     domain = Chart("hopf_s3", 3,
                    ((0.25, np.pi / 2 - 0.25), (0.3, 5.9), (0.3, 5.9)))
     ambient = Chart("flat_r4", 4, ((-1.2, 1.2),) * 4)
@@ -212,19 +214,24 @@ def test_thsubm_rejects_non_nearly_kahler_ambient():
             [0.0, 0.0, s, 0.0],
         ]
 
-    sub = EmbeddedSubmanifold(
+    return EmbeddedSubmanifold(
         domain=domain, ambient=ambient,
         ambient_metric=base.ambient_metric,
         ambient_skew=SmoothField(ambient, "tensor11", skew_fn),
         embedding=base.embedding, normals=base.normals, n=1, s=1,
     )
-    p = domain.sample(1, seed=31)[0]
+
+
+def test_thsubm_rejects_non_nearly_kahler_ambient():
+    sub = _non_kahler_sphere()
+    p = sub.domain.sample(1, seed=31)[0]
     ap = _AmbientPoint(sub, p)
-    assert ambient_nearly_kahler_residual(ap) > 1e-3
+    assert ap.nearly_kahler[0] > 1e-3
     with pytest.raises(HypothesisNotMet) as err:
-        thsubm_check(PackFrame(induce_structure(sub, validate=False), p,
-                               ambient=ap), "i")
+        thsubm_check(oracles.stack(induce_structure(sub, validate=False), [p],
+                                   sub), "i")
     assert err.value.gate == "ambient_weak_nearly_kahler"
+    assert err.value.row == 0
 
 
 def test_lemma_parallel_claim(cat_sphere, sphere_induced, cat_subspace,
@@ -233,17 +240,15 @@ def test_lemma_parallel_claim(cat_sphere, sphere_induced, cat_subspace,
                          (cat_subspace, subspace_induced)):
         sub = cat.obj
         p = sub.domain.sample(1, seed=37)[0]
-        ap = _AmbientPoint(sub, p)
-        res = lemma_parallel_claim(PackFrame(induced, p, ambient=ap))
-        assert res["q_parallel_d"] <= TOL
-        assert res["q_parallel_expansion"] <= TOL
+        res = lemma_parallel_claim(oracles.stack(induced, [p], sub, seed=0))
+        assert res["q_parallel_d"][0] <= TOL
+        assert res["q_parallel_expansion"][0] <= TOL
     # the weak skew moves fbar^2 N off the normal bundle: gate must fire
     sub = cat_sphere_weak.obj
     p = sub.domain.sample(1, seed=37)[0]
-    ap = _AmbientPoint(sub, p)
     with pytest.raises(HypothesisNotMet) as err:
-        lemma_parallel_claim(PackFrame(
-            induce_structure(sub, validate=False), p, ambient=ap))
+        lemma_parallel_claim(oracles.stack(
+            induce_structure(sub, validate=False), [p], sub, seed=0))
     assert err.value.gate == "fbar_sq_normal_is_normal"
 
 
@@ -287,12 +292,13 @@ def test_ambient_residuals_are_gbar_norms():
     p = sub.domain.sample(1, seed=37)[0]
 
     def residuals(s):
-        ap = _AmbientPoint(s, p)
+        st = oracles.stack(induce_structure(s, validate=False), [p], s, seed=0)
         with pytest.raises(HypothesisNotMet) as err:
-            lemma_parallel_claim(PackFrame(
-                induce_structure(s, validate=False), p, ambient=ap))
+            lemma_parallel_claim(st)
         assert err.value.gate == "fbar_sq_normal_is_normal"
-        return {**frame_check(ap), "fbar_sq_normal_is_normal": err.value.residual}
+        return {**{key: float(rows[0])
+                   for key, rows in frame_check(st.ambient).items()},
+                "fbar_sq_normal_is_normal": err.value.residual}
 
     base = residuals(sub)
     assert base["xi_tangent"] > 0.1 and base["fbar_sq_normal_is_normal"] > 0.1
@@ -366,7 +372,7 @@ def test_closed_form_matches_nested_oracle(example, params):
         assert err <= CLOSED_FORM_TOL * max(1.0, np.abs(want).max()), (what, err)
 
     for p in sub.domain.sample(3, seed=53):
-        fr = PackFrame(closed, p, ambient=_AmbientPoint(sub, p))
+        fr = oracles.frame(closed, p, sub)
         for key, field, oracle in pairs:
             want0, want1 = oracle.jet(p, order=1)
             name, i = key if isinstance(key, tuple) else (key, None)
@@ -380,3 +386,86 @@ def test_closed_form_matches_nested_oracle(example, params):
         ginv = metric_inverse(g0, p)
         close(fr.riemann, riemann_from_jets(
             ginv, christoffel_from_jets(ginv, g1), g1, g2), "riemann")
+
+
+# -- the stacked rows against the checks at one point -------------------------------
+
+# One full chunk of points and part of another.
+REFERENCE_SAMPLES = charts.CHUNK + 4
+
+# The gates of each gated bundle in the order they are checked, and the
+# bundle of the point oracle that holds them.
+GATES = {
+    "case_i": ("nearly_kahler", ("ambient_weak_nearly_kahler",)),
+    "case_ii": ("nearly_kahler", ("ambient_weak_nearly_kahler",)),
+    "parallel_q": ("parallel_q", ("fbar_sq_normal_is_normal",
+                                  "tangential_nabla_fbar_sq")),
+}
+
+
+def _hex(rows):
+    return [float(v).hex() for v in rows]
+
+
+def _assert_rows_are_the_point_oracle(pack, sub, seed=42):
+    points = pack.chart.sample(REFERENCE_SAMPLES, seed)
+    chunks = {}
+    for fr in oracles.chunk_frames(pack, points, sub, seed):
+        chunks.setdefault(id(fr._chunk), (fr._chunk, []))[1].append(fr)
+    assert [len(frs) for _, frs in chunks.values()] == [charts.CHUNK, 4]
+    for st, frs in chunks.values():
+        alone = [oracles.submanifold_at_point(fr) for fr in frs]
+
+        def check(bundle, got, whole=True):
+            want = alone[0][bundle]
+            assert list(got) == list(want) if whole else got.keys() <= want.keys()
+            for key, rows in got.items():
+                assert _hex(rows) == [a[bundle][key].hex() for a in alone], (
+                    bundle, key)
+
+        check("frame", {**frame_check(st.ambient),
+                        "gauss_split": gauss_split_residual(st)})
+        check("nearly_kahler",
+              {"ambient_weak_nearly_kahler": st.ambient.nearly_kahler})
+        runs = {"case_i": lambda: thsubm_check(st, "i"),
+                "case_ii": lambda: thsubm_check(st, "ii"),
+                "parallel_q": lambda: lemma_parallel_claim(st)}
+        for bundle, run in runs.items():
+            held, gates = GATES[bundle]
+            # the first point whose gate fails, and its first failing gate
+            failing = [(k, gate, a[held][gate]) for k, a in enumerate(alone)
+                       for gate in gates if not a[held][gate] <= TOL]
+            try:
+                got = run()
+            except HypothesisNotMet as exc:
+                k, gate, value = failing[0]
+                assert (exc.row, exc.gate, exc.residual.hex()) == (
+                    k, gate, value.hex()), bundle
+                # the rows computed before the gate raised
+                if bundle == "parallel_q":
+                    check(bundle, submanifold._parallel_q_hypotheses(st), False)
+                else:
+                    parts = st.thsubm_parts
+                    check(bundle, {"aa_symmetry": parts["aa_symmetry"],
+                                   **parts["case_free"]}, False)
+            else:
+                assert not failing, bundle
+                check(bundle, got)
+
+
+EMBEDDED_CONFIGS = [c for c in CONFIGS if oracles.config_example(c)[1]]
+
+
+@pytest.mark.parametrize("config", EMBEDDED_CONFIGS)
+def test_stacked_rows_are_the_point_oracle(config):
+    pack, sub = oracles.config_example(config)
+    _assert_rows_are_the_point_oracle(pack, sub)
+
+
+def test_stacked_rows_are_the_point_oracle_where_the_gate_fails():
+    sub = _non_kahler_sphere()
+    pack = induce_structure(sub, validate=False)
+    with pytest.raises(HypothesisNotMet):
+        thsubm_check(oracles.stack(pack, sub.domain.sample(2, seed=42), sub),
+                     "i")
+    _assert_rows_are_the_point_oracle(pack, sub)
