@@ -2,8 +2,9 @@
 
 Every kernel is a pure numpy function of the value and partial-derivative
 arrays of fields at one chart point (see ``SmoothField.jet``), or at each
-point of a stack: leading axes ``...`` broadcast, and every row of a
-stacked result is bitwise the kernel at that row's point. ``PackFrame``
+point of a stack: leading axes ``...`` broadcast (the Reeb curvature
+kernel takes one leading point axis), and every row of a stacked result is
+bitwise the kernel at that row's point. ``PackFrame``
 and the submanifold code assemble their tensors from them. Field-level
 versions that take genuine vector fields, and finite differences, live in
 the test suite as independent oracles (``tests/oracles.py``).
@@ -71,25 +72,42 @@ def christoffel_from_jets(ginv, g1):
     return 0.5 * np.einsum("...kl,...lij->...kij", ginv, _lowered_sum(g1))
 
 
-def riemann_from_jets(ginv, gamma, g1, g2):
-    """Riem[l,i,j,k] with (R(e_i,e_j)e_k)^l = Riem[l,i,j,k].
+def reeb_curvature_kernel(ginv, gamma, g1, g2, xi):
+    """r[P, i, l, j] = (R(xi_i, e_j) xi_i)^l at each point of a stack, for
+    the vectors xi[P, i, m].
 
-    ``ginv`` and ``gamma`` are the metric inverse and Christoffel symbols at
-    the point; ``g2`` holds the second metric partials, from which
-    dGamma[k,i,j,c] = d_c Gamma^k_ij is formed.
+    ``ginv``, ``gamma`` and ``g1`` are the metric inverse, the Christoffel
+    symbols and the first metric partials at the points, and ``g2[P, a, b,
+    c, d]`` the second partials d_d d_c g_ab. Each is contracted with xi
+    first, so no array has more than three axes of size m per vector. With
+    A = Gamma(., xi) and w = A xi = Gamma(xi, xi),
+
+      R(xi, e_j) xi = g^-1 (dg_w - (d_xi g) A + (h + k - s - s^T) / 2) e_j
+                      + A A e_j - Gamma(e_j, w),
+
+    where (dg_w)_qj = d_j g_qr w^r, h_qj = xi^c xi^d d_c d_d g_qj,
+    k_qj = xi^a xi^b d_q d_j g_ab and s_qj = xi^a xi^b d_a d_j g_bq. The
+    ``g2`` of a constant metric may be a broadcast view: it is never
+    reshaped.
     """
-    dginv = -np.moveaxis(ginv @ np.moveaxis(g1, 2, 0) @ ginv, 0, 2)
-    t = _lowered_sum(g1)
-    dt = _lowered_sum(g2, "c")
-    dga = 0.5 * (
-        np.einsum("klc,lij->kijc", dginv, t) + np.einsum("kl,lijc->kijc", ginv, dt)
-    )
-    return (
-        np.einsum("ljki->lijk", dga)
-        - np.einsum("likj->lijk", dga)
-        + np.einsum("lia,ajk->lijk", gamma, gamma)
-        - np.einsum("lja,aik->lijk", gamma, gamma)
-    )
+    count, s, m = xi.shape
+    col = xi[..., None]
+    at = col[:, :, None]                                   # [P, i, 1, m, 1]
+    a = (gamma[:, None] @ at)[..., 0]                      # A[P, i, l, j]
+    w = a @ col                                            # [P, i, m, 1]
+    gamma_w = (gamma[:, None] @ w[:, :, None])[..., 0]
+    dg_w = (np.swapaxes(g1, -1, -2)[:, None] @ w[:, :, None])[..., 0]
+    dg_xi = (g1[:, None] @ at)[..., 0]
+    # the second partials with xi on their first tensor slot, [P, i, b, c, d],
+    # and on their last derivative slot, [P, i, a, b, c]
+    first = np.einsum("pia,pabcd->pibcd", xi, g2)
+    last = (g2[:, None] @ col[:, :, None, None])[..., 0]
+    k = (xi[:, :, None] @ first.reshape(count, s, m, -1)).reshape(
+        count, s, m, m)
+    sym = (first @ at)[..., 0]
+    h = (last @ at)[..., 0]
+    low = dg_w - dg_xi @ a + 0.5 * (h + k - sym - np.swapaxes(sym, -1, -2))
+    return ginv[:, None] @ low + a @ a - gamma_w
 
 
 def nabla_tensor11_kernel(gamma, t0, t1):

@@ -5,10 +5,13 @@ identity; a class takes the max over its parts. The parts and the Reeb-frame
 conditions are stacked over a chunk of points, as attributes of
 :class:`~weakf.fstructure._FrameStack` named as the report names them, and a
 frame reads its point's entry as ``frame.stacked(name)``. Theorem checks are
-per point and gated: when the hypotheses of a statement fail on the given
-pack (or read NaN), :class:`HypothesisNotMet` is raised instead of reporting
-a vacuous pass. Vector-valued residuals are measured in the g-norm: each is
-lowered by the frame's Cholesky factor u of g0 and reduced by
+gated: when the hypotheses of a statement fail on the given pack (or read
+NaN), :class:`HypothesisNotMet` is raised instead of reporting a vacuous
+pass. The two f-K-contact bundles (:data:`STACKED_THEOREMS`) take the
+chunk's stack and return one row over its points per key, gated by
+:func:`gated_rows` as the submanifold checks are; the other theorem checks
+take a point's frame. Vector-valued residuals are measured in the g-norm:
+each is lowered by the Cholesky factor u of g0 and reduced by
 :func:`~weakf.sampling.sup_norm`.
 
 Gates use the exact tolerance (default 1e-9); the report measures the
@@ -22,7 +25,7 @@ from functools import partial
 import numpy as np
 
 from .errors import HypothesisNotMet
-from .sampling import lead_dot, pair_form, sup_abs, sup_norm, worst
+from .sampling import lead_dot, pair_form, sup_abs, sup_norm, unit_rows, worst
 
 TOL_EXACT = 1e-9
 
@@ -122,6 +125,35 @@ def _gate(check, name, residual, tol):
         raise HypothesisNotMet(check, name, residual)
 
 
+def gated_rows(check, gates, tol, body):
+    """``body()``, the residual rows of a gated check over a chunk of points,
+    under ``gates``: (gate, row) pairs in the order they are checked, read
+    one at a time.
+
+    A gate that fails at the chunk's first point (a NaN fails) raises
+    :class:`HypothesisNotMet` at once, before the later gates are read and
+    before the body runs, as that point alone would. Otherwise the body
+    computes every row, and only then does the check raise at the chunk's
+    first point where a gate fails, naming that point's first failing gate.
+    An exception of the body thus reaches the runner before any gate does,
+    and the runner walks the chunk's points again one at a time, where each
+    point checks its gates before its body.
+    """
+    read = {}
+    for name, rows in gates:
+        read[name] = rows
+        if not rows[0] <= tol:
+            raise HypothesisNotMet(check, name, rows[0])
+    res = body()
+    failed = [~(rows <= tol) for rows in read.values()]
+    bad = np.logical_or.reduce(failed)
+    if bad.any():
+        k = int(np.argmax(bad))
+        gate = next(g for g, f in zip(read, failed) if f[k])
+        raise HypothesisNotMet(check, gate, read[gate][k], row=k)
+    return res
+
+
 def _nearly_class_gate(fr, check, tol):
     """Require the pack to be weak nearly S or weak nearly C."""
     rs = fr.stacked("nearly_s_defining")
@@ -142,25 +174,29 @@ def _frame_gates(fr, check, tol):
 
 
 def theorem_check(pack, p, which, frame, tol_exact=TOL_EXACT):
-    """Named residual map of one theorem-level identity bundle on ``frame``.
+    """Named residual map of one theorem-level identity bundle on ``frame``,
+    a point's frame; for a bundle of :data:`STACKED_THEOREMS`, the chunk's
+    stack, and then one row over its points per key.
 
     Raises :class:`HypothesisNotMet` when the statement's gates fail, naming
-    the failing gate and its residual; every statement presupposes a valid
-    weak metric f-structure, so the axiom bundle is always the first gate.
-    ``thm32_chain`` also returns the residual of the chain step that is only
-    valid under the nearly-C hypothesis; on packs failing that hypothesis
-    the entry is expected to be large and is reported for diagnosis, never
-    asserted.
+    the failing gate and its residual (and for a stacked bundle the chunk's
+    first point where one fails, see :func:`gated_rows`); every statement
+    presupposes a valid weak metric f-structure, so the axiom bundle is
+    always the first gate. ``thm32_chain`` also returns the residual of the
+    chain step that is only valid under the nearly-C hypothesis; on packs
+    failing that hypothesis the entry is expected to be large and is
+    reported for diagnosis, never asserted.
 
-    Only the frame is read: ``pack`` and ``p`` are its pack and point, and
-    they stay the first two parameters so that ``bench/layertrace.py`` can
-    name a span after the third positional argument.
+    Only ``frame`` is read: ``pack`` and ``p`` stay the first two
+    parameters so that ``bench/layertrace.py`` can name a span after the
+    third positional argument.
     """
     check = _THEOREMS.get(which)
     if check is None:
         raise ValueError(f"unknown theorem check {which!r}")
-    _gate(which, "weak_metric_f_axioms", float(frame.stacked("worst_axiom")),
-          tol_exact)
+    if which not in STACKED_THEOREMS:
+        _gate(which, "weak_metric_f_axioms",
+              float(frame.stacked("worst_axiom")), tol_exact)
     return check(frame, tol_exact)
 
 
@@ -208,19 +244,27 @@ def _prop_normal(fr, tol):
     return res
 
 
-def _fk_gate(fr, check, tol):
-    _gate(check, "phi_equals_deta", fr.stacked("phi_equals_deta"), tol)
-    _gate(check, "killing_reeb", worst(fr.stacked("killing")), tol)
+def _fk_gates(st):
+    """The gates of the f-K-contact bundles over the chunk's stack, in the
+    order they are checked: the axioms, Phi = d eta, Killing Reeb fields."""
+    yield "weak_metric_f_axioms", st.worst_axiom
+    yield "phi_equals_deta", st.phi_equals_deta
+    yield "killing_reeb", st.killing.max(-1)
 
 
-def _fk_contact_nabla(fr, tol):
-    _fk_gate(fr, "fk_contact_nabla", tol)
-    res = pair_form(fr.nabla_xi + fr.f0, fr.u, fr.V)
-    return {"nabla_xi_plus_f": sup_norm(res.transpose(1, 0, 2))}
+def _fk_contact_nabla(st, tol):
+    def rows():
+        res = pair_form(st.nabla_xi + st.f0[:, None], st.u[:, None],
+                        st.V[:, None])
+        return {"nabla_xi_plus_f": sup_norm(res.transpose(0, 2, 1, 3),
+                                            lead=1)}
+
+    return gated_rows("fk_contact_nabla", _fk_gates(st), tol, rows)
 
 
-def _thm32_chain(fr, tol):
-    """Identity chain for the Reeb-sectional curvature of f-K-contact packs.
+def _thm32_chain(st, tol):
+    """Identity chain for the Reeb-sectional curvature of f-K-contact packs,
+    one row per step over the chunk's stack.
 
     For unit X in the contact distribution and each Reeb direction xi:
 
@@ -232,35 +276,48 @@ def _thm32_chain(fr, tol):
 
     The connection and algebra steps follow from D xi = -f and f xi = 0
     alone and must hold on any f-K-contact pack; the nearly-C step is the
-    one that breaks when the pack is not weak nearly C.
+    one that breaks when the pack is not weak nearly C. X runs over the
+    basis of the contact distribution and 4 random units in it, drawn from
+    each point's generator after its test vectors.
     """
-    _fk_gate(fr, "thm32_chain", tol)
-    xs = np.vstack([fr.d_basis, fr.random_d_units(4)])
-    g0, f0 = fr.g0, fr.f0
+    return gated_rows("thm32_chain", _fk_gates(st), tol,
+                      partial(_chain_rows, st))
+
+
+def _chain_rows(st):
+    """The rows of :func:`_thm32_chain` over the stack ``st``."""
+    db, g0, f0, nf = st.d_basis, st.g0, st.f0, st.nabla_f
+    count, m = len(g0), g0.shape[-1]
+    coeff = np.stack([r.standard_normal((4, db.shape[1])) for r in st.rngs])
+    xs = np.concatenate([db, unit_rows(coeff @ db, g0)], axis=1)
+    f0_t = np.swapaxes(f0, 1, 2)
 
     def g_xs(w):
         """g(w_A, X_A) for the rows w_A of ``w`` and X_A of ``xs``."""
-        return ((w @ g0) * xs).sum(1)
+        return ((w @ g0) * xs).sum(-1)
 
-    fx = xs @ f0.T
-    f2x = fx @ f0.T
+    fx = xs @ f0_t
+    f2x = fx @ f0_t
     g_f2x = g_xs(f2x)
     final = 2.0 * g_f2x
-    peak = np.zeros(4)      # connection, nearly-C, algebra steps; total
-    for xi in fr.xi0:
-        r_xi = xi @ (fr.riemann @ xi)               # X -> R(xi, X) xi
-        lhs = g_xs(xs @ r_xi.T)
-        nf_xi = lead_dot(xi, fr.nabla_f)            # X -> (D_xi f)X
-        mid1 = g_xs(f2x - xs @ nf_xi.T)
-        mid2 = g_xs(xs @ (fr.nabla_f @ xi)) - ((fx @ g0) * fx).sum(1)
+    g_fx = ((fx @ g0) * fx).sum(-1)
+    peak = np.zeros((count, 4))     # connection, nearly-C, algebra; total
+    for xi, r_xi in zip(np.moveaxis(st.xi0, 1, 0),
+                        np.moveaxis(st.reeb_curvature, 1, 0)):
+        lhs = g_xs(xs @ np.swapaxes(r_xi, 1, 2))        # X -> R(xi, X) xi
+        nf_xi = (xi[:, None] @ nf.reshape(count, m, -1)).reshape(
+            count, m, m)                                # X -> (D_xi f)X
+        mid1 = g_xs(f2x - xs @ np.swapaxes(nf_xi, 1, 2))
+        mid2 = g_xs(xs @ (nf @ xi[:, None, :, None])[..., 0]) - g_fx
         steps = (lhs - mid1, mid1 - mid2, mid2 - final, lhs - final)
-        peak = np.maximum(peak, [np.abs(d).max() for d in steps])
+        peak = np.maximum(peak, np.stack([np.abs(d).max(-1) for d in steps],
+                                         axis=-1))
     return {
-        "chain_connection_step": float(peak[0]),
-        "chain_nearly_c_step": float(peak[1]),
-        "chain_algebra_step": float(peak[2]),
-        "f2_nonpositive": float(np.maximum(g_f2x.max(), 0.0)),  # a NaN stays
-        "chain_total": float(peak[3]),
+        "chain_connection_step": peak[:, 0],
+        "chain_nearly_c_step": peak[:, 1],
+        "chain_algebra_step": peak[:, 2],
+        "f2_nonpositive": np.maximum(g_f2x.max(-1), 0.0),  # a NaN stays
+        "chain_total": peak[:, 3],
     }
 
 
@@ -336,7 +393,8 @@ def _corollary_rigidity(fr, tol):
     return {"s_structure_defining": fr.stacked("s_structure_defining")}
 
 
-# Theorem bundles in report order: name -> (frame, tol) -> residuals.
+# Theorem bundles in report order: name -> (frame, tol) -> residuals, or
+# for a stacked bundle (stack, tol) -> rows.
 _THEOREMS = {
     "prop1": _prop1,
     "prop_normal": _prop_normal,
@@ -349,3 +407,6 @@ _THEOREMS = {
 }
 
 THEOREM_CHECKS = tuple(_THEOREMS)
+
+# The theorem bundles that take the chunk's stack rather than a point's frame.
+STACKED_THEOREMS = ("fk_contact_nabla", "thm32_chain")

@@ -21,9 +21,9 @@ be built for negative controls; the residual report is the verdict.
 :class:`_FrameStack` holds jets, Christoffel symbols and test vectors of a
 pack over a chunk of points, each with a leading point axis. The runner
 builds one per chunk and hands it to each :class:`PackFrame` of the chunk
-with the point's index; the frame reads its row of every quantity, and the
+with the point's index; the frame reads its row of every quantity, and most
 theorem checks are numpy contractions of those rows. The submanifold checks
-take the stack itself.
+and the two f-K-contact theorem bundles take the stack itself.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from .sampling import (
     point_rng,
     sup_abs,
     sup_norm,
-    unit_rows,
 )
 
 _RANK_ZERO_CEIL = 1e-8
@@ -125,9 +124,10 @@ class _FrameStack(_Fields):
 
     Every quantity is stacked on a leading point axis and built on first
     read; row k of each is bitwise the quantity of point k alone. ``rngs``
-    holds each point's generator, ``point_rng(seed, index)``, and
-    ``ambient`` the points' ambient stack when the pack is induced on an
-    embedded submanifold: its jets, g^-1 and curvature are read from there.
+    holds each point's generator, ``point_rng(seed, index)``, which draws
+    the test vectors and then the curvature chain's units, and ``ambient``
+    the points' ambient stack when the pack is induced on an embedded
+    submanifold: its jets, g^-1 and Reeb curvature are read from there.
     """
 
     def __init__(self, pack, rows, seed, ambient=None):
@@ -420,6 +420,19 @@ class _FrameStack(_Fields):
         return self._vector_rows(self.nabla_q.transpose(0, 2, 1, 3) + corr)
 
     @cached_property
+    def reeb_curvature(self):
+        """r[P, i, l, j] = (R(xi_i, e_j) xi_i)^l, read by the Reeb-sectional
+        curvature chain alone: from the metric's second-order jet, or on an
+        induced pack from the Gauss equation (see
+        :meth:`weakf.submanifold._AmbientStack.reeb_curvature`)."""
+        if self.ambient is not None:
+            return self.ambient.reeb_curvature(self.xi0)
+        g = self.pack.g
+        g2 = self.rows.jet(g.fn, 2, g.label)[2]
+        return calculus.reeb_curvature_kernel(self.ginv, self.gamma, self.g1,
+                                              g2, self.xi0)
+
+    @cached_property
     def thsubm_parts(self):
         """On an induced pack, the rows of the submanifold criterion that do
         not depend on its case, which both cases read (see
@@ -441,9 +454,9 @@ class PackFrame(_Fields):
     with a leading point axis, and the frame reads its row of each on first
     use, the residual rows of the axioms, the class parts and the
     Reeb-frame conditions included (:meth:`stacked`). The theorem checks
-    and the curvature are per point; the curvature of an induced pack comes
-    from the Gauss equation at the point's row of the chunk's ambient
-    stack. The submanifold checks take the stack itself.
+    other than the two f-K-contact bundles run on the frame; those two, and
+    the submanifold checks, take the stack itself, and with it the Reeb
+    curvature (:attr:`_FrameStack.reeb_curvature`), which no frame reads.
     """
 
     def __init__(self, pack, p, seed=0, index=0, stack=None):
@@ -453,7 +466,6 @@ class PackFrame(_Fields):
             stack = _FrameStack(pack, Rows(self.p[None], index), seed)
         self._chunk = stack
         self._k = index - stack.rows.start
-        self._rng = stack.rngs[self._k]
 
     _jets = row_of("_jets")
     ginv = row_of("ginv")
@@ -472,21 +484,6 @@ class PackFrame(_Fields):
     ff_coeff = row_of("ff_coeff")
     n1_coeff = row_of("n1_coeff")
     n2_coeff = row_of("n2_coeff")
-
-    @cached_property
-    def riemann(self):
-        ambient = self._chunk.ambient
-        if ambient is not None:
-            return ambient.induced_riemann(self._k)
-        g = self.pack.g
-        g2 = self._chunk.rows.jet(g.fn, 2, g.label)[2][self._k]
-        return calculus.riemann_from_jets(self.ginv, self.gamma, self.g1, g2)
-
-    def random_d_units(self, count):
-        """Seeded unit vectors in the contact distribution."""
-        db = self.d_basis
-        coeff = self._rng.standard_normal((count, db.shape[0]))
-        return unit_rows(coeff @ db, self.g0)
 
     def stacked(self, name):
         """The frame's row of the quantity ``name`` of its chunk's stack."""

@@ -35,6 +35,7 @@ from .charts import PointStacks
 from .classifiers import (
     CLASS_TAGS,
     FRAME_CONDITIONS,
+    STACKED_THEOREMS,
     THEOREM_CHECKS,
     class_rows,
     theorem_check,
@@ -305,12 +306,14 @@ def run_suite(config):
     stack, a :class:`_FrameStack` (over an ``_AmbientStack`` on an embedded
     example), so component functions are evaluated, and set-up quantities
     built, once per chunk. The axioms, classes, frames and submanifold
-    bundles read residual rows over the chunk from the stack; the theorem
-    bundles run at each point in turn, on its :class:`PackFrame`, which the
-    walk hands the chunk's stack and the point's index and which reads its
-    row of it. A failed gate skips its bundle for good: a stacked bundle
-    raises at the chunk's first point whose gate fails, once every row is
-    computed, and the note names that point. Any other exception, from the
+    bundles and the two f-K-contact theorem bundles read residual rows over
+    the chunk from the stack; the other theorem bundles run at each point in
+    turn, on its :class:`PackFrame`, which the walk hands the chunk's stack
+    and the point's index and which reads its row of it. A failed gate skips
+    its bundle for good: a stacked bundle raises at the chunk's first point
+    whose gate fails, at once if that is the chunk's first point and else
+    once every row is computed, and the note names that point
+    (:func:`~weakf.classifiers.gated_rows`). Any other exception, from the
     engine or a component function, may belong to any point of the chunk:
     the chunk's results are dropped and its points walked again, each as a
     chunk of its own (``PointStacks.alone``, with a fresh generator). Only
@@ -441,7 +444,7 @@ def _bundles(suite, config, cat):
     """The evaluator bundles of ``suite`` in report order.
 
     The stacked evaluators read residual rows over a chunk from its set-up
-    stack; the theorem evaluators take a point's frame. The theorem and
+    stack; the other theorem evaluators take a point's frame. The theorem and
     submanifold evaluators call the check functions by their module names
     at call time, so that a wrapper installed on those names sees every
     call.
@@ -470,11 +473,12 @@ def _bundles(suite, config, cat):
         )]
     if suite == "theorems":
         return [
-            _Bundle(which, lambda fr, which=which: theorem_check(
-                fr.pack, fr.p, which, frame=fr, tol_exact=tol),
+            _Bundle(which, lambda on, which=which: theorem_check(
+                on.pack, None, which, frame=on, tol_exact=tol),
                 prefix=which, skip_formula=which,
                 counted=lambda key, aggs: key not in _NEARLY_C_STEPS,
-                note="informational: breaks unless the pack is weak nearly C")
+                note="informational: breaks unless the pack is weak nearly C",
+                stacked=which in STACKED_THEOREMS)
             for which in THEOREM_CHECKS
         ]
     cases = [

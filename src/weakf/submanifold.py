@@ -17,15 +17,16 @@ inherits a weak metric f-structure
 pulled back to domain-chart components. The induced fields take float
 points; their first derivatives come in closed form from the ambient data
 along the image (:class:`_AmbientStack`, over a chunk of points), by the
-product rule, and the curvature of the induced metric from the Gauss
-equation.
+product rule, and the Reeb curvature R(xi, .)xi of the induced metric
+from the Gauss equation.
 
 The submanifold checks take the chunk's frame stack of the induced pack,
 whose ``ambient`` is the chunk's ambient stack, and return one row of
 residuals over the chunk's points per key, as the axioms, classes and
-frames bundles do. A gated check computes every row of its chunk before it
-raises :class:`~weakf.errors.HypothesisNotMet` at the first row whose gate
-fails.
+frames bundles do. A gated check reads its gates first and raises
+:class:`~weakf.errors.HypothesisNotMet` at once if one fails at the chunk's
+first point; otherwise it computes every row of its chunk before it raises
+at the first row whose gate fails (:func:`~weakf.classifiers.gated_rows`).
 
 Second-fundamental-form conventions: ``h(X,Y)`` is the normal part of the
 ambient derivative of pushed-forward fields, the shape operator is
@@ -43,8 +44,8 @@ import numpy as np
 
 from . import calculus
 from .charts import Rows, SmoothField, jet_stack
-from .classifiers import TOL_EXACT
-from .errors import HypothesisNotMet, SetupRejected
+from .classifiers import TOL_EXACT, gated_rows
+from .errors import SetupRejected
 from .fstructure import StructurePack, _pair_rows, _rows_abs, _rows_norm
 from .sampling import cholesky_basis, cholesky_factor, lead_dot, pair_form
 
@@ -295,30 +296,29 @@ class _AmbientStack:
             "a_disp": pair_form(hxx.transpose(0, 1, 3, 2), xi_t, eta_t),
         }
 
-    def induced_riemann(self, k):
-        """Riem[l,i,j,k] of the induced metric at row ``k``, from the Gauss
-        equation
+    def reeb_curvature(self, xi):
+        """r[P, i, l, j] = (R(xi_i, e_j) xi_i)^l of the induced metric for
+        the induced Reeb fields xi[P, i, m], from the Gauss equation
 
         g(R(X,Y)Z, W) = gbar(Rbar(X,Y)Z, W) + gbar(h(Y,Z), h(X,W))
-                        - gbar(h(X,Z), h(Y,W)),
+                        - gbar(h(X,Z), h(Y,W))
 
-        with Rbar from a second-order jet of gbar, taken here only. No
-        third derivative of the embedding is needed. It is built at one
-        point: only the curvature chain of the theorems reads it.
+        at X = Z = xi: Rbar(xibar, .) xibar of xibar = J xi from a
+        second-order jet of gbar, taken here only, and h through h(xi, .).
+        No third derivative of the embedding is needed.
         """
-        gbar2 = self._jet("gbar2")[2][k]
-        rbar = calculus.riemann_from_jets(
-            self.ginvbar[k], self.gammabar[k], self.gbar1[k], gbar2)
-        low = lead_dot(self.gbar0[k], rbar)         # [w, i, j, k], lowered
-        jac = self.jac[k]
-        for _ in range(4):                          # each slot through J
-            low = (low.reshape(len(low), -1).T @ jac).reshape(
-                low.shape[1:] + (-1,))
-        hn = self.hn[k]
-        flat = hn.reshape(len(hn), -1)
-        hh = (flat.T @ flat).reshape(hn.shape[1:] * 2)     # [a, b, c, e]
-        low = low + np.einsum("jkiw->wijk", hh) - np.einsum("ikjw->wijk", hh)
-        return lead_dot(self.induced_jets["ginv"][k], low)
+        xibar = xi @ _transposed(self.jac)
+        jac = self.jac[:, None]
+        rbar = calculus.reeb_curvature_kernel(
+            self.ginvbar, self.gammabar, self.gbar1, self._jet("gbar2")[2],
+            xibar)
+        low = _transposed(jac) @ (self.gbar0[:, None] @ (rbar @ jac))
+        hn = self.hn
+        h_xi = (hn[:, None] @ xi[:, :, None, :, None])[..., 0]  # [P, i, n, a]
+        h_xixi = (h_xi @ xi[..., None])[..., 0]                 # [P, i, n]
+        low = (low + _transposed(h_xi) @ h_xi
+               - _transposed(lead_dot(h_xixi, hn, lead=1)))
+        return self.induced_jets["ginv"][:, None] @ low
 
 
 class _AmbientPoint(_AmbientStack):
@@ -328,18 +328,6 @@ class _AmbientPoint(_AmbientStack):
 
     def __init__(self, sub, p):
         super().__init__(sub, Rows(np.asarray(p, dtype=float)[None]))
-
-
-def _require(check, gates, tol):
-    """Raise :class:`HypothesisNotMet` at the first row where one of the
-    ``gates`` (name -> row) exceeds ``tol`` (a NaN does), naming that row's
-    first failing gate in the order of ``gates``."""
-    failed = [~(rows <= tol) for rows in gates.values()]
-    bad = np.logical_or.reduce(failed)
-    if bad.any():
-        k = int(np.argmax(bad))
-        gate = next(g for g, f in zip(gates, failed) if f[k])
-        raise HypothesisNotMet(check, gate, gates[gate][k], row=k)
 
 
 def frame_check(ambient):
@@ -473,8 +461,7 @@ def thsubm_check(st, case, tol_exact=TOL_EXACT):
     xi_k) eta^j(X) eta^k(Y) forces a weak nearly-S induced structure;
     ``case="ii"``: h_{N_i} supported on the Reeb directions forces weak
     nearly-C. Gated on the ambient being weak nearly Kahler along the
-    image: every row is computed before the gate raises at its first
-    failing row. Reported residuals:
+    image (see :func:`~weakf.classifiers.gated_rows`). Reported residuals:
 
       aa_symmetry            h_{N_i}(xi_j, xi_k) = h_{N_j}(xi_i, xi_k)
       h_display              the case hypothesis itself
@@ -487,26 +474,30 @@ def thsubm_check(st, case, tol_exact=TOL_EXACT):
     """
     if case not in ("i", "ii"):
         raise ValueError("case must be 'i' or 'ii'")
-    gate = st.ambient.nearly_kahler
-    V, shared = st.V, st.thsubm_parts
-    disp, a_disp = shared["disp"], shared["a_disp"]
-    if case == "i":
-        f2 = st.f0 @ st.f0              # the display adds g(-f^2 X, Y)
-        disp = disp - (_transposed(f2) @ st.g0)[:, None]
-        a_disp = a_disp - f2[:, None]
-    res = {
-        "aa_symmetry": shared["aa_symmetry"],
-        "h_display": _pair_rows(_rows_abs, st.ambient.hn - disp, V),
-        "shape_display_duality": _pair_rows(
-            _rows_abs, _transposed(a_disp) @ st.g0[:, None] - disp, V),
-        **shared["case_free"],
-    }
-    if case == "i":
-        res["conclusion_weak_nearly_S"] = st.nearly_s_defining
-    else:
-        res["conclusion_weak_nearly_C"] = st.nearly_c_defining
-    _require("thsubm", {"ambient_weak_nearly_kahler": gate}, tol_exact)
-    return res
+
+    def rows():
+        V, shared = st.V, st.thsubm_parts
+        disp, a_disp = shared["disp"], shared["a_disp"]
+        if case == "i":
+            f2 = st.f0 @ st.f0          # the display adds g(-f^2 X, Y)
+            disp = disp - (_transposed(f2) @ st.g0)[:, None]
+            a_disp = a_disp - f2[:, None]
+        res = {
+            "aa_symmetry": shared["aa_symmetry"],
+            "h_display": _pair_rows(_rows_abs, st.ambient.hn - disp, V),
+            "shape_display_duality": _pair_rows(
+                _rows_abs, _transposed(a_disp) @ st.g0[:, None] - disp, V),
+            **shared["case_free"],
+        }
+        if case == "i":
+            res["conclusion_weak_nearly_S"] = st.nearly_s_defining
+        else:
+            res["conclusion_weak_nearly_C"] = st.nearly_c_defining
+        return res
+
+    return gated_rows(
+        "thsubm", [("ambient_weak_nearly_kahler", st.ambient.nearly_kahler)],
+        tol_exact, rows)
 
 
 def _parallel_q_hypotheses(st):
@@ -534,11 +525,10 @@ def lemma_parallel_claim(st, tol=TOL_EXACT):
 
     Hypotheses: fbar^2 N_i is normal to the image, and the tangential part
     of (ambient D_X fbar^2) Y vanishes for Y in the contact distribution.
-    Conclusion: the induced pack satisfies (D_X Q)Y = 0 for Y in D. Every
-    row is computed before a hypothesis raises at its first failing row.
+    Conclusion: the induced pack satisfies (D_X Q)Y = 0 for Y in D. The
+    hypotheses gate the rows as :func:`~weakf.classifiers.gated_rows` says.
     """
     hypotheses = _parallel_q_hypotheses(st)
-    res = {**hypotheses, "q_parallel_d": st.q_parallel_d,
-           "q_parallel_expansion": st.q_parallel_expansion}
-    _require("lemma_parallel_q", hypotheses, tol)
-    return res
+    return gated_rows("lemma_parallel_q", hypotheses.items(), tol, lambda: {
+        **hypotheses, "q_parallel_d": st.q_parallel_d,
+        "q_parallel_expansion": st.q_parallel_expansion})

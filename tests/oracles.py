@@ -15,12 +15,12 @@ import math
 import numpy as np
 
 from weakf.calculus import (
+    _lowered_sum,
     christoffel_from_jets,
     lie_metric_kernel,
     lie_tensor11_kernel,
     metric_inverse,
     nabla_tensor11_kernel,
-    riemann_from_jets,
 )
 from weakf import cli
 from weakf.catalog import make_example
@@ -36,7 +36,9 @@ from weakf.fstructure import (
 )
 from weakf import jets
 from weakf.jets import cos, sin
-from weakf.sampling import lead_dot, pair_form, sup_abs, sup_norm, worst
+from weakf.errors import HypothesisNotMet
+from weakf.sampling import (lead_dot, pair_form, sup_abs, sup_norm, unit_rows,
+                            worst)
 from weakf.submanifold import _AmbientPoint, _AmbientStack, induce_structure
 
 
@@ -292,6 +294,36 @@ def field_jet(field, p, order=2):
 
 def _vec_jets(x, p, order=1):
     return field_jet(x, p, order)
+
+
+def riemann_from_jets(ginv, gamma, g1, g2):
+    """Riem[l,i,j,k] with (R(e_i,e_j)e_k)^l = Riem[l,i,j,k], the whole
+    Riemann tensor at one point.
+
+    ``ginv`` and ``gamma`` are the metric inverse and Christoffel symbols at
+    the point; ``g2`` holds the second metric partials, from which
+    dGamma[k,i,j,c] = d_c Gamma^k_ij is formed. The engine reads only
+    R(xi, .)xi, from ``calculus.reeb_curvature_kernel``.
+    """
+    dginv = -np.moveaxis(ginv @ np.moveaxis(g1, 2, 0) @ ginv, 0, 2)
+    t = _lowered_sum(g1)
+    dt = _lowered_sum(g2, "c")
+    dga = 0.5 * (
+        np.einsum("klc,lij->kijc", dginv, t)
+        + np.einsum("kl,lijc->kijc", ginv, dt)
+    )
+    return (
+        np.einsum("ljki->lijk", dga)
+        - np.einsum("likj->lijk", dga)
+        + np.einsum("lia,ajk->lijk", gamma, gamma)
+        - np.einsum("lja,aik->lijk", gamma, gamma)
+    )
+
+
+def reeb_of(riem, xi):
+    """r[i, l, j] = (R(xi_i, e_j) xi_i)^l of the Riemann tensor ``riem`` for
+    the vectors xi[i, m], as ``_FrameStack.reeb_curvature`` holds a point's."""
+    return np.einsum("lajb,ia,ib->ilj", riem, xi, xi)
 
 
 def christoffel(g, p):
@@ -755,7 +787,6 @@ class AmbientRow:
         for name in AMBIENT_QUANTITIES:
             setattr(self, name, take(getattr(stack, name), k))
         self.induced_jets = take(stack.induced_jets, k)
-        self.induced_riemann = stack.induced_riemann(k)
 
     def to_domain(self, v):
         """Coordinates of tangent ambient vectors in the embedded basis."""
@@ -769,6 +800,31 @@ class AmbientRow:
 
     def tangent_part(self, v):
         return v - self.normal_part(v)
+
+
+def induced_riemann(stack, k):
+    """Riem[l,i,j,k] of the induced metric at row ``k`` of the ambient stack
+    ``stack``, from the Gauss equation
+
+    g(R(X,Y)Z, W) = gbar(Rbar(X,Y)Z, W) + gbar(h(Y,Z), h(X,W))
+                    - gbar(h(X,Z), h(Y,W)),
+
+    with Rbar from a second-order jet of gbar: the whole tensor at one
+    point, the reference of ``_AmbientStack.reeb_curvature``.
+    """
+    gbar2 = stack._jet("gbar2")[2][k]
+    rbar = riemann_from_jets(
+        stack.ginvbar[k], stack.gammabar[k], stack.gbar1[k], gbar2)
+    low = lead_dot(stack.gbar0[k], rbar)        # [w, i, j, k], lowered
+    jac = stack.jac[k]
+    for _ in range(4):                          # each slot through J
+        low = (low.reshape(len(low), -1).T @ jac).reshape(
+            low.shape[1:] + (-1,))
+    hn = stack.hn[k]
+    flat = hn.reshape(len(hn), -1)
+    hh = (flat.T @ flat).reshape(hn.shape[1:] * 2)     # [a, b, c, e]
+    low = low + np.einsum("jkiw->wijk", hh) - np.einsum("ikjw->wijk", hh)
+    return lead_dot(stack.induced_jets["ginv"][k], low)
 
 
 def ambient_point(sub, p):
@@ -876,6 +932,61 @@ def submanifold_at_point(fr):
         "case_i": thsubm_at_point(fr, a, "i"),
         "case_ii": thsubm_at_point(fr, a, "ii"),
         "parallel_q": parallel_q_at_point(fr, a),
+    }
+
+
+# -- the f-K-contact theorem bodies at one point ---------------------------------
+#
+# The engine runs fk_contact_nabla and thm32_chain over a chunk of points at
+# once, on the chunk's stack. These are the bodies at one point, on a frame
+# that is a row of that stack, as the engine ran them point by point: the
+# reference of the stacked rows.
+
+
+def fk_gates_at_point(fr):
+    """The gates of both f-K-contact bundles at the frame's point, in the
+    order they are checked."""
+    return {"weak_metric_f_axioms": float(fr.stacked("worst_axiom")),
+            "phi_equals_deta": float(fr.stacked("phi_equals_deta")),
+            "killing_reeb": worst(fr.stacked("killing"))}
+
+
+def fk_contact_nabla_at_point(fr):
+    res = pair_form(fr.nabla_xi + fr.f0, fr.u, fr.V)
+    return {"nabla_xi_plus_f": sup_norm(res.transpose(1, 0, 2))}
+
+
+def thm32_chain_at_point(fr, r):
+    """The chain's residuals at the frame's point, given its Reeb curvature
+    r[i, l, j] = (R(xi_i, e_j) xi_i)^l. The 4 random units of the contact
+    distribution are drawn from the point's generator, which must have drawn
+    its test vectors already."""
+    db = fr.d_basis
+    coeff = fr._chunk.rngs[fr._k].standard_normal((4, db.shape[0]))
+    xs = np.vstack([db, unit_rows(coeff @ db, fr.g0)])
+    g0, f0 = fr.g0, fr.f0
+
+    def g_xs(w):
+        return ((w @ g0) * xs).sum(1)
+
+    fx = xs @ f0.T
+    f2x = fx @ f0.T
+    g_f2x = g_xs(f2x)
+    final = 2.0 * g_f2x
+    peak = np.zeros(4)
+    for xi, r_xi in zip(fr.xi0, r):
+        lhs = g_xs(xs @ r_xi.T)
+        nf_xi = lead_dot(xi, fr.nabla_f)
+        mid1 = g_xs(f2x - xs @ nf_xi.T)
+        mid2 = g_xs(xs @ (fr.nabla_f @ xi)) - ((fx @ g0) * fx).sum(1)
+        steps = (lhs - mid1, mid1 - mid2, mid2 - final, lhs - final)
+        peak = np.maximum(peak, [np.abs(d).max() for d in steps])
+    return {
+        "chain_connection_step": float(peak[0]),
+        "chain_nearly_c_step": float(peak[1]),
+        "chain_algebra_step": float(peak[2]),
+        "f2_nonpositive": float(np.maximum(g_f2x.max(), 0.0)),
+        "chain_total": float(peak[3]),
     }
 
 

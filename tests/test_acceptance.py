@@ -210,16 +210,17 @@ def test_criterion_08_engine_cross_validation(all_packs):
                         assert np.abs(ad - fd).max() <= 1e-6 * (
                             1.0 + np.abs(ad).max()
                         )
-        # (c) Reeb-sectional curvature of the Sasakian sphere
+        # (c) Reeb-sectional curvature of the Sasakian sphere, from the
+        # stacked R(xi, .)xi: K(xi, X) = -g(R(xi, X)xi, X) / |xi ^ X|^2
         pack = sasakian_s3().obj
         rng = np.random.default_rng([SEED, 78])
-        for i, p in enumerate(pack.chart.sample(5, SEED)):
-            fr = PackFrame(pack, p, seed=SEED, index=i)
-            for x in fr.random_d_units(4):
-                k = oracles.sectional_from_riemann(
-                    fr.riemann, fr.g0, fr.xi0[0], x
-                )
-                assert abs(k - 1.0) <= 1e-6
+        stack = oracles.stack(pack, pack.chart.sample(5, SEED), seed=SEED)
+        for k in range(5):
+            g0, xi, db = stack.g0[k], stack.xi0[k, 0], stack.d_basis[k]
+            r = stack.reeb_curvature[k, 0]
+            for x in rng.standard_normal((4, len(db))) @ db:
+                gram = (x @ g0 @ x) * (xi @ g0 @ xi) - (x @ g0 @ xi) ** 2
+                assert abs(-(r @ x) @ g0 @ x / gram - 1.0) <= 1e-6
 
 
 def test_criterion_09_negative_controls():

@@ -25,10 +25,11 @@ from oracles import (
     tensor_apply_field,
 )
 from weakf import calculus as calc
+from weakf import catalog
 from weakf.charts import Chart, SmoothField, constant_field, euclidean_metric
 from weakf.errors import DegenerateMetricError
-from weakf.fstructure import PackFrame
 from weakf.jets import cos, sin
+from weakf.submanifold import induce_structure
 
 FD = 1e-5
 
@@ -604,26 +605,35 @@ def test_riemann_matches_fd_oracle(sphere2):
     p = np.array([0.9, 2.0])
     g0, g1, g2 = g.jet(p, order=2)
     ginv = calc.metric_inverse(g0)
-    riem = calc.riemann_from_jets(
+    riem = oracles.riemann_from_jets(
         ginv, calc.christoffel_from_jets(ginv, g1), g1, g2)
     oracle = fd_riemann(g, p)
     assert np.abs(riem - oracle).max() < 1e-5
 
 
+def _reeb_sectional(stack, k, x):
+    """K(xi_1, X) at row k of a stack, from its Reeb curvature:
+    g(R(X, xi)xi, X) / |X ^ xi|^2 = -g(R(xi, X)xi, X) / |X ^ xi|^2."""
+    g0, xi = stack.g0[k], stack.xi0[k, 0]
+    gram = (x @ g0 @ x) * (xi @ g0 @ xi) - (x @ g0 @ xi) ** 2
+    return float(-(stack.reeb_curvature[k, 0] @ x) @ g0 @ x / gram)
+
+
 def test_sasakian_reeb_sectional_curvature(cat_sasakian):
     pack = cat_sasakian.obj
-    for i, p in enumerate(pack.chart.sample(4, seed=31)):
-        fr = PackFrame(pack, p, seed=31, index=i)
-        for x in fr.random_d_units(3):
-            k = oracles.sectional_from_riemann(fr.riemann, fr.g0, fr.xi0[0], x)
-            assert k == pytest.approx(1.0, abs=1e-6)
+    stack = oracles.stack(pack, pack.chart.sample(4, seed=31), seed=31)
+    rng = np.random.default_rng(31)
+    for k in range(4):
+        db = stack.d_basis[k]
+        for x in rng.standard_normal((3, len(db))) @ db:
+            assert _reeb_sectional(stack, k, x) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_curvature_symmetries(cat_sasakian):
     pack = cat_sasakian.obj
     p = pack.chart.sample(1, seed=37)[0]
-    fr = PackFrame(pack, p, seed=37)
-    riem = fr.riemann
+    riem = oracles.riemann(pack.g, p)
+    g0 = pack.g.value(p)
     # antisymmetry in the 2-form slots
     assert np.abs(riem + riem.transpose(0, 2, 1, 3)).max() < 1e-8
     # first Bianchi identity
@@ -632,12 +642,76 @@ def test_curvature_symmetries(cat_sasakian):
     )
     assert np.abs(bianchi).max() < 1e-8
     # plane invariance of the sectional curvature
-    e = oracles.orthonormal_basis(fr.g0)
-    k1 = oracles.sectional_from_riemann(riem, fr.g0, e[0], e[1])
+    e = oracles.orthonormal_basis(g0)
+    k1 = oracles.sectional_from_riemann(riem, g0, e[0], e[1])
     k2 = oracles.sectional_from_riemann(
-        riem, fr.g0, 2.0 * e[0] + 0.3 * e[1], -0.4 * e[0] + e[1]
+        riem, g0, 2.0 * e[0] + 0.3 * e[1], -0.4 * e[0] + e[1]
     )
     assert abs(k1 - k2) < 1e-8
+
+
+@pytest.mark.parametrize("example, params", [("sasakian_s3", {}),
+                                             ("hypersphere", {"n": 2})])
+def test_reeb_curvature_symmetries(example, params):
+    # R(xi, xi)xi = 0, and g(R(xi, X)xi, Y) is symmetric in X and Y
+    cat = catalog.make_example(example, **params)
+    sub = None if cat.is_pack else cat.obj
+    pack = cat.obj if sub is None else induce_structure(sub, validate=False)
+    stack = oracles.stack(pack, pack.chart.sample(5, seed=37), sub)
+    r = stack.reeb_curvature
+    assert np.abs(r @ stack.xi0[..., None]).max() < 1e-12
+    low = stack.g0[:, None] @ r
+    assert np.abs(low - np.swapaxes(low, -1, -2)).max() < 1e-12
+
+
+# Fixed before the first comparison: |kernel - oracle| <= 1e-13 max(1, |r|).
+REEB_TOL = 1e-13
+
+
+def _assert_reeb_kernel_is_the_oracle(g0, g1, g2, xi):
+    """The stacked kernel at each point against the whole Riemann tensor of
+    the oracle, contracted with each vector of xi[P, s, m]."""
+    ginv = np.linalg.inv(g0)
+    gamma = calc.christoffel_from_jets(ginv, g1)
+    got = calc.reeb_curvature_kernel(ginv, gamma, g1, g2, xi)
+    assert got.shape == xi.shape + xi.shape[-1:]
+    for k in range(len(g0)):
+        riem = oracles.riemann_from_jets(ginv[k], gamma[k], g1[k], g2[k])
+        want = oracles.reeb_of(riem, xi[k])
+        err = np.abs(got[k] - want).max()
+        assert err <= REEB_TOL * max(1.0, np.abs(want).max()), (k, err)
+
+
+@pytest.mark.parametrize("example", sorted(catalog.BUILDERS))
+def test_reeb_curvature_kernel_is_the_oracle_on_catalog_charts(example):
+    # an embedded example's metric is the induced one, from the nested-jet
+    # pullback
+    cat = catalog.make_example(example)
+    pack = cat.obj if cat.is_pack else oracles.nested_induced_pack(cat.obj)
+    points = pack.chart.sample(3, seed=43)
+    g0, g1, g2 = (np.stack(a) for a in zip(*(pack.g.jet(p, order=2)
+                                              for p in points)))
+    xi = np.array([[x.value(p) for x in pack.xi] for p in points])
+    _assert_reeb_kernel_is_the_oracle(g0, g1, g2, xi)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 3), st.floats(0.1, 10.0),
+       st.integers(0, 2**32 - 1))
+def test_reeb_curvature_kernel_is_the_oracle_on_random_jets(m, s, scale,
+                                                            seed):
+    # random metric jets: g0 positive-definite, g1 symmetric in its tensor
+    # slots, g2 symmetric in its tensor slots and in its derivative slots
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((2, m, m))
+    g0 = a @ a.transpose(0, 2, 1) + m * np.eye(m)
+    g1 = scale * rng.standard_normal((2, m, m, m))
+    g1 = g1 + g1.transpose(0, 2, 1, 3)
+    g2 = scale * rng.standard_normal((2, m, m, m, m))
+    g2 = g2 + g2.transpose(0, 2, 1, 3, 4)
+    g2 = g2 + g2.transpose(0, 1, 2, 4, 3)
+    _assert_reeb_kernel_is_the_oracle(g0, g1, g2,
+                                      rng.standard_normal((2, s, m)))
 
 
 def test_degenerate_plane_rejected(r3):

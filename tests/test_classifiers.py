@@ -3,13 +3,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 from oracles import sheared_pack
+from report_digests import CONFIGS
 
-from weakf import catalog
+import oracles
+from weakf import catalog, charts
 from weakf.charts import SmoothField
 from weakf.classifiers import (
     class_residual,
     frame_residuals,
     q_parallel_residual,
+    STACKED_THEOREMS,
     theorem_check,
 )
 from weakf.errors import HypothesisNotMet
@@ -189,34 +192,75 @@ def test_prop_normal_consequences(all_packs):
 
 
 def test_fk_contact_nabla_on_sasakian(cat_sasakian):
+    # the bundle takes the chunk's stack: one row over its points
     pack = cat_sasakian.obj
-    for i, p in enumerate(pack.chart.sample(4, seed=29)):
-        fr = PackFrame(pack, p, seed=29, index=i)
-        res = theorem_check(pack, p, "fk_contact_nabla", frame=fr)
-        assert res["nabla_xi_plus_f"] <= TOL
+    stack = oracles.stack(pack, pack.chart.sample(4, seed=29), seed=29)
+    res = theorem_check(pack, None, "fk_contact_nabla", frame=stack)
+    assert res["nabla_xi_plus_f"].shape == (4,)
+    assert res["nabla_xi_plus_f"].max() <= TOL
 
 
 def test_fk_contact_gate_rejects_product(cat_product):
     pack = cat_product.obj
-    p = pack.chart.sample(1, seed=31)[0]
+    stack = oracles.stack(pack, pack.chart.sample(1, seed=31), seed=31)
     with pytest.raises(HypothesisNotMet) as err:
-        theorem_check(pack, p, "fk_contact_nabla", PackFrame(pack, p))
-    assert err.value.gate == "phi_equals_deta"
+        theorem_check(pack, None, "fk_contact_nabla", stack)
+    assert err.value.gate == "phi_equals_deta" and err.value.row == 0
 
 
 def test_thm32_chain_identifies_breaking_step(cat_sasakian):
     pack = cat_sasakian.obj
-    for i, p in enumerate(pack.chart.sample(3, seed=37)):
-        fr = PackFrame(pack, p, seed=37, index=i)
-        res = theorem_check(pack, p, "thm32_chain", frame=fr)
-        assert res["chain_connection_step"] <= 1e-6
-        assert res["chain_algebra_step"] <= TOL
-        assert res["f2_nonpositive"] == 0.0
-        # the step needing the nearly-C identity is the one that breaks
-        assert res["chain_nearly_c_step"] >= 0.5
-        assert res["chain_total"] >= 0.5
+    stack = oracles.stack(pack, pack.chart.sample(3, seed=37), seed=37)
+    res = theorem_check(pack, None, "thm32_chain", frame=stack)
+    assert res["chain_connection_step"].max() <= 1e-6
+    assert res["chain_algebra_step"].max() <= TOL
+    assert (res["f2_nonpositive"] == 0.0).all()
+    # the step needing the nearly-C identity is the one that breaks
+    assert res["chain_nearly_c_step"].min() >= 0.5
+    assert res["chain_total"].min() >= 0.5
 
 
+# One full chunk of points and part of another.
+REFERENCE_SAMPLES = charts.CHUNK + 4
+
+
+def _hex(rows):
+    return [float(v).hex() for v in rows]
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_stacked_fk_contact_rows_are_the_point_oracle(config):
+    # the stacked bundles against their bodies at one point, given the same
+    # curvature: every row, or the raised row, gate and residual. Each side
+    # draws the chain's units from generators of its own, seeded alike.
+    pack, sub = oracles.config_example(config)
+    points = pack.chart.sample(REFERENCE_SAMPLES, 42)
+    stacked = [fr._chunk for fr in
+               oracles.chunk_frames(pack, points, sub)[::charts.CHUNK]]
+    alone = oracles.chunk_frames(pack, points, sub)
+    assert [len(st.rows) for st in stacked] == [charts.CHUNK, 4]
+    for st in stacked:
+        frs = alone[st.rows.start:st.rows.start + len(st.rows)]
+        gates = [oracles.fk_gates_at_point(fr) for fr in frs]
+        failing = [(k, gate, value) for k, g in enumerate(gates)
+                   for gate, value in g.items() if not value <= TOL]
+        for which in STACKED_THEOREMS:
+            try:
+                got = theorem_check(pack, None, which, frame=st)
+            except HypothesisNotMet as exc:
+                k, gate, value = failing[0]
+                assert (exc.row, exc.gate, exc.residual.hex()) == (
+                    k, gate, value.hex()), which
+                continue
+            assert not failing, which
+            if which == "fk_contact_nabla":
+                want = [oracles.fk_contact_nabla_at_point(fr) for fr in frs]
+            else:
+                want = [oracles.thm32_chain_at_point(
+                    fr, st.reeb_curvature[k]) for k, fr in enumerate(frs)]
+            assert list(got) == list(want[0])
+            for key, rows in got.items():
+                assert _hex(rows) == [w[key].hex() for w in want], (which, key)
 def test_thm41_on_product_pack(cat_product):
     pack = cat_product.obj
     for i, p in enumerate(pack.chart.sample(4, seed=41)):

@@ -414,10 +414,11 @@ def test_a_chunk_that_raises_is_walked_again_once(monkeypatch, capsys):
 
 def test_failing_stack_of_a_point_that_skipped_does_not_stop_the_run(
         monkeypatch, capsys):
-    # thm41 reads the curvature, so the order-2 metric jet, at samples 0
-    # and 1, and skips from sample 2 on. The order-2 stack of the first
-    # chunk holds sample K, where the metric refuses it: sample K never
-    # asks for it, so the run is the one that point-sized chunks give.
+    # thm41 reads its chunk's Reeb curvature, so the chunk's order-2 metric
+    # jet, at samples 0 and 1, and skips from sample 2 on. The order-2
+    # stack of the first chunk holds sample K, where the metric refuses it:
+    # sample K never asks for it, so the run is the one that point-sized
+    # chunks give.
     samples = catalog.flat_pack(n=1, s=1).chart.sample(10, 42)
     refused = []
 
@@ -438,7 +439,8 @@ def test_failing_stack_of_a_point_that_skipped_does_not_stop_the_run(
     def thm41(fr, tol):
         if next(i for i, q in enumerate(samples) if np.array_equal(q, fr.p)) >= 2:
             raise HypothesisNotMet("thm41", "from_sample_2", 1.0)
-        return {"nabla_xi_zero": float(np.abs(fr.riemann).max())}
+        return {"nabla_xi_zero": float(np.abs(
+            fr._chunk.reeb_curvature[fr._k]).max())}
 
     monkeypatch.setitem(catalog.BUILDERS, "stack_fails", stack_fails)
     monkeypatch.setitem(classifiers._THEOREMS, "thm41", thm41)

@@ -17,15 +17,17 @@ ROWS = (0, 3, 4, 9)
 
 FRAME_QUANTITIES = (
     "g0", "g1", "f0", "f1", "q0", "q1", "xi0", "xi1", "eta0", "eta1",
-    "ginv", "gamma", "riemann", "phi0", "dphi", "deta", "nabla_f",
+    "ginv", "gamma", "phi0", "dphi", "deta", "nabla_f",
     "nabla_q", "nabla_xi", "nabla_xi_xi", "nabla_eta", "lie_g_xi", "V", "u",
     "d_basis", "ff_coeff", "n1_coeff", "n2_coeff",
 )
 AMBIENT_QUANTITIES = (
     "iota", "jac", "hess", "normals", "dnormals", "gbar0", "gbar1", "fbar0",
     "fbar1", "ginvbar", "gammabar", "coordinate_derivative", "hn",
-    "shape_operators", "ubar", "basis", "nabla_fbar", "induced_riemann",
+    "shape_operators", "ubar", "basis", "nabla_fbar",
 )
+# Quantities that only the chunk's stack holds: a frame's row is row _k.
+STACK_QUANTITIES = ("reeb_curvature",)
 
 
 def _frames(argv):
@@ -50,9 +52,15 @@ def test_stacked_rows_equal_the_point_alone(monkeypatch, argv):
         tv, tv_alone = chunked.tv, alone.tv
         assert np.array_equal(tv.triples, tv_alone.triples), i
         assert tv.n_basis == tv_alone.n_basis
-        # each point's generator continues after its test vectors
-        assert np.array_equal(chunked.random_d_units(4),
-                              alone.random_d_units(4)), i
+        for name in STACK_QUANTITIES:
+            assert np.array_equal(getattr(chunked._chunk, name)[chunked._k],
+                                  getattr(alone._chunk, name)[alone._k]), (
+                i, name)
+        # each point's generator continues after its test vectors, where
+        # the curvature chain draws its units
+        assert np.array_equal(
+            chunked._chunk.rngs[chunked._k].standard_normal(4),
+            alone._chunk.rngs[alone._k].standard_normal(4)), i
         # on an embedded example the frame's jets and g^-1 above are the
         # induced ones, read from the chunk's ambient stack: its row equals
         # the ambient stack of the point alone

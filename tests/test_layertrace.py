@@ -2,8 +2,9 @@
 per-frame function it wraps, reading the arguments as the library takes
 them. The traced benchmark round reaches the classes through
 ``class_rows``, so only this test calls ``class_residual`` under the tracer.
-The submanifold checks take a chunk's stack; a traced run still names a span
-after each, and counts it to the submanifold suite.
+The submanifold checks and the two f-K-contact theorem bundles take a
+chunk's stack; a traced run still names a span after each, and counts it to
+its suite.
 """
 
 from pathlib import Path
@@ -61,3 +62,24 @@ def test_tracer_names_a_span_per_submanifold_check(monkeypatch):
     metrics = layertrace.layer_metrics(tracer, 1.0, 2, classifiers.CLASS_TAGS,
                                        classifiers.THEOREM_CHECKS)
     assert metrics["report.suite.submanifold_s"][0] > 0.0
+
+
+def test_tracer_names_a_span_per_stacked_theorem(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layertrace
+
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        rep = report.run_suite(SuiteConfig(example="sasakian_s3",
+                                           suites=("theorems",), samples=2))
+    finally:
+        tracer.uninstall()
+    assert rep["overall"]["verdict"] == "pass"
+    names = {tracer.names[span[0]] for span in tracer.spans}
+    assert {"classifiers/theorem_check:fk_contact_nabla",
+            "classifiers/theorem_check:thm32_chain"} <= names
+    metrics = layertrace.layer_metrics(tracer, 1.0, 2, classifiers.CLASS_TAGS,
+                                       classifiers.THEOREM_CHECKS)
+    for which in classifiers.STACKED_THEOREMS:
+        assert metrics[f"classifiers.theorem.{which}_s"][0] > 0.0

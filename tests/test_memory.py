@@ -138,8 +138,10 @@ def test_one_chunk_of_setup_stays_within_its_bound():
             classifiers.class_residual(pack, fr.p, tag, frame=fr)
         classifiers.frame_residuals(fr)
         for which in classifiers.THEOREM_CHECKS:
+            on = (fr._chunk if which in classifiers.STACKED_THEOREMS
+                  else fr)
             try:
-                classifiers.theorem_check(pack, fr.p, which, frame=fr)
+                classifiers.theorem_check(pack, fr.p, which, frame=on)
             except HypothesisNotMet:
                 pass
         peak = tracemalloc.get_traced_memory()[1]
@@ -189,6 +191,44 @@ def test_one_chunk_of_the_submanifold_suite_stays_within_its_bound():
     bound = (SUBMANIFOLD_CHUNK_BYTES_PER_POINT * charts.CHUNK
              + SUBMANIFOLD_CHECK_BYTES)
     assert peak < bound, (peak, bound)
+
+
+# Fixed before the first measurement, for the two f-K-contact bundles over
+# one chunk of hypersphere n=7 (m = 15 domain and d = 16 ambient dimensions,
+# s = 1), their gates and the set-up they share with the other suites built
+# before: the order-2 jet of the constant ambient metric (broadcast views of
+# a (d^2, d, d) zero block and the lifted image points' Hessians), about
+# 1.1 MB; the second partials contracted with xibar on a tensor slot and on
+# a derivative slot, two (P, d, d, d) arrays of 0.5 MB each, and their
+# temporaries; the chain's copy of the chunk's D f, (P, m, m, m) = 0.43 MB,
+# and its small arrays: about 2.8 MB in all. The bound stays below one full
+# (P, m, m, m, m) Riemann stack, 16 * 15^4 * 8 B = 6.5 MB, which the
+# per-point curvature formed point by point in several copies.
+FK_CHUNK_BYTES = 4_000_000
+RIEMANN_STACK_BYTES = 16 * 15 ** 4 * 8
+
+
+def test_one_chunk_of_the_f_k_contact_bundles_stays_within_its_bound():
+    sub = catalog.hypersphere(n=7).obj
+    pack = induce_structure(sub, validate=False)
+    rows = Rows(sub.domain.sample(charts.CHUNK, seed=42))
+    st = _FrameStack(pack, rows, 42, _AmbientStack(sub, rows))
+    for name in ("worst_axiom", "phi_equals_deta", "killing", "nabla_f",
+                 "nabla_xi", "d_basis"):
+        getattr(st, name)
+    st.ambient.hn
+    tracemalloc.start()
+    try:
+        for which in classifiers.STACKED_THEOREMS:
+            res = classifiers.theorem_check(pack, None, which, frame=st)
+            assert all(rows.shape == (charts.CHUNK,)
+                       for rows in res.values()), which
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.reeb_curvature.shape == (charts.CHUNK, 1, 15, 15)
+    assert FK_CHUNK_BYTES < RIEMANN_STACK_BYTES
+    assert peak < FK_CHUNK_BYTES, peak
 
 
 # Fixed before the sample points became one array, from tracemalloc of

@@ -422,13 +422,13 @@ def _fail_nearly_kahler(monkeypatch):
     monkeypatch.setattr(submanifold._AmbientStack, "nearly_kahler", prop)
 
 
-def _reports_at_each_chunk_size(monkeypatch):
+def _reports_at_each_chunk_size(monkeypatch, argv=GATED, suite="submanifold"):
     texts = []
     for chunk in (1, 4, 16):
         monkeypatch.setattr(charts, "CHUNK", chunk)
-        texts.append(report_digests.report_texts(GATED.split(), 10, 42))
+        texts.append(report_digests.report_texts(argv.split(), 10, 42))
     assert texts[0] == texts[1] == texts[2]
-    return json.loads(texts[0][0])["suites"]["submanifold"]
+    return json.loads(texts[0][0])["suites"][suite]
 
 
 def _skipped(entries, prefix):
@@ -492,3 +492,88 @@ def test_body_raising_before_the_failing_gate_exits_three(monkeypatch, capsys,
     assert cli.main(["verify", *GATED.split(), "--samples", "10"]) == 3
     assert ("evaluation failed in submanifold.case_i[point 3]: RuntimeError: "
             "the body refused sample 3") in capsys.readouterr().err
+
+
+# A gate of both stacked f-K-contact bundles, Phi = d eta, that fails from
+# sample 7 of 10 on sasakian_s3, where both bundles run.
+FK_GATED = "--example sasakian_s3"
+
+
+def _patch_stack_rows(monkeypatch, name, rows):
+    """``_FrameStack.name`` built by ``rows(stack, the original build)``."""
+    build = vars(fstructure._FrameStack)[name].func
+    prop = cached_property(lambda st: rows(st, build))
+    prop.__set_name__(fstructure._FrameStack, name)
+    monkeypatch.setattr(fstructure._FrameStack, name, prop)
+
+
+def _fail_phi_equals_deta(monkeypatch):
+    _patch_stack_rows(monkeypatch, "phi_equals_deta", lambda st, build: (
+        np.where(_late(st, FAIL_FROM), 0.5, build(st))))
+
+
+def test_fk_gate_failing_inside_a_chunk_skips_as_point_by_point(monkeypatch):
+    # both bundles read the Phi = d eta row: each skips with a note naming
+    # sample 7, whatever the chunk size
+    _fail_phi_equals_deta(monkeypatch)
+    entries = _reports_at_each_chunk_size(monkeypatch, FK_GATED, "theorems")
+    note = "hypothesis failed: phi_equals_deta (residual 5.000e-01 at point 7)"
+    assert _skipped(entries, "fk_contact_nabla") == note
+    assert _skipped(entries, "thm32_chain") == note
+
+
+class _CountingGenerator:
+    """A point's generator that counts its draws."""
+
+    def __init__(self, rng, counts):
+        self.rng, self.counts = rng, counts
+
+    def standard_normal(self, *args, **kwargs):
+        self.counts["draws"] += 1
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def test_fk_gate_failing_at_the_first_point_computes_nothing(monkeypatch):
+    # Phi = d eta fails at every point of flat_pack: both bundles raise at
+    # each chunk's first point before the body, so no curvature is built
+    # and each generator draws only the test vectors
+    counts = {"reeb_curvature": 0, "draws": 0}
+
+    def counted(st, build):
+        counts["reeb_curvature"] += 1
+        return build(st)
+
+    _patch_stack_rows(monkeypatch, "reeb_curvature", counted)
+    point_rng = fstructure.point_rng
+    monkeypatch.setattr(fstructure, "point_rng", lambda *args: (
+        _CountingGenerator(point_rng(*args), counts)))
+    samples = charts.CHUNK + 4
+    rep = run_suite(SuiteConfig(example="flat_pack", params={"n": 2, "s": 2},
+                                samples=samples))
+    assert counts == {"reeb_curvature": 0, "draws": samples}
+    notes = {e["identity"]: e.get("note") for e in rep["suites"]["theorems"]}
+    assert notes["fk_contact_nabla"] == notes["thm32_chain"]
+    assert notes["thm32_chain"].startswith(
+        "hypothesis failed: phi_equals_deta") and "at point 0)" in notes[
+            "thm32_chain"]
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 16])
+def test_curvature_raising_before_the_failing_fk_gate_exits_three(
+        monkeypatch, capsys, chunk):
+    # the Reeb curvature raises at sample 3 and Phi = d eta fails from
+    # sample 7: the chain's rows are computed before its gate raises, so the
+    # run fails at sample 3 instead of skipping
+    _fail_phi_equals_deta(monkeypatch)
+
+    def raising(st, build):
+        if st.rows.start <= 3 < st.rows.start + len(st.rows):
+            raise RuntimeError("the curvature refused sample 3")
+        return build(st)
+
+    _patch_stack_rows(monkeypatch, "reeb_curvature", raising)
+    monkeypatch.setattr(charts, "CHUNK", chunk)
+    assert cli.main(["verify", *FK_GATED.split(), "--samples", "10"]) == 3
+    assert ("evaluation failed in theorems.thm32_chain[point 3]: "
+            "RuntimeError: the curvature refused sample 3"
+            ) in capsys.readouterr().err

@@ -161,10 +161,11 @@ def test_frame_draws_continue_after_the_test_vectors(all_packs):
             nb = tv.n_basis + len(fr.xi0)
             assert np.abs(tv.vectors[nb:] - pairs).max() <= 1e-15
             assert np.abs(tv.triples - triples).max() <= 1e-15
-            # the frame's later draws are those the reference draws next
-            coeff = rng.standard_normal((4, fr.d_basis.shape[0]))
-            ref = unit_rows(coeff @ fr.d_basis, fr.g0)
-            assert fr.random_d_units(4).tobytes() == ref.tobytes()
+            # the point's later draws (the curvature chain's units in the
+            # contact distribution) are those the reference draws next
+            shape = (4, fr.d_basis.shape[0])
+            drawn = fr._chunk.rngs[fr._k].standard_normal(shape)
+            assert drawn.tobytes() == rng.standard_normal(shape).tobytes()
 
 
 # -- test basis ---------------------------------------------------------------------

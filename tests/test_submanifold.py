@@ -7,7 +7,7 @@ from report_digests import CONFIGS
 import oracles
 from oracles import second_fundamental
 from weakf import charts, submanifold
-from weakf.calculus import christoffel_from_jets, metric_inverse, riemann_from_jets
+from weakf.calculus import christoffel_from_jets, metric_inverse
 from weakf.catalog import hypersphere, linear_subspace, make_example
 from weakf.charts import Chart, Rows, SmoothField, constant_field
 from weakf.errors import HypothesisNotMet, SetupRejected
@@ -384,8 +384,10 @@ def test_closed_form_matches_nested_oracle(example, params):
             close(field.value(p), want0, (key, "SmoothField.value"))
         g0, g1, g2 = nested.g.jet(p, order=2)
         ginv = metric_inverse(g0, p)
-        close(fr.riemann, riemann_from_jets(
-            ginv, christoffel_from_jets(ginv, g1), g1, g2), "riemann")
+        riem = oracles.riemann_from_jets(
+            ginv, christoffel_from_jets(ginv, g1), g1, g2)
+        close(fr._chunk.reeb_curvature[fr._k], oracles.reeb_of(riem, fr.xi0),
+              "reeb_curvature")
 
 
 # -- the stacked rows against the checks at one point -------------------------------
@@ -441,7 +443,8 @@ def _assert_rows_are_the_point_oracle(pack, sub, seed=42):
                 k, gate, value = failing[0]
                 assert (exc.row, exc.gate, exc.residual.hex()) == (
                     k, gate, value.hex()), bundle
-                # the rows computed before the gate raised
+                # the rows of the body, computed before the gate raised
+                # unless it failed at the chunk's first point
                 if bundle == "parallel_q":
                     check(bundle, submanifold._parallel_q_hypotheses(st), False)
                 else:
@@ -454,6 +457,25 @@ def _assert_rows_are_the_point_oracle(pack, sub, seed=42):
 
 
 EMBEDDED_CONFIGS = [c for c in CONFIGS if oracles.config_example(c)[1]]
+
+# Fixed before the first comparison: |stacked - oracle| <= 1e-13 max(1, |r|).
+REEB_TOL = 1e-13
+
+
+@pytest.mark.parametrize("config", EMBEDDED_CONFIGS)
+def test_reeb_curvature_is_the_gauss_equation_oracle(config):
+    # the Gauss equation contracted with xibar = J xi and h(xi, .) over a
+    # chunk against the whole Riemann tensor of each point from the Gauss
+    # equation, contracted with xi
+    pack, sub = oracles.config_example(config)
+    st = oracles.stack(pack, pack.chart.sample(REFERENCE_SAMPLES, 42)[:4], sub)
+    got = st.reeb_curvature
+    assert got.shape == (4, pack.s, pack.dim, pack.dim)
+    for k in range(4):
+        want = oracles.reeb_of(oracles.induced_riemann(st.ambient, k),
+                               st.xi0[k])
+        err = np.abs(got[k] - want).max()
+        assert err <= REEB_TOL * max(1.0, np.abs(want).max()), (k, err)
 
 
 @pytest.mark.parametrize("config", EMBEDDED_CONFIGS)
