@@ -184,9 +184,9 @@ class PointStacks:
     """One case's sample points, walked in chunks of ``CHUNK``.
 
     ``chunks()`` yields the :class:`Rows` of each chunk in turn. The runner
-    builds a chunk's set-up stacks over its rows and hands them to the
-    chunk's frames, so they are dropped when the walk leaves the chunk and
-    memory does not grow with the number of samples. ``alone(i)`` is point
+    builds a chunk's set-up stacks over its rows and hands them to every
+    bundle, so they are dropped when the walk leaves the chunk and memory
+    does not grow with the number of samples. ``alone(i)`` is point
     i as rows of its own, where the runner walks again the points of a
     chunk that raised (see :func:`weakf.report.run_suite`).
     """

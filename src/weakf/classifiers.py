@@ -7,11 +7,12 @@ conditions are stacked over a chunk of points, as attributes of
 frame reads its point's entry as ``frame.stacked(name)``. Theorem checks are
 gated: when the hypotheses of a statement fail on the given pack (or read
 NaN), :class:`HypothesisNotMet` is raised instead of reporting a vacuous
-pass. The two f-K-contact bundles (:data:`STACKED_THEOREMS`) take the
-chunk's stack and return one row over its points per key, gated by
-:func:`gated_rows` as the submanifold checks are; the other theorem checks
-take a point's frame. Vector-valued residuals are measured in the g-norm:
-each is lowered by the Cholesky factor u of g0 and reduced by
+pass. Every theorem bundle takes the chunk's stack and returns one row over
+its points per key, under its gates (``_GATES``), each a row of the stack,
+checked by :func:`gated_rows` as the submanifold checks are. Five bundles
+are computed at each point in turn, on the point's frame, and stacked into
+rows. Vector-valued residuals are measured in the g-norm: each is lowered
+by the Cholesky factor u of g0 and reduced by
 :func:`~weakf.sampling.sup_norm`.
 
 Gates use the exact tolerance (default 1e-9); the report measures the
@@ -119,16 +120,11 @@ def frame_residuals(fr):
 # -- gated theorem checks ---------------------------------------------------------
 
 
-def _gate(check, name, residual, tol):
-    """Raise unless ``residual <= tol``: a NaN residual does not pass."""
-    if not residual <= tol:
-        raise HypothesisNotMet(check, name, residual)
-
-
 def gated_rows(check, gates, tol, body):
     """``body()``, the residual rows of a gated check over a chunk of points,
     under ``gates``: (gate, row) pairs in the order they are checked, read
-    one at a time.
+    one at a time. A gate may be named at each row: its name is then an
+    array of one name per row.
 
     A gate that fails at the chunk's first point (a NaN fails) raises
     :class:`HypothesisNotMet` at once, before the later gates are read and
@@ -139,48 +135,77 @@ def gated_rows(check, gates, tol, body):
     and the runner walks the chunk's points again one at a time, where each
     point checks its gates before its body.
     """
-    read = {}
+    read = []
     for name, rows in gates:
-        read[name] = rows
+        read.append((name, rows))
         if not rows[0] <= tol:
-            raise HypothesisNotMet(check, name, rows[0])
+            raise HypothesisNotMet(check, _name_at(name, 0), rows[0])
     res = body()
-    failed = [~(rows <= tol) for rows in read.values()]
+    failed = [~(rows <= tol) for _, rows in read]
     bad = np.logical_or.reduce(failed)
     if bad.any():
         k = int(np.argmax(bad))
-        gate = next(g for g, f in zip(read, failed) if f[k])
-        raise HypothesisNotMet(check, gate, read[gate][k], row=k)
+        name, rows = next(g for g, f in zip(read, failed) if f[k])
+        raise HypothesisNotMet(check, _name_at(name, k), rows[k], row=k)
     return res
 
 
-def _nearly_class_gate(fr, check, tol):
-    """Require the pack to be weak nearly S or weak nearly C."""
-    rs = fr.stacked("nearly_s_defining")
-    if rs <= tol:
-        return "weak_nearly_S"
-    rc = fr.stacked("nearly_c_defining")
-    if rc <= tol:
-        return "weak_nearly_C"
-    if rs <= rc:
-        raise HypothesisNotMet(check, "weak_nearly_S", rs)
-    raise HypothesisNotMet(check, "weak_nearly_C", rc)
+def _name_at(name, k):
+    return name if isinstance(name, str) else str(name[k])
 
 
-def _frame_gates(fr, check, tol):
-    for name in ("reeb_brackets", "reeb_totally_geodesic", "reeb_flat",
-                 "q_parallel_d"):
-        _gate(check, name, fr.stacked(name), tol)
+def _nearly_s_or_c(st, tol):
+    """The gate "weak nearly S or weak nearly C" over the stack ``st``: the
+    gate's name at each row, and its row. A row passes where either class
+    passes; elsewhere it fails on the smaller residual of the two, and on
+    the nearly-C one where either is NaN. The nearly-C row is read only
+    when some nearly-S row fails."""
+    rs = st.nearly_s_defining
+    s_holds = rs <= tol
+    if s_holds.all():
+        return "weak_nearly_S", rs
+    rc = st.nearly_c_defining
+    on_s = s_holds | ~(rc <= tol) & (rs <= rc)
+    return (np.where(on_s, "weak_nearly_S", "weak_nearly_C"),
+            np.where(on_s, rs, rc))
+
+
+def _row(gate, attr=None):
+    """The gate named ``gate`` on the stack's row ``attr`` (by default the
+    row of the same name)."""
+    return lambda st, tol: (gate, getattr(st, attr or gate))
+
+
+_AXIOMS = _row("weak_metric_f_axioms", "worst_axiom")
+_NEARLY_S = _row("weak_nearly_S", "nearly_s_defining")
+_REEB_FRAME = tuple(map(_row, ("reeb_brackets", "reeb_totally_geodesic",
+                               "reeb_flat", "q_parallel_d")))
+_FK_CONTACT = (_AXIOMS, _row("phi_equals_deta"),
+               lambda st, tol: ("killing_reeb", st.killing.max(-1)))
+
+# The gates of each theorem bundle in the order they are checked, each a
+# function (stack, tol) -> (gate, row); every statement presupposes a valid
+# weak metric f-structure, so the axioms come first.
+_GATES = {
+    "prop1": (_AXIOMS, _nearly_s_or_c, *_REEB_FRAME),
+    "prop_normal": (_AXIOMS, _row("normality", "n1_zero")),
+    "fk_contact_nabla": _FK_CONTACT,
+    "thm32_chain": _FK_CONTACT,
+    "thm41": (_AXIOMS, _row("weak_nearly_C", "nearly_c_defining")),
+    "thm01_i": (_AXIOMS, _NEARLY_S, *_REEB_FRAME, _row("eta_circ_n1")),
+    "thm01_ii": (_AXIOMS, _NEARLY_S, *_REEB_FRAME, _row("phi_equals_deta")),
+    "corollary_rigidity": (_AXIOMS, _NEARLY_S, _row("normal", "n1_zero"),
+                           _row("Q_equals_id", "q_equals_id")),
+}
 
 
 def theorem_check(pack, p, which, frame, tol_exact=TOL_EXACT):
-    """Named residual map of one theorem-level identity bundle on ``frame``,
-    a point's frame; for a bundle of :data:`STACKED_THEOREMS`, the chunk's
-    stack, and then one row over its points per key.
+    """Named residual rows of one theorem-level identity bundle over
+    ``frame``, a chunk's set-up stack: one row over its points per key.
 
-    Raises :class:`HypothesisNotMet` when the statement's gates fail, naming
-    the failing gate and its residual (and for a stacked bundle the chunk's
-    first point where one fails, see :func:`gated_rows`); every statement
+    Raises :class:`HypothesisNotMet` when the statement's gates fail,
+    naming the chunk's first point where one fails, that point's first
+    failing gate and its residual (see :func:`gated_rows`); every statement
     presupposes a valid weak metric f-structure, so the axiom bundle is
     always the first gate. ``thm32_chain`` also returns the residual of the
     chain step that is only valid under the nearly-C hypothesis; on packs
@@ -191,18 +216,23 @@ def theorem_check(pack, p, which, frame, tol_exact=TOL_EXACT):
     parameters so that ``bench/layertrace.py`` can name a span after the
     third positional argument.
     """
-    check = _THEOREMS.get(which)
-    if check is None:
+    body = _THEOREMS.get(which)
+    if body is None:
         raise ValueError(f"unknown theorem check {which!r}")
-    if which not in STACKED_THEOREMS:
-        _gate(which, "weak_metric_f_axioms",
-              float(frame.stacked("worst_axiom")), tol_exact)
-    return check(frame, tol_exact)
+    return gated_rows(which, (gate(frame, tol_exact) for gate in _GATES[which]),
+                      tol_exact, partial(body, frame))
 
 
-def _prop1(fr, tol):
-    _nearly_class_gate(fr, "prop1", tol)
-    _frame_gates(fr, "prop1", tol)
+def _at_each_point(body):
+    """The bundle that runs ``body(frame) -> {key: residual}`` on the frame
+    of each point of a chunk's stack in turn, as rows over the chunk."""
+    def rows(st):
+        res = [body(fr) for fr in st.frames]
+        return {key: np.array([r[key] for r in res]) for key in res[0]}
+    return rows
+
+
+def _prop1(fr):
     res = {
         "reeb_parallel_pairs": sup_norm(
             lead_dot(fr.u, fr.nabla_xi_xi.transpose(2, 0, 1)))
@@ -214,9 +244,8 @@ def _prop1(fr, tol):
     return res
 
 
-def _prop_normal(fr, tol):
+def _prop_normal(fr):
     """Consequences of normality, reported on packs with N1 = 0."""
-    _gate("prop_normal", "normality", fr.stacked("n1_zero"), tol)
     V = fr.V
     res = {}
     res["lie_xi_f"] = sup_norm(pair_form(fr.n3(), fr.u, V).transpose(1, 0, 2))
@@ -244,25 +273,13 @@ def _prop_normal(fr, tol):
     return res
 
 
-def _fk_gates(st):
-    """The gates of the f-K-contact bundles over the chunk's stack, in the
-    order they are checked: the axioms, Phi = d eta, Killing Reeb fields."""
-    yield "weak_metric_f_axioms", st.worst_axiom
-    yield "phi_equals_deta", st.phi_equals_deta
-    yield "killing_reeb", st.killing.max(-1)
+def _fk_contact_nabla(st):
+    res = pair_form(st.nabla_xi + st.f0[:, None], st.u[:, None],
+                    st.V[:, None])
+    return {"nabla_xi_plus_f": sup_norm(res.transpose(0, 2, 1, 3), lead=1)}
 
 
-def _fk_contact_nabla(st, tol):
-    def rows():
-        res = pair_form(st.nabla_xi + st.f0[:, None], st.u[:, None],
-                        st.V[:, None])
-        return {"nabla_xi_plus_f": sup_norm(res.transpose(0, 2, 1, 3),
-                                            lead=1)}
-
-    return gated_rows("fk_contact_nabla", _fk_gates(st), tol, rows)
-
-
-def _thm32_chain(st, tol):
+def _thm32_chain(st):
     """Identity chain for the Reeb-sectional curvature of f-K-contact packs,
     one row per step over the chunk's stack.
 
@@ -280,12 +297,6 @@ def _thm32_chain(st, tol):
     basis of the contact distribution and 4 random units in it, drawn from
     each point's generator after its test vectors.
     """
-    return gated_rows("thm32_chain", _fk_gates(st), tol,
-                      partial(_chain_rows, st))
-
-
-def _chain_rows(st):
-    """The rows of :func:`_thm32_chain` over the stack ``st``."""
     db, g0, f0, nf = st.d_basis, st.g0, st.f0, st.nabla_f
     count, m = len(g0), g0.shape[-1]
     coeff = np.stack([r.standard_normal((4, db.shape[1])) for r in st.rngs])
@@ -321,8 +332,7 @@ def _chain_rows(st):
     }
 
 
-def _thm41(fr, tol):
-    _gate("thm41", "weak_nearly_C", fr.stacked("nearly_c_defining"), tol)
+def _thm41(fr):
     db = fr.d_basis
     res = {"nabla_xi_zero": sup_norm(
         pair_form(fr.nabla_xi, fr.u, fr.V).transpose(1, 0, 2))}
@@ -337,16 +347,9 @@ def _thm41(fr, tol):
     return res
 
 
-def _thm01_gates(fr, check, tol):
-    _gate(check, "weak_nearly_S", fr.stacked("nearly_s_defining"), tol)
-    _frame_gates(fr, check, tol)
-
-
-def _thm01_i(fr, tol):
-    _thm01_gates(fr, "thm01_i", tol)
+def _thm01_i(fr):
     V = fr.V
     eta_n1 = lead_dot(fr.eta0, fr.n1_coeff)
-    _gate("thm01_i", "eta_circ_n1", sup_abs(pair_form(eta_n1, V, V)), tol)
     phq = fr.q0.T @ fr.phi0                     # Phi(QX, Y) = g(QX, fY)
     res = {"deta_equals_phi_q": sup_abs(pair_form(fr.deta - phq, V, V))}
     # proof-internal: eta^j(N1(X,Y)) - 2 d eta^j(X,Y) = eta^j([f,f](X,Y)),
@@ -367,10 +370,8 @@ def _on_basis(fr, t):
     return lead_dot(e, pair_form(t, e, e))
 
 
-def _thm01_ii(fr, tol):
-    _thm01_gates(fr, "thm01_ii", tol)
+def _thm01_ii(fr):
     V = fr.V
-    _gate("thm01_ii", "phi_equals_deta", fr.stacked("phi_equals_deta"), tol)
     phqt = fr.qtilde.T @ fr.phi0                # Phi((Q - id)X, Y)
     c = fr.n1_coeff - 2.0 * fr.xibar[:, None, None] * phqt
     res = {"n1_equals_qtilde_phi": sup_norm(pair_form(lead_dot(fr.u, c), V, V))}
@@ -384,29 +385,21 @@ def _thm01_ii(fr, tol):
     return res
 
 
-def _corollary_rigidity(fr, tol):
-    _gate("corollary_rigidity", "weak_nearly_S",
-          fr.stacked("nearly_s_defining"), tol)
-    _gate("corollary_rigidity", "normal", fr.stacked("n1_zero"), tol)
-    qt = sup_norm(pair_form(fr.qtilde, fr.u, fr.V))
-    _gate("corollary_rigidity", "Q_equals_id", qt, tol)
-    return {"s_structure_defining": fr.stacked("s_structure_defining")}
+def _corollary_rigidity(st):
+    return {"s_structure_defining": st.s_structure_defining}
 
 
-# Theorem bundles in report order: name -> (frame, tol) -> residuals, or
-# for a stacked bundle (stack, tol) -> rows.
+# Theorem bundles in report order: name -> the chunk's stack -> rows. Their
+# gates are in _GATES.
 _THEOREMS = {
-    "prop1": _prop1,
-    "prop_normal": _prop_normal,
+    "prop1": _at_each_point(_prop1),
+    "prop_normal": _at_each_point(_prop_normal),
     "fk_contact_nabla": _fk_contact_nabla,
     "thm32_chain": _thm32_chain,
-    "thm41": _thm41,
-    "thm01_i": _thm01_i,
-    "thm01_ii": _thm01_ii,
+    "thm41": _at_each_point(_thm41),
+    "thm01_i": _at_each_point(_thm01_i),
+    "thm01_ii": _at_each_point(_thm01_ii),
     "corollary_rigidity": _corollary_rigidity,
 }
 
 THEOREM_CHECKS = tuple(_THEOREMS)
-
-# The theorem bundles that take the chunk's stack rather than a point's frame.
-STACKED_THEOREMS = ("fk_contact_nabla", "thm32_chain")

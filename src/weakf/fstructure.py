@@ -20,14 +20,15 @@ be built for negative controls; the residual report is the verdict.
 
 :class:`_FrameStack` holds jets, Christoffel symbols and test vectors of a
 pack over a chunk of points, each with a leading point axis. The runner
-builds one per chunk and hands it to each :class:`PackFrame` of the chunk
-with the point's index; the frame reads its row of every quantity, and most
-theorem checks are numpy contractions of those rows. The submanifold checks
-and the two f-K-contact theorem bundles take the stack itself.
+builds one per chunk and hands it to every check. A :class:`PackFrame` is
+one point's row of a stack: the stack builds the frames of its points once
+(:attr:`_FrameStack.frames`) for the theorem bodies that are computed at
+each point, and a frame reads its row of every quantity.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -385,6 +386,18 @@ class _FrameStack(_Fields):
         return self._vector_rows(self.n1_coeff)
 
     @cached_property
+    def eta_circ_n1(self):
+        """eta^j(N1(X, Y)) on the test pairs: a gate of thm01_i."""
+        return _pair_rows(_rows_abs, lead_dot(self.eta0, self.n1_coeff, lead=1),
+                          self.V)
+
+    @cached_property
+    def q_equals_id(self):
+        """(Q - id)X on the test vectors in the g-norm: a gate of the
+        rigidity corollary."""
+        return _rows_norm(pair_form(self.qtilde, self.u, self.V))
+
+    @cached_property
     def killing(self):
         return _pair_rows(partial(sup_abs, lead=2), self.lie_g_xi, self.V)
 
@@ -439,24 +452,33 @@ class _FrameStack(_Fields):
         :meth:`weakf.submanifold._AmbientStack.thsubm_parts`)."""
         return self.ambient.thsubm_parts(self)
 
+    @cached_property
+    def frames(self):
+        """The :class:`PackFrame` of each point, built once. Each holds this
+        stack by a weak proxy, so no reference cycle keeps the chunk's
+        stacks alive once the walk leaves it."""
+        stack = weakref.proxy(self)
+        return [PackFrame(self.pack, p, index=i, stack=stack)
+                for i, p in enumerate(self.rows.points, self.rows.start)]
+
 
 class PackFrame(_Fields):
     """All jets and test data of a pack at a single chart point.
 
     The frame is a row of ``stack``, the :class:`_FrameStack` of its chunk
-    of sample points, which the runner builds and hands to each frame of
-    the chunk; the point is sample ``index`` of the run, so row
-    ``index - stack.rows.start``. Without a stack the frame makes a stack
-    of its point alone; a frame of a pack induced on an embedded
-    submanifold takes a stack over the ambient stack of its chunk (see
+    of sample points; the point is sample ``index`` of the run, so row
+    ``index - stack.rows.start``. In a run the stack builds its frames
+    (:attr:`_FrameStack.frames`), for the five theorem bodies computed at
+    each point. Without a stack the frame makes a stack of its point alone;
+    a frame of a pack induced on an embedded submanifold takes a stack over
+    the ambient stack of its chunk (see
     :func:`weakf.submanifold.induce_structure`). g^-1, Christoffel
     symbols, test vectors and the derived tensors are built once per chunk
     with a leading point axis, and the frame reads its row of each on first
     use, the residual rows of the axioms, the class parts and the
-    Reeb-frame conditions included (:meth:`stacked`). The theorem checks
-    other than the two f-K-contact bundles run on the frame; those two, and
-    the submanifold checks, take the stack itself, and with it the Reeb
-    curvature (:attr:`_FrameStack.reeb_curvature`), which no frame reads.
+    Reeb-frame conditions included (:meth:`stacked`). The runner hands
+    every bundle the stack itself; the Reeb curvature
+    (:attr:`_FrameStack.reeb_curvature`) has no row on a frame.
     """
 
     def __init__(self, pack, p, seed=0, index=0, stack=None):

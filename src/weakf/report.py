@@ -35,13 +35,12 @@ from .charts import PointStacks
 from .classifiers import (
     CLASS_TAGS,
     FRAME_CONDITIONS,
-    STACKED_THEOREMS,
     THEOREM_CHECKS,
     class_rows,
     theorem_check,
 )
 from .errors import HypothesisNotMet, InvalidExample, WeakfError
-from .fstructure import PackFrame, _FrameStack
+from .fstructure import _FrameStack
 from .submanifold import (
     _AmbientStack,
     frame_check,
@@ -262,10 +261,10 @@ class _Agg:
         self.total = 0.0
         self.count = 0
 
-    def add(self, values):
-        """Fold a residual, or a row of them in point order, one at a time."""
-        for v in (values.tolist() if isinstance(values, np.ndarray)
-                  else (float(values),)):
+    def add(self, rows):
+        """Fold a row of residuals in point order, one at a time: a pairwise
+        sum such as ``np.sum`` would move the mean."""
+        for v in rows.tolist():
             if v > self.max or math.isnan(v):   # a NaN max stays: it fails
                 self.max = v
             self.total += v
@@ -305,14 +304,11 @@ def run_suite(config):
     :class:`~weakf.charts.PointStacks`. The walk builds each chunk's set-up
     stack, a :class:`_FrameStack` (over an ``_AmbientStack`` on an embedded
     example), so component functions are evaluated, and set-up quantities
-    built, once per chunk. The axioms, classes, frames and submanifold
-    bundles and the two f-K-contact theorem bundles read residual rows over
-    the chunk from the stack; the other theorem bundles run at each point in
-    turn, on its :class:`PackFrame`, which the walk hands the chunk's stack
-    and the point's index and which reads its row of it. A failed gate skips
-    its bundle for good: a stacked bundle raises at the chunk's first point
-    whose gate fails, at once if that is the chunk's first point and else
-    once every row is computed, and the note names that point
+    built, once per chunk, and hands it to every bundle, which returns one
+    row of residuals over the chunk per key. A failed gate skips its bundle
+    for good: a bundle raises at the chunk's first point whose gate fails,
+    at once if that is the chunk's first point and else once every row is
+    computed, and the note names that point
     (:func:`~weakf.classifiers.gated_rows`). Any other exception, from the
     engine or a component function, may belong to any point of the chunk:
     the chunk's results are dropped and its points walked again, each as a
@@ -331,30 +327,24 @@ def run_suite(config):
     bundles = [(n, b) for n in names for b in _bundles(n, config, cat)]
     aggs = [{} for _ in bundles]
     skips = {}          # bundle -> the note of the gate that failed
-    at = [None]         # (bundle, point) under evaluation
+    at = [None]         # the bundle under evaluation
 
     def walk(rows):
-        """[(bundle, residuals)] over the chunk ``rows``, in the order they
-        fold, and its skips; raises what a bundle raises."""
+        """[(bundle, rows of residuals)] over the chunk ``rows`` and its
+        skips; raises what a bundle raises."""
         found, skipped = [], {}
         ambient = None if sub is None else _AmbientStack(sub, rows)
         stack = _FrameStack(pack, rows, config.seed, ambient)
-        for k, p in enumerate(rows.points):
-            i, fr = rows.start + k, None
-            for b, (_, bundle) in enumerate(bundles):
-                if b in skips or b in skipped or bundle.stacked and k:
-                    continue
-                at[0] = b, i
-                try:
-                    if not bundle.stacked and fr is None:
-                        fr = PackFrame(pack, p, seed=config.seed, index=i,
-                                       stack=stack)
-                    found.append((b, bundle.evaluate(
-                        stack if bundle.stacked else fr)))
-                except HypothesisNotMet as exc:
-                    skipped[b] = (f"hypothesis failed: {exc.gate} (residual "
-                                  f"{exc.residual:.3e} at point "
-                                  f"{i + exc.row})")
+        for b, (_, bundle) in enumerate(bundles):
+            if b in skips:
+                continue
+            at[0] = b
+            try:
+                found.append((b, bundle.evaluate(stack)))
+            except HypothesisNotMet as exc:
+                skipped[b] = (f"hypothesis failed: {exc.gate} (residual "
+                              f"{exc.residual:.3e} at point "
+                              f"{rows.start + exc.row})")
         return found, skipped
 
     stacks = PointStacks(cat.chart.sample(config.samples, config.seed))
@@ -371,7 +361,7 @@ def run_suite(config):
             try:
                 found = walk(stacks.alone(i))
             except Exception as exc:
-                (suite, bundle), i = bundles[at[0][0]], at[0][1]
+                suite, bundle = bundles[at[0]]
                 where = f"{suite}.{bundle.label}" if bundle.label else suite
                 raise EvaluationFailure(f"{where}[point {i}]", exc) from exc
             _fold(*found, aggs, skips)
@@ -417,13 +407,11 @@ class _Bundle(NamedTuple):
     """One evaluator of a suite and how its residuals become report entries."""
 
     label: str              # names the bundle in an EvaluationFailure
-    evaluate: object        # frame -> {key: residual}, or with stacked,
-                            # the chunk's stack -> {key: (P,) residuals}
+    evaluate: object        # the chunk's stack -> {key: (P,) residuals}
     prefix: str = ""        # entry identities read "prefix.key", else "key"
     skip_formula: str = ""  # formula of the one entry left when a gate fails
     counted: object = None  # (key, aggregates) -> bool; None counts all
     note: str = None        # note on the entries that are not counted
-    stacked: bool = False
 
 
 # Classes whose Reeb-frame conditions the frames suite counts.
@@ -441,23 +429,22 @@ _CASE_FREE = {"aa_symmetry", "shape_display_duality", "weingarten_duality",
 
 
 def _bundles(suite, config, cat):
-    """The evaluator bundles of ``suite`` in report order.
+    """The evaluator bundles of ``suite`` in report order, each reading
+    residual rows over a chunk from its set-up stack.
 
-    The stacked evaluators read residual rows over a chunk from its set-up
-    stack; the other theorem evaluators take a point's frame. The theorem and
-    submanifold evaluators call the check functions by their module names
-    at call time, so that a wrapper installed on those names sees every
-    call.
+    The theorem and submanifold evaluators call the check functions by
+    their module names at call time, so that a wrapper installed on those
+    names sees every call.
     """
     declared = cat.declared_classes
     tol = config.tol_exact
     if suite == "axioms":
-        return [_Bundle("", lambda st: st.axioms, stacked=True,
+        return [_Bundle("", lambda st: st.axioms,
                         counted=lambda key, aggs: "weak_metric_f" in declared)]
     if suite == "classes":
         return [
             _Bundle(tag, lambda st, tag=tag: {tag: class_rows(st, tag)},
-                    counted=lambda key, aggs: key in declared, stacked=True)
+                    counted=lambda key, aggs: key in declared)
             for tag in CLASS_TAGS
         ]
     if suite == "frames":
@@ -469,16 +456,14 @@ def _bundles(suite, config, cat):
             # the expansion is only asserted where its hypothesis holds
             counted=lambda key, aggs: almost and (
                 key != "q_parallel_expansion" or aggs["q_parallel_d"].max <= tol),
-            stacked=True,
         )]
     if suite == "theorems":
         return [
-            _Bundle(which, lambda on, which=which: theorem_check(
-                on.pack, None, which, frame=on, tol_exact=tol),
+            _Bundle(which, lambda st, which=which: theorem_check(
+                st.pack, None, which, frame=st, tol_exact=tol),
                 prefix=which, skip_formula=which,
                 counted=lambda key, aggs: key not in _NEARLY_C_STEPS,
-                note="informational: breaks unless the pack is weak nearly C",
-                stacked=which in STACKED_THEOREMS)
+                note="informational: breaks unless the pack is weak nearly C")
             for which in THEOREM_CHECKS
         ]
     cases = [
@@ -487,17 +472,15 @@ def _bundles(suite, config, cat):
             prefix=f"case_{case}", skip_formula=f"case_{case}.h_display",
             counted=lambda key, aggs, c=case in cat.declared_cases: (
                 c or key in _CASE_FREE),
-            note="informational: case not declared for this example",
-            stacked=True)
+            note="informational: case not declared for this example")
         for case in ("i", "ii")
     ]
     return [
         _Bundle("frame", lambda st: {
-            **frame_check(st.ambient), "gauss_split": gauss_split_residual(st)},
-            stacked=True),
+            **frame_check(st.ambient), "gauss_split": gauss_split_residual(st)}),
         *cases,
         _Bundle("parallel_q", lambda st: lemma_parallel_claim(st, tol),
-                prefix="parallel_q", skip_formula="q_parallel_d", stacked=True),
+                prefix="parallel_q", skip_formula="q_parallel_d"),
     ]
 
 

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from . import calculus
-from .charts import Rows, SmoothField, jet_stack
+from .charts import Rows, SmoothField
 from .classifiers import TOL_EXACT, gated_rows
 from .errors import SetupRejected
 from .fstructure import StructurePack, _pair_rows, _rows_abs, _rows_norm
@@ -384,21 +384,6 @@ def require_valid_frame(sub, p):
 # -- induced structure -----------------------------------------------------------
 
 
-def _induced_values(sub, coords):
-    """Values of the induced g, g^-1, f, Q, eta and xi at a float point."""
-    if not all(isinstance(c, float) for c in coords):
-        raise TypeError(
-            "induced fields are evaluated at float points; the frame stack of "
-            "an induced pack reads their jets from its _AmbientStack")
-    iota, jac = (a[0] for a in jet_stack(sub.embedding, np.array([coords]), 1,
-                                         "the embedding"))
-    normals = np.array(sub.normals(coords), dtype=float)
-    out = _induced(jac[None, None], sub.ambient_metric.value(iota)[None, None],
-                   sub.ambient_skew.value(iota)[None, None],
-                   normals.T[None, None], [coords])
-    return {k: a[0, 0] for k, a in out.items()}
-
-
 def induce_structure(sub, validate=True):
     """Pull the ambient structure back to a weak metric f-structure pack.
 
@@ -406,16 +391,24 @@ def induce_structure(sub, validate=True):
     the setup rejected on violation; the full residual suite is the real
     verdict.
 
-    The induced fields give values only (:meth:`SmoothField.value`). The
-    frame stack of the pack (``_FrameStack``) takes the :class:`_AmbientStack`
-    of the same points and reads every jet, g^-1 and the curvature from it.
+    The induced fields give values only (:meth:`SmoothField.value`), each
+    read from the one-point :class:`_AmbientPoint` of its point. The frame
+    stack of the pack (``_FrameStack``) takes the :class:`_AmbientStack` of
+    the same points and reads every jet, g^-1 and the curvature from it.
     """
     if validate:
         mid = np.array([0.5 * (lo + hi) for lo, hi in sub.domain.box])
         require_valid_frame(sub, mid)
 
     def piece(name, *row):
-        return lambda coords: _induced_values(sub, coords)[name][row]
+        def value(coords):
+            if not all(isinstance(c, float) for c in coords):
+                raise TypeError(
+                    "induced fields are evaluated at float points; the frame "
+                    "stack of an induced pack reads their jets from its "
+                    "_AmbientStack")
+            return _AmbientPoint(sub, coords).induced_jets[name][0][0][row]
+        return value
 
     dom = sub.domain
     return StructurePack(

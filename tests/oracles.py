@@ -24,7 +24,7 @@ from weakf.calculus import (
 )
 from weakf import cli
 from weakf.catalog import make_example
-from weakf.charts import PointStacks, Rows, SmoothField, take
+from weakf.charts import PointStacks, Rows, SmoothField, jet_stack, take
 from weakf.errors import DegenerateOperatorError, WeakfError
 from weakf.fstructure import (
     _Q_EIGEN_FLOOR,
@@ -39,7 +39,8 @@ from weakf.jets import cos, sin
 from weakf.errors import HypothesisNotMet
 from weakf.sampling import (lead_dot, pair_form, sup_abs, sup_norm, unit_rows,
                             worst)
-from weakf.submanifold import _AmbientPoint, _AmbientStack, induce_structure
+from weakf.submanifold import (_AmbientPoint, _AmbientStack, _induced,
+                               induce_structure)
 
 
 # -- the nesting scalar jet -------------------------------------------------------
@@ -712,6 +713,19 @@ def nested_induced_pack(sub):
     )
 
 
+def induced_values(sub, coords):
+    """Values of the induced g, g^-1, f, Q, eta and xi at a float point,
+    from the embedding's order-1 jet and the values of the ambient fields
+    and normals: the reference of the induced fields' values."""
+    iota, jac = (a[0] for a in jet_stack(sub.embedding, np.array([coords]), 1,
+                                         "the embedding"))
+    normals = np.array(sub.normals(coords), dtype=float)
+    out = _induced(jac[None, None], sub.ambient_metric.value(iota)[None, None],
+                   sub.ambient_skew.value(iota)[None, None],
+                   normals.T[None, None], [coords])
+    return {k: a[0, 0] for k, a in out.items()}
+
+
 def frame(pack, p, sub=None, seed=0, index=0):
     """The frame of ``p`` alone, sample ``index`` of a run; with the
     submanifold ``sub`` of an induced pack, its stack is over the ambient
@@ -988,6 +1002,80 @@ def thm32_chain_at_point(fr, r):
         "f2_nonpositive": float(np.maximum(g_f2x.max(), 0.0)),
         "chain_total": float(peak[3]),
     }
+
+
+# -- the theorem gates at one point ----------------------------------------------
+#
+# The engine reads every theorem gate as a row of the chunk's stack, under
+# classifiers.gated_rows. These are the gates at one point, on a frame that
+# is a row of that stack, as the engine checked them point by point before
+# each body: the reference of the gate rows.
+
+
+def gate(check, name, residual, tol):
+    """Raise unless ``residual <= tol``: a NaN residual does not pass."""
+    if not residual <= tol:
+        raise HypothesisNotMet(check, name, residual)
+
+
+def nearly_class_gate(fr, check, tol):
+    """Require the pack to be weak nearly S or weak nearly C."""
+    rs = fr.stacked("nearly_s_defining")
+    if rs <= tol:
+        return "weak_nearly_S"
+    rc = fr.stacked("nearly_c_defining")
+    if rc <= tol:
+        return "weak_nearly_C"
+    if rs <= rc:
+        raise HypothesisNotMet(check, "weak_nearly_S", rs)
+    raise HypothesisNotMet(check, "weak_nearly_C", rc)
+
+
+def frame_gates(fr, check, tol):
+    for name in ("reeb_brackets", "reeb_totally_geodesic", "reeb_flat",
+                 "q_parallel_d"):
+        gate(check, name, fr.stacked(name), tol)
+
+
+def thm01_gates(fr, check, tol):
+    gate(check, "weak_nearly_S", fr.stacked("nearly_s_defining"), tol)
+    frame_gates(fr, check, tol)
+
+
+def eta_circ_n1_at_point(fr):
+    """The gate eta o N1 = 0 of thm01_i at the frame's point."""
+    return sup_abs(pair_form(lead_dot(fr.eta0, fr.n1_coeff), fr.V, fr.V))
+
+
+def q_equals_id_at_point(fr):
+    """The gate Q = id of the rigidity corollary at the frame's point."""
+    return sup_norm(pair_form(fr.qtilde, fr.u, fr.V))
+
+
+def theorem_gates_at_point(fr, which, tol=1e-9):
+    """Check the gates of the theorem bundle ``which`` at the frame's point
+    in their order, the axioms first; raise at the first that fails."""
+    gate(which, "weak_metric_f_axioms", float(fr.stacked("worst_axiom")), tol)
+    if which == "prop1":
+        nearly_class_gate(fr, which, tol)
+        frame_gates(fr, which, tol)
+    elif which == "prop_normal":
+        gate(which, "normality", fr.stacked("n1_zero"), tol)
+    elif which in ("fk_contact_nabla", "thm32_chain"):
+        for name, value in fk_gates_at_point(fr).items():
+            gate(which, name, value, tol)
+    elif which == "thm41":
+        gate(which, "weak_nearly_C", fr.stacked("nearly_c_defining"), tol)
+    elif which == "thm01_i":
+        thm01_gates(fr, which, tol)
+        gate(which, "eta_circ_n1", eta_circ_n1_at_point(fr), tol)
+    elif which == "thm01_ii":
+        thm01_gates(fr, which, tol)
+        gate(which, "phi_equals_deta", fr.stacked("phi_equals_deta"), tol)
+    else:
+        gate(which, "weak_nearly_S", fr.stacked("nearly_s_defining"), tol)
+        gate(which, "normal", fr.stacked("n1_zero"), tol)
+        gate(which, "Q_equals_id", q_equals_id_at_point(fr), tol)
 
 
 # -- pair-level residuals ------------------------------------------------------------

@@ -5,6 +5,9 @@ the commit before it and on the commit itself and comparing the output:
 
     PYTHONPATH=src python tests/report_digests.py --samples 50 --seeds 42,7
 
+Its output at ``--samples 10 --seeds 42,7`` is pinned in
+``tests/report_digests.txt``, which a tier-1 test compares against.
+
 A change to the arithmetic must keep every verdict and move residuals by at
 most 1e-14. Dump the JSON reports of both commits and compare them:
 

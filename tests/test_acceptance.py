@@ -57,6 +57,11 @@ def _axioms_worst(pack, points=POINTS, seed=SEED, sub=None):
     return worst
 
 
+def _stack(pack):
+    """The set-up stack of the POINTS sample points as one chunk."""
+    return oracles.stack(pack, pack.chart.sample(POINTS, SEED), seed=SEED)
+
+
 def test_criterion_01_axiom_suite(cat_sphere, sphere_induced):
     packs = {
         "flat_pack": (flat_pack().obj, None),
@@ -96,11 +101,9 @@ def test_criterion_03_reeb_parallel_and_killing():
     with criterion(
         3, "product pack: D_{xi_j} xi_k <= 1e-9 and Killing <= 1e-9"
     ):
-        for i, p in enumerate(pack.chart.sample(POINTS, SEED)):
-            fr = PackFrame(pack, p, seed=SEED, index=i)
-            res = theorem_check(pack, p, "prop1", frame=fr)
-            assert res["reeb_parallel_pairs"] <= TOL
-            assert res["reeb_killing"] <= TOL
+        res = theorem_check(pack, None, "prop1", frame=_stack(pack))
+        assert res["reeb_parallel_pairs"].max() <= TOL
+        assert res["reeb_killing"].max() <= TOL
 
 
 def test_criterion_04_product_characterization():
@@ -109,13 +112,11 @@ def test_criterion_04_product_characterization():
         4, "product pack: parallel Reeb frame, closed eta on D, "
            "totally geodesic contact distribution"
     ):
-        for i, p in enumerate(pack.chart.sample(POINTS, SEED)):
-            fr = PackFrame(pack, p, seed=SEED, index=i)
-            res = theorem_check(pack, p, "thm41", frame=fr)
-            assert res["nabla_xi_zero"] <= TOL
-            assert res["deta_on_d"] <= TOL
-            assert res["coboundary_vs_connection"] <= TOL
-            assert res["d_totally_geodesic"] <= TOL
+        res = theorem_check(pack, None, "thm41", frame=_stack(pack))
+        assert res["nabla_xi_zero"].max() <= TOL
+        assert res["deta_on_d"].max() <= TOL
+        assert res["coboundary_vs_connection"].max() <= TOL
+        assert res["d_totally_geodesic"].max() <= TOL
 
 
 def test_criterion_05_gated_normality_consequences():
@@ -124,15 +125,14 @@ def test_criterion_05_gated_normality_consequences():
         5, "Sasakian sphere: gated d-eta/N1 identities and proof-internal "
            "expansions <= 1e-9"
     ):
-        for i, p in enumerate(pack.chart.sample(POINTS, SEED)):
-            fr = PackFrame(pack, p, seed=SEED, index=i)
-            res_i = theorem_check(pack, p, "thm01_i", frame=fr)
-            assert res_i["deta_equals_phi_q"] <= TOL
-            assert res_i["eta_n1_expansion"] <= TOL
-            assert res_i["eta_ff_reduction"] <= TOL
-            res_ii = theorem_check(pack, p, "thm01_ii", frame=fr)
-            assert res_ii["n1_equals_qtilde_phi"] <= TOL
-            assert res_ii["dphi_nabla_f_expansion"] <= TOL
+        st = _stack(pack)
+        res_i = theorem_check(pack, None, "thm01_i", frame=st)
+        assert res_i["deta_equals_phi_q"].max() <= TOL
+        assert res_i["eta_n1_expansion"].max() <= TOL
+        assert res_i["eta_ff_reduction"].max() <= TOL
+        res_ii = theorem_check(pack, None, "thm01_ii", frame=st)
+        assert res_ii["n1_equals_qtilde_phi"].max() <= TOL
+        assert res_ii["dphi_nabla_f_expansion"].max() <= TOL
 
 
 def test_criterion_06_rigidity():
@@ -141,12 +141,11 @@ def test_criterion_06_rigidity():
         6, "Sasakian sphere: normal + weak nearly S and the full "
            "S-structure equation <= 1e-9"
     ):
-        for i, p in enumerate(pack.chart.sample(POINTS, SEED)):
-            fr = PackFrame(pack, p, seed=SEED, index=i)
-            assert fr.stacked("n1_zero") <= TOL
-            assert fr.stacked("nearly_s_defining") <= TOL
-            res = theorem_check(pack, p, "corollary_rigidity", frame=fr)
-            assert res["s_structure_defining"] <= TOL
+        st = _stack(pack)
+        assert st.n1_zero.max() <= TOL
+        assert st.nearly_s_defining.max() <= TOL
+        res = theorem_check(pack, None, "corollary_rigidity", frame=st)
+        assert res["s_structure_defining"].max() <= TOL
 
 
 def test_criterion_07_submanifold_suite(sphere_induced, subspace_induced):

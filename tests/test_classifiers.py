@@ -1,4 +1,5 @@
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +13,9 @@ from weakf.classifiers import (
     class_residual,
     frame_residuals,
     q_parallel_residual,
-    STACKED_THEOREMS,
+    THEOREM_CHECKS,
+    _nearly_s_or_c,
+    gated_rows,
     theorem_check,
 )
 from weakf.errors import HypothesisNotMet
@@ -145,22 +148,26 @@ def test_frame_residuals_catalog(all_packs):
             assert fc["reeb_totally_geodesic"] <= fc["reeb_flat"] + 1e-12
 
 
+def _stack(pack, count, seed):
+    """The set-up stack of ``count`` sample points of ``pack`` as one chunk."""
+    return oracles.stack(pack, pack.chart.sample(count, seed), seed=seed)
+
+
 def test_prop1_on_product_pack(cat_product):
     pack = cat_product.obj
-    for i, p in enumerate(pack.chart.sample(4, seed=17)):
-        fr = PackFrame(pack, p, seed=17, index=i)
-        res = theorem_check(pack, p, "prop1", frame=fr)
-        assert res["reeb_parallel_pairs"] <= TOL
-        assert res["reeb_coparallel"] <= TOL
-        assert res["reeb_killing"] <= TOL
+    res = theorem_check(pack, None, "prop1", frame=_stack(pack, 4, 17))
+    assert res["reeb_parallel_pairs"].shape == (4,)
+    assert res["reeb_parallel_pairs"].max() <= TOL
+    assert res["reeb_coparallel"].max() <= TOL
+    assert res["reeb_killing"].max() <= TOL
 
 
 def test_prop1_gate_rejects_non_nearly_pack(varying_q_pack):
     # valid weak pack, but the symmetrized derivative of f does not vanish
     # and does not match the nearly-S right side either
-    p = varying_q_pack.chart.sample(1, seed=19)[0]
     with pytest.raises(HypothesisNotMet) as err:
-        theorem_check(varying_q_pack, p, "prop1", PackFrame(varying_q_pack, p))
+        theorem_check(varying_q_pack, None, "prop1",
+                      _stack(varying_q_pack, 1, 19))
     assert err.value.gate in ("weak_nearly_S", "weak_nearly_C")
 
 
@@ -176,9 +183,8 @@ def test_theorem_checks_gate_on_axioms(cat_sasakian):
         ),
         Q=pack.Q, xi=pack.xi, eta=pack.eta, g=pack.g, n=pack.n, s=pack.s,
     )
-    p = pack.chart.sample(1, seed=19)[0]
     with pytest.raises(HypothesisNotMet) as err:
-        theorem_check(broken, p, "prop1", PackFrame(broken, p))
+        theorem_check(broken, None, "prop1", _stack(broken, 1, 19))
     assert err.value.gate == "weak_metric_f_axioms"
 
 
@@ -186,9 +192,8 @@ def test_prop_normal_consequences(all_packs):
     # every catalog pack is normal, so the consequence bundle must hold
     for cat in all_packs:
         pack = cat.obj
-        p = pack.chart.sample(1, seed=23)[0]
-        res = theorem_check(pack, p, "prop_normal", PackFrame(pack, p))
-        assert max(res.values()) <= TOL, (cat.name, res)
+        res = theorem_check(pack, None, "prop_normal", _stack(pack, 1, 23))
+        assert max(rows.max() for rows in res.values()) <= TOL, (cat.name, res)
 
 
 def test_fk_contact_nabla_on_sasakian(cat_sasakian):
@@ -244,7 +249,7 @@ def test_stacked_fk_contact_rows_are_the_point_oracle(config):
         gates = [oracles.fk_gates_at_point(fr) for fr in frs]
         failing = [(k, gate, value) for k, g in enumerate(gates)
                    for gate, value in g.items() if not value <= TOL]
-        for which in STACKED_THEOREMS:
+        for which in ("fk_contact_nabla", "thm32_chain"):
             try:
                 got = theorem_check(pack, None, which, frame=st)
             except HypothesisNotMet as exc:
@@ -261,61 +266,141 @@ def test_stacked_fk_contact_rows_are_the_point_oracle(config):
             assert list(got) == list(want[0])
             for key, rows in got.items():
                 assert _hex(rows) == [w[key].hex() for w in want], (which, key)
+@pytest.mark.parametrize("example", sorted(catalog.BUILDERS))
+def test_gate_rows_are_the_point_gates(example):
+    # the two gates that were computed at each point, eta o N1 and Q = id,
+    # are rows of the chunk's stack: bitwise the point's value
+    pack, sub = oracles.config_example(f"--example {example}")
+    points = pack.chart.sample(REFERENCE_SAMPLES, 42)
+    frames = oracles.chunk_frames(pack, points, sub)
+    for fr in frames:
+        st, k = fr._chunk, fr._k
+        assert st.eta_circ_n1[k].hex() == oracles.eta_circ_n1_at_point(
+            fr).hex()
+        assert st.q_equals_id[k].hex() == oracles.q_equals_id_at_point(
+            fr).hex()
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_theorem_gates_fail_where_the_point_gates_do(config):
+    # every theorem bundle over a chunk raises at the chunk's first point
+    # whose gates fail at that point alone, naming its first failing gate
+    # and residual, and passes where none fails
+    pack, sub = oracles.config_example(config)
+    points = pack.chart.sample(REFERENCE_SAMPLES, 42)
+    frames = oracles.chunk_frames(pack, points, sub)
+    for st in {id(fr._chunk): fr._chunk for fr in frames}.values():
+        frs = frames[st.rows.start:st.rows.start + len(st.rows)]
+        for which in THEOREM_CHECKS:
+            want = None
+            for k, fr in enumerate(frs):
+                try:
+                    oracles.theorem_gates_at_point(fr, which, TOL)
+                except HypothesisNotMet as exc:
+                    want = (k, exc.gate, exc.residual.hex())
+                    break
+            try:
+                theorem_check(pack, None, which, frame=st, tol_exact=TOL)
+            except HypothesisNotMet as exc:
+                assert (exc.row, exc.gate, exc.residual.hex()) == want, which
+                continue
+            assert want is None, which
+
+
+GRID = (0.0, 1e-12, 1e-9, 5e-9, 0.5, 2.0, np.nan, np.inf)
+
+
+class _PointRows:
+    """A frame that reads the class residuals of one point."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def stacked(self, name):
+        return np.float64(self.rows[name])
+
+
+def test_nearly_s_or_c_gate_is_the_point_oracle():
+    # the gate "weak nearly S or weak nearly C" as a row: at each pair of
+    # residuals on the grid, alone and as one row of a stack of them all,
+    # the oracle's outcome, gate name and residual
+    pairs = [(rs, rc) for rs in GRID for rc in GRID]
+    st = SimpleNamespace(nearly_s_defining=np.array([rs for rs, _ in pairs]),
+                         nearly_c_defining=np.array([rc for _, rc in pairs]))
+    names, rows = _nearly_s_or_c(st, TOL)
+    for k, (rs, rc) in enumerate(pairs):
+        fr = _PointRows({"nearly_s_defining": rs, "nearly_c_defining": rc})
+        try:
+            oracles.nearly_class_gate(fr, "prop1", TOL)
+        except HypothesisNotMet as exc:
+            want = (exc.gate, exc.residual.hex())
+        else:
+            want = None
+        one = SimpleNamespace(nearly_s_defining=np.array([rs]),
+                              nearly_c_defining=np.array([rc]))
+        try:
+            gated_rows("prop1", [_nearly_s_or_c(one, TOL)], TOL, dict)
+        except HypothesisNotMet as exc:
+            assert (exc.gate, exc.residual.hex()) == want, (rs, rc)
+            assert (str(names[k]), rows[k].hex()) == want, (rs, rc)
+            continue
+        assert want is None and rows[k] <= TOL, (rs, rc)
+
+
+def test_nearly_c_row_is_read_only_where_nearly_s_fails():
+    # a stack without the nearly-C row: every nearly-S row passes
+    st = SimpleNamespace(nearly_s_defining=np.array([0.0, 1e-9]))
+    assert _nearly_s_or_c(st, TOL) == ("weak_nearly_S", st.nearly_s_defining)
+
+
 def test_thm41_on_product_pack(cat_product):
     pack = cat_product.obj
-    for i, p in enumerate(pack.chart.sample(4, seed=41)):
-        fr = PackFrame(pack, p, seed=41, index=i)
-        res = theorem_check(pack, p, "thm41", frame=fr)
-        assert res["nabla_xi_zero"] <= TOL
-        assert res["deta_on_d"] <= TOL
-        assert res["coboundary_vs_connection"] <= TOL
-        assert res["d_totally_geodesic"] <= TOL
+    res = theorem_check(pack, None, "thm41", frame=_stack(pack, 4, 41))
+    assert res["nabla_xi_zero"].max() <= TOL
+    assert res["deta_on_d"].max() <= TOL
+    assert res["coboundary_vs_connection"].max() <= TOL
+    assert res["d_totally_geodesic"].max() <= TOL
 
 
 def test_thm41_gate_rejects_sasakian(cat_sasakian):
-    p = cat_sasakian.obj.chart.sample(1, seed=43)[0]
     with pytest.raises(HypothesisNotMet) as err:
-        theorem_check(cat_sasakian.obj, p, "thm41",
-                      PackFrame(cat_sasakian.obj, p))
+        theorem_check(cat_sasakian.obj, None, "thm41",
+                      _stack(cat_sasakian.obj, 1, 43))
     assert err.value.gate == "weak_nearly_C"
 
 
 def test_thm01_on_sasakian(cat_sasakian):
     pack = cat_sasakian.obj
-    for i, p in enumerate(pack.chart.sample(4, seed=47)):
-        fr = PackFrame(pack, p, seed=47, index=i)
-        res_i = theorem_check(pack, p, "thm01_i", frame=fr)
-        assert res_i["deta_equals_phi_q"] <= TOL
-        assert res_i["eta_n1_expansion"] <= TOL
-        assert res_i["eta_ff_reduction"] <= TOL
-        res_ii = theorem_check(pack, p, "thm01_ii", frame=fr)
-        assert res_ii["n1_equals_qtilde_phi"] <= TOL
-        assert res_ii["dphi_nabla_f_expansion"] <= TOL
+    st = _stack(pack, 4, 47)
+    res_i = theorem_check(pack, None, "thm01_i", frame=st)
+    assert res_i["deta_equals_phi_q"].max() <= TOL
+    assert res_i["eta_n1_expansion"].max() <= TOL
+    assert res_i["eta_ff_reduction"].max() <= TOL
+    res_ii = theorem_check(pack, None, "thm01_ii", frame=st)
+    assert res_ii["n1_equals_qtilde_phi"].max() <= TOL
+    assert res_ii["dphi_nabla_f_expansion"].max() <= TOL
 
 
 def test_thm01_gates_reject_nearly_c_packs(cat_product):
-    p = cat_product.obj.chart.sample(1, seed=53)[0]
+    st = _stack(cat_product.obj, 1, 53)
     for which in ("thm01_i", "thm01_ii"):
         with pytest.raises(HypothesisNotMet) as err:
-            theorem_check(cat_product.obj, p, which,
-                          PackFrame(cat_product.obj, p))
+            theorem_check(cat_product.obj, None, which, st)
         assert err.value.gate == "weak_nearly_S"
 
 
 def test_corollary_rigidity_on_sasakian(cat_sasakian):
     pack = cat_sasakian.obj
-    for i, p in enumerate(pack.chart.sample(4, seed=59)):
-        fr = PackFrame(pack, p, seed=59, index=i)
-        res = theorem_check(pack, p, "corollary_rigidity", frame=fr)
-        assert res["s_structure_defining"] <= TOL
+    res = theorem_check(pack, None, "corollary_rigidity",
+                        frame=_stack(pack, 4, 59))
+    assert res["s_structure_defining"].max() <= TOL
 
 
 def test_corollary_gate_requires_q_identity(cat_flat):
     # flat pack is normal and nearly C but not nearly S: gate must fire
-    p = cat_flat.obj.chart.sample(1, seed=61)[0]
     with pytest.raises(HypothesisNotMet):
-        theorem_check(cat_flat.obj, p, "corollary_rigidity",
-                      PackFrame(cat_flat.obj, p))
+        theorem_check(cat_flat.obj, None, "corollary_rigidity",
+                      _stack(cat_flat.obj, 1, 61))
 
 
 def test_implication_lattice(all_packs):

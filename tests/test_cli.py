@@ -11,7 +11,7 @@ import pytest
 import report_digests
 from weakf import catalog, charts, classifiers, cli, fstructure
 from weakf.charts import SmoothField, constant_field
-from weakf.errors import HypothesisNotMet, InvalidExample
+from weakf.errors import InvalidExample
 from weakf.jets import exp, sqrt
 from weakf.report import MAX_SAMPLES, EvaluationFailure, SuiteConfig
 
@@ -436,13 +436,15 @@ def test_failing_stack_of_a_point_that_skipped_does_not_stop_the_run(
         return dataclasses.replace(cat, obj=dataclasses.replace(
             cat.obj, g=dataclasses.replace(g, fn=fn)))
 
-    def thm41(fr, tol):
-        if next(i for i, q in enumerate(samples) if np.array_equal(q, fr.p)) >= 2:
-            raise HypothesisNotMet("thm41", "from_sample_2", 1.0)
-        return {"nabla_xi_zero": float(np.abs(
-            fr._chunk.reeb_curvature[fr._k]).max())}
+    def from_sample_2(st, tol):
+        return "from_sample_2", np.where(
+            st.rows.start + np.arange(len(st.rows)) >= 2, 1.0, 0.0)
+
+    def thm41(st):
+        return {"nabla_xi_zero": np.abs(st.reeb_curvature).max(axis=(1, 2, 3))}
 
     monkeypatch.setitem(catalog.BUILDERS, "stack_fails", stack_fails)
+    monkeypatch.setitem(classifiers._GATES, "thm41", (from_sample_2,))
     monkeypatch.setitem(classifiers._THEOREMS, "thm41", thm41)
     outputs = []
     for chunk in (charts.CHUNK, 1):

@@ -2,9 +2,8 @@
 per-frame function it wraps, reading the arguments as the library takes
 them. The traced benchmark round reaches the classes through
 ``class_rows``, so only this test calls ``class_residual`` under the tracer.
-The submanifold checks and the two f-K-contact theorem bundles take a
-chunk's stack; a traced run still names a span after each, and counts it to
-its suite.
+The submanifold checks and every theorem bundle take a chunk's stack; a
+traced run still names a span after each, and counts it to its suite.
 """
 
 from pathlib import Path
@@ -30,7 +29,7 @@ def test_tracer_names_a_span_per_frame_function(monkeypatch):
         classifiers.class_residual(pack, p, "S_structure", fr)
         classifiers.frame_residuals(fr)
         classifiers.q_parallel_residual(fr)
-        classifiers.theorem_check(pack, p, "thm01_ii", fr)
+        classifiers.theorem_check(pack, p, "thm01_ii", fr._chunk)
     finally:
         tracer.uninstall()
     assert classifiers.class_residual is original
@@ -77,9 +76,9 @@ def test_tracer_names_a_span_per_stacked_theorem(monkeypatch):
         tracer.uninstall()
     assert rep["overall"]["verdict"] == "pass"
     names = {tracer.names[span[0]] for span in tracer.spans}
-    assert {"classifiers/theorem_check:fk_contact_nabla",
-            "classifiers/theorem_check:thm32_chain"} <= names
+    assert {f"classifiers/theorem_check:{which}"
+            for which in classifiers.THEOREM_CHECKS} <= names
     metrics = layertrace.layer_metrics(tracer, 1.0, 2, classifiers.CLASS_TAGS,
                                        classifiers.THEOREM_CHECKS)
-    for which in classifiers.STACKED_THEOREMS:
+    for which in classifiers.THEOREM_CHECKS:
         assert metrics[f"classifiers.theorem.{which}_s"][0] > 0.0

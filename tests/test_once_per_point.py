@@ -85,6 +85,17 @@ def _memory(a):
     return a.__array_interface__["data"][0], a.size
 
 
+def _sample(caller):
+    """The sample of the frame ``fr`` of the innermost call that has one, from
+    1, where a theorem body computed at each point runs; 0 elsewhere."""
+    while caller is not None:
+        fr = caller.f_locals.get("fr")
+        if isinstance(fr, PackFrame):
+            return fr._chunk.rows.start + fr._k + 1
+        caller = caller.f_back
+    return 0
+
+
 def _recording(prop, picks, names, owners, alive):
     """``prop`` (a cached property) that names the arrays it builds, and
     records each by where its elements are."""
@@ -121,7 +132,7 @@ def counted_run():
             alive.append(ops)
             ids = tuple(map(operand_id, ops))
             caller = sys._getframe(1)
-            sites[(counts["frame"], contract.__name__, caller.f_code.co_name,
+            sites[(_sample(caller), contract.__name__, caller.f_code.co_name,
                    caller.f_lineno, tuple(map(names.get, ids)),
                    *map(_content, args))] += 1
             out = contract(*args, **kwargs)
@@ -316,15 +327,15 @@ def test_killing_residual_once_per_chunk():
 # The class parts and Reeb-frame conditions of a chunk's stack, one row (the
 # Killing residuals one row per Reeb field) over the chunk's points each,
 # and the residuals formed on pairs of a chunk's stacks: 9 of the parts and
-# conditions, and 7 of the submanifold checks (the nearly-Kahler gate on
-# the ambient basis, the Weingarten duality, the symmetry of h, and the
-# h-display and the shape display of each case).
+# conditions, the eta o N1 gate of thm01_i, and 7 of the submanifold checks
+# (the nearly-Kahler gate on the ambient basis, the Weingarten duality, the
+# symmetry of h, and the h-display and the shape display of each case).
 STACKED_PARTS = ("nearly_s_defining", "nearly_c_defining",
                  "s_structure_defining", "phi_equals_deta", "deta_zero",
                  "dphi_zero", "n1_zero", "killing", "reeb_brackets",
                  "reeb_flat", "reeb_totally_geodesic", "q_parallel_d",
                  "q_parallel_expansion")
-ON_PAIRS = 9 + 7
+ON_PAIRS = 9 + 1 + 7
 
 
 @pytest.fixture(scope="module")
@@ -376,11 +387,12 @@ def test_test_pairs_once_per_sub_chunk(stacked_run):
 
 def test_one_chunk_of_state_alive_at_a_time(chunked_run):
     _, counts, metrics = chunked_run
-    # one frame per point, and the previous point's is gone by the next
-    # build; the submanifold checks read the chunk's ambient stack, so no
-    # ambient point is built
+    # one frame per point, built by the chunk's stack for the theorem
+    # bodies computed at each point: the chunk's other frames may be alive
+    # at a build, the previous chunk's are gone; the submanifold checks read
+    # the chunk's ambient stack, so no ambient point is built
     assert counts["frame"] == CHUNKED
-    assert counts["frame_alive_at_build"] == 0
+    assert counts["frame_alive_at_build"] <= charts.CHUNK - 1
     assert counts["ambient"] == 0
     # one set-up stack per chunk, and the previous chunk's stacks are gone
     # when the walk reaches the next one: the memory they hold is bounded
@@ -419,18 +431,21 @@ def test_shared_contractions_once_per_sample(counted_run):
 def test_each_coefficient_tensor_contracted_once_per_sample(counted_run):
     _, _, sites = counted_run
     # pair_form(C, V, V): every coefficient tensor C of a bilinear identity
-    # in the theorem checks meets the test pairs once per sample, wherever
-    # it is formed (all-zero coefficients are left out by _by_value); the
-    # class parts and the submanifold checks meet them on the chunk's stack
-    # (test_test_pairs_once_per_sub_chunk)
+    # in the theorem bodies computed at each point meets the test pairs once
+    # per sample, wherever it is formed (all-zero coefficients are left out
+    # by _by_value); the class parts, the gates and the submanifold checks
+    # meet them on the chunk's stack, outside any sample
+    # (test_test_pairs_once_per_sub_chunk), the eta o N1 gate of thm01_i
+    # among them
     pairs = {(sample, values): n
              for (sample, helper, operands, values), n in
              _by_value(sites).items()
-             if helper == "pair_form" and operands[1:] == ("V", "V")}
+             if helper == "pair_form" and operands[1:] == ("V", "V")
+             and sample}
     assert max(pairs.values()) == 1
     per_sample = Counter(sample for sample, _ in pairs)
     assert sorted(per_sample) == list(range(1, SAMPLES + 1))
-    assert min(per_sample.values()) >= 7
+    assert min(per_sample.values()) >= 6
 
 
 def test_second_fundamental_form_once_per_chunk(counted_run):

@@ -14,3 +14,5 @@ def test_library_use_example_runs(capsys):
     assert len(out) == code.count("print(")
     # frame_residuals gives the Reeb-frame conditions in report order
     assert out[1].startswith("{'reeb_brackets': ")
+    # theorem_check gives a row over the stack's four points per key
+    assert out[4].startswith("{'n1_equals_qtilde_phi': array([")

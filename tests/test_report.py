@@ -15,7 +15,7 @@ import report_digests
 from report_digests import CONFIGS, digest_lines, dump_reports
 
 import weakf
-from weakf import charts, cli, fstructure, report, submanifold
+from weakf import charts, classifiers, cli, fstructure, report, submanifold
 from weakf.errors import InvalidExample
 from weakf.classifiers import THEOREM_CHECKS
 from weakf.report import SUITES, SuiteConfig, run_suite
@@ -77,14 +77,16 @@ def test_suite_entries_do_not_depend_on_other_suites(full_runs):
             assert alone == {suite: full[suite]}, (ex, params, suite)
 
 
-# The only places that build a point's state: the runner's walk of a chunk
-# builds a frame per point for the theorem checks, which read the chunk's
-# stacks through it, and the submanifold checks take the chunk's stacks; no
-# ambient point is built for a run. require_valid_frame builds one of its
-# own to check an embedding's normal frame before any pack exists.
+# The only places that build a point's state: a chunk's stack builds a
+# frame per point for the theorem bodies computed at each point, which read
+# the chunk's stacks through it, and every bundle takes the chunk's stacks;
+# no ambient point is built for a run. require_valid_frame builds one of
+# its own to check an embedding's normal frame before any pack exists, and
+# an induced field's value reads that of its point.
 BUILDERS = {
-    "PackFrame": {("report.py", "walk")},
-    "_AmbientPoint": {("submanifold.py", "require_valid_frame")},
+    "PackFrame": {("fstructure.py", "frames")},
+    "_AmbientPoint": {("submanifold.py", "require_valid_frame"),
+                      ("submanifold.py", "value")},
 }
 
 
@@ -228,7 +230,7 @@ def test_nan_residual_fails_its_entry(capsys, monkeypatch):
     # among the points
     agg = report._Agg()
     for v in (1e-20, math.nan, 1e-20):
-        agg.add(v)
+        agg.add(np.array([v]))
     assert math.isnan(agg.max)
     entry = report._entry("qf_commute", "qf_commute", agg, 1e-9, True)
     assert entry["verdict"] == "fail"
@@ -311,10 +313,10 @@ def test_agg_folds_a_row_as_one_value_at_a_time():
         for before in ((), (0.75,), (-0.0,), (math.nan,), (math.inf,)):
             one, folded = report._Agg(), report._Agg()
             for v in before:
-                one.add(v)
-                folded.add(v)
+                one.add(np.array([v]))
+                folded.add(np.array([v]))
             for v in row.tolist():
-                one.add(v)
+                one.add(np.array([v]))
             folded.add(row)
             assert _state(folded) == _state(one), (before, row)
             seen = [*before, *row.tolist()]
@@ -386,6 +388,41 @@ def test_report_digests_compare_mode(tmp_path, capsys):
     for changed in ("Infinity", entry["max_residual"]):
         code, out = edited(max_residual=changed)
         assert code == 1 and "max |delta residual| inf" in out, changed
+
+
+# The digests of every reference report at 10 samples, seeds 42 and 7, as
+# tests/report_digests.py prints them: the byte-identity gate of a change
+# that must not move any report.
+PINNED_DIGESTS = Path(__file__).resolve().parent / "report_digests.txt"
+
+RECIPE = """\
+A change that must not move any report leaves every digest as pinned. An
+arithmetic change is compared against the commit before it:
+    PYTHONPATH=src python tests/report_digests.py --dump before   # old commit
+    PYTHONPATH=src python tests/report_digests.py --dump after    # new commit
+    PYTHONPATH=src python tests/report_digests.py --compare before after
+and, with the change explained in CHANGES.md, pinned again:
+    PYTHONPATH=src python tests/report_digests.py --samples 10 --seeds 42,7 \\
+        > tests/report_digests.txt"""
+
+
+def _by_config(lines):
+    """{(seed, argv): the digests} of digest lines."""
+    out = {}
+    for line in lines:
+        seed, json_sum, text_sum, argv = line.split(" ", 3)
+        out[seed, argv] = json_sum, text_sum
+    return out
+
+
+def test_reports_match_the_pinned_digests():
+    pinned = _by_config(PINNED_DIGESTS.read_text(encoding="utf-8").splitlines())
+    got = _by_config(digest_lines(CONFIGS, 10, [42, 7]))
+    changed = [f"  seed {seed}: {argv}" for seed, argv in sorted(
+        pinned.keys() | got.keys()) if pinned.get((seed, argv)) != got.get(
+            (seed, argv))]
+    assert not changed, "\n".join(["reports differ from the pinned digests:",
+                                   *changed, RECIPE])
 
 
 def test_reports_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -577,3 +614,78 @@ def test_curvature_raising_before_the_failing_fk_gate_exits_three(
     assert ("evaluation failed in theorems.thm32_chain[point 3]: "
             "RuntimeError: the curvature refused sample 3"
             ) in capsys.readouterr().err
+
+
+# A gate of a bundle computed at each point, normality (N1 = 0), that fails
+# from sample 7 of 10 on sasakian_s3: prop_normal and the rigidity
+# corollary read it.
+def _fail_n1_zero(monkeypatch):
+    _patch_stack_rows(monkeypatch, "n1_zero", lambda st, build: (
+        np.where(_late(st, FAIL_FROM), 0.5, build(st))))
+
+
+def _prop_normal_refusing(monkeypatch, sample):
+    """prop_normal's body, refusing the frame of ``sample``."""
+    body = classifiers._prop_normal
+
+    def refusing(fr):
+        if fr._chunk.rows.start + fr._k == sample:
+            raise RuntimeError(f"the body refused sample {sample}")
+        return body(fr)
+
+    monkeypatch.setitem(classifiers._THEOREMS, "prop_normal",
+                        classifiers._at_each_point(refusing))
+
+
+def test_point_body_gate_failing_inside_a_chunk_skips_as_point_by_point(
+        monkeypatch):
+    # the normality row fails from sample 7: both bundles that read it skip
+    # with a note naming sample 7, whatever the chunk size
+    _fail_n1_zero(monkeypatch)
+    entries = _reports_at_each_chunk_size(monkeypatch, FK_GATED, "theorems")
+    note = "(residual 5.000e-01 at point 7)"
+    assert _skipped(entries, "prop_normal") == (
+        f"hypothesis failed: normality {note}")
+    assert _skipped(entries, "corollary_rigidity") == (
+        f"hypothesis failed: normal {note}")
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 16])
+def test_point_body_raising_before_the_failing_gate_exits_three(
+        monkeypatch, capsys, chunk):
+    # prop_normal's body raises at sample 3 and its gate fails from sample
+    # 7: the body runs at every point of the chunk before the gate raises,
+    # so the run fails at sample 3 instead of skipping
+    _fail_n1_zero(monkeypatch)
+    _prop_normal_refusing(monkeypatch, 3)
+    monkeypatch.setattr(charts, "CHUNK", chunk)
+    assert cli.main(["verify", *FK_GATED.split(), "--samples", "10"]) == 3
+    assert ("evaluation failed in theorems.prop_normal[point 3]: "
+            "RuntimeError: the body refused sample 3"
+            ) in capsys.readouterr().err
+
+
+def test_point_body_raising_after_the_failing_gate_still_skips(monkeypatch):
+    # the body raises only at sample 9, after its gate fails at sample 7:
+    # walked alone, sample 7 skips the bundle before sample 9 is reached
+    _fail_n1_zero(monkeypatch)
+    _prop_normal_refusing(monkeypatch, 9)
+    entries = _reports_at_each_chunk_size(monkeypatch, FK_GATED, "theorems")
+    assert _skipped(entries, "prop_normal") == (
+        "hypothesis failed: normality (residual 5.000e-01 at point 7)")
+
+
+def test_no_frame_is_built_where_every_theorem_gate_fails_at_once(
+        monkeypatch):
+    # the weak-skew sphere fails the axioms at every point: every theorem
+    # bundle raises at each chunk's first point, before any body runs
+    built = []
+    init = fstructure.PackFrame.__init__
+    monkeypatch.setattr(fstructure.PackFrame, "__init__",
+                        lambda fr, *a, **k: built.append(1) or init(fr, *a, **k))
+    rep = run_suite(SuiteConfig(
+        example="hypersphere", params={"n": 1, "ambient_skew": "weak"},
+        suites=("theorems",), samples=charts.CHUNK + 4))
+    assert all(e["verdict"] == "skipped" for e in rep["suites"]["theorems"])
+    assert built == []
+

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,37 @@ def test_induced_sphere_pack_is_standard(cat_sphere, sphere_induced):
         assert max(ax.values()) <= 1e-10
         # standard ambient: induced Q is the identity
         assert np.abs(fr.q0 - np.eye(3)).max() <= 1e-10
+
+
+# The embedded examples of the reference configurations, each once.
+EMBEDDED = sorted({re.sub(r" --suites \S+", "", c) for c in CONFIGS
+                   if oracles.config_example(c)[1]})
+
+
+@pytest.mark.parametrize("config", EMBEDDED)
+def test_induced_field_values_are_the_pullback_of_the_values(config):
+    # each induced field's value at a float point is row 0 of the one-point
+    # ambient stack's induced jets: bitwise the pullback of the ambient
+    # values along the order-1 embedding jet
+    pack, sub = oracles.config_example(config)
+    fields = {"g": [pack.g], "f": [pack.f], "q": [pack.Q], "xi": pack.xi,
+              "eta": pack.eta}
+    for p in pack.chart.sample(20, seed=42):
+        want = oracles.induced_values(sub, [float(c) for c in p])
+        assert (_AmbientPoint(sub, p).induced_jets["ginv"][0].tobytes()
+                == want["ginv"].tobytes())
+        for name, parts in fields.items():
+            got = np.array([field.value(p) for field in parts])
+            assert got.tobytes() == want[name].reshape(got.shape).tobytes(), (
+                name, p)
+
+
+def test_induced_fields_refuse_jet_coordinates(cat_sphere, sphere_induced):
+    rows = Rows(cat_sphere.obj.domain.sample(2, seed=3))
+    with pytest.raises(TypeError, match=(
+            "induced fields are evaluated at float points; the frame stack "
+            "of an induced pack reads their jets from its _AmbientStack")):
+        rows.jet(sphere_induced.g.fn, 1, "the induced metric")
 
 
 def test_weak_skew_sphere_partial_axioms(cat_sphere_weak):
