@@ -9,11 +9,13 @@ gated: when the hypotheses of a statement fail on the given pack (or read
 NaN), :class:`HypothesisNotMet` is raised instead of reporting a vacuous
 pass. Every theorem bundle takes the chunk's stack and returns one row over
 its points per key, under its gates (``_GATES``), each a row of the stack,
-checked by :func:`gated_rows` as the submanifold checks are. Five bundles
-are computed at each point in turn, on the point's frame, and stacked into
-rows. Vector-valued residuals are measured in the g-norm: each is lowered
-by the Cholesky factor u of g0 and reduced by
-:func:`~weakf.sampling.sup_norm`.
+checked by :func:`gated_rows` as the submanifold checks are. One bundle,
+``prop_normal``, is computed at each point in turn, on the point's frame,
+and stacked into rows. Vector-valued residuals are measured in the g-norm:
+each is lowered by the Cholesky factor u of g0 and reduced by
+:func:`~weakf.sampling.sup_norm`; a residual whose values on the test
+pairs hold m nv^2 entries per point is formed ``PAIR_CHUNK`` points at a
+time (:func:`~weakf.fstructure._pair_rows`).
 
 Gates use the exact tolerance (default 1e-9); the report measures the
 curvature steps of ``thm32_chain`` against its own curvature tolerance.
@@ -26,6 +28,7 @@ from functools import partial
 import numpy as np
 
 from .errors import HypothesisNotMet
+from .fstructure import _pair_rows, _rows_abs, _t
 from .sampling import lead_dot, pair_form, sup_abs, sup_norm, unit_rows, worst
 
 TOL_EXACT = 1e-9
@@ -232,16 +235,16 @@ def _at_each_point(body):
     return rows
 
 
-def _prop1(fr):
-    res = {
-        "reeb_parallel_pairs": sup_norm(
-            lead_dot(fr.u, fr.nabla_xi_xi.transpose(2, 0, 1)))
+def _prop1(st):
+    low = lead_dot(st.u, st.nabla_xi_xi.transpose(0, 3, 1, 2), lead=1)
+    ne = np.einsum("pjab,pia->pijb", st.nabla_eta, st.xi0)
+    dual = ((ne @ st.ginv[:, None]) * ne).sum(-1)
+    return {
+        "reeb_parallel_pairs": sup_norm(low, lead=1),
+        "reeb_coparallel": np.sqrt(np.maximum(
+            dual.reshape(len(dual), -1).max(-1), 0.0)),
+        "reeb_killing": st.killing.max(-1),          # a NaN stays
     }
-    ne = np.einsum("jab,ia->ijb", fr.nabla_eta, fr.xi0)
-    dual = ((ne @ fr.ginv) * ne).sum(-1)
-    res["reeb_coparallel"] = float(np.sqrt(np.maximum(dual.max(), 0.0)))
-    res["reeb_killing"] = worst(fr.stacked("killing"))
-    return res
 
 
 def _prop_normal(fr):
@@ -332,56 +335,52 @@ def _thm32_chain(st):
     }
 
 
-def _thm41(fr):
-    db = fr.d_basis
-    res = {"nabla_xi_zero": sup_norm(
-        pair_form(fr.nabla_xi, fr.u, fr.V).transpose(1, 0, 2))}
-    de_d = pair_form(fr.deta, db, db)
-    res["deta_on_d"] = sup_abs(de_d)
+def _thm41(st):
+    db = st.d_basis[:, None]
+    low = pair_form(st.nabla_xi, st.u[:, None], st.V[:, None])
+    res = {"nabla_xi_zero": sup_norm(low.transpose(0, 2, 1, 3), lead=1)}
+    de_d = pair_form(st.deta, db, db)
+    res["deta_on_d"] = sup_abs(de_d, lead=1)
     # conn[i,A,B] = g(D_{e_A} xi_i, e_B) for e_A, e_B in D
-    conn = pair_form(fr.nabla_xi, db @ fr.g0, db).transpose(0, 2, 1)
+    conn = _t(pair_form(st.nabla_xi, (st.d_basis @ st.g0)[:, None], db))
     res["coboundary_vs_connection"] = sup_abs(
-        2.0 * de_d - (conn - conn.transpose(0, 2, 1))
-    )
-    res["d_totally_geodesic"] = sup_abs(conn)
+        2.0 * de_d - (conn - _t(conn)), lead=1)
+    res["d_totally_geodesic"] = sup_abs(conn, lead=1)
     return res
 
 
-def _thm01_i(fr):
-    V = fr.V
-    eta_n1 = lead_dot(fr.eta0, fr.n1_coeff)
-    phq = fr.q0.T @ fr.phi0                     # Phi(QX, Y) = g(QX, fY)
-    res = {"deta_equals_phi_q": sup_abs(pair_form(fr.deta - phq, V, V))}
+def _thm01_i(st):
+    phq = (_t(st.q0) @ st.phi0)[:, None]        # Phi(QX, Y) = g(QX, fY)
+    res = {"deta_equals_phi_q": _pair_rows(_rows_abs, st.deta - phq, st.V)}
     # proof-internal: eta^j(N1(X,Y)) - 2 d eta^j(X,Y) = eta^j([f,f](X,Y)),
     # the right side from the Nijenhuis torsion on the test pairs
-    eta_ff = lead_dot(fr.eta0, fr.nijenhuis_ff())
-    res["eta_n1_expansion"] = sup_abs(
-        pair_form(eta_n1 - 2.0 * fr.deta, V, V) - eta_ff)
+    eta_ff = _pair_rows(lambda ff, eta0: lead_dot(eta0, ff, lead=1),
+                        st.ff_coeff, st.V, None, st.eta0)
+    res["eta_n1_expansion"] = _pair_rows(
+        lambda pairs, ff: _rows_abs(pairs - ff), st.eta_n1 - 2.0 * st.deta,
+        st.V, None, eta_ff)
     # and its reduction through the nearly-S identity:
     # eta^j([f,f](X,Y)) = 2 d eta^j(X,Y) - 4 g(QX, fY)
-    res["eta_ff_reduction"] = sup_abs(
-        eta_ff - pair_form(2.0 * fr.deta - 4.0 * phq, V, V))
+    res["eta_ff_reduction"] = _pair_rows(
+        lambda pairs, ff: _rows_abs(ff - pairs), 2.0 * st.deta - 4.0 * phq,
+        st.V, None, eta_ff)
     return res
 
 
-def _on_basis(fr, t):
-    """t(e_A, e_B, e_C) of a trilinear form on the frame's orthonormal basis."""
-    e = fr.tv.basis
-    return lead_dot(e, pair_form(t, e, e))
-
-
-def _thm01_ii(fr):
-    V = fr.V
-    phqt = fr.qtilde.T @ fr.phi0                # Phi((Q - id)X, Y)
-    c = fr.n1_coeff - 2.0 * fr.xibar[:, None, None] * phqt
-    res = {"n1_equals_qtilde_phi": sup_norm(pair_form(lead_dot(fr.u, c), V, V))}
+def _thm01_ii(st):
+    phqt = _t(st.qtilde) @ st.phi0              # Phi((Q - id)X, Y)
+    c = st.n1_coeff - 2.0 * st.xibar[:, :, None, None] * phqt[:, None]
+    res = {"n1_equals_qtilde_phi": st._vector_rows(c)}
     # proof-internal: 3 dPhi(X,Y,Z) + 3 g((D_X f)Y, Z)
     #                 + 3 g(f^2 X, Y) etabar(Z) - 3 g(f^2 X, Z) etabar(Y) = 0
-    gf2 = (fr.f0 @ fr.f0).T @ fr.g0             # g(f^2 X, Y)
-    gf2_ebar = gf2[:, :, None] * fr.etabar
-    expr = 3.0 * (fr.dphi + fr.nabla_f.transpose(0, 2, 1) @ fr.g0
-                  + gf2_ebar - gf2_ebar.transpose(0, 2, 1))
-    res["dphi_nabla_f_expansion"] = sup_abs(_on_basis(fr, expr))
+    gf2 = _t(st.f0 @ st.f0) @ st.g0             # g(f^2 X, Y)
+    gf2_ebar = gf2[..., None] * st.etabar[:, None, None]
+    expr = 3.0 * (st.dphi + _t(st.nabla_f) @ st.g0[:, None]
+                  + gf2_ebar - _t(gf2_ebar))
+    # on the orthonormal basis: expr(e_A, e_B, e_C)
+    e = st.tv.basis
+    res["dphi_nabla_f_expansion"] = sup_abs(lead_dot(
+        e, pair_form(expr, e[:, None], e[:, None]), lead=1), lead=1)
     return res
 
 
@@ -392,13 +391,13 @@ def _corollary_rigidity(st):
 # Theorem bundles in report order: name -> the chunk's stack -> rows. Their
 # gates are in _GATES.
 _THEOREMS = {
-    "prop1": _at_each_point(_prop1),
+    "prop1": _prop1,
     "prop_normal": _at_each_point(_prop_normal),
     "fk_contact_nabla": _fk_contact_nabla,
     "thm32_chain": _thm32_chain,
-    "thm41": _at_each_point(_thm41),
-    "thm01_i": _at_each_point(_thm01_i),
-    "thm01_ii": _at_each_point(_thm01_ii),
+    "thm41": _thm41,
+    "thm01_i": _thm01_i,
+    "thm01_ii": _thm01_ii,
     "corollary_rigidity": _corollary_rigidity,
 }
 

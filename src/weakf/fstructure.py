@@ -22,8 +22,8 @@ be built for negative controls; the residual report is the verdict.
 pack over a chunk of points, each with a leading point axis. The runner
 builds one per chunk and hands it to every check. A :class:`PackFrame` is
 one point's row of a stack: the stack builds the frames of its points once
-(:attr:`_FrameStack.frames`) for the theorem bodies that are computed at
-each point, and a frame reads its row of every quantity.
+(:attr:`_FrameStack.frames`) for ``prop_normal``, the one theorem body that
+is computed at each point, and a frame reads its row of every quantity.
 """
 
 from __future__ import annotations
@@ -62,13 +62,15 @@ _rows_abs = partial(sup_abs, lead=1)
 _rows_norm = partial(sup_norm, lead=1)
 
 
-def _pair_rows(reduce, c, X, Y=None):
-    """``reduce(pair_form(c, X, Y))`` of the stacks c[P, k, a, b], X[P, A, a]
-    and Y[P, B, b] (Y = X by default), ``PAIR_CHUNK`` points at a time."""
+def _pair_rows(reduce, c, X, Y=None, *also):
+    """``reduce(pair_form(c, X, Y), *also)`` of the stacks c[P, k, a, b],
+    X[P, A, a] and Y[P, B, b] (Y = X by default) and of the further point
+    stacks ``also``, ``PAIR_CHUNK`` points at a time."""
     Y = X if Y is None else Y
     return np.concatenate([
         reduce(pair_form(c[i:i + PAIR_CHUNK], X[i:i + PAIR_CHUNK, None],
-                         Y[i:i + PAIR_CHUNK, None]))
+                         Y[i:i + PAIR_CHUNK, None]),
+               *(a[i:i + PAIR_CHUNK] for a in also))
         for i in range(0, len(c), PAIR_CHUNK)])
 
 
@@ -338,8 +340,10 @@ class _FrameStack(_Fields):
     # as soon as it is formed (the Killing rows: one per Reeb field). A
     # vector identity is lowered by u before it meets the test pairs.
 
-    def _nearly_terms(self):
-        """(D_X f)Y, g(fX,fY) xibar and etabar(Y) f^2 X: [P, k, a, b]."""
+    @cached_property
+    def nearly_terms(self):
+        """(D_X f)Y, g(fX,fY) xibar and etabar(Y) f^2 X: [P, k, a, b], read
+        by the nearly-S and S-structure identities."""
         f0 = self.f0
         gff = self.xibar[:, :, None, None] * (_t(f0) @ self.g0 @ f0)[:, None]
         ef2 = (f0 @ f0)[..., None] * self.etabar[:, None, None]
@@ -350,7 +354,7 @@ class _FrameStack(_Fields):
 
     @cached_property
     def nearly_s_defining(self):
-        nf, gff, ef2 = self._nearly_terms()
+        nf, gff, ef2 = self.nearly_terms
         return self._vector_rows(nf + _t(nf) - 2.0 * gff - _t(ef2) - ef2)
 
     @cached_property
@@ -360,7 +364,7 @@ class _FrameStack(_Fields):
 
     @cached_property
     def s_structure_defining(self):
-        nf, gff, ef2 = self._nearly_terms()
+        nf, gff, ef2 = self.nearly_terms
         return self._vector_rows(nf - gff - ef2)
 
     @cached_property
@@ -386,10 +390,14 @@ class _FrameStack(_Fields):
         return self._vector_rows(self.n1_coeff)
 
     @cached_property
+    def eta_n1(self):
+        """eta^j(N1(e_a, e_b)), read by thm01_i and its gate."""
+        return lead_dot(self.eta0, self.n1_coeff, lead=1)
+
+    @cached_property
     def eta_circ_n1(self):
         """eta^j(N1(X, Y)) on the test pairs: a gate of thm01_i."""
-        return _pair_rows(_rows_abs, lead_dot(self.eta0, self.n1_coeff, lead=1),
-                          self.V)
+        return _pair_rows(_rows_abs, self.eta_n1, self.V)
 
     @cached_property
     def q_equals_id(self):
@@ -454,8 +462,9 @@ class _FrameStack(_Fields):
 
     @cached_property
     def frames(self):
-        """The :class:`PackFrame` of each point, built once. Each holds this
-        stack by a weak proxy, so no reference cycle keeps the chunk's
+        """The :class:`PackFrame` of each point, built once, for the one
+        theorem body computed at each point (``prop_normal``). Each holds
+        this stack by a weak proxy, so no reference cycle keeps the chunk's
         stacks alive once the walk leaves it."""
         stack = weakref.proxy(self)
         return [PackFrame(self.pack, p, index=i, stack=stack)
@@ -468,10 +477,10 @@ class PackFrame(_Fields):
     The frame is a row of ``stack``, the :class:`_FrameStack` of its chunk
     of sample points; the point is sample ``index`` of the run, so row
     ``index - stack.rows.start``. In a run the stack builds its frames
-    (:attr:`_FrameStack.frames`), for the five theorem bodies computed at
-    each point. Without a stack the frame makes a stack of its point alone;
-    a frame of a pack induced on an embedded submanifold takes a stack over
-    the ambient stack of its chunk (see
+    (:attr:`_FrameStack.frames`), for ``prop_normal``, the one theorem body
+    computed at each point. Without a stack the frame makes a stack of its
+    point alone; a frame of a pack induced on an embedded submanifold takes
+    a stack over the ambient stack of its chunk (see
     :func:`weakf.submanifold.induce_structure`). g^-1, Christoffel
     symbols, test vectors and the derived tensors are built once per chunk
     with a leading point axis, and the frame reads its row of each on first

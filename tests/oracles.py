@@ -11,6 +11,7 @@ nesting scalar jet below is the oracle of the package's array jets.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -1004,6 +1005,83 @@ def thm32_chain_at_point(fr, r):
     }
 
 
+# -- the Reeb-field, nearly-C and S-structure theorem bodies at one point ------
+#
+# The engine runs prop1, thm41, thm01_i and thm01_ii over a chunk of points
+# at once, on the chunk's stack. These are the bodies at one point, on a
+# frame that is a row of that stack, as the engine ran them point by point:
+# the reference of the stacked rows.
+
+
+def prop1_at_point(fr):
+    res = {
+        "reeb_parallel_pairs": sup_norm(
+            lead_dot(fr.u, fr.nabla_xi_xi.transpose(2, 0, 1)))
+    }
+    ne = np.einsum("jab,ia->ijb", fr.nabla_eta, fr.xi0)
+    dual = ((ne @ fr.ginv) * ne).sum(-1)
+    res["reeb_coparallel"] = float(np.sqrt(np.maximum(dual.max(), 0.0)))
+    res["reeb_killing"] = worst(fr.stacked("killing"))
+    return res
+
+
+def thm41_at_point(fr):
+    db = fr.d_basis
+    res = {"nabla_xi_zero": sup_norm(
+        pair_form(fr.nabla_xi, fr.u, fr.V).transpose(1, 0, 2))}
+    de_d = pair_form(fr.deta, db, db)
+    res["deta_on_d"] = sup_abs(de_d)
+    # conn[i,A,B] = g(D_{e_A} xi_i, e_B) for e_A, e_B in D
+    conn = pair_form(fr.nabla_xi, db @ fr.g0, db).transpose(0, 2, 1)
+    res["coboundary_vs_connection"] = sup_abs(
+        2.0 * de_d - (conn - conn.transpose(0, 2, 1))
+    )
+    res["d_totally_geodesic"] = sup_abs(conn)
+    return res
+
+
+def thm01_i_at_point(fr):
+    V = fr.V
+    eta_n1 = lead_dot(fr.eta0, fr.n1_coeff)
+    phq = fr.q0.T @ fr.phi0                     # Phi(QX, Y) = g(QX, fY)
+    res = {"deta_equals_phi_q": sup_abs(pair_form(fr.deta - phq, V, V))}
+    # proof-internal: eta^j(N1(X,Y)) - 2 d eta^j(X,Y) = eta^j([f,f](X,Y)),
+    # the right side from the Nijenhuis torsion on the test pairs
+    eta_ff = lead_dot(fr.eta0, fr.nijenhuis_ff())
+    res["eta_n1_expansion"] = sup_abs(
+        pair_form(eta_n1 - 2.0 * fr.deta, V, V) - eta_ff)
+    # and its reduction through the nearly-S identity:
+    # eta^j([f,f](X,Y)) = 2 d eta^j(X,Y) - 4 g(QX, fY)
+    res["eta_ff_reduction"] = sup_abs(
+        eta_ff - pair_form(2.0 * fr.deta - 4.0 * phq, V, V))
+    return res
+
+
+def _on_basis(fr, t):
+    """t(e_A, e_B, e_C) of a trilinear form on the frame's orthonormal basis."""
+    e = fr.tv.basis
+    return lead_dot(e, pair_form(t, e, e))
+
+
+def thm01_ii_at_point(fr):
+    V = fr.V
+    phqt = fr.qtilde.T @ fr.phi0                # Phi((Q - id)X, Y)
+    c = fr.n1_coeff - 2.0 * fr.xibar[:, None, None] * phqt
+    res = {"n1_equals_qtilde_phi": sup_norm(pair_form(lead_dot(fr.u, c), V, V))}
+    # proof-internal: 3 dPhi(X,Y,Z) + 3 g((D_X f)Y, Z)
+    #                 + 3 g(f^2 X, Y) etabar(Z) - 3 g(f^2 X, Z) etabar(Y) = 0
+    gf2 = (fr.f0 @ fr.f0).T @ fr.g0             # g(f^2 X, Y)
+    gf2_ebar = gf2[:, :, None] * fr.etabar
+    expr = 3.0 * (fr.dphi + fr.nabla_f.transpose(0, 2, 1) @ fr.g0
+                  + gf2_ebar - gf2_ebar.transpose(0, 2, 1))
+    res["dphi_nabla_f_expansion"] = sup_abs(_on_basis(fr, expr))
+    return res
+
+
+STACKED_AT_POINT = {"prop1": prop1_at_point, "thm41": thm41_at_point,
+                    "thm01_i": thm01_i_at_point, "thm01_ii": thm01_ii_at_point}
+
+
 # -- the theorem gates at one point ----------------------------------------------
 #
 # The engine reads every theorem gate as a row of the chunk's stack, under
@@ -1321,6 +1399,43 @@ def _shear(m, row, col, t):
 
 def _transpose(a):
     return [list(col) for col in zip(*a)]
+
+
+def d_homothetic_pack(pack, lam):
+    """The D-homothetic deformation of the s = 1 pack ``pack`` by ``lam``:
+    f = sqrt(lam) phi, Q = lam id + (1 - lam) eta (x) xi,
+    eta' = sqrt(lam) eta, xi' = xi / sqrt(lam) and
+    g' = g + (lam - 1) eta (x) eta, for the pack's phi, xi, eta and g.
+
+    Every axiom holds on it: f^2 = -lam id + lam eta (x) xi = -Q + eta' (x)
+    xi', and g'(fX, fY) = lam (g(X, Y) - eta(X) eta(Y)) = g'(X, QY) -
+    eta'(X) eta'(Y). Q = id only at lam = 1.
+    """
+    (xi,), (eta,) = pack.xi, pack.eta
+    m, root = pack.dim, math.sqrt(lam)
+
+    def f_fn(u):
+        return [[root * c for c in row] for row in pack.f.fn(u)]
+
+    def q_fn(u):
+        x, e = xi.fn(u), eta.fn(u)
+        return [[(lam if k == j else 0.0) + (1.0 - lam) * x[k] * e[j]
+                 for j in range(m)] for k in range(m)]
+
+    def g_fn(u):
+        e = eta.fn(u)
+        return [[c + (lam - 1.0) * e[a] * e[b] for b, c in enumerate(row)]
+                for a, row in enumerate(pack.g.fn(u))]
+
+    chart = pack.chart
+    return replace(
+        pack, f=SmoothField(chart, "tensor11", f_fn, name="deformed_f"),
+        Q=SmoothField(chart, "tensor11", q_fn, name="deformed_Q"),
+        xi=(SmoothField(chart, "vector", lambda u: [
+            c / root for c in xi.fn(u)], name="deformed_xi"),),
+        eta=(SmoothField(chart, "oneform", lambda u: [
+            root * c for c in eta.fn(u)], name="deformed_eta"),),
+        g=SmoothField(chart, "metric", g_fn, name="deformed_metric"))
 
 
 def sheared_pack(pack, eps=0.3):

@@ -7,7 +7,7 @@ from oracles import sheared_pack
 from report_digests import CONFIGS
 
 import oracles
-from weakf import catalog, charts
+from weakf import catalog, charts, classifiers
 from weakf.charts import SmoothField
 from weakf.classifiers import (
     class_residual,
@@ -266,6 +266,50 @@ def test_stacked_fk_contact_rows_are_the_point_oracle(config):
             assert list(got) == list(want[0])
             for key, rows in got.items():
                 assert _hex(rows) == [w[key].hex() for w in want], (which, key)
+
+
+def _assert_stacked_bodies_are_the_point_oracle(pack, sub, points):
+    """The bodies of prop1, thm41, thm01_i and thm01_ii over each chunk of
+    ``points``, called without their gates: every row is bitwise the body
+    at that point alone (``oracles.STACKED_AT_POINT``), key for key."""
+    frames = oracles.chunk_frames(pack, points, sub)
+    stacks = list({id(fr._chunk): fr._chunk for fr in frames}.values())
+    assert [len(st.rows) for st in stacks] == [charts.CHUNK, 4]
+    for st in stacks:
+        frs = frames[st.rows.start:st.rows.start + len(st.rows)]
+        for which, at_point in oracles.STACKED_AT_POINT.items():
+            got = classifiers._THEOREMS[which](st)
+            want = [at_point(fr) for fr in frs]
+            assert list(got) == list(want[0]), which
+            for key, rows in got.items():
+                assert _hex(rows) == [w[key].hex() for w in want], (which, key)
+    return stacks
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_stacked_theorem_bodies_are_the_point_oracle(config):
+    pack, sub = oracles.config_example(config)
+    _assert_stacked_bodies_are_the_point_oracle(
+        pack, sub, pack.chart.sample(REFERENCE_SAMPLES, 42))
+
+
+def test_stacked_theorem_bodies_where_q_is_not_the_identity(varying_q_pack,
+                                                            cat_sasakian):
+    # Q = id wherever thm01 runs on the catalog. On the sheared varying-Q
+    # pack Gamma and Q - id are not zero; on the D-homothetic sasakian_s3 at
+    # lam = 2, a valid pack, Phi((Q - id)X, Y) meets N1's Reeb part, so
+    # thm01_ii's rows there depend on the sign of its (Q - id) term. Its
+    # value is not asserted.
+    for pack in (sheared_pack(varying_q_pack),
+                 oracles.d_homothetic_pack(cat_sasakian.obj, 2.0)):
+        stacks = _assert_stacked_bodies_are_the_point_oracle(
+            pack, None, pack.chart.sample(REFERENCE_SAMPLES, 42))
+        for st in stacks:
+            assert st.worst_axiom.max() <= TOL
+            assert st.q_equals_id.max() > 0.1
+            assert np.abs(st.gamma).max() > 0.1
+
+
 @pytest.mark.parametrize("example", sorted(catalog.BUILDERS))
 def test_gate_rows_are_the_point_gates(example):
     # the two gates that were computed at each point, eta o N1 and Q = id,

@@ -115,7 +115,7 @@ def test_g_norm_holds_one_residual_sized_array(read):
                                              ("hypersphere", {"n": 1})])
 def test_a_chunk_is_freed_without_the_garbage_collector(monkeypatch, example,
                                                         params):
-    # the frames a chunk's stack builds for the theorem bodies hold it by a
+    # the frames a chunk's stack builds for prop_normal hold it by a
     # weak proxy: no reference cycle is left for the collector, so the
     # previous chunk's stack is freed by the time the next one is built
     refs, alive = [], []
@@ -262,6 +262,50 @@ def test_one_chunk_of_the_f_k_contact_bundles_stays_within_its_bound():
     assert st.reeb_curvature.shape == (charts.CHUNK, 1, 15, 15)
     assert FK_CHUNK_BYTES < RIEMANN_STACK_BYTES
     assert peak < FK_CHUNK_BYTES, peak
+
+
+# Fixed before the first measurement, for the stacked bodies of prop1,
+# thm41, thm01_i and thm01_ii over one chunk of hypersphere n=7 (m = 15,
+# s = 1, 48 test vectors), their gates and the set-up they share with the
+# other suites built before. The bodies run one at a time. thm01_i meets
+# [f,f] with the test pairs fstructure.PAIR_CHUNK points at a time: a
+# (2, m, 48, 48) array of 0.55 MB with its (2, m, 48, m) left factor of
+# 0.17 MB, and eta^j([f,f]) over the chunk, (P, s, 48, 48) = 0.3 MB, twice
+# while its pieces are joined: 1.3 MB. thm01_ii holds (P, m, m, m) stacks
+# of 0.43 MB: its coefficient and the coefficient lowered by u with a
+# sub-chunk's pairs, 1.6 MB; then the coefficient, g(f^2 X, Y) etabar and
+# the dPhi expansion with up to two temporaries, 2.2 MB. prop1 and thm41
+# hold a few (P, s, m, 48) arrays of 92 KB. The bound stays below the
+# 4.4 MB of [f,f] on the test pairs of the whole chunk at once,
+# (P, m, 48, 48).
+BODIES_CHUNK_BYTES = 3_500_000
+WHOLE_CHUNK_FF_BYTES = 16 * 15 * 48 * 48 * 8
+
+
+def test_one_chunk_of_the_stacked_theorem_bodies_stays_within_its_bound():
+    sub = catalog.hypersphere(n=7).obj
+    pack = induce_structure(sub, validate=False)
+    rows = Rows(sub.domain.sample(charts.CHUNK, seed=42))
+    st = _FrameStack(pack, rows, 42, _AmbientStack(sub, rows))
+    bodies = ("prop1", "thm41", "thm01_i", "thm01_ii")
+    for which in bodies:
+        for gate in classifiers._GATES[which]:
+            gate(st, classifiers.TOL_EXACT)
+    for name in ("nabla_xi_xi", "nabla_xi", "nabla_f", "dphi", "deta",
+                 "d_basis", "ff_coeff", "n1_coeff", "phi0"):
+        getattr(st, name)
+    tracemalloc.start()
+    try:
+        for which in bodies:
+            res = classifiers._THEOREMS[which](st)
+            assert all(rows.shape == (charts.CHUNK,)
+                       for rows in res.values()), which
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.V.shape == (charts.CHUNK, 48, 15)
+    assert BODIES_CHUNK_BYTES < WHOLE_CHUNK_FF_BYTES
+    assert peak < BODIES_CHUNK_BYTES, peak
 
 
 # Fixed before the sample points became one array, from tracemalloc of

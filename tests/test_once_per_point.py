@@ -87,7 +87,8 @@ def _memory(a):
 
 def _sample(caller):
     """The sample of the frame ``fr`` of the innermost call that has one, from
-    1, where a theorem body computed at each point runs; 0 elsewhere."""
+    1, where prop_normal, the one theorem body computed at each point, runs;
+    0 elsewhere, on the chunk's stack."""
     while caller is not None:
         fr = caller.f_locals.get("fr")
         if isinstance(fr, PackFrame):
@@ -327,22 +328,24 @@ def test_killing_residual_once_per_chunk():
 # The class parts and Reeb-frame conditions of a chunk's stack, one row (the
 # Killing residuals one row per Reeb field) over the chunk's points each,
 # and the residuals formed on pairs of a chunk's stacks: 9 of the parts and
-# conditions, the eta o N1 gate of thm01_i, and 7 of the submanifold checks
+# conditions, the eta o N1 gate of thm01_i, 7 of the submanifold checks
 # (the nearly-Kahler gate on the ambient basis, the Weingarten duality, the
-# symmetry of h, and the h-display and the shape display of each case).
+# symmetry of h, and the h-display and the shape display of each case), and
+# 5 of the theorem bodies (the four of thm01_i, [f,f] among them, and
+# N1 - 2 xibar Phi((Q - id).,.) of thm01_ii).
 STACKED_PARTS = ("nearly_s_defining", "nearly_c_defining",
                  "s_structure_defining", "phi_equals_deta", "deta_zero",
                  "dphi_zero", "n1_zero", "killing", "reeb_brackets",
                  "reeb_flat", "reeb_totally_geodesic", "q_parallel_d",
                  "q_parallel_expansion")
-ON_PAIRS = 9 + 1 + 7
+ON_PAIRS = 9 + 1 + 7 + 5
 
 
 @pytest.fixture(scope="module")
 def stacked_run():
     """An all-suite run of hypersphere n=1 over two chunks of points: the
     builds of each stacked part, and (calling function, operand values) ->
-    calls of every pair_form of the fstructure module."""
+    calls of every pair_form of the fstructure and classifiers modules."""
     counts, pairs = Counter(), Counter()
     stack = fstructure._FrameStack
     pair_form = fstructure.pair_form
@@ -358,7 +361,8 @@ def stacked_run():
     with pytest.MonkeyPatch.context() as mp:
         for name in STACKED_PARTS:
             mp.setattr(stack, name, _counted_property(stack, name, counts))
-        mp.setattr(fstructure, "pair_form", counting_pair_form)
+        for mod in (classifiers, fstructure):
+            mp.setattr(mod, "pair_form", counting_pair_form)
         rep = run_suite(SuiteConfig(example="hypersphere", params={"n": 1},
                                     suites=SUITES, samples=CHUNKED))
     assert rep["overall"]["verdict"] == "pass"
@@ -385,12 +389,34 @@ def test_test_pairs_once_per_sub_chunk(stacked_run):
     assert max(n for key, n in made.items() if ZERO not in key) == 1
 
 
+# The contractions with pairs of basis vectors that the stacked theorem
+# bodies make on the whole chunk at once, per chunk: dPhi and D f on the
+# orthonormal basis in thm01_ii (thm41, which makes three on the test and
+# contact bases, skips on hypersphere n=1; prop1 makes none, and thm01_i
+# meets the test pairs in _pair_rows alone).
+BODY_PAIRS = {"_thm01_ii": 1}
+
+
+def test_stacked_bodies_meet_the_pairs_once_per_chunk(stacked_run):
+    # each coefficient tensor of a stacked theorem body meets its pairs once
+    # per chunk, and never twice with the same operands; those on the test
+    # pairs of thm01_i and thm01_ii meet them in _pair_rows (above)
+    _, pairs = stacked_run
+    made = {key: n for key, n in pairs.items() if key[0] in (
+        "_prop1", "_thm41", "_thm01_i", "_thm01_ii")}
+    calls = Counter()
+    for key, n in made.items():
+        calls[key[0]] += n
+    assert calls == {name: 2 * n for name, n in BODY_PAIRS.items()}
+    assert max(n for key, n in made.items() if ZERO not in key) == 1
+
+
 def test_one_chunk_of_state_alive_at_a_time(chunked_run):
     _, counts, metrics = chunked_run
-    # one frame per point, built by the chunk's stack for the theorem
-    # bodies computed at each point: the chunk's other frames may be alive
-    # at a build, the previous chunk's are gone; the submanifold checks read
-    # the chunk's ambient stack, so no ambient point is built
+    # one frame per point, built by the chunk's stack for prop_normal, the
+    # theorem body computed at each point: the chunk's other frames may be
+    # alive at a build, the previous chunk's are gone; the submanifold
+    # checks read the chunk's ambient stack, so no ambient point is built
     assert counts["frame"] == CHUNKED
     assert counts["frame_alive_at_build"] <= charts.CHUNK - 1
     assert counts["ambient"] == 0
@@ -431,12 +457,13 @@ def test_shared_contractions_once_per_sample(counted_run):
 def test_each_coefficient_tensor_contracted_once_per_sample(counted_run):
     _, _, sites = counted_run
     # pair_form(C, V, V): every coefficient tensor C of a bilinear identity
-    # in the theorem bodies computed at each point meets the test pairs once
-    # per sample, wherever it is formed (all-zero coefficients are left out
-    # by _by_value); the class parts, the gates and the submanifold checks
+    # in prop_normal, the theorem body computed at each point, meets the test
+    # pairs once per sample, wherever it is formed (all-zero coefficients are
+    # left out by _by_value): d eta^i(fX, Y) - d eta^i(fY, X). The class
+    # parts, the gates, the submanifold checks and the other theorem bodies
     # meet them on the chunk's stack, outside any sample
-    # (test_test_pairs_once_per_sub_chunk), the eta o N1 gate of thm01_i
-    # among them
+    # (test_test_pairs_once_per_sub_chunk and
+    # test_stacked_bodies_meet_the_pairs_once_per_chunk)
     pairs = {(sample, values): n
              for (sample, helper, operands, values), n in
              _by_value(sites).items()
@@ -445,7 +472,7 @@ def test_each_coefficient_tensor_contracted_once_per_sample(counted_run):
     assert max(pairs.values()) == 1
     per_sample = Counter(sample for sample, _ in pairs)
     assert sorted(per_sample) == list(range(1, SAMPLES + 1))
-    assert min(per_sample.values()) >= 6
+    assert min(per_sample.values()) >= 1
 
 
 def test_second_fundamental_form_once_per_chunk(counted_run):

@@ -78,11 +78,12 @@ def test_suite_entries_do_not_depend_on_other_suites(full_runs):
 
 
 # The only places that build a point's state: a chunk's stack builds a
-# frame per point for the theorem bodies computed at each point, which read
-# the chunk's stacks through it, and every bundle takes the chunk's stacks;
-# no ambient point is built for a run. require_valid_frame builds one of
-# its own to check an embedding's normal frame before any pack exists, and
-# an induced field's value reads that of its point.
+# frame per point for prop_normal, the one theorem body computed at each
+# point, which reads the chunk's stacks through it, and every other bundle
+# takes the chunk's stacks; no ambient point is built for a run.
+# require_valid_frame builds one of its own to check an embedding's normal
+# frame before any pack exists, and an induced field's value reads that of
+# its point.
 BUILDERS = {
     "PackFrame": {("fstructure.py", "frames")},
     "_AmbientPoint": {("submanifold.py", "require_valid_frame"),
@@ -673,6 +674,52 @@ def test_point_body_raising_after_the_failing_gate_still_skips(monkeypatch):
     entries = _reports_at_each_chunk_size(monkeypatch, FK_GATED, "theorems")
     assert _skipped(entries, "prop_normal") == (
         "hypothesis failed: normality (residual 5.000e-01 at point 7)")
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 16])
+def test_stacked_body_raising_before_the_failing_gate_exits_three(
+        monkeypatch, capsys, chunk):
+    # thm01_i's body, over the chunk's stack, raises on the chunk holding
+    # sample 3, and its eta o N1 gate fails from sample 7: the body runs
+    # before the gate raises, and walked alone sample 3 raises first, so
+    # the run fails at sample 3 instead of skipping
+    _patch_stack_rows(monkeypatch, "eta_circ_n1", lambda st, build: (
+        np.where(_late(st, FAIL_FROM), 0.5, build(st))))
+    body = classifiers._thm01_i
+
+    def refusing(st):
+        if st.rows.start <= 3 < st.rows.start + len(st.rows):
+            raise RuntimeError("the body refused sample 3")
+        return body(st)
+
+    monkeypatch.setitem(classifiers._THEOREMS, "thm01_i", refusing)
+    monkeypatch.setattr(charts, "CHUNK", chunk)
+    assert cli.main(["verify", *FK_GATED.split(), "--samples", "10"]) == 3
+    assert ("evaluation failed in theorems.thm01_i[point 3]: "
+            "RuntimeError: the body refused sample 3"
+            ) in capsys.readouterr().err
+
+
+def test_only_prop_normal_builds_frames(monkeypatch):
+    # normality fails at every point of sasakian_s3: prop_normal, the one
+    # theorem body computed on the points' frames, skips at each chunk's
+    # first point before its body runs, so no frame is built, while the
+    # stacked bodies of prop1, thm01_i and thm01_ii report their rows
+    _patch_stack_rows(monkeypatch, "n1_zero",
+                      lambda st, build: np.full(len(st.rows), 0.5))
+    built = []
+    init = fstructure.PackFrame.__init__
+    monkeypatch.setattr(fstructure.PackFrame, "__init__",
+                        lambda fr, *a, **k: built.append(1) or init(fr, *a, **k))
+    rep = run_suite(SuiteConfig(example="sasakian_s3", suites=("theorems",),
+                                samples=charts.CHUNK + 4))
+    assert _skipped(rep["suites"]["theorems"], "prop_normal") == (
+        "hypothesis failed: normality (residual 5.000e-01 at point 0)")
+    for which in ("prop1", "thm01_i", "thm01_ii"):
+        verdicts = [e["verdict"] for e in rep["suites"]["theorems"]
+                    if e["identity"].split(".")[0] == which]
+        assert len(verdicts) >= 2 and set(verdicts) == {"pass"}, which
+    assert built == []
 
 
 def test_no_frame_is_built_where_every_theorem_gate_fails_at_once(
