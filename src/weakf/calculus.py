@@ -4,10 +4,11 @@ Every kernel is a pure numpy function of the value and partial-derivative
 arrays of fields at one chart point (see ``SmoothField.jet``), or at each
 point of a stack: leading axes ``...`` broadcast (the Reeb curvature
 kernel takes one leading point axis), and every row of a stacked result is
-bitwise the kernel at that row's point. ``PackFrame``
-and the submanifold code assemble their tensors from them. Field-level
-versions that take genuine vector fields, and finite differences, live in
-the test suite as independent oracles (``tests/oracles.py``).
+bitwise the kernel at that row's point. The set-up stacks of
+``fstructure`` and ``submanifold`` assemble their tensors from them.
+Field-level versions that take genuine vector fields, and finite
+differences, live in the test suite as independent oracles
+(``tests/oracles.py``).
 
 Conventions, fixed once for the whole engine:
 

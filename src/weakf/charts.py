@@ -27,7 +27,6 @@ twoform    m x m nested list        w[a][b] = w(e_a, e_b)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -136,7 +135,8 @@ CHUNK = 16
 
 def take(value, k):
     """Row ``k`` of a stacked value: an array, a tuple or dict of them, or
-    an object that takes its own ``row(k)``."""
+    an object that takes its own ``row(k)``. A frame reads every quantity
+    of its chunk's stack through it (``PackFrame.__getattr__``)."""
     if isinstance(value, np.ndarray):
         return value[k]
     if isinstance(value, dict):
@@ -144,13 +144,6 @@ def take(value, k):
     if isinstance(value, tuple):
         return tuple(take(v, k) for v in value)
     return value.row(k)
-
-
-def row_of(name):
-    """The attribute of a frame that is its row ``_k`` of the quantity
-    ``name`` of its chunk's stack ``_chunk``, read once."""
-    return cached_property(
-        lambda view: take(getattr(view._chunk, name), view._k))
 
 
 class Rows:

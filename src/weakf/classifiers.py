@@ -4,18 +4,18 @@ Each class part is the sup, over the test frame at a point, of a defining
 identity; a class takes the max over its parts. The parts and the Reeb-frame
 conditions are stacked over a chunk of points, as attributes of
 :class:`~weakf.fstructure._FrameStack` named as the report names them, and a
-frame reads its point's entry as ``frame.stacked(name)``. Theorem checks are
+frame's attribute of the same name is its point's entry. Theorem checks are
 gated: when the hypotheses of a statement fail on the given pack (or read
 NaN), :class:`HypothesisNotMet` is raised instead of reporting a vacuous
 pass. Every theorem bundle takes the chunk's stack and returns one row over
 its points per key, under its gates (``_GATES``), each a row of the stack,
 checked by :func:`gated_rows` as the submanifold checks are. One bundle,
-``prop_normal``, is computed at each point in turn, on the point's frame,
-and stacked into rows. Vector-valued residuals are measured in the g-norm:
-each is lowered by the Cholesky factor u of g0 and reduced by
-:func:`~weakf.sampling.sup_norm`; a residual whose values on the test
-pairs hold m nv^2 entries per point is formed ``PAIR_CHUNK`` points at a
-time (:func:`~weakf.fstructure._pair_rows`).
+``prop_normal``, is computed at each point in turn, on a frame built for
+the point (:func:`_at_each_point`), and stacked into rows. Vector-valued
+residuals are measured in the g-norm: each is lowered by the Cholesky
+factor u of g0 and reduced by :func:`~weakf.sampling.sup_norm`; a residual
+whose values on the test pairs hold m nv^2 entries per point is formed
+``PAIR_CHUNK`` points at a time (:func:`~weakf.fstructure._pair_rows`).
 
 Gates use the exact tolerance (default 1e-9); the report measures the
 curvature steps of ``thm32_chain`` against its own curvature tolerance.
@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .errors import HypothesisNotMet
-from .fstructure import _pair_rows, _rows_abs, _t
+from .fstructure import PackFrame, _pair_rows, _rows_abs, _t
 from .sampling import lead_dot, pair_form, sup_abs, sup_norm, unit_rows, worst
 
 TOL_EXACT = 1e-9
@@ -62,27 +62,26 @@ _CLASS_PARTS = {
 CLASS_TAGS = tuple(_CLASS_PARTS)
 
 
-def class_parts(read, class_tag):
-    """{part: residual} of ``class_tag``, each part read as ``read(name)``:
-    a chunk's rows from its stack (``getattr`` of it), or the values of one
-    frame's point (``frame.stacked``)."""
+def class_parts(source, class_tag):
+    """{part: residual} of ``class_tag``, each part the attribute of
+    ``source`` of its name: a chunk's rows from its stack, or the values of
+    one frame's point."""
     br = {}
     for part in _CLASS_PARTS[class_tag]:
         if part == "axioms":
-            br.update(read("axioms"))
+            br.update(source.axioms)
         elif part == "killing":
-            for i, r in enumerate(np.transpose(read("killing"))):
+            for i, r in enumerate(np.transpose(source.killing)):
                 br[f"killing_xi_{i + 1}"] = r
         else:
-            br[part] = read(part)
+            br[part] = getattr(source, part)
     return br
 
 
 def class_rows(stack, class_tag):
     """The residual of ``class_tag`` at each point of a chunk's stack: the
     largest of its parts, NaN where any part is NaN."""
-    return np.maximum.reduce(list(class_parts(
-        partial(getattr, stack), class_tag).values()))
+    return np.maximum.reduce(list(class_parts(stack, class_tag).values()))
 
 
 def class_residual(pack, p, class_tag, frame):
@@ -94,7 +93,7 @@ def class_residual(pack, p, class_tag, frame):
     """
     if class_tag not in _CLASS_PARTS:
         raise ValueError(f"unknown class tag {class_tag!r}")
-    br = {k: float(v) for k, v in class_parts(frame.stacked, class_tag).items()}
+    br = {k: float(v) for k, v in class_parts(frame, class_tag).items()}
     return worst(br.values()), br
 
 
@@ -105,8 +104,7 @@ def q_parallel_residual(fr):
     over all Y; it must hold whenever the first component holds, and both
     are reported separately.
     """
-    return (float(fr.stacked("q_parallel_d")),
-            float(fr.stacked("q_parallel_expansion")))
+    return float(fr.q_parallel_d), float(fr.q_parallel_expansion)
 
 
 def frame_residuals(fr):
@@ -117,7 +115,7 @@ def frame_residuals(fr):
     themselves, so the totally-geodesic residual is always bounded by the
     flatness residual.
     """
-    return {name: float(fr.stacked(name)) for name in FRAME_CONDITIONS}
+    return {name: float(getattr(fr, name)) for name in FRAME_CONDITIONS}
 
 
 # -- gated theorem checks ---------------------------------------------------------
@@ -227,10 +225,13 @@ def theorem_check(pack, p, which, frame, tol_exact=TOL_EXACT):
 
 
 def _at_each_point(body):
-    """The bundle that runs ``body(frame) -> {key: residual}`` on the frame
-    of each point of a chunk's stack in turn, as rows over the chunk."""
+    """The bundle that runs ``body(frame) -> {key: residual}`` at each point
+    of a chunk's stack in turn, as rows over the chunk: it builds each
+    point's :class:`~weakf.fstructure.PackFrame`, a row view of the stack,
+    as it walks, and drops it after the point's body."""
     def rows(st):
-        res = [body(fr) for fr in st.frames]
+        res = [body(PackFrame(st.pack, p, index=i, stack=st))
+               for i, p in enumerate(st.rows.points, st.rows.start)]
         return {key: np.array([r[key] for r in res]) for key in res[0]}
     return rows
 

@@ -21,21 +21,20 @@ be built for negative controls; the residual report is the verdict.
 :class:`_FrameStack` holds jets, Christoffel symbols and test vectors of a
 pack over a chunk of points, each with a leading point axis. The runner
 builds one per chunk and hands it to every check. A :class:`PackFrame` is
-one point's row of a stack: the stack builds the frames of its points once
-(:attr:`_FrameStack.frames`) for ``prop_normal``, the one theorem body that
-is computed at each point, and a frame reads its row of every quantity.
+one point's row of a stack: every attribute of the frame is its row of the
+stack's quantity of the same name. Frames are built per point only for
+``prop_normal``, the one theorem body computed at each point.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
 
 from . import calculus
-from .charts import Rows, row_of, take
+from .charts import Rows, take
 from .errors import DegenerateOperatorError
 from .sampling import (
     build_test_vectors,
@@ -98,31 +97,7 @@ class StructurePack:
         return self.chart.dim
 
 
-class _Fields:
-    """The fields' order-1 jets, read from ``_jets``."""
-
-    g0 = property(lambda self: self._jets["g"][0])
-    g1 = property(lambda self: self._jets["g"][1])
-    f0 = property(lambda self: self._jets["f"][0])
-    f1 = property(lambda self: self._jets["f"][1])
-    q0 = property(lambda self: self._jets["q"][0])
-    q1 = property(lambda self: self._jets["q"][1])
-    xi0 = property(lambda self: self._jets["xi"][0])
-    xi1 = property(lambda self: self._jets["xi"][1])
-    eta0 = property(lambda self: self._jets["eta"][0])
-    eta1 = property(lambda self: self._jets["eta"][1])
-    xibar = property(lambda self: self.xi0.sum(axis=-2))
-    etabar = property(lambda self: self.eta0.sum(axis=-2))
-    qtilde = property(lambda self: self.q0 - np.eye(self.q0.shape[-1]))
-
-    # the test vectors as rows, and the upper Cholesky factor of g0 = u^T u:
-    # a vector residual C lowered by it, lead_dot(u, C), has its g-norm as
-    # its Euclidean norm (see sup_norm), and the test basis is u^-T
-    V = property(lambda self: self.tv.vectors)
-    u = property(lambda self: self.tv.factor)
-
-
-class _FrameStack(_Fields):
+class _FrameStack:
     """The set-up of a pack's frames at the points of ``rows``.
 
     Every quantity is stacked on a leading point axis and built on first
@@ -138,6 +113,28 @@ class _FrameStack(_Fields):
         self.rows = rows
         self.rngs = [point_rng(seed, rows.start + k) for k in range(len(rows))]
         self.ambient = ambient
+
+    # the fields' order-1 jets, read from _jets
+    g0 = property(lambda self: self._jets["g"][0])
+    g1 = property(lambda self: self._jets["g"][1])
+    f0 = property(lambda self: self._jets["f"][0])
+    f1 = property(lambda self: self._jets["f"][1])
+    q0 = property(lambda self: self._jets["q"][0])
+    q1 = property(lambda self: self._jets["q"][1])
+    xi0 = property(lambda self: self._jets["xi"][0])
+    xi1 = property(lambda self: self._jets["xi"][1])
+    eta0 = property(lambda self: self._jets["eta"][0])
+    eta1 = property(lambda self: self._jets["eta"][1])
+    # built once per chunk: every frame of prop_normal takes its row of qtilde
+    xibar = cached_property(lambda self: self.xi0.sum(axis=-2))
+    etabar = cached_property(lambda self: self.eta0.sum(axis=-2))
+    qtilde = cached_property(lambda self: self.q0 - np.eye(self.q0.shape[-1]))
+
+    # the test vectors as rows, and the upper Cholesky factor of g0 = u^T u:
+    # a vector residual C lowered by it, lead_dot(u, C), has its g-norm as
+    # its Euclidean norm (see sup_norm), and the test basis is u^-T
+    V = property(lambda self: self.tv.vectors)
+    u = property(lambda self: self.tv.factor)
 
     @cached_property
     def _jets(self):
@@ -460,34 +457,22 @@ class _FrameStack(_Fields):
         :meth:`weakf.submanifold._AmbientStack.thsubm_parts`)."""
         return self.ambient.thsubm_parts(self)
 
-    @cached_property
-    def frames(self):
-        """The :class:`PackFrame` of each point, built once, for the one
-        theorem body computed at each point (``prop_normal``). Each holds
-        this stack by a weak proxy, so no reference cycle keeps the chunk's
-        stacks alive once the walk leaves it."""
-        stack = weakref.proxy(self)
-        return [PackFrame(self.pack, p, index=i, stack=stack)
-                for i, p in enumerate(self.rows.points, self.rows.start)]
 
+class PackFrame:
+    """All jets and test data of a pack at a single chart point: a row view
+    of ``stack``, the :class:`_FrameStack` of its chunk of sample points.
 
-class PackFrame(_Fields):
-    """All jets and test data of a pack at a single chart point.
-
-    The frame is a row of ``stack``, the :class:`_FrameStack` of its chunk
-    of sample points; the point is sample ``index`` of the run, so row
-    ``index - stack.rows.start``. In a run the stack builds its frames
-    (:attr:`_FrameStack.frames`), for ``prop_normal``, the one theorem body
-    computed at each point. Without a stack the frame makes a stack of its
+    The point is sample ``index`` of the run, so row ``index -
+    stack.rows.start``. Without a stack the frame makes a stack of its
     point alone; a frame of a pack induced on an embedded submanifold takes
     a stack over the ambient stack of its chunk (see
-    :func:`weakf.submanifold.induce_structure`). g^-1, Christoffel
-    symbols, test vectors and the derived tensors are built once per chunk
-    with a leading point axis, and the frame reads its row of each on first
-    use, the residual rows of the axioms, the class parts and the
-    Reeb-frame conditions included (:meth:`stacked`). The runner hands
-    every bundle the stack itself; the Reeb curvature
-    (:attr:`_FrameStack.reeb_curvature`) has no row on a frame.
+    :func:`weakf.submanifold.induce_structure`). Every quantity of the
+    stack reads as the frame's row of it, ``frame.name``, taken on first
+    read and kept: the jets, the test vectors, the derived tensors and the
+    residual rows of the axioms, the class parts and the Reeb-frame
+    conditions. In a run, frames are built only for ``prop_normal``, the
+    one theorem body computed at each point; the runner hands every other
+    bundle the stack itself.
     """
 
     def __init__(self, pack, p, seed=0, index=0, stack=None):
@@ -498,27 +483,14 @@ class PackFrame(_Fields):
         self._chunk = stack
         self._k = index - stack.rows.start
 
-    _jets = row_of("_jets")
-    ginv = row_of("ginv")
-    gamma = row_of("gamma")
-    phi0 = row_of("phi0")
-    dphi = row_of("dphi")
-    deta = row_of("deta")
-    nabla_f = row_of("nabla_f")
-    nabla_q = row_of("nabla_q")
-    nabla_xi = row_of("nabla_xi")
-    nabla_xi_xi = row_of("nabla_xi_xi")
-    nabla_eta = row_of("nabla_eta")
-    lie_g_xi = row_of("lie_g_xi")
-    tv = row_of("tv")
-    d_basis = row_of("d_basis")
-    ff_coeff = row_of("ff_coeff")
-    n1_coeff = row_of("n1_coeff")
-    n2_coeff = row_of("n2_coeff")
-
-    def stacked(self, name):
-        """The frame's row of the quantity ``name`` of its chunk's stack."""
-        return take(getattr(self._chunk, name), self._k)
+    def __getattr__(self, name):
+        """The frame's row of the quantity ``name`` of its chunk's stack,
+        read once."""
+        if name in ("_chunk", "_k") or name.startswith("__"):
+            raise AttributeError(name)
+        row = take(getattr(self._chunk, name), self._k)
+        setattr(self, name, row)
+        return row
 
     # -- structure tensor evaluators -------------------------------------------
 
@@ -547,4 +519,4 @@ def axioms_residual(fr):
     positive-definite at a point of the chunk: the object leaves the weak
     class.
     """
-    return {key: float(v) for key, v in fr.stacked("axioms").items()}
+    return {key: float(v) for key, v in fr.axioms.items()}

@@ -910,7 +910,7 @@ def thsubm_at_point(fr, ap, case):
     }
     conclusion = "nearly_s_defining" if case == "i" else "nearly_c_defining"
     key = "conclusion_weak_nearly_S" if case == "i" else "conclusion_weak_nearly_C"
-    res[key] = float(fr.stacked(conclusion))
+    res[key] = float(getattr(fr, conclusion))
     return res
 
 
@@ -928,8 +928,8 @@ def parallel_q_at_point(fr, ap):
             lead_dot(ap.ubar, ap.tangent_part(f2n.T))),
         "tangential_nabla_fbar_sq": sup_norm(
             lead_dot(ap.ubar, ap.tangent_part(t))),
-        "q_parallel_d": float(fr.stacked("q_parallel_d")),
-        "q_parallel_expansion": float(fr.stacked("q_parallel_expansion")),
+        "q_parallel_d": float(fr.q_parallel_d),
+        "q_parallel_expansion": float(fr.q_parallel_expansion),
     }
 
 
@@ -961,9 +961,9 @@ def submanifold_at_point(fr):
 def fk_gates_at_point(fr):
     """The gates of both f-K-contact bundles at the frame's point, in the
     order they are checked."""
-    return {"weak_metric_f_axioms": float(fr.stacked("worst_axiom")),
-            "phi_equals_deta": float(fr.stacked("phi_equals_deta")),
-            "killing_reeb": worst(fr.stacked("killing"))}
+    return {"weak_metric_f_axioms": float(fr.worst_axiom),
+            "phi_equals_deta": float(fr.phi_equals_deta),
+            "killing_reeb": worst(fr.killing)}
 
 
 def fk_contact_nabla_at_point(fr):
@@ -1021,7 +1021,7 @@ def prop1_at_point(fr):
     ne = np.einsum("jab,ia->ijb", fr.nabla_eta, fr.xi0)
     dual = ((ne @ fr.ginv) * ne).sum(-1)
     res["reeb_coparallel"] = float(np.sqrt(np.maximum(dual.max(), 0.0)))
-    res["reeb_killing"] = worst(fr.stacked("killing"))
+    res["reeb_killing"] = worst(fr.killing)
     return res
 
 
@@ -1098,10 +1098,10 @@ def gate(check, name, residual, tol):
 
 def nearly_class_gate(fr, check, tol):
     """Require the pack to be weak nearly S or weak nearly C."""
-    rs = fr.stacked("nearly_s_defining")
+    rs = fr.nearly_s_defining
     if rs <= tol:
         return "weak_nearly_S"
-    rc = fr.stacked("nearly_c_defining")
+    rc = fr.nearly_c_defining
     if rc <= tol:
         return "weak_nearly_C"
     if rs <= rc:
@@ -1112,11 +1112,11 @@ def nearly_class_gate(fr, check, tol):
 def frame_gates(fr, check, tol):
     for name in ("reeb_brackets", "reeb_totally_geodesic", "reeb_flat",
                  "q_parallel_d"):
-        gate(check, name, fr.stacked(name), tol)
+        gate(check, name, getattr(fr, name), tol)
 
 
 def thm01_gates(fr, check, tol):
-    gate(check, "weak_nearly_S", fr.stacked("nearly_s_defining"), tol)
+    gate(check, "weak_nearly_S", fr.nearly_s_defining, tol)
     frame_gates(fr, check, tol)
 
 
@@ -1133,26 +1133,26 @@ def q_equals_id_at_point(fr):
 def theorem_gates_at_point(fr, which, tol=1e-9):
     """Check the gates of the theorem bundle ``which`` at the frame's point
     in their order, the axioms first; raise at the first that fails."""
-    gate(which, "weak_metric_f_axioms", float(fr.stacked("worst_axiom")), tol)
+    gate(which, "weak_metric_f_axioms", float(fr.worst_axiom), tol)
     if which == "prop1":
         nearly_class_gate(fr, which, tol)
         frame_gates(fr, which, tol)
     elif which == "prop_normal":
-        gate(which, "normality", fr.stacked("n1_zero"), tol)
+        gate(which, "normality", fr.n1_zero, tol)
     elif which in ("fk_contact_nabla", "thm32_chain"):
         for name, value in fk_gates_at_point(fr).items():
             gate(which, name, value, tol)
     elif which == "thm41":
-        gate(which, "weak_nearly_C", fr.stacked("nearly_c_defining"), tol)
+        gate(which, "weak_nearly_C", fr.nearly_c_defining, tol)
     elif which == "thm01_i":
         thm01_gates(fr, which, tol)
         gate(which, "eta_circ_n1", eta_circ_n1_at_point(fr), tol)
     elif which == "thm01_ii":
         thm01_gates(fr, which, tol)
-        gate(which, "phi_equals_deta", fr.stacked("phi_equals_deta"), tol)
+        gate(which, "phi_equals_deta", fr.phi_equals_deta, tol)
     else:
-        gate(which, "weak_nearly_S", fr.stacked("nearly_s_defining"), tol)
-        gate(which, "normal", fr.stacked("n1_zero"), tol)
+        gate(which, "weak_nearly_S", fr.nearly_s_defining, tol)
+        gate(which, "normal", fr.n1_zero, tol)
         gate(which, "Q_equals_id", q_equals_id_at_point(fr), tol)
 
 

@@ -242,7 +242,7 @@ def test_criterion_09_negative_controls():
         fr = PackFrame(scaled_f, p)
         ax = axioms_residual(fr)
         assert ax["f_squared"] >= 0.1 and ax["compatibility"] >= 0.1
-        assert fr.stacked("s_structure_defining") >= 0.1
+        assert fr.s_structure_defining >= 0.1
 
         scaled_eta = replaced(
             sas, eta=tuple(scale_field(e, 1.05) for e in sas.eta)

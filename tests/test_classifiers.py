@@ -89,7 +89,7 @@ def test_killing_residuals(cat_product, cat_sasakian, cat_flat):
         pack = cat.obj
         for i, p in enumerate(pack.chart.sample(4, seed=7)):
             fr = PackFrame(pack, p, seed=7, index=i)
-            assert max(fr.stacked("killing")) <= TOL
+            assert max(fr.killing) <= TOL
 
     # rescaling the Reeb field by a coordinate function breaks the isometry
     pack = cat_flat.obj
@@ -106,7 +106,7 @@ def test_killing_residuals(cat_product, cat_sasakian, cat_flat):
         n=pack.n, s=pack.s,
     )
     p = pack.chart.sample(1, seed=7)[0]
-    assert PackFrame(broken, p).stacked("killing")[0] > 0.1
+    assert PackFrame(broken, p).killing[0] > 0.1
 
 
 def test_q_parallel_residuals(cat_flat, cat_product, cat_sasakian):
@@ -310,6 +310,35 @@ def test_stacked_theorem_bodies_where_q_is_not_the_identity(varying_q_pack,
             assert np.abs(st.gamma).max() > 0.1
 
 
+# The theorem entries that follow from the hypotheses whatever the sign of
+# the (Q - id) terms, on the D-homothetic sasakian_s3 (a valid pack with
+# Q != id), bodies run without their gates; measured at seed 42 over 10
+# samples at most 1.03e-14 (thm01_ii's dPhi expansion at lam = 2). The
+# other entries of thm01_i and thm01_ii depend on that sign and are not
+# asserted: n1_equals_qtilde_phi, deta_equals_phi_q and eta_ff_reduction.
+Q_FREE_ENTRIES = {
+    "prop1": ("reeb_parallel_pairs", "reeb_coparallel", "reeb_killing"),
+    "thm41": ("coboundary_vs_connection",),
+    "thm01_i": ("eta_n1_expansion",),
+    "thm01_ii": ("dphi_nabla_f_expansion",),
+}
+Q_FREE_TOL = 1e-13
+
+
+@pytest.mark.parametrize("lam", [2.0, 0.5])
+def test_q_free_theorem_entries_hold_where_q_is_not_the_identity(
+        cat_sasakian, lam):
+    pack = oracles.d_homothetic_pack(cat_sasakian.obj, lam)
+    st = oracles.stack(pack, pack.chart.sample(10, 42))
+    assert st.worst_axiom.max() <= TOL
+    assert st.q_equals_id.max() > 0.1
+    for which, keys in Q_FREE_ENTRIES.items():
+        rows = classifiers._THEOREMS[which](st)
+        assert set(keys) <= set(rows), which
+        for key in keys:
+            assert rows[key].max() <= Q_FREE_TOL, (which, key, rows[key])
+
+
 @pytest.mark.parametrize("example", sorted(catalog.BUILDERS))
 def test_gate_rows_are_the_point_gates(example):
     # the two gates that were computed at each point, eta o N1 and Q = id,
@@ -354,16 +383,6 @@ def test_theorem_gates_fail_where_the_point_gates_do(config):
 GRID = (0.0, 1e-12, 1e-9, 5e-9, 0.5, 2.0, np.nan, np.inf)
 
 
-class _PointRows:
-    """A frame that reads the class residuals of one point."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def stacked(self, name):
-        return np.float64(self.rows[name])
-
-
 def test_nearly_s_or_c_gate_is_the_point_oracle():
     # the gate "weak nearly S or weak nearly C" as a row: at each pair of
     # residuals on the grid, alone and as one row of a stack of them all,
@@ -373,7 +392,9 @@ def test_nearly_s_or_c_gate_is_the_point_oracle():
                          nearly_c_defining=np.array([rc for _, rc in pairs]))
     names, rows = _nearly_s_or_c(st, TOL)
     for k, (rs, rc) in enumerate(pairs):
-        fr = _PointRows({"nearly_s_defining": rs, "nearly_c_defining": rc})
+        # a frame that reads the class residuals of one point
+        fr = SimpleNamespace(nearly_s_defining=np.float64(rs),
+                             nearly_c_defining=np.float64(rc))
         try:
             oracles.nearly_class_gate(fr, "prop1", TOL)
         except HypothesisNotMet as exc:
@@ -463,7 +484,7 @@ def test_implication_lattice(all_packs):
         av = _verdict(pack, "weak_almost_S", count=3)
         if av.holds:
             kil = max(
-                max(PackFrame(pack, p).stacked("killing"))
+                max(PackFrame(pack, p).killing)
                 for p in pack.chart.sample(3, 5)
             )
             if kil <= TOL:
@@ -481,7 +502,7 @@ def test_symmetrized_residual_matches_diagonal(all_packs):
             # a fresh frame, since its stack keeps the residual it computes
             one = PackFrame(pack, p, seed=71)
             one._chunk.tv = replace(fr._chunk.tv, vectors=x[None, None])
-            pair = one.stacked("nearly_s_defining")
+            pair = one.nearly_s_defining
             nf_xx = np.einsum("i,ikj,j->k", x, fr.nabla_f, x)
             fx = fr.f0 @ x
             diag = (

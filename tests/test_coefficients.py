@@ -51,7 +51,7 @@ def frames(request):
 def test_class_residuals_match_pair_oracle(frames):
     for fr in frames:
         for part, oracle in RESIDUALS.items():
-            got = fr.stacked(part)
+            got = getattr(fr, part)
             assert _close(got, getattr(oracles, oracle)(fr, fr.V)), part
 
 

@@ -1,12 +1,18 @@
 """Each frame is a row of its chunk's set-up stacks: every stacked quantity
-equals, bit for bit, the one built for the point alone."""
+equals, bit for bit, the one built for the point alone, and a frame reads
+every quantity of its stack as its row."""
+
+import copy
+from dataclasses import fields
+from functools import cached_property
 
 import numpy as np
 import pytest
 from report_digests import CONFIGS
 
 import oracles
-from weakf import charts
+from weakf import charts, sampling
+from weakf.fstructure import PackFrame, _FrameStack
 
 SAMPLES = 10
 SEED = 42
@@ -70,3 +76,70 @@ def test_stacked_rows_equal_the_point_alone(monkeypatch, argv):
         for name in AMBIENT_QUANTITIES:
             assert np.array_equal(getattr(chunked_ap, name),
                                   getattr(alone_ap, name)), (i, name)
+
+
+def _row(value, k):
+    """Row ``k`` of a stacked value, taken field by field."""
+    if isinstance(value, dict):
+        return {key: _row(v, k) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(_row(v, k) for v in value)
+    if isinstance(value, sampling.TestVectors):
+        return sampling.TestVectors(value.vectors[k], value.n_basis,
+                                    value.triples[k], value.factor[k])
+    return value[k]
+
+
+def _bits(value):
+    """A key that two values share exactly when they are bitwise equal."""
+    if isinstance(value, dict):
+        return tuple((key, _bits(v)) for key, v in value.items())
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    if isinstance(value, sampling.TestVectors):
+        return tuple(_bits(getattr(value, f.name)) for f in fields(value))
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.dtype.str, value.shape, value.tobytes()
+    return value
+
+
+# Every quantity of a chunk's set-up stack, by name.
+STACK_NAMES = tuple(name for name, v in vars(_FrameStack).items()
+                    if isinstance(v, (property, cached_property)))
+
+# The quantities a frame used to form from its own rows, as it formed them.
+PER_POINT = {
+    "xibar": lambda fr: fr.xi0.sum(axis=-2),
+    "etabar": lambda fr: fr.eta0.sum(axis=-2),
+    "qtilde": lambda fr: fr.q0 - np.eye(fr.q0.shape[-1]),
+    "V": lambda fr: fr.tv.vectors,
+    "u": lambda fr: fr.tv.factor,
+}
+
+
+@pytest.mark.parametrize("argv", ["--example flat_pack",
+                                  "--example sasakian_s3",
+                                  "--example hypersphere --param n=1"])
+def test_a_frame_reads_each_stack_quantity_as_its_row(argv):
+    pack, sub = oracles.config_example(argv)
+    points = pack.chart.sample(charts.CHUNK + 3, SEED)
+    frames = oracles.chunk_frames(pack, points, sub, SEED)
+    assert len({id(fr._chunk) for fr in frames}) == 2
+    assert set(PER_POINT) <= set(STACK_NAMES)
+    names = [name for name in STACK_NAMES
+             if sub is not None or name != "thsubm_parts"]
+    for fr in frames:
+        for name in names:
+            row = _row(getattr(fr._chunk, name), fr._k)
+            assert _bits(getattr(fr, name)) == _bits(row), (fr._k, name)
+        for name, formed in PER_POINT.items():
+            assert _bits(formed(fr)) == _bits(getattr(fr, name)), name
+    fr = frames[-1]
+    with pytest.raises(AttributeError):
+        fr.no_such_quantity
+    # a copy starts without _chunk: reading it must not recurse
+    twin = copy.copy(fr)
+    assert twin._chunk is fr._chunk and twin._k == fr._k
+    assert _bits(twin.V) == _bits(fr.V)
+    with pytest.raises(AttributeError):
+        PackFrame.__new__(PackFrame)._chunk

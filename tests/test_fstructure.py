@@ -136,7 +136,7 @@ def _assert_parts_are_the_point_oracle(pack, sub=None, seed=42):
         alone = oracles.parts_at_point(fr)
         stacked = {part: classifiers.class_residual(pack, fr.p, tag, fr)[1][part]
                    for part, tag in CLASS_OF_PART.items()}
-        stacked["killing"] = fr.stacked("killing").tolist()
+        stacked["killing"] = fr.killing.tolist()
         stacked.update(classifiers.frame_residuals(fr))
         stacked["q_parallel_expansion"] = classifiers.q_parallel_residual(fr)[1]
         assert stacked.keys() == alone.keys()

@@ -23,16 +23,11 @@ from weakf.report import SUITES, SuiteConfig, run_suite
 
 SAMPLES = 3
 
-# Frame arrays that the contraction counts recognise as operands, by the
-# PackFrame attribute that builds them. u is the Cholesky factor of g0 that
-# vector residuals are lowered by; a lowered coefficient, lead_dot(u, C), is
-# named by its source array C.
-FRAME_ARRAYS = {
-    "tv": {"V": lambda tv: tv.vectors, "u": lambda tv: tv.factor},
-    "_jets": {"xi0": lambda j: j["xi"][0], "xi1": lambda j: j["xi"][1]},
-    "d_basis": {"d_basis": lambda a: a},
-    "nabla_q": {"nabla_q": lambda a: a},
-}
+# Frame rows that the contraction counts recognise as operands, by the
+# name a frame reads them under. u is the Cholesky factor of g0 that vector
+# residuals are lowered by; a lowered coefficient, lead_dot(u, C), is named
+# by its source array C.
+FRAME_ARRAYS = ("V", "u", "xi0", "xi1", "d_basis", "nabla_q")
 
 
 def _tracked(init, refs, counts, name):
@@ -97,20 +92,19 @@ def _sample(caller):
     return 0
 
 
-def _recording(prop, picks, names, owners, alive):
-    """``prop`` (a cached property) that names the arrays it builds, and
-    records each by where its elements are."""
-    def get(fr):
-        val = prop.func(fr)
-        for name, pick in picks.items():
-            arr = pick(val)
-            alive.append(arr)
-            names[id(arr)] = name
-            owners[_memory(arr)] = id(arr)
+def _recording(getattr_, names, owners, alive, counts):
+    """``PackFrame.__getattr__`` that names the rows of FRAME_ARRAYS it takes
+    from the chunk's stack, records each by where its elements are, and
+    counts the takes of each name under ``frame.<name>``."""
+    def get(fr, name):
+        val = getattr_(fr, name)
+        counts[f"frame.{name}"] += 1
+        if name in FRAME_ARRAYS:
+            alive.append(val)
+            names[id(val)] = name
+            owners[_memory(val)] = id(val)
         return val
-    rec = cached_property(get)
-    rec.__set_name__(PackFrame, prop.attrname)
-    return rec
+    return get
 
 
 @pytest.fixture(scope="module")
@@ -154,9 +148,8 @@ def counted_run():
                           (submanifold._AmbientPoint, "ambient"),
                           (PackFrame, "frame")):
             mp.setattr(cls, "__init__", _tracked(cls.__init__, [], counts, name))
-        for attr, picks in FRAME_ARRAYS.items():
-            mp.setattr(PackFrame, attr, _recording(
-                vars(PackFrame)[attr], picks, names, owners, alive))
+        mp.setattr(PackFrame, "__getattr__", _recording(
+            PackFrame.__getattr__, names, owners, alive, counts))
         for name in ("metric_inverse", "christoffel_from_jets"):
             mp.setattr(calculus, name, _counting(
                 getattr(calculus, name), counts, name))
@@ -166,8 +159,9 @@ def counted_run():
         for attr in ("shape_operators", "coordinate_derivative", "hn",
                      "nearly_kahler"):
             mp.setattr(ambient, attr, _counted_property(ambient, attr, counts))
-        mp.setattr(PackFrame, "nabla_xi_xi", _counted_property(
-            PackFrame, "nabla_xi_xi", counts))
+        stack = fstructure._FrameStack
+        mp.setattr(stack, "nabla_xi_xi", _counted_property(
+            stack, "nabla_xi_xi", counts))
         for mod in (classifiers, fstructure, submanifold):
             mp.setattr(mod, "np", counted_np)
             for helper in ("pair_form", "lead_dot"):
@@ -413,12 +407,12 @@ def test_stacked_bodies_meet_the_pairs_once_per_chunk(stacked_run):
 
 def test_one_chunk_of_state_alive_at_a_time(chunked_run):
     _, counts, metrics = chunked_run
-    # one frame per point, built by the chunk's stack for prop_normal, the
-    # theorem body computed at each point: the chunk's other frames may be
-    # alive at a build, the previous chunk's are gone; the submanifold
+    # one frame per point, built for prop_normal, the theorem body computed
+    # at each point, as it walks the chunk: no earlier frame is alive at a
+    # build, the previous chunk's are gone; the submanifold
     # checks read the chunk's ambient stack, so no ambient point is built
     assert counts["frame"] == CHUNKED
-    assert counts["frame_alive_at_build"] <= charts.CHUNK - 1
+    assert counts["frame_alive_at_build"] == 0
     assert counts["ambient"] == 0
     # one set-up stack per chunk, and the previous chunk's stacks are gone
     # when the walk reaches the next one: the memory they hold is bounded
@@ -449,9 +443,11 @@ def test_shared_contractions_once_per_sample(counted_run):
     shared = _by_value(sites)
     assert len(shared) > 50
     assert max(shared.values()) == 1
-    # D_xi xi is read by frame_residuals, prop1 and prop_normal; it is
-    # formed with @, which the count above does not see
-    assert counts["nabla_xi_xi"] == SAMPLES
+    # D_xi xi is read by the Reeb-frame conditions, prop1 and prop_normal;
+    # it is formed with @, which the count above does not see: once for the
+    # chunk's stack, and each point's frame takes its row once
+    assert counts["nabla_xi_xi"] == 1
+    assert counts["frame.nabla_xi_xi"] == SAMPLES
 
 
 def test_each_coefficient_tensor_contracted_once_per_sample(counted_run):

@@ -77,15 +77,16 @@ def test_suite_entries_do_not_depend_on_other_suites(full_runs):
             assert alone == {suite: full[suite]}, (ex, params, suite)
 
 
-# The only places that build a point's state: a chunk's stack builds a
-# frame per point for prop_normal, the one theorem body computed at each
-# point, which reads the chunk's stacks through it, and every other bundle
-# takes the chunk's stacks; no ambient point is built for a run.
+# The only places that build a point's state: the bundle of prop_normal,
+# the one theorem body computed at each point, builds a frame per point as
+# it walks the chunk (in the rows function of classifiers._at_each_point)
+# and reads the chunk's stacks through it, and every other bundle takes the
+# chunk's stacks; no ambient point is built for a run.
 # require_valid_frame builds one of its own to check an embedding's normal
 # frame before any pack exists, and an induced field's value reads that of
 # its point.
 BUILDERS = {
-    "PackFrame": {("fstructure.py", "frames")},
+    "PackFrame": {("classifiers.py", "rows")},
     "_AmbientPoint": {("submanifold.py", "require_valid_frame"),
                       ("submanifold.py", "value")},
 }
