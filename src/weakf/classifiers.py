@@ -4,7 +4,9 @@ Each class part is the sup, over the test frame at a point, of a defining
 identity; a class takes the max over its parts. The parts and the Reeb-frame
 conditions are stacked over a chunk of points, as attributes of
 :class:`~weakf.fstructure._FrameStack` named as the report names them, and a
-frame's attribute of the same name is its point's entry. Theorem checks are
+frame's attribute of the same name is its point's entry: the class and
+frame checks give rows on a stack, as the runner calls them, and values on
+a frame. Theorem checks are
 gated: when the hypotheses of a statement fail on the given pack (or read
 NaN), :class:`HypothesisNotMet` is raised instead of reporting a vacuous
 pass. Every theorem bundle takes the chunk's stack and returns one row over
@@ -29,7 +31,7 @@ import numpy as np
 
 from .errors import HypothesisNotMet
 from .fstructure import PackFrame, _pair_rows, _rows_abs, _t
-from .sampling import lead_dot, pair_form, sup_abs, sup_norm, unit_rows, worst
+from .sampling import lead_dot, pair_form, sup_abs, sup_norm, unit_rows
 
 TOL_EXACT = 1e-9
 
@@ -78,23 +80,19 @@ def class_parts(source, class_tag):
     return br
 
 
-def class_rows(stack, class_tag):
-    """The residual of ``class_tag`` at each point of a chunk's stack: the
-    largest of its parts, NaN where any part is NaN."""
-    return np.maximum.reduce(list(class_parts(stack, class_tag).values()))
-
-
 def class_residual(pack, p, class_tag, frame):
-    """(max residual, per-identity breakdown) of ``class_tag`` on ``frame``.
+    """(residual, {part: residual}) of ``class_tag`` on ``frame``, a chunk's
+    stack or one point's frame: the largest of the class's parts, NaN where
+    any part is NaN, and each part (see :func:`class_parts`).
 
-    Only the frame is read: ``pack`` and ``p`` are its pack and point, and
-    they stay the first two parameters so that ``bench/layertrace.py`` can
-    name a span after the third positional argument.
+    Only ``frame`` is read: ``pack`` and ``p`` stay the first two parameters
+    so that ``bench/layertrace.py`` can name a span after the third
+    positional argument.
     """
     if class_tag not in _CLASS_PARTS:
         raise ValueError(f"unknown class tag {class_tag!r}")
-    br = {k: float(v) for k, v in class_parts(frame, class_tag).items()}
-    return worst(br.values()), br
+    br = class_parts(frame, class_tag)
+    return np.maximum.reduce(list(br.values())), br
 
 
 def q_parallel_residual(fr):
@@ -104,18 +102,18 @@ def q_parallel_residual(fr):
     over all Y; it must hold whenever the first component holds, and both
     are reported separately.
     """
-    return float(fr.q_parallel_d), float(fr.q_parallel_expansion)
+    return fr.q_parallel_d, fr.q_parallel_expansion
 
 
 def frame_residuals(fr):
-    """{condition: residual} of the Reeb-frame conditions at the frame's
-    point, in the order of :data:`FRAME_CONDITIONS`.
+    """{condition: residual} of the Reeb-frame conditions on ``fr``, in the
+    order of :data:`FRAME_CONDITIONS`.
 
     The test set for the flatness condition includes the Reeb fields
     themselves, so the totally-geodesic residual is always bounded by the
     flatness residual.
     """
-    return {name: float(getattr(fr, name)) for name in FRAME_CONDITIONS}
+    return {name: getattr(fr, name) for name in FRAME_CONDITIONS}
 
 
 # -- gated theorem checks ---------------------------------------------------------

@@ -11,12 +11,12 @@ ker f with dual one-forms eta^i, and a Riemannian metric g, subject to
 
 The axioms map measures every defining identity and its standard
 consequences over the test vectors, once per chunk of points, and
-``axioms_residual`` reads a frame's row of it; the class parts and the
-Reeb-frame conditions are stacked the same way, and on an induced pack so
-are the rows of the submanifold criterion that both of its cases read.
-Packs are dumb containers:
-nothing is validated at construction time, so deliberately broken packs can
-be built for negative controls; the residual report is the verdict.
+``axioms_residual`` returns it on a chunk's stack, or a frame's row of it;
+the class parts and the Reeb-frame conditions are stacked the same way, and
+on an induced pack so are the rows of the submanifold criterion that both
+of its cases read. Packs are dumb containers: nothing is validated at
+construction time, so deliberately broken packs can be built for negative
+controls; the residual report is the verdict.
 
 :class:`_FrameStack` holds jets, Christoffel symbols and test vectors of a
 pack over a chunk of points, each with a leading point axis. The runner
@@ -488,7 +488,10 @@ class PackFrame:
         read once."""
         if name in ("_chunk", "_k") or name.startswith("__"):
             raise AttributeError(name)
-        row = take(getattr(self._chunk, name), self._k)
+        try:       # rows, rngs, ambient, ... are not per-point quantities
+            row = take(getattr(self._chunk, name), self._k)
+        except AttributeError as exc:
+            raise AttributeError(f"the frame has no row of {name!r}") from exc
         setattr(self, name, row)
         return row
 
@@ -511,12 +514,12 @@ class PackFrame:
 
 
 def axioms_residual(fr):
-    """Named sup-norm residuals of every defining identity at the frame's point.
+    """Named sup-norm residuals of every defining identity on ``fr``: one
+    row per key on a chunk's stack, where the map is built once
+    (:attr:`_FrameStack.axioms`), and the values of a frame's row of it.
 
-    The map is built once per chunk of points (:attr:`_FrameStack.axioms`)
-    and this is the frame's row of it, as Python floats. Raises
-    :class:`DegenerateOperatorError` when the symmetrized Q fails to be
-    positive-definite at a point of the chunk: the object leaves the weak
-    class.
+    Raises :class:`DegenerateOperatorError` when the symmetrized Q fails to
+    be positive-definite at a point of the chunk: the object leaves the
+    weak class.
     """
-    return {key: float(v) for key, v in fr.axioms.items()}
+    return dict(fr.axioms)

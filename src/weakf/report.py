@@ -34,13 +34,14 @@ from .catalog import make_example
 from .charts import PointStacks
 from .classifiers import (
     CLASS_TAGS,
-    FRAME_CONDITIONS,
     THEOREM_CHECKS,
-    class_rows,
+    class_residual,
+    frame_residuals,
+    q_parallel_residual,
     theorem_check,
 )
 from .errors import HypothesisNotMet, InvalidExample, WeakfError
-from .fstructure import _FrameStack
+from .fstructure import _FrameStack, axioms_residual
 from .submanifold import (
     _AmbientStack,
     frame_check,
@@ -432,27 +433,28 @@ def _bundles(suite, config, cat):
     """The evaluator bundles of ``suite`` in report order, each reading
     residual rows over a chunk from its set-up stack.
 
-    The theorem and submanifold evaluators call the check functions by
-    their module names at call time, so that a wrapper installed on those
-    names sees every call.
+    Every evaluator is a public check function called on the chunk's
+    stack, looked up by its module name at call time, so that a wrapper
+    installed on that name sees every call.
     """
     declared = cat.declared_classes
     tol = config.tol_exact
     if suite == "axioms":
-        return [_Bundle("", lambda st: st.axioms,
+        return [_Bundle("", lambda st: axioms_residual(st),
                         counted=lambda key, aggs: "weak_metric_f" in declared)]
     if suite == "classes":
         return [
-            _Bundle(tag, lambda st, tag=tag: {tag: class_rows(st, tag)},
-                    counted=lambda key, aggs: key in declared)
+            _Bundle(tag, lambda st, tag=tag: {
+                tag: class_residual(st.pack, None, tag, st)[0]},
+                counted=lambda key, aggs: key in declared)
             for tag in CLASS_TAGS
         ]
     if suite == "frames":
         almost = not _ALMOST_CLASSES.isdisjoint(declared)
         return [_Bundle(
             "",
-            lambda st: {name: getattr(st, name) for name in
-                        (*FRAME_CONDITIONS, "q_parallel_expansion")},
+            lambda st: {**frame_residuals(st),
+                        "q_parallel_expansion": q_parallel_residual(st)[1]},
             # the expansion is only asserted where its hypothesis holds
             counted=lambda key, aggs: almost and (
                 key != "q_parallel_expansion" or aggs["q_parallel_d"].max <= tol),

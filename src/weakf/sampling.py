@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import math
-
 import numpy as np
 
 N_RANDOM_PAIRS = 16
@@ -178,12 +176,3 @@ def sup_abs(res, lead=0):
     top = np.abs(res).reshape(res.shape[:lead] + (-1,)).max(-1)
     return top if lead else float(top)
 
-
-def worst(residuals):
-    """The largest of ``residuals``, and NaN if any of them is NaN.
-
-    Python's ``max`` keeps a NaN only when it comes first, so a NaN part
-    could leave a composite check passing.
-    """
-    values = list(residuals)
-    return math.nan if any(map(math.isnan, values)) else max(values)

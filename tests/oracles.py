@@ -38,10 +38,19 @@ from weakf.fstructure import (
 from weakf import jets
 from weakf.jets import cos, sin
 from weakf.errors import HypothesisNotMet
-from weakf.sampling import (lead_dot, pair_form, sup_abs, sup_norm, unit_rows,
-                            worst)
+from weakf.sampling import lead_dot, pair_form, sup_abs, sup_norm, unit_rows
 from weakf.submanifold import (_AmbientPoint, _AmbientStack, _induced,
                                induce_structure)
+
+
+def worst(residuals):
+    """The largest of ``residuals``, and NaN if any of them is NaN.
+
+    Python's ``max`` keeps a NaN only when it comes first, so a NaN part
+    could leave a composite check passing.
+    """
+    values = list(residuals)
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 # -- the nesting scalar jet -------------------------------------------------------

@@ -339,6 +339,44 @@ def test_q_free_theorem_entries_hold_where_q_is_not_the_identity(
             assert rows[key].max() <= Q_FREE_TOL, (which, key, rows[key])
 
 
+@pytest.mark.parametrize("lam", [2.0, 0.5])
+def test_q_parallel_d_on_the_d_homothetic_pack(cat_sasakian, lam):
+    """(D_X Q)Y = 0 on Y in D reads |1 - lam| sqrt(lam) on the D-homothetic
+    sasakian_s3, at every point.
+
+    Write f = sqrt(lam) phi, Q = lam id + (1 - lam) eta (x) xi, eta' =
+    sqrt(lam) eta, xi' = xi / sqrt(lam), g' = g + (lam - 1) eta (x) eta, with
+    D' the Levi-Civita connection of g'. Since eta (x) xi = eta' (x) xi', for
+    Y in D (eta(Y) = 0)
+
+        (D'_X Q)Y = (1 - lam) ((D'_X eta')(Y) xi' + eta'(Y) D'_X xi')
+                  = (1 - lam) g'(D'_X xi', Y) xi',
+
+    and |xi'|_g' = 1. xi is Killing for g and L_xi eta = i_xi d eta = 0, so
+    xi' is Killing for g', and for the half-normalized d,
+    g'(D'_X xi', Y) = d eta'(X, Y) = sqrt(lam) d eta(X, Y)
+    = sqrt(lam) g(X, phi Y), the last step the S-identity Phi = d eta of
+    the Sasakian pack. phi Y lies in D, where g' = g and phi is a
+    g-isometry, so over g'-unit X and Y in D
+
+        |(D'_X Q)Y|_g' = |1 - lam| sqrt(lam) |g'(X, phi Y)|
+                      <= |1 - lam| sqrt(lam).
+
+    The bound is reached: in the Hopf chart d/d alpha lies in D and is
+    g'-unit. It is the first vector of the test basis and of the basis of
+    D, whose second vector is +-phi(d/d alpha), so that pair gives
+    |g'(X, phi Y)| = 1. With Q read as the identity in the Christoffel
+    terms of D'Q, which then cancel, the residual reads 2 |1 - lam|
+    sqrt(lam) here, so this test catches that fault.
+    """
+    pack = oracles.d_homothetic_pack(cat_sasakian.obj, lam)
+    st = oracles.stack(pack, pack.chart.sample(10, 42))
+    assert st.worst_axiom.max() <= TOL
+    rows = frame_residuals(st)["q_parallel_d"]
+    assert rows.shape == (10,)
+    assert np.abs(rows - abs(1.0 - lam) * np.sqrt(lam)).max() <= 1e-13
+
+
 @pytest.mark.parametrize("example", sorted(catalog.BUILDERS))
 def test_gate_rows_are_the_point_gates(example):
     # the two gates that were computed at each point, eta o N1 and Q = id,

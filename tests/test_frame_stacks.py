@@ -11,7 +11,7 @@ import pytest
 from report_digests import CONFIGS
 
 import oracles
-from weakf import charts, sampling
+from weakf import charts, classifiers, fstructure, sampling
 from weakf.fstructure import PackFrame, _FrameStack
 
 SAMPLES = 10
@@ -143,3 +143,38 @@ def test_a_frame_reads_each_stack_quantity_as_its_row(argv):
     assert _bits(twin.V) == _bits(fr.V)
     with pytest.raises(AttributeError):
         PackFrame.__new__(PackFrame)._chunk
+
+
+# The public check functions, each of a chunk's stack or of one frame.
+CHECKS = {
+    "axioms_residual": fstructure.axioms_residual,
+    **{f"class_residual:{tag}": (
+        lambda fr, tag=tag: classifiers.class_residual(None, None, tag, fr))
+       for tag in classifiers.CLASS_TAGS},
+    "frame_residuals": classifiers.frame_residuals,
+    "q_parallel_residual": classifiers.q_parallel_residual,
+}
+
+
+@pytest.mark.parametrize("argv", ["--example flat_pack",
+                                  "--example sasakian_s3",
+                                  "--example hypersphere --param n=1"])
+def test_each_check_of_a_frame_is_its_row_of_the_stack(argv):
+    # one stack over more points than a chunk holds, and each point's frame
+    # built alone: the frame's result is bitwise the stack's row
+    pack, sub = oracles.config_example(argv)
+    points = pack.chart.sample(charts.CHUNK + 3, SEED)
+    stack = oracles.stack(pack, points, sub, SEED)
+    stacked = {name: check(stack) for name, check in CHECKS.items()}
+    for k, p in enumerate(points):
+        fr = oracles.frame(pack, p, sub, seed=SEED, index=k)
+        for name, check in CHECKS.items():
+            assert _bits(check(fr)) == _bits(_row(stacked[name], k)), (k, name)
+
+
+@pytest.mark.parametrize("name", ["rows", "rngs", "ambient", "thsubm_parts"])
+def test_a_frame_has_no_row_of_what_is_not_a_point_quantity(name):
+    pack, _ = oracles.config_example("--example sasakian_s3")
+    fr = PackFrame(pack, pack.chart.sample(1, SEED)[0], seed=SEED)
+    with pytest.raises(AttributeError, match=f"no row of '{name}'"):
+        getattr(fr, name)

@@ -1,14 +1,13 @@
 """The layer tracer of bench/layertrace.py names a span after each public
-per-frame function it wraps, reading the arguments as the library takes
-them. The traced benchmark round reaches the classes through
-``class_rows``, so only this test calls ``class_residual`` under the tracer.
-The submanifold checks and every theorem bundle take a chunk's stack; a
-traced run still names a span after each, and counts it to its suite.
+check function it wraps, reading the arguments as the library takes them.
+The runner calls those functions on each chunk's stack, so a traced run
+names a span after every suite's checks, counts it to its suite, and times
+each class and theorem bundle; one frame's checks are named the same way.
 """
 
 from pathlib import Path
 
-from weakf import catalog, classifiers, fstructure, report
+from weakf import catalog, charts, classifiers, fstructure, report
 from weakf.report import SuiteConfig
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -82,3 +81,35 @@ def test_tracer_names_a_span_per_stacked_theorem(monkeypatch):
                                        classifiers.THEOREM_CHECKS)
     for which in classifiers.THEOREM_CHECKS:
         assert metrics[f"classifiers.theorem.{which}_s"][0] > 0.0
+
+
+def test_tracer_times_every_suite_of_a_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layertrace
+
+    samples = 2
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        rep = report.run_suite(SuiteConfig(example="sasakian_s3",
+                                           samples=samples))
+    finally:
+        tracer.uninstall()
+    assert rep["overall"]["verdict"] == "pass"
+    names = {tracer.names[span[0]] for span in tracer.spans}
+    assert {"fstructure/axioms_residual", "classifiers/frame_residuals",
+            "classifiers/q_parallel_residual",
+            *(f"classifiers/class_residual:{tag}"
+              for tag in classifiers.CLASS_TAGS)} <= names
+    metrics = layertrace.layer_metrics(tracer, 1.0, samples,
+                                       classifiers.CLASS_TAGS,
+                                       classifiers.THEOREM_CHECKS)
+    positive = ["report.suite.axioms_s", "report.suite.classes_s",
+                "report.suite.frames_s", "classifiers.frame_residuals_s",
+                *(f"classifiers.class.{tag}_s"
+                  for tag in classifiers.CLASS_TAGS)]
+    for name in positive:
+        assert metrics[name][0] > 0.0, name
+    # one call per chunk of the run's points
+    chunks = -(-samples // charts.CHUNK)
+    assert metrics["fstructure.axioms_calls"][0] == chunks

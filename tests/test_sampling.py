@@ -13,6 +13,7 @@ from report_digests import CONFIGS
 
 import oracles
 from weakf import catalog
+from weakf.classifiers import class_residual
 from weakf.fstructure import PackFrame
 from weakf.sampling import (
     N_RANDOM_PAIRS,
@@ -25,7 +26,6 @@ from weakf.sampling import (
     random_units,
     sup_norm,
     unit_rows,
-    worst,
 )
 
 # float64 sums of at most 10 x 10 products: the rounding error of either
@@ -101,11 +101,28 @@ def test_sup_gnorm_matches_einsum(ops):
 
 
 def test_nan_propagates_through_the_reducers():
-    # a NaN anywhere is the result: Python's max would keep it only first
-    for values in ((math.nan, 1.0), (1.0, math.nan), (0.0, math.nan, 2.0)):
-        assert math.isnan(worst(values))
+    # a NaN anywhere is the result: Python's max would keep it only first.
+    # A class is the largest of its parts; weak_C has three.
+    pack = catalog.sasakian_s3().obj
+    p = pack.chart.sample(1, seed=42)[0]
+    parts = ("deta_zero", "dphi_zero", "n1_zero")
+    for values in ((math.nan, 1.0, 0.0), (1.0, math.nan, 0.0),
+                   (0.0, 2.0, math.nan)):
+        fr = PackFrame(pack, p, seed=42)
+        vars(fr).update(zip(parts, map(np.float64, values)))
+        value, br = class_residual(pack, p, "weak_C", fr)
+        assert math.isnan(value)
+        assert list(br) == list(parts)
+        # on a stack, at the one row that holds the NaN
+        rows = np.array([values, (0.5, 0.25, 0.125)]).T
+        chunk = oracles.stack(pack, pack.chart.sample(2, seed=42))
+        vars(chunk).update(zip(parts, rows))
+        value, _ = class_residual(pack, None, "weak_C", chunk)
+        assert math.isnan(value[0]) and value[1] == 0.5
         assert math.isnan(sup_norm(np.array(values)[None]))
-    assert worst((1e-20, 3.0, 2.0)) == 3.0
+    fr = PackFrame(pack, p, seed=42)
+    vars(fr).update(zip(parts, map(np.float64, (1e-20, 3.0, 2.0))))
+    assert class_residual(pack, p, "weak_C", fr)[0] == 3.0
 
 
 # -- random test vectors --------------------------------------------------------------
