@@ -2,22 +2,20 @@
 
 Each class part is the sup, over the test frame at a point, of a defining
 identity; a class takes the max over its parts. The parts and the Reeb-frame
-conditions are stacked over a chunk of points, as attributes of
-:class:`~weakf.fstructure._FrameStack` named as the report names them, and a
-frame's attribute of the same name is its point's entry: the class and
-frame checks give rows on a stack, as the runner calls them, and values on
-a frame. Theorem checks are
-gated: when the hypotheses of a statement fail on the given pack (or read
-NaN), :class:`HypothesisNotMet` is raised instead of reporting a vacuous
-pass. Every theorem bundle takes the chunk's stack and returns one row over
-its points per key, under its gates (``_GATES``), each a row of the stack,
-checked by :func:`gated_rows` as the submanifold checks are. One bundle,
-``prop_normal``, is computed at each point in turn, on a frame built for
-the point (:func:`_at_each_point`), and stacked into rows. Vector-valued
-residuals are measured in the g-norm: each is lowered by the Cholesky
-factor u of g0 and reduced by :func:`~weakf.sampling.sup_norm`; a residual
-whose values on the test pairs hold m nv^2 entries per point is formed
-``PAIR_CHUNK`` points at a time (:func:`~weakf.fstructure._pair_rows`).
+conditions are attributes of :class:`~weakf.fstructure._FrameStack`, named
+as the report names them: the class and frame checks give rows on a chunk's
+stack, as the runner calls them, and values on a frame, a row of it.
+Theorem checks are gated: when the hypotheses of a statement fail on the
+given pack (or read NaN), :class:`HypothesisNotMet` is raised instead of
+reporting a vacuous pass. Every theorem bundle is a function of its chunk's
+stack alone and returns one row over its points per key, under its gates
+(``_GATES``), each a row of the stack, checked by :func:`gated_rows`;
+``prop_normal`` forms its rows at each point in turn, on the point's frame
+(:func:`_at_each_point`). Vector-valued residuals are measured in the
+g-norm: each is lowered by the Cholesky factor u of g0 and reduced by
+:func:`~weakf.sampling.sup_norm`; a residual whose values on the test pairs
+hold m nv^2 entries per point is formed ``PAIR_CHUNK`` points at a time
+(:func:`~weakf.fstructure._pair_rows`).
 
 Gates use the exact tolerance (default 1e-9); the report measures the
 curvature steps of ``thm32_chain`` against its own curvature tolerance.
@@ -29,6 +27,7 @@ from functools import partial
 
 import numpy as np
 
+from . import calculus
 from .errors import HypothesisNotMet
 from .fstructure import PackFrame, _pair_rows, _rows_abs, _t
 from .sampling import lead_dot, pair_form, sup_abs, sup_norm, unit_rows
@@ -250,15 +249,16 @@ def _prop_normal(fr):
     """Consequences of normality, reported on packs with N1 = 0."""
     V = fr.V
     res = {}
-    res["lie_xi_f"] = sup_norm(pair_form(fr.n3(), fr.u, V).transpose(1, 0, 2))
-    res["deta_xi_contraction"] = sup_abs(fr.n4())
+    n3 = calculus.lie_tensor11_kernel(fr.f0, fr.f1, fr.xi0, fr.xi1)
+    res["lie_xi_f"] = sup_norm(pair_form(n3, fr.u, V).transpose(1, 0, 2))
+    # N4[i,j,A] = 2 d eta^j(xi_i, X)
+    res["deta_xi_contraction"] = sup_abs(2.0 * pair_form(fr.deta, fr.xi0, V))
     # d eta^i(fX, Y) - d eta^i(fY, X) = (1/2) eta^i([(Q - id)X, fY]), where
     # [(Q - id)X, fY] = ((Q - id)X)^a d_a (fY) - (fY)^a d_a (Q X)
     b = (fr.f1 @ fr.qtilde).transpose(0, 2, 1) - fr.q1 @ fr.f0
     res["deta_f_swap"] = sup_abs(
         pair_form(0.5 * (fr.n2_coeff - lead_dot(fr.eta0, b)), V, V))
-    nxx = fr.nabla_xi_xi
-    res["reeb_derivatives_in_d"] = sup_abs(nxx @ fr.eta0.T)
+    res["reeb_derivatives_in_d"] = fr.reeb_totally_geodesic
     # eta^j([X, xi_i]) for X in D, extended as the section
     # X - sum_k eta^k(X) xi_k of D: for X constant in the chart,
     # eta^j([X, xi_i]) = eta^j(X^a d_a xi_i), and the extension adds
@@ -270,6 +270,7 @@ def _prop_normal(fr):
     res["d_brackets_stay_in_d"] = sup_abs(
         np.einsum("jk,ikA->ijA", fr.eta0, brk) + ext
     )
+    nxx = fr.nabla_xi_xi
     res["reeb_symmetric_geodesic"] = sup_norm(
         lead_dot(fr.u, (nxx + nxx.transpose(1, 0, 2)).transpose(2, 0, 1)))
     return res
@@ -296,13 +297,12 @@ def _thm32_chain(st):
     The connection and algebra steps follow from D xi = -f and f xi = 0
     alone and must hold on any f-K-contact pack; the nearly-C step is the
     one that breaks when the pack is not weak nearly C. X runs over the
-    basis of the contact distribution and 4 random units in it, drawn from
-    each point's generator after its test vectors.
+    basis of the contact distribution and 4 random units in it, whose
+    coefficients on that basis the test vectors hold (``tv.chain``).
     """
     db, g0, f0, nf = st.d_basis, st.g0, st.f0, st.nabla_f
     count, m = len(g0), g0.shape[-1]
-    coeff = np.stack([r.standard_normal((4, db.shape[1])) for r in st.rngs])
-    xs = np.concatenate([db, unit_rows(coeff @ db, g0)], axis=1)
+    xs = np.concatenate([db, unit_rows(st.tv.chain @ db, g0)], axis=1)
     f0_t = np.swapaxes(f0, 1, 2)
 
     def g_xs(w):
@@ -349,26 +349,41 @@ def _thm41(st):
 
 
 def _thm01_i(st):
+    """S-structure characterization (i). With the half-normalized d,
+    Phi(X, Y) = g(X, fY) and Q~ = Q - id:
+
+    (a) eta^j o f = 0 = eta^j o f^2 give eta^j([f,f](X, Y)) = -2 d eta^j(fX,
+        fY), and the axioms Phi(fX, fY) = Phi(X, QY) = Phi(QX, Y); so where
+        Phi = d eta^j, eta^j(N1(X, Y)) = -2 Phi(Q~X, Y).
+    (c) Where d eta^j = Phi(Q., .), the conclusion, eta^j o N1 = -2 Phi(QQ~.,
+        .): with the gate eta o N1 = 0 this forces Q = id on D, as does
+        ``eta_ff_reduction`` (Phi(Q^2 X, Y) = Phi(QX, Y)). The (Q - id) terms
+        are vacuous wherever the bundle runs.
+    """
     phq = (_t(st.q0) @ st.phi0)[:, None]        # Phi(QX, Y) = g(QX, fY)
     res = {"deta_equals_phi_q": _pair_rows(_rows_abs, st.deta - phq, st.V)}
-    # proof-internal: eta^j(N1(X,Y)) - 2 d eta^j(X,Y) = eta^j([f,f](X,Y)),
-    # the right side from the Nijenhuis torsion on the test pairs
-    eta_ff = _pair_rows(lambda ff, eta0: lead_dot(eta0, ff, lead=1),
-                        st.ff_coeff, st.V, None, st.eta0)
+    # proof-internal: eta^j(N1(X,Y)) - 2 d eta^j(X,Y) = eta^j([f,f](X,Y))
+    eta_ff = lead_dot(st.eta0, st.ff_coeff, lead=1)
     res["eta_n1_expansion"] = _pair_rows(
-        lambda pairs, ff: _rows_abs(pairs - ff), st.eta_n1 - 2.0 * st.deta,
-        st.V, None, eta_ff)
+        _rows_abs, st.eta_n1 - 2.0 * st.deta - eta_ff, st.V)
     # and its reduction through the nearly-S identity:
     # eta^j([f,f](X,Y)) = 2 d eta^j(X,Y) - 4 g(QX, fY)
     res["eta_ff_reduction"] = _pair_rows(
-        lambda pairs, ff: _rows_abs(ff - pairs), 2.0 * st.deta - 4.0 * phq,
-        st.V, None, eta_ff)
+        _rows_abs, eta_ff - (2.0 * st.deta - 4.0 * phq), st.V)
     return res
 
 
 def _thm01_ii(st):
+    """S-structure characterization (ii): N1 = -2 Phi(Q~., .) xibar, the
+    sign from (a) of :func:`_thm01_i`.
+
+    (b) The gates include prop1's, so each xi_i is Killing and Phi = d eta^i
+        gives D xi_i = -f. The xi_i part of ``q_parallel_d``'s (D_X Q)Y is
+        g(Y, (D_X Q)xi_i) = -g(Y, Q~ D_X xi_i) = g(Y, Q~fX), so the gates
+        force Q~f = 0, i.e. Q = id: no pack pins the term's sign here.
+    """
     phqt = _t(st.qtilde) @ st.phi0              # Phi((Q - id)X, Y)
-    c = st.n1_coeff - 2.0 * st.xibar[:, :, None, None] * phqt[:, None]
+    c = st.n1_coeff + 2.0 * st.xibar[:, :, None, None] * phqt[:, None]
     res = {"n1_equals_qtilde_phi": st._vector_rows(c)}
     # proof-internal: 3 dPhi(X,Y,Z) + 3 g((D_X f)Y, Z)
     #                 + 3 g(f^2 X, Y) etabar(Z) - 3 g(f^2 X, Z) etabar(Y) = 0

@@ -7,28 +7,26 @@ class WeakfError(Exception):
     """Base class for engine errors."""
 
 
-class DegenerateMetricError(WeakfError):
+class _Degenerate(WeakfError):
+    """A matrix at ``point`` is not positive-definite."""
+
+    def __init__(self, point, min_eigenvalue):
+        self.point = tuple(float(c) for c in point)
+        self.min_eigenvalue = float(min_eigenvalue)
+        super().__init__(f"{self.what} at {self.point}: smallest eigenvalue "
+                         f"{self.min_eigenvalue:.3e}")
+
+
+class DegenerateMetricError(_Degenerate):
     """Metric is singular or indefinite at the evaluation point."""
 
-    def __init__(self, point, min_eigenvalue):
-        self.point = tuple(float(c) for c in point)
-        self.min_eigenvalue = float(min_eigenvalue)
-        super().__init__(
-            f"degenerate metric at {self.point}: smallest eigenvalue "
-            f"{self.min_eigenvalue:.3e}"
-        )
+    what = "degenerate metric"
 
 
-class DegenerateOperatorError(WeakfError):
+class DegenerateOperatorError(_Degenerate):
     """Q is singular or indefinite: the pack leaves the weak-structure class."""
 
-    def __init__(self, point, min_eigenvalue):
-        self.point = tuple(float(c) for c in point)
-        self.min_eigenvalue = float(min_eigenvalue)
-        super().__init__(
-            f"Q singular/indefinite at {self.point}: smallest eigenvalue "
-            f"{self.min_eigenvalue:.3e}"
-        )
+    what = "Q singular/indefinite"
 
 
 class HypothesisNotMet(WeakfError):

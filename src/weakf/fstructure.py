@@ -61,15 +61,13 @@ _rows_abs = partial(sup_abs, lead=1)
 _rows_norm = partial(sup_norm, lead=1)
 
 
-def _pair_rows(reduce, c, X, Y=None, *also):
-    """``reduce(pair_form(c, X, Y), *also)`` of the stacks c[P, k, a, b],
-    X[P, A, a] and Y[P, B, b] (Y = X by default) and of the further point
-    stacks ``also``, ``PAIR_CHUNK`` points at a time."""
+def _pair_rows(reduce, c, X, Y=None):
+    """``reduce(pair_form(c, X, Y))`` of the stacks c[P, k, a, b], X[P, A, a]
+    and Y[P, B, b] (Y = X by default), ``PAIR_CHUNK`` points at a time."""
     Y = X if Y is None else Y
     return np.concatenate([
         reduce(pair_form(c[i:i + PAIR_CHUNK], X[i:i + PAIR_CHUNK, None],
-                         Y[i:i + PAIR_CHUNK, None]),
-               *(a[i:i + PAIR_CHUNK] for a in also))
+                         Y[i:i + PAIR_CHUNK, None]))
         for i in range(0, len(c), PAIR_CHUNK)])
 
 
@@ -102,8 +100,10 @@ class _FrameStack:
 
     Every quantity is stacked on a leading point axis and built on first
     read; row k of each is bitwise the quantity of point k alone. ``rngs``
-    holds each point's generator, ``point_rng(seed, index)``, which draws
-    the test vectors and then the curvature chain's units, and ``ambient``
+    holds each point's generator, ``point_rng(seed, index)``, which only the
+    test vectors ``tv`` draw from (every random number of a point, the
+    curvature chain's units included, see
+    :func:`~weakf.sampling.build_test_vectors`), and ``ambient``
     the points' ambient stack when the pack is induced on an embedded
     submanifold: its jets, g^-1 and Reeb curvature are read from there.
     """
@@ -427,6 +427,13 @@ class _FrameStack:
 
     @cached_property
     def q_parallel_d(self):
+        """(D_X Q)Y = 0 for Y in D, the whole vector. Open: is the paper's
+        hypothesis this or its D-part, (id - sum xi_i (x) eta^i)(D_X Q)Y?
+        The xi_i part forces Q = id under thm01's gates (see
+        ``classifiers._thm01_ii``). On ``tests/oracles.d_homothetic_pack``
+        the D-part reads <= 5.1e-15 where this reads |1 - lam| sqrt(lam),
+        so a D-part gate would run thm01_ii there. PAPER.md holds only the
+        abstract, so the gate stays as it is."""
         return self._vector_rows(self.nabla_q.transpose(0, 2, 1, 3),
                                  self.d_basis)
 
@@ -464,15 +471,11 @@ class PackFrame:
 
     The point is sample ``index`` of the run, so row ``index -
     stack.rows.start``. Without a stack the frame makes a stack of its
-    point alone; a frame of a pack induced on an embedded submanifold takes
-    a stack over the ambient stack of its chunk (see
-    :func:`weakf.submanifold.induce_structure`). Every quantity of the
+    point alone (an induced pack's frame takes one over the ambient stack,
+    see :func:`weakf.submanifold.induce_structure`). Every quantity of the
     stack reads as the frame's row of it, ``frame.name``, taken on first
-    read and kept: the jets, the test vectors, the derived tensors and the
-    residual rows of the axioms, the class parts and the Reeb-frame
-    conditions. In a run, frames are built only for ``prop_normal``, the
-    one theorem body computed at each point; the runner hands every other
-    bundle the stack itself.
+    read and kept. In a run, frames are built only for ``prop_normal``;
+    ``nijenhuis_ff``, which no run calls, stays for ``bench/layertrace.py``.
     """
 
     def __init__(self, pack, p, seed=0, index=0, stack=None):
@@ -495,19 +498,9 @@ class PackFrame:
         setattr(self, name, row)
         return row
 
-    # -- structure tensor evaluators -------------------------------------------
-
     def nijenhuis_ff(self):
         """[f,f](X,Y) for all test pairs: tensor [k, A, B]."""
         return pair_form(self.ff_coeff, self.V, self.V)
-
-    def n3(self):
-        """N3[i,a,b] = (L_{xi_i} f)^a_b."""
-        return calculus.lie_tensor11_kernel(self.f0, self.f1, self.xi0, self.xi1)
-
-    def n4(self):
-        """N4[i,j,A] = 2 deta^j(xi_i, X)."""
-        return 2.0 * pair_form(self.deta, self.xi0, self.V).transpose(1, 0, 2)
 
 
 # -- axioms ---------------------------------------------------------------------

@@ -118,7 +118,7 @@ FORMULAS = {
     "thm41": "parallel Reeb frame characterizes the product of a flat factor"
              " with a weak nearly Kahler factor (constructive direction)",
     "thm01_i": "eta o N1 = 0 forces d eta^j = Phi(Q., .) on gated packs",
-    "thm01_ii": "Phi = d eta^i forces N1 = 2 Phi((Q-id)., .) xibar"
+    "thm01_ii": "Phi = d eta^i forces N1 = -2 Phi((Q-id)., .) xibar"
                 " on gated packs",
     "corollary_rigidity": "a normal nearly-S pack with Q = id satisfies the"
                           " full S-structure equation",
@@ -153,7 +153,7 @@ FORMULAS = {
         "eta^j(N1(X,Y)) - 2 d eta^j(X,Y) = eta^j([f,f](X,Y))",
     "thm01_i.eta_ff_reduction":
         "eta^j([f,f](X,Y)) = 2 d eta^j(X,Y) - 4 g(QX, fY)",
-    "thm01_ii.n1_equals_qtilde_phi": "N1(X,Y) = 2 Phi((Q-id)X, Y) xibar",
+    "thm01_ii.n1_equals_qtilde_phi": "N1(X,Y) = -2 Phi((Q-id)X, Y) xibar",
     "thm01_ii.dphi_nabla_f_expansion":
         "3 dPhi(X,Y,Z) + 3 g((D_X f)Y, Z) + 3 g(f^2 X, Y) etabar(Z)"
         " - 3 g(f^2 X, Z) etabar(Y) = 0",

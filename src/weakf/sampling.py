@@ -20,6 +20,7 @@ import numpy as np
 
 N_RANDOM_PAIRS = 16
 N_RANDOM_TRIPLES = 8
+N_CHAIN_UNITS = 4
 
 
 def point_rng(seed, index, tag=0):
@@ -79,57 +80,49 @@ def unit_rows(vecs, g0):
     return vecs / np.sqrt(((vecs @ g0) * vecs).sum(-1))[..., None]
 
 
-def random_units(g0, rngs, count):
-    """``count`` seeded g0-unit vectors (rows) at each point of the stack
-    g0[P, m, m], drawn from that point's generator in ``rngs``: one draw of
-    the same normals, in the same order, as ``count`` draws of one vector
-    each."""
-    m = g0.shape[-1]
-    return unit_rows(np.stack([r.standard_normal((count, m)) for r in rngs]),
-                     g0)
-
-
 @dataclass(frozen=True)
 class TestVectors:
-    """Test vectors at a point (rows), with index bookkeeping; with a
-    leading point axis on every array, at each point of a stack."""
+    """Test vectors at a point (rows); with a leading point axis on every
+    array, at each point of a stack."""
 
-    vectors: np.ndarray      # (nv, m): basis rows, distinguished, random units
-    n_basis: int
+    vectors: np.ndarray      # (nv, m): m basis rows, distinguished, random units
     triples: np.ndarray      # (nt, 3, m) extra random triples for 3-forms
     factor: np.ndarray       # (m, m): upper u with g0 = u^T u; basis = u^-T
+    chain: np.ndarray        # (N_CHAIN_UNITS, m - s): see build_test_vectors
 
     @property
     def basis(self):
-        return self.vectors[..., : self.n_basis, :]
+        return self.vectors[..., : self.vectors.shape[-1], :]
 
     def row(self, k):
         """The test vectors of point ``k`` of a stack."""
-        return replace(self, vectors=self.vectors[k],
-                       triples=self.triples[k], factor=self.factor[k])
+        return replace(self, vectors=self.vectors[k], triples=self.triples[k],
+                       factor=self.factor[k], chain=self.chain[k])
 
 
-def build_test_vectors(g0, rng, distinguished=None):
+def build_test_vectors(g0, rng, distinguished):
     """Basis + distinguished vectors + 2 * N_RANDOM_PAIRS random units at
     each point of the stack g0[P, m, m]: ``rng`` holds one generator per
     point, and ``distinguished[P, s, m]`` the caller's vectors.
 
     The factorization comes first: it is what may raise, and a generator
-    draws only once it has passed.
+    draws only once it has passed. Each generator then makes its one draw:
+    the random units and triples (scaled to g0-norm 1), then ``chain``, the
+    coefficients of the curvature chain's N_CHAIN_UNITS units on a basis of
+    the complement of the distinguished vectors.
     """
     u = cholesky_factor(g0)
-    basis = cholesky_basis(u)
-    rows = [basis]
-    if distinguished is not None and distinguished.shape[1]:
-        rows.append(distinguished)
-    npair = 2 * N_RANDOM_PAIRS
-    rand = random_units(g0, rng, npair + 3 * N_RANDOM_TRIPLES)
-    rows.append(rand[:, :npair])
+    count, s, m = distinguished.shape
+    npair, nrand = 2 * N_RANDOM_PAIRS, 2 * N_RANDOM_PAIRS + 3 * N_RANDOM_TRIPLES
+    draws = np.stack([r.standard_normal(nrand * m + N_CHAIN_UNITS * (m - s))
+                      for r in rng])
+    rand = unit_rows(draws[:, :nrand * m].reshape(count, nrand, m), g0)
     return TestVectors(
-        vectors=np.concatenate(rows, axis=1),
-        n_basis=basis.shape[1],
-        triples=rand[:, npair:].reshape(len(rand), N_RANDOM_TRIPLES, 3, -1),
+        vectors=np.concatenate([cholesky_basis(u), distinguished,
+                                rand[:, :npair]], axis=1),
+        triples=rand[:, npair:].reshape(count, N_RANDOM_TRIPLES, 3, m),
         factor=u,
+        chain=draws[:, nrand * m:].reshape(count, N_CHAIN_UNITS, m - s),
     )
 
 

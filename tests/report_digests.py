@@ -59,15 +59,20 @@ CONFIGS = (
 )
 
 
-def report_texts(argv, samples, seed):
-    """(JSON, text) renderings of the report of one ``weakf verify`` argv."""
+def run_config(argv, samples, seed):
+    """The report of one ``weakf verify`` argv."""
     args = cli.build_parser().parse_args(
         ["verify", *argv, "--samples", str(samples), "--seed", str(seed)])
     suites = SUITES if args.suites == "all" else tuple(args.suites.split(","))
-    report = run_suite(SuiteConfig(
+    return run_suite(SuiteConfig(
         example=args.example, params=cli._parse_params(args.param),
         suites=suites, samples=args.samples, seed=args.seed,
         tol_exact=args.tol_exact, tol_curvature=args.tol_curv))
+
+
+def report_texts(argv, samples, seed):
+    """(JSON, text) renderings of the report of one ``weakf verify`` argv."""
+    report = run_config(argv, samples, seed)
     return render_json(report), render_text(report)
 
 

@@ -21,6 +21,7 @@ from weakf.classifiers import (
 from weakf.errors import HypothesisNotMet
 from weakf.fstructure import PackFrame, StructurePack
 from weakf.report import SUITES, SuiteConfig, run_suite
+from weakf.sampling import pair_form, sup_abs
 
 TOL = 1e-9
 
@@ -225,6 +226,33 @@ def test_thm32_chain_identifies_breaking_step(cat_sasakian):
     assert res["chain_total"].min() >= 0.5
 
 
+@pytest.mark.parametrize("config", ["--example sasakian_s3",
+                                    "--example hypersphere --param n=2"])
+def test_thm32_chain_does_not_depend_on_what_was_read_before(config):
+    # the chain's units are part of the test vectors, so its body gives the
+    # same rows on a fresh stack as on one whose test vectors were read
+    pack, sub = oracles.config_example(config)
+    points = pack.chart.sample(5, 37)
+    fresh = classifiers._thm32_chain(oracles.stack(pack, points, sub, 37))
+    read = oracles.stack(pack, points, sub, 37)
+    read.tv
+    after = classifiers._thm32_chain(read)
+    assert list(fresh) == list(after)
+    for key, rows in fresh.items():
+        assert _hex(rows) == _hex(after[key]), key
+
+
+@pytest.mark.parametrize("example", sorted(catalog.BUILDERS))
+def test_reeb_derivatives_in_d_is_the_totally_geodesic_row(example):
+    # prop_normal reads the Reeb-frame row eta^k(D_{xi_i} xi_j) = 0: at each
+    # point bitwise the sup it formed from the point's own D_xi xi
+    pack, sub = oracles.config_example(f"--example {example}")
+    for fr in oracles.chunk_frames(pack, pack.chart.sample(
+            REFERENCE_SAMPLES, 42), sub):
+        assert fr.reeb_totally_geodesic.hex() == sup_abs(
+            fr.nabla_xi_xi @ fr.eta0.T).hex()
+
+
 # One full chunk of points and part of another.
 REFERENCE_SAMPLES = charts.CHUNK + 4
 
@@ -375,6 +403,37 @@ def test_q_parallel_d_on_the_d_homothetic_pack(cat_sasakian, lam):
     rows = frame_residuals(st)["q_parallel_d"]
     assert rows.shape == (10,)
     assert np.abs(rows - abs(1.0 - lam) * np.sqrt(lam)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("lam, plus_form", [(2.0, 5.65), (0.5, 1.41),
+                                            (3.0, 13.8)])
+def test_reeb_part_of_n1_on_the_d_homothetic_pack(cat_sasakian, lam,
+                                                   plus_form):
+    """eta^j(N1(X, Y)) = -2 Phi((Q - id)X, Y) where Phi = d eta^j, on the
+    D-homothetic sasakian_s3, a valid pack with Q != id.
+
+    With the half-normalized d and Phi(X, Y) = g(X, fY): eta^j o f = 0 and
+    eta^j o f^2 = 0 leave eta^j([f,f](X, Y)) = eta^j([fX, fY])
+    = -2 d eta^j(fX, fY) = -2 Phi(fX, fY), and f^2 Y = -QY + sum_i
+    eta^i(Y) xi_i, g(fX, xi_i) = 0, f skew, Qf = fQ and Q self-adjoint give
+    Phi(fX, fY) = -g(fX, QY) = Phi(QX, Y). So eta^j(N1(X, Y))
+    = 2 Phi(X, Y) - 2 Phi(QX, Y). Over the test pairs it holds to at most
+    5.6e-15 (10 samples, seed 42); the form with +2 Phi((Q - id)X, Y) reads
+    4 |1 - lam| sqrt(lam) at the pair that the q_parallel_d test above
+    names, and so does thm01_ii's N1 identity with its sign flipped.
+    """
+    pack = oracles.d_homothetic_pack(cat_sasakian.obj, lam)
+    st = oracles.stack(pack, pack.chart.sample(10, 42))
+    assert st.worst_axiom.max() <= TOL
+    assert st.phi_equals_deta.max() <= TOL
+    phqt = (np.swapaxes(st.qtilde, 1, 2) @ st.phi0)[:, None]
+    minus = pair_form(st.eta_n1 + 2.0 * phqt, st.V[:, None], st.V[:, None])
+    assert np.abs(minus).max() <= 1e-13
+    plus = pair_form(st.eta_n1 - 2.0 * phqt, st.V[:, None], st.V[:, None])
+    assert float(f"{np.abs(plus).max():.3g}") == plus_form
+    # thm01_ii's body, run without its gates, which force Q = id
+    n1 = classifiers._THEOREMS["thm01_ii"](st)["n1_equals_qtilde_phi"]
+    assert n1.max() <= 1e-13
 
 
 @pytest.mark.parametrize("example", sorted(catalog.BUILDERS))

@@ -11,7 +11,8 @@ import pytest
 import report_digests
 from weakf import catalog, charts, classifiers, cli, fstructure
 from weakf.charts import SmoothField, constant_field
-from weakf.errors import InvalidExample
+from weakf.errors import (DegenerateMetricError, DegenerateOperatorError,
+                          InvalidExample)
 from weakf.jets import exp, sqrt
 from weakf.report import MAX_SAMPLES, EvaluationFailure, SuiteConfig
 
@@ -362,6 +363,19 @@ def _broken_at_k(n, s, field, kind, entries):
             obj = dataclasses.replace(obj, **{field: new})
         return dataclasses.replace(cat, obj=obj)
     return build
+
+
+def test_degenerate_errors_keep_their_names_and_messages():
+    # one constructor for both; neither type catches the other
+    for cls, head in ((DegenerateMetricError, "degenerate metric"),
+                      (DegenerateOperatorError, "Q singular/indefinite")):
+        err = cls(np.array([0.5, 1]), np.float64(-1e-3))
+        assert (err.point, err.min_eigenvalue) == ((0.5, 1.0), -1e-3)
+        assert f"{type(err).__name__}: {err}" == (
+            f"{cls.__name__}: {head} at (0.5, 1.0): smallest eigenvalue "
+            "-1.000e-03")
+    assert not issubclass(DegenerateOperatorError, DegenerateMetricError)
+    assert not issubclass(DegenerateMetricError, DegenerateOperatorError)
 
 
 @pytest.mark.parametrize("n, s, field, kind, entries, message", [

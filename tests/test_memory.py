@@ -270,11 +270,10 @@ def test_one_chunk_of_the_f_k_contact_bundles_stays_within_its_bound():
 # Fixed before the first measurement, for the stacked bodies of prop1,
 # thm41, thm01_i and thm01_ii over one chunk of hypersphere n=7 (m = 15,
 # s = 1, 48 test vectors), their gates and the set-up they share with the
-# other suites built before. The bodies run one at a time. thm01_i meets
-# [f,f] with the test pairs fstructure.PAIR_CHUNK points at a time: a
-# (2, m, 48, 48) array of 0.55 MB with its (2, m, 48, m) left factor of
-# 0.17 MB, and eta^j([f,f]) over the chunk, (P, s, 48, 48) = 0.3 MB, twice
-# while its pieces are joined: 1.3 MB. thm01_ii holds (P, m, m, m) stacks
+# other suites built before. The bodies run one at a time. thm01_i forms
+# eta^j([f,f]) as coefficients, (P, s, m, m) = 29 KB, and meets each of its
+# three coefficient tensors with the test pairs fstructure.PAIR_CHUNK
+# points at a time, (2, s, 48, 48) = 37 KB. thm01_ii holds (P, m, m, m) stacks
 # of 0.43 MB: its coefficient and the coefficient lowered by u with a
 # sub-chunk's pairs, 1.6 MB; then the coefficient, g(f^2 X, Y) etabar and
 # the dPhi expansion with up to two temporaries, 2.2 MB. prop1 and thm41

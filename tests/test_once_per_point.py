@@ -325,14 +325,14 @@ def test_killing_residual_once_per_chunk():
 # conditions, the eta o N1 gate of thm01_i, 7 of the submanifold checks
 # (the nearly-Kahler gate on the ambient basis, the Weingarten duality, the
 # symmetry of h, and the h-display and the shape display of each case), and
-# 5 of the theorem bodies (the four of thm01_i, [f,f] among them, and
-# N1 - 2 xibar Phi((Q - id).,.) of thm01_ii).
+# 4 of the theorem bodies (the three of thm01_i, each one coefficient
+# tensor, and N1 + 2 xibar Phi((Q - id).,.) of thm01_ii).
 STACKED_PARTS = ("nearly_s_defining", "nearly_c_defining",
                  "s_structure_defining", "phi_equals_deta", "deta_zero",
                  "dphi_zero", "n1_zero", "killing", "reeb_brackets",
                  "reeb_flat", "reeb_totally_geodesic", "q_parallel_d",
                  "q_parallel_expansion")
-ON_PAIRS = 9 + 1 + 7 + 5
+ON_PAIRS = 9 + 1 + 7 + 4
 
 
 @pytest.fixture(scope="module")

@@ -209,6 +209,35 @@ def test_no_unplanned_multi_operand_einsum_in_src():
     assert bad == []
 
 
+# The methods that draw from a numpy generator.
+_DRAWS = {name for name in dir(np.random.Generator)
+          if not name.startswith("_") and name not in ("bit_generator", "spawn")}
+
+
+def _draws(node, module, where="<module>"):
+    """(module, innermost enclosing function) of every call ``x.name(...)``
+    of a generator's draw method ``name``."""
+    for child in ast.iter_child_nodes(node):
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                and child.func.attr in _DRAWS):
+            yield module, where
+        inner = child.name if isinstance(child, ast.FunctionDef) else where
+        yield from _draws(child, module, inner)
+
+
+def test_only_sampling_draws_from_a_point_generator():
+    # a point's generator (sampling.point_rng) is drawn in sampling alone,
+    # where the test vectors take every random number of the point, so no
+    # check depends on what was read before it. The one other draw is the
+    # chart's own generator, which draws the sample points.
+    found = set()
+    for path in Path(weakf.__file__).parent.glob("*.py"):
+        if path.name != "sampling.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            found.update(_draws(tree, path.name))
+    assert found == {("charts.py", "sample")}
+
+
 def test_jets_are_converted_only_in_jets_module():
     # every jet-to-array conversion is the one bulk converter, jets.arrays;
     # the per-scalar parts/value_of route is left to the test oracle

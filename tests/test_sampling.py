@@ -16,6 +16,7 @@ from weakf import catalog
 from weakf.classifiers import class_residual
 from weakf.fstructure import PackFrame
 from weakf.sampling import (
+    N_CHAIN_UNITS,
     N_RANDOM_PAIRS,
     N_RANDOM_TRIPLES,
     cholesky_basis,
@@ -23,7 +24,6 @@ from weakf.sampling import (
     lead_dot,
     pair_form,
     point_rng,
-    random_units,
     sup_norm,
     unit_rows,
 )
@@ -131,28 +131,27 @@ seeds = st.integers(0, 2**32 - 1)
 
 
 @settings(max_examples=100, deadline=None)
-@given(seeds, st.integers(1, 10), st.integers(1, 64))
-def test_batched_draw_equals_one_draw_per_vector(seed, m, count):
-    draws = [np.random.default_rng(seed) for _ in range(3)]
-    batched = draws[0].standard_normal((count, m))
+@given(seeds, st.integers(1, 10), st.integers(1, 64), st.integers(0, 40))
+def test_one_draw_equals_one_draw_per_vector(seed, m, count, more):
+    # the test vectors take all of a point's normals in one draw: the same
+    # normals bit for bit as one draw per vector and then one of ``more``
+    # (the chain's coefficients), and the generators end in the same state
+    draws = [np.random.default_rng(seed) for _ in range(2)]
+    batched = draws[0].standard_normal(count * m + more)
     sequential = np.array([draws[1].standard_normal(m) for _ in range(count)])
-    # the same normals bit for bit, and the generators end in the same state
-    assert batched.tobytes() == sequential.tobytes()
+    assert batched[:count * m].tobytes() == sequential.tobytes()
+    assert batched[count * m:].tobytes() == draws[1].standard_normal(
+        more).tobytes()
     assert draws[0].bit_generator.state == draws[1].bit_generator.state
-    # random_units normalizes exactly that draw (a stack of one point)
-    g0 = np.eye(m)
-    assert random_units(g0[None], [draws[2]], count)[0].tobytes() == \
-        unit_rows(sequential, g0).tobytes()
-    assert draws[2].bit_generator.state == draws[1].bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)
 @given(seeds, st.integers(1, 10))
-def test_random_units_are_g_unit(seed, m):
+def test_unit_rows_are_g_unit(seed, m):
     rng = np.random.default_rng(seed)
     a = rng.uniform(-1.0, 1.0, (m, m))
     g0 = np.eye(m) + a @ a.T       # eigenvalues in [1, 1 + m^2]
-    units = random_units(g0[None], [rng], 40)[0]
+    units = unit_rows(rng.standard_normal((40, m)), g0)
     assert units.shape == (40, m)
     assert np.abs(((units @ g0) * units).sum(1) - 1.0).max() <= 1e-14
 
@@ -175,14 +174,18 @@ def test_frame_draws_continue_after_the_test_vectors(all_packs):
             tv = fr.tv
             rng = point_rng(5, index)
             pairs, triples = _one_draw_per_vector(fr.g0, rng)
-            nb = tv.n_basis + len(fr.xi0)
+            nb = len(fr.g0) + len(fr.xi0)
             assert np.abs(tv.vectors[nb:] - pairs).max() <= 1e-15
             assert np.abs(tv.triples - triples).max() <= 1e-15
-            # the point's later draws (the curvature chain's units in the
-            # contact distribution) are those the reference draws next
-            shape = (4, fr.d_basis.shape[0])
-            drawn = fr._chunk.rngs[fr._k].standard_normal(shape)
-            assert drawn.tobytes() == rng.standard_normal(shape).tobytes()
+            # and bitwise the one draw of them, scaled to g-norm 1
+            drawn = point_rng(5, index).standard_normal((len(pairs) + 3 * len(
+                triples), len(fr.g0)))
+            assert tv.vectors[nb:].tobytes() == unit_rows(
+                drawn, fr.g0)[:len(pairs)].tobytes()
+            # the coefficients of the curvature chain's units in the contact
+            # distribution are what the reference draws next
+            shape = (N_CHAIN_UNITS, fr.d_basis.shape[0])
+            assert tv.chain.tobytes() == rng.standard_normal(shape).tobytes()
 
 
 # -- test basis ---------------------------------------------------------------------
