@@ -116,9 +116,15 @@ def _block_skew(n, scales):
     return a
 
 
+# Values that float() converts but that are no numbers (True would be 1,
+# "3" would be 3).
+_NOT_NUMBERS = (bool, np.bool_, str)
+
+
 def _integer(name, value):
-    """An integer parameter; a fractional value is rejected, never truncated."""
-    if not float(value).is_integer():
+    """An integer parameter; a bool, a string or a fractional value is
+    rejected, never coerced or truncated."""
+    if isinstance(value, _NOT_NUMBERS) or not float(value).is_integer():
         raise InvalidExample(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -161,7 +167,10 @@ def _block_weights(example, n, scales, default):
     """
     if scales is None:
         return default
-    weights = tuple(map(float, scales if np.ndim(scales) else (scales,)))
+    given = scales if np.ndim(scales) else (scales,)
+    if any(isinstance(c, _NOT_NUMBERS) for c in given):
+        raise InvalidExample(f"{example} scales must be numbers, got {scales!r}")
+    weights = tuple(map(float, given))
     if len(weights) != n:
         raise InvalidExample(f"{example} needs one block weight per complex block")
     bad = [c for c in weights

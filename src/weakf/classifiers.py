@@ -15,7 +15,11 @@ stack alone and returns one row over its points per key, under its gates
 g-norm: each is lowered by the Cholesky factor u of g0 and reduced by
 :func:`~weakf.sampling.sup_norm`; a residual whose values on the test pairs
 hold m nv^2 entries per point is formed ``PAIR_CHUNK`` points at a time
-(:func:`~weakf.fstructure._pair_rows`).
+(:func:`~weakf.fstructure._pair_rows`), and not at all when its coefficient
+stack vanishes identically, as the derivative layer does on a constant
+pack: the test vectors are finite, so its rows are exactly 0.0, and a NaN
+keeps the full path. The test is made once per chunk there, not in
+``pair_form``, whose many small calls would each pay it.
 
 Gates use the exact tolerance (default 1e-9); the report measures the
 curvature steps of ``thm32_chain`` against its own curvature tolerance.

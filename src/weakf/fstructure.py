@@ -24,6 +24,15 @@ builds one per chunk and hands it to every check. A :class:`PackFrame` is
 one point's row of a stack: every attribute of the frame is its row of the
 stack's quantity of the same name. Frames are built per point only for
 ``prop_normal``, the one theorem body computed at each point.
+
+A residual over the test pairs is formed by :func:`_pair_rows`, which
+skips a coefficient stack that vanishes identically: on a constant pack
+the whole derivative layer (Gamma, D f, D Q, D xi, d eta, [f,f], L_xi g)
+is exactly zero. The skip is exact, not a tolerance: the test vectors are
+finite, so every skipped entry would be +-0.0, which the reducers make
++0.0, and a NaN coefficient keeps the full path. It is tested once per
+chunk in ``_pair_rows`` rather than in ``pair_form``, whose many small
+calls per sub-chunk would each pay it.
 """
 
 from __future__ import annotations
@@ -63,7 +72,22 @@ _rows_norm = partial(sup_norm, lead=1)
 
 def _pair_rows(reduce, c, X, Y=None):
     """``reduce(pair_form(c, X, Y))`` of the stacks c[P, k, a, b], X[P, A, a]
-    and Y[P, B, b] (Y = X by default), ``PAIR_CHUNK`` points at a time."""
+    and Y[P, B, b] (Y = X by default), ``PAIR_CHUNK`` points at a time.
+
+    A ``c`` that vanishes identically, such as a constant pack's derivative
+    layer (Gamma, D f, D Q, D xi, d eta, [f,f], L_xi g), is reduced as one
+    (P, k, 1, 1) block of zeros, and no test pair is formed. The rule is
+    exact, with no tolerance: the test vectors are finite (non-finite jets
+    are refused, and the Cholesky basis, the normalised random units and
+    ``d_basis`` are finite), so each skipped entry would be +0.0 or -0.0,
+    which ``sup_abs`` and ``sup_norm`` both make +0.0; a NaN in ``c`` makes
+    ``c.any()`` true and keeps the full path. The test is made here, once
+    per residual and chunk, not in ``pair_form``: there every sub-chunk,
+    and every one of the many small contractions a run makes elsewhere,
+    would pay it, which measured slower on small examples.
+    """
+    if not c.any():
+        return reduce(np.zeros(c.shape[:2] + (1, 1)))
     Y = X if Y is None else Y
     return np.concatenate([
         reduce(pair_form(c[i:i + PAIR_CHUNK], X[i:i + PAIR_CHUNK, None],

@@ -15,9 +15,12 @@ most 1e-14. Dump the JSON reports of both commits and compare them:
     PYTHONPATH=src python tests/report_digests.py --dump after    # new commit
     PYTHONPATH=src python tests/report_digests.py --compare before after
 
-``--compare`` prints, per configuration, the verdict changes and the
+``--compare`` prints, per configuration, the verdict changes, the
 largest |delta| of any residual with the entry (suite.identity) and field
-it is in, and exits 1 on a verdict change or a delta above 1e-14. A non-finite residual is written as the string "NaN",
+it is in, and every other difference: an entry on one side only, or any
+other field of an entry (formula, tolerance, points, counted, note) that
+is not equal. It exits 1 on a verdict change, a delta above 1e-14 or any
+other difference. A non-finite residual is written as the string "NaN",
 "Infinity" or "-Infinity"; it matches only the same string. Each
 configuration is a ``weakf verify`` argument list; the report is built once
 and rendered in both formats.
@@ -109,23 +112,43 @@ def _entries(path):
             for suite, entries in report["suites"].items() for e in entries}
 
 
+# The residual fields, which may move by RESIDUAL_TOL; every other field of
+# an entry must be equal.
+RESIDUAL_FIELDS = ("max_residual", "mean_residual")
+
+
+def _other_fields(entry):
+    return {field: value for field, value in entry.items()
+            if field not in ("identity", "verdict", *RESIDUAL_FIELDS)}
+
+
 def compare_reports(before, after):
     """Per report file: (name, changed identities, max |delta residual|,
-    the "suite.identity field" it is in, or None if no residual moved)."""
+    the "suite.identity field" it is in, or None if no residual moved, and
+    the other differences: "suite.identity field" for each other field that
+    differs, "suite.identity only in A" or "... only in B" for an entry of
+    one side only)."""
     before, after = Path(before), Path(after)
     names = sorted({p.name for p in before.glob("*.json")}
                    | {p.name for p in after.glob("*.json")})
     for name in names:
         if not (before / name).is_file() or not (after / name).is_file():
-            yield name, ["<report missing>"], float("inf"), None
+            yield name, ["<report missing>"], float("inf"), None, []
             continue
         old, new = _entries(before / name), _entries(after / name)
-        changed = sorted(".".join(key) for key in old.keys() | new.keys()
-                         if key not in old or key not in new
-                         or old[key]["verdict"] != new[key]["verdict"])
+        shared = sorted(old.keys() & new.keys())
+        changed = sorted(".".join(key) for key in shared
+                         if old[key]["verdict"] != new[key]["verdict"])
+        others = [f"{'.'.join(key)} only in {side}"
+                  for side, mine, theirs in (("A", old, new), ("B", new, old))
+                  for key in sorted(mine.keys() - theirs.keys())]
         delta, where = 0.0, None
-        for key in sorted(old.keys() & new.keys()):
-            for field in ("max_residual", "mean_residual"):
+        for key in shared:
+            o, n = _other_fields(old[key]), _other_fields(new[key])
+            others += [f"{'.'.join(key)} {field}"
+                       for field in sorted(o.keys() | n.keys())
+                       if (field in o, o.get(field)) != (field in n, n.get(field))]
+            for field in RESIDUAL_FIELDS:
                 a, b = old[key][field], new[key][field]
                 if a is None or b is None or a == b:
                     continue
@@ -134,7 +157,7 @@ def compare_reports(before, after):
                 d = d if math.isfinite(d) else math.inf
                 if where is None or d > delta:
                     delta, where = d, f"{'.'.join(key)} {field}"
-        yield name, changed, delta, where
+        yield name, changed, delta, where, others
 
 
 def main(argv=None):
@@ -150,13 +173,16 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.compare:
         bad = 0
-        for name, changed, delta, where in compare_reports(*args.compare):
+        for name, changed, delta, where, others in compare_reports(
+                *args.compare):
             print(f"{name}: {len(changed)} verdict changes, "
                   f"max |delta residual| {delta:.2e}"
                   + (f" at {where}" if where else ""))
             for identity in changed:
                 print(f"  changed: {identity}")
-            bad += bool(changed) or delta > RESIDUAL_TOL
+            for field in others:
+                print(f"  differs: {field}")
+            bad += bool(changed or others) or delta > RESIDUAL_TOL
         return 1 if bad else 0
     seeds = [int(s) for s in args.seeds.split(",")]
     if args.dump:

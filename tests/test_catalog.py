@@ -121,6 +121,28 @@ def test_builders_validate_parameters():
         make_example("flat_pack", name="sasakian_s3")
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"n": True}, "n must be an integer, got True"),
+    ({"n": "3"}, "n must be an integer, got '3'"),
+    ({"n": 2, "s": np.True_}, "s must be an integer, got np.True_"),
+    ({"n": 2, "scales": (True, 2)},
+     "flat_pack scales must be numbers, got (True, 2)"),
+    ({"n": 1, "scales": "2"}, "flat_pack scales must be numbers, got '2'"),
+])
+def test_bool_and_string_parameters_are_refused(params, message):
+    # a bool or a string converts to a float but is no number: it is
+    # refused by the parameter's name, never coerced (True to 1, "3" to 3)
+    with pytest.raises(InvalidExample) as err:
+        make_example("flat_pack", **params)
+    assert str(err.value) == message
+
+
+def test_integer_valued_floats_are_integers():
+    pack = make_example("flat_pack", n=2.0, s=1.0, scales=(1, 2.0)).obj
+    assert (pack.n, pack.s) == (2, 1)
+    assert type(pack.n) is int and type(pack.s) is int
+
+
 @pytest.mark.parametrize("builder", [flat_pack, rotated_pack, product_pack,
                                      hypersphere, linear_subspace])
 def test_oversize_dimension_is_refused_before_allocation(builder):

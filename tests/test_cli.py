@@ -111,6 +111,22 @@ def test_bad_parameter_is_usage_error(tmp_path):
         assert cli.main(argv) == 2, params
 
 
+def test_non_numeric_parameter_is_named():
+    # a word where a number is expected is refused by the parameter's name
+    for params, message in (
+            (["n=abc"], "error: n must be an integer, got 'abc'"),
+            (["n=2", "s=two"], "error: s must be an integer, got 'two'"),
+            (["n=2", "scales=1,abc"],
+             "error: flat_pack scales must be numbers, got (1, 'abc')")):
+        argv = ["verify", "--example", "flat_pack", "--samples", "2"]
+        for p in params:
+            argv += ["--param", p]
+        proc = run_cli(argv)
+        assert proc.returncode == 2, params
+        assert proc.stderr.strip() == message
+        assert proc.stdout == ""
+
+
 def test_single_block_weight_from_command_line():
     # a bare number is the weight of the one block of n=1
     for example, params in (("flat_pack", ["n=1", "scales=2"]),

@@ -1,3 +1,6 @@
+import sys
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -10,10 +13,13 @@ from oracles import (
     tensor_apply_field,
 )
 from report_digests import CONFIGS
-from weakf import catalog, charts, classifiers
+from weakf import catalog, charts, classifiers, fstructure, submanifold
 from weakf.charts import constant_field
 from weakf.errors import DegenerateOperatorError
-from weakf.fstructure import PackFrame, StructurePack, axioms_residual
+from weakf.fstructure import (PackFrame, StructurePack, _pair_rows, _rows_abs,
+                              _rows_norm, axioms_residual)
+from weakf.report import SuiteConfig, run_suite
+from weakf.sampling import pair_form, sup_abs
 
 TOL = 1e-9
 
@@ -303,3 +309,92 @@ def test_pack_evaluation_deterministic(cat_sasakian):
     b = pack.f.jet(p, order=2)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+# The reducers _pair_rows is called with: a scalar row per point, a vector
+# row per point in the g-norm, and one row per Reeb field (the Killing part).
+PAIR_REDUCERS = {"rows_abs": _rows_abs, "rows_norm": _rows_norm,
+                 "sup_abs_lead2": partial(sup_abs, lead=2)}
+
+
+def _pair_operands(c_value, points=5):
+    """Coefficients c[P, 3, 4, 4] filled with ``c_value`` and finite test
+    vectors X[P, 6, 4], Y[P, 7, 4]: an odd P leaves a partial sub-chunk."""
+    rng = np.random.default_rng(5)
+    return (np.full((points, 3, 4, 4), c_value),
+            rng.standard_normal((points, 6, 4)),
+            rng.standard_normal((points, 7, 4)))
+
+
+@pytest.mark.parametrize("reducer", PAIR_REDUCERS)
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_vanishing_coefficients_give_the_contracted_rows(reducer, zero):
+    # an identically zero c forms no test pair, and its rows are exactly
+    # those of the contraction: every entry would be +-0.0, which the
+    # reducers make +0.0
+    reduce = PAIR_REDUCERS[reducer]
+    c, X, Y = _pair_operands(zero)
+    assert not c.any() and (np.signbit(c) == np.signbit(zero)).all()
+    for y in (None, Y):
+        rows = _pair_rows(reduce, c, X, y)
+        full = reduce(pair_form(c, X[:, None], (X if y is None else y)[:, None]))
+        assert rows.shape == full.shape == (len(c),) + (
+            (c.shape[1],) if reducer == "sup_abs_lead2" else ())
+        assert rows.dtype == full.dtype
+        assert [float.hex(v) for v in rows.ravel().tolist()] == [
+            float.hex(v) for v in full.ravel().tolist()]
+
+
+@pytest.mark.parametrize("reducer", PAIR_REDUCERS)
+def test_one_nan_coefficient_still_reads_nan(reducer):
+    reduce = PAIR_REDUCERS[reducer]
+    c, X, _ = _pair_operands(0.0)
+    c[3, 1, 2, 0] = np.nan
+    rows = _pair_rows(reduce, c, X)
+    # NaN at the point, and on the Killing rows at its component alone
+    expected = np.zeros(rows.shape, bool)
+    expected[(3, 1)[:rows.ndim]] = True
+    assert np.array_equal(np.isnan(rows), expected)
+
+
+# The residuals formed by _pair_rows in a run on a constant pack at n=4
+# s=2 (the flat factor of thm41, and its rotation): those whose
+# coefficients are the derivative layer (D f, D Q, d eta, N1, L_xi g)
+# vanish identically and form no test pair; those that read f, g and xi
+# themselves are still contracted.
+CONSTANT_PACK_SKIPPED = {"nearly_c_defining", "n1_zero", "q_parallel_d",
+                         "q_parallel_expansion", "deta_zero", "killing"}
+CONSTANT_PACK_CONTRACTED = {"nearly_s_defining", "s_structure_defining",
+                            "phi_equals_deta"}
+
+
+@pytest.mark.parametrize("example", ["flat_pack", "rotated_pack"])
+def test_constant_pack_skips_exactly_the_vanishing_identities(example,
+                                                              monkeypatch):
+    formed, made = [0], {}
+    pair_rows = fstructure._pair_rows
+
+    def counted(t, X, Y):
+        formed[0] += 1
+        return pair_form(t, X, Y)
+
+    def recorded(reduce, c, X, Y=None):
+        caller = sys._getframe(1)
+        while caller.f_code.co_name == "_vector_rows":
+            caller = caller.f_back
+        before = formed[0]
+        rows = pair_rows(reduce, c, X, Y)
+        made.setdefault(caller.f_code.co_name, set()).add(formed[0] > before)
+        return rows
+
+    monkeypatch.setattr(fstructure, "pair_form", counted)
+    for mod in (classifiers, fstructure, submanifold):
+        monkeypatch.setattr(mod, "_pair_rows", recorded)
+    rep = run_suite(SuiteConfig(example=example, params={"n": 4, "s": 2},
+                                samples=charts.CHUNK + 3))
+    assert rep["overall"]["verdict"] == "pass"
+    assert made.keys() == CONSTANT_PACK_SKIPPED | CONSTANT_PACK_CONTRACTED
+    assert {name for name, m in made.items() if m == {False}} == (
+        CONSTANT_PACK_SKIPPED)
+    assert {name for name, m in made.items() if m == {True}} == (
+        CONSTANT_PACK_CONTRACTED)

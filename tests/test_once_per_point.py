@@ -288,11 +288,31 @@ def _sub_chunks(points):
     return sum(-(-p // fstructure.PAIR_CHUNK) for p in chunks if p)
 
 
-def test_killing_residual_once_per_chunk():
+def _receiving(pair_rows, received, kept=lambda c: True):
+    """``_pair_rows`` that records what each call receives whose coefficient
+    stack is ``kept``: whether the stack is nonzero, and the sub-chunks of
+    PAIR_CHUNK points it spans."""
+    def recorded(reduce, c, X, Y=None):
+        if kept(c):
+            received.append((bool(c.any()),
+                             -(-len(c) // fstructure.PAIR_CHUNK)))
+        return pair_rows(reduce, c, X, Y)
+    return recorded
+
+
+# Each module that forms residuals on the test pairs, by _pair_rows.
+PAIR_ROWS_MODULES = (classifiers, fstructure, submanifold)
+
+
+@pytest.mark.parametrize("example, params, vanishes", [
+    ("sasakian_s3", {}, True), ("hypersphere", {"n": 1}, False)])
+def test_killing_residual_once_per_chunk(example, params, vanishes):
     # the f_K_contact class, prop1 and the gates of fk_contact_nabla and
-    # thm32_chain all read (L_xi g)(V, V) on sasakian_s3 (s = 1): it is
-    # formed on the chunk's stack, once per sub-chunk of its points
-    lie, counts = [], Counter()
+    # thm32_chain all read (L_xi g)(V, V) (s = 1): _pair_rows receives it
+    # once per chunk, on the chunk's stack, and contracts it with the test
+    # pairs once per sub-chunk of its points, unless it vanishes
+    # identically, as it does on sasakian_s3
+    lie, counts, received = [], Counter(), []
     stack = fstructure._FrameStack
     prop = vars(stack)["lie_g_xi"]
 
@@ -312,11 +332,19 @@ def test_killing_residual_once_per_chunk():
         mp.setattr(stack, "lie_g_xi", rec)
         for mod in (classifiers, fstructure):
             mp.setattr(mod, "pair_form", counting(mod.pair_form))
-        rep = run_suite(SuiteConfig(example="sasakian_s3", suites=SUITES,
-                                    samples=CHUNKED))
+        for mod in PAIR_ROWS_MODULES:
+            mp.setattr(mod, "_pair_rows", _receiving(
+                mod._pair_rows, received, lambda c: any(c is a for a in lie)))
+        rep = run_suite(SuiteConfig(example=example, params=params,
+                                    suites=SUITES, samples=CHUNKED))
     assert rep["overall"]["verdict"] == "pass"
     assert len(lie) == 2
-    assert counts["killing"] == _sub_chunks(CHUNKED)
+    assert [a.any() for a in lie] == [not vanishes] * 2
+    assert len(received) == len(lie)
+    assert sum(sub for _, sub in received) == _sub_chunks(CHUNKED)
+    assert counts["killing"] == sum(sub for nonzero, sub in received
+                                    if nonzero)
+    assert counts["killing"] == (0 if vanishes else _sub_chunks(CHUNKED))
 
 
 # The class parts and Reeb-frame conditions of a chunk's stack, one row (the
@@ -338,9 +366,10 @@ ON_PAIRS = 9 + 1 + 7 + 4
 @pytest.fixture(scope="module")
 def stacked_run():
     """An all-suite run of hypersphere n=1 over two chunks of points: the
-    builds of each stacked part, and (calling function, operand values) ->
-    calls of every pair_form of the fstructure and classifiers modules."""
-    counts, pairs = Counter(), Counter()
+    builds of each stacked part, (calling function, operand values) ->
+    calls of every pair_form of the fstructure and classifiers modules, and
+    what each _pair_rows call receives (see _receiving)."""
+    counts, pairs, received = Counter(), Counter(), []
     stack = fstructure._FrameStack
     pair_form = fstructure.pair_form
 
@@ -357,29 +386,38 @@ def stacked_run():
             mp.setattr(stack, name, _counted_property(stack, name, counts))
         for mod in (classifiers, fstructure):
             mp.setattr(mod, "pair_form", counting_pair_form)
+        for mod in PAIR_ROWS_MODULES:
+            mp.setattr(mod, "_pair_rows", _receiving(mod._pair_rows, received))
         rep = run_suite(SuiteConfig(example="hypersphere", params={"n": 1},
                                     suites=SUITES, samples=CHUNKED))
     assert rep["overall"]["verdict"] == "pass"
-    return counts, pairs
+    return counts, pairs, received
 
 
 def test_class_parts_and_frame_conditions_once_per_chunk(stacked_run):
     # the classes and frames bundles, the class gates of the theorem checks
     # and the submanifold conclusions read the rows of one stacked residual
     # per part: each is built once per chunk of points
-    counts, _ = stacked_run
+    counts, _, _ = stacked_run
     assert {name: counts[name] for name in STACKED_PARTS} == dict.fromkeys(
         STACKED_PARTS, 2)
 
 
 def test_test_pairs_once_per_sub_chunk(stacked_run):
     # the coefficients of each part measured on the test pairs, (D_X f)Y
-    # and (D_X Q)Y among them, meet the pairs once per sub-chunk of
-    # PAIR_CHUNK points, and never twice with the same operands (all-zero
-    # coefficients are left out: two identities may both vanish exactly)
-    _, pairs = stacked_run
+    # and (D_X Q)Y among them, reach _pair_rows once per chunk, spanning
+    # each sub-chunk of PAIR_CHUNK points once; it meets them with the pairs
+    # once per sub-chunk unless they vanish identically (some do here), and
+    # never twice with the same operands (all-zero coefficients are left
+    # out: two identities may both vanish exactly)
+    _, pairs, received = stacked_run
+    chunks = -(-CHUNKED // charts.CHUNK)
+    assert len(received) == ON_PAIRS * chunks
+    assert sum(sub for _, sub in received) == ON_PAIRS * _sub_chunks(CHUNKED)
+    assert not all(nonzero for nonzero, _ in received)
     made = {key: n for key, n in pairs.items() if key[0] == "_pair_rows"}
-    assert sum(made.values()) == ON_PAIRS * _sub_chunks(CHUNKED)
+    assert sum(made.values()) == sum(sub for nonzero, sub in received
+                                     if nonzero)
     assert max(n for key, n in made.items() if ZERO not in key) == 1
 
 
@@ -395,7 +433,7 @@ def test_stacked_bodies_meet_the_pairs_once_per_chunk(stacked_run):
     # each coefficient tensor of a stacked theorem body meets its pairs once
     # per chunk, and never twice with the same operands; those on the test
     # pairs of thm01_i and thm01_ii meet them in _pair_rows (above)
-    _, pairs = stacked_run
+    _, pairs, _ = stacked_run
     made = {key: n for key, n in pairs.items() if key[0] in (
         "_prop1", "_thm41", "_thm01_i", "_thm01_ii")}
     calls = Counter()

@@ -421,6 +421,47 @@ def test_report_digests_compare_mode(tmp_path, capsys):
         assert code == 1 and "max |delta residual| inf" in out, changed
 
 
+def test_report_digests_compare_names_every_other_field(tmp_path, capsys):
+    # two dumps that differ in a field other than the verdict and the
+    # residuals, or in an entry of one side only, differ: the field or the
+    # entry is named and the exit status is 1
+    before, after = tmp_path / "before", tmp_path / "after"
+    for out in (before, after):
+        dump_reports(out, CONFIGS[:1], samples=2, seeds=[42])
+    compare = ["--compare", str(before), str(after)]
+    (path,) = after.iterdir()
+    original = json.loads(path.read_text(encoding="utf-8"))
+    entry = original["suites"]["axioms"][0]
+    identity = f"axioms.{entry['identity']}"
+
+    def edited(edit):
+        rep = json.loads(json.dumps(original))
+        edit(rep["suites"]["axioms"])
+        path.write_text(json.dumps(rep), encoding="utf-8")
+        capsys.readouterr()
+        code = report_digests.main(compare)
+        return code, capsys.readouterr().out
+
+    code, out = edited(lambda e: e[0].update(formula=e[0]["formula"] + " "))
+    assert code == 1
+    assert "0 verdict changes, max |delta residual| 0.00e+00" in out
+    assert out.count("  differs: ") == 1 and f"  differs: {identity} formula" in out
+    for field, value in (("tolerance", entry["tolerance"] * 10),
+                         ("points", entry["points"] + 1),
+                         ("counted", not entry["counted"]),
+                         ("note", "a note")):
+        code, out = edited(lambda e: e[0].update({field: value}))
+        assert code == 1 and f"  differs: {identity} {field}\n" in out, field
+    code, out = edited(lambda e: e[0].pop("formula"))
+    assert code == 1 and f"  differs: {identity} formula" in out
+    code, out = edited(lambda e: e.pop(0))
+    assert code == 1 and f"  differs: {identity} only in A" in out
+    code, out = edited(lambda e: e.append(dict(entry, identity="extra")))
+    assert code == 1 and "  differs: axioms.extra only in B" in out
+    code, out = edited(lambda e: None)
+    assert code == 0 and "differs" not in out
+
+
 # The digests of every reference report at 10 samples, seeds 42 and 7, as
 # tests/report_digests.py prints them: the byte-identity gate of a change
 # that must not move any report.
