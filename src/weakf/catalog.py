@@ -7,9 +7,12 @@ bitwise reproducible under a fixed seed.
 Built-in examples
 -----------------
 
-``flat_pack(n, s, scales)``
-    R^(2n+s) with a constant skew block tensor of rank 2n; Q = -f^2 plus
-    the Reeb correction. Constant and flat, hence a weak C-structure.
+``flat_pack(n, s, scales)``, ``product_pack(n, s, scales)``
+    One block-weight pack: R^(2n+s) = R^2n x R^s with f the constant skew
+    block tensor of the weights ``scales`` on R^2n, Q = -f^2 there and the
+    identity on the unit translations xi_i of R^s. Constant and flat, hence
+    a weak C-structure; flat_pack's weights default to 1, 2, .., n and
+    product_pack's (the flat weak Kahler factor of thm41) to 1.
 
 ``rotated_pack(n, s, t, rotation)``
     Two constant classical structures f_1 (standard blocks) and
@@ -18,14 +21,9 @@ Built-in examples
     psi = f_1 f_2 + f_2 f_1. The default conjugation is the coordinate
     reflection diag(1,-1,1,..,1) on the rotation block, for which psi has
     eigenvalues +-2 and Q degenerates exactly at |sin 2t| = 1; a Givens
-    conjugation can be selected instead (its psi is a negative multiple of
-    the identity on the block, so every t is admissible).
-
-``product_pack(n, s, scales)``
-    The product of a flat weak Kahler factor (R^2n, constant skew) with
-    R^s: xi_i are the unit translations of the flat factor, f acts by the
-    ambient skew tensor on the first factor, Q = -fbar^2 on it and the
-    identity on the Reeb directions. A weak nearly C-structure.
+    conjugation ``rotation="givens:i:j:theta"`` or an orthogonal matrix can
+    be selected instead (the Givens psi is a negative multiple of the
+    identity on the block, so every t is admissible).
 
 ``sasakian_s3()``
     The round unit 3-sphere in Hopf-style coordinates (al, be, ga) with
@@ -44,6 +42,11 @@ Built-in examples
     normals and a constant ambient skew exchanging the last s tangent and
     normal directions; totally geodesic, its induced pack is the product
     pack.
+
+Every parameter passes one checked converter (``_integer``, ``_number``,
+``_choice``, ``_block_weights`` or ``_rotation_matrix``): a bool, a string
+where a number is expected or a non-finite value is refused with an
+InvalidExample that names the parameter, never coerced.
 """
 
 from __future__ import annotations
@@ -129,6 +132,28 @@ def _integer(name, value):
     return int(value)
 
 
+def _number(name, value):
+    """A finite float parameter; a bool, a string or a non-finite value is
+    rejected, never coerced."""
+    try:
+        number = None if isinstance(value, _NOT_NUMBERS) else float(value)
+    except (TypeError, ValueError):
+        number = None
+    if number is None:
+        raise InvalidExample(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(number):
+        raise InvalidExample(f"{name} must be finite, got {number!r}")
+    return number
+
+
+def _choice(name, value, options):
+    """One of the strings ``options``."""
+    if not (isinstance(value, str) and value in options):
+        raise InvalidExample(
+            f"{name} must be {' or '.join(map(repr, options))}, got {value!r}")
+    return value
+
+
 # The largest ambient dimension 2n + 2s of an example (a pack's chart has
 # 2n + s): one chunk of a run at 32 peaks at 102 MB traced, on hypersphere
 # n=15 with all suites, the most of any builder (see CHANGES.md).
@@ -177,77 +202,99 @@ def _block_weights(example, n, scales, default):
            if not (c * c > _Q_EIGEN_FLOOR and abs(c) <= _WEIGHT_CEIL)]
     if bad:
         raise InvalidExample(
-            f"{example} block weight {bad[0]!r} must have {_WEIGHT_FLOOR:.4e} < "
-            f"|weight| <= {_WEIGHT_CEIL:.4e}, where its square, the eigenvalue "
-            f"of Q on its block, exceeds the axioms' floor {_Q_EIGEN_FLOOR:g} "
-            "and its sixth power, the squared g-norm of Q f, stays finite")
+            f"{example} block weight {bad[0]!r} in scales must have "
+            f"{_WEIGHT_FLOOR:.4e} < |weight| <= {_WEIGHT_CEIL:.4e}, where its "
+            "square, the eigenvalue of Q on its block, exceeds the axioms' floor "
+            f"{_Q_EIGEN_FLOOR:g} and its sixth power, the squared g-norm of Q f, "
+            "stays finite")
     return weights
-
-
-def _constant_pack(chart, f_mat, q_mat, n, s):
-    m = 2 * n + s
-    xi = tuple(
-        constant_field(chart, "vector", np.eye(m)[2 * n + i], name=f"xi_{i + 1}")
-        for i in range(s)
-    )
-    eta = tuple(
-        constant_field(chart, "oneform", np.eye(m)[2 * n + i], name=f"eta_{i + 1}")
-        for i in range(s)
-    )
-    return StructurePack(
-        chart=chart,
-        f=constant_field(chart, "tensor11", f_mat, name="f"),
-        Q=constant_field(chart, "tensor11", q_mat, name="Q"),
-        xi=xi,
-        eta=eta,
-        g=euclidean_metric(chart),
-        n=n,
-        s=s,
-    )
 
 
 def _flat_chart(m, label):
     return Chart(name=f"{label}_r{m}", dim=m, box=tuple((-1.5, 1.5) for _ in range(m)))
 
 
+def _constant_pack(f_block, q_block, example, label, params):
+    """The constant pack on R^(2n+s) with f and Q given on the rank-2n block:
+    the unit Reeb frame on the last s coordinates, where f = 0 and Q = id,
+    and the Euclidean metric."""
+    n, s = params["n"], params["s"]
+    m = 2 * n + s
+    chart = _flat_chart(m, label)
+    f = np.zeros((m, m))
+    f[: 2 * n, : 2 * n] = f_block
+    q = np.eye(m)
+    q[: 2 * n, : 2 * n] = q_block
+    pack = StructurePack(
+        chart=chart,
+        f=constant_field(chart, "tensor11", f, name="f"),
+        Q=constant_field(chart, "tensor11", q, name="Q"),
+        xi=tuple(constant_field(chart, "vector", np.eye(m)[2 * n + i],
+                                name=f"xi_{i + 1}") for i in range(s)),
+        eta=tuple(constant_field(chart, "oneform", np.eye(m)[2 * n + i],
+                                 name=f"eta_{i + 1}") for i in range(s)),
+        g=euclidean_metric(chart),
+        n=n,
+        s=s,
+    )
+    return CatalogObject(name=example, params=params, obj=pack,
+                         declared_classes=_CONSTANT_PACK_CLASSES)
+
+
+def _block_weight_pack(example, label, n, s, scales, default):
+    """f the block skew tensor of the weights, Q = -f^2 on its block; the
+    weights are ``default(n)`` unless ``scales`` gives them."""
+    n, s = _dimensions(example, n, s)
+    scales = _block_weights(example, n, scales, default(n))
+    a = _block_skew(n, scales)
+    return _constant_pack(a, -a @ a, example, label,
+                          {"n": n, "s": s, "scales": scales})
+
+
 # -- pack builders -----------------------------------------------------------------
 
 
 def flat_pack(n=2, s=1, scales=None):
-    """Constant weak C-structure on R^(2n+s)."""
-    n, s = _dimensions("flat_pack", n, s)
-    scales = _block_weights("flat_pack", n, scales,
-                            tuple(float(k + 1) for k in range(n)))
-    m = 2 * n + s
-    chart = _flat_chart(m, "flat")
-    f = np.zeros((m, m))
-    f[: 2 * n, : 2 * n] = _block_skew(n, scales)
-    q = -f @ f
-    q[2 * n :, 2 * n :] = np.eye(s)
-    return CatalogObject(
-        name="flat_pack",
-        params={"n": n, "s": s, "scales": scales},
-        obj=_constant_pack(chart, f, q, n, s),
-        declared_classes=_CONSTANT_PACK_CLASSES,
-    )
+    """Constant weak C-structure on R^(2n+s), block weights 1, 2, .., n."""
+    return _block_weight_pack("flat_pack", "flat", n, s, scales,
+                              lambda n: tuple(float(k + 1) for k in range(n)))
+
+
+def product_pack(n=1, s=2, scales=None):
+    """Flat weak Kahler factor times R^s, unit block weights; weak nearly C."""
+    return _block_weight_pack("product_pack", "product", n, s, scales,
+                              lambda n: (1.0,) * n)
 
 
 def _rotation_matrix(n, rotation):
-    """Orthogonal conjugation on the rank-2n block from a descriptor."""
+    """Orthogonal conjugation on the rank-2n block: the reflection (the
+    default), a Givens rotation ``"givens:i:j:theta"`` or a matrix."""
     if rotation is None or (isinstance(rotation, str) and rotation == "reflection"):
         r = np.eye(2 * n)
         r[1, 1] = -1.0
         return r
     if isinstance(rotation, str):
-        parts = rotation.split(":")
-        if parts[0] == "givens" and len(parts) == 4:
-            i, j, theta = int(parts[1]), int(parts[2]), float(parts[3])
-            return _givens(2 * n, i, j, theta)
-        raise InvalidExample(f"unknown rotation descriptor {rotation!r}")
-    if isinstance(rotation, (tuple, list)) and rotation and rotation[0] == "givens":
-        _, i, j, theta = rotation
-        return _givens(2 * n, int(i), int(j), float(theta))
-    r = np.asarray(rotation, dtype=float)
+        kind, *args = rotation.split(":")
+        if kind != "givens" or len(args) != 3:
+            raise InvalidExample(f"unknown rotation descriptor {rotation!r}")
+        try:
+            i, j, theta = map(float, args)
+        except ValueError:
+            raise InvalidExample(f"rotation givens:i:j:theta needs numbers, "
+                                 f"got {rotation!r}") from None
+        i = _integer("rotation givens index i", i)
+        j = _integer("rotation givens index j", j)
+        theta = _number("rotation givens angle", theta)
+        if not (0 <= i < 2 * n and 0 <= j < 2 * n and i != j):
+            raise InvalidExample(f"rotation givens indices out of range, got {i}, {j}")
+        r = np.eye(2 * n)
+        r[i, i] = r[j, j] = np.cos(theta)
+        r[i, j], r[j, i] = -np.sin(theta), np.sin(theta)
+        return r
+    try:
+        r = np.asarray(rotation, dtype=float)
+    except (TypeError, ValueError):
+        raise InvalidExample(f"unknown rotation descriptor {rotation!r}") from None
     if r.shape != (2 * n, 2 * n):
         raise InvalidExample("rotation matrix must act on the rank-2n block")
     if not np.isfinite(r).all():
@@ -257,74 +304,25 @@ def _rotation_matrix(n, rotation):
     return r
 
 
-def _givens(m, i, j, theta):
-    if not (0 <= i < m and 0 <= j < m and i != j):
-        raise InvalidExample("givens indices out of range")
-    if not math.isfinite(theta):
-        raise InvalidExample(f"givens angle must be finite, got {theta}")
-    r = np.eye(m)
-    c, sn = np.cos(theta), np.sin(theta)
-    r[i, i] = c
-    r[j, j] = c
-    r[i, j] = -sn
-    r[j, i] = sn
-    return r
-
-
 def rotated_pack(n=2, s=1, t=0.1, rotation=None):
     """Blend of two conjugate constant structures; weak nearly C."""
     n, s = _dimensions("rotated_pack", n, s)
-    t = float(t)
-    if not math.isfinite(t):
-        raise InvalidExample(f"rotated_pack needs a finite blend angle t, got {t}")
-    m = 2 * n + s
-    f1x = _block_skew(n, (1.0,) * n)
+    t = _number("rotated_pack blend angle t", t)
+    f1 = _block_skew(n, (1.0,) * n)
     r = _rotation_matrix(n, rotation)
-    f2x = r @ f1x @ r.T
-    psi_x = f1x @ f2x + f2x @ f1x
-    if np.abs(psi_x).max() < _PSI_ZERO:
-        raise InvalidExample(
-            "psi = 0: degenerate rotation choice, the blend has Q = id"
-        )
-    sc = np.sin(t) * np.cos(t)
-    q_x = np.eye(2 * n) - sc * psi_x
-    eigmin = float(np.linalg.eigvalsh(0.5 * (q_x + q_x.T)).min())
+    f2 = r @ f1 @ r.T
+    psi = f1 @ f2 + f2 @ f1
+    if np.abs(psi).max() < _PSI_ZERO:
+        raise InvalidExample("psi = 0: degenerate rotation choice, the blend has Q = id")
+    q = np.eye(2 * n) - np.sin(t) * np.cos(t) * psi
+    eigmin = float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
     if eigmin <= _Q_EIGEN_REJECT:
         raise InvalidExample(
-            f"Q not positive-definite for t={t}: smallest eigenvalue "
-            f"{eigmin:.3e}"
-        )
-    f = np.zeros((m, m))
-    f[: 2 * n, : 2 * n] = np.cos(t) * f1x + np.sin(t) * f2x
-    q = np.eye(m)
-    q[: 2 * n, : 2 * n] = q_x
-    chart = _flat_chart(m, "rotated")
-    return CatalogObject(
-        name="rotated_pack",
-        params={"n": n, "s": s, "t": t,
-                "rotation": "reflection" if rotation is None else str(rotation)},
-        obj=_constant_pack(chart, f, q, n, s),
-        declared_classes=_CONSTANT_PACK_CLASSES,
-    )
-
-
-def product_pack(n=1, s=2, scales=None):
-    """Flat weak Kahler factor times R^s; weak nearly C."""
-    n, s = _dimensions("product_pack", n, s)
-    scales = _block_weights("product_pack", n, scales, (1.0,) * n)
-    m = 2 * n + s
-    chart = _flat_chart(m, "product")
-    abar = _block_skew(n, scales)
-    f = np.zeros((m, m))
-    f[: 2 * n, : 2 * n] = abar
-    q = np.eye(m)
-    q[: 2 * n, : 2 * n] = -abar @ abar
-    return CatalogObject(
-        name="product_pack",
-        params={"n": n, "s": s, "scales": scales},
-        obj=_constant_pack(chart, f, q, n, s),
-        declared_classes=_CONSTANT_PACK_CLASSES,
-    )
+            f"Q not positive-definite for t={t}: smallest eigenvalue {eigmin:.3e}")
+    return _constant_pack(
+        np.cos(t) * f1 + np.sin(t) * f2, q, "rotated_pack", "rotated",
+        {"n": n, "s": s, "t": t,
+         "rotation": "reflection" if rotation is None else str(rotation)})
 
 
 def sasakian_s3():
@@ -400,10 +398,8 @@ def _sphere_embedding(n):
 def hypersphere(n=1, ambient_skew="standard", normal="inward"):
     """Unit S^(2n+1) in flat R^(2n+2) with the position normal, s = 1."""
     n, _ = _dimensions("hypersphere", n)
-    if ambient_skew not in ("standard", "weak"):
-        raise InvalidExample("ambient_skew must be 'standard' or 'weak'")
-    if normal not in ("inward", "outward"):
-        raise InvalidExample("normal must be 'inward' or 'outward'")
+    ambient_skew = _choice("ambient_skew", ambient_skew, ("standard", "weak"))
+    normal = _choice("normal", normal, ("inward", "outward"))
     m = 2 * n + 1
     d = 2 * n + 2
     domain = Chart(

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .catalog import make_example
+from .catalog import _number, make_example
 from .charts import PointStacks
 from .classifiers import (
     CLASS_TAGS,
@@ -224,7 +224,7 @@ class SuiteConfig:
             raise InvalidExample(f"format must be json or text, got {self.fmt!r}")
         for name in ("tol_exact", "tol_curvature"):
             tol = getattr(self, name)
-            if not (math.isfinite(tol) and tol >= 0.0):
+            if _number(name, tol) < 0.0:
                 raise InvalidExample(f"{name} must be finite and >= 0, got {tol}")
 
     def echo(self):

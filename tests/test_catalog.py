@@ -1,9 +1,15 @@
+import ast
+import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+from weakf import catalog, cli
 from weakf.catalog import (
     BUILDERS,
     MAX_AMBIENT_DIM,
@@ -135,6 +141,116 @@ def test_bool_and_string_parameters_are_refused(params, message):
     with pytest.raises(InvalidExample) as err:
         make_example("flat_pack", **params)
     assert str(err.value) == message
+
+
+# Every numeric builder parameter: (example, its params with the value v in
+# place, the start of the refusal, which names the parameter). In the
+# Givens string a value is spelled as its repr.
+_NUMERIC_PARAMETERS = {
+    "n": ("flat_pack", lambda v: {"n": v}, "n must be an integer"),
+    "hypersphere n": ("hypersphere", lambda v: {"n": v}, "n must be an integer"),
+    "s": ("linear_subspace", lambda v: {"n": 1, "s": v}, "s must be an integer"),
+    "t": ("rotated_pack", lambda v: {"t": v}, "rotated_pack blend angle t must be"),
+    "scales": ("flat_pack", lambda v: {"n": 1, "scales": v},
+               r"flat_pack (scales must be numbers|block weight \S+ in scales)"),
+    "scales entry": ("product_pack", lambda v: {"n": 2, "scales": (1.0, v)},
+                     r"product_pack (scales must be numbers|block weight \S+ in scales)"),
+    "givens i": ("rotated_pack", lambda v: {"rotation": f"givens:{v!r}:2:0.3"},
+                 "rotation givens"),
+    "givens j": ("rotated_pack", lambda v: {"rotation": f"givens:0:{v!r}:0.3"},
+                 "rotation givens"),
+    "givens angle": ("rotated_pack", lambda v: {"rotation": f"givens:0:2:{v!r}"},
+                     "rotation givens"),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "1", math.nan, math.inf],
+                         ids=repr)
+@pytest.mark.parametrize("parameter", list(_NUMERIC_PARAMETERS))
+def test_numeric_parameters_refuse_what_is_no_finite_number(parameter, value):
+    # a bool, a string or a non-finite value is refused by the parameter's
+    # name, never coerced (t=True would blend at t = 1)
+    example, params, name = _NUMERIC_PARAMETERS[parameter]
+    with pytest.raises(InvalidExample, match=f"^{name}"):
+        make_example(example, **params(value))
+
+
+@pytest.mark.parametrize("rotation, message", [
+    ("givens:0:2:abc", "rotation givens:i:j:theta needs numbers, got 'givens:0:2:abc'"),
+    ("givens:0:2", "unknown rotation descriptor 'givens:0:2'"),
+    (("givens", 0, 2, 0.3), "unknown rotation descriptor ('givens', 0, 2, 0.3)"),
+    ("givens:0:4:0.3", "rotation givens indices out of range, got 0, 4"),
+])
+def test_bad_rotation_spellings_are_refused_by_name(rotation, message):
+    # the string "givens:i:j:theta" and a matrix; a Givens string that is
+    # no numbers, and the tuple ("givens", i, j, theta), are refused by name
+    with pytest.raises(InvalidExample) as err:
+        make_example("rotated_pack", rotation=rotation)
+    assert str(err.value) == message
+
+
+def test_cli_refuses_a_bool_blend_angle(capsys):
+    assert cli.main(["verify", "--example", "rotated_pack", "--param", "t=True",
+                     "--samples", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: rotated_pack blend angle t must be a number, got 'True'\n")
+
+
+def _field_hexes(cat, p):
+    pack = cat.obj
+    fields = (pack.f, pack.Q, *pack.xi, *pack.eta, pack.g)
+    return [[x.hex() for x in np.ravel(fld.value(p)).tolist()] for fld in fields]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_flat_and_product_packs_share_one_builder(n, s, data):
+    # the same block weights give the same f, Q, xi, eta and g, bit for bit
+    weight = st.floats(0.01, 100.0) | st.floats(-100.0, -0.01)
+    scales = data.draw(st.lists(weight, min_size=n, max_size=n))
+    flat, product = flat_pack(n, s, scales), product_pack(n, s, scales)
+    assert flat.params == product.params
+    assert flat.chart.box == product.chart.box
+    p = flat.chart.sample(1, seed=data.draw(st.integers(0, 2**32 - 1)))[0]
+    assert _field_hexes(flat, p) == _field_hexes(product, p)
+
+
+# Where a parameter may reach float(), int() or np.asarray(): the converters,
+# which refuse what is no number first, and the matrix branch of
+# _rotation_matrix.
+_CONVERTERS = {"_integer", "_number", "_choice", "_block_weights"}
+_MATRIX_BRANCH = ("_rotation_matrix", "asarray", "rotation")
+
+
+def _bare_conversions(node, params=frozenset(), where="<module>"):
+    """(function, converter, parameter, line) of every float(), int() or
+    np.asarray() applied to a parameter of an enclosing function, or to a
+    subscript or attribute of one, and every map() of float or int over one."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            a = child.args
+            own = {x.arg for x in [*a.posonlyargs, *a.args, *a.kwonlyargs]}
+            yield from _bare_conversions(child, params | own,
+                                         getattr(child, "name", where))
+            continue
+        if isinstance(child, ast.Call) and child.args:
+            f, arg = child.func, child.args[0]
+            fn = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if fn == "map" and getattr(arg, "id", None) in ("float", "int"):
+                fn, arg = arg.id, child.args[-1]
+            while isinstance(arg, (ast.Subscript, ast.Attribute)):
+                arg = arg.value
+            if fn in ("float", "int", "asarray") and getattr(arg, "id", None) in params:
+                yield where, fn, arg.id, child.lineno
+        yield from _bare_conversions(child, params, where)
+
+
+def test_parameters_reach_numbers_only_through_the_converters():
+    tree = ast.parse(Path(catalog.__file__).read_text(encoding="utf-8"))
+    found = list(_bare_conversions(tree))
+    assert _MATRIX_BRANCH in [hit[:3] for hit in found]
+    assert [hit for hit in found if hit[0] not in _CONVERTERS
+            and hit[:3] != _MATRIX_BRANCH] == []
 
 
 def test_integer_valued_floats_are_integers():

@@ -94,6 +94,12 @@ def test_bad_parameter_is_usage_error(tmp_path):
         with pytest.raises(InvalidExample):
             SuiteConfig(example="flat_pack", **bad)
     SuiteConfig(example="flat_pack", samples=MAX_SAMPLES)     # the bound holds
+    # a tolerance is a finite number: a bool is not written to the report as
+    # true, and a string does not escape as a bare TypeError
+    for name, value in (("tol_exact", True), ("tol_exact", "1e-9"),
+                        ("tol_curvature", np.True_), ("tol_curvature", None)):
+        with pytest.raises(InvalidExample, match=f"^{name} must be a number"):
+            SuiteConfig(example="flat_pack", **{name: value})
     # block weights must be finite and non-zero, one per complex block;
     # n and s are integers on the examples that take them; a key is given
     # at most once, even with the same value
