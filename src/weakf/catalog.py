@@ -268,7 +268,7 @@ def product_pack(n=1, s=2, scales=None):
 
 def _rotation_matrix(n, rotation):
     """Orthogonal conjugation on the rank-2n block: the reflection (the
-    default), a Givens rotation ``"givens:i:j:theta"`` or a matrix."""
+    default), a Givens rotation ``"givens:i:j:theta"`` or a matrix of numbers."""
     if rotation is None or (isinstance(rotation, str) and rotation == "reflection"):
         r = np.eye(2 * n)
         r[1, 1] = -1.0
@@ -291,6 +291,13 @@ def _rotation_matrix(n, rotation):
         r[i, i] = r[j, j] = np.cos(theta)
         r[i, j], r[j, i] = -np.sin(theta), np.sin(theta)
         return r
+    dtype = getattr(rotation, "dtype", None)
+    got = repr(rotation) if dtype is None else f"an array of dtype {dtype}"
+    entries = list(np.asarray(rotation, dtype=object).flat)
+    if any(isinstance(x, str) for x in entries):
+        raise InvalidExample(f"unknown rotation descriptor {got}")
+    if dtype == object or any(isinstance(x, _NOT_NUMBERS) for x in entries):
+        raise InvalidExample(f"rotation matrix entries must be numbers, got {got}")
     try:
         r = np.asarray(rotation, dtype=float)
     except (TypeError, ValueError):

@@ -5,10 +5,10 @@ clear of coordinate singularities. A :class:`SmoothField` wraps a component
 function ``fn(coords) -> components`` where ``coords`` is a list of generic
 scalars: floats, or jets over a stack of points. The same function therefore
 yields values at one point, and first and second partial derivatives at a
-whole stack of points in one call: :class:`PointStacks` walks a run's points
-in chunks, and the :class:`Rows` of each chunk keeps its stacks. Evaluation
-is deterministic: the same point always produces bitwise-identical output,
-alone or in a stack.
+whole stack of points in one call: the runner walks a run's points in
+chunks of ``CHUNK``, each a :class:`Rows`, and evaluates a field's stack
+over a chunk with ``Rows.jet``. Evaluation is deterministic: the same point
+always produces bitwise-identical output, alone or in a stack.
 
 Component layout per kind:
 
@@ -151,48 +151,18 @@ class Rows:
     case's points, or one point alone.
 
     ``jet(fn, order, what)`` is the stack of the component function ``fn``
-    at ``order`` over the points, built by one call of ``fn`` on first use.
-    With ``at = (fn', order', what')`` the points are the values of the
-    stack of ``fn'`` instead: an ambient field along the image of an
-    embedding.
+    at ``order`` over the points, a tuple (see :func:`take`), by one call.
     """
 
     def __init__(self, points, start=0):
         self.points = points
         self.start = start
-        self._store = {}
 
     def __len__(self):
         return len(self.points)
 
-    def jet(self, fn, order, what, at=None):
-        key = (fn, order, at)
-        if key not in self._store:
-            points = self.points if at is None else self.jet(*at)[0]
-            self._store[key] = tuple(jet_stack(fn, points, order, what))
-        return self._store[key]
-
-
-class PointStacks:
-    """One case's sample points, walked in chunks of ``CHUNK``.
-
-    ``chunks()`` yields the :class:`Rows` of each chunk in turn. The runner
-    builds a chunk's set-up stacks over its rows and hands them to every
-    bundle, so they are dropped when the walk leaves the chunk and memory
-    does not grow with the number of samples. ``alone(i)`` is point
-    i as rows of its own, where the runner walks again the points of a
-    chunk that raised (see :func:`weakf.report.run_suite`).
-    """
-
-    def __init__(self, points):
-        self.points = np.asarray(points, dtype=float)    # a float array as is
-
-    def chunks(self):
-        return (Rows(self.points[i:i + CHUNK], i)
-                for i in range(0, len(self.points), CHUNK))
-
-    def alone(self, i):
-        return Rows(self.points[i:i + 1], i)
+    def jet(self, fn, order, what):
+        return tuple(jet_stack(fn, self.points, order, what))
 
 
 # -- constructors -------------------------------------------------------------

@@ -97,7 +97,8 @@ def _pair_rows(reduce, c, X, Y=None):
 
 @dataclass(frozen=True)
 class StructurePack:
-    """The tuple (f, Q, xi, eta, g) on a chart of dimension 2n + s."""
+    """The tuple (f, Q, xi, eta, g) on a chart of dimension 2n + s, and
+    the ``submanifold`` of a pack that ``induce_structure`` induced on it."""
 
     chart: object
     f: object
@@ -107,6 +108,7 @@ class StructurePack:
     g: object
     n: int
     s: int
+    submanifold: object = None
 
     def __post_init__(self):
         if self.chart.dim != 2 * self.n + self.s:
@@ -127,16 +129,18 @@ class _FrameStack:
     holds each point's generator, ``point_rng(seed, index)``, which only the
     test vectors ``tv`` draw from (every random number of a point, the
     curvature chain's units included, see
-    :func:`~weakf.sampling.build_test_vectors`), and ``ambient``
-    the points' ambient stack when the pack is induced on an embedded
-    submanifold: its jets, g^-1 and Reeb curvature are read from there.
+    :func:`~weakf.sampling.build_test_vectors`). When the pack is induced
+    on an embedded submanifold, ``ambient`` is the ambient stack of the
+    same rows, built here from the pack's ``submanifold``: its jets, g^-1
+    and Reeb curvature are read from there. On any other pack it is None.
     """
 
-    def __init__(self, pack, rows, seed, ambient=None):
+    def __init__(self, pack, rows, seed):
         self.pack = pack
         self.rows = rows
         self.rngs = [point_rng(seed, rows.start + k) for k in range(len(rows))]
-        self.ambient = ambient
+        sub = pack.submanifold
+        self.ambient = None if sub is None else sub.ambient_stack(rows)
 
     # the fields' order-1 jets, read from _jets
     g0 = property(lambda self: self._jets["g"][0])
@@ -495,8 +499,8 @@ class PackFrame:
 
     The point is sample ``index`` of the run, so row ``index -
     stack.rows.start``. Without a stack the frame makes a stack of its
-    point alone (an induced pack's frame takes one over the ambient stack,
-    see :func:`weakf.submanifold.induce_structure`). Every quantity of the
+    point alone, on an induced pack over the ambient stack of that point
+    (see :func:`weakf.submanifold.induce_structure`). Every quantity of the
     stack reads as the frame's row of it, ``frame.name``, taken on first
     read and kept. In a run, frames are built only for ``prop_normal``;
     ``nijenhuis_ff``, which no run calls, stays for ``bench/layertrace.py``.

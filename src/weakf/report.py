@@ -29,9 +29,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, charts
 from .catalog import _number, make_example
-from .charts import PointStacks
+from .charts import Rows
 from .classifiers import (
     CLASS_TAGS,
     THEOREM_CHECKS,
@@ -43,7 +43,6 @@ from .classifiers import (
 from .errors import HypothesisNotMet, InvalidExample, WeakfError
 from .fstructure import _FrameStack, axioms_residual
 from .submanifold import (
-    _AmbientStack,
     frame_check,
     gauss_split_residual,
     induce_structure,
@@ -301,26 +300,25 @@ def _entry(identity, formula_key, agg, tol, counted, note=None, verdict=None):
 def run_suite(config):
     """Execute the configured suites and assemble the report dict.
 
-    Points are walked once, in the chunks of the case's one
-    :class:`~weakf.charts.PointStacks`. The walk builds each chunk's set-up
-    stack, a :class:`_FrameStack` (over an ``_AmbientStack`` on an embedded
-    example), so component functions are evaluated, and set-up quantities
-    built, once per chunk, and hands it to every bundle, which returns one
-    row of residuals over the chunk per key. A failed gate skips its bundle
-    for good: a bundle raises at the chunk's first point whose gate fails,
-    at once if that is the chunk's first point and else once every row is
-    computed, and the note names that point
+    Points are walked once, in chunks of ``charts.CHUNK``, each a
+    :class:`~weakf.charts.Rows`. The walk builds each chunk's set-up stack,
+    a :class:`_FrameStack` (over the ambient stack of the same rows on an
+    embedded example), so component functions are evaluated, and set-up
+    quantities built, once per chunk, and hands it to every bundle, which
+    returns one row of residuals over the chunk per key. A failed gate skips
+    its bundle for good: a bundle raises at the chunk's first point whose
+    gate fails, at once if that is the chunk's first point and else once
+    every row is computed, and the note names that point
     (:func:`~weakf.classifiers.gated_rows`). Any other exception, from the
     engine or a component function, may belong to any point of the chunk:
-    the chunk's results are dropped and its points walked again, each as a
-    chunk of its own (``PointStacks.alone``, with a fresh generator). Only
-    an exception raised there becomes an :class:`EvaluationFailure`, naming
-    the suite, the bundle and the point.
+    the chunk's results are dropped and its points walked again, each as
+    rows of its own (with a fresh generator). Only an exception raised there
+    becomes an :class:`EvaluationFailure`, naming the suite, the bundle and
+    the point.
     """
     cat = make_example(config.example, **config.params)
-    sub = None if cat.is_pack else cat.obj
-    pack = cat.obj if sub is None else induce_structure(sub, validate=False)
-    names = [n for n in config.suites if n != "submanifold" or sub is not None]
+    pack = cat.obj if cat.is_pack else induce_structure(cat.obj, validate=False)
+    names = [n for n in config.suites if n != "submanifold" or pack.submanifold]
     if not names:
         raise InvalidExample(
             f"no requested suite applies to {cat.name}: the submanifold "
@@ -334,8 +332,7 @@ def run_suite(config):
         """[(bundle, rows of residuals)] over the chunk ``rows`` and its
         skips; raises what a bundle raises."""
         found, skipped = [], {}
-        ambient = None if sub is None else _AmbientStack(sub, rows)
-        stack = _FrameStack(pack, rows, config.seed, ambient)
+        stack = _FrameStack(pack, rows, config.seed)
         for b, (_, bundle) in enumerate(bundles):
             if b in skips:
                 continue
@@ -348,8 +345,9 @@ def run_suite(config):
                               f"{rows.start + exc.row})")
         return found, skipped
 
-    stacks = PointStacks(cat.chart.sample(config.samples, config.seed))
-    for rows in stacks.chunks():
+    points = cat.chart.sample(config.samples, config.seed)
+    for start in range(0, len(points), charts.CHUNK):
+        rows = Rows(points[start:start + charts.CHUNK], start)
         try:
             found = walk(rows)
         except Exception:
@@ -360,7 +358,7 @@ def run_suite(config):
         # the chunk raised: walk its points again, each alone
         for i in range(rows.start, rows.start + len(rows)):
             try:
-                found = walk(stacks.alone(i))
+                found = walk(Rows(points[i:i + 1], i))
             except Exception as exc:
                 suite, bundle = bundles[at[0]]
                 where = f"{suite}.{bundle.label}" if bundle.label else suite

@@ -21,7 +21,7 @@ product rule, and the Reeb curvature R(xi, .)xi of the induced metric
 from the Gauss equation.
 
 The submanifold checks take the chunk's frame stack of the induced pack,
-whose ``ambient`` is the chunk's ambient stack, and return one row of
+which builds the ambient stack of its points, and return one row of
 residuals over the chunk's points per key, as the axioms, classes and
 frames bundles do. A gated check reads its gates first and raises
 :class:`~weakf.errors.HypothesisNotMet` at once if one fails at the chunk's
@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from . import calculus
-from .charts import Rows, SmoothField
+from .charts import Rows, SmoothField, jet_stack
 from .classifiers import TOL_EXACT, gated_rows
 from .errors import SetupRejected
 from .fstructure import StructurePack, _pair_rows, _rows_abs, _rows_norm
@@ -71,6 +71,10 @@ class EmbeddedSubmanifold:
             raise ValueError("domain dimension must be 2n + s")
         if self.ambient.dim != 2 * self.n + 2 * self.s:
             raise ValueError("ambient dimension must be 2n + 2s")
+
+    def ambient_stack(self, rows):
+        """The :class:`_AmbientStack` of the embedding at ``rows``."""
+        return _AmbientStack(self, rows)
 
 
 def _product(a, b):
@@ -115,50 +119,45 @@ def _induced(jac, gbar, fbar, normals, p):
     }
 
 
-def _jet_of(sub, which):
-    """The arguments of :meth:`~weakf.charts.Rows.jet` for one of the
-    embedding's jets: the embedding at order 2, the normals at order 1, and
-    the ambient metric ("gbar", and "gbar2" at order 2) and skew tensor
-    along the image."""
-    embedding = (sub.embedding, 2, "the embedding")
-    gbar, fbar = sub.ambient_metric, sub.ambient_skew
-    return {
-        "embedding": embedding,
-        "normals": (sub.normals, 1, "the normals"),
-        "gbar": (gbar.fn, 1, gbar.label, embedding),
-        "gbar2": (gbar.fn, 2, gbar.label, embedding),
-        "fbar": (fbar.fn, 1, fbar.label, embedding),
-    }[which]
-
-
 class _AmbientStack:
     """The ambient data of the embedding at the points of ``rows``.
 
     Each quantity is stacked on a leading point axis and built on first
     read; row k of each is bitwise the quantity of point k alone. Ambient
     vectors at the image are indexed by the axis after the point axis,
-    v[P, c, ...]. The runner builds one per chunk of sample points of an
-    embedded example and hands it to the chunk's ``_FrameStack`` as
-    ``ambient``: the induced pack's jets, g^-1 and curvature are read from
-    it, and the submanifold checks read the ambient data from there.
+    v[P, c, ...]. The frame stack of an induced pack builds one over its
+    own rows (:meth:`EmbeddedSubmanifold.ambient_stack`): the induced
+    pack's jets, g^-1 and curvature are read from it, and the submanifold
+    checks read the ambient data from there.
     """
 
     def __init__(self, sub, rows):
         self.sub = sub
         self.rows = rows
 
-    def _jet(self, which):
-        return self.rows.jet(*_jet_of(self.sub, which))
+    def _along_image(self, field, order):
+        """A jet of the ambient field at the image points iota: of order 1
+        for gbar and fbar, and of order 2 for gbar in reeb_curvature."""
+        return jet_stack(field.fn, self.iota, order, field.label)
 
-    iota = property(lambda self: self._jet("embedding")[0])
-    jac = property(lambda self: self._jet("embedding")[1])
-    hess = property(lambda self: self._jet("embedding")[2])
-    normals = property(lambda self: self._jet("normals")[0])
-    dnormals = property(lambda self: self._jet("normals")[1])
-    gbar0 = property(lambda self: self._jet("gbar")[0])
-    gbar1 = property(lambda self: self._jet("gbar")[1])
-    fbar0 = property(lambda self: self._jet("fbar")[0])
-    fbar1 = property(lambda self: self._jet("fbar")[1])
+    # the embedding's Hessian is the induced fields' first derivative
+    _embedding = cached_property(
+        lambda self: self.rows.jet(self.sub.embedding, 2, "the embedding"))
+    _normals = cached_property(
+        lambda self: self.rows.jet(self.sub.normals, 1, "the normals"))
+    _gbar = cached_property(
+        lambda self: self._along_image(self.sub.ambient_metric, 1))
+    _fbar = cached_property(
+        lambda self: self._along_image(self.sub.ambient_skew, 1))
+    iota = property(lambda self: self._embedding[0])
+    jac = property(lambda self: self._embedding[1])
+    hess = property(lambda self: self._embedding[2])
+    normals = property(lambda self: self._normals[0])
+    dnormals = property(lambda self: self._normals[1])
+    gbar0 = property(lambda self: self._gbar[0])
+    gbar1 = property(lambda self: self._gbar[1])
+    fbar0 = property(lambda self: self._fbar[0])
+    fbar1 = property(lambda self: self._fbar[1])
     g0 = property(lambda self: self.induced_jets["g"][0])
 
     def to_domain(self, v):
@@ -310,8 +309,8 @@ class _AmbientStack:
         xibar = xi @ _transposed(self.jac)
         jac = self.jac[:, None]
         rbar = calculus.reeb_curvature_kernel(
-            self.ginvbar, self.gammabar, self.gbar1, self._jet("gbar2")[2],
-            xibar)
+            self.ginvbar, self.gammabar, self.gbar1,
+            self._along_image(self.sub.ambient_metric, 2)[2], xibar)
         low = _transposed(jac) @ (self.gbar0[:, None] @ (rbar @ jac))
         hn = self.hn
         h_xi = (hn[:, None] @ xi[:, :, None, :, None])[..., 0]  # [P, i, n, a]
@@ -322,9 +321,9 @@ class _AmbientStack:
 
 
 class _AmbientPoint(_AmbientStack):
-    """The ambient data of the embedding at the one domain point ``p``: a
-    stack of one point. :func:`require_valid_frame` checks an embedding's
-    normal frame on it before any pack exists."""
+    """The ambient data of the embedding at the one domain point ``p``, a
+    stack of one point: :func:`require_valid_frame` checks an embedding's
+    normal frame on it, and an induced field's value is read from it."""
 
     def __init__(self, sub, p):
         super().__init__(sub, Rows(np.asarray(p, dtype=float)[None]))
@@ -391,10 +390,11 @@ def induce_structure(sub, validate=True):
     the setup rejected on violation; the full residual suite is the real
     verdict.
 
-    The induced fields give values only (:meth:`SmoothField.value`), each
-    read from the one-point :class:`_AmbientPoint` of its point. The frame
-    stack of the pack (``_FrameStack``) takes the :class:`_AmbientStack` of
-    the same points and reads every jet, g^-1 and the curvature from it.
+    The pack carries ``sub`` as its ``submanifold``, from which its frame
+    stacks, and so its frames, build the :class:`_AmbientStack` of their
+    points and read every jet, g^-1 and the curvature. The induced fields
+    give values only (:meth:`SmoothField.value`), each read from the
+    :class:`_AmbientPoint` of its point.
     """
     if validate:
         mid = np.array([0.5 * (lo + hi) for lo, hi in sub.domain.box])
@@ -426,6 +426,7 @@ def induce_structure(sub, validate=True):
         g=SmoothField(dom, "metric", piece("g"), name="induced_metric"),
         n=sub.n,
         s=sub.s,
+        submanifold=sub,
     )
 
 

@@ -23,9 +23,9 @@ from weakf.calculus import (
     metric_inverse,
     nabla_tensor11_kernel,
 )
-from weakf import cli
+from weakf import charts, cli
 from weakf.catalog import make_example
-from weakf.charts import PointStacks, Rows, SmoothField, jet_stack, take
+from weakf.charts import Rows, SmoothField, jet_stack, take
 from weakf.errors import DegenerateOperatorError, WeakfError
 from weakf.fstructure import (
     _Q_EIGEN_FLOOR,
@@ -39,8 +39,7 @@ from weakf import jets
 from weakf.jets import cos, sin
 from weakf.errors import HypothesisNotMet
 from weakf.sampling import lead_dot, pair_form, sup_abs, sup_norm, unit_rows
-from weakf.submanifold import (_AmbientPoint, _AmbientStack, _induced,
-                               induce_structure)
+from weakf.submanifold import _AmbientPoint, _induced, induce_structure
 
 
 def worst(residuals):
@@ -736,55 +735,40 @@ def induced_values(sub, coords):
     return {k: a[0, 0] for k, a in out.items()}
 
 
-def frame(pack, p, sub=None, seed=0, index=0):
-    """The frame of ``p`` alone, sample ``index`` of a run; with the
-    submanifold ``sub`` of an induced pack, its stack is over the ambient
-    stack of that point alone (an ``_AmbientPoint``)."""
-    if sub is None:
-        return PackFrame(pack, p, seed=seed, index=index)
-    ambient = _AmbientPoint(sub, p)
-    stack = _FrameStack(pack, Rows(ambient.rows.points, index), seed, ambient)
-    return PackFrame(pack, p, seed=seed, index=index, stack=stack)
-
-
 def config_example(argv):
-    """The pack of a ``weakf verify`` argument list's example, and on an
-    embedded example its submanifold (else None), as the runner builds
-    them."""
+    """The pack of a ``weakf verify`` argument list's example, as the runner
+    builds it: on an embedded example the induced pack, which carries its
+    submanifold."""
     args = cli.build_parser().parse_args(["verify", *argv.split()])
     cat = make_example(args.example, **cli._parse_params(args.param))
-    sub = None if cat.is_pack else cat.obj
-    pack = cat.obj if sub is None else induce_structure(sub, validate=False)
-    return pack, sub
+    return cat.obj if cat.is_pack else induce_structure(cat.obj,
+                                                        validate=False)
 
 
 def config_frames(argv, samples, seed=42):
     """The frames of the first ``samples`` points of a ``weakf verify``
     argument list's example, each built alone with the seed and index the
     runner gives it."""
-    pack, sub = config_example(argv)
-    return [frame(pack, p, sub, seed=seed, index=i)
+    pack = config_example(argv)
+    return [PackFrame(pack, p, seed=seed, index=i)
             for i, p in enumerate(pack.chart.sample(samples, seed))]
 
 
-def stack(pack, points, sub=None, seed=42):
-    """The set-up stack of ``points`` as one chunk, as the runner builds it:
-    on an induced pack over the ambient stack of the same rows."""
-    rows = Rows(np.asarray(points, dtype=float))
-    return _FrameStack(pack, rows, seed,
-                       None if sub is None else _AmbientStack(sub, rows))
+def stack(pack, points, seed=42):
+    """The set-up stack of ``points`` as one chunk, as the runner builds it."""
+    return _FrameStack(pack, Rows(np.asarray(points, dtype=float)), seed)
 
 
-def chunk_frames(pack, points, sub=None, seed=42):
+def chunk_frames(pack, points, seed=42):
     """The frames of ``points`` as the runner builds them: rows of the
     set-up stacks of chunks of ``charts.CHUNK`` points, handed to each frame
     of the chunk with its point's index."""
-    frames = []
-    for rows in PointStacks(points).chunks():
-        ambient = None if sub is None else _AmbientStack(sub, rows)
-        stack = _FrameStack(pack, rows, seed, ambient)
-        frames += [PackFrame(pack, p, seed=seed, index=i, stack=stack)
-                   for i, p in enumerate(rows.points, rows.start)]
+    points, frames = np.asarray(points, dtype=float), []
+    for start in range(0, len(points), charts.CHUNK):
+        rows = Rows(points[start:start + charts.CHUNK], start)
+        st = _FrameStack(pack, rows, seed)
+        frames += [PackFrame(pack, p, seed=seed, index=i, stack=st)
+                   for i, p in enumerate(rows.points, start)]
     return frames
 
 
@@ -836,7 +820,8 @@ def induced_riemann(stack, k):
     with Rbar from a second-order jet of gbar: the whole tensor at one
     point, the reference of ``_AmbientStack.reeb_curvature``.
     """
-    gbar2 = stack._jet("gbar2")[2][k]
+    gbar = stack.sub.ambient_metric
+    gbar2 = jet_stack(gbar.fn, stack.iota, 2, gbar.label)[2][k]
     rbar = riemann_from_jets(
         stack.ginvbar[k], stack.gammabar[k], stack.gbar1[k], gbar2)
     low = lead_dot(stack.gbar0[k], rbar)        # [w, i, j, k], lowered

@@ -49,10 +49,10 @@ def criterion(num, desc):
     print(f"[criterion {num:02d}] PASS  {desc}")
 
 
-def _axioms_worst(pack, points=POINTS, seed=SEED, sub=None):
+def _axioms_worst(pack, points=POINTS, seed=SEED):
     worst = 0.0
     for i, p in enumerate(pack.chart.sample(points, seed)):
-        fr = oracles.frame(pack, p, sub, seed=seed, index=i)
+        fr = PackFrame(pack, p, seed=seed, index=i)
         worst = max(worst, max(axioms_residual(fr).values()))
     return worst
 
@@ -62,17 +62,17 @@ def _stack(pack):
     return oracles.stack(pack, pack.chart.sample(POINTS, SEED), seed=SEED)
 
 
-def test_criterion_01_axiom_suite(cat_sphere, sphere_induced):
+def test_criterion_01_axiom_suite(sphere_induced):
     packs = {
-        "flat_pack": (flat_pack().obj, None),
-        "rotated_pack": (rotated_pack(t=0.1).obj, None),
-        "product_pack": (product_pack().obj, None),
-        "sasakian_s3": (sasakian_s3().obj, None),
-        "hypersphere_induced": (sphere_induced, cat_sphere.obj),
+        "flat_pack": flat_pack().obj,
+        "rotated_pack": rotated_pack(t=0.1).obj,
+        "product_pack": product_pack().obj,
+        "sasakian_s3": sasakian_s3().obj,
+        "hypersphere_induced": sphere_induced,
     }
     with criterion(1, "axiom residuals <= 1e-9 on 50 seeded points per pack"):
-        for name, (pack, sub) in packs.items():
-            worst = _axioms_worst(pack, sub=sub)
+        for name, pack in packs.items():
+            worst = _axioms_worst(pack)
             assert worst <= TOL, (name, worst)
 
 
@@ -155,16 +155,15 @@ def test_criterion_07_submanifold_suite(sphere_induced, subspace_induced):
         7, "hypersphere: induced axioms <= 1e-10, case-i hypotheses and "
            "nearly-S conclusion; linear subspace: case ii and nearly-C"
     ):
-        worst = _axioms_worst(sphere_induced, points=POINTS, sub=sphere)
+        worst = _axioms_worst(sphere_induced, points=POINTS)
         assert worst <= 1e-10
         # one row per point of the 10
         res = thsubm_check(oracles.stack(
-            sphere_induced, sphere.domain.sample(10, SEED), sphere, SEED), "i")
+            sphere_induced, sphere.domain.sample(10, SEED), SEED), "i")
         for key in ("aa_symmetry", "h_display", "conclusion_weak_nearly_S"):
             assert res[key].shape == (10,) and res[key].max() <= TOL
         res = thsubm_check(oracles.stack(
-            subspace_induced, subspace.domain.sample(10, SEED), subspace,
-            SEED), "ii")
+            subspace_induced, subspace.domain.sample(10, SEED), SEED), "ii")
         for key in ("aa_symmetry", "h_display", "conclusion_weak_nearly_C"):
             assert res[key].shape == (10,) and res[key].max() <= TOL
 

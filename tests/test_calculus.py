@@ -28,6 +28,7 @@ from weakf import calculus as calc
 from weakf import catalog
 from weakf.charts import Chart, SmoothField, constant_field, euclidean_metric
 from weakf.errors import DegenerateMetricError
+from weakf.fstructure import PackFrame
 from weakf.jets import cos, sin
 from weakf.submanifold import induce_structure
 
@@ -655,9 +656,9 @@ def test_curvature_symmetries(cat_sasakian):
 def test_reeb_curvature_symmetries(example, params):
     # R(xi, xi)xi = 0, and g(R(xi, X)xi, Y) is symmetric in X and Y
     cat = catalog.make_example(example, **params)
-    sub = None if cat.is_pack else cat.obj
-    pack = cat.obj if sub is None else induce_structure(sub, validate=False)
-    stack = oracles.stack(pack, pack.chart.sample(5, seed=37), sub)
+    pack = cat.obj if cat.is_pack else induce_structure(cat.obj,
+                                                        validate=False)
+    stack = oracles.stack(pack, pack.chart.sample(5, seed=37))
     r = stack.reeb_curvature
     assert np.abs(r @ stack.xi0[..., None]).max() < 1e-12
     low = stack.g0[:, None] @ r
@@ -759,11 +760,11 @@ def test_ad_matches_fd_on_catalog_fields(all_packs, fractions):
             _matches_fd(d2, lambda q, field=field: field.jet(q, order=1)[1], p)
 
 
-def test_ad_matches_fd_on_induced_fields(cat_sphere, sphere_induced):
+def test_ad_matches_fd_on_induced_fields(sphere_induced):
     # the closed-form partials the frame reads from the ambient stack
     pack = sphere_induced
     for p in pack.chart.sample(2, seed=43):
-        fr = oracles.frame(pack, p, cat_sphere.obj)
+        fr = PackFrame(pack, p)
         for field, d1 in ((pack.g, fr.g1), (pack.f, fr.f1), (pack.Q, fr.q1),
                           (pack.xi[0], fr.xi1[0]), (pack.eta[0], fr.eta1[0])):
             _ad_vs_fd(field, p, d1)

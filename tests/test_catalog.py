@@ -23,6 +23,7 @@ from weakf.catalog import (
 )
 from weakf.classifiers import class_residual
 from weakf.errors import InvalidExample
+from weakf.fstructure import PackFrame
 from weakf.report import SuiteConfig, render_json, run_suite
 from weakf.submanifold import induce_structure
 
@@ -180,12 +181,26 @@ def test_numeric_parameters_refuse_what_is_no_finite_number(parameter, value):
     ("givens:0:2", "unknown rotation descriptor 'givens:0:2'"),
     (("givens", 0, 2, 0.3), "unknown rotation descriptor ('givens', 0, 2, 0.3)"),
     ("givens:0:4:0.3", "rotation givens indices out of range, got 0, 4"),
+    (np.eye(4, dtype=bool),
+     "rotation matrix entries must be numbers, got an array of dtype bool"),
+    (np.eye(4).astype(object),
+     "rotation matrix entries must be numbers, got an array of dtype object"),
+    ({"n": 1, "rotation": [[True, False], [False, True]]},
+     "rotation matrix entries must be numbers, got [[True, False], [False, True]]"),
+    ({"n": 1, "rotation": [[np.True_, 0.0], [0.0, 1.0]]},
+     "rotation matrix entries must be numbers, got [[np.True_, 0.0], [0.0, 1.0]]"),
+    ({"n": 1, "rotation": [["1", "0"], ["0", "1"]]},
+     "unknown rotation descriptor [['1', '0'], ['0', '1']]"),
+    (np.eye(4).astype(str), "unknown rotation descriptor an array of dtype <U32"),
 ])
 def test_bad_rotation_spellings_are_refused_by_name(rotation, message):
     # the string "givens:i:j:theta" and a matrix; a Givens string that is
-    # no numbers, and the tuple ("givens", i, j, theta), are refused by name
+    # no numbers, the tuple ("givens", i, j, theta), and a matrix of bools
+    # or strings or of object dtype, which float() would coerce (True to
+    # 1.0, "1" to 1.0), are refused by name. A dict holds n with a matrix.
+    params = rotation if isinstance(rotation, dict) else {"rotation": rotation}
     with pytest.raises(InvalidExample) as err:
-        make_example("rotated_pack", rotation=rotation)
+        make_example("rotated_pack", **params)
     assert str(err.value) == message
 
 
@@ -308,11 +323,10 @@ def test_declared_class_table_full_catalog():
     ]
     for cat in cats:
         pack = cat.obj if cat.is_pack else induce_structure(cat.obj)
-        sub = None if cat.is_pack else cat.obj
         for tag in cat.declared_classes:
             worst = 0.0
             for i, p in enumerate(pack.chart.sample(3, seed=11)):
-                fr = oracles.frame(pack, p, sub, seed=11, index=i)
+                fr = PackFrame(pack, p, seed=11, index=i)
                 val, _ = class_residual(pack, p, tag, frame=fr)
                 worst = max(worst, val)
             assert worst <= 1e-9, (cat.name, tag, worst)

@@ -231,10 +231,10 @@ def test_thm32_chain_identifies_breaking_step(cat_sasakian):
 def test_thm32_chain_does_not_depend_on_what_was_read_before(config):
     # the chain's units are part of the test vectors, so its body gives the
     # same rows on a fresh stack as on one whose test vectors were read
-    pack, sub = oracles.config_example(config)
+    pack = oracles.config_example(config)
     points = pack.chart.sample(5, 37)
-    fresh = classifiers._thm32_chain(oracles.stack(pack, points, sub, 37))
-    read = oracles.stack(pack, points, sub, 37)
+    fresh = classifiers._thm32_chain(oracles.stack(pack, points, 37))
+    read = oracles.stack(pack, points, 37)
     read.tv
     after = classifiers._thm32_chain(read)
     assert list(fresh) == list(after)
@@ -246,9 +246,9 @@ def test_thm32_chain_does_not_depend_on_what_was_read_before(config):
 def test_reeb_derivatives_in_d_is_the_totally_geodesic_row(example):
     # prop_normal reads the Reeb-frame row eta^k(D_{xi_i} xi_j) = 0: at each
     # point bitwise the sup it formed from the point's own D_xi xi
-    pack, sub = oracles.config_example(f"--example {example}")
+    pack = oracles.config_example(f"--example {example}")
     for fr in oracles.chunk_frames(pack, pack.chart.sample(
-            REFERENCE_SAMPLES, 42), sub):
+            REFERENCE_SAMPLES, 42)):
         assert fr.reeb_totally_geodesic.hex() == sup_abs(
             fr.nabla_xi_xi @ fr.eta0.T).hex()
 
@@ -266,11 +266,11 @@ def test_stacked_fk_contact_rows_are_the_point_oracle(config):
     # the stacked bundles against their bodies at one point, given the same
     # curvature: every row, or the raised row, gate and residual. Each side
     # draws the chain's units from generators of its own, seeded alike.
-    pack, sub = oracles.config_example(config)
+    pack = oracles.config_example(config)
     points = pack.chart.sample(REFERENCE_SAMPLES, 42)
     stacked = [fr._chunk for fr in
-               oracles.chunk_frames(pack, points, sub)[::charts.CHUNK]]
-    alone = oracles.chunk_frames(pack, points, sub)
+               oracles.chunk_frames(pack, points)[::charts.CHUNK]]
+    alone = oracles.chunk_frames(pack, points)
     assert [len(st.rows) for st in stacked] == [charts.CHUNK, 4]
     for st in stacked:
         frs = alone[st.rows.start:st.rows.start + len(st.rows)]
@@ -296,11 +296,11 @@ def test_stacked_fk_contact_rows_are_the_point_oracle(config):
                 assert _hex(rows) == [w[key].hex() for w in want], (which, key)
 
 
-def _assert_stacked_bodies_are_the_point_oracle(pack, sub, points):
+def _assert_stacked_bodies_are_the_point_oracle(pack, points):
     """The bodies of prop1, thm41, thm01_i and thm01_ii over each chunk of
     ``points``, called without their gates: every row is bitwise the body
     at that point alone (``oracles.STACKED_AT_POINT``), key for key."""
-    frames = oracles.chunk_frames(pack, points, sub)
+    frames = oracles.chunk_frames(pack, points)
     stacks = list({id(fr._chunk): fr._chunk for fr in frames}.values())
     assert [len(st.rows) for st in stacks] == [charts.CHUNK, 4]
     for st in stacks:
@@ -316,9 +316,9 @@ def _assert_stacked_bodies_are_the_point_oracle(pack, sub, points):
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_stacked_theorem_bodies_are_the_point_oracle(config):
-    pack, sub = oracles.config_example(config)
+    pack = oracles.config_example(config)
     _assert_stacked_bodies_are_the_point_oracle(
-        pack, sub, pack.chart.sample(REFERENCE_SAMPLES, 42))
+        pack, pack.chart.sample(REFERENCE_SAMPLES, 42))
 
 
 def test_stacked_theorem_bodies_where_q_is_not_the_identity(varying_q_pack,
@@ -331,7 +331,7 @@ def test_stacked_theorem_bodies_where_q_is_not_the_identity(varying_q_pack,
     for pack in (sheared_pack(varying_q_pack),
                  oracles.d_homothetic_pack(cat_sasakian.obj, 2.0)):
         stacks = _assert_stacked_bodies_are_the_point_oracle(
-            pack, None, pack.chart.sample(REFERENCE_SAMPLES, 42))
+            pack, pack.chart.sample(REFERENCE_SAMPLES, 42))
         for st in stacks:
             assert st.worst_axiom.max() <= TOL
             assert st.q_equals_id.max() > 0.1
@@ -440,9 +440,9 @@ def test_reeb_part_of_n1_on_the_d_homothetic_pack(cat_sasakian, lam,
 def test_gate_rows_are_the_point_gates(example):
     # the two gates that were computed at each point, eta o N1 and Q = id,
     # are rows of the chunk's stack: bitwise the point's value
-    pack, sub = oracles.config_example(f"--example {example}")
+    pack = oracles.config_example(f"--example {example}")
     points = pack.chart.sample(REFERENCE_SAMPLES, 42)
-    frames = oracles.chunk_frames(pack, points, sub)
+    frames = oracles.chunk_frames(pack, points)
     for fr in frames:
         st, k = fr._chunk, fr._k
         assert st.eta_circ_n1[k].hex() == oracles.eta_circ_n1_at_point(
@@ -456,9 +456,9 @@ def test_theorem_gates_fail_where_the_point_gates_do(config):
     # every theorem bundle over a chunk raises at the chunk's first point
     # whose gates fail at that point alone, naming its first failing gate
     # and residual, and passes where none fails
-    pack, sub = oracles.config_example(config)
+    pack = oracles.config_example(config)
     points = pack.chart.sample(REFERENCE_SAMPLES, 42)
-    frames = oracles.chunk_frames(pack, points, sub)
+    frames = oracles.chunk_frames(pack, points)
     for st in {id(fr._chunk): fr._chunk for fr in frames}.values():
         frs = frames[st.rows.start:st.rows.start + len(st.rows)]
         for which in THEOREM_CHECKS:

@@ -13,6 +13,7 @@ from report_digests import CONFIGS
 
 import oracles
 from weakf import catalog, classifiers
+from weakf.fstructure import PackFrame
 from weakf.sampling import pair_form
 from weakf.submanifold import thsubm_check
 
@@ -35,7 +36,7 @@ def _close(got, want):
 
 def _sheared_frames(params):
     pack = oracles.sheared_pack(catalog.flat_pack(**params).obj)
-    return [oracles.frame(pack, p, seed=3, index=i)
+    return [PackFrame(pack, p, seed=3, index=i)
             for i, p in enumerate(pack.chart.sample(SAMPLES, seed=3))]
 
 

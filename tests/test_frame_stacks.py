@@ -39,12 +39,11 @@ STACK_QUANTITIES = ("reeb_curvature",)
 def _frames(argv):
     """(row, frame read from its chunk's stacks, frame built alone) at each
     of ROWS, the chunks' stacks built as the runner builds them."""
-    pack, sub = oracles.config_example(argv)
+    pack = oracles.config_example(argv)
     points = pack.chart.sample(SAMPLES, SEED)
-    chunked = oracles.chunk_frames(pack, points, sub, SEED)
+    chunked = oracles.chunk_frames(pack, points, SEED)
     for i in ROWS:
-        yield i, chunked[i], oracles.frame(pack, points[i], sub, seed=SEED,
-                                           index=i)
+        yield i, chunked[i], PackFrame(pack, points[i], seed=SEED, index=i)
 
 
 @pytest.mark.parametrize("argv", CONFIGS)
@@ -118,13 +117,13 @@ PER_POINT = {
                                   "--example sasakian_s3",
                                   "--example hypersphere --param n=1"])
 def test_a_frame_reads_each_stack_quantity_as_its_row(argv):
-    pack, sub = oracles.config_example(argv)
+    pack = oracles.config_example(argv)
     points = pack.chart.sample(charts.CHUNK + 3, SEED)
-    frames = oracles.chunk_frames(pack, points, sub, SEED)
+    frames = oracles.chunk_frames(pack, points, SEED)
     assert len({id(fr._chunk) for fr in frames}) == 2
     assert set(PER_POINT) <= set(STACK_NAMES)
     names = [name for name in STACK_NAMES
-             if sub is not None or name != "thsubm_parts"]
+             if pack.submanifold is not None or name != "thsubm_parts"]
     for fr in frames:
         for name in names:
             row = _row(getattr(fr._chunk, name), fr._k)
@@ -155,23 +154,26 @@ CHECKS = {
 
 @pytest.mark.parametrize("argv", ["--example flat_pack",
                                   "--example sasakian_s3",
-                                  "--example hypersphere --param n=1"])
+                                  "--example hypersphere --param n=1",
+                                  "--example linear_subspace --param n=2 "
+                                  "--param s=2"])
 def test_each_check_of_a_frame_is_its_row_of_the_stack(argv):
     # one stack over more points than a chunk holds, and each point's frame
-    # built alone: the frame's result is bitwise the stack's row
-    pack, sub = oracles.config_example(argv)
+    # built alone, a plain PackFrame also on an induced pack: the frame's
+    # result is bitwise the stack's row
+    pack = oracles.config_example(argv)
     points = pack.chart.sample(charts.CHUNK + 3, SEED)
-    stack = oracles.stack(pack, points, sub, SEED)
+    stack = oracles.stack(pack, points, SEED)
     stacked = {name: check(stack) for name, check in CHECKS.items()}
     for k, p in enumerate(points):
-        fr = oracles.frame(pack, p, sub, seed=SEED, index=k)
+        fr = PackFrame(pack, p, seed=SEED, index=k)
         for name, check in CHECKS.items():
             assert _bits(check(fr)) == _bits(_row(stacked[name], k)), (k, name)
 
 
 @pytest.mark.parametrize("name", ["rows", "rngs", "ambient", "thsubm_parts"])
 def test_a_frame_has_no_row_of_what_is_not_a_point_quantity(name):
-    pack, _ = oracles.config_example("--example sasakian_s3")
+    pack = oracles.config_example("--example sasakian_s3")
     fr = PackFrame(pack, pack.chart.sample(1, SEED)[0], seed=SEED)
     with pytest.raises(AttributeError, match=f"no row of '{name}'"):
         getattr(fr, name)

@@ -33,10 +33,10 @@ def _replace(pack, **kw):
     return StructurePack(**fields)
 
 
-def _axioms_max(pack, count=5, seed=3, sub=None):
+def _axioms_max(pack, count=5, seed=3):
     worst = {}
     for i, p in enumerate(pack.chart.sample(count, seed)):
-        fr = oracles.frame(pack, p, sub, seed=seed, index=i)
+        fr = PackFrame(pack, p, seed=seed, index=i)
         for k, v in axioms_residual(fr).items():
             worst[k] = max(worst.get(k, 0.0), v)
     return worst
@@ -48,11 +48,9 @@ def test_axioms_pass_on_catalog_packs(all_packs):
         assert max(worst.values()) <= TOL, (cat.name, worst)
 
 
-def test_axioms_pass_on_induced_packs(cat_sphere, sphere_induced,
-                                      cat_subspace, subspace_induced):
-    for cat, pack in ((cat_sphere, sphere_induced),
-                      (cat_subspace, subspace_induced)):
-        worst = _axioms_max(pack, count=3, sub=cat.obj)
+def test_axioms_pass_on_induced_packs(sphere_induced, subspace_induced):
+    for pack in (sphere_induced, subspace_induced):
+        worst = _axioms_max(pack, count=3)
         assert max(worst.values()) <= 1e-10
 
 
@@ -105,10 +103,10 @@ def test_rank_check_flags_degenerate_f(cat_flat):
     assert worst["f_rank"] >= 1.0
 
 
-def _assert_rows_are_the_point_oracle(pack, sub=None, seed=42):
+def _assert_rows_are_the_point_oracle(pack, seed=42):
     # a full chunk of points and a part of one
     points = pack.chart.sample(charts.CHUNK + 4, seed)
-    for fr in oracles.chunk_frames(pack, points, sub, seed):
+    for fr in oracles.chunk_frames(pack, points, seed):
         stacked, alone = axioms_residual(fr), oracles.axioms_at_point(fr)
         assert list(stacked) == list(alone)
         # bitwise, the batched eigvalsh and svd included
@@ -118,7 +116,7 @@ def _assert_rows_are_the_point_oracle(pack, sub=None, seed=42):
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_stacked_axioms_are_the_point_oracle(config):
-    _assert_rows_are_the_point_oracle(*oracles.config_example(config))
+    _assert_rows_are_the_point_oracle(oracles.config_example(config))
 
 
 def test_stacked_axioms_are_the_point_oracle_on_sheared_and_broken_packs(
@@ -134,11 +132,11 @@ def test_stacked_axioms_are_the_point_oracle_on_sheared_and_broken_packs(
         _assert_rows_are_the_point_oracle(pack)
 
 
-def _assert_parts_are_the_point_oracle(pack, sub=None, seed=42):
+def _assert_parts_are_the_point_oracle(pack, seed=42):
     # a full chunk of points and a part of one, read as every gate reads
     # them: the frame's row of the chunk's stack
     points = pack.chart.sample(charts.CHUNK + 4, seed)
-    for fr in oracles.chunk_frames(pack, points, sub, seed):
+    for fr in oracles.chunk_frames(pack, points, seed):
         alone = oracles.parts_at_point(fr)
         stacked = {part: classifiers.class_residual(pack, fr.p, tag, fr)[1][part]
                    for part, tag in CLASS_OF_PART.items()}
@@ -165,7 +163,7 @@ def _hex(value):
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_stacked_class_parts_are_the_point_oracle(config):
-    _assert_parts_are_the_point_oracle(*oracles.config_example(config))
+    _assert_parts_are_the_point_oracle(oracles.config_example(config))
 
 
 def test_stacked_class_parts_are_the_point_oracle_on_sheared_and_broken_packs(

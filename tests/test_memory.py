@@ -13,12 +13,11 @@ from pathlib import Path
 import pytest
 
 from weakf import catalog, charts, classifiers
-from weakf.charts import PointStacks, Rows
+from weakf.charts import Rows
 from weakf.errors import HypothesisNotMet
 from weakf.fstructure import PackFrame, _FrameStack
 from weakf.report import SUITES, SuiteConfig, run_suite
 from weakf.submanifold import (
-    _AmbientStack,
     frame_check,
     gauss_split_residual,
     induce_structure,
@@ -212,8 +211,7 @@ def test_one_chunk_of_the_submanifold_suite_stays_within_its_bound():
     try:
         # every row of the suite's bundles over one chunk, as the runner
         # builds the chunk's stacks
-        rows = Rows(points)
-        st = _FrameStack(pack, rows, 42, _AmbientStack(sub, rows))
+        st = _FrameStack(pack, Rows(points), 42)
         frame_check(st.ambient)
         gauss_split_residual(st)
         for case in ("i", "ii"):
@@ -247,8 +245,7 @@ RIEMANN_STACK_BYTES = 16 * 15 ** 4 * 8
 def test_one_chunk_of_the_f_k_contact_bundles_stays_within_its_bound():
     sub = catalog.hypersphere(n=7).obj
     pack = induce_structure(sub, validate=False)
-    rows = Rows(sub.domain.sample(charts.CHUNK, seed=42))
-    st = _FrameStack(pack, rows, 42, _AmbientStack(sub, rows))
+    st = _FrameStack(pack, Rows(sub.domain.sample(charts.CHUNK, seed=42)), 42)
     for name in ("worst_axiom", "phi_equals_deta", "killing", "nabla_f",
                  "nabla_xi", "d_basis"):
         getattr(st, name)
@@ -287,8 +284,7 @@ WHOLE_CHUNK_FF_BYTES = 16 * 15 * 48 * 48 * 8
 def test_one_chunk_of_the_stacked_theorem_bodies_stays_within_its_bound():
     sub = catalog.hypersphere(n=7).obj
     pack = induce_structure(sub, validate=False)
-    rows = Rows(sub.domain.sample(charts.CHUNK, seed=42))
-    st = _FrameStack(pack, rows, 42, _AmbientStack(sub, rows))
+    st = _FrameStack(pack, Rows(sub.domain.sample(charts.CHUNK, seed=42)), 42)
     bodies = ("prop1", "thm41", "thm01_i", "thm01_ii")
     for which in bodies:
         for gate in classifiers._GATES[which]:
@@ -324,9 +320,8 @@ def test_sample_points_cost_their_coordinates():
     tracemalloc.start()
     try:
         points = chart.sample(count, seed=42)
-        stacks = PointStacks(points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert stacks.points is points and points.shape == (count, 3)
+    assert points.shape == (count, 3)
     assert peak / count < SAMPLE_BYTES_BOUND, peak / count

@@ -574,9 +574,8 @@ def test_ambient_quantities_once_per_chunk(counted_run):
 
 
 def test_kept_axioms_map_is_a_copy():
-    sub = hypersphere(n=1).obj
-    pack = submanifold.induce_structure(sub, validate=False)
-    fr = oracles.frame(pack, pack.chart.sample(1, seed=5)[0], sub, seed=5)
+    pack = submanifold.induce_structure(hypersphere(n=1).obj, validate=False)
+    fr = PackFrame(pack, pack.chart.sample(1, seed=5)[0], seed=5)
     first = axioms_residual(fr)
     first["f_skew"] = 1.0
     assert axioms_residual(fr)["f_skew"] < 1e-9

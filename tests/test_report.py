@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import report_digests
 from report_digests import CONFIGS, digest_lines, dump_reports
+from test_readme import README, library_example
 
 import weakf
 from weakf import charts, classifiers, cli, fstructure, report, submanifold
@@ -117,10 +118,8 @@ def test_point_state_is_built_only_by_the_runner():
 
 
 # The definitions that take the ambient data itself: frame_check and
-# require_valid_frame check it, also where no pack exists, and the
-# constructor of a frame stack takes the ambient stack it reads the induced
-# jets from.
-AMBIENT_ONLY = {"frame_check", "require_valid_frame", "__init__"}
+# require_valid_frame check it, also where no pack exists.
+AMBIENT_ONLY = {"frame_check", "require_valid_frame"}
 
 
 def _point_parameters(node):
@@ -147,6 +146,33 @@ def test_checks_take_the_frame_alone():
         tree = ast.parse((Path(weakf.__file__).parent / name).read_text(
             encoding="utf-8"))
         bad += [f"{name}:{line} {fn}" for fn, line in _point_parameters(tree)]
+    assert bad == []
+
+
+def _sources():
+    """(path, source) of every module of the package and of the tests, and
+    README's library example."""
+    for path in [*sorted(Path(weakf.__file__).parent.glob("*.py")),
+                 *sorted(Path(__file__).parent.glob("*.py"))]:
+        yield path, path.read_text(encoding="utf-8")
+    yield README, library_example()
+
+
+def test_an_induced_pack_builds_its_own_ambient_stack():
+    # an induced pack carries its submanifold, and its frame stack builds
+    # the ambient stack of its rows from it: only submanifold.py builds an
+    # ambient stack, and no caller hands one to a frame stack
+    own = Path(submanifold.__file__)
+    bad = []
+    for path, source in _sources():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            if _callee(node) == "_AmbientStack" and path != own:
+                bad.append(f"{path.name}:{node.lineno} _AmbientStack")
+            if (_callee(node) == "_FrameStack"
+                    and len(node.args) + len(node.keywords) > 3):
+                bad.append(f"{path.name}:{node.lineno} _FrameStack")
     assert bad == []
 
 

@@ -12,11 +12,10 @@ from weakf.calculus import christoffel_from_jets, metric_inverse
 from weakf.catalog import hypersphere, linear_subspace, make_example
 from weakf.charts import Chart, Rows, SmoothField, constant_field
 from weakf.errors import HypothesisNotMet, SetupRejected
-from weakf.fstructure import axioms_residual
+from weakf.fstructure import PackFrame, axioms_residual
 from weakf.submanifold import (
     EmbeddedSubmanifold,
     _AmbientPoint,
-    _AmbientStack,
     frame_check,
     gauss_split_residual,
     induce_structure,
@@ -30,15 +29,15 @@ TOL = 1e-9
 
 def test_frame_requirements_on_hypersphere(cat_sphere):
     sub = cat_sphere.obj
-    res = frame_check(_AmbientStack(sub, Rows(sub.domain.sample(4, seed=3))))
+    res = frame_check(sub.ambient_stack(Rows(sub.domain.sample(4, seed=3))))
     assert all(rows.shape == (4,) for rows in res.values())
     assert max(rows.max() for rows in res.values()) <= 1e-10
 
 
-def test_induced_sphere_pack_is_standard(cat_sphere, sphere_induced):
+def test_induced_sphere_pack_is_standard(sphere_induced):
     pack = sphere_induced
     for i, p in enumerate(pack.chart.sample(4, seed=5)):
-        fr = oracles.frame(pack, p, cat_sphere.obj, seed=5, index=i)
+        fr = PackFrame(pack, p, seed=5, index=i)
         ax = axioms_residual(fr)
         assert max(ax.values()) <= 1e-10
         # standard ambient: induced Q is the identity
@@ -47,7 +46,7 @@ def test_induced_sphere_pack_is_standard(cat_sphere, sphere_induced):
 
 # The embedded examples of the reference configurations, each once.
 EMBEDDED = sorted({re.sub(r" --suites \S+", "", c) for c in CONFIGS
-                   if oracles.config_example(c)[1]})
+                   if oracles.config_example(c).submanifold})
 
 
 @pytest.mark.parametrize("config", EMBEDDED)
@@ -55,7 +54,8 @@ def test_induced_field_values_are_the_pullback_of_the_values(config):
     # each induced field's value at a float point is row 0 of the one-point
     # ambient stack's induced jets: bitwise the pullback of the ambient
     # values along the order-1 embedding jet
-    pack, sub = oracles.config_example(config)
+    pack = oracles.config_example(config)
+    sub = pack.submanifold
     fields = {"g": [pack.g], "f": [pack.f], "q": [pack.Q], "xi": pack.xi,
               "eta": pack.eta}
     for p in pack.chart.sample(20, seed=42):
@@ -83,7 +83,7 @@ def test_weak_skew_sphere_partial_axioms(cat_sphere_weak):
     induced = induce_structure(sub)
     worst = {}
     for i, p in enumerate(induced.chart.sample(4, seed=7)):
-        fr = oracles.frame(induced, p, sub, seed=7, index=i)
+        fr = PackFrame(induced, p, seed=7, index=i)
         for k, v in axioms_residual(fr).items():
             worst[k] = max(worst.get(k, 0.0), v)
         # genuinely weak: Q differs from the identity but stays
@@ -147,12 +147,9 @@ def test_weingarten_duality_and_symmetry(cat_sphere):
                 assert abs(lhs - rhs) <= TOL
 
 
-def test_gauss_split_exact(cat_sphere, sphere_induced, cat_subspace,
-                           subspace_induced):
-    for cat, induced in ((cat_sphere, sphere_induced),
-                         (cat_subspace, subspace_induced)):
-        sub = cat.obj
-        st = oracles.stack(induced, sub.domain.sample(3, seed=19), sub, seed=19)
+def test_gauss_split_exact(sphere_induced, subspace_induced):
+    for induced in (sphere_induced, subspace_induced):
+        st = oracles.stack(induced, induced.chart.sample(3, seed=19), seed=19)
         assert gauss_split_residual(st).max() <= TOL
 
 
@@ -197,9 +194,8 @@ def test_curved_ambient_gauss_and_weingarten():
     assert abs(hxx) > 1e-3
 
 
-def test_thsubm_case_i_on_hypersphere(cat_sphere, sphere_induced):
-    sub = cat_sphere.obj
-    st = oracles.stack(sphere_induced, sub.domain.sample(3, seed=23), sub,
+def test_thsubm_case_i_on_hypersphere(sphere_induced):
+    st = oracles.stack(sphere_induced, sphere_induced.chart.sample(3, seed=23),
                        seed=23)
     res = thsubm_check(st, "i")
     assert all(rows.shape == (3,) for rows in res.values())
@@ -217,10 +213,9 @@ def test_thsubm_case_i_on_hypersphere(cat_sphere, sphere_induced):
     assert res2["h_display"].min() >= 0.5
 
 
-def test_thsubm_case_ii_on_linear_subspace(cat_subspace, subspace_induced):
-    sub = cat_subspace.obj
-    st = oracles.stack(subspace_induced, sub.domain.sample(3, seed=29), sub,
-                       seed=29)
+def test_thsubm_case_ii_on_linear_subspace(subspace_induced):
+    st = oracles.stack(subspace_induced,
+                       subspace_induced.chart.sample(3, seed=29), seed=29)
     res = thsubm_check(st, "ii")
     assert res["aa_symmetry"].max() <= 1e-14
     assert res["h_display"].max() <= 1e-14
@@ -260,19 +255,17 @@ def test_thsubm_rejects_non_nearly_kahler_ambient():
     ap = _AmbientPoint(sub, p)
     assert ap.nearly_kahler[0] > 1e-3
     with pytest.raises(HypothesisNotMet) as err:
-        thsubm_check(oracles.stack(induce_structure(sub, validate=False), [p],
-                                   sub), "i")
+        thsubm_check(oracles.stack(induce_structure(sub, validate=False),
+                                   [p]), "i")
     assert err.value.gate == "ambient_weak_nearly_kahler"
     assert err.value.row == 0
 
 
-def test_lemma_parallel_claim(cat_sphere, sphere_induced, cat_subspace,
-                              subspace_induced, cat_sphere_weak):
-    for cat, induced in ((cat_sphere, sphere_induced),
-                         (cat_subspace, subspace_induced)):
-        sub = cat.obj
-        p = sub.domain.sample(1, seed=37)[0]
-        res = lemma_parallel_claim(oracles.stack(induced, [p], sub, seed=0))
+def test_lemma_parallel_claim(sphere_induced, subspace_induced,
+                              cat_sphere_weak):
+    for induced in (sphere_induced, subspace_induced):
+        p = induced.chart.sample(1, seed=37)[0]
+        res = lemma_parallel_claim(oracles.stack(induced, [p], seed=0))
         assert res["q_parallel_d"][0] <= TOL
         assert res["q_parallel_expansion"][0] <= TOL
     # the weak skew moves fbar^2 N off the normal bundle: gate must fire
@@ -280,7 +273,7 @@ def test_lemma_parallel_claim(cat_sphere, sphere_induced, cat_subspace,
     p = sub.domain.sample(1, seed=37)[0]
     with pytest.raises(HypothesisNotMet) as err:
         lemma_parallel_claim(oracles.stack(
-            induce_structure(sub, validate=False), [p], sub, seed=0))
+            induce_structure(sub, validate=False), [p], seed=0))
     assert err.value.gate == "fbar_sq_normal_is_normal"
 
 
@@ -324,7 +317,7 @@ def test_ambient_residuals_are_gbar_norms():
     p = sub.domain.sample(1, seed=37)[0]
 
     def residuals(s):
-        st = oracles.stack(induce_structure(s, validate=False), [p], s, seed=0)
+        st = oracles.stack(induce_structure(s, validate=False), [p], seed=0)
         with pytest.raises(HypothesisNotMet) as err:
             lemma_parallel_claim(st)
         assert err.value.gate == "fbar_sq_normal_is_normal"
@@ -356,13 +349,11 @@ def test_setup_rejection_on_bad_normals():
         require_valid_frame(bad, mid)
 
 
-def test_induced_f_squared_expansion(cat_sphere, sphere_induced, cat_subspace,
-                                     subspace_induced):
+def test_induced_f_squared_expansion(sphere_induced, subspace_induced):
     # f^2 X + QX - sum_i eta^i(X) xi_i = 0 on induced packs
-    for cat, pack in ((cat_sphere, sphere_induced),
-                      (cat_subspace, subspace_induced)):
+    for pack in (sphere_induced, subspace_induced):
         p = pack.chart.sample(1, seed=41)[0]
-        fr = oracles.frame(pack, p, cat.obj, seed=41)
+        fr = PackFrame(pack, p, seed=41)
         rng = np.random.default_rng(41)
         for _ in range(4):
             x = rng.standard_normal(pack.dim)
@@ -404,7 +395,7 @@ def test_closed_form_matches_nested_oracle(example, params):
         assert err <= CLOSED_FORM_TOL * max(1.0, np.abs(want).max()), (what, err)
 
     for p in sub.domain.sample(3, seed=53):
-        fr = oracles.frame(closed, p, sub)
+        fr = PackFrame(closed, p)
         for key, field, oracle in pairs:
             want0, want1 = oracle.jet(p, order=1)
             name, i = key if isinstance(key, tuple) else (key, None)
@@ -441,10 +432,10 @@ def _hex(rows):
     return [float(v).hex() for v in rows]
 
 
-def _assert_rows_are_the_point_oracle(pack, sub, seed=42):
+def _assert_rows_are_the_point_oracle(pack, seed=42):
     points = pack.chart.sample(REFERENCE_SAMPLES, seed)
     chunks = {}
-    for fr in oracles.chunk_frames(pack, points, sub, seed):
+    for fr in oracles.chunk_frames(pack, points, seed):
         chunks.setdefault(id(fr._chunk), (fr._chunk, []))[1].append(fr)
     assert [len(frs) for _, frs in chunks.values()] == [charts.CHUNK, 4]
     for st, frs in chunks.values():
@@ -488,7 +479,8 @@ def _assert_rows_are_the_point_oracle(pack, sub, seed=42):
                 check(bundle, got)
 
 
-EMBEDDED_CONFIGS = [c for c in CONFIGS if oracles.config_example(c)[1]]
+EMBEDDED_CONFIGS = [c for c in CONFIGS
+                    if oracles.config_example(c).submanifold]
 
 # Fixed before the first comparison: |stacked - oracle| <= 1e-13 max(1, |r|).
 REEB_TOL = 1e-13
@@ -499,8 +491,8 @@ def test_reeb_curvature_is_the_gauss_equation_oracle(config):
     # the Gauss equation contracted with xibar = J xi and h(xi, .) over a
     # chunk against the whole Riemann tensor of each point from the Gauss
     # equation, contracted with xi
-    pack, sub = oracles.config_example(config)
-    st = oracles.stack(pack, pack.chart.sample(REFERENCE_SAMPLES, 42)[:4], sub)
+    pack = oracles.config_example(config)
+    st = oracles.stack(pack, pack.chart.sample(REFERENCE_SAMPLES, 42)[:4])
     got = st.reeb_curvature
     assert got.shape == (4, pack.s, pack.dim, pack.dim)
     for k in range(4):
@@ -512,14 +504,12 @@ def test_reeb_curvature_is_the_gauss_equation_oracle(config):
 
 @pytest.mark.parametrize("config", EMBEDDED_CONFIGS)
 def test_stacked_rows_are_the_point_oracle(config):
-    pack, sub = oracles.config_example(config)
-    _assert_rows_are_the_point_oracle(pack, sub)
+    _assert_rows_are_the_point_oracle(oracles.config_example(config))
 
 
 def test_stacked_rows_are_the_point_oracle_where_the_gate_fails():
     sub = _non_kahler_sphere()
     pack = induce_structure(sub, validate=False)
     with pytest.raises(HypothesisNotMet):
-        thsubm_check(oracles.stack(pack, sub.domain.sample(2, seed=42), sub),
-                     "i")
-    _assert_rows_are_the_point_oracle(pack, sub)
+        thsubm_check(oracles.stack(pack, sub.domain.sample(2, seed=42)), "i")
+    _assert_rows_are_the_point_oracle(pack)

@@ -76,8 +76,8 @@ def test_each_theorem_bundle_runs_on_its_pinned_configurations():
 
 def test_the_bundles_that_run_only_on_s_structures_with_q_id():
     for config in S_STRUCTURES_Q_ID:
-        pack, sub = oracles.config_example(config)
-        st = oracles.stack(pack, pack.chart.sample(SAMPLES, SEED), sub, SEED)
+        pack = oracles.config_example(config)
+        st = oracles.stack(pack, pack.chart.sample(SAMPLES, SEED), SEED)
         assert st.s_structure_defining.max() <= TOL, config
         assert st.q_equals_id.max() <= TOL, config
     assert tuple(which for which in THEOREM_CHECKS
