@@ -30,6 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateMetricError
+from .sampling import transposed
 
 _METRIC_EIGEN_FLOOR = 1e-12
 
@@ -45,7 +46,7 @@ def metric_inverse(g0, p=None):
     1e-12 is refused with :class:`DegenerateMetricError`, naming the first
     such point of the stack.
     """
-    sym = 0.5 * (g0 + np.swapaxes(g0, -1, -2))
+    sym = 0.5 * (g0 + transposed(g0))
     eigmin = np.linalg.eigvalsh(sym)[..., 0]
     bad = eigmin <= _METRIC_EIGEN_FLOOR
     if bad.any():
@@ -55,16 +56,13 @@ def metric_inverse(g0, p=None):
     return np.linalg.inv(g0)
 
 
-def _lowered_sum(g1, tail=""):
-    """t[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij, with d_i g_jl = g1[j, l, i].
-
-    Leading axes of ``g1`` are kept, and so are the trailing axes named by
-    ``tail``, such as a further derivative index.
-    """
+def _lowered_sum(g1):
+    """t[..., l,i,j] = d_i g_jl + d_j g_il - d_l g_ij, with d_i g_jl =
+    g1[..., j, l, i]."""
     return (
-        np.einsum(f"...jli{tail}->...lij{tail}", g1)
-        + np.einsum(f"...ilj{tail}->...lij{tail}", g1)
-        - np.einsum(f"...ijl{tail}->...lij{tail}", g1)
+        np.einsum("...jli->...lij", g1)
+        + np.einsum("...ilj->...lij", g1)
+        - np.einsum("...ijl->...lij", g1)
     )
 
 
@@ -97,7 +95,7 @@ def reeb_curvature_kernel(ginv, gamma, g1, g2, xi):
     a = (gamma[:, None] @ at)[..., 0]                      # A[P, i, l, j]
     w = a @ col                                            # [P, i, m, 1]
     gamma_w = (gamma[:, None] @ w[:, :, None])[..., 0]
-    dg_w = (np.swapaxes(g1, -1, -2)[:, None] @ w[:, :, None])[..., 0]
+    dg_w = (transposed(g1)[:, None] @ w[:, :, None])[..., 0]
     dg_xi = (g1[:, None] @ at)[..., 0]
     # the second partials with xi on their first tensor slot, [P, i, b, c, d],
     # and on their last derivative slot, [P, i, a, b, c]
@@ -107,7 +105,7 @@ def reeb_curvature_kernel(ginv, gamma, g1, g2, xi):
         count, s, m, m)
     sym = (first @ at)[..., 0]
     h = (last @ at)[..., 0]
-    low = dg_w - dg_xi @ a + 0.5 * (h + k - sym - np.swapaxes(sym, -1, -2))
+    low = dg_w - dg_xi @ a + 0.5 * (h + k - sym - transposed(sym))
     return ginv[:, None] @ low + a @ a - gamma_w
 
 
@@ -127,7 +125,7 @@ def nabla_vector_kernel(gamma, x0, x1):
 
 def nabla_oneform_kernel(gamma, w0, w1):
     """nw[..., i, b] = (D_{e_i} w)_b."""
-    return np.swapaxes(w1, -1, -2) - np.einsum("...cib,...c->...ib", gamma, w0)
+    return transposed(w1) - np.einsum("...cib,...c->...ib", gamma, w0)
 
 
 def lie_metric_kernel(g0, g1, x0, x1):
@@ -150,12 +148,10 @@ def lie_tensor11_kernel(t0, t1, x0, x1):
 
 def d_oneform_kernel(w1):
     """dw[..., a, b] = (1/2)(d_a w_b - d_b w_a); equals the co-boundary formula."""
-    return 0.5 * (np.swapaxes(w1, -1, -2) - w1)
+    return 0.5 * (transposed(w1) - w1)
 
 
 def d_twoform_kernel(w1):
     """dw[a,b,c] = (1/3)(d_a w_bc + d_b w_ca + d_c w_ab)."""
-    return (
-        np.einsum("...bca->...abc", w1) + np.einsum("...cab->...abc", w1)
-        + np.einsum("...abc->...abc", w1)
-    ) / 3.0
+    return (np.einsum("...bca->...abc", w1) + np.einsum("...cab->...abc", w1)
+            + w1) / 3.0

@@ -125,9 +125,10 @@ _NOT_NUMBERS = (bool, np.bool_, str)
 
 
 def _integer(name, value):
-    """An integer parameter; a bool, a string or a fractional value is
-    rejected, never coerced or truncated."""
-    if isinstance(value, _NOT_NUMBERS) or not float(value).is_integer():
+    """An integer parameter, an int taken as it is (no float round trip); a
+    bool, a string or a fractional value is rejected, never coerced."""
+    if isinstance(value, _NOT_NUMBERS) or not (
+            isinstance(value, (int, np.integer)) or float(value).is_integer()):
         raise InvalidExample(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -137,6 +138,8 @@ def _number(name, value):
     rejected, never coerced."""
     try:
         number = None if isinstance(value, _NOT_NUMBERS) else float(value)
+    except OverflowError:                   # an int beyond the float range
+        number = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         number = None
     if number is None:
@@ -155,8 +158,9 @@ def _choice(name, value, options):
 
 
 # The largest ambient dimension 2n + 2s of an example (a pack's chart has
-# 2n + s): one chunk of a run at 32 peaks at 102 MB traced, on hypersphere
-# n=15 with all suites, the most of any builder (see CHANGES.md).
+# 2n + s): at 32, on hypersphere n=15 with all suites, the most of any
+# builder, one chunk's allocations peak at 90 MB under tracemalloc and a
+# whole run at 127 MB of process ru_maxrss (16 samples; see CHANGES.md).
 MAX_AMBIENT_DIM = 32
 
 
@@ -195,7 +199,8 @@ def _block_weights(example, n, scales, default):
     given = scales if np.ndim(scales) else (scales,)
     if any(isinstance(c, _NOT_NUMBERS) for c in given):
         raise InvalidExample(f"{example} scales must be numbers, got {scales!r}")
-    weights = tuple(map(float, given))
+    weights = tuple(_number(f"{example} block weight {c!r} in scales", c)
+                    for c in given)
     if len(weights) != n:
         raise InvalidExample(f"{example} needs one block weight per complex block")
     bad = [c for c in weights
@@ -210,8 +215,9 @@ def _block_weights(example, n, scales, default):
     return weights
 
 
-def _flat_chart(m, label):
-    return Chart(name=f"{label}_r{m}", dim=m, box=tuple((-1.5, 1.5) for _ in range(m)))
+def _flat_chart(m, label, half=1.5):
+    """The box (-half, half)^m named ``label_rm``."""
+    return Chart(name=f"{label}_r{m}", dim=m, box=((-half, half),) * m)
 
 
 def _constant_pack(f_block, q_block, example, label, params):
@@ -300,6 +306,9 @@ def _rotation_matrix(n, rotation):
         raise InvalidExample(f"rotation matrix entries must be numbers, got {got}")
     try:
         r = np.asarray(rotation, dtype=float)
+    except OverflowError:
+        raise InvalidExample(
+            f"rotation matrix entries must be finite, got {got}") from None
     except (TypeError, ValueError):
         raise InvalidExample(f"unknown rotation descriptor {rotation!r}") from None
     if r.shape != (2 * n, 2 * n):
@@ -328,8 +337,8 @@ def rotated_pack(n=2, s=1, t=0.1, rotation=None):
             f"Q not positive-definite for t={t}: smallest eigenvalue {eigmin:.3e}")
     return _constant_pack(
         np.cos(t) * f1 + np.sin(t) * f2, q, "rotated_pack", "rotated",
-        {"n": n, "s": s, "t": t,
-         "rotation": "reflection" if rotation is None else str(rotation)})
+        {"n": n, "s": s, "t": t, "rotation": r.tolist() if np.ndim(rotation)
+         else rotation or "reflection"})
 
 
 def sasakian_s3():
@@ -415,9 +424,7 @@ def hypersphere(n=1, ambient_skew="standard", normal="inward"):
         box=tuple((0.25, np.pi / 2 - 0.25) for _ in range(n))
         + tuple((0.3, 5.9) for _ in range(n + 1)),
     )
-    ambient = Chart(
-        name=f"flat_r{d}", dim=d, box=tuple((-1.2, 1.2) for _ in range(d))
-    )
+    ambient = _flat_chart(d, "flat", 1.2)
     weights = (
         (1.0,) * (n + 1)
         if ambient_skew == "standard"
@@ -462,9 +469,7 @@ def linear_subspace(n=1, s=1, scales=None):
     m = 2 * n + s
     d = 2 * n + 2 * s
     domain = _flat_chart(m, "subspace")
-    ambient = Chart(
-        name=f"flat_r{d}", dim=d, box=tuple((-2.0, 2.0) for _ in range(d))
-    )
+    ambient = _flat_chart(d, "flat", 2.0)
     skew = np.zeros((d, d))
     skew[: 2 * n, : 2 * n] = _block_skew(n, scales)
     for i in range(s):

@@ -8,7 +8,9 @@ yields values at one point, and first and second partial derivatives at a
 whole stack of points in one call: the runner walks a run's points in
 chunks of ``CHUNK``, each a :class:`Rows`, and evaluates a field's stack
 over a chunk with ``Rows.jet``. Evaluation is deterministic: the same point
-always produces bitwise-identical output, alone or in a stack.
+always produces bitwise-identical jets, alone or in a stack. The float path
+(:meth:`SmoothField.value`) may differ from them in the last bit (see
+:mod:`weakf.jets`).
 
 Component layout per kind:
 
@@ -114,7 +116,11 @@ class SmoothField:
         return f"field {self.name or self.kind!r}"
 
     def value(self, p):
-        """Component values at ``p`` as a float array (fast path, no jets)."""
+        """Component values at ``p`` as a float array (fast path, no jets).
+
+        They may differ from the jets' values in the last bit (on
+        sasakian_s3, in tan and -1/tan of f), so they serve independent
+        checks at a tolerance."""
         val = np.array(self.fn([float(c) for c in p]), dtype=float)
         return float(val) if self.kind == "scalar" else val
 

@@ -14,12 +14,9 @@ stack alone and returns one row over its points per key, under its gates
 (:func:`_at_each_point`). Vector-valued residuals are measured in the
 g-norm: each is lowered by the Cholesky factor u of g0 and reduced by
 :func:`~weakf.sampling.sup_norm`; a residual whose values on the test pairs
-hold m nv^2 entries per point is formed ``PAIR_CHUNK`` points at a time
-(:func:`~weakf.fstructure._pair_rows`), and not at all when its coefficient
-stack vanishes identically, as the derivative layer does on a constant
-pack: the test vectors are finite, so its rows are exactly 0.0, and a NaN
-keeps the full path. The test is made once per chunk there, not in
-``pair_form``, whose many small calls would each pay it.
+hold m nv^2 entries per point is formed ``PAIR_CHUNK`` points at a time,
+and not at all when its coefficient stack vanishes identically
+(:func:`~weakf.fstructure._pair_rows`).
 
 Gates use the exact tolerance (default 1e-9); the report measures the
 curvature steps of ``thm32_chain`` against its own curvature tolerance.
@@ -33,8 +30,9 @@ import numpy as np
 
 from . import calculus
 from .errors import HypothesisNotMet
-from .fstructure import PackFrame, _pair_rows, _rows_abs, _t
-from .sampling import lead_dot, pair_form, sup_abs, sup_norm, unit_rows
+from .fstructure import PackFrame, _pair_rows, _rows_abs
+from .sampling import (lead_dot, pair_form, sup_abs, sup_norm, transposed,
+                       unit_rows)
 
 TOL_EXACT = 1e-9
 
@@ -307,7 +305,7 @@ def _thm32_chain(st):
     db, g0, f0, nf = st.d_basis, st.g0, st.f0, st.nabla_f
     count, m = len(g0), g0.shape[-1]
     xs = np.concatenate([db, unit_rows(st.tv.chain @ db, g0)], axis=1)
-    f0_t = np.swapaxes(f0, 1, 2)
+    f0_t = transposed(f0)
 
     def g_xs(w):
         """g(w_A, X_A) for the rows w_A of ``w`` and X_A of ``xs``."""
@@ -321,10 +319,10 @@ def _thm32_chain(st):
     peak = np.zeros((count, 4))     # connection, nearly-C, algebra; total
     for xi, r_xi in zip(np.moveaxis(st.xi0, 1, 0),
                         np.moveaxis(st.reeb_curvature, 1, 0)):
-        lhs = g_xs(xs @ np.swapaxes(r_xi, 1, 2))        # X -> R(xi, X) xi
+        lhs = g_xs(xs @ transposed(r_xi))               # X -> R(xi, X) xi
         nf_xi = (xi[:, None] @ nf.reshape(count, m, -1)).reshape(
             count, m, m)                                # X -> (D_xi f)X
-        mid1 = g_xs(f2x - xs @ np.swapaxes(nf_xi, 1, 2))
+        mid1 = g_xs(f2x - xs @ transposed(nf_xi))
         mid2 = g_xs(xs @ (nf @ xi[:, None, :, None])[..., 0]) - g_fx
         steps = (lhs - mid1, mid1 - mid2, mid2 - final, lhs - final)
         peak = np.maximum(peak, np.stack([np.abs(d).max(-1) for d in steps],
@@ -345,9 +343,9 @@ def _thm41(st):
     de_d = pair_form(st.deta, db, db)
     res["deta_on_d"] = sup_abs(de_d, lead=1)
     # conn[i,A,B] = g(D_{e_A} xi_i, e_B) for e_A, e_B in D
-    conn = _t(pair_form(st.nabla_xi, (st.d_basis @ st.g0)[:, None], db))
+    conn = transposed(pair_form(st.nabla_xi, (st.d_basis @ st.g0)[:, None], db))
     res["coboundary_vs_connection"] = sup_abs(
-        2.0 * de_d - (conn - _t(conn)), lead=1)
+        2.0 * de_d - (conn - transposed(conn)), lead=1)
     res["d_totally_geodesic"] = sup_abs(conn, lead=1)
     return res
 
@@ -364,7 +362,7 @@ def _thm01_i(st):
         ``eta_ff_reduction`` (Phi(Q^2 X, Y) = Phi(QX, Y)). The (Q - id) terms
         are vacuous wherever the bundle runs.
     """
-    phq = (_t(st.q0) @ st.phi0)[:, None]        # Phi(QX, Y) = g(QX, fY)
+    phq = (transposed(st.q0) @ st.phi0)[:, None]    # Phi(QX, Y) = g(QX, fY)
     res = {"deta_equals_phi_q": _pair_rows(_rows_abs, st.deta - phq, st.V)}
     # proof-internal: eta^j(N1(X,Y)) - 2 d eta^j(X,Y) = eta^j([f,f](X,Y))
     eta_ff = lead_dot(st.eta0, st.ff_coeff, lead=1)
@@ -386,15 +384,15 @@ def _thm01_ii(st):
         g(Y, (D_X Q)xi_i) = -g(Y, Q~ D_X xi_i) = g(Y, Q~fX), so the gates
         force Q~f = 0, i.e. Q = id: no pack pins the term's sign here.
     """
-    phqt = _t(st.qtilde) @ st.phi0              # Phi((Q - id)X, Y)
+    phqt = transposed(st.qtilde) @ st.phi0      # Phi((Q - id)X, Y)
     c = st.n1_coeff + 2.0 * st.xibar[:, :, None, None] * phqt[:, None]
     res = {"n1_equals_qtilde_phi": st._vector_rows(c)}
     # proof-internal: 3 dPhi(X,Y,Z) + 3 g((D_X f)Y, Z)
     #                 + 3 g(f^2 X, Y) etabar(Z) - 3 g(f^2 X, Z) etabar(Y) = 0
-    gf2 = _t(st.f0 @ st.f0) @ st.g0             # g(f^2 X, Y)
+    gf2 = transposed(st.f0 @ st.f0) @ st.g0     # g(f^2 X, Y)
     gf2_ebar = gf2[..., None] * st.etabar[:, None, None]
-    expr = 3.0 * (st.dphi + _t(st.nabla_f) @ st.g0[:, None]
-                  + gf2_ebar - _t(gf2_ebar))
+    expr = 3.0 * (st.dphi + transposed(st.nabla_f) @ st.g0[:, None]
+                  + gf2_ebar - transposed(gf2_ebar))
     # on the orthonormal basis: expr(e_A, e_B, e_C)
     e = st.tv.basis
     res["dphi_nabla_f_expansion"] = sup_abs(lead_dot(

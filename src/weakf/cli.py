@@ -68,11 +68,11 @@ def build_parser():
         "--suites", default="all",
         help=f"comma list from {{{','.join(SUITES)}}} or 'all'",
     )
-    v.add_argument("--samples", type=int, default=50)
-    v.add_argument("--seed", type=int, default=42)
-    v.add_argument("--tol-exact", type=float, default=1e-9)
-    v.add_argument("--tol-curv", type=float, default=1e-6)
-    v.add_argument("--format", choices=("json", "text"), default="json")
+    v.add_argument("--samples", type=int, default=SuiteConfig.samples)
+    v.add_argument("--seed", type=int, default=SuiteConfig.seed)
+    v.add_argument("--tol-exact", type=float, default=SuiteConfig.tol_exact)
+    v.add_argument("--tol-curv", type=float, default=SuiteConfig.tol_curvature)
+    v.add_argument("--format", choices=("json", "text"), default=SuiteConfig.fmt)
     v.add_argument("--out", default=None, help="also write the report here")
     return parser
 

@@ -26,13 +26,8 @@ stack's quantity of the same name. Frames are built per point only for
 ``prop_normal``, the one theorem body computed at each point.
 
 A residual over the test pairs is formed by :func:`_pair_rows`, which
-skips a coefficient stack that vanishes identically: on a constant pack
-the whole derivative layer (Gamma, D f, D Q, D xi, d eta, [f,f], L_xi g)
-is exactly zero. The skip is exact, not a tolerance: the test vectors are
-finite, so every skipped entry would be +-0.0, which the reducers make
-+0.0, and a NaN coefficient keeps the full path. It is tested once per
-chunk in ``_pair_rows`` rather than in ``pair_form``, whose many small
-calls per sub-chunk would each pay it.
+skips, exactly, a coefficient stack that vanishes identically, such as a
+constant pack's whole derivative layer.
 """
 
 from __future__ import annotations
@@ -53,6 +48,7 @@ from .sampling import (
     point_rng,
     sup_abs,
     sup_norm,
+    transposed,
 )
 
 _RANK_ZERO_CEIL = 1e-8
@@ -65,7 +61,6 @@ _Q_EIGEN_FLOOR = 1e-12
 # curve over sub-chunk sizes (see CHANGES.md): 1 point was slower, 2 not.
 PAIR_CHUNK = 2
 
-_t = partial(np.swapaxes, axis1=-1, axis2=-2)
 _rows_abs = partial(sup_abs, lead=1)
 _rows_norm = partial(sup_norm, lead=1)
 
@@ -226,8 +221,7 @@ class _FrameStack:
     @cached_property
     def nabla_xi_xi(self):
         """nabla_xi_xi[i,j,k] = (D_{xi_i} xi_j)^k."""
-        xi_t = np.swapaxes(self.xi0, 1, 2)[:, None]
-        return (self.nabla_xi @ xi_t).transpose(0, 3, 1, 2)
+        return (self.nabla_xi @ transposed(self.xi0)[:, None]).transpose(0, 3, 1, 2)
 
     @cached_property
     def nabla_eta(self):
@@ -286,8 +280,8 @@ class _FrameStack:
         V, u, e = tv.vectors, tv.factor, tv.basis
         s = self.pack.s
 
-        q_mat = e @ g0 @ (q0 @ _t(e))
-        floor = np.linalg.eigvalsh(0.5 * (q_mat + _t(q_mat))).min(-1)
+        q_mat = e @ g0 @ (q0 @ transposed(e))
+        floor = np.linalg.eigvalsh(0.5 * (q_mat + transposed(q_mat))).min(-1)
         bad = floor <= _Q_EIGEN_FLOOR
         if bad.any():
             k = np.argmax(bad)
@@ -295,35 +289,36 @@ class _FrameStack:
 
         res = {}
         gf = g0 @ f0
-        res["f_skew"] = _rows_abs(pair_form(gf + _t(gf), V, V))
+        res["f_skew"] = _rows_abs(pair_form(gf + transposed(gf), V, V))
         gq = g0 @ q0
-        res["q_selfadjoint"] = _rows_abs(pair_form(gq - _t(gq), V, V))
+        res["q_selfadjoint"] = _rows_abs(pair_form(gq - transposed(gq), V, V))
         res["q_positive"] = np.maximum(-floor, 0.0)     # a NaN stays
         res["eta_xi_pairing"] = _rows_abs(
             np.einsum("pia,pja->pij", eta0, xi0) - np.eye(s))
-        res["q_fixes_xi"] = _rows_norm(u @ (q0 @ _t(xi0) - _t(xi0)))
+        xi_t = transposed(xi0)
+        res["q_fixes_xi"] = _rows_norm(u @ (q0 @ xi_t - xi_t))
         # f^2 = -Q + sum eta^i (x) xi_i, applied to test vectors
         corr = np.einsum("pik,pia->pka", xi0, eta0)
         res["f_squared"] = _rows_norm(pair_form(f0 @ f0 + q0 - corr, u, V))
         # g(fX, fY) = g(X, QY) - sum eta^i(X) eta^i(Y)
-        res["compatibility"] = _rows_abs(
-            pair_form(_t(f0) @ g0 @ f0 - gq + _t(eta0) @ eta0, V, V))
-        eta_v = eta0 @ _t(V)
+        res["compatibility"] = _rows_abs(pair_form(
+            transposed(f0) @ g0 @ f0 - gq + transposed(eta0) @ eta0, V, V))
+        eta_v = eta0 @ transposed(V)
         res["f_kills_xi"] = _rows_norm(pair_form(f0, u, xi0))
         res["eta_after_f"] = _rows_abs(pair_form(f0, eta0, V))
         res["eta_after_q"] = _rows_abs(pair_form(q0, eta0, V) - eta_v)
         res["qf_commute"] = _rows_norm(pair_form(q0 @ f0 - f0 @ q0, u, V))
-        res["eta_metric_dual"] = _rows_abs(eta_v - pair_form(_t(g0), xi0, V))
+        res["eta_metric_dual"] = _rows_abs(eta_v - pair_form(transposed(g0), xi0, V))
         res["xi_orthonormal"] = _rows_abs(pair_form(g0, xi0, xi0) - np.eye(s))
         # rank 2n: s singular values below 1e-8, 2n above 1e-4 (n, s >= 1)
-        sv = np.sort(np.linalg.svd(e @ g0 @ (f0 @ _t(e)), compute_uv=False))
+        sv = np.sort(np.linalg.svd(e @ g0 @ (f0 @ transposed(e)), compute_uv=False))
         small = sv[:, s - 1]
         res["f_rank"] = np.where(sv[:, s] <= _RANK_POSITIVE_FLOOR, 1.0,
                                  np.where(small <= _RANK_ZERO_CEIL, 0.0, small))
         # f-invariance of D = cap ker eta^i, checked on a basis of D
         res["d_f_invariant"] = _rows_abs(pair_form(f0, eta0, self.d_basis))
         # splitting X = (X - sum eta^i(X) xi_i) + sum eta^i(X) xi_i, D-part in D
-        res["tangent_split"] = _rows_abs((eta0 - eta0 @ _t(xi0) @ eta0) @ _t(V))
+        res["tangent_split"] = _rows_abs((eta0 - eta0 @ xi_t @ eta0) @ transposed(V))
         return res
 
     @cached_property
@@ -350,13 +345,12 @@ class _FrameStack:
     @cached_property
     def n1_coeff(self):
         """N1(e_a, e_b)^k = [f,f](e_a, e_b)^k + 2 sum_i deta^i(e_a, e_b) xi_i^k."""
-        xi_t = np.swapaxes(self.xi0, 1, 2)
-        return self.ff_coeff + 2.0 * lead_dot(xi_t, self.deta, lead=1)
+        return self.ff_coeff + 2.0 * lead_dot(transposed(self.xi0), self.deta, lead=1)
 
     @cached_property
     def n2_coeff(self):
         """N2[i,a,b] = 2 deta^i(f e_a, e_b) - 2 deta^i(f e_b, e_a)."""
-        t = np.swapaxes(self.f0, 1, 2)[:, None] @ self.deta
+        t = transposed(self.f0)[:, None] @ self.deta
         return 2.0 * (t - t.transpose(0, 1, 3, 2))
 
     # -- class parts and Reeb-frame conditions ----------------------------------
@@ -370,7 +364,7 @@ class _FrameStack:
         """(D_X f)Y, g(fX,fY) xibar and etabar(Y) f^2 X: [P, k, a, b], read
         by the nearly-S and S-structure identities."""
         f0 = self.f0
-        gff = self.xibar[:, :, None, None] * (_t(f0) @ self.g0 @ f0)[:, None]
+        gff = self.xibar[:, :, None, None] * (transposed(f0) @ self.g0 @ f0)[:, None]
         ef2 = (f0 @ f0)[..., None] * self.etabar[:, None, None]
         return self.nabla_f.transpose(0, 2, 1, 3), gff, ef2
 
@@ -380,12 +374,13 @@ class _FrameStack:
     @cached_property
     def nearly_s_defining(self):
         nf, gff, ef2 = self.nearly_terms
-        return self._vector_rows(nf + _t(nf) - 2.0 * gff - _t(ef2) - ef2)
+        return self._vector_rows(
+            nf + transposed(nf) - 2.0 * gff - transposed(ef2) - ef2)
 
     @cached_property
     def nearly_c_defining(self):
         nf = self.nabla_f.transpose(0, 2, 1, 3)
-        return self._vector_rows(nf + _t(nf))
+        return self._vector_rows(nf + transposed(nf))
 
     @cached_property
     def s_structure_defining(self):
@@ -446,12 +441,12 @@ class _FrameStack:
     def reeb_flat(self):
         # over test vectors that include the Reeb fields: it bounds the
         # totally-geodesic residual
-        return _rows_abs((self.xi0 @ _t(self.g0))[:, None] @ self.nabla_xi
-                         @ _t(self.V)[:, None])
+        return _rows_abs((self.xi0 @ transposed(self.g0))[:, None] @ self.nabla_xi
+                         @ transposed(self.V)[:, None])
 
     @cached_property
     def reeb_totally_geodesic(self):
-        return _rows_abs(self.nabla_xi_xi @ _t(self.eta0)[:, None])
+        return _rows_abs(self.nabla_xi_xi @ transposed(self.eta0)[:, None])
 
     @cached_property
     def q_parallel_d(self):

@@ -12,7 +12,10 @@ Arithmetic and the chain rule are broadcasting numpy operations that keep
 the association order of the scalar formulas, so every row is bitwise the
 jet of its point evaluated alone, and a Hessian is exactly symmetric: its
 lower triangle is a mirror of the upper one. All arithmetic is
-non-mutating; jets can be shared freely.
+non-mutating; jets can be shared freely. A jet's value may differ in the
+last bit from the same formula on floats: a jet divides as a * (1/b)
+(``Jet.__truediv__``) and squares by multiplying, where floats use ``/``
+and ``**``.
 """
 
 from __future__ import annotations
@@ -218,62 +221,36 @@ def arrays(entries, count, m, order):
 
 
 # -- generic math functions --------------------------------------------------
-#
-# A float goes to ``math``, an array to numpy, and a jet (anything with a
-# ``_chain``) through the chain rule. On arrays, ``sqrt`` and ``log`` refuse
-# the arguments ``math`` refuses, with its message.
 
 
-def _domain(ok):
-    if not np.all(ok):
-        raise ValueError("math domain error")
+def _elementary(name, on_float, on_array, d1, d2, allowed=None):
+    """The generic function ``name``: a float goes to ``on_float`` (from
+    ``math``), an array to ``on_array`` (from numpy), and a jet (anything
+    with a ``_chain``) through the chain rule with the first and second
+    derivatives ``d1`` and ``d2``. An array entry outside ``allowed`` is
+    refused with the message ``math`` gives for it."""
+    def f(x):
+        if isinstance(x, np.ndarray):
+            if allowed is not None and not np.all(allowed(x)):
+                raise ValueError("math domain error")
+            return on_array(x)
+        if hasattr(x, "_chain"):
+            return x._chain(f, d1, d2)
+        return on_float(x)
+    f.__name__ = f.__qualname__ = name
+    return f
 
 
-def sin(x):
-    if isinstance(x, np.ndarray):
-        return np.sin(x)
-    if hasattr(x, "_chain"):
-        return x._chain(sin, cos, lambda t: -sin(t))
-    return math.sin(x)
-
-
-def cos(x):
-    if isinstance(x, np.ndarray):
-        return np.cos(x)
-    if hasattr(x, "_chain"):
-        return x._chain(cos, lambda t: -sin(t), lambda t: -cos(t))
-    return math.cos(x)
+sin = _elementary("sin", math.sin, np.sin, lambda t: cos(t), lambda t: -sin(t))
+cos = _elementary("cos", math.cos, np.cos, lambda t: -sin(t), lambda t: -cos(t))
+exp = _elementary("exp", math.exp, np.exp, lambda t: exp(t), lambda t: exp(t))
+log = _elementary("log", math.log, np.log,
+                  lambda t: 1.0 / t, lambda t: -1.0 / (t * t),
+                  allowed=lambda t: ~(t <= 0.0))
+sqrt = _elementary("sqrt", math.sqrt, np.sqrt,
+                   lambda t: 0.5 / sqrt(t), lambda t: -0.25 / (t * sqrt(t)),
+                   allowed=lambda t: ~(t < 0.0))
 
 
 def tan(x):
     return sin(x) / cos(x)
-
-
-def exp(x):
-    if isinstance(x, np.ndarray):
-        return np.exp(x)
-    if hasattr(x, "_chain"):
-        return x._chain(exp, exp, exp)
-    return math.exp(x)
-
-
-def log(x):
-    if isinstance(x, np.ndarray):
-        _domain(~(x <= 0.0))
-        return np.log(x)
-    if hasattr(x, "_chain"):
-        return x._chain(log, lambda t: 1.0 / t, lambda t: -1.0 / (t * t))
-    return math.log(x)
-
-
-def sqrt(x):
-    if isinstance(x, np.ndarray):
-        _domain(~(x < 0.0))
-        return np.sqrt(x)
-    if hasattr(x, "_chain"):
-        return x._chain(
-            sqrt,
-            lambda t: 0.5 / sqrt(t),
-            lambda t: -0.25 / (t * sqrt(t)),
-        )
-    return math.sqrt(x)

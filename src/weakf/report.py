@@ -35,6 +35,7 @@ from .charts import Rows
 from .classifiers import (
     CLASS_TAGS,
     THEOREM_CHECKS,
+    TOL_EXACT,
     class_residual,
     frame_residuals,
     q_parallel_residual,
@@ -187,8 +188,9 @@ FORMULAS = {
 
 # The most sample points of a run. They are drawn before the first check,
 # into one array: 256 B each at catalog.MAX_AMBIENT_DIM, 26 MB here, under
-# the 102 MB one-chunk peak that bounds the dimension; the fastest run
-# (sasakian_s3, axioms alone) takes about 10 s here (see CHANGES.md).
+# the 90 MB tracemalloc peak of one chunk that bounds the dimension; the
+# fastest run (sasakian_s3, axioms alone) takes about 10 s here (see
+# CHANGES.md).
 MAX_SAMPLES = 100_000
 
 
@@ -201,7 +203,7 @@ class SuiteConfig:
     suites: tuple = SUITES
     samples: int = 50
     seed: int = 42
-    tol_exact: float = 1e-9
+    tol_exact: float = TOL_EXACT
     tol_curvature: float = 1e-6
     fmt: str = "json"
 
@@ -213,9 +215,11 @@ class SuiteConfig:
                                  f"{','.join(SUITES)}, got {suites}")
         for name, least in (("samples", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                    or value < least):
                 raise InvalidExample(
                     f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.samples > MAX_SAMPLES:
             raise InvalidExample(
                 f"samples must be at most {MAX_SAMPLES}, got {self.samples}")
@@ -240,10 +244,13 @@ class SuiteConfig:
 
 
 def _jsonable(value):
-    """``value`` as strict JSON data: numpy scalars become Python numbers and
-    a non-finite float the string "NaN", "Infinity" or "-Infinity"."""
+    """``value`` as strict JSON data: numpy arrays become lists, numpy scalars
+    Python numbers and a non-finite float the string "NaN", "Infinity" or
+    "-Infinity"."""
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):

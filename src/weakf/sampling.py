@@ -29,6 +29,12 @@ def point_rng(seed, index):
     return np.random.default_rng([int(seed), int(index), 0])
 
 
+def transposed(a):
+    """``a`` with its last two axes swapped: the transpose of a matrix, or
+    of each matrix of a stack."""
+    return np.swapaxes(a, -1, -2)
+
+
 def _g_dot(u, g0, v):
     """g0(u, v) for each row of the stacks u[P, m], g0[P, m, m], v[P, m],
     as the matrix products u @ g0 @ v of each point alone."""
@@ -63,7 +69,7 @@ def cholesky_factor(g0):
 
     Lowering by u turns g0-norms into Euclidean ones: g0(v, v) = |u v|^2.
     """
-    return np.swapaxes(np.linalg.cholesky(g0), -1, -2)
+    return transposed(np.linalg.cholesky(g0))
 
 
 def cholesky_basis(u):
@@ -73,7 +79,7 @@ def cholesky_basis(u):
     It is the Gram-Schmidt of the coordinate frame from one factorization:
     row k of L^-1 lies in the span of e_1..e_k.
     """
-    return np.linalg.inv(np.swapaxes(u, -1, -2))
+    return np.linalg.inv(transposed(u))
 
 
 def unit_rows(vecs, g0):
@@ -133,7 +139,7 @@ def pair_form(t, X, Y):
     X and Y hold vectors as rows, and the leading axes of ``t``, ``X`` and
     ``Y`` broadcast; the contraction is two matrix products.
     """
-    return X @ t @ np.swapaxes(Y, -1, -2)
+    return X @ t @ transposed(Y)
 
 
 def lead_dot(a, t, lead=0):

@@ -47,7 +47,8 @@ from .charts import Rows, SmoothField, jet_stack
 from .classifiers import TOL_EXACT, gated_rows
 from .errors import SetupRejected
 from .fstructure import StructurePack, _pair_rows, _rows_abs, _rows_norm
-from .sampling import cholesky_basis, cholesky_factor, lead_dot, pair_form
+from .sampling import (cholesky_basis, cholesky_factor, lead_dot, pair_form,
+                       transposed)
 
 _FRAME_TOL = 1e-10
 _TANGENCY_TOL = 1e-9
@@ -88,10 +89,6 @@ def _product(a, b):
     return out
 
 
-def _transposed(a):
-    return np.swapaxes(a, -1, -2)
-
-
 def _induced(jac, gbar, fbar, normals, p):
     """The induced g, g^-1, f, Q, eta and xi at the domain points ``p``.
 
@@ -103,19 +100,19 @@ def _induced(jac, gbar, fbar, normals, p):
     xi_i = g^-1 eta^i (both as rows, [i, a]), with d(g^-1) = -g^-1 dg g^-1.
     """
     gj = _product(gbar, jac)            # lowered frame vectors gbar J
-    jg = _transposed(gj)
-    g = _product(_transposed(jac), gj)
+    jg = transposed(gj)
+    g = _product(transposed(jac), gj)
     ginv0 = calculus.metric_inverse(g[:, 0], p)[:, None]
     ginv = np.concatenate([ginv0, -ginv0 @ g[:, 1:] @ ginv0], axis=1)
     fj = _product(fbar, jac)
-    eta = _product(_transposed(_product(fbar, normals)), gj)
+    eta = _product(transposed(_product(fbar, normals)), gj)
     return {
         "g": g,
         "ginv": ginv,
         "f": _product(ginv, _product(jg, fj)),
         "q": -_product(ginv, _product(jg, _product(fbar, fj))),
         "eta": eta,
-        "xi": _transposed(_product(ginv, _transposed(eta))),
+        "xi": transposed(_product(ginv, transposed(eta))),
     }
 
 
@@ -162,15 +159,14 @@ class _AmbientStack:
 
     def to_domain(self, v):
         """Coordinates of tangent ambient vectors in the embedded basis."""
-        return np.linalg.solve(self.g0, _transposed(self.jac) @ (self.gbar0 @ v))
+        return np.linalg.solve(self.g0, transposed(self.jac) @ (self.gbar0 @ v))
 
     def normal_coefficients(self, v):
         """gbar(v, N_i) for each normal: an array [P, i, ...]."""
         return lead_dot(self.normals @ self.gbar0, v, lead=1)
 
     def normal_part(self, v):
-        return lead_dot(_transposed(self.normals), self.normal_coefficients(v),
-                        lead=1)
+        return lead_dot(transposed(self.normals), self.normal_coefficients(v), lead=1)
 
     def tangent_part(self, v):
         return v - self.normal_part(v)
@@ -199,7 +195,7 @@ class _AmbientStack:
             stacked(self.jac, self.hess),
             stacked(self.gbar0, self.gbar1 @ jac),
             stacked(self.fbar0, self.fbar1 @ jac),
-            stacked(_transposed(self.normals), self.dnormals.transpose(0, 2, 1, 3)),
+            stacked(transposed(self.normals), self.dnormals.transpose(0, 2, 1, 3)),
             self.rows.points,
         )
         jets = {k: (a[:, 0], np.moveaxis(a[:, 1:], 1, -1)) for k, a in out.items()}
@@ -210,7 +206,7 @@ class _AmbientStack:
     def coordinate_derivative(self):
         """dxy[P, c, a, b]: ambient D along e_a of the pushed constant field e_b."""
         jac = self.jac[:, None]
-        return self.hess + _transposed(jac) @ self.gammabar @ jac
+        return self.hess + transposed(jac) @ self.gammabar @ jac
 
     @cached_property
     def hn(self):
@@ -225,7 +221,7 @@ class _AmbientStack:
         count, m, s = len(self.rows), self.sub.domain.dim, self.sub.s
         # dn[i, c, b] = (ambient D_{e_b} N_i)^c: d_b N_i^c plus the
         # Christoffel term Gammabar^c_{ae} (J e_b)^a N_i^e
-        gn = (self.gammabar @ _transposed(self.normals)[:, None]).transpose(
+        gn = (self.gammabar @ transposed(self.normals)[:, None]).transpose(
             0, 3, 1, 2)
         dn = self.dnormals + gn @ self.jac[:, None]
         t = self.tangent_part(-dn.transpose(0, 2, 1, 3))
@@ -256,7 +252,7 @@ class _AmbientStack:
         """The gate of :func:`thsubm_check`, one row: the sup of
         (D_X fbar)Y + (D_Y fbar)X over an ambient frame at the image."""
         nf = self.nabla_fbar.transpose(0, 2, 1, 3)
-        c = lead_dot(self.ubar, nf + _transposed(nf), lead=1)
+        c = lead_dot(self.ubar, nf + transposed(nf), lead=1)
         return _pair_rows(_rows_norm, c, self.basis)
 
     def thsubm_parts(self, st):
@@ -264,26 +260,25 @@ class _AmbientStack:
         over ``st``, the frame stack of the induced pack, which keeps them
         (``_FrameStack.thsubm_parts``) for both cases."""
         xi0, eta0, V, hn = st.xi0, st.eta0, st.V, self.hn
-        xi_t, eta_t = _transposed(xi0)[:, None], _transposed(eta0)[:, None]
+        xi_t, eta_t = transposed(xi0)[:, None], transposed(eta0)[:, None]
         a_mats = self.shape_operators
         hxx = pair_form(hn, xi0[:, None], xi0[:, None])    # h_{N_i}(xi_j, xi_k)
         res = {
             # g(A_i X, Y) against h_{N_i}(X, Y)
             "weingarten_duality": _pair_rows(
-                _rows_abs, _transposed(a_mats) @ st.g0[:, None] - hn, V),
-            "h_symmetric": _pair_rows(_rows_abs, hn - _transposed(hn), V),
+                _rows_abs, transposed(a_mats) @ st.g0[:, None] - hn, V),
+            "h_symmetric": _pair_rows(_rows_abs, hn - transposed(hn), V),
         }
 
         # tangential part of the ambient identity against the induced sum, on
         # every pair of coordinate directions (X, Y) = (e_A, e_B)
-        jv = _transposed(self.jac)[:, None]
+        jv = transposed(self.jac)[:, None]
         t = pair_form(self.nabla_fbar.transpose(0, 2, 1, 3), jv, jv)
-        lhs_t = self.tangent_part(t + _transposed(t))
+        lhs_t = self.tangent_part(t + transposed(t))
         # (D_X f)Y + sum_i eta^i(X) A_i Y, then symmetrized in X and Y
         dom = st.nabla_f.transpose(0, 2, 1, 3) + np.einsum(
             "piA,pikB->pkAB", eta0, a_mats)
-        dom = dom + _transposed(dom) - 2.0 * lead_dot(_transposed(xi0), hn,
-                                                      lead=1)
+        dom = dom + transposed(dom) - 2.0 * lead_dot(transposed(xi0), hn, lead=1)
         res["tangential_expansion"] = _rows_norm(lead_dot(
             self.ubar, lhs_t - lead_dot(self.jac, dom, lead=1), lead=1))
         return {
@@ -306,17 +301,17 @@ class _AmbientStack:
         second-order jet of gbar, taken here only, and h through h(xi, .).
         No third derivative of the embedding is needed.
         """
-        xibar = xi @ _transposed(self.jac)
+        xibar = xi @ transposed(self.jac)
         jac = self.jac[:, None]
         rbar = calculus.reeb_curvature_kernel(
             self.ginvbar, self.gammabar, self.gbar1,
             self._along_image(self.sub.ambient_metric, 2)[2], xibar)
-        low = _transposed(jac) @ (self.gbar0[:, None] @ (rbar @ jac))
+        low = transposed(jac) @ (self.gbar0[:, None] @ (rbar @ jac))
         hn = self.hn
         h_xi = (hn[:, None] @ xi[:, :, None, :, None])[..., 0]  # [P, i, n, a]
         h_xixi = (h_xi @ xi[..., None])[..., 0]                 # [P, i, n]
-        low = (low + _transposed(h_xi) @ h_xi
-               - _transposed(lead_dot(h_xixi, hn, lead=1)))
+        low = (low + transposed(h_xi) @ h_xi
+               - transposed(lead_dot(h_xixi, hn, lead=1)))
         return self.induced_jets["ginv"][:, None] @ low
 
 
@@ -344,17 +339,17 @@ def frame_check(ambient):
     gram = pair_form(a.gbar0, a.normals, a.normals)
     res["normals_orthonormal"] = _rows_abs(gram - np.eye(a.sub.s))
     res["normals_perp_image"] = _rows_abs(a.normals @ a.gbar0 @ a.jac)
-    fn = a.normals @ _transposed(a.fbar0)
+    fn = a.normals @ transposed(a.fbar0)
     res["skew_normal_pairs"] = _rows_abs(pair_form(a.gbar0, fn, a.normals))
     res["xi_tangent"] = _rows_norm(lead_dot(
-        a.ubar, a.normal_part(_transposed(fn)), lead=1))
+        a.ubar, a.normal_part(transposed(fn)), lead=1))
     gf = a.gbar0 @ a.fbar0
     eb = a.basis
-    res["ambient_skew"] = _rows_abs(pair_form(gf + _transposed(gf), eb, eb))
+    res["ambient_skew"] = _rows_abs(pair_form(gf + transposed(gf), eb, eb))
     f2 = a.fbar0 @ a.fbar0
-    f2_mat = eb @ a.gbar0 @ (f2 @ _transposed(eb))
+    f2_mat = eb @ a.gbar0 @ (f2 @ transposed(eb))
     res["fbar_sq_negative"] = np.maximum(        # a NaN stays
-        np.linalg.eigvalsh(0.5 * (f2_mat + _transposed(f2_mat))).max(-1), 0.0)
+        np.linalg.eigvalsh(0.5 * (f2_mat + transposed(f2_mat))).max(-1), 0.0)
     return res
 
 
@@ -438,7 +433,7 @@ def gauss_split_residual(st):
     ``st``, the frame stack of the induced pack."""
     a = st.ambient
     r = (a.coordinate_derivative - lead_dot(a.jac, st.gamma, lead=1)
-         - lead_dot(_transposed(a.normals), a.hn, lead=1))
+         - lead_dot(transposed(a.normals), a.hn, lead=1))
     return _rows_norm(lead_dot(a.ubar, r, lead=1))
 
 
@@ -474,13 +469,13 @@ def thsubm_check(st, case, tol_exact=TOL_EXACT):
         disp, a_disp = shared["disp"], shared["a_disp"]
         if case == "i":
             f2 = st.f0 @ st.f0          # the display adds g(-f^2 X, Y)
-            disp = disp - (_transposed(f2) @ st.g0)[:, None]
+            disp = disp - (transposed(f2) @ st.g0)[:, None]
             a_disp = a_disp - f2[:, None]
         res = {
             "aa_symmetry": shared["aa_symmetry"],
             "h_display": _pair_rows(_rows_abs, st.ambient.hn - disp, V),
             "shape_display_duality": _pair_rows(
-                _rows_abs, _transposed(a_disp) @ st.g0[:, None] - disp, V),
+                _rows_abs, transposed(a_disp) @ st.g0[:, None] - disp, V),
             **shared["case_free"],
         }
         if case == "i":
@@ -498,15 +493,14 @@ def _parallel_q_hypotheses(st):
     """The hypotheses of :func:`lemma_parallel_claim` in the order they are
     checked, one row each over the frame stack ``st``."""
     a = st.ambient
-    f2n = a.normals @ _transposed(a.fbar0 @ a.fbar0)
-    hyp1 = _rows_norm(lead_dot(a.ubar, a.tangent_part(_transposed(f2n)),
-                               lead=1))
+    f2n = a.normals @ transposed(a.fbar0 @ a.fbar0)
+    hyp1 = _rows_norm(lead_dot(a.ubar, a.tangent_part(transposed(f2n)), lead=1))
     # (D_X fbar^2) Y = (D_X fbar) fbar Y + fbar (D_X fbar) Y for X a
     # coordinate direction and Y in D, both pushed forward
     nf = a.nabla_fbar.transpose(0, 2, 1, 3)
-    jx = _transposed(a.jac)[:, None]
-    jy = st.d_basis @ _transposed(a.jac)
-    t = pair_form(nf, jx, (jy @ _transposed(a.fbar0))[:, None]) + lead_dot(
+    jx = transposed(a.jac)[:, None]
+    jy = st.d_basis @ transposed(a.jac)
+    t = pair_form(nf, jx, (jy @ transposed(a.fbar0))[:, None]) + lead_dot(
         a.fbar0, pair_form(nf, jx, jy[:, None]), lead=1)
     worst = _rows_norm(lead_dot(a.ubar, a.tangent_part(t), lead=1))
     return {"fbar_sq_normal_is_normal": hyp1,

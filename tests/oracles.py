@@ -16,7 +16,6 @@ from dataclasses import replace
 import numpy as np
 
 from weakf.calculus import (
-    _lowered_sum,
     christoffel_from_jets,
     lie_metric_kernel,
     lie_tensor11_kernel,
@@ -316,8 +315,11 @@ def riemann_from_jets(ginv, gamma, g1, g2):
     R(xi, .)xi, from ``calculus.reeb_curvature_kernel``.
     """
     dginv = -np.moveaxis(ginv @ np.moveaxis(g1, 2, 0) @ ginv, 0, 2)
-    t = _lowered_sum(g1)
-    dt = _lowered_sum(g2, "c")
+    # t[l,i,j] = d_i g_jl + d_j g_il - d_l g_ij, and dt[l,i,j,c] = d_c t[l,i,j]
+    t = (np.einsum("jli->lij", g1) + np.einsum("ilj->lij", g1)
+         - np.einsum("ijl->lij", g1))
+    dt = (np.einsum("jlic->lijc", g2) + np.einsum("iljc->lijc", g2)
+          - np.einsum("ijlc->lijc", g2))
     dga = 0.5 * (
         np.einsum("klc,lij->kijc", dginv, t)
         + np.einsum("kl,lijc->kijc", ginv, dt)

@@ -83,6 +83,19 @@ def test_bad_parameter_is_usage_error(tmp_path):
     assert proc.returncode == 2
     assert str(missing) in proc.stderr and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    # an integer beyond the float range is refused by name, and does not
+    # end in an OverflowError traceback; nor does such a matrix entry
+    huge = "9" * 400
+    for example, param in (("flat_pack", f"n={huge}"), ("flat_pack", f"s={huge}"),
+                           ("flat_pack", f"scales={huge}"),
+                           ("rotated_pack", f"t={huge}")):
+        proc = run_cli(["verify", "--example", example, "--param", param,
+                        "--samples", "2"])
+        assert proc.returncode == 2, (param, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+    with pytest.raises(InvalidExample, match="rotation matrix entries must be finite"):
+        catalog.rotated_pack(n=1, rotation=[[-int(huge), 0], [0, 1]])
     # a run that checks nothing: the submanifold suite on a pack
     assert cli.main(["verify", "--example", "flat_pack", "--suites",
                      "submanifold", "--samples", "2"]) == 2
@@ -94,6 +107,13 @@ def test_bad_parameter_is_usage_error(tmp_path):
         with pytest.raises(InvalidExample):
             SuiteConfig(example="flat_pack", **bad)
     SuiteConfig(example="flat_pack", samples=MAX_SAMPLES)     # the bound holds
+    # a numpy integer is an integer, and is kept as an int
+    config = SuiteConfig(example="flat_pack", samples=np.int64(4), seed=np.int64(7))
+    assert (type(config.samples), type(config.seed)) == (int, int)
+    assert (config.samples, config.seed) == (4, 7)
+    for bad in ({"seed": np.float64(7.0)}, {"samples": np.True_}):
+        with pytest.raises(InvalidExample):
+            SuiteConfig(example="flat_pack", **bad)
     # a tolerance is a finite number: a bool is not written to the report as
     # true, and a string does not escape as a bare TypeError
     for name, value in (("tol_exact", True), ("tol_exact", "1e-9"),
@@ -115,6 +135,18 @@ def test_bad_parameter_is_usage_error(tmp_path):
         for p in params:
             argv += ["--param", p]
         assert cli.main(argv) == 2, params
+
+
+def test_command_line_defaults_are_the_config_defaults():
+    # each run default is defined once: the parser reads SuiteConfig's, and
+    # SuiteConfig's exact tolerance is the gates' TOL_EXACT
+    args = cli.build_parser().parse_args(["verify", "--example", "flat_pack"])
+    fields = {f.name: f.default for f in dataclasses.fields(SuiteConfig)}
+    for flag, name in (("samples", "samples"), ("seed", "seed"),
+                       ("tol_exact", "tol_exact"), ("tol_curv", "tol_curvature"),
+                       ("format", "fmt")):
+        assert getattr(args, flag) is fields[name], flag
+    assert fields["tol_exact"] is classifiers.TOL_EXACT
 
 
 def test_non_numeric_parameter_is_named():

@@ -353,6 +353,29 @@ def _state(agg):
     return struct.pack("<dd", agg.max, agg.total), agg.count
 
 
+def test_array_parameters_render_as_lists():
+    # numpy arrays in the parameters render as the lists they hold: the
+    # report of ndarray block weights is the report of the list
+    texts = [report.render_json(run_suite(SuiteConfig(
+        "flat_pack", params={"n": 2, "scales": scales}, samples=2)))
+        for scales in (np.array([1.0, 2.0]), [1.0, 2.0])]
+    assert texts[0] == texts[1]
+    # a rotation matrix is echoed as its validated floats, not as numpy's
+    # printout, which depends on the print options
+    c, s = math.cos(0.3), math.sin(0.3)
+    rotation = np.array([[c, 0, -s, 0], [0, 1, 0, 0], [s, 0, c, 0], [0, 0, 0, 1]])
+    config = SuiteConfig("rotated_pack", params={"n": 2, "rotation": rotation},
+                         samples=2)
+    rendered = report.render_json(run_suite(config))
+    doc = json.loads(rendered)
+    assert doc["object"]["params"]["rotation"] == rotation.tolist()
+    assert doc["config"]["params"]["rotation"] == rotation.tolist()
+    assert f"'rotation': {rotation.tolist()}" in report.render_text(
+        run_suite(config))
+    with np.printoptions(precision=3):
+        assert report.render_json(run_suite(config)) == rendered
+
+
 def test_agg_folds_a_row_as_one_value_at_a_time():
     # a chunk's row of residuals folds into an entry exactly as its points'
     # values added one at a time in point order: the same max (a NaN stays
