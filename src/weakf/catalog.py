@@ -47,6 +47,14 @@ Every parameter passes one checked converter (``_integer``, ``_number``,
 ``_choice``, ``_block_weights`` or ``_rotation_matrix``): a bool, a string
 where a number is expected or a non-finite value is refused with an
 InvalidExample that names the parameter, never coerced.
+
+A parameter is valid only where the axioms can hold, and the catalog takes
+its floor from them: the ``f_rank`` axiom needs f's singular values on D
+above 1e-4 (``fstructure._RANK_POSITIVE_FLOOR``). A block weight is such a
+singular value, so it needs 1e-4 < |weight| <= 2.3757e51 (the ceiling keeps
+its sixth power finite). On ``rotated_pack`` they are the square roots of
+Q's eigenvalues, so a blend angle t with smallest eigenvalue
+lambda_min(Q) <= 1e-8 is refused.
 """
 
 from __future__ import annotations
@@ -58,11 +66,10 @@ import numpy as np
 
 from .charts import Chart, SmoothField, constant_field, euclidean_metric
 from .errors import InvalidExample
-from .fstructure import _Q_EIGEN_FLOOR, StructurePack
+from .fstructure import _RANK_POSITIVE_FLOOR, StructurePack
 from .jets import cos, sin, tan
 from .submanifold import EmbeddedSubmanifold
 
-_Q_EIGEN_REJECT = 1e-10
 _PSI_ZERO = 1e-10
 
 _CONSTANT_PACK_CLASSES = (
@@ -183,10 +190,6 @@ def _dimensions(example, n, s=None):
 # residual (sampling.sup_norm) the sixth, the largest power any residual
 # forms: above this ceiling that power overflows float64.
 _WEIGHT_CEIL = np.finfo(float).max ** (1 / 6)
-# Q is the square of a block weight on its block, and the axioms refuse a Q
-# whose smallest eigenvalue does not exceed their floor: a weight whose
-# square does not exceed it, |weight| <= this floor, can never pass them.
-_WEIGHT_FLOOR = math.sqrt(_Q_EIGEN_FLOOR)
 
 
 def _block_weights(example, n, scales, default):
@@ -204,14 +207,13 @@ def _block_weights(example, n, scales, default):
     if len(weights) != n:
         raise InvalidExample(f"{example} needs one block weight per complex block")
     bad = [c for c in weights
-           if not (c * c > _Q_EIGEN_FLOOR and abs(c) <= _WEIGHT_CEIL)]
+           if not _RANK_POSITIVE_FLOOR < abs(c) <= _WEIGHT_CEIL]
     if bad:
         raise InvalidExample(
             f"{example} block weight {bad[0]!r} in scales must have "
-            f"{_WEIGHT_FLOOR:.4e} < |weight| <= {_WEIGHT_CEIL:.4e}, where its "
-            "square, the eigenvalue of Q on its block, exceeds the axioms' floor "
-            f"{_Q_EIGEN_FLOOR:g} and its sixth power, the squared g-norm of Q f, "
-            "stays finite")
+            f"{_RANK_POSITIVE_FLOOR:.4e} < |weight| <= {_WEIGHT_CEIL:.4e}, where "
+            "it, a singular value of f on D, exceeds the f_rank floor and its "
+            "sixth power, the squared g-norm of Q f, stays finite")
     return weights
 
 
@@ -245,6 +247,29 @@ def _constant_pack(f_block, q_block, example, label, params):
     )
     return CatalogObject(name=example, params=params, obj=pack,
                          declared_classes=_CONSTANT_PACK_CLASSES)
+
+
+def _flat_embedding(example, params, domain, half, skew, embedding, normals,
+                    declared_classes, declared_cases):
+    """``domain`` embedded in flat R^d, d = len(skew), on the box
+    (-half, half)^d with the Euclidean metric and the constant ambient skew
+    tensor ``skew``: s is the codimension, and the domain has dimension
+    2n + s."""
+    ambient = _flat_chart(len(skew), "flat", half)
+    s = ambient.dim - domain.dim
+    sub = EmbeddedSubmanifold(
+        domain=domain,
+        ambient=ambient,
+        ambient_metric=euclidean_metric(ambient),
+        ambient_skew=constant_field(ambient, "tensor11", skew, name="fbar"),
+        embedding=embedding,
+        normals=normals,
+        n=(domain.dim - s) // 2,
+        s=s,
+    )
+    return CatalogObject(name=example, params=params, obj=sub,
+                         declared_classes=declared_classes,
+                         declared_cases=declared_cases)
 
 
 def _block_weight_pack(example, label, n, s, scales, default):
@@ -331,10 +356,15 @@ def rotated_pack(n=2, s=1, t=0.1, rotation=None):
     if np.abs(psi).max() < _PSI_ZERO:
         raise InvalidExample("psi = 0: degenerate rotation choice, the blend has Q = id")
     q = np.eye(2 * n) - np.sin(t) * np.cos(t) * psi
+    # f^T f = Q on the block, so f's singular values on D are sqrt(lambda(Q))
     eigmin = float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
-    if eigmin <= _Q_EIGEN_REJECT:
+    if eigmin <= _RANK_POSITIVE_FLOOR ** 2:
         raise InvalidExample(
-            f"Q not positive-definite for t={t}: smallest eigenvalue {eigmin:.3e}")
+            f"rotated_pack blend angle t={t!r} gives Q the smallest eigenvalue "
+            f"{eigmin:.3e}: Q must be positive-definite with every eigenvalue "
+            f"above {_RANK_POSITIVE_FLOOR ** 2:.4e}, the square of the f_rank "
+            f"floor {_RANK_POSITIVE_FLOOR:.4e}, because f's singular values on "
+            "D are their square roots")
     return _constant_pack(
         np.cos(t) * f1 + np.sin(t) * f2, q, "rotated_pack", "rotated",
         {"n": n, "s": s, "t": t, "rotation": r.tolist() if np.ndim(rotation)
@@ -416,60 +446,36 @@ def hypersphere(n=1, ambient_skew="standard", normal="inward"):
     n, _ = _dimensions("hypersphere", n)
     ambient_skew = _choice("ambient_skew", ambient_skew, ("standard", "weak"))
     normal = _choice("normal", normal, ("inward", "outward"))
-    m = 2 * n + 1
-    d = 2 * n + 2
     domain = Chart(
-        name=f"hopf_s{m}",
-        dim=m,
+        name=f"hopf_s{2 * n + 1}",
+        dim=2 * n + 1,
         box=tuple((0.25, np.pi / 2 - 0.25) for _ in range(n))
         + tuple((0.3, 5.9) for _ in range(n + 1)),
     )
-    ambient = _flat_chart(d, "flat", 1.2)
-    weights = (
-        (1.0,) * (n + 1)
-        if ambient_skew == "standard"
-        else tuple(float(k + 1) for k in range(n + 1))
-    )
-    skew = _block_skew(n + 1, weights)
+    standard = ambient_skew == "standard"
+    weights = (1.0,) * (n + 1) if standard else tuple(
+        float(k + 1) for k in range(n + 1))
     emb = _sphere_embedding(n)
     sign = -1.0 if normal == "inward" else 1.0
 
     def normals_fn(u, emb=emb, sign=sign):
         return [[sign * c for c in emb(u)]]
 
-    sub = EmbeddedSubmanifold(
-        domain=domain,
-        ambient=ambient,
-        ambient_metric=euclidean_metric(ambient),
-        ambient_skew=constant_field(ambient, "tensor11", skew, name="fbar"),
-        embedding=emb,
-        normals=normals_fn,
-        n=n,
-        s=1,
-    )
     # A constant non-standard skew cannot normalize the Reeb data on a full
     # sphere (that needs fbar^2 N = -N pointwise), so the "weak" variant is
     # a diagnostics example: the f^2 and compatibility identities hold with
     # a positive-definite Q != id, while the Reeb axioms fail by design.
-    declared = _SASAKIAN_CLASSES if ambient_skew == "standard" else ()
-    cases = ("i",) if ambient_skew == "standard" else ()
-    return CatalogObject(
-        name="hypersphere",
-        params={"n": n, "ambient_skew": ambient_skew, "normal": normal},
-        obj=sub,
-        declared_classes=declared,
-        declared_cases=cases,
-    )
+    return _flat_embedding(
+        "hypersphere", {"n": n, "ambient_skew": ambient_skew, "normal": normal},
+        domain, 1.2, _block_skew(n + 1, weights), emb, normals_fn,
+        _SASAKIAN_CLASSES if standard else (), ("i",) if standard else ())
 
 
 def linear_subspace(n=1, s=1, scales=None):
     """R^(2n+s) as a totally geodesic linear subspace of flat R^(2n+2s)."""
     n, s = _dimensions("linear_subspace", n, s)
     scales = _block_weights("linear_subspace", n, scales, (1.0,) * n)
-    m = 2 * n + s
     d = 2 * n + 2 * s
-    domain = _flat_chart(m, "subspace")
-    ambient = _flat_chart(d, "flat", 2.0)
     skew = np.zeros((d, d))
     skew[: 2 * n, : 2 * n] = _block_skew(n, scales)
     for i in range(s):
@@ -485,23 +491,10 @@ def linear_subspace(n=1, s=1, scales=None):
     def normals_fn(u):
         return [list(basis[2 * n + s + i]) for i in range(s)]
 
-    sub = EmbeddedSubmanifold(
-        domain=domain,
-        ambient=ambient,
-        ambient_metric=euclidean_metric(ambient),
-        ambient_skew=constant_field(ambient, "tensor11", skew, name="fbar"),
-        embedding=emb,
-        normals=normals_fn,
-        n=n,
-        s=s,
-    )
-    return CatalogObject(
-        name="linear_subspace",
-        params={"n": n, "s": s, "scales": scales},
-        obj=sub,
-        declared_classes=_CONSTANT_PACK_CLASSES,
-        declared_cases=("ii",),
-    )
+    return _flat_embedding(
+        "linear_subspace", {"n": n, "s": s, "scales": scales},
+        _flat_chart(2 * n + s, "subspace"), 2.0, skew, emb, normals_fn,
+        _CONSTANT_PACK_CLASSES, ("ii",))
 
 
 # -- registry ------------------------------------------------------------------------

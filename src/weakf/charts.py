@@ -7,9 +7,9 @@ scalars: floats, or jets over a stack of points. The same function therefore
 yields values at one point, and first and second partial derivatives at a
 whole stack of points in one call: the runner walks a run's points in
 chunks of ``CHUNK``, each a :class:`Rows`, and evaluates a field's stack
-over a chunk with ``Rows.jet``. Evaluation is deterministic: the same point
-always produces bitwise-identical jets, alone or in a stack. The float path
-(:meth:`SmoothField.value`) may differ from them in the last bit (see
+over a chunk with :func:`jet_stack`. Evaluation is deterministic: the same
+point always produces bitwise-identical jets, alone or in a stack. The float
+path (:meth:`SmoothField.value`) may differ from them in the last bit (see
 :mod:`weakf.jets`).
 
 Component layout per kind:
@@ -75,8 +75,9 @@ def _stable_chart_key(name):
 
 
 def jet_stack(fn, points, order, what):
-    """(value, d1[, d2]) stacks of the component function ``fn`` over the
-    ``(P, m)`` stack ``points``: one call of ``fn`` on lifted coordinates.
+    """The tuple (value, d1[, d2]) of stacks of the component function
+    ``fn`` over the ``(P, m)`` stack ``points``: one call of ``fn`` on lifted
+    coordinates. A frame reads its row of each (see :func:`take`).
 
     Each stack is shaped ``(P,) + output shape + (m,) * k``, the derivative
     axes last. Every entry must be finite; a non-finite row means that point
@@ -86,8 +87,8 @@ def jet_stack(fn, points, order, what):
     count, m = points.shape
     with np.errstate(all="ignore"):     # non-finite rows are refused below
         out = np.array(fn(lift(points, order)), dtype=object)
-    stacks = [a.reshape((count,) + out.shape + a.shape[2:])
-              for a in arrays(list(out.flat), count, m, order)]
+    stacks = tuple(a.reshape((count,) + out.shape + a.shape[2:])
+                   for a in arrays(list(out.flat), count, m, order))
     if not all(np.isfinite(a).all() for a in stacks):
         finite = np.logical_and.reduce(
             [np.isfinite(a).reshape(count, -1).all(axis=1) for a in stacks])
@@ -154,11 +155,7 @@ def take(value, k):
 
 class Rows:
     """Consecutive sample points ``start``, ``start + 1``, ...: a chunk of a
-    case's points, or one point alone.
-
-    ``jet(fn, order, what)`` is the stack of the component function ``fn``
-    at ``order`` over the points, a tuple (see :func:`take`), by one call.
-    """
+    case's points, or one point alone."""
 
     def __init__(self, points, start=0):
         self.points = points
@@ -166,9 +163,6 @@ class Rows:
 
     def __len__(self):
         return len(self.points)
-
-    def jet(self, fn, order, what):
-        return tuple(jet_stack(fn, self.points, order, what))
 
 
 # -- constructors -------------------------------------------------------------

@@ -38,7 +38,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import calculus
-from .charts import Rows, take
+from .charts import Rows, jet_stack, take
 from .errors import DegenerateOperatorError
 from .sampling import (
     build_test_vectors,
@@ -167,7 +167,7 @@ class _FrameStack:
         pk = self.pack
 
         def jet(field):
-            return self.rows.jet(field.fn, 1, field.label)
+            return jet_stack(field.fn, self.rows.points, 1, field.label)
 
         def reeb(fields):
             jets = [jet(x) for x in fields]
@@ -476,7 +476,7 @@ class _FrameStack:
         if self.ambient is not None:
             return self.ambient.reeb_curvature(self.xi0)
         g = self.pack.g
-        g2 = self.rows.jet(g.fn, 2, g.label)[2]
+        g2 = jet_stack(g.fn, self.rows.points, 2, g.label)[2]
         return calculus.reeb_curvature_kernel(self.ginv, self.gamma, self.g1,
                                               g2, self.xi0)
 

@@ -132,20 +132,16 @@ class _AmbientStack:
         self.sub = sub
         self.rows = rows
 
-    def _along_image(self, field, order):
-        """A jet of the ambient field at the image points iota: of order 1
-        for gbar and fbar, and of order 2 for gbar in reeb_curvature."""
-        return jet_stack(field.fn, self.iota, order, field.label)
-
-    # the embedding's Hessian is the induced fields' first derivative
-    _embedding = cached_property(
-        lambda self: self.rows.jet(self.sub.embedding, 2, "the embedding"))
-    _normals = cached_property(
-        lambda self: self.rows.jet(self.sub.normals, 1, "the normals"))
-    _gbar = cached_property(
-        lambda self: self._along_image(self.sub.ambient_metric, 1))
-    _fbar = cached_property(
-        lambda self: self._along_image(self.sub.ambient_skew, 1))
+    # the embedding's Hessian is the induced fields' first derivative; the
+    # ambient fields are taken along the image points iota
+    _embedding = cached_property(lambda self: jet_stack(
+        self.sub.embedding, self.rows.points, 2, "the embedding"))
+    _normals = cached_property(lambda self: jet_stack(
+        self.sub.normals, self.rows.points, 1, "the normals"))
+    _gbar = cached_property(lambda self: jet_stack(
+        self.sub.ambient_metric.fn, self.iota, 1, self.sub.ambient_metric.label))
+    _fbar = cached_property(lambda self: jet_stack(
+        self.sub.ambient_skew.fn, self.iota, 1, self.sub.ambient_skew.label))
     iota = property(lambda self: self._embedding[0])
     jac = property(lambda self: self._embedding[1])
     hess = property(lambda self: self._embedding[2])
@@ -303,9 +299,10 @@ class _AmbientStack:
         """
         xibar = xi @ transposed(self.jac)
         jac = self.jac[:, None]
+        gbar = self.sub.ambient_metric
         rbar = calculus.reeb_curvature_kernel(
             self.ginvbar, self.gammabar, self.gbar1,
-            self._along_image(self.sub.ambient_metric, 2)[2], xibar)
+            jet_stack(gbar.fn, self.iota, 2, gbar.label)[2], xibar)
         low = transposed(jac) @ (self.gbar0[:, None] @ (rbar @ jac))
         hn = self.hn
         h_xi = (hn[:, None] @ xi[:, :, None, :, None])[..., 0]  # [P, i, n, a]

@@ -230,6 +230,27 @@ def test_flat_and_product_packs_share_one_builder(n, s, data):
     assert _field_hexes(flat, p) == _field_hexes(product, p)
 
 
+def _verdicts(example, **params):
+    report = run_suite(SuiteConfig(example, params=params, samples=10))
+    return {(suite, e["identity"]): e["verdict"]
+            for suite, entries in report["suites"].items() for e in entries}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(math.log(1e-4), math.log(catalog._WEIGHT_CEIL)).map(math.exp)
+       .filter(lambda w: 1e-4 < w <= catalog._WEIGHT_CEIL),
+       st.sampled_from((1.0, -1.0)))
+def test_verdicts_do_not_depend_on_the_block_weight(weight, sign):
+    # every weight the catalog accepts, drawn log-uniformly over its whole
+    # range, gives every entry, counted or not, its unit-weight verdict
+    for example, params in (("flat_pack", {"n": 1}),
+                            ("product_pack", {"n": 1, "s": 2}),
+                            ("linear_subspace", {"n": 1, "s": 2})):
+        weighted = _verdicts(example, **params, scales=sign * weight)
+        assert weighted == _verdicts(example, **params, scales=1.0), (
+            example, sign * weight)
+
+
 # Where a parameter may reach float(), int() or np.asarray(): the converters,
 # which refuse what is no number first, and the matrix branch of
 # _rotation_matrix.

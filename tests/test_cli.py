@@ -120,9 +120,9 @@ def test_bad_parameter_is_usage_error(tmp_path):
                         ("tol_curvature", np.True_), ("tol_curvature", None)):
         with pytest.raises(InvalidExample, match=f"^{name} must be a number"):
             SuiteConfig(example="flat_pack", **{name: value})
-    # block weights must be finite and non-zero, one per complex block;
-    # n and s are integers on the examples that take them; a key is given
-    # at most once, even with the same value
+    # block weights must be finite and above the f_rank floor, one per
+    # complex block; n and s are integers on the examples that take them; a
+    # key is given at most once, even with the same value
     for example, params in (("flat_pack", ["n=2", "scales=nan,1"]),
                             ("product_pack", ["n=2", "s=1", "scales=inf,1"]),
                             ("flat_pack", ["n=2", "scales=0,1"]),
@@ -208,24 +208,28 @@ def test_overflowing_block_weight_is_usage_error():
 
 
 def test_vanishing_block_weight_is_usage_error(capsys):
-    # Q is the square of a block weight on its block: a weight whose square
-    # does not exceed the axioms' Q eigenvalue floor can never pass them, so
-    # it is refused by name instead of failing every point with exit 3
-    floor = float(np.sqrt(fstructure._Q_EIGEN_FLOOR))
+    # a block weight is a singular value of f on D: a weight that does not
+    # exceed the f_rank axiom's floor can never pass it, so it is refused by
+    # name instead of exiting 1 on a pack the catalog accepted. The values
+    # stay off the exact boundary, where the floor test and the axioms' SVD
+    # round differently.
+    floor = fstructure._RANK_POSITIVE_FLOOR
     for example, n in (("flat_pack", ["n=1"]), ("product_pack", []),
                        ("linear_subspace", [])):
-        for weight, codes in (("1e-100", {2}), ("1e-6", {2}), ("-1e-6", {2}),
-                              ("1.0001e-6", {0, 1})):
+        for weight, code in (("1e-100", 2), ("1.0001e-6", 2), ("1e-5", 2),
+                             ("-1e-5", 2), ("1e-4", 2), ("-1e-4", 2),
+                             ("1.0001e-4", 0), ("-1.0001e-4", 0)):
             argv = ["verify", "--example", example, "--samples", "2"]
             for p in [*n, f"scales={weight}"]:
                 argv += ["--param", p]
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
-                assert cli.main(argv) in codes, (example, weight)
+                assert cli.main(argv) == code, (example, weight)
             err = capsys.readouterr().err
-            if codes == {2}:
+            if code == 2:
                 assert f"block weight {float(weight)!r}" in err
                 assert f"{floor:.4e} < |weight|" in err
+                assert "the f_rank floor" in err
 
 
 def test_non_finite_blend_angle_is_usage_error():
@@ -248,13 +252,21 @@ def test_non_finite_blend_angle_is_usage_error():
         catalog.rotated_pack(n=1, rotation=np.full((2, 2), np.nan))
 
 
-def test_rejected_parameters_are_usage_errors():
-    proc = run_cli(
-        ["verify", "--example", "rotated_pack", "--param", "t=0.7853981633974483",
-         "--samples", "2"]
-    )
-    assert proc.returncode == 2
-    assert "positive-definite" in proc.stderr
+def test_rejected_parameters_are_usage_errors(capsys):
+    # f's singular values on D are the square roots of Q's eigenvalues, so a
+    # blend angle with lambda_min(Q) <= 1e-8 can never pass f_rank and is
+    # refused by naming t. With the reflection, lambda_min(Q) = 1 - sin 2t,
+    # 0 at t = pi/4.
+    for lam, code in ((0.0, 2), (1e-9, 2), (3e-9, 2), (2e-8, 0)):
+        t = float(np.arcsin(1.0 - lam) / 2)
+        argv = ["verify", "--example", "rotated_pack", "--param", f"t={t!r}",
+                "--samples", "2"]
+        assert cli.main(argv) == code, lam
+        err = capsys.readouterr().err
+        if code == 2:
+            assert f"blend angle t={t!r} gives Q" in err
+            assert "positive-definite" in err
+            assert "the square of the f_rank floor 1.0000e-04" in err
 
 
 def test_unknown_suite_is_usage_error():

@@ -10,7 +10,7 @@ from oracles import second_fundamental
 from weakf import charts, submanifold
 from weakf.calculus import christoffel_from_jets, metric_inverse
 from weakf.catalog import hypersphere, linear_subspace, make_example
-from weakf.charts import Chart, Rows, SmoothField, constant_field
+from weakf.charts import Chart, Rows, SmoothField, constant_field, jet_stack
 from weakf.errors import HypothesisNotMet, SetupRejected
 from weakf.fstructure import PackFrame, axioms_residual
 from weakf.submanifold import (
@@ -69,11 +69,11 @@ def test_induced_field_values_are_the_pullback_of_the_values(config):
 
 
 def test_induced_fields_refuse_jet_coordinates(cat_sphere, sphere_induced):
-    rows = Rows(cat_sphere.obj.domain.sample(2, seed=3))
+    points = cat_sphere.obj.domain.sample(2, seed=3)
     with pytest.raises(TypeError, match=(
             "induced fields are evaluated at float points; the frame stack "
             "of an induced pack reads their jets from its _AmbientStack")):
-        rows.jet(sphere_induced.g.fn, 1, "the induced metric")
+        jet_stack(sphere_induced.g.fn, points, 1, "the induced metric")
 
 
 def test_weak_skew_sphere_partial_axioms(cat_sphere_weak):
