@@ -22,8 +22,12 @@ Built-in examples
     reflection diag(1,-1,1,..,1) on the rotation block, for which psi has
     eigenvalues +-2 and Q degenerates exactly at |sin 2t| = 1; a Givens
     conjugation ``rotation="givens:i:j:theta"`` or an orthogonal matrix can
-    be selected instead (the Givens psi is a negative multiple of the
-    identity on the block, so every t is admissible).
+    be selected instead. The Givens psi is -2 cos(theta) id on the 2x2
+    blocks of i and j when they differ and -2 id on every other block (on
+    all of them when i and j share one), so Q = (1 + sin 2t cos theta) id
+    or (1 + sin 2t) id there, and t is refused where either is at most
+    1e-8 (see below). A conjugation with psi = 0, f_2 anticommuting with
+    f_1, blends to Q = id: the classical case, for every t.
 
 ``sasakian_s3()``
     The round unit 3-sphere in Hopf-style coordinates (al, be, ga) with
@@ -44,9 +48,10 @@ Built-in examples
     pack.
 
 Every parameter passes one checked converter (``_integer``, ``_number``,
-``_choice``, ``_block_weights`` or ``_rotation_matrix``): a bool, a string
-where a number is expected or a non-finite value is refused with an
-InvalidExample that names the parameter, never coerced.
+``_choice``, ``_block_weights`` or ``_rotation_matrix``, which reads a
+matrix entry by entry with ``_numbers``): a bool, a string where a number
+is expected or a non-finite value is refused with an InvalidExample that
+names the parameter, never coerced.
 
 A parameter is valid only where the axioms can hold, and the catalog takes
 its floor from them: the ``f_rank`` axiom needs f's singular values on D
@@ -69,8 +74,6 @@ from .errors import InvalidExample
 from .fstructure import _RANK_POSITIVE_FLOOR, StructurePack
 from .jets import cos, sin, tan
 from .submanifold import EmbeddedSubmanifold
-
-_PSI_ZERO = 1e-10
 
 _CONSTANT_PACK_CLASSES = (
     "weak_metric_f",
@@ -156,6 +159,14 @@ def _number(name, value):
     return number
 
 
+def _numbers(name, value):
+    """A nested sequence or array of numbers as a float array of its shape,
+    every entry passed through :func:`_number` under ``name``."""
+    entries = np.asarray(value, dtype=object)
+    return np.array([_number(name, x) for x in entries.flat],
+                    dtype=float).reshape(entries.shape)
+
+
 def _choice(name, value, options):
     """One of the strings ``options``."""
     if not (isinstance(value, str) and value in options):
@@ -200,8 +211,6 @@ def _block_weights(example, n, scales, default):
     if scales is None:
         return default
     given = scales if np.ndim(scales) else (scales,)
-    if any(isinstance(c, _NOT_NUMBERS) for c in given):
-        raise InvalidExample(f"{example} scales must be numbers, got {scales!r}")
     weights = tuple(_number(f"{example} block weight {c!r} in scales", c)
                     for c in given)
     if len(weights) != n:
@@ -322,24 +331,9 @@ def _rotation_matrix(n, rotation):
         r[i, i] = r[j, j] = np.cos(theta)
         r[i, j], r[j, i] = -np.sin(theta), np.sin(theta)
         return r
-    dtype = getattr(rotation, "dtype", None)
-    got = repr(rotation) if dtype is None else f"an array of dtype {dtype}"
-    entries = list(np.asarray(rotation, dtype=object).flat)
-    if any(isinstance(x, str) for x in entries):
-        raise InvalidExample(f"unknown rotation descriptor {got}")
-    if dtype == object or any(isinstance(x, _NOT_NUMBERS) for x in entries):
-        raise InvalidExample(f"rotation matrix entries must be numbers, got {got}")
-    try:
-        r = np.asarray(rotation, dtype=float)
-    except OverflowError:
-        raise InvalidExample(
-            f"rotation matrix entries must be finite, got {got}") from None
-    except (TypeError, ValueError):
-        raise InvalidExample(f"unknown rotation descriptor {rotation!r}") from None
+    r = _numbers("rotation matrix entry", rotation)
     if r.shape != (2 * n, 2 * n):
         raise InvalidExample("rotation matrix must act on the rank-2n block")
-    if not np.isfinite(r).all():
-        raise InvalidExample(f"rotation matrix entries must be finite, got {r.tolist()}")
     if np.abs(r @ r.T - np.eye(2 * n)).max() > 1e-10:
         raise InvalidExample("rotation matrix must be orthogonal")
     return r
@@ -352,10 +346,7 @@ def rotated_pack(n=2, s=1, t=0.1, rotation=None):
     f1 = _block_skew(n, (1.0,) * n)
     r = _rotation_matrix(n, rotation)
     f2 = r @ f1 @ r.T
-    psi = f1 @ f2 + f2 @ f1
-    if np.abs(psi).max() < _PSI_ZERO:
-        raise InvalidExample("psi = 0: degenerate rotation choice, the blend has Q = id")
-    q = np.eye(2 * n) - np.sin(t) * np.cos(t) * psi
+    q = np.eye(2 * n) - np.sin(t) * np.cos(t) * (f1 @ f2 + f2 @ f1)
     # f^T f = Q on the block, so f's singular values on D are sqrt(lambda(Q))
     eigmin = float(np.linalg.eigvalsh(0.5 * (q + q.T)).min())
     if eigmin <= _RANK_POSITIVE_FLOOR ** 2:

@@ -65,26 +65,11 @@ _CLASS_PARTS = {
 CLASS_TAGS = tuple(_CLASS_PARTS)
 
 
-def class_parts(source, class_tag):
-    """{part: residual} of ``class_tag``, each part the attribute of
-    ``source`` of its name: a chunk's rows from its stack, or the values of
-    one frame's point."""
-    br = {}
-    for part in _CLASS_PARTS[class_tag]:
-        if part == "axioms":
-            br.update(source.axioms)
-        elif part == "killing":
-            for i, r in enumerate(np.transpose(source.killing)):
-                br[f"killing_xi_{i + 1}"] = r
-        else:
-            br[part] = getattr(source, part)
-    return br
-
-
 def class_residual(pack, p, class_tag, frame):
     """(residual, {part: residual}) of ``class_tag`` on ``frame``, a chunk's
     stack or one point's frame: the largest of the class's parts, NaN where
-    any part is NaN, and each part (see :func:`class_parts`).
+    any part is NaN, and each part, the attribute of ``frame`` of its name
+    (a chunk's rows, or the values of one frame's point).
 
     Only ``frame`` is read: ``pack`` and ``p`` stay the first two parameters
     so that ``bench/layertrace.py`` can name a span after the third
@@ -92,7 +77,15 @@ def class_residual(pack, p, class_tag, frame):
     """
     if class_tag not in _CLASS_PARTS:
         raise ValueError(f"unknown class tag {class_tag!r}")
-    br = class_parts(frame, class_tag)
+    br = {}
+    for part in _CLASS_PARTS[class_tag]:
+        if part == "axioms":
+            br.update(frame.axioms)
+        elif part == "killing":
+            for i, r in enumerate(np.transpose(frame.killing)):
+                br[f"killing_xi_{i + 1}"] = r
+        else:
+            br[part] = getattr(frame, part)
     return np.maximum.reduce(list(br.values())), br
 
 

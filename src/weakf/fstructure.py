@@ -288,8 +288,8 @@ class _FrameStack:
             raise DegenerateOperatorError(self.rows.points[k], floor[k])
 
         res = {}
-        gf = g0 @ f0
-        res["f_skew"] = _rows_abs(pair_form(gf + transposed(gf), V, V))
+        phi = self.phi0
+        res["f_skew"] = _rows_abs(pair_form(phi + transposed(phi), V, V))
         gq = g0 @ q0
         res["q_selfadjoint"] = _rows_abs(pair_form(gq - transposed(gq), V, V))
         res["q_positive"] = np.maximum(-floor, 0.0)     # a NaN stays

@@ -1076,6 +1076,75 @@ STACKED_AT_POINT = {"prop1": prop1_at_point, "thm41": thm41_at_point,
                     "thm01_i": thm01_i_at_point, "thm01_ii": thm01_ii_at_point}
 
 
+# -- the consequences of normality at one point --------------------------------
+#
+# The engine forms prop_normal from the jet arrays of a point's frame. This
+# is the same bundle from genuine fields and the field-level calculus above,
+# on the frame's test vectors, extended as constant fields: its reference.
+
+
+def prop_normal_at_point(fr, pack=None):
+    """The keys of ``classifiers._prop_normal`` (without its gate) at the
+    frame's point, on the fields of ``pack``: by default the frame's pack;
+    on an induced pack, :func:`nested_induced_pack` of its submanifold,
+    whose fields take jet coordinates.
+
+    Every key is R-linear in each test vector, extended as a constant
+    field, so it is formed on the coordinate fields e_a and then taken on
+    the frame's test vectors (``fr.V``, and ``fr.d_basis`` for D).
+    """
+    pk, p = pack or fr.pack, fr.p
+    xis, etas, s = pk.xi, pk.eta, pk.s
+    g0, f0 = pk.g.value(p), pk.f.value(p)
+    eta0 = np.array([w.value(p) for w in etas])
+    E = [charts.constant_field(pk.chart, "vector", e) for e in np.eye(pk.dim)]
+    fE = [tensor_apply_field(pk.f, e) for e in E]
+    qE = [tensor_apply_field(pk.Q, e) for e in E]
+
+    def sup_gnorm(vectors):
+        return max(math.sqrt(max(float(v @ g0 @ v), 0.0)) for v in vectors)
+
+    def sup_on(rows, vectors):
+        """max |rows(v)| over the vectors, for rows[..., a] on the e_a."""
+        return float(np.abs(rows @ np.transpose(vectors)).max())
+
+    def section(a):
+        """The field e_a - sum_k eta^k(e_a) xi_k, which lies in D."""
+        def fn(u):
+            out = [1.0 if b == a else 0.0 for b in range(pk.dim)]
+            for w, xi in zip(etas, xis):
+                c = w.fn(u)[a]
+                out = [o - c * x for o, x in zip(out, xi.fn(u))]
+            return out
+        return SmoothField(pk.chart, "vector", fn)
+
+    res = {}
+    # (L_xi f)e_a = [xi, f e_a] - f [xi, e_a], as rows over a
+    lie = np.array([[lie_bracket(xi, fe, p) - f0 @ lie_bracket(xi, e, p)
+                     for e, fe in zip(E, fE)] for xi in xis])
+    res["lie_xi_f"] = sup_gnorm((fr.V @ lie).reshape(-1, pk.dim))
+    res["deta_xi_contraction"] = sup_on(np.array(
+        [[[2.0 * d_oneform(w, xi, e, p) for e in E] for xi in xis]
+         for w in etas]), fr.V)
+    # d eta(fX, Y) - d eta(fY, X) - (1/2) eta([(Q - id)X, fY]) on X = e_a,
+    # Y = e_b, with [(Q - id)X, fY] = [QX, fY] - [X, fY]
+    deta_f = np.array([[[d_oneform(w, fe, e, p) for e in E] for fe in fE]
+                       for w in etas])
+    brk = np.array([[lie_bracket(qa, fb, p) - lie_bracket(ea, fb, p)
+                     for fb in fE] for ea, qa in zip(E, qE)])
+    swap = (deta_f - deta_f.transpose(0, 2, 1)
+            - 0.5 * np.moveaxis(brk @ eta0.T, 2, 0))
+    res["deta_f_swap"] = float(np.abs(fr.V @ swap @ fr.V.T).max())
+    nxx = [[nabla_vector(pk.g, xi, xj, p) for xj in xis] for xi in xis]
+    res["reeb_derivatives_in_d"] = float(np.abs(np.array(nxx) @ eta0.T).max())
+    res["d_brackets_stay_in_d"] = sup_on(np.array(
+        [[[e0 @ lie_bracket(section(a), xi, p) for a in range(pk.dim)]
+          for xi in xis] for e0 in eta0]), fr.d_basis)
+    res["reeb_symmetric_geodesic"] = sup_gnorm(
+        nxx[i][j] + nxx[j][i] for i in range(s) for j in range(s))
+    return res
+
+
 # -- the theorem gates at one point ----------------------------------------------
 #
 # The engine reads every theorem gate as a row of the chunk's stack, under

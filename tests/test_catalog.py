@@ -73,8 +73,17 @@ def test_example_one_blend_identity():
         assert np.abs(q0 - q_expected).max() <= 1e-12
 
 
-def test_example_one_givens_variant():
-    cat = rotated_pack(n=2, s=1, t=0.1, rotation="givens:0:2:0.3")
+# The Givens psi is -2 cos(theta) id on the 2x2 blocks of i and j when
+# they differ and -2 id on the block they share, so Q there is
+# (1 + sin 2t cos theta) id or (1 + sin 2t) id.
+@pytest.mark.parametrize("rotation, t, block_q", [
+    ("givens:0:2:0.3", 0.1, 1.0 + math.sin(0.2) * math.cos(0.3)),
+    ("givens:0:1:0.3", 0.1, 1.0 + math.sin(0.2)),
+    # cos 2.5 < 0 makes psi a positive multiple of id, still above the floor
+    ("givens:0:2:2.5", math.pi / 4, 1.0 + math.cos(2.5)),
+])
+def test_example_one_givens_variant(rotation, t, block_q):
+    cat = rotated_pack(n=2, s=1, t=t, rotation=rotation)
     pack = cat.obj
     p = pack.chart.sample(1, seed=5)[0]
     f0 = pack.f.value(p)
@@ -82,23 +91,39 @@ def test_example_one_givens_variant():
     corr = np.zeros((5, 5))
     corr[4, 4] = 1.0
     assert np.abs(f0 @ f0 + q0 - corr).max() <= 1e-12
-    # the Givens anticommutator is a negative multiple of the identity on
-    # the contact block, so Q is scalar there but still != id
-    assert np.abs(q0[:4, :4] - q0[0, 0] * np.eye(4)).max() <= 1e-12
-    assert abs(q0[0, 0] - 1.0) > 1e-3
+    assert np.abs(q0[:4, :4] - block_q * np.eye(4)).max() <= 1e-12
 
 
-def test_rotated_pack_rejects_degenerate_q():
-    with pytest.raises(InvalidExample) as err:
-        rotated_pack(n=2, s=1, t=np.pi / 4)
+@pytest.mark.parametrize("rotation, t", [
+    ("reflection", math.pi / 4),
+    ("givens:0:1:0.3", -math.pi / 4),
+    ("givens:0:2:3.141592653589793", math.pi / 4)])
+def test_rotated_pack_rejects_degenerate_q(rotation, t):
+    with pytest.raises(InvalidExample, match=r"^rotated_pack blend angle t=") as err:
+        rotated_pack(n=2, s=1, t=t, rotation=rotation)
     assert "positive-definite" in str(err.value)
+    assert cli.main(["verify", "--example", "rotated_pack", "--param",
+                     f"t={t!r}", "--param", f"rotation={rotation}",
+                     "--samples", "2"]) == 2
 
 
-def test_rotated_pack_rejects_vanishing_anticommutator():
-    r = _quaternion_conjugation()
-    with pytest.raises(InvalidExample) as err:
-        rotated_pack(n=2, s=1, t=0.1, rotation=r)
-    assert "degenerate rotation" in str(err.value)
+@pytest.mark.parametrize("rotation", [
+    _quaternion_conjugation(), "givens:0:2:1.5707963267948966"],
+    ids=["quaternion", "givens"])
+def test_rotated_pack_accepts_vanishing_anticommutator(rotation):
+    # psi = 0 (f_2 anticommutes with f_1) blends to Q = id, the classical
+    # structure: it is built, and every counted entry passes
+    cat = rotated_pack(n=2, s=1, t=0.1, rotation=rotation)
+    p = cat.chart.sample(1, seed=7)[0]
+    assert np.abs(cat.obj.Q.value(p) - np.eye(5)).max() <= 1e-15
+    report = run_suite(SuiteConfig("rotated_pack", samples=10, params={
+        "t": 0.1, "rotation": rotation}))
+    assert report["overall"]["verdict"] == "pass"
+    assert report["overall"]["counted"] == 41
+    if isinstance(rotation, str):
+        assert cli.main(["verify", "--example", "rotated_pack", "--param",
+                         "t=0.1", "--param", f"rotation={rotation}",
+                         "--samples", "2"]) == 0
 
 
 def test_rotated_pack_t_zero_is_classical():
@@ -133,8 +158,9 @@ def test_builders_validate_parameters():
     ({"n": "3"}, "n must be an integer, got '3'"),
     ({"n": 2, "s": np.True_}, "s must be an integer, got np.True_"),
     ({"n": 2, "scales": (True, 2)},
-     "flat_pack scales must be numbers, got (True, 2)"),
-    ({"n": 1, "scales": "2"}, "flat_pack scales must be numbers, got '2'"),
+     "flat_pack block weight True in scales must be a number, got True"),
+    ({"n": 1, "scales": "2"},
+     "flat_pack block weight '2' in scales must be a number, got '2'"),
 ])
 def test_bool_and_string_parameters_are_refused(params, message):
     # a bool or a string converts to a float but is no number: it is
@@ -153,9 +179,9 @@ _NUMERIC_PARAMETERS = {
     "s": ("linear_subspace", lambda v: {"n": 1, "s": v}, "s must be an integer"),
     "t": ("rotated_pack", lambda v: {"t": v}, "rotated_pack blend angle t must be"),
     "scales": ("flat_pack", lambda v: {"n": 1, "scales": v},
-               r"flat_pack (scales must be numbers|block weight \S+ in scales)"),
+               r"flat_pack block weight \S+ in scales"),
     "scales entry": ("product_pack", lambda v: {"n": 2, "scales": (1.0, v)},
-                     r"product_pack (scales must be numbers|block weight \S+ in scales)"),
+                     r"product_pack block weight \S+ in scales"),
     "givens i": ("rotated_pack", lambda v: {"rotation": f"givens:{v!r}:2:0.3"},
                  "rotation givens"),
     "givens j": ("rotated_pack", lambda v: {"rotation": f"givens:0:{v!r}:0.3"},
@@ -179,29 +205,39 @@ def test_numeric_parameters_refuse_what_is_no_finite_number(parameter, value):
 @pytest.mark.parametrize("rotation, message", [
     ("givens:0:2:abc", "rotation givens:i:j:theta needs numbers, got 'givens:0:2:abc'"),
     ("givens:0:2", "unknown rotation descriptor 'givens:0:2'"),
-    (("givens", 0, 2, 0.3), "unknown rotation descriptor ('givens', 0, 2, 0.3)"),
+    (("givens", 0, 2, 0.3), "rotation matrix entry must be a number, got 'givens'"),
     ("givens:0:4:0.3", "rotation givens indices out of range, got 0, 4"),
-    (np.eye(4, dtype=bool),
-     "rotation matrix entries must be numbers, got an array of dtype bool"),
-    (np.eye(4).astype(object),
-     "rotation matrix entries must be numbers, got an array of dtype object"),
+    (np.eye(4, dtype=bool), "rotation matrix entry must be a number, got True"),
     ({"n": 1, "rotation": [[True, False], [False, True]]},
-     "rotation matrix entries must be numbers, got [[True, False], [False, True]]"),
+     "rotation matrix entry must be a number, got True"),
     ({"n": 1, "rotation": [[np.True_, 0.0], [0.0, 1.0]]},
-     "rotation matrix entries must be numbers, got [[np.True_, 0.0], [0.0, 1.0]]"),
+     "rotation matrix entry must be a number, got np.True_"),
     ({"n": 1, "rotation": [["1", "0"], ["0", "1"]]},
-     "unknown rotation descriptor [['1', '0'], ['0', '1']]"),
-    (np.eye(4).astype(str), "unknown rotation descriptor an array of dtype <U32"),
+     "rotation matrix entry must be a number, got '1'"),
+    (np.eye(4).astype(str), "rotation matrix entry must be a number, got '1.0'"),
+    ({"n": 1, "rotation": np.array([[1.0, 0.0], [0.0, "1"]], dtype=object)},
+     "rotation matrix entry must be a number, got '1'"),
 ])
 def test_bad_rotation_spellings_are_refused_by_name(rotation, message):
     # the string "givens:i:j:theta" and a matrix; a Givens string that is
-    # no numbers, the tuple ("givens", i, j, theta), and a matrix of bools
-    # or strings or of object dtype, which float() would coerce (True to
-    # 1.0, "1" to 1.0), are refused by name. A dict holds n with a matrix.
+    # no numbers, the tuple ("givens", i, j, theta), and a matrix holding a
+    # bool or a string, which float() would coerce (True to 1.0, "1" to
+    # 1.0), are refused by name, entry by entry. A dict holds n with a
+    # matrix.
     params = rotation if isinstance(rotation, dict) else {"rotation": rotation}
     with pytest.raises(InvalidExample) as err:
         make_example("rotated_pack", **params)
     assert str(err.value) == message
+
+
+def test_object_array_of_numbers_is_the_matrix_it_holds():
+    # every entry is a number, so the object array reads as its float matrix
+    r = np.eye(4)
+    r[[0, 2]] = r[[2, 0]]
+    config = SuiteConfig("rotated_pack", samples=10, params={"rotation": r})
+    as_objects = SuiteConfig("rotated_pack", samples=10,
+                             params={"rotation": r.astype(object)})
+    assert render_json(run_suite(as_objects)) == render_json(run_suite(config))
 
 
 def test_cli_refuses_a_bool_blend_angle(capsys):
@@ -251,11 +287,9 @@ def test_verdicts_do_not_depend_on_the_block_weight(weight, sign):
             example, sign * weight)
 
 
-# Where a parameter may reach float(), int() or np.asarray(): the converters,
-# which refuse what is no number first, and the matrix branch of
-# _rotation_matrix.
-_CONVERTERS = {"_integer", "_number", "_choice", "_block_weights"}
-_MATRIX_BRANCH = ("_rotation_matrix", "asarray", "rotation")
+# Where a parameter may reach float(), int() or np.asarray(): the
+# converters, which refuse what is no number first.
+_CONVERTERS = {"_integer", "_number", "_numbers", "_choice", "_block_weights"}
 
 
 def _bare_conversions(node, params=frozenset(), where="<module>"):
@@ -284,9 +318,8 @@ def _bare_conversions(node, params=frozenset(), where="<module>"):
 def test_parameters_reach_numbers_only_through_the_converters():
     tree = ast.parse(Path(catalog.__file__).read_text(encoding="utf-8"))
     found = list(_bare_conversions(tree))
-    assert _MATRIX_BRANCH in [hit[:3] for hit in found]
-    assert [hit for hit in found if hit[0] not in _CONVERTERS
-            and hit[:3] != _MATRIX_BRANCH] == []
+    assert ("_numbers", "asarray", "value") in [hit[:3] for hit in found]
+    assert [hit for hit in found if hit[0] not in _CONVERTERS] == []
 
 
 def test_integer_valued_floats_are_integers():

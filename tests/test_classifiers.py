@@ -7,7 +7,7 @@ from oracles import sheared_pack
 from report_digests import CONFIGS
 
 import oracles
-from weakf import catalog, charts, classifiers
+from weakf import catalog, charts, classifiers, jets
 from weakf.charts import SmoothField
 from weakf.classifiers import (
     class_residual,
@@ -195,6 +195,56 @@ def test_prop_normal_consequences(all_packs):
         pack = cat.obj
         res = theorem_check(pack, None, "prop_normal", _stack(pack, 1, 23))
         assert max(rows.max() for rows in res.values()) <= TOL, (cat.name, res)
+
+
+def _unnormal_pack(tilt=0.0):
+    """The D-homothetic sasakian_s3 at lam = 2 with xi scaled by
+    1 + 0.3 sin(u_1) and eta by 1 + 0.3 sin(u_0): no longer normal, so every
+    consequence of normality reads at least 0.2 over a few points. ``tilt``
+    sin(u_2) added to eta_0 makes eta o f != 0."""
+    pack = oracles.d_homothetic_pack(catalog.sasakian_s3().obj, 2.0)
+    (xi,), (eta,) = pack.xi, pack.eta
+    return replace(
+        pack,
+        xi=(SmoothField(pack.chart, "vector", lambda u: [
+            (1.0 + 0.3 * jets.sin(u[1])) * c for c in xi.fn(u)]),),
+        eta=(SmoothField(pack.chart, "oneform", lambda u: [
+            (1.0 + 0.3 * jets.sin(u[0])) * c + (tilt * jets.sin(u[2]) if a == 0
+                                                else 0.0)
+            for a, c in enumerate(eta.fn(u))]),))
+
+
+@pytest.mark.parametrize("example", [
+    "sasakian_s3", "hypersphere", "sheared rotated_pack", "unnormal",
+    "tilted"])
+def test_prop_normal_is_the_field_level_oracle(example):
+    # the body without its gate, from the frame's jet arrays, against the
+    # same keys from genuine fields (oracles.prop_normal_at_point). Where
+    # eta o f = 0 and eta o Q = eta, eta([(Q - id)X, fY]) is
+    # -2 d eta((Q - id)X, fY), symmetric in X and Y on the other packs here,
+    # so deta_f_swap's sup over all test pairs does not see that term's
+    # sign; "tilted" breaks eta o f = 0, and it does.
+    fields = None
+    if example == "hypersphere":
+        pack = oracles.config_example("--example hypersphere --param n=1")
+        fields = oracles.nested_induced_pack(pack.submanifold)
+    elif example == "sheared rotated_pack":
+        pack = sheared_pack(catalog.rotated_pack().obj)
+    elif example in ("unnormal", "tilted"):
+        pack = _unnormal_pack(0.3 if example == "tilted" else 0.0)
+    else:
+        pack = catalog.sasakian_s3().obj
+    points = pack.chart.sample(3, 42)
+    st = oracles.stack(pack, points)
+    got = classifiers._THEOREMS["prop_normal"](st)
+    for k, p in enumerate(points):
+        want = oracles.prop_normal_at_point(
+            PackFrame(pack, p, index=k, stack=st), fields)
+        assert list(got) == list(want)
+        for key, rows in got.items():
+            assert abs(rows[k] - want[key]) <= 1e-12, (example, key, k)
+    if example == "unnormal":
+        assert min(rows.max() for rows in got.values()) >= 0.2
 
 
 def test_fk_contact_nabla_on_sasakian(cat_sasakian):

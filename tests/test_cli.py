@@ -94,7 +94,7 @@ def test_bad_parameter_is_usage_error(tmp_path):
         assert proc.returncode == 2, (param, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
-    with pytest.raises(InvalidExample, match="rotation matrix entries must be finite"):
+    with pytest.raises(InvalidExample, match="rotation matrix entry must be finite"):
         catalog.rotated_pack(n=1, rotation=[[-int(huge), 0], [0, 1]])
     # a run that checks nothing: the submanifold suite on a pack
     assert cli.main(["verify", "--example", "flat_pack", "--suites",
@@ -155,7 +155,8 @@ def test_non_numeric_parameter_is_named():
             (["n=abc"], "error: n must be an integer, got 'abc'"),
             (["n=2", "s=two"], "error: s must be an integer, got 'two'"),
             (["n=2", "scales=1,abc"],
-             "error: flat_pack scales must be numbers, got (1, 'abc')")):
+             "error: flat_pack block weight 'abc' in scales must be a number, "
+             "got 'abc'")):
         argv = ["verify", "--example", "flat_pack", "--samples", "2"]
         for p in params:
             argv += ["--param", p]
