@@ -50,7 +50,8 @@ Built-in examples
 Every parameter passes one checked converter (``_integer``, ``_number``,
 ``_choice``, ``_block_weights`` or ``_rotation_matrix``, which reads a
 matrix entry by entry with ``_numbers``): a bool, a string where a number
-is expected or a non-finite value is refused with an InvalidExample that
+is expected, anything else that is no real number (None, a sequence, a
+complex) or a non-finite value is refused with an InvalidExample that
 names the parameter, never coerced.
 
 A parameter is valid only where the axioms can hold, and the catalog takes
@@ -136,11 +137,16 @@ _NOT_NUMBERS = (bool, np.bool_, str)
 
 def _integer(name, value):
     """An integer parameter, an int taken as it is (no float round trip); a
-    bool, a string or a fractional value is rejected, never coerced."""
-    if isinstance(value, _NOT_NUMBERS) or not (
-            isinstance(value, (int, np.integer)) or float(value).is_integer()):
-        raise InvalidExample(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    bool, a string, anything else that is no real number or a fractional
+    value is rejected, never coerced."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, _NOT_NUMBERS):
+        return int(value)
+    try:
+        if _number(name, value).is_integer():
+            return int(value)
+    except InvalidExample:
+        pass
+    raise InvalidExample(f"{name} must be an integer, got {value!r}")
 
 
 def _number(name, value):
@@ -210,7 +216,8 @@ def _block_weights(example, n, scales, default):
     """
     if scales is None:
         return default
-    given = scales if np.ndim(scales) else (scales,)
+    # a ragged list has a dimension too: its sequence entry is refused below
+    given = scales if np.asarray(scales, dtype=object).ndim else (scales,)
     weights = tuple(_number(f"{example} block weight {c!r} in scales", c)
                     for c in given)
     if len(weights) != n:

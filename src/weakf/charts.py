@@ -169,18 +169,10 @@ class Rows:
 
 
 def constant_field(chart, kind, data, name=""):
-    """Field with coordinate-independent components."""
-    if kind == "scalar":
-        c = float(data)
-        return SmoothField(chart, kind, lambda x, c=c: c, name=name)
-    arr = np.asarray(data, dtype=float)
-    if kind in ("vector", "oneform"):
-        vals = tuple(float(v) for v in arr)
-        return SmoothField(chart, kind, lambda x, v=vals: list(v), name=name)
-    rows = tuple(tuple(float(v) for v in row) for row in arr)
-    return SmoothField(
-        chart, kind, lambda x, r=rows: [list(row) for row in r], name=name
-    )
+    """Field with coordinate-independent components: every call returns the
+    same float components, which no caller mutates."""
+    vals = np.asarray(data, dtype=float).tolist()
+    return SmoothField(chart, kind, lambda x: vals, name=name)
 
 
 def euclidean_metric(chart, name="euclidean"):

@@ -47,9 +47,6 @@ class HypothesisNotMet(WeakfError):
         )
 
 
-class SetupRejected(WeakfError):
-    """An embedded-submanifold frame violates a construction requirement."""
-
-
 class InvalidExample(WeakfError):
-    """Unknown catalog example or invalid parameters."""
+    """Unknown catalog example, invalid parameters, or an embedding whose
+    normal frame fails the report's frame entries."""

@@ -45,13 +45,10 @@ import numpy as np
 from . import calculus
 from .charts import Rows, SmoothField, jet_stack
 from .classifiers import TOL_EXACT, gated_rows
-from .errors import SetupRejected
+from .errors import InvalidExample
 from .fstructure import StructurePack, _pair_rows, _rows_abs, _rows_norm
 from .sampling import (cholesky_basis, cholesky_factor, lead_dot, pair_form,
                        transposed)
-
-_FRAME_TOL = 1e-10
-_TANGENCY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -328,8 +325,10 @@ def frame_check(ambient):
     Keys: orthonormality of the normals, orthogonality to the image, the
     skew-pairing condition gbar(fbar N_i, N_j) = 0, tangency of fbar N_i,
     skewness of fbar at the image, and the negative-definiteness margin of
-    fbar^2. It takes the ambient stack, not a frame stack, because it also
-    validates an embedding before any pack exists.
+    fbar^2. The report's frame entries and :func:`require_valid_frame`
+    both judge these rows, each against TOL_EXACT. It takes the ambient
+    stack, not a frame stack, because require_valid_frame runs before any
+    pack exists.
     """
     a = ambient
     res = {}
@@ -351,25 +350,19 @@ def frame_check(ambient):
 
 
 def require_valid_frame(sub, p):
-    res = {key: float(rows[0])
-           for key, rows in frame_check(_AmbientPoint(sub, p)).items()}
-    for key in ("normals_orthonormal", "normals_perp_image", "skew_normal_pairs"):
-        if not res[key] <= _FRAME_TOL:
-            raise SetupRejected(
-                f"normal frame violates {key} at {tuple(np.asarray(p))}: "
-                f"residual {res[key]:.3e}"
-            )
-    if not res["xi_tangent"] <= _TANGENCY_TOL:
-        raise SetupRejected(
-            f"fbar N_i has a normal component {res['xi_tangent']:.3e}: "
-            "the induced Reeb fields are not tangent"
-        )
-    if not res["fbar_sq_negative"] <= 0.0:
-        raise SetupRejected(
-            "ambient skew tensor squared is not negative-definite "
-            f"(margin {res['fbar_sq_negative']:.3e})"
-        )
-    return res
+    """Refuse the embedding ``sub`` unless its normal frame passes at the
+    domain point ``p`` by the rule of the report's frame entries: every
+    :func:`frame_check` residual at most TOL_EXACT, a NaN failing.
+
+    The :class:`~weakf.errors.InvalidExample` names the first failing key in
+    frame_check's order, the point, the residual and the tolerance.
+    """
+    for key, rows in frame_check(_AmbientPoint(sub, p)).items():
+        if not rows[0] <= TOL_EXACT:
+            raise InvalidExample(
+                f"normal frame violates {key} at "
+                f"{tuple(float(c) for c in p)}: residual {rows[0]:.3e} "
+                f"not within tolerance {TOL_EXACT:.0e}")
 
 
 # -- induced structure -----------------------------------------------------------
@@ -378,9 +371,10 @@ def require_valid_frame(sub, p):
 def induce_structure(sub, validate=True):
     """Pull the ambient structure back to a weak metric f-structure pack.
 
-    With ``validate`` the normal frame is checked at one interior point and
-    the setup rejected on violation; the full residual suite is the real
-    verdict.
+    With ``validate`` the embedding is refused with
+    :class:`~weakf.errors.InvalidExample` where the report's frame entries
+    fail at the box midpoint (:func:`require_valid_frame`); the full
+    residual suite is the real verdict.
 
     The pack carries ``sub`` as its ``submanifold``, from which its frame
     stacks, and so its frames, build the :class:`_AmbientStack` of their

@@ -161,10 +161,18 @@ def test_builders_validate_parameters():
      "flat_pack block weight True in scales must be a number, got True"),
     ({"n": 1, "scales": "2"},
      "flat_pack block weight '2' in scales must be a number, got '2'"),
+    ({"n": (1, 2)}, "n must be an integer, got (1, 2)"),
+    ({"n": None}, "n must be an integer, got None"),
+    ({"n": [2]}, "n must be an integer, got [2]"),
+    ({"n": np.array([2])}, "n must be an integer, got array([2])"),
+    ({"n": 1j}, "n must be an integer, got 1j"),
+    ({"n": 2, "scales": [1, [2]]},
+     "flat_pack block weight [2] in scales must be a number, got [2]"),
 ])
 def test_bool_and_string_parameters_are_refused(params, message):
     # a bool or a string converts to a float but is no number: it is
-    # refused by the parameter's name, never coerced (True to 1, "3" to 3)
+    # refused by the parameter's name, never coerced (True to 1, "3" to 3);
+    # so is a value that does not convert (None, a sequence, a complex)
     with pytest.raises(InvalidExample) as err:
         make_example("flat_pack", **params)
     assert str(err.value) == message
@@ -191,12 +199,12 @@ _NUMERIC_PARAMETERS = {
 }
 
 
-@pytest.mark.parametrize("value", [True, np.True_, "1", math.nan, math.inf],
+@pytest.mark.parametrize("value", [True, np.True_, "1", 1j, math.nan, math.inf],
                          ids=repr)
 @pytest.mark.parametrize("parameter", list(_NUMERIC_PARAMETERS))
 def test_numeric_parameters_refuse_what_is_no_finite_number(parameter, value):
-    # a bool, a string or a non-finite value is refused by the parameter's
-    # name, never coerced (t=True would blend at t = 1)
+    # a bool, a string, a complex or a non-finite value is refused by the
+    # parameter's name, never coerced (t=True would blend at t = 1)
     example, params, name = _NUMERIC_PARAMETERS[parameter]
     with pytest.raises(InvalidExample, match=f"^{name}"):
         make_example(example, **params(value))

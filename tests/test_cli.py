@@ -153,6 +153,7 @@ def test_non_numeric_parameter_is_named():
     # a word where a number is expected is refused by the parameter's name
     for params, message in (
             (["n=abc"], "error: n must be an integer, got 'abc'"),
+            (["n=1,2"], "error: n must be an integer, got (1, 2)"),
             (["n=2", "s=two"], "error: s must be an integer, got 'two'"),
             (["n=2", "scales=1,abc"],
              "error: flat_pack block weight 'abc' in scales must be a number, "

@@ -11,8 +11,9 @@ from weakf import charts, submanifold
 from weakf.calculus import christoffel_from_jets, metric_inverse
 from weakf.catalog import hypersphere, linear_subspace, make_example
 from weakf.charts import Chart, Rows, SmoothField, constant_field, jet_stack
-from weakf.errors import HypothesisNotMet, SetupRejected
-from weakf.fstructure import PackFrame, axioms_residual
+from weakf.classifiers import TOL_EXACT
+from weakf.errors import HypothesisNotMet, InvalidExample
+from weakf.fstructure import PackFrame, _FrameStack, axioms_residual
 from weakf.submanifold import (
     EmbeddedSubmanifold,
     _AmbientPoint,
@@ -333,20 +334,68 @@ def test_ambient_residuals_are_gbar_norms():
             assert scaled[key] == pytest.approx(want, rel=1e-12, abs=1e-15), key
 
 
-def test_setup_rejection_on_bad_normals():
-    base = hypersphere(n=1).obj
-    bad = EmbeddedSubmanifold(
-        domain=base.domain, ambient=base.ambient,
-        ambient_metric=base.ambient_metric, ambient_skew=base.ambient_skew,
-        embedding=base.embedding,
-        normals=lambda u, emb=base.embedding: [
-            [-2.0 * c for c in emb(u)]
-        ],
-        n=1, s=1,
-    )
-    mid = np.array([0.5 * (lo + hi) for lo, hi in base.domain.box])
-    with pytest.raises(SetupRejected):
+def _broken_subspace(s=1, normal=None, dfbar=None):
+    """linear_subspace n=1 with the constant normals ``normal`` (one row
+    each) or fbar plus the constant ``dfbar``."""
+    sub = linear_subspace(n=1, s=s).obj
+    d = sub.ambient.dim
+    if normal is not None:
+        sub = replace(sub, normals=lambda u: [list(v) for v in normal])
+    if dfbar is not None:
+        fbar = np.array(sub.ambient_skew.fn(None)) + dfbar(np.eye(d))
+        sub = replace(sub, ambient_skew=constant_field(
+            sub.ambient, "tensor11", fbar, name="fbar"))
+    return sub
+
+
+# One broken embedding per frame_check key, built on linear_subspace, whose
+# normals are constant. xi_tangent and fbar_sq_negative get no case of their
+# own: with orthonormal normals and a skew fbar they follow from earlier
+# keys. Orthonormal normals perpendicular to the image span the normal
+# space, so the normal part of fbar N_i is sum_j gbar(fbar N_i, N_j) N_j,
+# which vanishes with the skew_normal_pairs residual; and a gbar-skew fbar
+# has gbar(fbar^2 X, X) = -gbar(fbar X, fbar X) <= 0, a zero margin.
+BROKEN_FRAMES = {
+    "normals_orthonormal": lambda: _broken_subspace(normal=[2.0 * np.eye(4)[3]]),
+    "normals_perp_image": lambda: _broken_subspace(
+        normal=[np.sin(0.2) * np.eye(4)[0] + np.cos(0.2) * np.eye(4)[3]]),
+    "skew_normal_pairs": lambda: _broken_subspace(
+        s=2, dfbar=lambda e: 1e-3 * (np.outer(e[5], e[4]) - np.outer(e[4], e[5]))),
+    "ambient_skew": lambda: _broken_subspace(
+        dfbar=lambda e: 1e-3 * (np.outer(e[0], e[1]) + np.outer(e[1], e[0]))),
+}
+
+
+@pytest.mark.parametrize("key", list(BROKEN_FRAMES))
+def test_setup_refuses_where_the_report_fails(key):
+    # induce_structure refuses a broken frame naming the first key, in
+    # frame_check's order, that the report's frame entries fail, and the
+    # report's stack fails that key too
+    bad = BROKEN_FRAMES[key]()
+    with pytest.raises(InvalidExample, match=f"^normal frame violates {key} at"):
+        induce_structure(bad)
+    points = bad.domain.sample(3, seed=11)
+    st = _FrameStack(induce_structure(bad, validate=False), Rows(points), 11)
+    failing = [k for k, rows in frame_check(st.ambient).items()
+               if not rows.max() <= TOL_EXACT]
+    assert failing[0] == key
+
+
+def test_setup_refusal_names_point_residual_and_tolerance():
+    bad = BROKEN_FRAMES["ambient_skew"]()
+    mid = tuple(0.5 * (lo + hi) for lo, hi in bad.domain.box)
+    with pytest.raises(InvalidExample) as err:
         require_valid_frame(bad, mid)
+    assert str(err.value) == (
+        f"normal frame violates ambient_skew at {mid}: residual 2.000e-03 "
+        "not within tolerance 1e-09")
+
+
+@pytest.mark.parametrize("config", EMBEDDED)
+def test_embedded_catalog_frames_validate(config):
+    sub = oracles.config_example(config).submanifold
+    mid = [0.5 * (lo + hi) for lo, hi in sub.domain.box]
+    require_valid_frame(sub, mid)
 
 
 def test_induced_f_squared_expansion(sphere_induced, subspace_induced):
