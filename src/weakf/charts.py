@@ -142,8 +142,9 @@ CHUNK = 16
 
 def take(value, k):
     """Row ``k`` of a stacked value: an array, a tuple or dict of them, or
-    an object that takes its own ``row(k)``. A frame reads every quantity
-    of its chunk's stack through it (``PackFrame.__getattr__``)."""
+    an object that takes its own ``row(k)``. A library frame, which no run
+    builds, reads every quantity of its stack through it
+    (``PackFrame.__getattr__``)."""
     if isinstance(value, np.ndarray):
         return value[k]
     if isinstance(value, dict):

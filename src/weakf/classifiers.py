@@ -9,9 +9,8 @@ Theorem checks are gated: when the hypotheses of a statement fail on the
 given pack (or read NaN), :class:`HypothesisNotMet` is raised instead of
 reporting a vacuous pass. Every theorem bundle is a function of its chunk's
 stack alone and returns one row over its points per key, under its gates
-(``_GATES``), each a row of the stack, checked by :func:`gated_rows`;
-``prop_normal`` forms its rows at each point in turn, on the point's frame
-(:func:`_at_each_point`). Vector-valued residuals are measured in the
+(``_GATES``), each a row of the stack, checked by :func:`gated_rows`; no
+bundle builds a point's frame. Vector-valued residuals are measured in the
 g-norm: each is lowered by the Cholesky factor u of g0 and reduced by
 :func:`~weakf.sampling.sup_norm`; a residual whose values on the test pairs
 hold m nv^2 entries per point is formed ``PAIR_CHUNK`` points at a time,
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import calculus
 from .errors import HypothesisNotMet
-from .fstructure import PackFrame, _pair_rows, _rows_abs
+from .fstructure import _pair_rows, _rows_abs
 from .sampling import (lead_dot, pair_form, sup_abs, sup_norm, transposed,
                        unit_rows)
 
@@ -216,18 +215,6 @@ def theorem_check(pack, p, which, frame, tol_exact=TOL_EXACT):
                       tol_exact, partial(body, frame))
 
 
-def _at_each_point(body):
-    """The bundle that runs ``body(frame) -> {key: residual}`` at each point
-    of a chunk's stack in turn, as rows over the chunk: it builds each
-    point's :class:`~weakf.fstructure.PackFrame`, a row view of the stack,
-    as it walks, and drops it after the point's body."""
-    def rows(st):
-        res = [body(PackFrame(st.pack, p, index=i, stack=st))
-               for i, p in enumerate(st.rows.points, st.rows.start)]
-        return {key: np.array([r[key] for r in res]) for key in res[0]}
-    return rows
-
-
 def _prop1(st):
     low = lead_dot(st.u, st.nabla_xi_xi.transpose(0, 3, 1, 2), lead=1)
     ne = np.einsum("pjab,pia->pijb", st.nabla_eta, st.xi0)
@@ -240,34 +227,38 @@ def _prop1(st):
     }
 
 
-def _prop_normal(fr):
+def _prop_normal(st):
     """Consequences of normality, reported on packs with N1 = 0."""
-    V = fr.V
-    res = {}
-    n3 = calculus.lie_tensor11_kernel(fr.f0, fr.f1, fr.xi0, fr.xi1)
-    res["lie_xi_f"] = sup_norm(pair_form(n3, fr.u, V).transpose(1, 0, 2))
+    V, u = st.V[:, None], st.u[:, None]
+    n3 = calculus.lie_tensor11_kernel(st.f0[:, None], st.f1[:, None], st.xi0,
+                                      st.xi1)
+    res = {"lie_xi_f": sup_norm(pair_form(n3, u, V).transpose(0, 2, 1, 3),
+                                lead=1)}
     # N4[i,j,A] = 2 d eta^j(xi_i, X)
-    res["deta_xi_contraction"] = sup_abs(2.0 * pair_form(fr.deta, fr.xi0, V))
+    res["deta_xi_contraction"] = sup_abs(
+        2.0 * pair_form(st.deta, st.xi0[:, None], V), lead=1)
     # d eta^i(fX, Y) - d eta^i(fY, X) = (1/2) eta^i([(Q - id)X, fY]), where
     # [(Q - id)X, fY] = ((Q - id)X)^a d_a (fY) - (fY)^a d_a (Q X)
-    b = (fr.f1 @ fr.qtilde).transpose(0, 2, 1) - fr.q1 @ fr.f0
-    res["deta_f_swap"] = sup_abs(
-        pair_form(0.5 * (fr.n2_coeff - lead_dot(fr.eta0, b)), V, V))
-    res["reeb_derivatives_in_d"] = fr.reeb_totally_geodesic
+    b = transposed(st.f1 @ st.qtilde[:, None]) - st.q1 @ st.f0[:, None]
+    res["deta_f_swap"] = sup_abs(pair_form(
+        0.5 * (st.n2_coeff - lead_dot(st.eta0, b, lead=1)), V, V), lead=1)
+    res["reeb_derivatives_in_d"] = st.reeb_totally_geodesic
     # eta^j([X, xi_i]) for X in D, extended as the section
     # X - sum_k eta^k(X) xi_k of D: for X constant in the chart,
     # eta^j([X, xi_i]) = eta^j(X^a d_a xi_i), and the extension adds
     # sum_k eta^j(xi_k) xi_i(eta^k(X))
-    db = fr.d_basis
-    brk = np.einsum("Aa,ika->ikA", db, fr.xi1)
-    xi_eta_x = pair_form(fr.eta1, db, fr.xi0)  # [k, A, i] = xi_i(eta^k(X_A))
-    ext = lead_dot(fr.eta0 @ fr.xi0.T, xi_eta_x).transpose(2, 0, 1)
+    db = st.d_basis
+    brk = np.einsum("pAa,pika->pikA", db, st.xi1)
+    # [k, A, i] = xi_i(eta^k(X_A))
+    xi_eta_x = pair_form(st.eta1, db[:, None], st.xi0[:, None])
+    ext = lead_dot(st.eta0 @ transposed(st.xi0), xi_eta_x,
+                   lead=1).transpose(0, 3, 1, 2)
     res["d_brackets_stay_in_d"] = sup_abs(
-        np.einsum("jk,ikA->ijA", fr.eta0, brk) + ext
-    )
-    nxx = fr.nabla_xi_xi
-    res["reeb_symmetric_geodesic"] = sup_norm(
-        lead_dot(fr.u, (nxx + nxx.transpose(1, 0, 2)).transpose(2, 0, 1)))
+        np.einsum("pjk,pikA->pijA", st.eta0, brk) + ext, lead=1)
+    nxx = st.nabla_xi_xi
+    res["reeb_symmetric_geodesic"] = sup_norm(lead_dot(
+        st.u, (nxx + nxx.transpose(0, 2, 1, 3)).transpose(0, 3, 1, 2),
+        lead=1), lead=1)
     return res
 
 
@@ -401,7 +392,7 @@ def _corollary_rigidity(st):
 # gates are in _GATES.
 _THEOREMS = {
     "prop1": _prop1,
-    "prop_normal": _at_each_point(_prop_normal),
+    "prop_normal": _prop_normal,
     "fk_contact_nabla": _fk_contact_nabla,
     "thm32_chain": _thm32_chain,
     "thm41": _thm41,

@@ -20,10 +20,10 @@ controls; the residual report is the verdict.
 
 :class:`_FrameStack` holds jets, Christoffel symbols and test vectors of a
 pack over a chunk of points, each with a leading point axis. The runner
-builds one per chunk and hands it to every check. A :class:`PackFrame` is
-one point's row of a stack: every attribute of the frame is its row of the
-stack's quantity of the same name. Frames are built per point only for
-``prop_normal``, the one theorem body computed at each point.
+builds one per chunk and hands it to every check, the theorem bodies
+included. A :class:`PackFrame` is one point's row of a stack: every
+attribute of the frame is its row of the stack's quantity of the same name.
+No run builds one.
 
 A residual over the test pairs is formed by :func:`_pair_rows`, which
 skips, exactly, a coefficient stack that vanishes identically, such as a
@@ -148,7 +148,7 @@ class _FrameStack:
     xi1 = property(lambda self: self._jets["xi"][1])
     eta0 = property(lambda self: self._jets["eta"][0])
     eta1 = property(lambda self: self._jets["eta"][1])
-    # built once per chunk: every frame of prop_normal takes its row of qtilde
+    # built once per chunk, for the class parts and bodies that read them
     xibar = cached_property(lambda self: self.xi0.sum(axis=-2))
     etabar = cached_property(lambda self: self.eta0.sum(axis=-2))
     qtilde = cached_property(lambda self: self.q0 - np.eye(self.q0.shape[-1]))
@@ -497,7 +497,7 @@ class PackFrame:
     point alone, on an induced pack over the ambient stack of that point
     (see :func:`weakf.submanifold.induce_structure`). Every quantity of the
     stack reads as the frame's row of it, ``frame.name``, taken on first
-    read and kept. In a run, frames are built only for ``prop_normal``;
+    read and kept. No run builds a frame; it stays as library API, and
     ``nijenhuis_ff``, which no run calls, stays for ``bench/layertrace.py``.
     """
 

@@ -46,7 +46,8 @@ from . import calculus
 from .charts import Rows, SmoothField, jet_stack
 from .classifiers import TOL_EXACT, gated_rows
 from .errors import InvalidExample
-from .fstructure import StructurePack, _pair_rows, _rows_abs, _rows_norm
+from .fstructure import (_RANK_POSITIVE_FLOOR, StructurePack, _pair_rows,
+                         _rows_abs, _rows_norm)
 from .sampling import (cholesky_basis, cholesky_factor, lead_dot, pair_form,
                        transposed)
 
@@ -325,10 +326,11 @@ def frame_check(ambient):
     Keys: orthonormality of the normals, orthogonality to the image, the
     skew-pairing condition gbar(fbar N_i, N_j) = 0, tangency of fbar N_i,
     skewness of fbar at the image, and the negative-definiteness margin of
-    fbar^2. The report's frame entries and :func:`require_valid_frame`
-    both judge these rows, each against TOL_EXACT. It takes the ambient
-    stack, not a frame stack, because require_valid_frame runs before any
-    pack exists.
+    fbar^2: its largest eigenvalue plus the square of the f_rank floor, so
+    that a singular fbar fails. The report's frame entries and
+    :func:`require_valid_frame` both judge these rows, each against
+    TOL_EXACT. It takes the ambient stack, not a frame stack, because
+    require_valid_frame runs before any pack exists.
     """
     a = ambient
     res = {}
@@ -345,7 +347,8 @@ def frame_check(ambient):
     f2 = a.fbar0 @ a.fbar0
     f2_mat = eb @ a.gbar0 @ (f2 @ transposed(eb))
     res["fbar_sq_negative"] = np.maximum(        # a NaN stays
-        np.linalg.eigvalsh(0.5 * (f2_mat + transposed(f2_mat))).max(-1), 0.0)
+        np.linalg.eigvalsh(0.5 * (f2_mat + transposed(f2_mat))).max(-1)
+        + _RANK_POSITIVE_FLOOR ** 2, 0.0)
     return res
 
 

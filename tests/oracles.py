@@ -872,7 +872,8 @@ def frame_check_at_point(ap):
     f2 = ap.fbar0 @ ap.fbar0
     f2_mat = eb @ ap.gbar0 @ (f2 @ eb.T)
     res["fbar_sq_negative"] = float(np.maximum(
-        np.linalg.eigvalsh(0.5 * (f2_mat + f2_mat.T)).max(), 0.0))
+        np.linalg.eigvalsh(0.5 * (f2_mat + f2_mat.T)).max()
+        + _RANK_POSITIVE_FLOOR ** 2, 0.0))
     return res
 
 
@@ -1000,10 +1001,11 @@ def thm32_chain_at_point(fr, r):
     }
 
 
-# -- the Reeb-field, nearly-C and S-structure theorem bodies at one point ------
+# -- the Reeb-field, normality, nearly-C and S-structure theorem bodies at one
+# point
 #
-# The engine runs prop1, thm41, thm01_i and thm01_ii over a chunk of points
-# at once, on the chunk's stack. These are the bodies at one point, on a
+# The engine runs prop1, prop_normal, thm41, thm01_i and thm01_ii over a
+# chunk of points at once, on the chunk's stack. These are the bodies at one point, on a
 # frame that is a row of that stack, as the engine ran them point by point:
 # the reference of the stacked rows.
 
@@ -1072,13 +1074,45 @@ def thm01_ii_at_point(fr):
     return res
 
 
-STACKED_AT_POINT = {"prop1": prop1_at_point, "thm41": thm41_at_point,
-                    "thm01_i": thm01_i_at_point, "thm01_ii": thm01_ii_at_point}
+def prop_normal_at_point_body(fr):
+    V = fr.V
+    res = {}
+    n3 = lie_tensor11_kernel(fr.f0, fr.f1, fr.xi0, fr.xi1)
+    res["lie_xi_f"] = sup_norm(pair_form(n3, fr.u, V).transpose(1, 0, 2))
+    # N4[i,j,A] = 2 d eta^j(xi_i, X)
+    res["deta_xi_contraction"] = sup_abs(2.0 * pair_form(fr.deta, fr.xi0, V))
+    # d eta^i(fX, Y) - d eta^i(fY, X) = (1/2) eta^i([(Q - id)X, fY]), where
+    # [(Q - id)X, fY] = ((Q - id)X)^a d_a (fY) - (fY)^a d_a (Q X)
+    b = (fr.f1 @ fr.qtilde).transpose(0, 2, 1) - fr.q1 @ fr.f0
+    res["deta_f_swap"] = sup_abs(
+        pair_form(0.5 * (fr.n2_coeff - lead_dot(fr.eta0, b)), V, V))
+    res["reeb_derivatives_in_d"] = fr.reeb_totally_geodesic
+    # eta^j([X, xi_i]) for X in D, extended as the section
+    # X - sum_k eta^k(X) xi_k of D: for X constant in the chart,
+    # eta^j([X, xi_i]) = eta^j(X^a d_a xi_i), and the extension adds
+    # sum_k eta^j(xi_k) xi_i(eta^k(X))
+    db = fr.d_basis
+    brk = np.einsum("Aa,ika->ikA", db, fr.xi1)
+    xi_eta_x = pair_form(fr.eta1, db, fr.xi0)  # [k, A, i] = xi_i(eta^k(X_A))
+    ext = lead_dot(fr.eta0 @ fr.xi0.T, xi_eta_x).transpose(2, 0, 1)
+    res["d_brackets_stay_in_d"] = sup_abs(
+        np.einsum("jk,ikA->ijA", fr.eta0, brk) + ext
+    )
+    nxx = fr.nabla_xi_xi
+    res["reeb_symmetric_geodesic"] = sup_norm(
+        lead_dot(fr.u, (nxx + nxx.transpose(1, 0, 2)).transpose(2, 0, 1)))
+    return res
+
+
+STACKED_AT_POINT = {"prop1": prop1_at_point,
+                    "prop_normal": prop_normal_at_point_body,
+                    "thm41": thm41_at_point, "thm01_i": thm01_i_at_point,
+                    "thm01_ii": thm01_ii_at_point}
 
 
 # -- the consequences of normality at one point --------------------------------
 #
-# The engine forms prop_normal from the jet arrays of a point's frame. This
+# The engine forms prop_normal from the jet arrays of a chunk's stack. This
 # is the same bundle from genuine fields and the field-level calculus above,
 # on the frame's test vectors, extended as constant fields: its reference.
 

@@ -347,9 +347,10 @@ def test_stacked_fk_contact_rows_are_the_point_oracle(config):
 
 
 def _assert_stacked_bodies_are_the_point_oracle(pack, points):
-    """The bodies of prop1, thm41, thm01_i and thm01_ii over each chunk of
-    ``points``, called without their gates: every row is bitwise the body
-    at that point alone (``oracles.STACKED_AT_POINT``), key for key."""
+    """The bodies of prop1, prop_normal, thm41, thm01_i and thm01_ii over
+    each chunk of ``points``, called without their gates: every row is
+    bitwise the body at that point alone (``oracles.STACKED_AT_POINT``),
+    key for key."""
     frames = oracles.chunk_frames(pack, points)
     stacks = list({id(fr._chunk): fr._chunk for fr in frames}.values())
     assert [len(st.rows) for st in stacks] == [charts.CHUNK, 4]

@@ -1,6 +1,6 @@
-"""Per-point work is done once per point, and set-up, the class parts and
-component functions once per chunk of points: counted with wrappers on
-small runs."""
+"""Set-up, the class parts, the theorem bodies and component functions are
+computed once per chunk of points, and no point's frame is built: counted
+with wrappers on small runs."""
 
 import hashlib
 import sys
@@ -23,11 +23,11 @@ from weakf.report import SUITES, SuiteConfig, run_suite
 
 SAMPLES = 3
 
-# Frame rows that the contraction counts recognise as operands, by the
-# name a frame reads them under. u is the Cholesky factor of g0 that vector
-# residuals are lowered by; a lowered coefficient, lead_dot(u, C), is named
-# by its source array C.
-FRAME_ARRAYS = ("V", "u", "xi0", "xi1", "d_basis", "nabla_q")
+# Stack quantities that the contraction counts recognise as operands, by
+# the name the chunk's stack reads them under. u is the Cholesky factor of
+# g0 that vector residuals are lowered by; a lowered coefficient,
+# lead_dot(u, C), is named by its source array C.
+STACK_ARRAYS = ("V", "u", "xi0", "xi1", "d_basis", "nabla_q")
 
 
 def _tracked(init, refs, counts, name):
@@ -50,15 +50,20 @@ def _counting(fn, counts, name):
     return counted
 
 
-def _counted_property(cls, attr, counts):
-    """Property ``cls.attr`` that counts its builds under ``attr``: a cached
-    property is built once per object, a plain one at every read."""
+def _rebuilt(cls, attr, wrap):
+    """Attribute ``cls.attr`` built by ``wrap(its build)``: a cached
+    property stays cached, a plain one is built at every read."""
     prop = vars(cls)[attr]
     if isinstance(prop, property):
-        return property(_counting(prop.fget, counts, attr))
-    rec = cached_property(_counting(prop.func, counts, attr))
+        return property(wrap(prop.fget))
+    rec = cached_property(wrap(prop.func))
     rec.__set_name__(cls, attr)
     return rec
+
+
+def _counted_property(cls, attr, counts):
+    """Property ``cls.attr`` that counts its builds under ``attr``."""
+    return _rebuilt(cls, attr, lambda build: _counting(build, counts, attr))
 
 
 # The content key of an all-zero array (see _by_value).
@@ -80,45 +85,25 @@ def _memory(a):
     return a.__array_interface__["data"][0], a.size
 
 
-def _sample(caller):
-    """The sample of the frame ``fr`` of the innermost call that has one, from
-    1, where prop_normal, the one theorem body computed at each point, runs;
-    0 elsewhere, on the chunk's stack."""
-    while caller is not None:
-        fr = caller.f_locals.get("fr")
-        if isinstance(fr, PackFrame):
-            return fr._chunk.rows.start + fr._k + 1
-        caller = caller.f_back
-    return 0
-
-
-def _recording(getattr_, names, owners, alive, counts):
-    """``PackFrame.__getattr__`` that names the rows of FRAME_ARRAYS it takes
-    from the chunk's stack, records each by where its elements are, and
-    counts the takes of each name under ``frame.<name>``."""
-    def get(fr, name):
-        val = getattr_(fr, name)
-        counts[f"frame.{name}"] += 1
-        if name in FRAME_ARRAYS:
-            alive.append(val)
-            names[id(val)] = name
-            owners[_memory(val)] = id(val)
-        return val
-    return get
-
-
 @pytest.fixture(scope="module")
 def counted_run():
     counts = Counter()
-    # (sample, helper, calling function, line, operand names, operand values)
-    # -> calls
+    # (helper, calling function, line, operand names, operand values) -> calls
     sites = Counter()
-    names = {}                  # id -> name of each recorded frame array
-    owners = {}                 # _memory -> id of each recorded frame array
+    names = {}                  # id -> name of each recorded stack array
+    owners = {}                 # _memory -> id of each recorded stack array
     alive = []                  # keeps arrays alive so that ids stay unique
 
+    def record(val, name):
+        """``val``, recorded by name and by where its elements are."""
+        alive.append(val)
+        names[id(val)] = name
+        owners[_memory(val)] = id(val)
+        return val
+
     def operand_id(a):
-        # a transposed view of a frame array stands for the array itself
+        # a view of a stack array, transposed or with a new axis, stands for
+        # the array itself
         return id(a) if id(a) in names else owners.get(_memory(a), id(a))
 
     def counting(contract, skip=0):
@@ -127,15 +112,12 @@ def counted_run():
             alive.append(ops)
             ids = tuple(map(operand_id, ops))
             caller = sys._getframe(1)
-            sites[(_sample(caller), contract.__name__, caller.f_code.co_name,
-                   caller.f_lineno, tuple(map(names.get, ids)),
-                   *map(_content, args))] += 1
+            sites[(contract.__name__, caller.f_code.co_name, caller.f_lineno,
+                   tuple(map(names.get, ids)), *map(_content, args))] += 1
             out = contract(*args, **kwargs)
             if (contract.__name__ == "lead_dot" and names.get(ids[0]) == "u"
                     and ids[1] in names):
-                alive.append(out)
-                names[id(out)] = names[ids[1]]
-                owners[_memory(out)] = id(out)
+                record(out, names[ids[1]])
             return out
         return counted
 
@@ -143,13 +125,17 @@ def counted_run():
     counted_np.__dict__.update(vars(np))
     counted_np.einsum = counting(np.einsum, skip=1)
 
+    stack = fstructure._FrameStack
     with pytest.MonkeyPatch.context() as mp:
-        for cls, name in ((submanifold._AmbientStack, "ambient_stack"),
+        for cls, name in ((stack, "frame_stack"),
+                          (submanifold._AmbientStack, "ambient_stack"),
                           (submanifold._AmbientPoint, "ambient"),
                           (PackFrame, "frame")):
             mp.setattr(cls, "__init__", _tracked(cls.__init__, [], counts, name))
-        mp.setattr(PackFrame, "__getattr__", _recording(
-            PackFrame.__getattr__, names, owners, alive, counts))
+        for name in STACK_ARRAYS:
+            mp.setattr(stack, name, _rebuilt(
+                stack, name, lambda build, name=name: (
+                    lambda st: record(build(st), name))))
         for name in ("metric_inverse", "christoffel_from_jets"):
             mp.setattr(calculus, name, _counting(
                 getattr(calculus, name), counts, name))
@@ -159,7 +145,6 @@ def counted_run():
         for attr in ("shape_operators", "coordinate_derivative", "hn",
                      "nearly_kahler"):
             mp.setattr(ambient, attr, _counted_property(ambient, attr, counts))
-        stack = fstructure._FrameStack
         mp.setattr(stack, "nabla_xi_xi", _counted_property(
             stack, "nabla_xi_xi", counts))
         for mod in (classifiers, fstructure, submanifold):
@@ -423,10 +408,11 @@ def test_test_pairs_once_per_sub_chunk(stacked_run):
 
 # The contractions with pairs of basis vectors that the stacked theorem
 # bodies make on the whole chunk at once, per chunk: dPhi and D f on the
-# orthonormal basis in thm01_ii (thm41, which makes three on the test and
-# contact bases, skips on hypersphere n=1; prop1 makes none, and thm01_i
-# meets the test pairs in _pair_rows alone).
-BODY_PAIRS = {"_thm01_ii": 1}
+# orthonormal basis in thm01_ii; L_xi f, d eta(xi, .), the f-swap of d eta
+# and eta's derivatives on D x Reeb in prop_normal (thm41, which makes three
+# on the test and contact bases, skips on hypersphere n=1; prop1 makes none,
+# and thm01_i meets the test pairs in _pair_rows alone).
+BODY_PAIRS = {"_prop_normal": 4, "_thm01_ii": 1}
 
 
 def test_stacked_bodies_meet_the_pairs_once_per_chunk(stacked_run):
@@ -435,7 +421,7 @@ def test_stacked_bodies_meet_the_pairs_once_per_chunk(stacked_run):
     # pairs of thm01_i and thm01_ii meet them in _pair_rows (above)
     _, pairs, _ = stacked_run
     made = {key: n for key, n in pairs.items() if key[0] in (
-        "_prop1", "_thm41", "_thm01_i", "_thm01_ii")}
+        "_prop1", "_prop_normal", "_thm41", "_thm01_i", "_thm01_ii")}
     calls = Counter()
     for key, n in made.items():
         calls[key[0]] += n
@@ -445,12 +431,9 @@ def test_stacked_bodies_meet_the_pairs_once_per_chunk(stacked_run):
 
 def test_one_chunk_of_state_alive_at_a_time(chunked_run):
     _, counts, metrics = chunked_run
-    # one frame per point, built for prop_normal, the theorem body computed
-    # at each point, as it walks the chunk: no earlier frame is alive at a
-    # build, the previous chunk's are gone; the submanifold
-    # checks read the chunk's ambient stack, so no ambient point is built
-    assert counts["frame"] == CHUNKED
-    assert counts["frame_alive_at_build"] == 0
+    # every check reads the chunk's stack, and the submanifold checks its
+    # ambient stack: no point's frame and no ambient point is built
+    assert counts["frame"] == 0
     assert counts["ambient"] == 0
     # one set-up stack per chunk, and the previous chunk's stacks are gone
     # when the walk reaches the next one: the memory they hold is bounded
@@ -462,51 +445,50 @@ def test_one_chunk_of_state_alive_at_a_time(chunked_run):
 
 
 def _by_value(sites):
-    """{(sample, helper, operand names, operand values): calls}, wherever
-    each contraction is called from. Contractions with an all-zero operand
-    are left out: two identities may both vanish exactly, and such equal
+    """{(helper, operand names, operand values): calls}, wherever each
+    contraction is called from. Contractions with an all-zero operand are
+    left out: two identities may both vanish exactly, and such equal
     operands show no repeated work."""
     out = Counter()
-    for (sample, helper, _, _, operands, *contents), n in sites.items():
+    for (helper, _, _, operands, *contents), n in sites.items():
         if ZERO not in contents:
-            out[sample, helper, operands, tuple(contents)] += n
+            out[helper, operands, tuple(contents)] += n
     return out
 
 
-def test_shared_contractions_once_per_sample(counted_run):
+def test_shared_contractions_once_per_chunk(counted_run):
     _, counts, sites = counted_run
-    # no contraction (pair_form, lead_dot or np.einsum in the classifiers,
-    # fstructure and submanifold modules) is made twice with the same
-    # operands at one point: what several checks share is computed once
+    # the SAMPLES points are one chunk: no contraction (pair_form, lead_dot
+    # or np.einsum in the classifiers, fstructure and submanifold modules)
+    # is made twice with the same operands on its stack, and no point's
+    # frame is built: what several checks share is computed once
+    assert counts["frame_stack"] == 1
+    assert counts["frame"] == 0
     shared = _by_value(sites)
     assert len(shared) > 50
     assert max(shared.values()) == 1
     # D_xi xi is read by the Reeb-frame conditions, prop1 and prop_normal;
     # it is formed with @, which the count above does not see: once for the
-    # chunk's stack, and each point's frame takes its row once
+    # chunk's stack
     assert counts["nabla_xi_xi"] == 1
-    assert counts["frame.nabla_xi_xi"] == SAMPLES
 
 
-def test_each_coefficient_tensor_contracted_once_per_sample(counted_run):
+def test_each_coefficient_tensor_contracted_once_per_chunk(counted_run):
     _, _, sites = counted_run
-    # pair_form(C, V, V): every coefficient tensor C of a bilinear identity
-    # in prop_normal, the theorem body computed at each point, meets the test
-    # pairs once per sample, wherever it is formed (all-zero coefficients are
-    # left out by _by_value): d eta^i(fX, Y) - d eta^i(fY, X). The class
-    # parts, the gates, the submanifold checks and the other theorem bodies
-    # meet them on the chunk's stack, outside any sample
-    # (test_test_pairs_once_per_sub_chunk and
-    # test_stacked_bodies_meet_the_pairs_once_per_chunk)
-    pairs = {(sample, values): n
-             for (sample, helper, operands, values), n in
-             _by_value(sites).items()
-             if helper == "pair_form" and operands[1:] == ("V", "V")
-             and sample}
+    # pair_form(C, V, V) on the chunk's whole stack of test pairs: every
+    # coefficient tensor C of a bilinear identity meets them once per chunk,
+    # wherever it is formed (all-zero coefficients are left out),
+    # prop_normal's d eta^i(fX, Y) - d eta^i(fY, X) among them.
+    # The class parts, the gates, the submanifold checks and thm01 meet
+    # theirs on sub-chunks of the stack (test_test_pairs_once_per_sub_chunk)
+    pairs, callers = Counter(), Counter()
+    for (helper, caller, _, operands, *contents), n in sites.items():
+        if (helper == "pair_form" and operands[1:] == ("V", "V")
+                and ZERO not in contents):
+            pairs[tuple(contents)] += n
+            callers[caller] += n
     assert max(pairs.values()) == 1
-    per_sample = Counter(sample for sample, _ in pairs)
-    assert sorted(per_sample) == list(range(1, SAMPLES + 1))
-    assert min(per_sample.values()) >= 1
+    assert callers["_prop_normal"] == 1
 
 
 def test_second_fundamental_form_once_per_chunk(counted_run):
@@ -520,7 +502,7 @@ def test_inverse_and_christoffel_once_per_chunk(chunked_run):
     _, counts, metrics = chunked_run
     # one stacked g^-1 and Gamma per metric and chunk of points: the pack's
     # (on an embedded example the induced one), and the ambient metric's;
-    # the curvature reads the frame's row
+    # the curvature reads the chunk's
     assert counts["metric_inverse"] == 2 * metrics
     assert counts["christoffel_from_jets"] == 2 * metrics
 

@@ -78,16 +78,13 @@ def test_suite_entries_do_not_depend_on_other_suites(full_runs):
             assert alone == {suite: full[suite]}, (ex, params, suite)
 
 
-# The only places that build a point's state: the bundle of prop_normal,
-# the one theorem body computed at each point, builds a frame per point as
-# it walks the chunk (in the rows function of classifiers._at_each_point)
-# and reads the chunk's stacks through it, and every other bundle takes the
-# chunk's stacks; no ambient point is built for a run.
-# require_valid_frame builds one of its own to check an embedding's normal
-# frame before any pack exists, and an induced field's value reads that of
-# its point.
+# The only places that build a point's state: every bundle takes the
+# chunk's stacks, so no frame and no ambient point is built for a run.
+# require_valid_frame builds an ambient point of its own to check an
+# embedding's normal frame before any pack exists, and an induced field's
+# value reads that of its point.
 BUILDERS = {
-    "PackFrame": {("classifiers.py", "rows")},
+    "PackFrame": set(),
     "_AmbientPoint": {("submanifold.py", "require_valid_frame"),
                       ("submanifold.py", "value")},
 }
@@ -737,28 +734,27 @@ def test_curvature_raising_before_the_failing_fk_gate_exits_three(
             ) in capsys.readouterr().err
 
 
-# A gate of a bundle computed at each point, normality (N1 = 0), that fails
-# from sample 7 of 10 on sasakian_s3: prop_normal and the rigidity
-# corollary read it.
+# A gate, normality (N1 = 0), that fails from sample 7 of 10 on
+# sasakian_s3: prop_normal and the rigidity corollary read it.
 def _fail_n1_zero(monkeypatch):
     _patch_stack_rows(monkeypatch, "n1_zero", lambda st, build: (
         np.where(_late(st, FAIL_FROM), 0.5, build(st))))
 
 
-def _prop_normal_refusing(monkeypatch, sample):
-    """prop_normal's body, refusing the frame of ``sample``."""
-    body = classifiers._prop_normal
+def _refusing(monkeypatch, which, sample):
+    """The body of the theorem bundle ``which``, refusing the chunk that
+    holds ``sample``."""
+    body = classifiers._THEOREMS[which]
 
-    def refusing(fr):
-        if fr._chunk.rows.start + fr._k == sample:
+    def refusing(st):
+        if st.rows.start <= sample < st.rows.start + len(st.rows):
             raise RuntimeError(f"the body refused sample {sample}")
-        return body(fr)
+        return body(st)
 
-    monkeypatch.setitem(classifiers._THEOREMS, "prop_normal",
-                        classifiers._at_each_point(refusing))
+    monkeypatch.setitem(classifiers._THEOREMS, which, refusing)
 
 
-def test_point_body_gate_failing_inside_a_chunk_skips_as_point_by_point(
+def test_normality_failing_inside_a_chunk_skips_as_point_by_point(
         monkeypatch):
     # the normality row fails from sample 7: both bundles that read it skip
     # with a note naming sample 7, whatever the chunk size
@@ -772,13 +768,14 @@ def test_point_body_gate_failing_inside_a_chunk_skips_as_point_by_point(
 
 
 @pytest.mark.parametrize("chunk", [1, 4, 16])
-def test_point_body_raising_before_the_failing_gate_exits_three(
+def test_prop_normal_raising_before_the_failing_gate_exits_three(
         monkeypatch, capsys, chunk):
-    # prop_normal's body raises at sample 3 and its gate fails from sample
-    # 7: the body runs at every point of the chunk before the gate raises,
+    # prop_normal's body, over the chunk's stack, raises on the chunk
+    # holding sample 3, and its normality gate fails from sample 7: the body
+    # runs before the gate raises, and walked alone sample 3 raises first,
     # so the run fails at sample 3 instead of skipping
     _fail_n1_zero(monkeypatch)
-    _prop_normal_refusing(monkeypatch, 3)
+    _refusing(monkeypatch, "prop_normal", 3)
     monkeypatch.setattr(charts, "CHUNK", chunk)
     assert cli.main(["verify", *FK_GATED.split(), "--samples", "10"]) == 3
     assert ("evaluation failed in theorems.prop_normal[point 3]: "
@@ -786,11 +783,13 @@ def test_point_body_raising_before_the_failing_gate_exits_three(
             ) in capsys.readouterr().err
 
 
-def test_point_body_raising_after_the_failing_gate_still_skips(monkeypatch):
-    # the body raises only at sample 9, after its gate fails at sample 7:
-    # walked alone, sample 7 skips the bundle before sample 9 is reached
+def test_prop_normal_raising_after_the_failing_gate_still_skips(monkeypatch):
+    # the body raises only on the chunk holding sample 9, and its gate fails
+    # from sample 7: whatever the chunk size, sample 7 skips the bundle
+    # first (a chunk holding both is walked again one point at a time), and
+    # no later chunk runs it
     _fail_n1_zero(monkeypatch)
-    _prop_normal_refusing(monkeypatch, 9)
+    _refusing(monkeypatch, "prop_normal", 9)
     entries = _reports_at_each_chunk_size(monkeypatch, FK_GATED, "theorems")
     assert _skipped(entries, "prop_normal") == (
         "hypothesis failed: normality (residual 5.000e-01 at point 7)")
@@ -805,14 +804,7 @@ def test_stacked_body_raising_before_the_failing_gate_exits_three(
     # the run fails at sample 3 instead of skipping
     _patch_stack_rows(monkeypatch, "eta_circ_n1", lambda st, build: (
         np.where(_late(st, FAIL_FROM), 0.5, build(st))))
-    body = classifiers._thm01_i
-
-    def refusing(st):
-        if st.rows.start <= 3 < st.rows.start + len(st.rows):
-            raise RuntimeError("the body refused sample 3")
-        return body(st)
-
-    monkeypatch.setitem(classifiers._THEOREMS, "thm01_i", refusing)
+    _refusing(monkeypatch, "thm01_i", 3)
     monkeypatch.setattr(charts, "CHUNK", chunk)
     assert cli.main(["verify", *FK_GATED.split(), "--samples", "10"]) == 3
     assert ("evaluation failed in theorems.thm01_i[point 3]: "
@@ -820,11 +812,11 @@ def test_stacked_body_raising_before_the_failing_gate_exits_three(
             ) in capsys.readouterr().err
 
 
-def test_only_prop_normal_builds_frames(monkeypatch):
-    # normality fails at every point of sasakian_s3: prop_normal, the one
-    # theorem body computed on the points' frames, skips at each chunk's
-    # first point before its body runs, so no frame is built, while the
-    # stacked bodies of prop1, thm01_i and thm01_ii report their rows
+def test_normality_failing_everywhere_skips_prop_normal_alone(monkeypatch):
+    # normality fails at every point of sasakian_s3: prop_normal skips at
+    # each chunk's first point before its body runs, while the stacked
+    # bodies of prop1, thm01_i and thm01_ii report their rows; no frame is
+    # built
     _patch_stack_rows(monkeypatch, "n1_zero",
                       lambda st, build: np.full(len(st.rows), 0.5))
     built = []

@@ -349,12 +349,14 @@ def _broken_subspace(s=1, normal=None, dfbar=None):
 
 
 # One broken embedding per frame_check key, built on linear_subspace, whose
-# normals are constant. xi_tangent and fbar_sq_negative get no case of their
-# own: with orthonormal normals and a skew fbar they follow from earlier
-# keys. Orthonormal normals perpendicular to the image span the normal
-# space, so the normal part of fbar N_i is sum_j gbar(fbar N_i, N_j) N_j,
-# which vanishes with the skew_normal_pairs residual; and a gbar-skew fbar
-# has gbar(fbar^2 X, X) = -gbar(fbar X, fbar X) <= 0, a zero margin.
+# normals are constant. xi_tangent gets no case of its own: with
+# orthonormal normals and a skew fbar it follows from earlier keys.
+# Orthonormal normals perpendicular to the image span the normal space, so
+# the normal part of fbar N_i is sum_j gbar(fbar N_i, N_j) N_j, which
+# vanishes with the skew_normal_pairs residual. A gbar-skew fbar has
+# gbar(fbar^2 X, X) = -gbar(fbar X, fbar X) <= 0, so fbar_sq_negative fails
+# only where fbar is singular: with the tangent block on e_0, e_1 zeroed,
+# fbar^2 has eigenvalues 0, 0, -1, -1, and every earlier key holds.
 BROKEN_FRAMES = {
     "normals_orthonormal": lambda: _broken_subspace(normal=[2.0 * np.eye(4)[3]]),
     "normals_perp_image": lambda: _broken_subspace(
@@ -363,6 +365,8 @@ BROKEN_FRAMES = {
         s=2, dfbar=lambda e: 1e-3 * (np.outer(e[5], e[4]) - np.outer(e[4], e[5]))),
     "ambient_skew": lambda: _broken_subspace(
         dfbar=lambda e: 1e-3 * (np.outer(e[0], e[1]) + np.outer(e[1], e[0]))),
+    "fbar_sq_negative": lambda: _broken_subspace(
+        dfbar=lambda e: np.outer(e[0], e[1]) - np.outer(e[1], e[0])),
 }
 
 
