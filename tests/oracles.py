@@ -1001,13 +1001,12 @@ def thm32_chain_at_point(fr, r):
     }
 
 
-# -- the Reeb-field, normality, nearly-C and S-structure theorem bodies at one
-# point
+# -- the stacked theorem bodies at one point ------------------------------------
 #
 # The engine runs prop1, prop_normal, thm41, thm01_i and thm01_ii over a
-# chunk of points at once, on the chunk's stack. These are the bodies at one point, on a
-# frame that is a row of that stack, as the engine ran them point by point:
-# the reference of the stacked rows.
+# chunk of points at once, on the chunk's stack. These are the bodies at one
+# point, on a frame that is a row of that stack, as the engine ran them
+# point by point: the reference of the stacked rows.
 
 
 def prop1_at_point(fr):
