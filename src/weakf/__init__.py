@@ -8,18 +8,20 @@ sample points, and reports the results deterministically.
 
 __version__ = "0.1.0"
 
-from .charts import Chart, SmoothField, constant_field, euclidean_metric
-from .fstructure import PackFrame, StructurePack, axioms_residual
+from .charts import Chart, Rows, SmoothField, constant_field, euclidean_metric
+from .fstructure import FrameStack, PackFrame, StructurePack, axioms_residual
 from .catalog import CatalogObject, make_example
 from .report import SuiteConfig, run_suite
 
 __all__ = [
     "__version__",
     "Chart",
+    "Rows",
     "SmoothField",
     "constant_field",
     "euclidean_metric",
     "StructurePack",
+    "FrameStack",
     "PackFrame",
     "axioms_residual",
     "CatalogObject",

@@ -38,7 +38,7 @@ _METRIC_EIGEN_FLOOR = 1e-12
 # -- kernels on raw jet arrays -------------------------------------------------
 
 
-def metric_inverse(g0, p=None):
+def metric_inverse(g0, p):
     """g0^-1, for one metric or a stack ``g0[..., m, m]`` at points
     ``p[..., m]``.
 
@@ -51,8 +51,7 @@ def metric_inverse(g0, p=None):
     bad = eigmin <= _METRIC_EIGEN_FLOOR
     if bad.any():
         first = np.unravel_index(np.argmax(bad), bad.shape)
-        raise DegenerateMetricError(
-            np.asarray(p)[first] if p is not None else (), eigmin[first])
+        raise DegenerateMetricError(np.asarray(p)[first], eigmin[first])
     return np.linalg.inv(g0)
 
 

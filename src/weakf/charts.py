@@ -77,7 +77,7 @@ def _stable_chart_key(name):
 def jet_stack(fn, points, order, what):
     """The tuple (value, d1[, d2]) of stacks of the component function
     ``fn`` over the ``(P, m)`` stack ``points``: one call of ``fn`` on lifted
-    coordinates. A frame reads its row of each (see :func:`take`).
+    coordinates.
 
     Each stack is shaped ``(P,) + output shape + (m,) * k``, the derivative
     axes last. Every entry must be finite; a non-finite row means that point
@@ -138,20 +138,6 @@ class SmoothField:
 # mmap threshold for P <= 16, and larger chunks raised the peak RSS more
 # than they saved time.
 CHUNK = 16
-
-
-def take(value, k):
-    """Row ``k`` of a stacked value: an array, a tuple or dict of them, or
-    an object that takes its own ``row(k)``. A library frame, which no run
-    builds, reads every quantity of its stack through it
-    (``PackFrame.__getattr__``)."""
-    if isinstance(value, np.ndarray):
-        return value[k]
-    if isinstance(value, dict):
-        return {key: take(v, k) for key, v in value.items()}
-    if isinstance(value, tuple):
-        return tuple(take(v, k) for v in value)
-    return value.row(k)
 
 
 class Rows:

@@ -2,19 +2,18 @@
 
 Each class part is the sup, over the test frame at a point, of a defining
 identity; a class takes the max over its parts. The parts and the Reeb-frame
-conditions are attributes of :class:`~weakf.fstructure._FrameStack`, named
-as the report names them: the class and frame checks give rows on a chunk's
-stack, as the runner calls them, and values on a frame, a row of it.
-Theorem checks are gated: when the hypotheses of a statement fail on the
-given pack (or read NaN), :class:`HypothesisNotMet` is raised instead of
-reporting a vacuous pass. Every theorem bundle is a function of its chunk's
-stack alone and returns one row over its points per key, under its gates
-(``_GATES``), each a row of the stack, checked by :func:`gated_rows`; no
-bundle builds a point's frame. Vector-valued residuals are measured in the
-g-norm: each is lowered by the Cholesky factor u of g0 and reduced by
-:func:`~weakf.sampling.sup_norm`; a residual whose values on the test pairs
-hold m nv^2 entries per point is formed ``PAIR_CHUNK`` points at a time,
-and not at all when its coefficient stack vanishes identically
+conditions are attributes of :class:`~weakf.fstructure.FrameStack`, named
+as the report names them, and every check takes a stack and returns rows
+over its points; a point is a stack of one. Theorem checks are gated: when
+the hypotheses of a statement fail on the given pack (or read NaN),
+:class:`HypothesisNotMet` is raised instead of reporting a vacuous pass.
+Every theorem bundle is a function of its chunk's stack alone and returns
+one row over its points per key, under its gates (``_GATES``), each a row
+of the stack, checked by :func:`gated_rows`. Vector-valued residuals are
+measured in the g-norm: each is lowered by the Cholesky factor u of g0 and
+reduced by :func:`~weakf.sampling.sup_norm`; a residual whose values on the
+test pairs hold m nv^2 entries per point is formed ``PAIR_CHUNK`` points at
+a time, and not at all when its coefficient stack vanishes identically
 (:func:`~weakf.fstructure._pair_rows`).
 
 Gates use the exact tolerance (default 1e-9); the report measures the
@@ -65,10 +64,9 @@ CLASS_TAGS = tuple(_CLASS_PARTS)
 
 
 def class_residual(pack, p, class_tag, frame):
-    """(residual, {part: residual}) of ``class_tag`` on ``frame``, a chunk's
-    stack or one point's frame: the largest of the class's parts, NaN where
-    any part is NaN, and each part, the attribute of ``frame`` of its name
-    (a chunk's rows, or the values of one frame's point).
+    """(residual, {part: residual}) rows of ``class_tag`` on the frame stack
+    ``frame``: the largest of the class's parts, NaN where any part is NaN,
+    and each part, the attribute of ``frame`` of its name.
 
     Only ``frame`` is read: ``pack`` and ``p`` stay the first two parameters
     so that ``bench/layertrace.py`` can name a span after the third

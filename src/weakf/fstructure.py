@@ -11,19 +11,18 @@ ker f with dual one-forms eta^i, and a Riemannian metric g, subject to
 
 The axioms map measures every defining identity and its standard
 consequences over the test vectors, once per chunk of points, and
-``axioms_residual`` returns it on a chunk's stack, or a frame's row of it;
-the class parts and the Reeb-frame conditions are stacked the same way, and
-on an induced pack so are the rows of the submanifold criterion that both
-of its cases read. Packs are dumb containers: nothing is validated at
+``axioms_residual`` returns it as rows over the chunk's stack; the class
+parts and the Reeb-frame conditions are stacked the same way, and on an
+induced pack so are the rows of the submanifold criterion that both of its
+cases read. Packs are dumb containers: nothing is validated at
 construction time, so deliberately broken packs can be built for negative
 controls; the residual report is the verdict.
 
-:class:`_FrameStack` holds jets, Christoffel symbols and test vectors of a
+:class:`FrameStack` holds jets, Christoffel symbols and test vectors of a
 pack over a chunk of points, each with a leading point axis. The runner
 builds one per chunk and hands it to every check, the theorem bodies
-included. A :class:`PackFrame` is one point's row of a stack: every
-attribute of the frame is its row of the stack's quantity of the same name.
-No run builds one.
+included. A point is a stack of one: :class:`PackFrame` is the frame stack
+of a single point, and no run builds one.
 
 A residual over the test pairs is formed by :func:`_pair_rows`, which
 skips, exactly, a coefficient stack that vanishes identically, such as a
@@ -38,7 +37,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import calculus
-from .charts import Rows, jet_stack, take
+from .charts import Rows, jet_stack
 from .errors import DegenerateOperatorError
 from .sampling import (
     build_test_vectors,
@@ -116,7 +115,7 @@ class StructurePack:
         return self.chart.dim
 
 
-class _FrameStack:
+class FrameStack:
     """The set-up of a pack's frames at the points of ``rows``.
 
     Every quantity is stacked on a leading point axis and built on first
@@ -488,51 +487,27 @@ class _FrameStack:
         return self.ambient.thsubm_parts(self)
 
 
-class PackFrame:
-    """All jets and test data of a pack at a single chart point: a row view
-    of ``stack``, the :class:`_FrameStack` of its chunk of sample points.
+class PackFrame(FrameStack):
+    """The frame stack of the one point ``p``, sample ``index`` of a run:
+    a point is a stack of one. No run builds one; ``nijenhuis_ff``, which
+    no run calls, stays for ``bench/layertrace.py``."""
 
-    The point is sample ``index`` of the run, so row ``index -
-    stack.rows.start``. Without a stack the frame makes a stack of its
-    point alone, on an induced pack over the ambient stack of that point
-    (see :func:`weakf.submanifold.induce_structure`). Every quantity of the
-    stack reads as the frame's row of it, ``frame.name``, taken on first
-    read and kept. No run builds a frame; it stays as library API, and
-    ``nijenhuis_ff``, which no run calls, stays for ``bench/layertrace.py``.
-    """
-
-    def __init__(self, pack, p, seed=0, index=0, stack=None):
-        self.pack = pack
-        self.p = np.asarray(p, dtype=float)
-        if stack is None:
-            stack = _FrameStack(pack, Rows(self.p[None], index), seed)
-        self._chunk = stack
-        self._k = index - stack.rows.start
-
-    def __getattr__(self, name):
-        """The frame's row of the quantity ``name`` of its chunk's stack,
-        read once."""
-        if name in ("_chunk", "_k") or name.startswith("__"):
-            raise AttributeError(name)
-        try:       # rows, rngs, ambient, ... are not per-point quantities
-            row = take(getattr(self._chunk, name), self._k)
-        except AttributeError as exc:
-            raise AttributeError(f"the frame has no row of {name!r}") from exc
-        setattr(self, name, row)
-        return row
+    def __init__(self, pack, p, seed=0, index=0):
+        super().__init__(pack, Rows(np.asarray(p, dtype=float)[None], index),
+                         seed)
 
     def nijenhuis_ff(self):
-        """[f,f](X,Y) for all test pairs: tensor [k, A, B]."""
-        return pair_form(self.ff_coeff, self.V, self.V)
+        """[f,f](X,Y) for all test pairs: tensor [1, k, A, B]."""
+        return pair_form(self.ff_coeff, self.V[:, None], self.V[:, None])
 
 
 # -- axioms ---------------------------------------------------------------------
 
 
 def axioms_residual(fr):
-    """Named sup-norm residuals of every defining identity on ``fr``: one
-    row per key on a chunk's stack, where the map is built once
-    (:attr:`_FrameStack.axioms`), and the values of a frame's row of it.
+    """Named sup-norm residuals of every defining identity on the frame
+    stack ``fr``: one row over its points per key, from the map built once
+    per stack (:attr:`FrameStack.axioms`).
 
     Raises :class:`DegenerateOperatorError` when the symmetrized Q fails to
     be positive-definite at a point of the chunk: the object leaves the

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -42,7 +43,7 @@ from .classifiers import (
     theorem_check,
 )
 from .errors import HypothesisNotMet, InvalidExample, WeakfError
-from .fstructure import _FrameStack, axioms_residual
+from .fstructure import FrameStack, axioms_residual
 from .submanifold import (
     frame_check,
     gauss_split_residual,
@@ -208,6 +209,13 @@ class SuiteConfig:
     fmt: str = "json"
 
     def __post_init__(self):
+        if not isinstance(self.example, str):
+            raise InvalidExample(
+                f"example must be a name, got {self.example!r}")
+        if not (isinstance(self.params, Mapping)
+                and all(isinstance(k, str) for k in self.params)):
+            raise InvalidExample(f"params must map parameter names to "
+                                 f"values, got {self.params!r}")
         suites = list(self.suites)
         if not suites or any(s not in SUITES or suites.count(s) > 1
                              for s in suites):
@@ -309,7 +317,7 @@ def run_suite(config):
 
     Points are walked once, in chunks of ``charts.CHUNK``, each a
     :class:`~weakf.charts.Rows`. The walk builds each chunk's set-up stack,
-    a :class:`_FrameStack` (over the ambient stack of the same rows on an
+    a :class:`FrameStack` (over the ambient stack of the same rows on an
     embedded example), so component functions are evaluated, and set-up
     quantities built, once per chunk, and hands it to every bundle, which
     returns one row of residuals over the chunk per key. A failed gate skips
@@ -339,7 +347,7 @@ def run_suite(config):
         """[(bundle, rows of residuals)] over the chunk ``rows`` and its
         skips; raises what a bundle raises."""
         found, skipped = [], {}
-        stack = _FrameStack(pack, rows, config.seed)
+        stack = FrameStack(pack, rows, config.seed)
         for b, (_, bundle) in enumerate(bundles):
             if b in skips:
                 continue

@@ -14,7 +14,7 @@ of a stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,8 +89,8 @@ def unit_rows(vecs, g0):
 
 @dataclass(frozen=True)
 class TestVectors:
-    """Test vectors at a point (rows); with a leading point axis on every
-    array, at each point of a stack."""
+    """Test vectors (rows) at each point of a stack, on a leading point
+    axis of every array; the shapes below are one point's."""
 
     vectors: np.ndarray      # (nv, m): m basis rows, distinguished, random units
     triples: np.ndarray      # (nt, 3, m) extra random triples for 3-forms
@@ -100,11 +100,6 @@ class TestVectors:
     @property
     def basis(self):
         return self.vectors[..., : self.vectors.shape[-1], :]
-
-    def row(self, k):
-        """The test vectors of point ``k`` of a stack."""
-        return replace(self, vectors=self.vectors[k], triples=self.triples[k],
-                       factor=self.factor[k], chain=self.chain[k])
 
 
 def build_test_vectors(g0, rng, distinguished):

@@ -252,7 +252,7 @@ class _AmbientStack:
     def thsubm_parts(self, st):
         """The rows of :func:`thsubm_check` that do not depend on the case,
         over ``st``, the frame stack of the induced pack, which keeps them
-        (``_FrameStack.thsubm_parts``) for both cases."""
+        (``FrameStack.thsubm_parts``) for both cases."""
         xi0, eta0, V, hn = st.xi0, st.eta0, st.V, self.hn
         xi_t, eta_t = transposed(xi0)[:, None], transposed(eta0)[:, None]
         a_mats = self.shape_operators

@@ -1,13 +1,16 @@
 """Field-level tensor calculus: the independent oracle of the test suite.
 
 The engine in ``src/weakf`` evaluates every identity as numpy contractions
-of the jet arrays cached on a ``PackFrame``. The functions here take genuine
-fields instead: vector-field arguments are ``SmoothField`` objects, brackets
-and exterior derivatives use the co-boundary formulas on those extensions,
-and the Nijenhuis torsion exists in both its commutator and connection
-forms. The tests compare the engine against them, and them against central
-finite differences. Conventions are those of ``weakf.calculus``. The
-nesting scalar jet below is the oracle of the package's array jets.
+of the jet arrays cached on a ``FrameStack``, over a chunk of points or, as
+``PackFrame``, over one point alone: a point is a stack of one. The
+per-point bodies here read one row of such a stack (``FrameRow``). The
+field-level functions take genuine fields instead: vector-field arguments
+are ``SmoothField`` objects, brackets and exterior derivatives use the
+co-boundary formulas on those extensions, and the Nijenhuis torsion exists
+in both its commutator and connection forms. The tests compare the engine
+against them, and them against central finite differences. Conventions are
+those of ``weakf.calculus``. The nesting scalar jet below is the oracle of
+the package's array jets.
 """
 
 import math
@@ -24,7 +27,7 @@ from weakf.calculus import (
 )
 from weakf import charts, cli
 from weakf.catalog import make_example
-from weakf.charts import Rows, SmoothField, jet_stack, take
+from weakf.charts import Rows, SmoothField, jet_stack
 from weakf.errors import DegenerateOperatorError, WeakfError
 from weakf.fstructure import (
     _Q_EIGEN_FLOOR,
@@ -32,12 +35,13 @@ from weakf.fstructure import (
     _RANK_ZERO_CEIL,
     PackFrame,
     StructurePack,
-    _FrameStack,
+    FrameStack,
 )
 from weakf import jets
 from weakf.jets import cos, sin
 from weakf.errors import HypothesisNotMet
-from weakf.sampling import lead_dot, pair_form, sup_abs, sup_norm, unit_rows
+from weakf.sampling import (TestVectors, lead_dot, pair_form, sup_abs,
+                            sup_norm, unit_rows)
 from weakf.submanifold import _AmbientPoint, _induced, induce_structure
 
 
@@ -334,7 +338,7 @@ def riemann_from_jets(ginv, gamma, g1, g2):
 
 def reeb_of(riem, xi):
     """r[i, l, j] = (R(xi_i, e_j) xi_i)^l of the Riemann tensor ``riem`` for
-    the vectors xi[i, m], as ``_FrameStack.reeb_curvature`` holds a point's."""
+    the vectors xi[i, m], as ``FrameStack.reeb_curvature`` holds a point's."""
     return np.einsum("lajb,ia,ib->ilj", riem, xi, xi)
 
 
@@ -527,22 +531,22 @@ def tensor_apply_field(t_field, v_field, name=""):
 # -- pack and submanifold evaluators -------------------------------------------
 
 
-def phi(pack, x, y, p, frame=None):
+def phi(pack, x, y, p, fr=None):
     """Fundamental two-form Phi(X, Y) = g(X, fY) at ``p``."""
-    fr = frame or PackFrame(pack, p)
+    fr = fr or frame(pack, p)
     x0 = np.asarray(x, dtype=float)
     y0 = np.asarray(y, dtype=float)
     return float(x0 @ fr.phi0 @ y0)
 
 
-def structure_tensors(pack, p, which, frame=None):
+def structure_tensors(pack, p, which, fr=None):
     """Evaluator for one of the four structure tensors at ``p``.
 
     ``N1(X, Y)`` returns a tangent vector; ``N2(i, X, Y)`` a scalar;
     ``N3(i, X)`` a tangent vector; ``N4(i, j, X)`` a scalar. Arguments are
     coordinate vectors at ``p``.
     """
-    fr = frame or PackFrame(pack, p)
+    fr = fr or frame(pack, p)
     if which == "N1":
         def n1(x, y):
             x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -737,6 +741,46 @@ def induced_values(sub, coords):
     return {k: a[0, 0] for k, a in out.items()}
 
 
+# -- one point's row of a frame stack -----------------------------------------
+
+
+def take(value, k):
+    """Row ``k`` of a stacked value: an array, the test vectors, or a tuple
+    or dict of them."""
+    if isinstance(value, dict):
+        return {key: take(v, k) for key, v in value.items()}
+    if isinstance(value, tuple):
+        return tuple(take(v, k) for v in value)
+    if isinstance(value, TestVectors):
+        return replace(value, vectors=value.vectors[k],
+                       triples=value.triples[k], factor=value.factor[k],
+                       chain=value.chain[k])
+    return value[k]
+
+
+class FrameRow:
+    """Row ``k`` of the frame stack ``stack``: one point's quantities, each
+    the row of the stack's quantity of the same name, taken on first read.
+    The per-point oracle bodies read a point through it."""
+
+    def __init__(self, stack, k):
+        self._chunk, self._k = stack, k
+        self.pack = stack.pack
+        self.p = stack.rows.points[k]
+
+    def __getattr__(self, name):
+        if name.startswith("__") or name in ("_chunk", "_k"):
+            raise AttributeError(name)
+        row = take(getattr(self._chunk, name), self._k)
+        setattr(self, name, row)
+        return row
+
+
+def frame(pack, p, seed=0, index=0):
+    """The row of the point ``p``'s own stack, sample ``index`` of a run."""
+    return FrameRow(PackFrame(pack, p, seed=seed, index=index), 0)
+
+
 def config_example(argv):
     """The pack of a ``weakf verify`` argument list's example, as the runner
     builds it: on an embedded example the induced pack, which carries its
@@ -749,28 +793,26 @@ def config_example(argv):
 
 def config_frames(argv, samples, seed=42):
     """The frames of the first ``samples`` points of a ``weakf verify``
-    argument list's example, each built alone with the seed and index the
-    runner gives it."""
+    argument list's example, each the row of its point's own stack, built
+    with the seed and index the runner gives it."""
     pack = config_example(argv)
-    return [PackFrame(pack, p, seed=seed, index=i)
+    return [frame(pack, p, seed=seed, index=i)
             for i, p in enumerate(pack.chart.sample(samples, seed))]
 
 
 def stack(pack, points, seed=42):
     """The set-up stack of ``points`` as one chunk, as the runner builds it."""
-    return _FrameStack(pack, Rows(np.asarray(points, dtype=float)), seed)
+    return FrameStack(pack, Rows(np.asarray(points, dtype=float)), seed)
 
 
 def chunk_frames(pack, points, seed=42):
-    """The frames of ``points`` as the runner builds them: rows of the
-    set-up stacks of chunks of ``charts.CHUNK`` points, handed to each frame
-    of the chunk with its point's index."""
+    """The frames of ``points`` as the runner's stacks hold them: the rows
+    of the set-up stacks of chunks of ``charts.CHUNK`` points."""
     points, frames = np.asarray(points, dtype=float), []
     for start in range(0, len(points), charts.CHUNK):
-        rows = Rows(points[start:start + charts.CHUNK], start)
-        st = _FrameStack(pack, rows, seed)
-        frames += [PackFrame(pack, p, seed=seed, index=i, stack=st)
-                   for i, p in enumerate(rows.points, start)]
+        st = FrameStack(pack, Rows(points[start:start + charts.CHUNK], start),
+                        seed)
+        frames += [FrameRow(st, k) for k in range(len(st.rows))]
     return frames
 
 
@@ -1301,8 +1343,8 @@ def rank_residual(fr):
 
 def axioms_at_point(fr):
     """Every axiom residual of the frame's point, computed from its arrays
-    alone: the reference of the chunk's stacked map
-    (``weakf.fstructure.axioms_residual`` reads the frame's row of it)."""
+    alone: the reference of the row of the chunk's stacked map
+    (``weakf.fstructure.FrameStack.axioms``)."""
     V, u = fr.V, fr.u
     g0, f0, q0 = fr.g0, fr.f0, fr.q0
     eta0, xi0 = fr.eta0, fr.xi0
@@ -1350,7 +1392,7 @@ def parts_at_point(fr):
     """Every class part, the Killing residuals, the Reeb-frame conditions
     and the q_parallel pair of the frame's point, computed from its arrays
     alone: the reference of the chunk's stacked rows, keyed by the names of
-    the ``weakf.fstructure._FrameStack`` attributes that hold them."""
+    the ``weakf.fstructure.FrameStack`` attributes that hold them."""
     V, u = fr.V, fr.u
     f0 = fr.f0
 

@@ -30,7 +30,7 @@ from weakf.classifiers import (
     theorem_check,
 )
 from weakf.errors import InvalidExample
-from weakf.fstructure import PackFrame, StructurePack, axioms_residual
+from weakf.fstructure import StructurePack, axioms_residual
 from weakf.report import SuiteConfig, render_json, run_suite
 from weakf.submanifold import thsubm_check
 
@@ -52,7 +52,7 @@ def criterion(num, desc):
 def _axioms_worst(pack, points=POINTS, seed=SEED):
     worst = 0.0
     for i, p in enumerate(pack.chart.sample(points, seed)):
-        fr = PackFrame(pack, p, seed=seed, index=i)
+        fr = oracles.frame(pack, p, seed=seed, index=i)
         worst = max(worst, max(axioms_residual(fr).values()))
     return worst
 
@@ -238,7 +238,7 @@ def test_criterion_09_negative_controls():
             return StructurePack(**fields)
 
         scaled_f = replaced(sas, f=scale_field(sas.f, 1.1))
-        fr = PackFrame(scaled_f, p)
+        fr = oracles.frame(scaled_f, p)
         ax = axioms_residual(fr)
         assert ax["f_squared"] >= 0.1 and ax["compatibility"] >= 0.1
         assert fr.s_structure_defining >= 0.1
@@ -246,14 +246,14 @@ def test_criterion_09_negative_controls():
         scaled_eta = replaced(
             sas, eta=tuple(scale_field(e, 1.05) for e in sas.eta)
         )
-        ax = axioms_residual(PackFrame(scaled_eta, p))
+        ax = axioms_residual(oracles.frame(scaled_eta, p))
         assert max(ax.values()) >= 0.1
 
         weak = flat_pack(n=2, s=1).obj  # Q = diag(1,1,4,4,1)
         q_id = replaced(
             weak, Q=constant_field(weak.chart, "tensor11", np.eye(5))
         )
-        fr = PackFrame(q_id, weak.chart.sample(1, SEED)[0])
+        fr = oracles.frame(q_id, weak.chart.sample(1, SEED)[0])
         ax = axioms_residual(fr)
         assert ax["f_squared"] >= 0.1
         _, br = class_residual(q_id, fr.p, "weak_metric_f", fr)

@@ -23,7 +23,6 @@ from weakf.catalog import (
 )
 from weakf.classifiers import class_residual
 from weakf.errors import InvalidExample
-from weakf.fstructure import PackFrame
 from weakf.report import SuiteConfig, render_json, run_suite
 from weakf.submanifold import induce_structure
 
@@ -388,7 +387,7 @@ def test_declared_class_table_full_catalog():
         for tag in cat.declared_classes:
             worst = 0.0
             for i, p in enumerate(pack.chart.sample(3, seed=11)):
-                fr = PackFrame(pack, p, seed=11, index=i)
+                fr = oracles.frame(pack, p, seed=11, index=i)
                 val, _ = class_residual(pack, p, tag, frame=fr)
                 worst = max(worst, val)
             assert worst <= 1e-9, (cat.name, tag, worst)

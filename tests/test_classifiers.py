@@ -19,7 +19,7 @@ from weakf.classifiers import (
     theorem_check,
 )
 from weakf.errors import HypothesisNotMet
-from weakf.fstructure import PackFrame, StructurePack
+from weakf.fstructure import StructurePack
 from weakf.report import SUITES, SuiteConfig, run_suite
 from weakf.sampling import pair_form, sup_abs
 
@@ -45,7 +45,7 @@ def _verdict(pack, tag, count=5, seed=42, tol=TOL):
     worst = 0.0
     breakdown = {}
     for i, p in enumerate(pack.chart.sample(count, seed)):
-        fr = PackFrame(pack, p, seed=seed, index=i)
+        fr = oracles.frame(pack, p, seed=seed, index=i)
         val, br = class_residual(pack, p, tag, frame=fr)
         worst = max(worst, val)
         for k, v in br.items():
@@ -81,7 +81,7 @@ def test_verdict_breakdown_keys_match_class():
 
     pack = product_pack(n=1, s=2).obj
     p = pack.chart.sample(1, seed=1)[0]
-    _, br = class_residual(pack, p, "weak_C", PackFrame(pack, p))
+    _, br = class_residual(pack, p, "weak_C", oracles.frame(pack, p))
     assert set(br) == {"deta_zero", "dphi_zero", "n1_zero"}
 
 
@@ -89,7 +89,7 @@ def test_killing_residuals(cat_product, cat_sasakian, cat_flat):
     for cat in (cat_product, cat_sasakian):
         pack = cat.obj
         for i, p in enumerate(pack.chart.sample(4, seed=7)):
-            fr = PackFrame(pack, p, seed=7, index=i)
+            fr = oracles.frame(pack, p, seed=7, index=i)
             assert max(fr.killing) <= TOL
 
     # rescaling the Reeb field by a coordinate function breaks the isometry
@@ -107,14 +107,14 @@ def test_killing_residuals(cat_product, cat_sasakian, cat_flat):
         n=pack.n, s=pack.s,
     )
     p = pack.chart.sample(1, seed=7)[0]
-    assert PackFrame(broken, p).killing[0] > 0.1
+    assert oracles.frame(broken, p).killing[0] > 0.1
 
 
 def test_q_parallel_residuals(cat_flat, cat_product, cat_sasakian):
     for cat in (cat_flat, cat_product, cat_sasakian):
         pack = cat.obj
         for i, p in enumerate(pack.chart.sample(3, seed=11)):
-            fr = PackFrame(pack, p, seed=11, index=i)
+            fr = oracles.frame(pack, p, seed=11, index=i)
             first, second = q_parallel_residual(fr)
             assert first <= TOL
             assert second <= TOL
@@ -124,7 +124,7 @@ def test_q_parallel_detects_varying_q(varying_q_pack):
     from weakf.fstructure import axioms_residual
 
     p = np.array([0.2, 0.5, -0.3])
-    fr = PackFrame(varying_q_pack, p)
+    fr = oracles.frame(varying_q_pack, p)
     ax = axioms_residual(fr)
     assert max(ax.values()) <= 1e-12  # a genuine weak pack
     first, second = q_parallel_residual(fr)
@@ -136,7 +136,7 @@ def test_frame_residuals_catalog(all_packs):
     for cat in all_packs:
         pack = cat.obj
         for i, p in enumerate(pack.chart.sample(3, seed=13)):
-            fr = PackFrame(pack, p, seed=13, index=i)
+            fr = oracles.frame(pack, p, seed=13, index=i)
             fc = frame_residuals(fr)
             assert list(fc) == ["reeb_brackets", "reeb_flat",
                                 "reeb_totally_geodesic", "q_parallel_d"]
@@ -238,8 +238,7 @@ def test_prop_normal_is_the_field_level_oracle(example):
     st = oracles.stack(pack, points)
     got = classifiers._THEOREMS["prop_normal"](st)
     for k, p in enumerate(points):
-        want = oracles.prop_normal_at_point(
-            PackFrame(pack, p, index=k, stack=st), fields)
+        want = oracles.prop_normal_at_point(oracles.FrameRow(st, k), fields)
         assert list(got) == list(want)
         for key, rows in got.items():
             assert abs(rows[k] - want[key]) <= 1e-12, (example, key, k)
@@ -632,7 +631,7 @@ def test_implication_lattice(all_packs):
         av = _verdict(pack, "weak_almost_S", count=3)
         if av.holds:
             kil = max(
-                max(PackFrame(pack, p).killing)
+                max(oracles.frame(pack, p).killing)
                 for p in pack.chart.sample(3, 5)
             )
             if kil <= TOL:
@@ -644,11 +643,11 @@ def test_symmetrized_residual_matches_diagonal(all_packs):
     for cat in all_packs:
         pack = cat.obj
         p = pack.chart.sample(1, seed=71)[0]
-        fr = PackFrame(pack, p, seed=71)
+        fr = oracles.frame(pack, p, seed=71)
         for _ in range(4):
             x = rng.standard_normal(pack.dim)
             # a fresh frame, since its stack keeps the residual it computes
-            one = PackFrame(pack, p, seed=71)
+            one = oracles.frame(pack, p, seed=71)
             one._chunk.tv = replace(fr._chunk.tv, vectors=x[None, None])
             pair = one.nearly_s_defining
             nf_xx = np.einsum("i,ikj,j->k", x, fr.nabla_f, x)
@@ -671,7 +670,7 @@ def test_sheared_flat_pack_keeps_every_verdict(params, monkeypatch):
     sheared = replace(base, obj=sheared_pack(base.obj))
     monkeypatch.setitem(catalog.BUILDERS, "sheared_flat_pack", lambda: sheared)
     p = base.chart.sample(1, seed=3)[0]
-    assert np.abs(PackFrame(sheared.obj, p).gamma).max() > 0.05
+    assert np.abs(oracles.frame(sheared.obj, p).gamma).max() > 0.05
 
     def verdicts(example, params):
         rep = run_suite(SuiteConfig(example=example, params=params,

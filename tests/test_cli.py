@@ -99,13 +99,16 @@ def test_bad_parameter_is_usage_error(tmp_path):
     # a run that checks nothing: the submanifold suite on a pack
     assert cli.main(["verify", "--example", "flat_pack", "--suites",
                      "submanifold", "--samples", "2"]) == 2
-    # the library refuses what the command line cannot express
+    # the library refuses what the command line cannot express, with no
+    # coercion: the example is a name, and the parameters map names
     for bad in ({"suites": ()}, {"suites": ("axiom",)},
                 {"suites": ("axioms", "axioms")}, {"samples": 2.5},
                 {"samples": True}, {"seed": -1}, {"seed": 1.0},
-                {"samples": MAX_SAMPLES + 1}, {"fmt": "xml"}):
+                {"samples": MAX_SAMPLES + 1}, {"fmt": "xml"},
+                {"params": None}, {"params": [("n", 2)]}, {"params": {1: 2}},
+                {"example": ["flat_pack"]}):
         with pytest.raises(InvalidExample):
-            SuiteConfig(example="flat_pack", **bad)
+            SuiteConfig(**{"example": "flat_pack", **bad})
     SuiteConfig(example="flat_pack", samples=MAX_SAMPLES)     # the bound holds
     # a numpy integer is an integer, and is kept as an int
     config = SuiteConfig(example="flat_pack", samples=np.int64(4), seed=np.int64(7))
@@ -474,7 +477,7 @@ def test_a_chunk_that_raises_is_walked_again_once(monkeypatch, capsys):
     # and the walk of its points alone builds each point's map up to K,
     # where it raises again and is named
     sizes = []
-    stack = fstructure._FrameStack
+    stack = fstructure.FrameStack
     axioms = vars(stack)["axioms"].func
 
     def counted(st):

@@ -13,7 +13,6 @@ from report_digests import CONFIGS
 
 import oracles
 from weakf import catalog, classifiers
-from weakf.fstructure import PackFrame
 from weakf.sampling import pair_form
 from weakf.submanifold import thsubm_check
 
@@ -36,7 +35,7 @@ def _close(got, want):
 
 def _sheared_frames(params):
     pack = oracles.sheared_pack(catalog.flat_pack(**params).obj)
-    return [PackFrame(pack, p, seed=3, index=i)
+    return [oracles.frame(pack, p, seed=3, index=i)
             for i, p in enumerate(pack.chart.sample(SAMPLES, seed=3))]
 
 
@@ -58,7 +57,8 @@ def test_class_residuals_match_pair_oracle(frames):
 
 def test_nijenhuis_tensors_match_pair_oracle(frames):
     for fr in frames:
-        assert _close(fr.nijenhuis_ff(), oracles.nijenhuis_ff(fr, fr.V))
+        assert _close(fr._chunk.nijenhuis_ff()[fr._k],
+                      oracles.nijenhuis_ff(fr, fr.V))
         assert _close(pair_form(fr.n1_coeff, fr.V, fr.V), oracles.n1(fr, fr.V))
 
 

@@ -1,8 +1,7 @@
-"""Each frame is a row of its chunk's set-up stacks: every stacked quantity
-equals, bit for bit, the one built for the point alone, and a frame reads
-every quantity of its stack as its row."""
+"""A point is a stack of one: row k of a chunk's set-up stacks equals, bit
+for bit, row 0 of the stack of that point alone, quantity by quantity and
+check by check."""
 
-import copy
 from dataclasses import fields
 from functools import cached_property
 
@@ -12,7 +11,7 @@ from report_digests import CONFIGS
 
 import oracles
 from weakf import charts, classifiers, fstructure, sampling
-from weakf.fstructure import PackFrame, _FrameStack
+from weakf.fstructure import PackFrame, FrameStack
 
 SAMPLES = 10
 SEED = 42
@@ -32,18 +31,18 @@ AMBIENT_QUANTITIES = (
     "fbar1", "ginvbar", "gammabar", "coordinate_derivative", "hn",
     "shape_operators", "ubar", "basis", "nabla_fbar",
 )
-# Quantities that only the chunk's stack holds: a frame's row is row _k.
+# Quantities that only the stacks hold: a row of them is read as row _k.
 STACK_QUANTITIES = ("reeb_curvature",)
 
 
 def _frames(argv):
-    """(row, frame read from its chunk's stacks, frame built alone) at each
+    """(row, its row of its chunk's stacks, row 0 of its own stack) at each
     of ROWS, the chunks' stacks built as the runner builds them."""
     pack = oracles.config_example(argv)
     points = pack.chart.sample(SAMPLES, SEED)
     chunked = oracles.chunk_frames(pack, points, SEED)
     for i in ROWS:
-        yield i, chunked[i], PackFrame(pack, points[i], seed=SEED, index=i)
+        yield i, chunked[i], oracles.frame(pack, points[i], seed=SEED, index=i)
 
 
 @pytest.mark.parametrize("argv", CONFIGS)
@@ -74,18 +73,6 @@ def test_stacked_rows_equal_the_point_alone(monkeypatch, argv):
                                   getattr(alone_ap, name)), (i, name)
 
 
-def _row(value, k):
-    """Row ``k`` of a stacked value, taken field by field."""
-    if isinstance(value, dict):
-        return {key: _row(v, k) for key, v in value.items()}
-    if isinstance(value, tuple):
-        return tuple(_row(v, k) for v in value)
-    if isinstance(value, sampling.TestVectors):
-        return sampling.TestVectors(value.vectors[k], value.triples[k],
-                                    value.factor[k], value.chain[k])
-    return value[k]
-
-
 def _bits(value):
     """A key that two values share exactly when they are bitwise equal."""
     if isinstance(value, dict):
@@ -100,10 +87,11 @@ def _bits(value):
 
 
 # Every quantity of a chunk's set-up stack, by name.
-STACK_NAMES = tuple(name for name, v in vars(_FrameStack).items()
+STACK_NAMES = tuple(name for name, v in vars(FrameStack).items()
                     if isinstance(v, (property, cached_property)))
 
-# The quantities a frame used to form from its own rows, as it formed them.
+# The quantities a point's row once formed from its own rows, as it formed
+# them.
 PER_POINT = {
     "xibar": lambda fr: fr.xi0.sum(axis=-2),
     "etabar": lambda fr: fr.eta0.sum(axis=-2),
@@ -126,22 +114,15 @@ def test_a_frame_reads_each_stack_quantity_as_its_row(argv):
              if pack.submanifold is not None or name != "thsubm_parts"]
     for fr in frames:
         for name in names:
-            row = _row(getattr(fr._chunk, name), fr._k)
+            row = oracles.take(getattr(fr._chunk, name), fr._k)
             assert _bits(getattr(fr, name)) == _bits(row), (fr._k, name)
         for name, formed in PER_POINT.items():
             assert _bits(formed(fr)) == _bits(getattr(fr, name)), name
-    fr = frames[-1]
     with pytest.raises(AttributeError):
-        fr.no_such_quantity
-    # a copy starts without _chunk: reading it must not recurse
-    twin = copy.copy(fr)
-    assert twin._chunk is fr._chunk and twin._k == fr._k
-    assert _bits(twin.V) == _bits(fr.V)
-    with pytest.raises(AttributeError):
-        PackFrame.__new__(PackFrame)._chunk
+        frames[-1].no_such_quantity
 
 
-# The public check functions, each of a chunk's stack or of one frame.
+# The public check functions, each of a frame stack.
 CHECKS = {
     "axioms_residual": fstructure.axioms_residual,
     **{f"class_residual:{tag}": (
@@ -158,9 +139,9 @@ CHECKS = {
                                   "--example linear_subspace --param n=2 "
                                   "--param s=2"])
 def test_each_check_of_a_frame_is_its_row_of_the_stack(argv):
-    # one stack over more points than a chunk holds, and each point's frame
-    # built alone, a plain PackFrame also on an induced pack: the frame's
-    # result is bitwise the stack's row
+    # one stack over more points than a chunk holds, and each point's own
+    # stack of one, a plain PackFrame also on an induced pack: its row is
+    # bitwise the chunk stack's row
     pack = oracles.config_example(argv)
     points = pack.chart.sample(charts.CHUNK + 3, SEED)
     stack = oracles.stack(pack, points, SEED)
@@ -168,12 +149,5 @@ def test_each_check_of_a_frame_is_its_row_of_the_stack(argv):
     for k, p in enumerate(points):
         fr = PackFrame(pack, p, seed=SEED, index=k)
         for name, check in CHECKS.items():
-            assert _bits(check(fr)) == _bits(_row(stacked[name], k)), (k, name)
-
-
-@pytest.mark.parametrize("name", ["rows", "rngs", "ambient", "thsubm_parts"])
-def test_a_frame_has_no_row_of_what_is_not_a_point_quantity(name):
-    pack = oracles.config_example("--example sasakian_s3")
-    fr = PackFrame(pack, pack.chart.sample(1, SEED)[0], seed=SEED)
-    with pytest.raises(AttributeError, match=f"no row of '{name}'"):
-        getattr(fr, name)
+            assert (_bits(oracles.take(check(fr), 0))
+                    == _bits(oracles.take(stacked[name], k))), (k, name)

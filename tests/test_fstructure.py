@@ -16,8 +16,8 @@ from report_digests import CONFIGS
 from weakf import catalog, charts, classifiers, fstructure, submanifold
 from weakf.charts import constant_field
 from weakf.errors import DegenerateOperatorError
-from weakf.fstructure import (PackFrame, StructurePack, _pair_rows, _rows_abs,
-                              _rows_norm, axioms_residual)
+from weakf.fstructure import (StructurePack, _pair_rows, _rows_abs, _rows_norm,
+                              axioms_residual)
 from weakf.report import SuiteConfig, run_suite
 from weakf.sampling import pair_form, sup_abs
 
@@ -36,7 +36,7 @@ def _replace(pack, **kw):
 def _axioms_max(pack, count=5, seed=3):
     worst = {}
     for i, p in enumerate(pack.chart.sample(count, seed)):
-        fr = PackFrame(pack, p, seed=seed, index=i)
+        fr = oracles.frame(pack, p, seed=seed, index=i)
         for k, v in axioms_residual(fr).items():
             worst[k] = max(worst.get(k, 0.0), v)
     return worst
@@ -92,7 +92,7 @@ def test_indefinite_q_raises(cat_flat):
     broken = _replace(pack, Q=constant_field(pack.chart, "tensor11", q_bad))
     p = pack.chart.sample(1, seed=5)[0]
     with pytest.raises(DegenerateOperatorError) as err:
-        axioms_residual(PackFrame(broken, p))
+        axioms_residual(oracles.frame(broken, p))
     assert err.value.min_eigenvalue <= 1e-12
 
 
@@ -184,31 +184,31 @@ def test_stacked_class_parts_are_the_point_oracle_on_sheared_and_broken_packs(
 def test_phi_basics(cat_flat, cat_sasakian):
     pack = cat_flat.obj
     p = pack.chart.sample(1, seed=7)[0]
-    fr = PackFrame(pack, p, seed=7)
+    fr = oracles.frame(pack, p, seed=7)
     xi = fr.xi0[0]
     rng = np.random.default_rng(7)
     for _ in range(4):
         v = rng.standard_normal(pack.dim)
-        assert abs(phi(pack, xi, v, p, frame=fr)) < 1e-14
+        assert abs(phi(pack, xi, v, p, fr=fr)) < 1e-14
         assert abs(
-            phi(pack, v, xi, p, frame=fr) + phi(pack, xi, v, p, frame=fr)
+            phi(pack, v, xi, p, fr=fr) + phi(pack, xi, v, p, fr=fr)
         ) < 1e-14
     # standard block on the first two coordinates: f e2 = -e1, so
     # phi(e1, e2) = g(e1, f e2) = -1
     e = np.eye(pack.dim)
-    assert phi(pack, e[0], e[1], p, frame=fr) == pytest.approx(-1.0, abs=1e-14)
+    assert phi(pack, e[0], e[1], p, fr=fr) == pytest.approx(-1.0, abs=1e-14)
     # fundamental form rank equals 2n
     sv = np.linalg.svd(fr.phi0, compute_uv=False)
     assert (sv > 1e-8).sum() == 2 * pack.n
 
     sas = cat_sasakian.obj
     p = sas.chart.sample(1, seed=7)[0]
-    fr = PackFrame(sas, p, seed=7)
+    fr = oracles.frame(sas, p, seed=7)
     rng = np.random.default_rng(8)
     x = constant_field(sas.chart, "vector", rng.standard_normal(3))
     y = constant_field(sas.chart, "vector", rng.standard_normal(3))
     de = oracles.d_oneform(sas.eta[0], x, y, p)
-    assert abs(phi(sas, x.value(p), y.value(p), p, frame=fr) - de) < 1e-9
+    assert abs(phi(sas, x.value(p), y.value(p), p, fr=fr) - de) < 1e-9
 
 
 def test_structure_tensors_sasakian_n1_zero(cat_sasakian):
@@ -250,11 +250,11 @@ def test_structure_tensors_flat_all_vanish(cat_flat):
 def test_n2_matches_lie_derivative_route(cat_sasakian):
     pack = cat_sasakian.obj
     p = pack.chart.sample(1, seed=19)[0]
-    fr = PackFrame(pack, p, seed=19)
+    fr = oracles.frame(pack, p, seed=19)
     rng = np.random.default_rng(12)
     xv = rng.standard_normal(3)
     yv = rng.standard_normal(3)
-    n2 = structure_tensors(pack, p, "N2", frame=fr)
+    n2 = structure_tensors(pack, p, "N2", fr=fr)
     # (L_{fX} eta)(Y) - (L_{fY} eta)(X) with constant-extension X, Y
     fx = tensor_apply_field(pack.f, constant_field(pack.chart, "vector", xv))
     fy = tensor_apply_field(pack.f, constant_field(pack.chart, "vector", yv))
@@ -267,7 +267,7 @@ def test_qtilde_invariants(all_packs):
     for cat in all_packs:
         pack = cat.obj
         for i, p in enumerate(pack.chart.sample(3, seed=23)):
-            fr = PackFrame(pack, p, seed=23, index=i)
+            fr = oracles.frame(pack, p, seed=23, index=i)
             qt = fr.qtilde
             assert np.abs(qt @ fr.f0 - fr.f0 @ qt).max() <= 1e-10
             assert np.abs(fr.eta0 @ qt).max() <= 1e-12
@@ -284,7 +284,7 @@ def test_tangent_splitting_and_eta_duality(all_packs):
 def test_d_basis_spans_contact_distribution(cat_product):
     pack = cat_product.obj
     p = pack.chart.sample(1, seed=29)[0]
-    fr = PackFrame(pack, p, seed=29)
+    fr = oracles.frame(pack, p, seed=29)
     db = fr.d_basis
     assert db.shape == (2 * pack.n, pack.dim)
     gram = np.einsum("ak,kl,bl->ab", db, fr.g0, db)
@@ -295,7 +295,7 @@ def test_d_basis_spans_contact_distribution(cat_product):
 def test_fundamental_form_field_matches_frame(cat_sasakian):
     pack = cat_sasakian.obj
     p = pack.chart.sample(1, seed=31)[0]
-    fr = PackFrame(pack, p, seed=31)
+    fr = oracles.frame(pack, p, seed=31)
     field = fundamental_form_field(pack)
     assert np.abs(field.value(p) - fr.phi0).max() < 1e-15
 

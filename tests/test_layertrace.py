@@ -2,7 +2,8 @@
 check function it wraps, reading the arguments as the library takes them.
 The runner calls those functions on each chunk's stack, so a traced run
 names a span after every suite's checks, counts it to its suite, and times
-each class and theorem bundle; one frame's checks are named the same way.
+each class and theorem bundle; the checks of one point's own stack, a
+``PackFrame``, are named the same way.
 """
 
 from pathlib import Path
@@ -28,7 +29,8 @@ def test_tracer_names_a_span_per_frame_function(monkeypatch):
         classifiers.class_residual(pack, p, "S_structure", fr)
         classifiers.frame_residuals(fr)
         classifiers.q_parallel_residual(fr)
-        classifiers.theorem_check(pack, p, "thm01_ii", fr._chunk)
+        classifiers.theorem_check(pack, p, "thm01_ii", fr)
+        fr.nijenhuis_ff()
     finally:
         tracer.uninstall()
     assert classifiers.class_residual is original
@@ -36,7 +38,8 @@ def test_tracer_names_a_span_per_frame_function(monkeypatch):
     assert {"fstructure/PackFrame", "fstructure/axioms_residual",
             "classifiers/class_residual:S_structure",
             "classifiers/frame_residuals", "classifiers/q_parallel_residual",
-            "classifiers/theorem_check:thm01_ii"} <= names
+            "classifiers/theorem_check:thm01_ii",
+            "fstructure/nijenhuis_ff"} <= names
 
 
 def test_tracer_names_a_span_per_submanifold_check(monkeypatch):

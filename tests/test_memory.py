@@ -14,7 +14,7 @@ import pytest
 from weakf import catalog, charts, classifiers
 from weakf.charts import Rows
 from weakf.errors import HypothesisNotMet
-from weakf.fstructure import PackFrame, _FrameStack
+from weakf.fstructure import PackFrame, FrameStack
 from weakf.report import SUITES, SuiteConfig, run_suite
 from weakf.submanifold import (
     frame_check,
@@ -97,9 +97,9 @@ def test_g_norm_holds_one_residual_sized_array(read):
     # only array of residual size: a g-weighted sum over it holds three
     pack = catalog.flat_pack(n=4, s=2).obj
     fr = PackFrame(pack, pack.chart.sample(1, seed=42)[0], seed=42)
-    assert fr.V.shape == (44, 10)
+    assert fr.V.shape == (1, 44, 10)
     for attr in ("u", "nabla_f", "nabla_q", "nabla_xi", "n1_coeff", "d_basis"):
-        getattr(fr, attr)       # the frame's inputs, built before the count
+        getattr(fr, attr)       # the stack's inputs, built before the count
     tracemalloc.start()
     try:
         read(fr)
@@ -117,7 +117,7 @@ def test_a_chunk_is_freed_without_the_garbage_collector(monkeypatch, example,
     # stack holds no reference cycle: with the collector off, the previous
     # chunk's stack is freed by the time the next one is built
     sizes, refs, alive = [], [], []
-    init = _FrameStack.__init__
+    init = FrameStack.__init__
 
     def tracking_init(self, pack, rows, seed):
         alive.append(sum(r() is not None for r in refs))
@@ -125,7 +125,7 @@ def test_a_chunk_is_freed_without_the_garbage_collector(monkeypatch, example,
         sizes.append(len(rows))
         init(self, pack, rows, seed)
 
-    monkeypatch.setattr(_FrameStack, "__init__", tracking_init)
+    monkeypatch.setattr(FrameStack, "__init__", tracking_init)
     frame_init = PackFrame.__init__
     frames = []
     monkeypatch.setattr(PackFrame, "__init__", lambda fr, *a, **k: (
@@ -147,8 +147,8 @@ def test_a_chunk_is_freed_without_the_garbage_collector(monkeypatch, example,
 # (seven (P, 10, 10, 10) stacks such as Gamma, D f, D Q and the [f,f] and
 # N1 coefficients at 8,000 B per point each, the test vectors, and the
 # smaller stacks), plus the temporaries of the largest build, 120 KB per
-# point in all; and the checks of one frame, which hold a few (10, 44, 44)
-# residuals of 155 KB at a time, 1 MB. The stacked axioms map reduces its
+# point in all; and the checks, which hold a few (10, 44, 44) residuals of
+# 155 KB at a time, 1 MB. The stacked axioms map reduces its
 # (P, 44, 44) pair residuals to their rows one identity at a time, so it
 # holds one of them, with its temporaries, at a time; the stacked class
 # parts form theirs fstructure.PAIR_CHUNK points at a time. The chunk size
@@ -164,22 +164,21 @@ def test_one_chunk_of_setup_stays_within_its_bound():
     points = pack.chart.sample(charts.CHUNK, seed=42)
     tracemalloc.start()
     try:
-        # the chunk's set-up is built on the first frame's first reads
-        fr = PackFrame(pack, points[0], seed=42, index=0,
-                       stack=_FrameStack(pack, Rows(points), 42))
+        # the chunk's set-up is built on the checks' first reads
+        st = FrameStack(pack, Rows(points), 42)
         for tag in classifiers.CLASS_TAGS:
-            classifiers.class_residual(pack, fr.p, tag, frame=fr)
-        classifiers.frame_residuals(fr)
+            classifiers.class_residual(pack, None, tag, st)
+        classifiers.frame_residuals(st)
         for which in classifiers.THEOREM_CHECKS:
             try:
-                classifiers.theorem_check(pack, fr.p, which, frame=fr._chunk)
+                classifiers.theorem_check(pack, None, which, st)
             except HypothesisNotMet:
                 pass
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert fr._chunk.gamma.shape == (charts.CHUNK, 10, 10, 10)
-    assert "axioms" in vars(fr._chunk)      # built inside the measurement
+    assert st.gamma.shape == (charts.CHUNK, 10, 10, 10)
+    assert "axioms" in vars(st)      # built inside the measurement
     bound = CHUNK_BYTES_PER_POINT * charts.CHUNK + FRAME_CHECK_BYTES
     assert peak < bound, (peak, bound)
 
@@ -207,7 +206,7 @@ def test_one_chunk_of_the_submanifold_suite_stays_within_its_bound():
     try:
         # every row of the suite's bundles over one chunk, as the runner
         # builds the chunk's stacks
-        st = _FrameStack(pack, Rows(points), 42)
+        st = FrameStack(pack, Rows(points), 42)
         frame_check(st.ambient)
         gauss_split_residual(st)
         for case in ("i", "ii"):
@@ -241,7 +240,7 @@ RIEMANN_STACK_BYTES = 16 * 15 ** 4 * 8
 def test_one_chunk_of_the_f_k_contact_bundles_stays_within_its_bound():
     sub = catalog.hypersphere(n=7).obj
     pack = induce_structure(sub, validate=False)
-    st = _FrameStack(pack, Rows(sub.domain.sample(charts.CHUNK, seed=42)), 42)
+    st = FrameStack(pack, Rows(sub.domain.sample(charts.CHUNK, seed=42)), 42)
     for name in ("worst_axiom", "phi_equals_deta", "killing", "nabla_f",
                  "nabla_xi", "d_basis"):
         getattr(st, name)
@@ -284,7 +283,7 @@ WHOLE_CHUNK_FF_BYTES = 16 * 15 * 48 * 48 * 8
 def test_one_chunk_of_the_stacked_theorem_bodies_stays_within_its_bound():
     sub = catalog.hypersphere(n=7).obj
     pack = induce_structure(sub, validate=False)
-    st = _FrameStack(pack, Rows(sub.domain.sample(charts.CHUNK, seed=42)), 42)
+    st = FrameStack(pack, Rows(sub.domain.sample(charts.CHUNK, seed=42)), 42)
     bodies = ("prop1", "prop_normal", "thm41", "thm01_i", "thm01_ii")
     for which in bodies:
         for gate in classifiers._GATES[which]:

@@ -125,7 +125,7 @@ def counted_run():
     counted_np.__dict__.update(vars(np))
     counted_np.einsum = counting(np.einsum, skip=1)
 
-    stack = fstructure._FrameStack
+    stack = fstructure.FrameStack
     with pytest.MonkeyPatch.context() as mp:
         for cls, name in ((stack, "frame_stack"),
                           (submanifold._AmbientStack, "ambient_stack"),
@@ -234,7 +234,7 @@ def chunked_run(request):
                 getattr(calculus, name), counts, name))
         mp.setattr(np.linalg, "cholesky", _counting(
             np.linalg.cholesky, counts, "cholesky"))
-        for cls, name in ((fstructure._FrameStack, "frame_stack"),
+        for cls, name in ((fstructure.FrameStack, "frame_stack"),
                           (submanifold._AmbientStack, "ambient_stack"),
                           (PackFrame, "frame"),
                           (submanifold._AmbientPoint, "ambient")):
@@ -298,7 +298,7 @@ def test_killing_residual_once_per_chunk(example, params, vanishes):
     # pairs once per sub-chunk of its points, unless it vanishes
     # identically, as it does on sasakian_s3
     lie, counts, received = [], Counter(), []
-    stack = fstructure._FrameStack
+    stack = fstructure.FrameStack
     prop = vars(stack)["lie_g_xi"]
 
     def recording(st):
@@ -355,7 +355,7 @@ def stacked_run():
     calls of every pair_form of the fstructure and classifiers modules, and
     what each _pair_rows call receives (see _receiving)."""
     counts, pairs, received = Counter(), Counter(), []
-    stack = fstructure._FrameStack
+    stack = fstructure.FrameStack
     pair_form = fstructure.pair_form
 
     def counting_pair_form(t, X, Y):
@@ -528,7 +528,7 @@ def test_axioms_map_once_per_chunk():
     counted_np = types.ModuleType("numpy")
     counted_np.__dict__.update(vars(np))
     counted_np.linalg = linalg
-    stack = fstructure._FrameStack
+    stack = fstructure.FrameStack
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fstructure, "np", counted_np)
         for name in ("axioms", "worst_axiom"):
@@ -557,7 +557,7 @@ def test_ambient_quantities_once_per_chunk(counted_run):
 
 def test_kept_axioms_map_is_a_copy():
     pack = submanifold.induce_structure(hypersphere(n=1).obj, validate=False)
-    fr = PackFrame(pack, pack.chart.sample(1, seed=5)[0], seed=5)
+    fr = oracles.frame(pack, pack.chart.sample(1, seed=5)[0], seed=5)
     first = axioms_residual(fr)
     first["f_skew"] = 1.0
     assert axioms_residual(fr)["f_skew"] < 1e-9

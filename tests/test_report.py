@@ -136,8 +136,7 @@ def _point_parameters(node):
 
 def test_checks_take_the_frame_alone():
     # every check reads the test vectors and the ambient data from the
-    # point's frame or the chunk's stack; none takes them as separate
-    # arguments
+    # frame stack; none takes them as separate arguments
     bad = []
     for name in ("classifiers.py", "fstructure.py", "submanifold.py"):
         tree = ast.parse((Path(weakf.__file__).parent / name).read_text(
@@ -167,9 +166,9 @@ def test_an_induced_pack_builds_its_own_ambient_stack():
                 continue
             if _callee(node) == "_AmbientStack" and path != own:
                 bad.append(f"{path.name}:{node.lineno} _AmbientStack")
-            if (_callee(node) == "_FrameStack"
+            if (_callee(node) == "FrameStack"
                     and len(node.args) + len(node.keywords) > 3):
-                bad.append(f"{path.name}:{node.lineno} _FrameStack")
+                bad.append(f"{path.name}:{node.lineno} FrameStack")
     assert bad == []
 
 
@@ -291,7 +290,7 @@ def test_nan_residual_fails_its_entry(capsys, monkeypatch):
 
     # a residual that is NaN at the second point and +inf at the third: rows
     # 1 and 2 of the stacked map of the run's one chunk
-    axioms = vars(fstructure._FrameStack)["axioms"].func
+    axioms = vars(fstructure.FrameStack)["axioms"].func
 
     def injected(edit):
         def build(stack):
@@ -299,8 +298,8 @@ def test_nan_residual_fails_its_entry(capsys, monkeypatch):
             res["qf_commute"] = edit(res["qf_commute"].copy())
             return res
         prop = cached_property(build)
-        prop.__set_name__(fstructure._FrameStack, "axioms")
-        monkeypatch.setattr(fstructure._FrameStack, "axioms", prop)
+        prop.__set_name__(fstructure.FrameStack, "axioms")
+        monkeypatch.setattr(fstructure.FrameStack, "axioms", prop)
 
     def non_finite(row):
         row[1:3] = math.nan, math.inf
@@ -655,11 +654,11 @@ FK_GATED = "--example sasakian_s3"
 
 
 def _patch_stack_rows(monkeypatch, name, rows):
-    """``_FrameStack.name`` built by ``rows(stack, the original build)``."""
-    build = vars(fstructure._FrameStack)[name].func
+    """``FrameStack.name`` built by ``rows(stack, the original build)``."""
+    build = vars(fstructure.FrameStack)[name].func
     prop = cached_property(lambda st: rows(st, build))
-    prop.__set_name__(fstructure._FrameStack, name)
-    monkeypatch.setattr(fstructure._FrameStack, name, prop)
+    prop.__set_name__(fstructure.FrameStack, name)
+    monkeypatch.setattr(fstructure.FrameStack, name, prop)
 
 
 def _fail_phi_equals_deta(monkeypatch):

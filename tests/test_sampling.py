@@ -14,7 +14,6 @@ from report_digests import CONFIGS
 import oracles
 from weakf import catalog
 from weakf.classifiers import class_residual
-from weakf.fstructure import PackFrame
 from weakf.sampling import (
     N_CHAIN_UNITS,
     N_RANDOM_PAIRS,
@@ -108,7 +107,7 @@ def test_nan_propagates_through_the_reducers():
     parts = ("deta_zero", "dphi_zero", "n1_zero")
     for values in ((math.nan, 1.0, 0.0), (1.0, math.nan, 0.0),
                    (0.0, 2.0, math.nan)):
-        fr = PackFrame(pack, p, seed=42)
+        fr = oracles.frame(pack, p, seed=42)
         vars(fr).update(zip(parts, map(np.float64, values)))
         value, br = class_residual(pack, p, "weak_C", fr)
         assert math.isnan(value)
@@ -120,7 +119,7 @@ def test_nan_propagates_through_the_reducers():
         value, _ = class_residual(pack, None, "weak_C", chunk)
         assert math.isnan(value[0]) and value[1] == 0.5
         assert math.isnan(sup_norm(np.array(values)[None]))
-    fr = PackFrame(pack, p, seed=42)
+    fr = oracles.frame(pack, p, seed=42)
     vars(fr).update(zip(parts, map(np.float64, (1e-20, 3.0, 2.0))))
     assert class_residual(pack, p, "weak_C", fr)[0] == 3.0
 
@@ -170,7 +169,7 @@ def test_frame_draws_continue_after_the_test_vectors(all_packs):
     for cat in all_packs:
         pack = cat.obj
         for index, p in enumerate(pack.chart.sample(3, seed=5)):
-            fr = PackFrame(pack, p, seed=5, index=index)
+            fr = oracles.frame(pack, p, seed=5, index=index)
             tv = fr.tv
             rng = point_rng(5, index)
             pairs, triples = _one_draw_per_vector(fr.g0, rng)
@@ -209,7 +208,7 @@ def test_cholesky_basis_is_the_coordinate_gram_schmidt():
     frames = [fr for config in CONFIGS for fr in oracles.config_frames(config, 2)]
     for params in ({}, {"n": 1, "s": 2}):
         pack = oracles.sheared_pack(catalog.flat_pack(**params).obj)
-        frames += [PackFrame(pack, p) for p in pack.chart.sample(2, seed=3)]
+        frames += [oracles.frame(pack, p) for p in pack.chart.sample(2, seed=3)]
     for fr in frames:
         # the frame's test basis is built from the factor it lowers by
         _assert_gram_schmidt(fr.g0, fr.u)

@@ -13,7 +13,7 @@ from weakf.catalog import hypersphere, linear_subspace, make_example
 from weakf.charts import Chart, Rows, SmoothField, constant_field, jet_stack
 from weakf.classifiers import TOL_EXACT
 from weakf.errors import HypothesisNotMet, InvalidExample
-from weakf.fstructure import PackFrame, _FrameStack, axioms_residual
+from weakf.fstructure import FrameStack, axioms_residual
 from weakf.submanifold import (
     EmbeddedSubmanifold,
     _AmbientPoint,
@@ -38,7 +38,7 @@ def test_frame_requirements_on_hypersphere(cat_sphere):
 def test_induced_sphere_pack_is_standard(sphere_induced):
     pack = sphere_induced
     for i, p in enumerate(pack.chart.sample(4, seed=5)):
-        fr = PackFrame(pack, p, seed=5, index=i)
+        fr = oracles.frame(pack, p, seed=5, index=i)
         ax = axioms_residual(fr)
         assert max(ax.values()) <= 1e-10
         # standard ambient: induced Q is the identity
@@ -84,7 +84,7 @@ def test_weak_skew_sphere_partial_axioms(cat_sphere_weak):
     induced = induce_structure(sub)
     worst = {}
     for i, p in enumerate(induced.chart.sample(4, seed=7)):
-        fr = PackFrame(induced, p, seed=7, index=i)
+        fr = oracles.frame(induced, p, seed=7, index=i)
         for k, v in axioms_residual(fr).items():
             worst[k] = max(worst.get(k, 0.0), v)
         # genuinely weak: Q differs from the identity but stays
@@ -379,7 +379,7 @@ def test_setup_refuses_where_the_report_fails(key):
     with pytest.raises(InvalidExample, match=f"^normal frame violates {key} at"):
         induce_structure(bad)
     points = bad.domain.sample(3, seed=11)
-    st = _FrameStack(induce_structure(bad, validate=False), Rows(points), 11)
+    st = FrameStack(induce_structure(bad, validate=False), Rows(points), 11)
     failing = [k for k, rows in frame_check(st.ambient).items()
                if not rows.max() <= TOL_EXACT]
     assert failing[0] == key
@@ -406,7 +406,7 @@ def test_induced_f_squared_expansion(sphere_induced, subspace_induced):
     # f^2 X + QX - sum_i eta^i(X) xi_i = 0 on induced packs
     for pack in (sphere_induced, subspace_induced):
         p = pack.chart.sample(1, seed=41)[0]
-        fr = PackFrame(pack, p, seed=41)
+        fr = oracles.frame(pack, p, seed=41)
         rng = np.random.default_rng(41)
         for _ in range(4):
             x = rng.standard_normal(pack.dim)
@@ -448,7 +448,7 @@ def test_closed_form_matches_nested_oracle(example, params):
         assert err <= CLOSED_FORM_TOL * max(1.0, np.abs(want).max()), (what, err)
 
     for p in sub.domain.sample(3, seed=53):
-        fr = PackFrame(closed, p)
+        fr = oracles.frame(closed, p)
         for key, field, oracle in pairs:
             want0, want1 = oracle.jet(p, order=1)
             name, i = key if isinstance(key, tuple) else (key, None)
