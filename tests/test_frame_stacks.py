@@ -122,6 +122,35 @@ def test_a_frame_reads_each_stack_quantity_as_its_row(argv):
         frames[-1].no_such_quantity
 
 
+# What a stack holds of its points as a whole rather than as rows of a
+# quantity, read at row k: its sample points, each point's generator, the
+# ambient stack of the same rows, and the submanifold criterion's parts.
+WHOLE_STACK = {
+    "rows": lambda st, k: (st.rows.start + k, _bits(st.rows.points[k])),
+    "rngs": lambda st, k: st.rngs[k].bit_generator.state,
+    "ambient": lambda st, k: (st.ambient.rows is st.rows, tuple(
+        _bits(getattr(st.ambient, name)[k]) for name in AMBIENT_QUANTITIES)),
+    "thsubm_parts": lambda st, k: _bits(oracles.take(st.thsubm_parts, k)),
+}
+
+
+@pytest.mark.parametrize("name", list(WHOLE_STACK))
+def test_a_point_holds_what_a_stack_holds_as_a_stack_of_one(name):
+    # the point's own stack holds one row of each, equal bit for bit to the
+    # chunk stack's row of that point, on an induced pack so that every one
+    # of them is there
+    pack = oracles.config_example("--example linear_subspace --param n=2 "
+                                  "--param s=2")
+    points = pack.chart.sample(SAMPLES, SEED)
+    stack = oracles.stack(pack, points, SEED)
+    read = WHOLE_STACK[name]
+    for k in ROWS:
+        alone = PackFrame(pack, points[k], seed=SEED, index=k)
+        assert len(alone.rows) == len(alone.rngs) == 1
+        assert alone.rows.start == k
+        assert read(alone, 0) == read(stack, k), (k, name)
+
+
 # The public check functions, each of a frame stack.
 CHECKS = {
     "axioms_residual": fstructure.axioms_residual,
